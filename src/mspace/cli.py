@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any
 
@@ -52,6 +53,13 @@ DIAGONAL_TOL = 1e-9
 # report emission
 
 
+def _finite(value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError("report-nonfinite", f"the report holds the non-finite value {value!r}")
+    return value
+
+
 def _json_scalar(value: Any) -> str:
     if isinstance(value, np.bool_):
         value = bool(value)
@@ -61,7 +69,7 @@ def _json_scalar(value: Any) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         # 17 significant digits: exact round-trip for doubles
-        return format(float(value), ".16e")
+        return format(_finite(value), ".16e")
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
@@ -88,24 +96,26 @@ def _tsv_cell(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
+        return format(_finite(value), ".12g")
     return str(value)
 
 
-def _emit(report: dict, fmt: str) -> None:
+def _emit(report: dict, fmt: str) -> str:
+    """The whole report as text, built before any of it is printed."""
     if fmt == "json":
-        print(_emit_json(report))
-        return
+        return _emit_json(report)
+    lines = []
     for key, value in report.items():
         if key == "results":
             continue
-        print(f"# {key}={_tsv_cell(value) if not isinstance(value, dict) else json.dumps(value)}")
+        lines.append(f"# {key}={_tsv_cell(value) if not isinstance(value, dict) else json.dumps(value)}")
     rows = report.get("results", [])
     if rows:
         header = list(rows[0].keys())
-        print("\t".join(header))
+        lines.append("\t".join(header))
         for row in rows:
-            print("\t".join(_tsv_cell(row[k]) for k in header))
+            lines.append("\t".join(_tsv_cell(row[k]) for k in header))
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +130,12 @@ def _parse_ints(text: str, n: int | None = None) -> tuple[int, ...]:
     if n is not None and len(values) != n:
         raise ValidationError("flag-format", f"expected {n} integers, got {text!r}")
     return values
+
+
+def _require_count(value: int, flag: str) -> None:
+    # zero trials or steps would check nothing and still report a pass
+    if value < 1:
+        raise ValidationError("flag-format", f"{flag} must be >= 1, got {value}")
 
 
 def _load_local_sets(args, psi: PureState, tol: float) -> LocalMeasurementSet:
@@ -217,6 +233,7 @@ def cmd_theorem1(args) -> tuple[dict, int]:
             raise ValidationError("flag-format", "need --protocol or --random")
         if args.seed is None:
             raise ValidationError("flag-format", "--random needs --seed")
+        _require_count(args.trials, "--trials")
         d_a, d_b = _parse_ints(args.dims, 2) if args.dims else (2, 2)
         specs = [
             (str(t), random_protocol(d_a, d_b, args.outcomes, np.random.default_rng((args.seed, t))))
@@ -321,6 +338,7 @@ def cmd_locc(args) -> tuple[dict, int]:
 
 
 def cmd_konrad(args) -> tuple[dict, int]:
+    _require_count(args.trials, "--trials")
     rows = []
     worst = 0.0
     violations = 0
@@ -385,8 +403,7 @@ def cmd_modes(args) -> tuple[dict, int]:
 def cmd_sweep(args) -> tuple[dict, int]:
     if args.state != "bell":
         raise ValidationError("sweep-state", "the efficiency sweep is defined for --state bell")
-    if args.steps < 1:
-        raise ValidationError("flag-format", "--steps must be >= 1")
+    _require_count(args.steps, "--steps")
     psi = bell_phi_plus()
     entropy_before = entropy_of_entanglement(psi)
     rows = []
@@ -497,10 +514,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, code = args.func(args)
+        text = _emit(report, args.format)
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.format)
+    print(text)
     return code
 
 

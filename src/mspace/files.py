@@ -24,17 +24,29 @@ from .protocols import ProtocolSpec
 
 STATE_NORM_ACCEPT = 1e-8
 STATE_NORM_REPAIR = 1e-4
+# loosest completeness tolerance the environment may set; beyond it an
+# incomplete set would pass and yield a meaningless image
+TOLERANCE_CAP = 1e-4
 
 
 def default_tolerance() -> float:
-    """Completeness tolerance for loaders; MSPACE_DEFAULT_TOL overrides it."""
+    """Completeness tolerance for loaders; MSPACE_DEFAULT_TOL overrides it.
+
+    An override must be a finite number in (0, TOLERANCE_CAP].
+    """
     raw = os.environ.get("MSPACE_DEFAULT_TOL")
     if raw is None:
         return DEFAULT_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError as exc:
         raise ValidationError("tolerance-env", f"MSPACE_DEFAULT_TOL={raw!r} is not a number") from exc
+    # the chained comparison is false for NaN as well
+    if not 0.0 < tol <= TOLERANCE_CAP:
+        raise ValidationError(
+            "tolerance-env", f"MSPACE_DEFAULT_TOL={raw!r} is not in (0, {TOLERANCE_CAP!r}]"
+        )
+    return tol
 
 
 def pairs_to_vector(pairs: Sequence[Sequence[float]]) -> np.ndarray:

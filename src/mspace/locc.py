@@ -36,7 +36,12 @@ from .linalg import (
     haar_unitary,
     tensor,
 )
-from .measurement import LocalMeasurementSet, MeasurementSpaceState, map_to_measurement_space
+from .measurement import (
+    LocalMeasurementSet,
+    MeasurementSpaceState,
+    local_product,
+    map_to_measurement_space,
+)
 
 ZERO_BRANCH_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
@@ -47,14 +52,9 @@ DEGENERACY_TOL = 1e-9
 
 
 def _dilation_tensor(psi: PureState, measurements: LocalMeasurementSet) -> np.ndarray:
-    d_a, d_b = psi.dims
-    n_a, n_b = measurements.structure
-    mat = psi.reshaped()
-    phi = np.zeros((d_a, d_b, n_a, n_b), dtype=complex)
-    for m_a, (_, op_a) in enumerate(measurements.alice.operators):
-        for m_b, (_, op_b) in enumerate(measurements.bob.operators):
-            phi[:, :, m_a, m_b] = op_a @ mat @ op_b.T
-    return phi
+    """phi[:, :, a, b] = A_a Psi B_b^T, on axes (sys_A, sys_B, anc_A, anc_B)."""
+    t = local_product(psi.reshaped(), measurements.alice.stack, measurements.bob.stack)
+    return t.transpose(2, 3, 0, 1)
 
 
 def build_dilation(psi: PureState, measurements: LocalMeasurementSet) -> PureState:

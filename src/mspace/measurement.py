@@ -34,17 +34,18 @@ class MeasurementSet:
     Structural invariants (shapes, unique labels) are enforced at
     construction. Completeness is checked by the operations that rely on it,
     so that an incomplete set can still be built and inspected with
-    :func:`validate_completeness`.
+    :func:`validate_completeness`. The operators are stacked once into the
+    read-only ``(n, dim, dim)`` array ``stack``; the matrices in
+    ``operators`` are views into it.
     """
 
     dim: int
     operators: tuple[tuple[str, np.ndarray], ...]
+    stack: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dim = int(self.dim)
         ops = tuple((str(label), np.asarray(op, dtype=complex)) for label, op in self.operators)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "operators", ops)
         if dim < 1:
             raise ValidationError("measurement-dim", f"dimension must be >= 1, got {dim}")
         if not ops:
@@ -58,6 +59,11 @@ class MeasurementSet:
         labels = [label for label, _ in ops]
         if len(set(labels)) != len(labels):
             raise ValidationError("measurement-labels", f"labels are not unique: {labels}")
+        stack = np.stack([op for _, op in ops])
+        stack.flags.writeable = False
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "operators", tuple(zip(labels, stack)))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -65,25 +71,41 @@ class MeasurementSet:
 
     @property
     def matrices(self) -> tuple[np.ndarray, ...]:
-        return tuple(op for _, op in self.operators)
+        return tuple(self.stack)
 
     def __len__(self) -> int:
         return len(self.operators)
 
     def completeness_deviation(self) -> float:
         """Max-norm of sum_m M_m^dag M_m - 1."""
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for _, op in self.operators:
-            acc += op.conj().T @ op
-        return float(np.max(np.abs(acc - np.eye(self.dim))))
+        return _identity_deviation(_gram(self.stack))
 
     def assert_complete(self, tol: float = DEFAULT_TOL) -> None:
-        dev = self.completeness_deviation()
-        if dev > tol:
-            raise ValidationError(
-                "completeness",
-                f"completeness deviation {dev!r} exceeds tolerance {tol!r}",
-            )
+        _require_complete(self.completeness_deviation(), tol)
+
+
+def _rows(stack: np.ndarray) -> np.ndarray:
+    """An ``(n, d, d)`` operator stack as one ``(n d, d)`` block column."""
+    return stack.reshape(-1, stack.shape[-1])
+
+
+def _gram(stack: np.ndarray) -> np.ndarray:
+    """sum_m M_m^dag M_m as a single product of the stacked block column."""
+    rows = _rows(stack)
+    return rows.conj().T @ rows
+
+
+def _identity_deviation(gram: np.ndarray) -> float:
+    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+
+
+def _require_complete(dev: float, tol: float) -> None:
+    # written so that a NaN deviation fails too
+    if not dev <= tol:
+        raise ValidationError(
+            "completeness",
+            f"completeness deviation {dev!r} exceeds tolerance {tol!r}",
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,12 +136,18 @@ class LocalMeasurementSet:
     def structure(self) -> tuple[int, int]:
         return (len(self.alice), len(self.bob))
 
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(f"({la},{lb})" for la in self.alice.labels for lb in self.bob.labels)
+
     def joint(self) -> MeasurementSet:
-        ops = []
-        for la, ma in self.alice.operators:
-            for lb, mb in self.bob.operators:
-                ops.append((f"({la},{lb})", tensor(ma, mb)))
-        return MeasurementSet(self.alice.dim * self.bob.dim, tuple(ops))
+        """The explicit product set {A_a (x) B_b}, as a reference.
+
+        It holds n_a n_b operators of size (d_a d_b)^2; the map never builds
+        it, and uses :func:`local_product` instead.
+        """
+        ops = (tensor(ma, mb) for ma in self.alice.matrices for mb in self.bob.matrices)
+        return MeasurementSet(self.alice.dim * self.bob.dim, tuple(zip(self.labels, ops)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,12 +213,55 @@ class MeasurementSpaceState:
         return PureState((na, nb), self.amplitudes.astype(complex))
 
 
+def local_product(psi: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """T[a, b] = A_a Psi B_b^T for every pair of local operators.
+
+    ``psi`` is the state as a ``(d_a, d_b)`` amplitude matrix and ``alice``,
+    ``bob`` are operator stacks of shapes ``(n_a, d_a, d_a)`` and
+    ``(n_b, d_b, d_b)``. ``T[a, b]`` is the amplitude matrix of
+    ``(A_a (x) B_b) psi``, so ``||T[a, b]||_F^2`` is the probability of the
+    joint outcome ``(a, b)``. Two matrix products over the stacked block
+    columns give all ``n_a n_b`` products at once; the result is an
+    ``(n_a, n_b, d_a, d_b)`` view.
+    """
+    n_a, d_a, _ = alice.shape
+    n_b, d_b, _ = bob.shape
+    t = _rows(alice) @ psi @ _rows(bob).T
+    return t.reshape(n_a, d_a, n_b, d_b).transpose(0, 2, 1, 3)
+
+
+def _clamped(raw: np.ndarray) -> np.ndarray:
+    """Outcome weights checked against the -1e-12 floor and clamped to [0, 1]."""
+    low = raw < PROBABILITY_FLOOR
+    if np.any(low):
+        p = float(raw[low][0])
+        raise ValidationError("probability-floor", f"outcome probability {p!r} < -1e-12")
+    return np.clip(raw, 0.0, 1.0)
+
+
+def _local_probabilities(psi: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Clamped p[a, b] = ||A_a Psi B_b^T||_F^2, an ``(n_a, n_b)`` array."""
+    t = local_product(psi, alice, bob)
+    return _clamped(np.sum(t.real**2 + t.imag**2, axis=(2, 3)))
+
+
+def _check_total(probs: np.ndarray, dim: int, completeness_tol: float) -> np.ndarray:
+    total = float(probs.sum())
+    # a completeness deviation of eps can push the sum off by up to dim * eps
+    sum_tol = max(DEFAULT_TOL, completeness_tol * dim)
+    if abs(total - 1.0) > sum_tol:
+        raise ValidationError(
+            "probability-normalization", f"probabilities sum to {total!r}, expected 1"
+        )
+    return probs
+
+
 def outcome_probabilities(
     psi: PureState,
     mset: MeasurementSet,
     completeness_tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Outcome distribution p_m = <psi| M_m^dag M_m |psi>.
+    """Outcome distribution p_m = <psi| M_m^dag M_m |psi> = ||M_m psi||^2.
 
     Each probability is clamped to [0, 1] after a -1e-12 floor check and the
     distribution must sum to 1 within 1e-10, which completeness guarantees.
@@ -201,20 +272,29 @@ def outcome_probabilities(
             f"state dimension {psi.dim} != measurement dimension {mset.dim}",
         )
     mset.assert_complete(completeness_tol)
-    probs = np.empty(len(mset), dtype=float)
-    for i, (_, op) in enumerate(mset.operators):
-        p = float(np.real(np.vdot(psi.vector, op.conj().T @ (op @ psi.vector))))
-        if p < PROBABILITY_FLOOR:
-            raise ValidationError("probability-floor", f"outcome probability {p!r} < -1e-12")
-        probs[i] = min(max(p, 0.0), 1.0)
-    total = float(probs.sum())
-    # a completeness deviation of eps can push the sum off by up to dim * eps
-    sum_tol = max(DEFAULT_TOL, completeness_tol * mset.dim)
-    if abs(total - 1.0) > sum_tol:
+    amps = (_rows(mset.stack) @ psi.vector).reshape(len(mset), mset.dim)
+    raw = np.sum(amps.real**2 + amps.imag**2, axis=1)
+    return _check_total(_clamped(raw), mset.dim, completeness_tol)
+
+
+def _local_outcome_probabilities(
+    psi: PureState, local: LocalMeasurementSet, completeness_tol: float
+) -> np.ndarray:
+    """Row-major joint outcome distribution of a local pair, without the joint set.
+
+    Completeness of the product set follows from the per-party Gram matrices:
+    sum_ab (A_a (x) B_b)^dag (A_a (x) B_b) = G_A (x) G_B.
+    """
+    alice, bob = local.alice, local.bob
+    if psi.dims != (alice.dim, bob.dim):
         raise ValidationError(
-            "probability-normalization", f"probabilities sum to {total!r}, expected 1"
+            "dimension-match",
+            f"state dims {psi.dims} != measurement dims ({alice.dim}, {bob.dim})",
         )
-    return probs
+    gram = tensor(_gram(alice.stack), _gram(bob.stack))
+    _require_complete(_identity_deviation(gram), completeness_tol)
+    probs = _local_probabilities(psi.reshaped(), alice.stack, bob.stack).reshape(-1)
+    return _check_total(probs, psi.dim, completeness_tol)
 
 
 def map_to_measurement_space(
@@ -224,14 +304,16 @@ def map_to_measurement_space(
 ) -> MeasurementSpaceState:
     """Map a pure state to the vector of square-root outcome probabilities.
 
-    With a :class:`LocalMeasurementSet` the joint product set is used and the
-    (Alice x Bob) outcome structure is attached to the result.
+    With a :class:`LocalMeasurementSet` the state must have dims
+    ``(alice.dim, bob.dim)``; the outcomes are the row-major (Alice x Bob)
+    grid, whose structure is attached to the result.
     """
-    structure = None
     if isinstance(measurements, LocalMeasurementSet):
+        probs = _local_outcome_probabilities(psi, measurements, completeness_tol)
         structure = measurements.structure
-        measurements = measurements.joint()
-    probs = outcome_probabilities(psi, measurements, completeness_tol)
+    else:
+        probs = outcome_probabilities(psi, measurements, completeness_tol)
+        structure = None
     amplitudes = np.sqrt(probs)
     # when the completeness tolerance is loosened the raw probabilities may
     # miss unit sum by up to that amount; the image itself stays a unit vector
@@ -281,10 +363,6 @@ def noisy_pair(eta: float) -> MeasurementSet:
     m0 = np.diag([math.sqrt(eta), math.sqrt(1.0 - eta)]).astype(complex)
     m1 = np.diag([math.sqrt(1.0 - eta), math.sqrt(eta)]).astype(complex)
     return MeasurementSet(2, (("0", m0), ("1", m1)))
-
-
-def local_set(alice: MeasurementSet, bob: MeasurementSet) -> LocalMeasurementSet:
-    return LocalMeasurementSet(alice, bob)
 
 
 def random_local_set(

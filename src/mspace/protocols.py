@@ -25,9 +25,12 @@ from .linalg import (
     is_unitary,
     tensor,
 )
-from .measurement import MeasurementSet, map_to_measurement_space, random_measurement_set
-
-PROBABILITY_FLOOR = -1e-12
+from .measurement import (
+    MeasurementSet,
+    _local_probabilities,
+    map_to_measurement_space,
+    random_measurement_set,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,23 +124,17 @@ class OutcomeTable:
             raise ValidationError("outcome-total", f"probabilities sum to {total!r}, expected 1")
 
 
-def _clamped(p: float) -> float:
-    if p < PROBABILITY_FLOOR:
-        raise ValidationError("probability-floor", f"probability {p!r} < -1e-12")
-    return max(p, 0.0)
-
-
 def outcome_table(spec: ProtocolSpec) -> OutcomeTable:
-    """p_{k,y} = <psi| M_k^dag M_k (x) (M_yk U_k)^dag (M_yk U_k) |psi>, likewise n."""
-    psi = spec.state.vector
-    ps, pf = [], []
-    for m_k, s_k, f_k in zip(
-        spec.alice.matrices, spec.effective_success_ops(), spec.effective_failure_ops()
-    ):
-        for op, acc in ((s_k, ps), (f_k, pf)):
-            joint = tensor(m_k, op) @ psi
-            acc.append(_clamped(float(np.real(np.vdot(joint, joint)))))
-    return OutcomeTable(spec.alice.labels, np.asarray(ps), np.asarray(pf))
+    """p_{k,y} = ||M_k Psi (M_yk U_k)^T||_F^2, likewise n.
+
+    Bob's side is the stack of all effective success operators followed by
+    all failure operators; outcome ``k`` reads its own pair off the kernel's
+    ``(k, k)`` and ``(k, n + k)`` entries.
+    """
+    k = np.arange(spec.n_outcomes)
+    bob = np.stack(spec.effective_success_ops() + spec.effective_failure_ops())
+    probs = _local_probabilities(spec.state.reshaped(), spec.alice.stack, bob)
+    return OutcomeTable(spec.alice.labels, probs[k, k], probs[k, spec.n_outcomes + k])
 
 
 def success_probability_original(spec: ProtocolSpec) -> float:

@@ -98,6 +98,21 @@ class TestMap:
         code, _, err = run_cli(capsys, "map", "--state", "bell")
         assert code == 2 and "flag-format" in err
 
+    @pytest.mark.parametrize("command", ["map", "entanglement"])
+    def test_swapped_local_dims_exit_two(self, capsys, tmp_path, command):
+        # a (3, 2) state with a qubit set for Alice and a qutrit set for Bob has
+        # the right total dimension but no meaningful outcome grid
+        state = write_json(
+            tmp_path / "s32.json", state_to_obj(PureState((3, 2), np.full(6, 1 / np.sqrt(6))))
+        )
+        alice = write_json(tmp_path / "a.json", measurement_set_to_obj(z_projectors(2)))
+        bob = write_json(tmp_path / "b.json", measurement_set_to_obj(z_projectors(3)))
+        code, out, err = run_cli(
+            capsys, command, "--state", state, "--alice", alice, "--bob", bob
+        )
+        assert code == 2 and "dimension-match" in err
+        assert out == ""
+
 
 class TestEntanglement:
     def test_bell_entropy(self, capsys):
@@ -188,6 +203,10 @@ class TestTheorem1:
         code, _, err = run_cli(capsys, "theorem1", "--protocol", path)
         assert code == 2 and "protocol-schema" in err
 
+    def test_zero_trials_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "theorem1", "--random", "--trials", "0", "--seed", "7")
+        assert code == 2 and "flag-format" in err and out == ""
+
 
 class TestLocc:
     def test_bell_z_projectors(self, capsys):
@@ -235,6 +254,11 @@ class TestKonrad:
         assert code == 0
         report = json.loads(out)
         assert report["violations"] == 0
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_rejected(self, capsys, trials):
+        code, out, err = run_cli(capsys, "konrad", "--trials", trials, "--seed", "3")
+        assert code == 2 and "flag-format" in err and out == ""
 
 
 class TestModes:
@@ -331,6 +355,24 @@ class TestReportContract:
         code, out, _ = run_cli(capsys, "map", "--state", "product0", "--dims", "2",
                                "--measurements", path)
         assert code == 0
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1e-10", "1e-3"])
+    def test_env_tolerance_must_be_finite_and_in_range(self, capsys, monkeypatch, value):
+        # with an unbounded tolerance a lone |0><0| would pass as a complete set
+        monkeypatch.setenv("MSPACE_DEFAULT_TOL", value)
+        code, out, err = run_cli(
+            capsys, "map", "--state", "bell", "--alice", "z-projectors", "--bob", "z-projectors"
+        )
+        assert code == 2 and "tolerance-env" in err and out == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_nonfinite_report_exits_two_printing_nothing(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr("mspace.cli.concurrence_pure", lambda psi: float("nan"))
+        code, out, err = run_cli(
+            capsys, "entanglement", "--state", "bell", "--measure", "concurrence", "--format", fmt
+        )
+        assert code == 2 and "report-nonfinite" in err
+        assert out == ""
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -1,0 +1,110 @@
+"""Properties of the local map on generated inputs.
+
+Inputs span dimensions 1-6 and outcome counts 1-6 per party, with
+rank-deficient and zero operators and states chosen to give outcomes of
+probability zero. The profile is derandomized, so every run tests the same
+examples.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mspace.entanglement import entropy_of_entanglement, measurement_space_entanglement
+from mspace.linalg import PureState, haar_state, haar_unitary
+from mspace.locc import build_dilation
+from mspace.measurement import (
+    LocalMeasurementSet,
+    MeasurementSet,
+    map_to_measurement_space,
+    outcome_probabilities,
+)
+
+PROFILE = settings(derandomize=True, deadline=None, max_examples=100, database=None)
+
+
+def complete_set(d, ranks, rng):
+    """A complete set whose operator m has rank at most ranks[m].
+
+    The rows of a Haar isometry X of shape (sum(ranks), d) are cut into
+    blocks X_m of ranks[m] rows, and M_m = Y_m X_m for a random isometry Y_m
+    of shape (d, ranks[m]). Then sum_m M_m^dag M_m = X^dag X = 1. A rank of
+    0 gives the zero operator.
+    """
+    total = sum(ranks)
+    x = haar_unitary(total, rng)[:, :d]
+    ops, row = [], 0
+    for m, r in enumerate(ranks):
+        y = haar_unitary(d, rng)[:, :r]
+        ops.append((str(m), y @ x[row : row + r]))
+        row += r
+    return MeasurementSet(d, tuple(ops))
+
+
+@st.composite
+def party(draw):
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    ranks = draw(st.lists(st.integers(0, d), min_size=n, max_size=n))
+    # the ranks must add up to at least d for the set to be complete
+    ranks[-1] = max(ranks[-1], d - sum(ranks[:-1]))
+    return d, ranks
+
+
+@st.composite
+def local_case(draw):
+    (d_a, ranks_a), (d_b, ranks_b) = draw(party()), draw(party())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    local = LocalMeasurementSet(complete_set(d_a, ranks_a, rng), complete_set(d_b, ranks_b, rng))
+    psi = haar_state((d_a, d_b), rng)
+    if draw(st.booleans()):
+        # a product state from the kernel of Alice's first operator, when it has
+        # one, so every outcome (0, b) has probability zero
+        _, s, vh = np.linalg.svd(local.alice.stack[0])
+        if s[-1] < 1e-12:
+            bob_part = haar_state((d_b,), rng).vector
+            psi = PureState((d_a, d_b), np.kron(vh[-1].conj(), bob_part))
+    return psi, local
+
+
+@PROFILE
+@given(local_case())
+def test_kernel_matches_explicit_joint_set(case):
+    psi, local = case
+    image = map_to_measurement_space(psi, local)
+    joint = local.joint()
+    reference = outcome_probabilities(PureState((psi.dim,), psi.vector), joint)
+    assert image.outcome_labels == joint.labels
+    assert image.structure == local.structure
+    np.testing.assert_allclose(image.probabilities(), reference, rtol=0, atol=1e-12)
+
+
+@PROFILE
+@given(local_case())
+def test_image_has_unit_norm(case):
+    psi, local = case
+    image = map_to_measurement_space(psi, local)
+    assert abs(float(np.linalg.norm(image.amplitudes)) - 1.0) <= 1e-12
+
+
+@PROFILE
+@given(local_case())
+def test_local_sets_do_not_raise_entropy(case):
+    psi, local = case
+    image = map_to_measurement_space(psi, local)
+    after = measurement_space_entanglement(image, "entropy")
+    assert after <= entropy_of_entanglement(psi) + 1e-9
+
+
+@PROFILE
+@given(local_case())
+def test_dilation_matches_per_pair_loop(case):
+    psi, local = case
+    (d_a, d_b), (n_a, n_b) = psi.dims, local.structure
+    expected = np.zeros((d_a, d_b, n_a, n_b), dtype=complex)
+    for a, op_a in enumerate(local.alice.matrices):
+        for b, op_b in enumerate(local.bob.matrices):
+            expected[:, :, a, b] = op_a @ psi.reshaped() @ op_b.T
+    dilated = build_dilation(psi, local)
+    assert dilated.dims == (d_a, d_b, n_a, n_b)
+    np.testing.assert_allclose(dilated.reshaped(), expected, rtol=0, atol=1e-12)
