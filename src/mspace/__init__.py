@@ -58,14 +58,12 @@ from .measurement import (
     outcome_probabilities,
     random_local_set,
     random_measurement_set,
-    validate_completeness,
     z_projectors,
 )
 from .modes import (
     ModeSystem,
     composition_count,
     divisor_infimum,
-    is_prime,
     useful_entanglement_bound,
 )
 from .protocols import (

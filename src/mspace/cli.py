@@ -270,33 +270,24 @@ def cmd_locc(args) -> tuple[dict, int]:
     tol = default_tolerance()
     psi = load_state(args.state, _state_dims(args))
     measurements = _load_local_sets(args, psi, tol)
-    d_a, d_b = psi.dims
-    if args.all_outcomes:
-        outcomes = [(ja, jb) for ja in range(d_a) for jb in range(d_b)]
-    else:
-        ja, jb = _parse_ints(args.outcome, 2) if args.outcome else (0, 0)
-        outcomes = [(ja, jb)]
-    rows = []
-    worst_uniform = 0.0
-    worst_diag = 0.0
-    for ja, jb in outcomes:
-        trace = run_locc_construction(psi, measurements, ja, jb)
-        worst_uniform = max(
-            worst_uniform, trace.alice.fourier.max_deviation, trace.bob.fourier.max_deviation
-        )
-        worst_diag = max(worst_diag, trace.diagonal_deviation)
-        rows.append(
-            {
-                "outcome_a": ja,
-                "outcome_b": jb,
-                "uniformity_deviation_alice": trace.alice.fourier.max_deviation,
-                "uniformity_deviation_bob": trace.bob.fourier.max_deviation,
-                "ancilla_diagonal_deviation": trace.diagonal_deviation,
-                "branch_diagonal_deviation": trace.branch_diagonal_deviation,
-                "fidelity": trace.fidelity,
-                "degenerate": trace.degenerate,
-            }
-        )
+    ja, jb = _parse_ints(args.outcome, 2) if args.outcome and not args.all_outcomes else (0, 0)
+    trace = run_locc_construction(psi, measurements, ja, jb)
+    branches = trace.branches if args.all_outcomes else [trace.branches[ja * psi.dims[1] + jb]]
+    uniformity_alice = trace.alice.fourier.max_deviation
+    worst_uniform = max(uniformity_alice, *(row.bob_uniformity_deviation for row in branches))
+    rows = [
+        {
+            "outcome_a": row.outcome_a,
+            "outcome_b": row.outcome_b,
+            "uniformity_deviation_alice": uniformity_alice,
+            "uniformity_deviation_bob": row.bob_uniformity_deviation,
+            "ancilla_diagonal_deviation": trace.diagonal_deviation,
+            "branch_diagonal_deviation": row.branch_diagonal_deviation,
+            "fidelity": row.fidelity,
+            "degenerate": row.degenerate,
+        }
+        for row in branches
+    ]
     entropy_before = entropy_of_entanglement(psi)
     entropy_after = measurement_space_entanglement(trace.mspace, "entropy")
     summary: dict[str, Any] = {
@@ -318,7 +309,7 @@ def cmd_locc(args) -> tuple[dict, int]:
         checks.append(c_after <= c_before + MONOTONICITY_TOL)
         checks.append(c_ancilla <= c_before + MONOTONICITY_TOL)
     monotone = all(checks)
-    passed = monotone and worst_uniform <= tol and worst_diag <= DIAGONAL_TOL
+    passed = monotone and worst_uniform <= tol and trace.diagonal_deviation <= DIAGONAL_TOL
     report = {
         "command": "locc",
         "parameters": {

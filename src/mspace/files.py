@@ -92,7 +92,8 @@ def state_from_obj(obj: Any) -> PureState:
         )
     norm = float(np.linalg.norm(vec))
     dev = abs(norm - 1.0)
-    if dev > STATE_NORM_REPAIR:
+    # written so that a NaN norm fails too
+    if not dev <= STATE_NORM_REPAIR:
         raise ValidationError("state-normalization", f"norm {norm!r} is too far from 1 to repair")
     if dev > STATE_NORM_ACCEPT:
         print(f"warning: state norm {norm!r} renormalized", file=sys.stderr)

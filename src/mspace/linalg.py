@@ -108,7 +108,7 @@ class PureState:
                 f"amplitude vector has length {vec.size}, expected {math.prod(dims)}",
             )
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValidationError("state-normalization", f"norm is {norm!r}, expected 1")
 
     @property

@@ -78,22 +78,13 @@ def build_dilation(psi: PureState, measurements: LocalMeasurementSet) -> PureSta
     return PureState((psi.dims[0], psi.dims[1], n_a, n_b), phi.reshape(-1))
 
 
-_PARTY_AXES = {"A": (0, 2), "B": (1, 3)}
+# each party's view of the (sys_A, sys_B, anc_A, anc_B) tensor: (sys, anc, other sys, other anc)
+_PARTY_LAYOUT = {"A": (0, 2, 1, 3), "B": (1, 3, 0, 2)}
 
 
-def _to_party_layout(phi: np.ndarray, party: str) -> tuple[np.ndarray, tuple[int, ...]]:
-    """View the tensor as (sys, anc, rest...) for the given party."""
-    sys_axis, anc_axis = _PARTY_AXES[party]
-    rest = tuple(ax for ax in range(4) if ax not in (sys_axis, anc_axis))
-    perm = (sys_axis, anc_axis, *rest)
-    return np.transpose(phi, perm), perm
-
-
-def _blocks_from_tensor(phi: np.ndarray, party: str) -> tuple[np.ndarray, ...]:
-    t, _ = _to_party_layout(phi, party)
-    return tuple(
-        np.einsum("ixy,jxy->ij", t[:, m], t[:, m].conj()) for m in range(t.shape[1])
-    )
+def _party_blocks(t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Blocks of a tensor in party layout: block m = sum_xy t[:, m, x, y] t[:, m, x, y]^dag."""
+    return tuple(np.einsum("imxy,jmxy->mij", t, t.conj()))
 
 
 def conditional_blocks(state: PureState, party: str) -> tuple[np.ndarray, ...]:
@@ -103,13 +94,13 @@ def conditional_blocks(state: PureState, party: str) -> tuple[np.ndarray, ...]:
     ancilla basis vector ``m`` after tracing everything else out. The block
     traces sum to 1 and each block is positive semidefinite.
     """
-    if party not in _PARTY_AXES:
+    if party not in _PARTY_LAYOUT:
         raise ValidationError("party", f"party must be 'A' or 'B', got {party!r}")
     if len(state.dims) != 4:
         raise ValidationError(
             "dilation-shape", f"need a (sys_A, sys_B, anc_A, anc_B) state, got dims {state.dims}"
         )
-    return _blocks_from_tensor(state.reshaped(), party)
+    return _party_blocks(state.reshaped().transpose(_PARTY_LAYOUT[party]))
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +176,6 @@ def fourier_step(blocks: tuple[np.ndarray, ...] | list[np.ndarray], tol: float =
 # the construction itself
 
 
-def _unitary_sending_to_e0(vec: np.ndarray) -> np.ndarray:
-    """A unitary U with U vec = e0 exactly (up to rounding)."""
-    d = vec.size
-    drop = int(np.argmax(np.abs(vec)))
-    cols = [vec] + [np.eye(d, dtype=complex)[:, i] for i in range(d) if i != drop]
-    q, r = np.linalg.qr(np.column_stack(cols))
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return q.conj().T
-
-
 @dataclasses.dataclass(frozen=True)
 class PartyStep:
     """Record of one party's measure-and-reset move."""
@@ -210,15 +190,29 @@ class PartyStep:
 
 
 @dataclasses.dataclass(frozen=True)
+class BranchRow:
+    """Audit values of one (j_a, j_b) outcome branch."""
+
+    outcome_a: int
+    outcome_b: int
+    bob_uniformity_deviation: float
+    degenerate: bool
+    branch_diagonal_deviation: float
+    fidelity: float
+
+
+@dataclasses.dataclass(frozen=True)
 class LoccTrace:
     """Full record of one run of the construction.
 
-    ``final_state`` and ``branch_ancilla`` belong to the requested outcome
-    branch; ``ancilla_dm`` is the deterministic output of the whole
-    procedure, i.e. the ancilla state averaged over both parties' Fourier
-    outcomes, whose diagonal matches the squared measurement-space
-    amplitudes by construction. ``fidelity`` compares the branch's pure
-    ancilla candidate with the measurement-space image and is informational.
+    ``branches`` has one row per outcome branch (j_a, j_b), in grid order.
+    ``alice``, ``bob``, ``final_state``, ``branch_ancilla``, ``fidelity`` and
+    ``branch_diagonal_deviation`` belong to the requested branch;
+    ``ancilla_dm`` is the deterministic output of the whole procedure, i.e.
+    the ancilla state averaged over both parties' Fourier outcomes, whose
+    diagonal matches the squared measurement-space amplitudes by
+    construction. ``fidelity`` compares the branch's pure ancilla candidate
+    with the measurement-space image and is informational.
     """
 
     dilated: PureState
@@ -233,59 +227,44 @@ class LoccTrace:
     diagonal_deviation: float
     branch_diagonal_deviation: float
     degenerate: bool
+    branches: tuple[BranchRow, ...]
 
 
-def _project_party(phi: np.ndarray, party: str, vectors: tuple[np.ndarray, ...], j: int) -> np.ndarray:
-    """Project the party's system onto its outcome-j vector in each ancilla sector."""
-    t, perm = _to_party_layout(phi, party)
-    out = np.zeros_like(t)
-    for m in range(t.shape[1]):
-        w = vectors[m][:, j]
-        coef = np.einsum("i,ixy->xy", w.conj(), t[:, m])
-        out[:, m] = np.einsum("i,xy->ixy", w, coef)
-    return np.transpose(out, np.argsort(perm))
+def _measure_party(
+    t: np.ndarray, party: str, tol: float
+) -> tuple[np.ndarray, tuple[PartyStep, ...]]:
+    """One party's move for all of its outcomes at once.
 
-
-def _apply_conditional(phi: np.ndarray, party: str, unitaries: tuple[np.ndarray, ...]) -> np.ndarray:
-    t, perm = _to_party_layout(phi, party)
-    t = t.copy()
-    for m in range(t.shape[1]):
-        t[:, m] = np.einsum("ij,jxy->ixy", unitaries[m], t[:, m])
-    return np.transpose(t, np.argsort(perm))
-
-
-def _party_move(
-    phi: np.ndarray, party: str, j: int, tol: float
-) -> tuple[np.ndarray, PartyStep]:
-    """One party's full move: block analysis, projection on outcome j,
-    normalization, and the conditional reset to |0>. Returns the new tensor
-    and the step record."""
-    blocks = _blocks_from_tensor(phi, party)
+    ``t`` is the state in party layout. Returns the normalized post-reset
+    states, stacked as ``[j]`` in the same layout, and the step record of
+    each outcome ``j``. The reset for outcome ``j`` in sector ``m`` is
+    ``Omega_m^dag`` with rows 0 and ``j`` swapped: the columns of the unitary
+    ``Omega_m`` are the Fourier vectors, so it sends ``omega_j`` to ``e0``.
+    Sectors of zero weight keep the identity.
+    """
+    d = t.shape[0]
+    blocks = _party_blocks(t)
     fs = fourier_step(blocks, tol)
-    projected = _project_party(phi, party, fs.vectors, j)
-    prob = float(np.real(np.vdot(projected, projected)))
-    if prob <= 0.0:
-        raise ValidationError("locc-branch", f"outcome {j} for party {party} has zero probability")
-    projected /= math.sqrt(prob)
-    unitaries = []
-    skipped = []
-    for m, blk in enumerate(blocks):
-        if float(np.real(np.trace(blk))) < ZERO_BRANCH_TOL:
-            unitaries.append(np.eye(fs.dim, dtype=complex))
-            skipped.append(m)
-        else:
-            unitaries.append(_unitary_sending_to_e0(fs.vectors[m][:, j]))
-    reset = _apply_conditional(projected, party, tuple(unitaries))
-    step = PartyStep(
-        party=party,
-        blocks=blocks,
-        fourier=fs,
-        outcome=int(j),
-        probability=prob,
-        conditional_unitaries=tuple(unitaries),
-        skipped_branches=tuple(skipped),
+    omega = np.stack(fs.vectors)  # [m, i, j]: column j is omega_j in sector m
+    coef = np.einsum("mij,imxy->jmxy", omega.conj(), t)
+    probs = np.einsum("jmxy,jmxy->j", coef, coef.conj()).real
+    zero = np.flatnonzero(probs <= 0.0)
+    if zero.size:
+        raise ValidationError(
+            "locc-branch", f"outcome {zero[0]} for party {party} has zero probability"
+        )
+    swaps = np.tile(np.arange(d), (d, 1))
+    swaps[:, 0], swaps[range(d), range(d)] = np.arange(d), 0
+    unitaries = omega.conj().transpose(0, 2, 1)[:, swaps].transpose(1, 0, 2, 3)  # [j, m]
+    skipped = tuple(m for m, blk in enumerate(blocks) if np.trace(blk).real < ZERO_BRANCH_TOL)
+    unitaries[:, list(skipped)] = np.eye(d)
+    reset = np.einsum("jmai,mij->jma", unitaries, omega)  # U_jm omega_j, close to e0
+    states = np.einsum("jma,jmxy->jamxy", reset, coef) / np.sqrt(probs)[:, None, None, None, None]
+    steps = tuple(
+        PartyStep(party, blocks, fs, j, float(probs[j]), tuple(unitaries[j]), skipped)
+        for j in range(d)
     )
-    return reset, step
+    return states, steps
 
 
 def run_locc_construction(
@@ -297,12 +276,13 @@ def run_locc_construction(
 ) -> LoccTrace:
     """Run the two-party construction and audit its bookkeeping.
 
-    Alice projects onto her Fourier-rotated eigenvectors (outcome
-    ``outcome_a``) and resets her system; Bob repeats the move on the
-    post-Alice state with ``outcome_b``. Alongside the requested branch, all
-    outcome branches are accumulated into the procedure's deterministic
-    ancilla output so its diagonal can be checked against the squared
-    measurement-space amplitudes.
+    Alice projects onto her Fourier-rotated eigenvectors and resets her
+    system; Bob repeats the move on each post-Alice state. One pass covers
+    every outcome branch: all of them are tabulated in ``branches`` and
+    accumulated into the procedure's deterministic ancilla output, whose
+    diagonal is checked against the squared measurement-space amplitudes.
+    The requested branch (``outcome_a``, ``outcome_b``) is also reported in
+    full.
     """
     dilated = build_dilation(psi, measurements)
     d_a, d_b, n_a, n_b = dilated.dims
@@ -313,51 +293,57 @@ def run_locc_construction(
         )
     image = map_to_measurement_space(psi, measurements)
 
-    phi0 = dilated.reshaped()
-    requested: tuple[np.ndarray, PartyStep, PartyStep] | None = None
-    ancilla_acc = np.zeros((n_a * n_b, n_a * n_b), dtype=complex)
-    for j_a in range(d_a):
-        phi_a, step_a = _party_move(phi0, "A", j_a, tol)
-        for j_b in range(d_b):
-            phi_b, step_b = _party_move(phi_a, "B", j_b, tol)
-            weight = step_a.probability * step_b.probability
-            anc = phi_b[0, 0, :, :].reshape(-1)
-            ancilla_acc += weight * np.outer(anc, anc.conj())
-            if j_a == outcome_a and j_b == outcome_b:
-                requested = (phi_b, step_a, step_b)
-    assert requested is not None
-    phi_final, alice_step, bob_step = requested
-
-    final_state = PureState((d_a, d_b, n_a, n_b), phi_final.reshape(-1))
-    branch_anc = phi_final[0, 0, :, :].reshape(-1)
-    leak = 1.0 - float(np.real(np.vdot(branch_anc, branch_anc)))
-    if leak > 1e-9:
-        raise ValidationError(
-            "locc-reset", f"systems hold weight {leak!r} outside |0>|0> after the resets"
-        )
-    fidelity = float(abs(np.vdot(image.amplitudes.astype(complex), branch_anc)) ** 2)
-
-    ancilla_dm = DensityMatrix((n_a, n_b), ancilla_acc)
-    diag = np.real(np.diag(ancilla_acc)).copy()
+    phi = dilated.reshaped().transpose(_PARTY_LAYOUT["A"])
+    after_alice, alice_steps = _measure_party(phi, "A", tol)
+    # Alice's layout turns into Bob's by swapping its two axis pairs
+    bob_states, bob_steps = zip(
+        *(_measure_party(s.transpose(2, 3, 0, 1), "B", tol) for s in after_alice)
+    )
+    # row j_a * d_b + j_b: the branch's (anc_A, anc_B) part next to |0>|0>
+    flat = np.stack([s[:, 0, :, 0, :].transpose(0, 2, 1) for s in bob_states])
+    flat = flat.reshape(d_a * d_b, n_a * n_b)
+    for leak in 1.0 - np.sum(np.abs(flat) ** 2, axis=1):
+        if leak > 1e-9:
+            raise ValidationError(
+                "locc-reset", f"systems hold weight {float(leak)!r} outside |0>|0> after the resets"
+            )
+    weights = np.array(
+        [a.probability * b.probability for a, steps in zip(alice_steps, bob_steps) for b in steps]
+    )
+    ancilla_acc = np.einsum("k,ki,kj->ij", weights, flat, flat.conj())
     target = image.probabilities()
-    diagonal_deviation = float(np.max(np.abs(diag - target)))
-    branch_dev = float(np.max(np.abs(np.abs(branch_anc) ** 2 - target)))
-
+    fidelities = np.abs(flat @ image.amplitudes) ** 2
+    branch_devs = np.max(np.abs(np.abs(flat) ** 2 - target), axis=1)
+    branches = tuple(
+        BranchRow(
+            outcome_a=j_a,
+            outcome_b=j_b,
+            bob_uniformity_deviation=bob_steps[j_a][0].fourier.max_deviation,
+            degenerate=alice_steps[0].fourier.degenerate or bob_steps[j_a][0].fourier.degenerate,
+            branch_diagonal_deviation=float(branch_devs[k]),
+            fidelity=float(fidelities[k]),
+        )
+        for k, (j_a, j_b) in enumerate(np.ndindex(d_a, d_b))
+    )
+    k = outcome_a * d_b + outcome_b
+    # Bob's layout (sys_B, anc_B, sys_A, anc_A) back to (sys_A, sys_B, anc_A, anc_B)
+    final = bob_states[outcome_a][outcome_b].transpose(2, 0, 3, 1)
+    diag = np.real(np.diag(ancilla_acc)).copy()
     return LoccTrace(
         dilated=dilated,
-        alice=alice_step,
-        bob=bob_step,
-        final_state=final_state,
+        alice=alice_steps[outcome_a],
+        bob=bob_steps[outcome_a][outcome_b],
+        final_state=PureState((d_a, d_b, n_a, n_b), final.reshape(-1)),
         mspace=image,
-        branch_ancilla=branch_anc,
-        fidelity=fidelity,
-        ancilla_dm=ancilla_dm,
+        branch_ancilla=flat[k],
+        fidelity=branches[k].fidelity,
+        ancilla_dm=DensityMatrix((n_a, n_b), ancilla_acc),
         ancilla_diagonal=diag,
-        diagonal_deviation=diagonal_deviation,
-        branch_diagonal_deviation=branch_dev,
-        degenerate=alice_step.fourier.degenerate or bob_step.fourier.degenerate,
+        diagonal_deviation=float(np.max(np.abs(diag - target))),
+        branch_diagonal_deviation=branches[k].branch_diagonal_deviation,
+        degenerate=branches[k].degenerate,
+        branches=branches,
     )
-
 
 # ---------------------------------------------------------------------------
 # channels and concurrence factorization

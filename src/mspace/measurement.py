@@ -34,7 +34,7 @@ class MeasurementSet:
     Structural invariants (shapes, unique labels) are enforced at
     construction. Completeness is checked by the operations that rely on it,
     so that an incomplete set can still be built and inspected with
-    :func:`validate_completeness`. The operators are stacked once into the
+    :meth:`completeness_deviation`. The operators are stacked once into the
     read-only ``(n, dim, dim)`` array ``stack``; the matrices in
     ``operators`` are views into it.
     """
@@ -106,19 +106,6 @@ def _require_complete(dev: float, tol: float) -> None:
             "completeness",
             f"completeness deviation {dev!r} exceeds tolerance {tol!r}",
         )
-
-
-@dataclasses.dataclass(frozen=True)
-class CompletenessReport:
-    deviation: float
-    tolerance: float
-    passed: bool
-
-
-def validate_completeness(mset: MeasurementSet, tol: float = DEFAULT_TOL) -> CompletenessReport:
-    """Report how far a set is from satisfying sum_m M_m^dag M_m = 1."""
-    dev = mset.completeness_deviation()
-    return CompletenessReport(deviation=dev, tolerance=float(tol), passed=dev <= tol)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -27,23 +27,6 @@ def composition_count(n: int, m: int) -> int:
     return math.comb(n + m - 1, m - 1)
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check."""
-    n = int(n)
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def divisor_infimum(n: int) -> int:
     """Smallest divisor of n that is >= sqrt(n).
 
@@ -98,7 +81,8 @@ def useful_entanglement_bound(n: int, m: int) -> ModeSystem:
         m=int(m),
         count=count,
         p=p,
-        prime=is_prime(count),
+        # for count >= 2, the divisor infimum is count itself exactly when count is prime
+        prime=p == count,
         bound_bits=math.log2(count / p),
         weak_bound_bits=math.log2(count / 2),
     )

@@ -86,7 +86,7 @@ class ProtocolSpec:
             dev = float(
                 np.max(np.abs(m_y.conj().T @ m_y + m_n.conj().T @ m_n - eye))
             )
-            if dev > DEFAULT_TOL:
+            if not dev <= DEFAULT_TOL:
                 raise ValidationError(
                     "protocol-verify-completeness",
                     f"verify pair {k} deviates from completeness by {dev!r}",

@@ -94,6 +94,23 @@ class TestMap:
         assert code == 0
         assert "renormalized" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "--measurements", "z-projectors"],
+            ["entanglement", "--alice", "z-projectors", "--bob", "z-projectors"],
+            ["locc", "--alice", "z-projectors", "--bob", "z-projectors"],
+        ],
+    )
+    def test_nan_amplitude_rejected_at_load(self, capsys, tmp_path, argv):
+        nan_state = write_json(
+            tmp_path / "nan.json",
+            {"dims": [2, 2], "amplitudes": [[float("nan"), 0.0]] + [[0.5, 0.0]] * 3},
+        )
+        code, out, err = run_cli(capsys, argv[0], "--state", nan_state, *argv[1:])
+        assert code == 2 and "state-normalization" in err and out == ""
+        assert "RuntimeWarning" not in err
+
     def test_missing_measurements_flag(self, capsys):
         code, _, err = run_cli(capsys, "map", "--state", "bell")
         assert code == 2 and "flag-format" in err
@@ -198,6 +215,25 @@ class TestTheorem1:
         assert abs(row["p_original"] - 0.9) < 1e-12
         assert abs(row["p_mspace"] - 0.9) < 1e-12
 
+    def test_nan_verify_operator_rejected(self, capsys, tmp_path):
+        eye = np.eye(2, dtype=complex)
+        p0 = np.diag([1.0, 0.0]).astype(complex)
+        p1 = np.diag([0.0, 1.0]).astype(complex)
+        bad = p0.copy()
+        bad[0, 0] = np.nan
+        protocol = {
+            "state": "bell",
+            "alice": measurement_set_to_obj(z_projectors(2)),
+            "bob_unitaries": [matrix_to_pairs(eye), matrix_to_pairs(eye)],
+            "verify": {
+                "0": {"success": matrix_to_pairs(bad), "failure": matrix_to_pairs(p1)},
+                "1": {"success": matrix_to_pairs(p1), "failure": matrix_to_pairs(p0)},
+            },
+        }
+        path = write_json(tmp_path / "protocol.json", protocol)
+        code, out, err = run_cli(capsys, "theorem1", "--protocol", path)
+        assert code == 2 and "protocol-verify-completeness" in err and out == ""
+
     def test_malformed_protocol_exits_two(self, capsys, tmp_path):
         path = write_json(tmp_path / "broken.json", {"state": "bell"})
         code, _, err = run_cli(capsys, "theorem1", "--protocol", path)
@@ -239,6 +275,22 @@ class TestLocc:
             assert row["ancilla_diagonal_deviation"] < 1e-9
         assert abs(report["concurrence_ancilla"] - 0.64) < 1e-9
         assert report["entropy_after"] <= report["entropy_before"] + 1e-9
+
+
+    def test_all_outcomes_rows_match_single_branch_runs(self, capsys):
+        argv = ["locc", "--state", "random:5", "--dims", "3,2",
+                "--alice", "random:4:8", "--bob", "random:3:9"]  # fmt: skip
+        code, out, _ = run_cli(capsys, *argv, "--all-outcomes")
+        assert code == 0
+        rows = json.loads(out)["results"]
+        assert [(r["outcome_a"], r["outcome_b"]) for r in rows] == [
+            (a, b) for a in range(3) for b in range(2)
+        ]
+        for row in rows:
+            outcome = f"{row['outcome_a']},{row['outcome_b']}"
+            code, out, _ = run_cli(capsys, *argv, "--outcome", outcome)
+            assert code == 0
+            assert json.loads(out)["results"] == [row]
 
 
 class TestKonrad:

@@ -13,7 +13,6 @@ from mspace.measurement import (
     outcome_probabilities,
     random_local_set,
     random_measurement_set,
-    validate_completeness,
     z_projectors,
 )
 
@@ -136,18 +135,17 @@ class TestMapToMeasurementSpace:
 
 class TestValidateCompleteness:
     def test_projectors_pass(self):
-        report = validate_completeness(z_projectors(2))
-        assert report.passed and report.deviation < 1e-15
+        assert z_projectors(2).completeness_deviation() < 1e-15
 
     def test_noisy_pair_passes(self):
-        report = validate_completeness(noisy_pair(0.9))
-        assert report.passed and report.deviation < 1e-12
+        assert noisy_pair(0.9).completeness_deviation() < 1e-12
 
     def test_missing_outcome_fails(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
-        report = validate_completeness(MeasurementSet(2, (("0", p0),)))
-        assert not report.passed
-        assert abs(report.deviation - 1.0) < 1e-15
+        incomplete = MeasurementSet(2, (("0", p0),))
+        assert abs(incomplete.completeness_deviation() - 1.0) < 1e-15
+        with pytest.raises(ValidationError, match="completeness"):
+            incomplete.assert_complete()
 
 
 class TestSetConstruction:

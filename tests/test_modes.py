@@ -8,7 +8,6 @@ from mspace.modes import (
     ModeSystem,
     composition_count,
     divisor_infimum,
-    is_prime,
     useful_entanglement_bound,
 )
 
@@ -73,15 +72,17 @@ class TestCompositionCount:
 
 
 class TestIsPrime:
+    """The ``prime`` flag of a mode system; with m = 2 the count is n + 1."""
+
     def test_small_cases(self):
-        assert is_prime(2)
-        assert not is_prime(1)
-        assert not is_prime(10)
+        assert useful_entanglement_bound(1, 2).prime
+        assert not useful_entanglement_bound(9, 2).prime
+        assert not useful_entanglement_bound(3, 3).prime
 
     def test_against_sieve(self):
-        flags = sieve_primes(10_000)
+        flags = sieve_primes(10_001)
         for n in range(1, 10_001):
-            assert is_prime(n) == flags[n]
+            assert useful_entanglement_bound(n, 2).prime == flags[n + 1]
 
 
 class TestDivisorInfimum:

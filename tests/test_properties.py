@@ -1,9 +1,9 @@
-"""Properties of the local map on generated inputs.
+"""Properties of the local map and its local construction on generated inputs.
 
-Inputs span dimensions 1-6 and outcome counts 1-6 per party, with
-rank-deficient and zero operators and states chosen to give outcomes of
-probability zero. The profile is derandomized, so every run tests the same
-examples.
+Inputs span dimensions 1-6 and outcome counts 1-6 per party (1-4 for the
+construction), with rank-deficient and zero operators and states chosen to
+give outcomes of probability zero. The profile is derandomized, so every run
+tests the same examples.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mspace.entanglement import entropy_of_entanglement, measurement_space_entanglement
 from mspace.linalg import PureState, haar_state, haar_unitary
-from mspace.locc import build_dilation
+from mspace.locc import build_dilation, run_locc_construction
 from mspace.measurement import (
     LocalMeasurementSet,
     MeasurementSet,
@@ -42,9 +42,9 @@ def complete_set(d, ranks, rng):
 
 
 @st.composite
-def party(draw):
-    d = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 6))
+def party(draw, top):
+    d = draw(st.integers(1, top))
+    n = draw(st.integers(1, top))
     ranks = draw(st.lists(st.integers(0, d), min_size=n, max_size=n))
     # the ranks must add up to at least d for the set to be complete
     ranks[-1] = max(ranks[-1], d - sum(ranks[:-1]))
@@ -52,8 +52,8 @@ def party(draw):
 
 
 @st.composite
-def local_case(draw):
-    (d_a, ranks_a), (d_b, ranks_b) = draw(party()), draw(party())
+def local_case(draw, top=6):
+    (d_a, ranks_a), (d_b, ranks_b) = draw(party(top)), draw(party(top))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     local = LocalMeasurementSet(complete_set(d_a, ranks_a, rng), complete_set(d_b, ranks_b, rng))
     psi = haar_state((d_a, d_b), rng)
@@ -108,3 +108,34 @@ def test_dilation_matches_per_pair_loop(case):
     dilated = build_dilation(psi, local)
     assert dilated.dims == (d_a, d_b, n_a, n_b)
     np.testing.assert_allclose(dilated.reshaped(), expected, rtol=0, atol=1e-12)
+
+
+@PROFILE
+@given(local_case(top=4))
+def test_fourier_outcomes_are_uniform(case):
+    psi, local = case
+    d_a, d_b = psi.dims
+    trace = run_locc_construction(psi, local)
+    np.testing.assert_allclose(trace.alice.fourier.outcome_totals, 1 / d_a, rtol=0, atol=1e-12)
+    # Bob's deviation on each Alice outcome j_a, read from the row (j_a, 0)
+    for row in trace.branches[::d_b]:
+        assert row.bob_uniformity_deviation <= 1e-12
+
+
+@PROFILE
+@given(local_case(top=4))
+def test_ancilla_diagonal_is_the_image(case):
+    psi, local = case
+    trace = run_locc_construction(psi, local)
+    expected = map_to_measurement_space(psi, local).probabilities()
+    np.testing.assert_allclose(trace.ancilla_diagonal, expected, rtol=0, atol=1e-12)
+
+
+@PROFILE
+@given(local_case(top=4))
+def test_alice_branch_probabilities_sum_to_one(case):
+    psi, local = case
+    total = sum(
+        run_locc_construction(psi, local, j_a, 0).alice.probability for j_a in range(psi.dims[0])
+    )
+    assert abs(total - 1.0) <= 1e-12
