@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -44,16 +44,12 @@ def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
-
-
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """True for a Hermitian matrix, or a ``(..., d, d)`` stack of them, within ``tol``."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         return False
-    return float(np.max(np.abs(a - a.conj().T))) <= tol
+    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) <= tol
 
 
 def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -68,6 +64,30 @@ def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if not is_hermitian(a, tol):
         return False
     return float(np.min(np.linalg.eigvalsh(np.asarray(a)))) >= -tol
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only and return it."""
+    a.flags.writeable = False
+    return a
+
+
+def operator_stack(
+    ops: Sequence, shape: tuple[int, ...], invariant: str, describe: Callable[[int], str]
+) -> np.ndarray:
+    """A read-only complex copy of ``ops`` as one ``(len(ops), *shape)`` array.
+
+    The first entry ``k`` of another shape, a ragged one included, fails as
+    ``invariant`` with the message ``describe(k)``.
+    """
+    for k, op in enumerate(ops):
+        try:
+            ok = np.shape(op) == shape
+        except ValueError:  # numpy rejects ragged nesting
+            ok = False
+        if not ok:
+            raise ValidationError(invariant, describe(k))
+    return frozen(np.array(ops, dtype=complex))
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -123,10 +143,6 @@ class PureState:
         return DensityMatrix(self.dims, np.outer(self.vector, self.vector.conj()))
 
     @classmethod
-    def from_amplitudes(cls, dims: Sequence[int], amplitudes: Sequence[complex]) -> "PureState":
-        return cls(tuple(dims), np.asarray(amplitudes, dtype=complex))
-
-    @classmethod
     def basis(cls, dims: Sequence[int], index: int) -> "PureState":
         vec = np.zeros(math.prod(dims), dtype=complex)
         vec[index] = 1.0
@@ -165,10 +181,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return math.prod(self.dims)
-
-    @classmethod
-    def from_pure(cls, psi: PureState) -> "DensityMatrix":
-        return psi.density()
 
 
 def ptrace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -219,24 +231,25 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
 
 def eig_hermitian(h: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or a ``(..., d, d)`` stack of them.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues descending and
     eigenvectors as orthonormal columns, each rephased so its
-    largest-magnitude component is real and positive.
+    largest-magnitude component is real and positive. A stack gives
+    eigenvalues ``(..., d)`` and eigenvectors ``(..., d, d)``, matrix by
+    matrix the same as single calls.
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h, tol):
         raise ValidationError("hermitian", f"matrix is not Hermitian within {tol!r}")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    for j in range(v.shape[1]):
-        k = int(np.argmax(np.abs(v[:, j])))
-        pivot = v[k, j]
-        if abs(pivot) > 0:
-            v[:, j] *= pivot.conjugate() / abs(pivot)
-    return w, v
+    w, v = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2.0)
+    w = w[..., ::-1].copy()
+    v = v[..., ::-1]
+    rows = np.argmax(np.abs(v), axis=-2)[..., None, :]
+    pivot = np.take_along_axis(v, rows, axis=-2)
+    # the columns have unit norm, so no pivot is zero; hypot rounds like the
+    # scalar abs(), which the vectorized np.abs of a complex array does not
+    return w, v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
 def schmidt(

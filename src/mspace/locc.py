@@ -33,12 +33,15 @@ from .linalg import (
     bell_phi_plus,
     eig_hermitian,
     fourier_matrix,
+    frozen,
     haar_unitary,
-    tensor,
+    operator_stack,
 )
 from .measurement import (
     LocalMeasurementSet,
     MeasurementSpaceState,
+    _gram,
+    _identity_deviation,
     local_product,
     map_to_measurement_space,
 )
@@ -82,17 +85,18 @@ def build_dilation(psi: PureState, measurements: LocalMeasurementSet) -> PureSta
 _PARTY_LAYOUT = {"A": (0, 2, 1, 3), "B": (1, 3, 0, 2)}
 
 
-def _party_blocks(t: np.ndarray) -> tuple[np.ndarray, ...]:
+def _party_blocks(t: np.ndarray) -> np.ndarray:
     """Blocks of a tensor in party layout: block m = sum_xy t[:, m, x, y] t[:, m, x, y]^dag."""
-    return tuple(np.einsum("imxy,jmxy->mij", t, t.conj()))
+    return frozen(np.einsum("imxy,jmxy->mij", t, t.conj()))
 
 
-def conditional_blocks(state: PureState, party: str) -> tuple[np.ndarray, ...]:
+def conditional_blocks(state: PureState, party: str) -> np.ndarray:
     """Unnormalized system blocks conditioned on the party's ancilla label.
 
-    Block ``m`` is the partial state of the party's system appearing next to
-    ancilla basis vector ``m`` after tracing everything else out. The block
-    traces sum to 1 and each block is positive semidefinite.
+    The blocks come as one ``(n, d, d)`` array. Block ``m`` is the partial
+    state of the party's system appearing next to ancilla basis vector ``m``
+    after tracing everything else out. The block traces sum to 1 and each
+    block is positive semidefinite.
     """
     if party not in _PARTY_LAYOUT:
         raise ValidationError("party", f"party must be 'A' or 'B', got {party!r}")
@@ -109,66 +113,51 @@ def conditional_blocks(state: PureState, party: str) -> tuple[np.ndarray, ...]:
 
 @dataclasses.dataclass(frozen=True)
 class FourierStep:
-    """Fourier-rotated eigenbases of a family of conditional blocks.
+    """Fourier-rotated eigenbases of a stack of conditional blocks.
 
-    ``vectors[m]`` has the rotated basis as columns: column ``j`` is the
-    direction the party projects onto for outcome ``j`` when the ancilla
-    reads ``m``. ``outcome_totals[j]`` is the total probability of outcome
-    ``j`` across ancilla labels, which the construction predicts to be
-    ``1/dim`` for every ``j``; ``max_deviation`` measures how far the
-    prediction is off (reported, never raised).
+    The arrays are indexed by block first. ``vectors[m]`` has the rotated
+    basis as columns: column ``j`` is the direction the party projects onto
+    for outcome ``j`` when the ancilla reads ``m``. ``outcome_totals[j]`` is
+    the total probability of outcome ``j`` across ancilla labels, which the
+    construction predicts to be ``1/dim`` for every ``j``; ``max_deviation``
+    measures how far the prediction is off (reported, never raised).
     """
 
-    vectors: tuple[np.ndarray, ...]
-    eigenvalues: tuple[np.ndarray, ...]
-    eigenbases: tuple[np.ndarray, ...]
+    vectors: np.ndarray
+    eigenvalues: np.ndarray
+    eigenbases: np.ndarray
     outcome_totals: np.ndarray
     max_deviation: float
     uniform: bool
     degenerate: bool
-
-    @property
-    def dim(self) -> int:
-        return self.vectors[0].shape[0]
 
     def projector(self, m: int, j: int) -> np.ndarray:
         w = self.vectors[m][:, j]
         return np.outer(w, w.conj())
 
 
-def fourier_step(blocks: tuple[np.ndarray, ...] | list[np.ndarray], tol: float = DEFAULT_TOL) -> FourierStep:
-    """Eigendecompose each block and Fourier-transform its eigenbasis.
+def fourier_step(blocks: np.ndarray, tol: float = DEFAULT_TOL) -> FourierStep:
+    """Eigendecompose each block of an ``(n, d, d)`` stack and Fourier-transform its eigenbasis.
 
     Verifies that every Fourier outcome carries total probability ``1/dim``.
     A deviation beyond ``tol`` is recorded as a diagnostic rather than raised,
     since it would falsify the uniformity prediction, not the computation.
     """
-    blocks = tuple(np.asarray(b, dtype=complex) for b in blocks)
-    dim = blocks[0].shape[0]
-    fmat = fourier_matrix(dim)
-    vectors, eigvals, eigvecs = [], [], []
-    degenerate = False
-    for blk in blocks:
-        w, v = eig_hermitian(blk, tol=1e-8)
-        if dim > 1 and float(np.min(np.abs(np.diff(w)))) < DEGENERACY_TOL:
-            degenerate = True
-        eigvals.append(w)
-        eigvecs.append(v)
-        vectors.append(v @ fmat.T)
-    totals = np.zeros(dim)
-    for blk, omega in zip(blocks, vectors):
-        for j in range(dim):
-            w = omega[:, j]
-            totals[j] += float(np.real(np.vdot(w, blk @ w)))
+    blocks = np.asarray(blocks, dtype=complex)
+    dim = blocks.shape[-1]
+    eigvals, eigvecs = eig_hermitian(blocks, tol=1e-8)
+    vectors = eigvecs @ fourier_matrix(dim).T
+    # totals[j] = sum_m <omega_mj| block_m |omega_mj>
+    totals = np.einsum("mij,mij->j", vectors.conj(), blocks @ vectors).real
     max_dev = float(np.max(np.abs(totals - 1.0 / dim)))
     return FourierStep(
-        vectors=tuple(vectors),
-        eigenvalues=tuple(eigvals),
-        eigenbases=tuple(eigvecs),
+        vectors=frozen(vectors),
+        eigenvalues=frozen(eigvals),
+        eigenbases=frozen(eigvecs),
         outcome_totals=totals,
         max_deviation=max_dev,
         uniform=max_dev <= tol,
-        degenerate=degenerate,
+        degenerate=dim > 1 and float(np.min(np.abs(np.diff(eigvals, axis=-1)))) < DEGENERACY_TOL,
     )
 
 
@@ -181,11 +170,11 @@ class PartyStep:
     """Record of one party's measure-and-reset move."""
 
     party: str
-    blocks: tuple[np.ndarray, ...]
+    blocks: np.ndarray
     fourier: FourierStep
     outcome: int
     probability: float
-    conditional_unitaries: tuple[np.ndarray, ...]
+    conditional_unitaries: np.ndarray
     skipped_branches: tuple[int, ...]
 
 
@@ -245,7 +234,7 @@ def _measure_party(
     d = t.shape[0]
     blocks = _party_blocks(t)
     fs = fourier_step(blocks, tol)
-    omega = np.stack(fs.vectors)  # [m, i, j]: column j is omega_j in sector m
+    omega = fs.vectors  # [m, i, j]: column j is omega_j in sector m
     coef = np.einsum("mij,imxy->jmxy", omega.conj(), t)
     probs = np.einsum("jmxy,jmxy->j", coef, coef.conj()).real
     zero = np.flatnonzero(probs <= 0.0)
@@ -256,12 +245,13 @@ def _measure_party(
     swaps = np.tile(np.arange(d), (d, 1))
     swaps[:, 0], swaps[range(d), range(d)] = np.arange(d), 0
     unitaries = omega.conj().transpose(0, 2, 1)[:, swaps].transpose(1, 0, 2, 3)  # [j, m]
-    skipped = tuple(m for m, blk in enumerate(blocks) if np.trace(blk).real < ZERO_BRANCH_TOL)
+    skipped = tuple(np.flatnonzero(np.einsum("mii->m", blocks).real < ZERO_BRANCH_TOL).tolist())
     unitaries[:, list(skipped)] = np.eye(d)
+    frozen(unitaries)
     reset = np.einsum("jmai,mij->jma", unitaries, omega)  # U_jm omega_j, close to e0
     states = np.einsum("jma,jmxy->jamxy", reset, coef) / np.sqrt(probs)[:, None, None, None, None]
     steps = tuple(
-        PartyStep(party, blocks, fs, j, float(probs[j]), tuple(unitaries[j]), skipped)
+        PartyStep(party, blocks, fs, j, float(probs[j]), unitaries[j], skipped)
         for j in range(d)
     )
     return states, steps
@@ -351,35 +341,32 @@ def run_locc_construction(
 
 @dataclasses.dataclass(frozen=True)
 class Channel:
-    """Trace-preserving quantum channel in Kraus form."""
+    """Trace-preserving quantum channel, its Kraus operators stacked in one
+    read-only ``(k, d, d)`` array."""
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        object.__setattr__(self, "kraus", ops)
-        if not ops:
+        if len(self.kraus) == 0:
             raise ValidationError("channel-empty", "a channel needs >= 1 Kraus operator")
-        d = ops[0].shape[0]
-        for k in ops:
-            if k.shape != (d, d):
-                raise ValidationError("channel-shape", f"Kraus operators must all be {d}x{d}")
-        acc = sum(k.conj().T @ k for k in ops)
-        dev = float(np.max(np.abs(acc - np.eye(d))))
-        if dev > DEFAULT_TOL:
+        d = len(self.kraus[0])
+        kraus = operator_stack(
+            self.kraus, (d, d), "channel-shape", lambda k: f"Kraus operators must all be {d}x{d}"
+        )
+        object.__setattr__(self, "kraus", kraus)
+        dev = float(_identity_deviation(_gram(kraus)))
+        # written so that a NaN deviation fails too
+        if not dev <= DEFAULT_TOL:
             raise ValidationError(
                 "channel-trace-preserving", f"sum K^dag K deviates from 1 by {dev!r}"
             )
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[-1]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(rho, dtype=complex))
-        for k in self.kraus:
-            out += k @ rho @ k.conj().T
-        return out
+        return np.einsum("kij,jl,kml->im", self.kraus, rho, self.kraus.conj())
 
 
 def identity_channel(dim: int = 2) -> Channel:
@@ -405,16 +392,22 @@ def random_channel(dim: int, n_kraus: int, seed: int | np.random.Generator) -> C
     """Random trace-preserving channel from a Haar block column."""
     rng = _as_rng(seed)
     u = haar_unitary(n_kraus * dim, rng)
-    return Channel(tuple(u[i * dim : (i + 1) * dim, :dim] for i in range(n_kraus)))
+    return Channel(u[:, :dim].reshape(n_kraus, dim, dim))
 
 
-def _one_sided(channel: Channel, rho: np.ndarray, side: str) -> np.ndarray:
-    eye = np.eye(2, dtype=complex)
-    out = np.zeros_like(np.asarray(rho, dtype=complex))
-    for k in channel.kraus:
-        big = tensor(k, eye) if side == "left" else tensor(eye, k)
-        out += big @ rho @ big.conj().T
-    return out
+# the one-operator Kraus stack of the qubit identity channel, for the untouched side
+_QUBIT_IDENTITY = identity_channel().kraus
+
+
+def channel_output(psi: PureState, kraus_a: np.ndarray, kraus_b: np.ndarray) -> DensityMatrix:
+    """(L_A x L_B)|psi><psi| for Kraus stacks ``kraus_a`` and ``kraus_b``.
+
+    With ``T = local_product(Psi, K_A, K_B)`` the output is
+    ``sum_ab vec(T_ab) vec(T_ab)^dag``, since ``vec(T_ab)`` is the vector
+    ``(K_a (x) K_b)|psi>``.
+    """
+    t = local_product(psi.reshaped(), kraus_a, kraus_b).reshape(-1, psi.dim)
+    return DensityMatrix(psi.dims, t.T @ t.conj())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -434,10 +427,8 @@ def konrad_single_sided_check(psi: PureState, channel: Channel) -> Factorization
         raise ValidationError("konrad-state", f"need a two-qubit state, got dims {psi.dims}")
     if channel.dim != 2:
         raise ValidationError("konrad-channel", f"need a qubit channel, got dim {channel.dim}")
-    rho = psi.density().matrix
-    bell = bell_phi_plus().density().matrix
-    lhs = concurrence_mixed(DensityMatrix((2, 2), _one_sided(channel, rho, "left")))
-    factor = concurrence_mixed(DensityMatrix((2, 2), _one_sided(channel, bell, "left")))
+    lhs = concurrence_mixed(channel_output(psi, channel.kraus, _QUBIT_IDENTITY))
+    factor = concurrence_mixed(channel_output(bell_phi_plus(), channel.kraus, _QUBIT_IDENTITY))
     rhs = factor * concurrence_pure(psi)
     return FactorizationReport(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
 
@@ -458,14 +449,11 @@ def konrad_two_sided_check(
         raise ValidationError("konrad-state", f"need a two-qubit state, got dims {psi.dims}")
     if channel_a.dim != 2 or channel_b.dim != 2:
         raise ValidationError("konrad-channel", "both channels must act on qubits")
-    rho = psi.density().matrix
-    bell = bell_phi_plus().density().matrix
-    lhs = concurrence_mixed(
-        DensityMatrix((2, 2), _one_sided(channel_b, _one_sided(channel_a, rho, "left"), "right"))
-    )
+    bell = bell_phi_plus()
+    lhs = concurrence_mixed(channel_output(psi, channel_a.kraus, channel_b.kraus))
     bound = (
-        concurrence_mixed(DensityMatrix((2, 2), _one_sided(channel_a, bell, "left")))
-        * concurrence_mixed(DensityMatrix((2, 2), _one_sided(channel_b, bell, "right")))
+        concurrence_mixed(channel_output(bell, channel_a.kraus, _QUBIT_IDENTITY))
+        * concurrence_mixed(channel_output(bell, _QUBIT_IDENTITY, channel_b.kraus))
         * concurrence_pure(psi)
     )
     return TwoSidedReport(lhs=lhs, bound=bound, slack=bound - lhs, holds=lhs <= bound + tol)

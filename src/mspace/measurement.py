@@ -20,6 +20,7 @@ from .linalg import (
     PureState,
     ValidationError,
     _as_rng,
+    frozen,
     haar_unitary,
     tensor,
 )
@@ -59,8 +60,7 @@ class MeasurementSet:
         labels = [label for label, _ in ops]
         if len(set(labels)) != len(labels):
             raise ValidationError("measurement-labels", f"labels are not unique: {labels}")
-        stack = np.stack([op for _, op in ops])
-        stack.flags.writeable = False
+        stack = frozen(np.stack([op for _, op in ops]))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "operators", tuple(zip(labels, stack)))
@@ -78,25 +78,26 @@ class MeasurementSet:
 
     def completeness_deviation(self) -> float:
         """Max-norm of sum_m M_m^dag M_m - 1."""
-        return _identity_deviation(_gram(self.stack))
+        return float(_identity_deviation(_gram(self.stack)))
 
     def assert_complete(self, tol: float = DEFAULT_TOL) -> None:
         _require_complete(self.completeness_deviation(), tol)
 
 
 def _rows(stack: np.ndarray) -> np.ndarray:
-    """An ``(n, d, d)`` operator stack as one ``(n d, d)`` block column."""
-    return stack.reshape(-1, stack.shape[-1])
+    """An ``(..., n, d, d)`` operator stack as ``(..., n d, d)`` block columns."""
+    return stack.reshape(*stack.shape[:-3], -1, stack.shape[-1])
 
 
 def _gram(stack: np.ndarray) -> np.ndarray:
-    """sum_m M_m^dag M_m as a single product of the stacked block column."""
+    """sum_m M_m^dag M_m over the operator axis, one product per stacked block column."""
     rows = _rows(stack)
-    return rows.conj().T @ rows
+    return rows.conj().swapaxes(-1, -2) @ rows
 
 
-def _identity_deviation(gram: np.ndarray) -> float:
-    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+def _identity_deviation(gram: np.ndarray) -> np.ndarray:
+    """max |G - 1| of a Gram matrix, or of each matrix in a stack of them."""
+    return np.max(np.abs(gram - np.eye(gram.shape[-1])), axis=(-2, -1))
 
 
 def _require_complete(dev: float, tol: float) -> None:
@@ -162,7 +163,8 @@ class MeasurementSpaceState:
         if np.any(amps < 0):
             raise ValidationError("mspace-nonnegative", "amplitudes must be >= 0")
         total = float(np.sum(amps**2))
-        if abs(total - 1.0) > DEFAULT_TOL:
+        # written so that a NaN total fails too
+        if not abs(total - 1.0) <= DEFAULT_TOL:
             raise ValidationError(
                 "mspace-normalization", f"squared amplitudes sum to {total!r}, expected 1"
             )
@@ -279,7 +281,7 @@ def _local_outcome_probabilities(
             f"state dims {psi.dims} != measurement dims ({alice.dim}, {bob.dim})",
         )
     gram = tensor(_gram(alice.stack), _gram(bob.stack))
-    _require_complete(_identity_deviation(gram), completeness_tol)
+    _require_complete(float(_identity_deviation(gram)), completeness_tol)
     probs = _local_probabilities(psi.reshaped(), alice.stack, bob.stack).reshape(-1)
     return _check_total(probs, psi.dim, completeness_tol)
 

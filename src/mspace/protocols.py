@@ -22,11 +22,13 @@ from .linalg import (
     _as_rng,
     haar_state,
     haar_unitary,
-    is_unitary,
+    operator_stack,
     tensor,
 )
 from .measurement import (
     MeasurementSet,
+    _gram,
+    _identity_deviation,
     _local_probabilities,
     map_to_measurement_space,
     random_measurement_set,
@@ -37,15 +39,17 @@ from .measurement import (
 class ProtocolSpec:
     """One measure-communicate-correct-verify protocol instance.
 
-    ``verify_pairs[k]`` holds ``(M_yk, M_nk)`` with
+    ``bob_unitaries`` is a read-only ``(n, d_b, d_b)`` stack, one unitary per
+    Alice outcome. ``verify_pairs`` is a read-only ``(n, 2, d_b, d_b)``
+    stack: ``verify_pairs[k]`` holds ``(M_yk, M_nk)`` with
     ``M_yk^dag M_yk + M_nk^dag M_nk = 1`` so that success and failure exhaust
     Bob's outcomes for every Alice result ``k``.
     """
 
     state: PureState
     alice: MeasurementSet
-    bob_unitaries: tuple[np.ndarray, ...]
-    verify_pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+    bob_unitaries: np.ndarray
+    verify_pairs: np.ndarray
 
     def __post_init__(self):
         if len(self.state.dims) != 2:
@@ -60,48 +64,43 @@ class ProtocolSpec:
             )
         self.alice.assert_complete(DEFAULT_TOL)
         n = len(self.alice)
-        bob = tuple(np.asarray(u, dtype=complex) for u in self.bob_unitaries)
-        pairs = tuple(
-            (np.asarray(y, dtype=complex), np.asarray(f, dtype=complex))
-            for y, f in self.verify_pairs
-        )
-        object.__setattr__(self, "bob_unitaries", bob)
-        object.__setattr__(self, "verify_pairs", pairs)
-        if len(bob) != n or len(pairs) != n:
+        if len(self.bob_unitaries) != n or len(self.verify_pairs) != n:
             raise ValidationError(
                 "protocol-arity",
                 f"need one unitary and one verify pair per Alice outcome ({n})",
             )
-        eye = np.eye(d_b)
-        for k, u in enumerate(bob):
-            if u.shape != (d_b, d_b) or not is_unitary(u, DEFAULT_TOL):
-                raise ValidationError(
-                    "protocol-unitary", f"Bob operator {k} is not a {d_b}x{d_b} unitary"
-                )
-        for k, (m_y, m_n) in enumerate(pairs):
-            if m_y.shape != (d_b, d_b) or m_n.shape != (d_b, d_b):
-                raise ValidationError(
-                    "protocol-verify-shape", f"verify pair {k} must be {d_b}x{d_b}"
-                )
-            dev = float(
-                np.max(np.abs(m_y.conj().T @ m_y + m_n.conj().T @ m_n - eye))
+
+        def not_unitary(k: int) -> str:
+            return f"Bob operator {k} is not a {d_b}x{d_b} unitary"
+
+        bob = operator_stack(self.bob_unitaries, (d_b, d_b), "protocol-unitary", not_unitary)
+        object.__setattr__(self, "bob_unitaries", bob)
+        # written so that a NaN deviation fails too
+        bad = np.flatnonzero(~(_identity_deviation(_gram(bob[:, None])) <= DEFAULT_TOL))
+        if bad.size:
+            raise ValidationError("protocol-unitary", not_unitary(bad[0]))
+        pairs = operator_stack(
+            self.verify_pairs,
+            (2, d_b, d_b),
+            "protocol-verify-shape",
+            lambda k: f"verify pair {k} must be {d_b}x{d_b}",
+        )
+        object.__setattr__(self, "verify_pairs", pairs)
+        dev = _identity_deviation(_gram(pairs))
+        bad = np.flatnonzero(~(dev <= DEFAULT_TOL))
+        if bad.size:
+            raise ValidationError(
+                "protocol-verify-completeness",
+                f"verify pair {bad[0]} deviates from completeness by {float(dev[bad[0]])!r}",
             )
-            if not dev <= DEFAULT_TOL:
-                raise ValidationError(
-                    "protocol-verify-completeness",
-                    f"verify pair {k} deviates from completeness by {dev!r}",
-                )
 
     @property
     def n_outcomes(self) -> int:
         return len(self.alice)
 
-    def effective_success_ops(self) -> tuple[np.ndarray, ...]:
-        """Bob's unitary folded into each success operator: M_yk U_k."""
-        return tuple(m_y @ u for (m_y, _), u in zip(self.verify_pairs, self.bob_unitaries))
-
-    def effective_failure_ops(self) -> tuple[np.ndarray, ...]:
-        return tuple(m_n @ u for (_, m_n), u in zip(self.verify_pairs, self.bob_unitaries))
+    def effective_ops(self) -> np.ndarray:
+        """Bob's unitary folded into each verify pair: ``[k] = (M_yk U_k, M_nk U_k)``."""
+        return self.verify_pairs @ self.bob_unitaries[:, None]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,7 +119,8 @@ class OutcomeTable:
         if ps.shape != pf.shape or ps.size != len(self.labels):
             raise ValidationError("outcome-shape", "per-outcome arrays are inconsistent")
         total = float(ps.sum() + pf.sum())
-        if abs(total - 1.0) > DEFAULT_TOL:
+        # written so that a NaN total fails too
+        if not abs(total - 1.0) <= DEFAULT_TOL:
             raise ValidationError("outcome-total", f"probabilities sum to {total!r}, expected 1")
 
 
@@ -132,7 +132,7 @@ def outcome_table(spec: ProtocolSpec) -> OutcomeTable:
     ``(k, k)`` and ``(k, n + k)`` entries.
     """
     k = np.arange(spec.n_outcomes)
-    bob = np.stack(spec.effective_success_ops() + spec.effective_failure_ops())
+    bob = np.concatenate(spec.effective_ops().swapaxes(0, 1))
     probs = _local_probabilities(spec.state.reshaped(), spec.alice.stack, bob)
     return OutcomeTable(spec.alice.labels, probs[k, k], probs[k, spec.n_outcomes + k])
 
@@ -150,12 +150,7 @@ def success_probability_mspace(spec: ProtocolSpec) -> float:
     ``sum_k p(success | k) p(k)`` from rank-1 projections on that image.
     """
     ops = []
-    for label, m_k, s_k, f_k in zip(
-        spec.alice.labels,
-        spec.alice.matrices,
-        spec.effective_success_ops(),
-        spec.effective_failure_ops(),
-    ):
+    for label, m_k, (s_k, f_k) in zip(spec.alice.labels, spec.alice.matrices, spec.effective_ops()):
         ops.append((f"({label},y)", tensor(m_k, s_k)))
         ops.append((f"({label},n)", tensor(m_k, f_k)))
     joint = MeasurementSet(spec.state.dim, tuple(ops))
@@ -177,9 +172,6 @@ def random_protocol(
     rng = _as_rng(seed)
     state = haar_state((d_a, d_b), rng)
     alice = random_measurement_set(d_a, n_outcomes, rng)
-    bob_unitaries = tuple(haar_unitary(d_b, rng) for _ in range(n_outcomes))
-    verify = []
-    for _ in range(n_outcomes):
-        pair = random_measurement_set(d_b, 2, rng)
-        verify.append((pair.matrices[0], pair.matrices[1]))
-    return ProtocolSpec(state, alice, bob_unitaries, tuple(verify))
+    bob_unitaries = [haar_unitary(d_b, rng) for _ in range(n_outcomes)]
+    verify = [random_measurement_set(d_b, 2, rng).stack for _ in range(n_outcomes)]
+    return ProtocolSpec(state, alice, bob_unitaries, verify)

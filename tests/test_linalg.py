@@ -286,3 +286,23 @@ class TestPredicatesAndTypes:
             DensityMatrix((2,), np.eye(2))
         with pytest.raises(ValidationError):
             DensityMatrix((2,), np.diag([1.5, -0.5]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_eig_hermitian_stack_equals_single_calls(dim):
+    rng = np.random.default_rng(dim)
+    z = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
+    stack = (z + z.conj().swapaxes(1, 2)) / 2
+    stack[1] = np.eye(dim) / dim  # a fully degenerate block among them
+    w, v = eig_hermitian(stack)
+    assert w.shape == (3, dim) and v.shape == (3, dim, dim)
+    for h, w_k, v_k in zip(stack, w, v):
+        w_single, v_single = eig_hermitian(h)
+        assert np.array_equal(w_k, w_single)
+        assert np.array_equal(v_k, v_single)
+
+
+def test_eig_hermitian_rejects_a_non_hermitian_block_in_a_stack():
+    stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(ValidationError, match="hermitian"):
+        eig_hermitian(stack)

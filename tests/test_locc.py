@@ -295,3 +295,35 @@ class TestKonradChecks:
             konrad_single_sided_check(haar_state((3, 2), 1), identity_channel(2))
         with pytest.raises(ValidationError, match="konrad-channel"):
             konrad_single_sided_check(haar_state((2, 2), 1), identity_channel(3))
+
+
+class TestChannelStacks:
+    def test_nan_kraus_operator_rejected(self):
+        with pytest.raises(ValidationError, match="channel-trace-preserving"):
+            Channel((np.full((2, 2), np.nan),))
+
+    def test_kraus_is_a_read_only_stack(self):
+        ch = depolarizing_channel(0.3)
+        assert ch.kraus.shape == (4, 2, 2)
+        assert not ch.kraus.flags.writeable
+
+    def test_ragged_kraus_operators_rejected(self):
+        with pytest.raises(ValidationError, match="channel-shape"):
+            Channel((I2, np.eye(3)))
+        with pytest.raises(ValidationError, match="channel-empty"):
+            Channel(())
+
+    def test_apply_matches_kraus_sum(self):
+        ch = random_channel(3, 4, 19)
+        psi = haar_state((3,), 20)
+        rho = psi.density().matrix
+        expected = sum(k @ rho @ k.conj().T for k in ch.kraus)
+        np.testing.assert_allclose(ch.apply(rho), expected, atol=1e-14)
+
+    def test_blocks_and_unitaries_are_arrays(self):
+        trace = run_locc_construction(bell_phi_plus(), noisy_local_set(0.8), 1, 0)
+        assert trace.alice.blocks.shape == (2, 2, 2)
+        assert trace.alice.conditional_unitaries.shape == (2, 2, 2)
+        assert trace.alice.fourier.vectors.shape == (2, 2, 2)
+        assert trace.alice.fourier.eigenvalues.shape == (2, 2)
+        assert not trace.alice.conditional_unitaries.flags.writeable

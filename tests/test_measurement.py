@@ -186,3 +186,8 @@ class TestSetConstruction:
         assert flat.as_pure_state((2, 2)).dims == (2, 2)
         with pytest.raises(ValidationError, match="factorization"):
             flat.as_pure_state((3, 2))
+
+
+def test_nan_amplitude_fails_normalization():
+    with pytest.raises(ValidationError, match="mspace-normalization"):
+        MeasurementSpaceState(("a", "b"), [np.nan, 0.5])

@@ -1,9 +1,12 @@
-"""Properties of the local map and its local construction on generated inputs.
+"""Properties of the local map, its local construction, the channel checks and
+protocol scoring on generated inputs.
 
 Inputs span dimensions 1-6 and outcome counts 1-6 per party (1-4 for the
-construction), with rank-deficient and zero operators and states chosen to
-give outcomes of probability zero. The profile is derandomized, so every run
-tests the same examples.
+construction and for protocols), with rank-deficient and zero operators and
+states chosen to give outcomes of probability zero. Channels act on qubits
+with 1-4 Kraus operators, rank-deficient ones among them, on entangled and
+product states. The profile is derandomized, so every run tests the same
+examples.
 """
 
 import numpy as np
@@ -12,13 +15,21 @@ from hypothesis import strategies as st
 
 from mspace.entanglement import entropy_of_entanglement, measurement_space_entanglement
 from mspace.linalg import PureState, haar_state, haar_unitary
-from mspace.locc import build_dilation, run_locc_construction
+from mspace.locc import (
+    Channel,
+    build_dilation,
+    channel_output,
+    konrad_single_sided_check,
+    konrad_two_sided_check,
+    run_locc_construction,
+)
 from mspace.measurement import (
     LocalMeasurementSet,
     MeasurementSet,
     map_to_measurement_space,
     outcome_probabilities,
 )
+from mspace.protocols import ProtocolSpec, success_probability_mspace, success_probability_original
 
 PROFILE = settings(derandomize=True, deadline=None, max_examples=100, database=None)
 
@@ -139,3 +150,80 @@ def test_alice_branch_probabilities_sum_to_one(case):
         run_locc_construction(psi, local, j_a, 0).alice.probability for j_a in range(psi.dims[0])
     )
     assert abs(total - 1.0) <= 1e-12
+
+
+def _qubit_state(draw_product, rng):
+    if draw_product:
+        return PureState((2, 2), np.kron(haar_state((2,), rng).vector, haar_state((2,), rng).vector))
+    return haar_state((2, 2), rng)
+
+
+@st.composite
+def qubit_channel(draw, rng):
+    """A qubit channel with 1-4 Kraus operators, rank-deficient ones among them."""
+    n = draw(st.integers(1, 4))
+    ranks = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    ranks[-1] = max(ranks[-1], 2 - sum(ranks[:-1]))
+    return Channel(complete_set(2, ranks, rng).stack)
+
+
+@st.composite
+def channel_case(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = _qubit_state(draw(st.booleans()), rng)
+    return psi, draw(qubit_channel(rng)), draw(qubit_channel(rng))
+
+
+@PROFILE
+@given(channel_case())
+def test_single_sided_factorization_holds(case):
+    psi, channel, _ = case
+    assert konrad_single_sided_check(psi, channel).residual < 1e-8
+
+
+@PROFILE
+@given(channel_case())
+def test_two_sided_bound_holds(case):
+    psi, channel_a, channel_b = case
+    assert konrad_two_sided_check(psi, channel_a, channel_b).holds
+
+
+@PROFILE
+@given(channel_case())
+def test_channel_output_matches_kron_sum(case):
+    psi, channel_a, channel_b = case
+    rho = psi.density().matrix
+    eye = np.eye(2)
+
+    def kron_sum(kraus_a, kraus_b):
+        return sum(
+            np.kron(a, b) @ rho @ np.kron(a, b).conj().T for a in kraus_a for b in kraus_b
+        )
+
+    for kraus_a, kraus_b in (
+        (channel_a.kraus, [eye]),
+        ([eye], channel_b.kraus),
+        (channel_a.kraus, channel_b.kraus),
+    ):
+        out = channel_output(psi, np.asarray(kraus_a, dtype=complex), np.asarray(kraus_b, dtype=complex))
+        np.testing.assert_allclose(out.matrix, kron_sum(kraus_a, kraus_b), rtol=0, atol=1e-12)
+
+
+@st.composite
+def protocol_case(draw):
+    (d_a, ranks_a), d_b = draw(party(4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alice = complete_set(d_a, ranks_a, rng)
+    unitaries = [haar_unitary(d_b, rng) for _ in ranks_a]
+    # each verify pair is a complete two-operator set whose ranks add up to d_b
+    verify = [complete_set(d_b, [r, d_b - r], rng).stack for r in draw(
+        st.lists(st.integers(0, d_b), min_size=len(ranks_a), max_size=len(ranks_a))
+    )]
+    return ProtocolSpec(haar_state((d_a, d_b), rng), alice, unitaries, verify)
+
+
+@PROFILE
+@given(protocol_case())
+def test_success_rates_agree(spec):
+    delta = success_probability_original(spec) - success_probability_mspace(spec)
+    assert abs(delta) < 1e-10

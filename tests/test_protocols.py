@@ -137,3 +137,42 @@ class TestProtocolValidation:
             )
         table = outcome_table(spec)
         assert abs(table.p_success.sum() + table.p_failure.sum() - 1.0) < 1e-10
+
+
+class TestProtocolStacks:
+    def test_operators_are_read_only_stacks(self):
+        spec = random_protocol(2, 3, 4, 5)
+        assert spec.bob_unitaries.shape == (4, 3, 3)
+        assert spec.verify_pairs.shape == (4, 2, 3, 3)
+        assert not spec.bob_unitaries.flags.writeable
+        assert not spec.verify_pairs.flags.writeable
+
+    def test_effective_ops_fold_in_the_unitary(self):
+        spec = random_protocol(2, 3, 4, 6)
+        eff = spec.effective_ops()
+        for k, ((m_y, m_n), u) in enumerate(zip(spec.verify_pairs, spec.bob_unitaries)):
+            np.testing.assert_allclose(eff[k], [m_y @ u, m_n @ u], atol=1e-14)
+
+    def test_ragged_bob_unitaries_name_the_operator(self):
+        with pytest.raises(ValidationError, match="protocol-unitary: Bob operator 1 "):
+            ProtocolSpec(bell_phi_plus(), z_projectors(2), (I2, np.eye(3)), correlated_verify())
+
+    def test_ragged_verify_pair_names_the_pair(self):
+        verify = ((P0, P1), (P1, np.eye(3)))
+        with pytest.raises(ValidationError, match="protocol-verify-shape: verify pair 1 "):
+            ProtocolSpec(bell_phi_plus(), z_projectors(2), (I2, I2), verify)
+
+    def test_first_failing_unitary_is_named(self):
+        bad = np.diag([1.0, 0.5]).astype(complex)
+        with pytest.raises(ValidationError, match="Bob operator 1 "):
+            ProtocolSpec(bell_phi_plus(), z_projectors(2), (I2, bad), correlated_verify())
+
+    def test_first_incomplete_verify_pair_is_named(self):
+        with pytest.raises(ValidationError, match="protocol-verify-completeness: verify pair 1 "):
+            ProtocolSpec(bell_phi_plus(), z_projectors(2), (I2, I2), ((P0, P1), (P1, P1)))
+
+    def test_nan_outcome_total_rejected(self):
+        from mspace.protocols import OutcomeTable
+
+        with pytest.raises(ValidationError, match="outcome-total"):
+            OutcomeTable(("0",), [np.nan], [0.5])
