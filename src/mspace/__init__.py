@@ -26,7 +26,9 @@ from .linalg import (
     eig_hermitian,
     fourier_matrix,
     haar_state,
+    haar_unitaries,
     haar_unitary,
+    haar_vectors,
     is_hermitian,
     is_psd,
     is_unitary,
@@ -68,11 +70,17 @@ from .modes import (
 )
 from .protocols import (
     OutcomeTable,
+    ProtocolBatch,
     ProtocolSpec,
     outcome_table,
+    outcome_tables,
     random_protocol,
+    random_protocol_batches,
+    random_protocols,
     success_probability_mspace,
     success_probability_original,
+    success_rates_mspace,
+    success_rates_original,
 )
 
 __version__ = "0.1.0"

@@ -37,11 +37,7 @@ from .locc import (
 )
 from .measurement import LocalMeasurementSet, map_to_measurement_space, noisy_pair
 from .modes import useful_entanglement_bound
-from .protocols import (
-    random_protocol,
-    success_probability_mspace,
-    success_probability_original,
-)
+from .protocols import random_protocol_batches, success_rates_mspace, success_rates_original
 
 THEOREM1_TOL = 1e-10
 MONOTONICITY_TOL = 1e-9
@@ -226,8 +222,7 @@ def cmd_entanglement(args) -> tuple[dict, int]:
 def cmd_theorem1(args) -> tuple[dict, int]:
     rows = []
     if args.protocol:
-        spec = load_protocol(args.protocol)
-        specs = [("file", spec)]
+        batches = [load_protocol(args.protocol).batch]
     else:
         if not args.random:
             raise ValidationError("flag-format", "need --protocol or --random")
@@ -235,25 +230,21 @@ def cmd_theorem1(args) -> tuple[dict, int]:
             raise ValidationError("flag-format", "--random needs --seed")
         _require_count(args.trials, "--trials")
         d_a, d_b = _parse_ints(args.dims, 2) if args.dims else (2, 2)
-        specs = [
-            (str(t), random_protocol(d_a, d_b, args.outcomes, np.random.default_rng((args.seed, t))))
-            for t in range(args.trials)
-        ]
+        batches = random_protocol_batches(d_a, d_b, args.outcomes, args.seed, args.trials)
     worst = 0.0
-    for name, spec in specs:
-        p_orig = success_probability_original(spec)
-        p_ms = success_probability_mspace(spec)
-        delta = abs(p_orig - p_ms)
-        worst = max(worst, delta)
-        rows.append(
-            {"trial": name, "p_original": p_orig, "p_mspace": p_ms, "delta": delta}
-        )
+    for batch in batches:
+        names = ["file"] if batch.trials is None else [str(t) for t in batch.trials]
+        scores = zip(names, success_rates_original(batch).tolist(), success_rates_mspace(batch).tolist())
+        for name, p_orig, p_ms in scores:
+            delta = abs(p_orig - p_ms)
+            worst = max(worst, delta)
+            rows.append({"trial": name, "p_original": p_orig, "p_mspace": p_ms, "delta": delta})
     passed = worst < THEOREM1_TOL
     report = {
         "command": "theorem1",
         "parameters": {
             "protocol": args.protocol,
-            "trials": len(specs),
+            "trials": len(rows),
             "seed": args.seed,
             "dims": args.dims,
             "outcomes": args.outcomes,

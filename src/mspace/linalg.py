@@ -66,6 +66,42 @@ def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return float(np.min(np.linalg.eigvalsh(np.asarray(a)))) >= -tol
 
 
+def _require(
+    ok: np.ndarray,
+    invariant: str,
+    describe: Callable[[tuple[int, ...]], str],
+    trials: Sequence[int] | None = None,
+) -> None:
+    """Fail as ``invariant`` at the first false entry of the boolean array ``ok``.
+
+    ``describe`` turns the index of that entry into the message. With
+    ``trials``, axis 0 of ``ok`` runs over those trials and the message names
+    the trial. Write ``ok`` as ``x <= tol`` so that a NaN fails.
+    """
+    bad = np.argwhere(np.logical_not(ok))
+    if len(bad):
+        idx = tuple(int(i) for i in bad[0])
+        where = "" if trials is None else f"trial {trials[idx[0]]}: "
+        raise ValidationError(invariant, where + describe(idx))
+
+
+def _require_unit(
+    total: np.ndarray, tol: float, invariant: str, what: str, trials: Sequence[int] | None = None
+) -> None:
+    """Fail as ``invariant`` unless every entry of ``total`` is 1 within ``tol``."""
+    total = np.asarray(total)
+    _require(
+        abs(total - 1.0) <= tol, invariant, lambda i: f"{what} {float(total[i])!r}, expected 1", trials
+    )
+
+
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, each rounded as ``np.linalg.norm`` of its row."""
+    re, im = z.real[..., None, :], z.imag[..., None, :]
+    # one dot product per row, as np.linalg.norm takes it; a summed reduction rounds differently
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
 def frozen(a: np.ndarray) -> np.ndarray:
     """Mark ``a`` read-only and return it."""
     a.flags.writeable = False
@@ -104,6 +140,12 @@ def tensor_all(factors: Iterable[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _check_dims(dims: tuple[int, ...]) -> None:
+    """Subsystem dimensions must be given and be >= 1."""
+    if not dims or any(d < 1 for d in dims):
+        raise ValidationError("state-dims", f"subsystem dimensions must be >= 1, got {dims}")
+
+
 @dataclasses.dataclass(frozen=True)
 class PureState:
     """Normalized complex amplitude vector over an ordered list of subsystems.
@@ -120,16 +162,13 @@ class PureState:
         vec = np.asarray(self.vector, dtype=complex).reshape(-1)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "vector", vec)
-        if not dims or any(d < 1 for d in dims):
-            raise ValidationError("state-dims", f"subsystem dimensions must be >= 1, got {dims}")
+        _check_dims(dims)
         if vec.size != math.prod(dims):
             raise ValidationError(
                 "state-length",
                 f"amplitude vector has length {vec.size}, expected {math.prod(dims)}",
             )
-        norm = float(np.linalg.norm(vec))
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValidationError("state-normalization", f"norm is {norm!r}, expected 1")
+        _require_unit(np.linalg.norm(vec), NORM_TOL, "state-normalization", "norm is")
 
     @property
     def dim(self) -> int:
@@ -287,23 +326,33 @@ def fourier_matrix(n: int) -> np.ndarray:
     return np.exp(2.0j * np.pi * j * k / n) / np.sqrt(n)
 
 
-def haar_unitary(n: int, seed: int | np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary, deterministic for a given seed.
+def haar_unitaries(g: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from a ``(..., 2, n, n)`` stack of standard normals.
 
-    QR of a complex Gaussian matrix, with column phases fixed so that the
-    triangular factor has a positive diagonal.
+    ``g[..., 0, :, :]`` and ``g[..., 1, :, :]`` are the real and imaginary
+    parts of a complex Gaussian matrix. Each gets a QR decomposition, with
+    column phases fixed so that the triangular factor has a positive
+    diagonal; the result is ``(..., n, n)``.
     """
-    rng = _as_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return q
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitary(n: int, seed: int | np.random.Generator) -> np.ndarray:
+    """Haar-distributed n x n unitary, deterministic for a given seed."""
+    return haar_unitaries(_as_rng(seed).standard_normal((2, n, n)))
+
+
+def haar_vectors(g: np.ndarray) -> np.ndarray:
+    """Unit vectors from a ``(..., 2, n)`` stack of standard normals (real, imaginary parts)."""
+    z = g[..., 0, :] + 1j * g[..., 1, :]
+    return z / _row_norms(z)[..., None]
 
 
 def haar_state(dims: Sequence[int], seed: int | np.random.Generator) -> PureState:
     """Haar-random pure state: normalized vector of iid complex Gaussians."""
-    rng = _as_rng(seed)
-    n = math.prod(int(d) for d in dims)
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return PureState(tuple(int(d) for d in dims), z / np.linalg.norm(z))
+    dims = tuple(int(d) for d in dims)
+    _check_dims(dims)
+    return PureState(dims, haar_vectors(_as_rng(seed).standard_normal((2, math.prod(dims)))))

@@ -20,8 +20,11 @@ from .linalg import (
     PureState,
     ValidationError,
     _as_rng,
-    frozen,
+    _require,
+    _require_unit,
+    _row_norms,
     haar_unitary,
+    operator_stack,
     tensor,
 )
 
@@ -46,21 +49,23 @@ class MeasurementSet:
 
     def __post_init__(self):
         dim = int(self.dim)
-        ops = tuple((str(label), np.asarray(op, dtype=complex)) for label, op in self.operators)
+        labels = [str(label) for label, _ in self.operators]
+        ops = [op for _, op in self.operators]
         if dim < 1:
             raise ValidationError("measurement-dim", f"dimension must be >= 1, got {dim}")
         if not ops:
             raise ValidationError("measurement-empty", "a measurement set needs >= 1 operator")
-        for label, op in ops:
-            if op.shape != (dim, dim):
-                raise ValidationError(
-                    "measurement-shape",
-                    f"operator {label!r} has shape {op.shape}, expected {(dim, dim)}",
-                )
-        labels = [label for label, _ in ops]
+
+        def misshaped(k: int) -> str:
+            try:
+                found = f"has shape {np.shape(ops[k])}"
+            except ValueError:  # ragged nesting has no shape
+                found = "is ragged"
+            return f"operator {labels[k]!r} {found}, expected {(dim, dim)}"
+
+        stack = operator_stack(ops, (dim, dim), "measurement-shape", misshaped)
         if len(set(labels)) != len(labels):
             raise ValidationError("measurement-labels", f"labels are not unique: {labels}")
-        stack = frozen(np.stack([op for _, op in ops]))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "operators", tuple(zip(labels, stack)))
@@ -100,13 +105,14 @@ def _identity_deviation(gram: np.ndarray) -> np.ndarray:
     return np.max(np.abs(gram - np.eye(gram.shape[-1])), axis=(-2, -1))
 
 
-def _require_complete(dev: float, tol: float) -> None:
-    # written so that a NaN deviation fails too
-    if not dev <= tol:
-        raise ValidationError(
-            "completeness",
-            f"completeness deviation {dev!r} exceeds tolerance {tol!r}",
-        )
+def _require_complete(dev: np.ndarray, tol: float, trials=None) -> None:
+    dev = np.asarray(dev)
+    _require(
+        dev <= tol,
+        "completeness",
+        lambda i: f"completeness deviation {float(dev[i])!r} exceeds tolerance {tol!r}",
+        trials,
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,12 +168,7 @@ class MeasurementSpaceState:
             )
         if np.any(amps < 0):
             raise ValidationError("mspace-nonnegative", "amplitudes must be >= 0")
-        total = float(np.sum(amps**2))
-        # written so that a NaN total fails too
-        if not abs(total - 1.0) <= DEFAULT_TOL:
-            raise ValidationError(
-                "mspace-normalization", f"squared amplitudes sum to {total!r}, expected 1"
-            )
+        _require_unit(np.sum(amps**2), DEFAULT_TOL, "mspace-normalization", "squared amplitudes sum to")
         if self.structure is not None:
             na, nb = (int(x) for x in self.structure)
             object.__setattr__(self, "structure", (na, nb))
@@ -211,38 +212,70 @@ def local_product(psi: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.nda
     ``(A_a (x) B_b) psi``, so ``||T[a, b]||_F^2`` is the probability of the
     joint outcome ``(a, b)``. Two matrix products over the stacked block
     columns give all ``n_a n_b`` products at once; the result is an
-    ``(n_a, n_b, d_a, d_b)`` view.
+    ``(n_a, n_b, d_a, d_b)`` view. Leading axes of the three inputs
+    broadcast, giving ``(..., n_a, n_b, d_a, d_b)``.
     """
-    n_a, d_a, _ = alice.shape
-    n_b, d_b, _ = bob.shape
-    t = _rows(alice) @ psi @ _rows(bob).T
-    return t.reshape(n_a, d_a, n_b, d_b).transpose(0, 2, 1, 3)
+    n_a, d_a = alice.shape[-3:-1]
+    n_b, d_b = bob.shape[-3:-1]
+    t = _rows(alice) @ psi @ _rows(bob).swapaxes(-1, -2)
+    return t.reshape(*t.shape[:-2], n_a, d_a, n_b, d_b).swapaxes(-3, -2)
 
 
-def _clamped(raw: np.ndarray) -> np.ndarray:
+# The probability helpers below take an optional ``trials``: the first axis
+# of their arrays then runs over those trials, and a failure names the trial.
+
+
+def _clamped(raw: np.ndarray, trials=None) -> np.ndarray:
     """Outcome weights checked against the -1e-12 floor and clamped to [0, 1]."""
-    low = raw < PROBABILITY_FLOOR
-    if np.any(low):
-        p = float(raw[low][0])
-        raise ValidationError("probability-floor", f"outcome probability {p!r} < -1e-12")
+    _require(
+        raw >= PROBABILITY_FLOOR,
+        "probability-floor",
+        lambda i: f"outcome probability {float(raw[i])!r} < -1e-12",
+        trials,
+    )
     return np.clip(raw, 0.0, 1.0)
 
 
-def _local_probabilities(psi: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    """Clamped p[a, b] = ||A_a Psi B_b^T||_F^2, an ``(n_a, n_b)`` array."""
+def _local_probabilities(
+    psi: np.ndarray, alice: np.ndarray, bob: np.ndarray, trials=None
+) -> np.ndarray:
+    """Clamped p[..., a, b] = ||A_a Psi B_b^T||_F^2 from :func:`local_product`."""
     t = local_product(psi, alice, bob)
-    return _clamped(np.sum(t.real**2 + t.imag**2, axis=(2, 3)))
+    return _clamped(np.sum(t.real**2 + t.imag**2, axis=(-2, -1)), trials)
 
 
-def _check_total(probs: np.ndarray, dim: int, completeness_tol: float) -> np.ndarray:
-    total = float(probs.sum())
+def _check_total(probs: np.ndarray, dim: int, completeness_tol: float, trials=None) -> np.ndarray:
+    """``probs`` with each distribution over its last axis checked to sum to 1."""
     # a completeness deviation of eps can push the sum off by up to dim * eps
     sum_tol = max(DEFAULT_TOL, completeness_tol * dim)
-    if abs(total - 1.0) > sum_tol:
-        raise ValidationError(
-            "probability-normalization", f"probabilities sum to {total!r}, expected 1"
-        )
+    _require_unit(probs.sum(axis=-1), sum_tol, "probability-normalization", "probabilities sum to", trials)
     return probs
+
+
+def _probabilities(
+    vectors: np.ndarray, stack: np.ndarray, completeness_tol: float, trials=None
+) -> np.ndarray:
+    """p[..., m] = ||M_m psi||^2 for ``(..., D)`` vectors and ``(..., n, D, D)`` stacks.
+
+    The caller checks completeness within ``completeness_tol`` first. Each
+    probability is clamped to [0, 1] after a -1e-12 floor check, and each
+    distribution must sum to 1.
+    """
+    n, dim = stack.shape[-3], stack.shape[-1]
+    amps = (_rows(stack) @ vectors[..., None]).reshape(*stack.shape[:-3], n, dim)
+    raw = np.sum(amps.real**2 + amps.imag**2, axis=-1)
+    return _check_total(_clamped(raw, trials), dim, completeness_tol, trials)
+
+
+def _image(probs: np.ndarray, trials=None) -> np.ndarray:
+    """Square-root amplitudes over the last axis, scaled to unit norm and checked."""
+    amps = np.sqrt(probs)
+    # when the completeness tolerance is loosened the raw probabilities may
+    # miss unit sum by up to that amount; the image itself stays a unit vector
+    amps /= _row_norms(amps)[..., None]
+    total = np.sum(amps**2, axis=-1)
+    _require_unit(total, DEFAULT_TOL, "mspace-normalization", "squared amplitudes sum to", trials)
+    return amps
 
 
 def outcome_probabilities(
@@ -261,9 +294,7 @@ def outcome_probabilities(
             f"state dimension {psi.dim} != measurement dimension {mset.dim}",
         )
     mset.assert_complete(completeness_tol)
-    amps = (_rows(mset.stack) @ psi.vector).reshape(len(mset), mset.dim)
-    raw = np.sum(amps.real**2 + amps.imag**2, axis=1)
-    return _check_total(_clamped(raw), mset.dim, completeness_tol)
+    return _probabilities(psi.vector, mset.stack, completeness_tol)
 
 
 def _local_outcome_probabilities(
@@ -303,11 +334,7 @@ def map_to_measurement_space(
     else:
         probs = outcome_probabilities(psi, measurements, completeness_tol)
         structure = None
-    amplitudes = np.sqrt(probs)
-    # when the completeness tolerance is loosened the raw probabilities may
-    # miss unit sum by up to that amount; the image itself stays a unit vector
-    amplitudes /= np.linalg.norm(amplitudes)
-    return MeasurementSpaceState(measurements.labels, amplitudes, structure)
+    return MeasurementSpaceState(measurements.labels, _image(probs), structure)
 
 
 def random_measurement_set(

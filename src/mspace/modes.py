@@ -13,6 +13,12 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from .linalg import ValidationError
+
+# Largest outcome count whose divisor search is run: the downward trial
+# division from isqrt(count) then takes at most 10^6 steps.
+COUNT_CAP = 10**12
+
 
 def composition_count(n: int, m: int) -> int:
     """Number of ordered ways to write n as a sum of m nonnegative integers.
@@ -75,6 +81,10 @@ class ModeSystem:
 def useful_entanglement_bound(n: int, m: int) -> ModeSystem:
     """Upper bounds (bits) on useful mode entanglement for (n, m)."""
     count = composition_count(n, m)
+    if count > COUNT_CAP:
+        raise ValidationError(
+            "mode-count", f"{n} particles in {m} modes give {count} outcomes, over the cap of {COUNT_CAP}"
+        )
     p = divisor_infimum(count)
     return ModeSystem(
         n=int(n),

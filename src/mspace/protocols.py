@@ -12,27 +12,93 @@ amplitudes operationally meaningful.
 from __future__ import annotations
 
 import dataclasses
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    NORM_TOL,
     PureState,
     ValidationError,
     _as_rng,
-    haar_state,
-    haar_unitary,
+    _check_dims,
+    _require,
+    _require_unit,
+    _row_norms,
+    haar_unitaries,
+    haar_vectors,
     operator_stack,
-    tensor,
 )
 from .measurement import (
     MeasurementSet,
     _gram,
     _identity_deviation,
+    _image,
     _local_probabilities,
-    map_to_measurement_space,
-    random_measurement_set,
+    _probabilities,
+    _require_complete,
 )
+
+# Bytes of trial arrays a random run holds at once; trials are scored in
+# chunks that fit. One trial may exceed it and then forms a chunk of its own.
+CHUNK_BYTES = 1 << 22
+# A trial whose arrays would exceed this is rejected before anything is drawn.
+TRIAL_BYTES_CAP = 1 << 30
+
+
+@dataclasses.dataclass(frozen=True)
+class ProtocolBatch:
+    """Protocols of one shape, stacked on a leading trial axis.
+
+    ``psi`` is ``(t, d_a, d_b)``, ``alice`` ``(t, n, d_a, d_a)``,
+    ``bob_unitaries`` ``(t, n, d_b, d_b)`` and ``verify_pairs``
+    ``(t, n, 2, d_b, d_b)``. Construction checks, for every trial, the state
+    norm, the completeness of Alice's set, the unitarity of Bob's operators
+    and the completeness of every verify pair. ``trials`` names the trials
+    in error messages; without it (a single :class:`ProtocolSpec`) they go
+    unnamed.
+    """
+
+    psi: np.ndarray
+    alice: np.ndarray
+    bob_unitaries: np.ndarray
+    verify_pairs: np.ndarray
+    trials: Sequence[int] | None = None
+
+    def __post_init__(self):
+        trials = self.trials
+        count, n, d_a = self.alice.shape[:3]
+        d_b = self.psi.shape[-1]
+        arrays = (self.psi, self.alice, self.bob_unitaries, self.verify_pairs)
+        found = tuple(np.shape(a) for a in arrays)
+        expected = ((count, d_a, d_b), (count, n, d_a, d_a), (count, n, d_b, d_b), (count, n, 2, d_b, d_b))
+        if found != expected or (trials is not None and len(trials) != count):
+            raise ValidationError(
+                "protocol-batch-shape",
+                f"arrays of shapes {found}, expected {expected} with one name per trial",
+            )
+        norms = _row_norms(self.psi.reshape(len(self.psi), -1))
+        _require_unit(norms, NORM_TOL, "state-normalization", "norm is", trials)
+        _require_complete(_identity_deviation(_gram(self.alice)), DEFAULT_TOL, trials)
+        dev = _identity_deviation(_gram(self.bob_unitaries[:, :, None]))
+        _require(
+            dev <= DEFAULT_TOL,
+            "protocol-unitary",
+            lambda i: f"Bob operator {i[1]} is not a {d_b}x{d_b} unitary",
+            trials,
+        )
+        dev = _identity_deviation(_gram(self.verify_pairs))
+        _require(
+            dev <= DEFAULT_TOL,
+            "protocol-verify-completeness",
+            lambda i: f"verify pair {i[1]} deviates from completeness by {float(dev[i])!r}",
+            trials,
+        )
+
+    def effective_ops(self) -> np.ndarray:
+        """Bob's unitary folded into each verify pair: ``[t, k] = (M_yk U_k, M_nk U_k)``."""
+        return self.verify_pairs @ self.bob_unitaries[:, :, None]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,13 +109,15 @@ class ProtocolSpec:
     Alice outcome. ``verify_pairs`` is a read-only ``(n, 2, d_b, d_b)``
     stack: ``verify_pairs[k]`` holds ``(M_yk, M_nk)`` with
     ``M_yk^dag M_yk + M_nk^dag M_nk = 1`` so that success and failure exhaust
-    Bob's outcomes for every Alice result ``k``.
+    Bob's outcomes for every Alice result ``k``. ``batch`` is the same
+    protocol as a batch of one, which runs the value checks and the scoring.
     """
 
     state: PureState
     alice: MeasurementSet
     bob_unitaries: np.ndarray
     verify_pairs: np.ndarray
+    batch: ProtocolBatch = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.state.dims) != 2:
@@ -62,45 +130,32 @@ class ProtocolSpec:
                 "protocol-alice-dim",
                 f"Alice set acts on dim {self.alice.dim}, state side is {d_a}",
             )
-        self.alice.assert_complete(DEFAULT_TOL)
         n = len(self.alice)
         if len(self.bob_unitaries) != n or len(self.verify_pairs) != n:
             raise ValidationError(
                 "protocol-arity",
                 f"need one unitary and one verify pair per Alice outcome ({n})",
             )
-
-        def not_unitary(k: int) -> str:
-            return f"Bob operator {k} is not a {d_b}x{d_b} unitary"
-
-        bob = operator_stack(self.bob_unitaries, (d_b, d_b), "protocol-unitary", not_unitary)
-        object.__setattr__(self, "bob_unitaries", bob)
-        # written so that a NaN deviation fails too
-        bad = np.flatnonzero(~(_identity_deviation(_gram(bob[:, None])) <= DEFAULT_TOL))
-        if bad.size:
-            raise ValidationError("protocol-unitary", not_unitary(bad[0]))
+        bob = operator_stack(
+            self.bob_unitaries,
+            (d_b, d_b),
+            "protocol-unitary",
+            lambda k: f"Bob operator {k} is not a {d_b}x{d_b} unitary",
+        )
         pairs = operator_stack(
             self.verify_pairs,
             (2, d_b, d_b),
             "protocol-verify-shape",
             lambda k: f"verify pair {k} must be {d_b}x{d_b}",
         )
+        object.__setattr__(self, "bob_unitaries", bob)
         object.__setattr__(self, "verify_pairs", pairs)
-        dev = _identity_deviation(_gram(pairs))
-        bad = np.flatnonzero(~(dev <= DEFAULT_TOL))
-        if bad.size:
-            raise ValidationError(
-                "protocol-verify-completeness",
-                f"verify pair {bad[0]} deviates from completeness by {float(dev[bad[0]])!r}",
-            )
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.alice)
+        batch = ProtocolBatch(self.state.reshaped()[None], self.alice.stack[None], bob[None], pairs[None])
+        object.__setattr__(self, "batch", batch)
 
     def effective_ops(self) -> np.ndarray:
         """Bob's unitary folded into each verify pair: ``[k] = (M_yk U_k, M_nk U_k)``."""
-        return self.verify_pairs @ self.bob_unitaries[:, None]
+        return self.batch.effective_ops()[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,60 +173,145 @@ class OutcomeTable:
         object.__setattr__(self, "p_failure", pf)
         if ps.shape != pf.shape or ps.size != len(self.labels):
             raise ValidationError("outcome-shape", "per-outcome arrays are inconsistent")
-        total = float(ps.sum() + pf.sum())
-        # written so that a NaN total fails too
-        if not abs(total - 1.0) <= DEFAULT_TOL:
-            raise ValidationError("outcome-total", f"probabilities sum to {total!r}, expected 1")
+        _require_unit(ps.sum() + pf.sum(), DEFAULT_TOL, "outcome-total", "probabilities sum to")
+
+
+def outcome_tables(batch: ProtocolBatch) -> np.ndarray:
+    """p[t, k, (y, n)] = ||A_k Psi (M_yk U_k)^T||_F^2, likewise n, per trial.
+
+    Each trial's ``(A_k, (M_yk U_k, M_nk U_k))`` is one pair of local stacks
+    for :func:`~mspace.measurement.local_product`, so only the products
+    outcome ``k`` reads are formed. Every trial's table must sum to 1.
+    """
+    eff = batch.effective_ops()
+    probs = _local_probabilities(batch.psi[:, None], batch.alice[:, :, None], eff, batch.trials)[:, :, 0]
+    total = probs.sum(axis=(1, 2))
+    _require_unit(total, DEFAULT_TOL, "outcome-total", "probabilities sum to", batch.trials)
+    return probs
 
 
 def outcome_table(spec: ProtocolSpec) -> OutcomeTable:
-    """p_{k,y} = ||M_k Psi (M_yk U_k)^T||_F^2, likewise n.
+    """The joint distribution of one protocol, from :func:`outcome_tables`."""
+    probs = outcome_tables(spec.batch)[0]
+    return OutcomeTable(spec.alice.labels, probs[:, 0], probs[:, 1])
 
-    Bob's side is the stack of all effective success operators followed by
-    all failure operators; outcome ``k`` reads its own pair off the kernel's
-    ``(k, k)`` and ``(k, n + k)`` entries.
+
+def success_rates_original(batch: ProtocolBatch) -> np.ndarray:
+    """Success rate of every trial on the original state: sum_k p_{k,y}."""
+    return outcome_tables(batch)[..., 0].sum(axis=-1)
+
+
+def success_rates_mspace(batch: ProtocolBatch) -> np.ndarray:
+    """Success rate of every trial, recomputed entirely inside measurement space.
+
+    Builds each trial's joint set {M_k (x) M_yk U_k, M_k (x) M_nk U_k} as a
+    stack of Kronecker products, checks it for completeness, maps the state
+    to its measurement-space image through the generic outcome
+    probabilities, and accumulates ``sum_k p(success | k) p(k)`` from
+    rank-1 projections on that image. It shares no kernel with
+    :func:`outcome_tables`, which it is checked against.
     """
-    k = np.arange(spec.n_outcomes)
-    bob = np.concatenate(spec.effective_ops().swapaxes(0, 1))
-    probs = _local_probabilities(spec.state.reshaped(), spec.alice.stack, bob)
-    return OutcomeTable(spec.alice.labels, probs[k, k], probs[k, spec.n_outcomes + k])
+    count, n, d_a, _ = batch.alice.shape
+    d_b = batch.bob_unitaries.shape[-1]
+    dim = d_a * d_b
+    # kron(A, B)[i d_b + k, j d_b + l] = A[i, j] B[k, l], for each (trial, outcome, y/n)
+    a = batch.alice[:, :, None, :, None, :, None]
+    b = batch.effective_ops()[:, :, :, None, :, None, :]
+    joint = (a * b).reshape(count, 2 * n, dim, dim)
+    _require_complete(_identity_deviation(_gram(joint)), DEFAULT_TOL, batch.trials)
+    probs = _probabilities(batch.psi.reshape(count, dim), joint, DEFAULT_TOL, batch.trials)
+    image = (_image(probs, batch.trials) ** 2).reshape(count, n, 2)
+    p_y, p_n = image[..., 0], image[..., 1]
+    p_k = p_y + p_n
+    terms = np.divide(p_y, p_k, out=np.zeros_like(p_k), where=p_k > 0.0) * p_k
+    # a running total in outcome order
+    return np.cumsum(terms, axis=-1)[:, -1]
 
 
 def success_probability_original(spec: ProtocolSpec) -> float:
-    """Overall success rate on the original state: sum_k p_{k,y}."""
-    return float(outcome_table(spec).p_success.sum())
+    """Overall success rate of one protocol on the original state."""
+    return float(success_rates_original(spec.batch)[0])
 
 
 def success_probability_mspace(spec: ProtocolSpec) -> float:
-    """Success rate recomputed entirely inside measurement space.
+    """Success rate of one protocol recomputed inside measurement space."""
+    return float(success_rates_mspace(spec.batch)[0])
 
-    Builds the joint set {M_k (x) M_yk U_k, M_k (x) M_nk U_k}, maps the state
-    to its measurement-space image, and accumulates
-    ``sum_k p(success | k) p(k)`` from rank-1 projections on that image.
+
+def _trial_bytes(d_a: int, d_b: int, n_outcomes: int) -> int:
+    """Bytes of one random trial's joint stack, Haar draws and operators, as complex128.
+
+    Rejects a shape with no valid protocol, or one over :data:`TRIAL_BYTES_CAP`,
+    before anything is allocated.
     """
-    ops = []
-    for label, m_k, (s_k, f_k) in zip(spec.alice.labels, spec.alice.matrices, spec.effective_ops()):
-        ops.append((f"({label},y)", tensor(m_k, s_k)))
-        ops.append((f"({label},n)", tensor(m_k, f_k)))
-    joint = MeasurementSet(spec.state.dim, tuple(ops))
-    image = map_to_measurement_space(spec.state, joint)
-    probs = image.probabilities()
-    total = 0.0
-    for k in range(spec.n_outcomes):
-        p_y, p_n = probs[2 * k], probs[2 * k + 1]
-        p_k = p_y + p_n
-        if p_k > 0.0:
-            total += (p_y / p_k) * p_k
-    return float(total)
+    _check_dims((d_a, d_b))
+    if n_outcomes < 1:
+        raise ValidationError("measurement-outcomes", "need at least one outcome")
+    dim, n = d_a * d_b, n_outcomes
+    size = 16 * (2 * n * dim * dim + (n * d_a) ** 2 + 5 * n * d_b * d_b + dim)
+    if size > TRIAL_BYTES_CAP:
+        raise ValidationError(
+            "protocol-size",
+            f"one {d_a}x{d_b} trial with {n} outcomes needs {size} bytes, "
+            f"over the cap of {TRIAL_BYTES_CAP}",
+        )
+    return size
+
+
+def random_protocols(
+    d_a: int,
+    d_b: int,
+    n_outcomes: int,
+    rngs: Sequence[np.random.Generator],
+    trials: Sequence[int] | None = None,
+) -> ProtocolBatch:
+    """One random protocol per generator: Haar state, random complete sets, Haar unitaries.
+
+    Each generator draws, in order, the state's real and imaginary parts,
+    the Gaussian block behind Alice's set, the n Bob unitaries and the n
+    verify sets. Only the draws loop over trials; the QR decompositions
+    run once over the stack.
+    """
+    _trial_bytes(d_a, d_b, n_outcomes)
+    count, n = len(rngs), n_outcomes
+    draws = (
+        np.empty((count, 2, d_a * d_b)),
+        np.empty((count, 2, n * d_a, n * d_a)),
+        np.empty((count, n, 2, d_b, d_b)),
+        np.empty((count, n, 2, 2 * d_b, 2 * d_b)),
+    )
+    for t, rng in enumerate(rngs):
+        for g in draws:
+            rng.standard_normal(out=g[t])
+    g_state, g_alice, g_bob, g_verify = draws
+    # a complete set is the first block column of a Haar unitary, cut into blocks
+    alice = haar_unitaries(g_alice)[..., :d_a].reshape(count, n, d_a, d_a)
+    verify = haar_unitaries(g_verify)[..., :d_b].reshape(count, n, 2, d_b, d_b)
+    psi = haar_vectors(g_state).reshape(count, d_a, d_b)
+    return ProtocolBatch(psi, alice, haar_unitaries(g_bob), verify, trials)
+
+
+def random_protocol_batches(
+    d_a: int, d_b: int, n_outcomes: int, seed: int, trials: int
+) -> Iterator[ProtocolBatch]:
+    """Random protocols for trials ``0..trials-1``, in chunks of at most :data:`CHUNK_BYTES`.
+
+    Trial ``t`` draws from ``default_rng((seed, t))``, so its protocol does
+    not depend on ``trials`` or on the chunking.
+    """
+    step = max(1, CHUNK_BYTES // _trial_bytes(d_a, d_b, n_outcomes))
+    for start in range(0, trials, step):
+        chunk = range(start, min(start + step, trials))
+        yield random_protocols(
+            d_a, d_b, n_outcomes, [np.random.default_rng((seed, t)) for t in chunk], chunk
+        )
 
 
 def random_protocol(
     d_a: int, d_b: int, n_outcomes: int, seed: int | np.random.Generator
 ) -> ProtocolSpec:
     """Random protocol: Haar state, random complete sets, Haar unitaries."""
-    rng = _as_rng(seed)
-    state = haar_state((d_a, d_b), rng)
-    alice = random_measurement_set(d_a, n_outcomes, rng)
-    bob_unitaries = [haar_unitary(d_b, rng) for _ in range(n_outcomes)]
-    verify = [random_measurement_set(d_b, 2, rng).stack for _ in range(n_outcomes)]
-    return ProtocolSpec(state, alice, bob_unitaries, verify)
+    batch = random_protocols(d_a, d_b, n_outcomes, [_as_rng(seed)])
+    alice = MeasurementSet(d_a, tuple((str(k), op) for k, op in enumerate(batch.alice[0])))
+    state = PureState((d_a, d_b), batch.psi[0])
+    return ProtocolSpec(state, alice, batch.bob_unitaries[0], batch.verify_pairs[0])

@@ -243,6 +243,79 @@ class TestTheorem1:
         code, out, err = run_cli(capsys, "theorem1", "--random", "--trials", "0", "--seed", "7")
         assert code == 2 and "flag-format" in err and out == ""
 
+    @pytest.mark.parametrize(
+        "flags, invariant",
+        [
+            (["--dims", "2,-1"], "state-dims"),
+            (["--dims", "1000000,1000000", "--outcomes", "1000"], "protocol-size"),
+            (["--dims", "1,1", "--outcomes", "100000"], "protocol-size"),
+        ],
+    )
+    def test_shapes_rejected_before_drawing(self, capsys, flags, invariant):
+        code, out, err = run_cli(capsys, "theorem1", "--random", "--seed", "7", *flags)
+        assert code == 2 and f"error: {invariant}: " in err and out == ""
+
+
+def random_rows(capsys, trials, dims="3,2", outcomes="3", seed="11"):
+    argv = ["theorem1", "--random", "--seed", seed, "--trials", str(trials), "--dims", dims, "--outcomes", outcomes]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    return json.loads(out)["results"], out
+
+
+class TestTheorem1Batches:
+    def test_rows_equal_protocols_scored_one_by_one(self, capsys):
+        from mspace.protocols import random_protocol, success_probability_mspace, success_probability_original
+
+        rows, _ = random_rows(capsys, 12)
+        for t, row in enumerate(rows):
+            spec = random_protocol(3, 2, 3, np.random.default_rng((11, t)))
+            assert row["trial"] == str(t)
+            assert abs(row["p_original"] - success_probability_original(spec)) <= 1e-15
+            assert abs(row["p_mspace"] - success_probability_mspace(spec)) <= 1e-15
+
+    def test_rows_do_not_depend_on_the_trial_count(self, capsys):
+        short, _ = random_rows(capsys, 7)
+        long, _ = random_rows(capsys, 60)
+        assert json.dumps(short) == json.dumps(long[:7])
+
+    def test_chunked_run_matches_one_chunk(self, capsys, monkeypatch):
+        from mspace import protocols
+
+        _, whole = random_rows(capsys, 10)
+        # three trials per chunk: 0-2, 3-5, 6-8, 9
+        monkeypatch.setattr(protocols, "CHUNK_BYTES", 3 * protocols._trial_bytes(3, 2, 3))
+        seen = []
+        batches = protocols.random_protocol_batches
+
+        def recording(*args):
+            for batch in batches(*args):
+                seen.append(list(batch.trials))
+                yield batch
+
+        monkeypatch.setattr("mspace.cli.random_protocol_batches", recording)
+        _, chunked = random_rows(capsys, 10)
+        assert seen == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+        assert chunked == whole
+
+    def test_planted_failure_names_its_trial(self, capsys, monkeypatch):
+        from mspace import protocols
+
+        haar = protocols.haar_unitaries
+
+        def planted(g):
+            u = haar(g)
+            if g.ndim == 5 and g.shape[-1] == 2:  # Bob's (trial, outcome, re/im, 2, 2) draws
+                u[4, 1] *= 0.5
+            return u
+
+        monkeypatch.setattr(protocols, "haar_unitaries", planted)
+        code, out, err = run_cli(
+            capsys, "theorem1", "--random", "--seed", "3", "--trials", "6", "--dims", "2,2"
+        )
+        assert code == 2 and out == ""
+        assert "error: protocol-unitary: trial 4: Bob operator 1 is not a 2x2 unitary" in err
+
 
 class TestLocc:
     def test_bell_z_projectors(self, capsys):
@@ -331,6 +404,10 @@ class TestModes:
             system = useful_entanglement_bound(row["n"], row["m"])
             assert row["count"] == system.count and row["p"] == system.p
             assert abs(row["bound_bits"] - system.bound_bits) < 1e-12
+
+    def test_count_over_cap_rejected_before_the_search(self, capsys):
+        code, out, err = run_cli(capsys, "modes", "--n", "200", "--m", "20")
+        assert code == 2 and "error: mode-count: " in err and out == ""
 
     def test_prime_rows_flag_loose_weak_bound(self, capsys):
         code, out, _ = run_cli(capsys, "modes", "--n", "2", "--m", "2")

@@ -158,6 +158,10 @@ class TestSetConstruction:
         with pytest.raises(ValidationError, match="shape"):
             MeasurementSet(2, (("a", np.eye(3, dtype=complex)),))
 
+    def test_ragged_operator_names_the_invariant(self):
+        with pytest.raises(ValidationError, match="measurement-shape: operator 'a' is ragged"):
+            MeasurementSet(2, (("a", [[1, 0], [0]]),))
+
     def test_random_set_is_complete(self):
         for seed in range(5):
             mset = random_measurement_set(3, 4, seed)

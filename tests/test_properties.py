@@ -29,7 +29,15 @@ from mspace.measurement import (
     map_to_measurement_space,
     outcome_probabilities,
 )
-from mspace.protocols import ProtocolSpec, success_probability_mspace, success_probability_original
+from mspace.protocols import (
+    ProtocolBatch,
+    ProtocolSpec,
+    outcome_tables,
+    success_probability_mspace,
+    success_probability_original,
+    success_rates_mspace,
+    success_rates_original,
+)
 
 PROFILE = settings(derandomize=True, deadline=None, max_examples=100, database=None)
 
@@ -52,14 +60,18 @@ def complete_set(d, ranks, rng):
     return MeasurementSet(d, tuple(ops))
 
 
+def complete_ranks(draw, d, n):
+    ranks = draw(st.lists(st.integers(0, d), min_size=n, max_size=n))
+    # the ranks must add up to at least d for the set to be complete
+    ranks[-1] = max(ranks[-1], d - sum(ranks[:-1]))
+    return ranks
+
+
 @st.composite
 def party(draw, top):
     d = draw(st.integers(1, top))
     n = draw(st.integers(1, top))
-    ranks = draw(st.lists(st.integers(0, d), min_size=n, max_size=n))
-    # the ranks must add up to at least d for the set to be complete
-    ranks[-1] = max(ranks[-1], d - sum(ranks[:-1]))
-    return d, ranks
+    return d, complete_ranks(draw, d, n)
 
 
 @st.composite
@@ -209,9 +221,7 @@ def test_channel_output_matches_kron_sum(case):
         np.testing.assert_allclose(out.matrix, kron_sum(kraus_a, kraus_b), rtol=0, atol=1e-12)
 
 
-@st.composite
-def protocol_case(draw):
-    (d_a, ranks_a), d_b = draw(party(4)), draw(st.integers(1, 4))
+def protocol_spec(draw, d_a, ranks_a, d_b):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     alice = complete_set(d_a, ranks_a, rng)
     unitaries = [haar_unitary(d_b, rng) for _ in ranks_a]
@@ -222,8 +232,44 @@ def protocol_case(draw):
     return ProtocolSpec(haar_state((d_a, d_b), rng), alice, unitaries, verify)
 
 
+@st.composite
+def protocol_case(draw):
+    (d_a, ranks_a), d_b = draw(party(4)), draw(st.integers(1, 4))
+    return protocol_spec(draw, d_a, ranks_a, d_b)
+
+
+@st.composite
+def protocol_batch_case(draw):
+    """Up to five protocols of one shape, each with its own rank pattern."""
+    d_a, d_b, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    count = draw(st.integers(1, 5))
+    return [protocol_spec(draw, d_a, complete_ranks(draw, d_a, n), d_b) for _ in range(count)]
+
+
 @PROFILE
 @given(protocol_case())
 def test_success_rates_agree(spec):
     delta = success_probability_original(spec) - success_probability_mspace(spec)
     assert abs(delta) < 1e-10
+
+
+@PROFILE
+@given(protocol_batch_case())
+def test_batched_scores_equal_per_spec_scores(specs):
+    batch = ProtocolBatch(
+        np.stack([s.state.reshaped() for s in specs]),
+        np.stack([s.alice.stack for s in specs]),
+        np.stack([s.bob_unitaries for s in specs]),
+        np.stack([s.verify_pairs for s in specs]),
+        range(len(specs)),
+    )
+    for rates, one in ((success_rates_original(batch), success_probability_original),
+                       (success_rates_mspace(batch), success_probability_mspace)):  # fmt: skip
+        np.testing.assert_allclose(rates, [one(s) for s in specs], rtol=0, atol=1e-15)
+    # the batched table against ||(A_k (x) M_yk U_k) psi||^2, one protocol and outcome at a time
+    tables = outcome_tables(batch)
+    for t, spec in enumerate(specs):
+        for k, (a, pair, u) in enumerate(zip(spec.alice.stack, spec.verify_pairs, spec.bob_unitaries)):
+            for y, m in enumerate(pair):
+                p = np.linalg.norm(np.kron(a, m @ u) @ spec.state.vector) ** 2
+                assert abs(tables[t, k, y] - p) < 1e-12

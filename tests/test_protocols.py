@@ -6,9 +6,11 @@ import pytest
 from mspace.linalg import PureState, ValidationError, bell_phi_plus, tensor
 from mspace.measurement import noisy_pair, z_projectors
 from mspace.protocols import (
+    ProtocolBatch,
     ProtocolSpec,
     outcome_table,
     random_protocol,
+    random_protocols,
     success_probability_mspace,
     success_probability_original,
 )
@@ -176,3 +178,40 @@ class TestProtocolStacks:
 
         with pytest.raises(ValidationError, match="outcome-total"):
             OutcomeTable(("0",), [np.nan], [0.5])
+
+
+class TestProtocolBatch:
+    TRIALS = range(10, 16)
+
+    def arrays(self):
+        rngs = [np.random.default_rng((5, t)) for t in self.TRIALS]
+        batch = random_protocols(2, 3, 3, rngs, self.TRIALS)
+        return [a.copy() for a in (batch.psi, batch.alice, batch.bob_unitaries, batch.verify_pairs)]
+
+    def test_non_unitary_bob_operator_names_its_trial(self):
+        psi, alice, bob, verify = self.arrays()
+        bob[3, 1] *= 0.5
+        with pytest.raises(ValidationError, match="protocol-unitary: trial 13: Bob operator 1 "):
+            ProtocolBatch(psi, alice, bob, verify, self.TRIALS)
+
+    def test_incomplete_verify_pair_names_its_trial(self):
+        psi, alice, bob, verify = self.arrays()
+        verify[4, 2, 0] *= 0.5
+        with pytest.raises(
+            ValidationError, match="protocol-verify-completeness: trial 14: verify pair 2 "
+        ):
+            ProtocolBatch(psi, alice, bob, verify, self.TRIALS)
+
+    def test_inconsistent_shapes_rejected(self):
+        psi, alice, bob, verify = self.arrays()
+        with pytest.raises(ValidationError, match="protocol-batch-shape"):
+            ProtocolBatch(psi[:, :, :2], alice, bob, verify, self.TRIALS)
+        with pytest.raises(ValidationError, match="protocol-batch-shape"):
+            ProtocolBatch(psi, alice, bob, verify, range(3))
+
+    def test_batch_of_one_names_no_trial(self):
+        spec = random_protocol(2, 3, 3, 8)
+        bob = spec.bob_unitaries.copy()
+        bob[2] *= 0.5
+        with pytest.raises(ValidationError, match=r"^protocol-unitary: Bob operator 2 "):
+            ProtocolSpec(spec.state, spec.alice, bob, spec.verify_pairs)
