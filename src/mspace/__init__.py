@@ -16,7 +16,7 @@ from .entanglement import (
     entropy_of_entanglement,
     eof_from_concurrence,
     measurement_space_entanglement,
-    operational_entanglement,
+    pure_entanglement,
 )
 from .linalg import (
     DensityMatrix,
@@ -30,12 +30,9 @@ from .linalg import (
     haar_unitary,
     haar_vectors,
     is_hermitian,
-    is_psd,
     is_unitary,
-    partial_trace,
     schmidt,
     tensor,
-    tensor_all,
 )
 from .locc import (
     Channel,

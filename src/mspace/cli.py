@@ -21,11 +21,11 @@ from typing import Any
 import numpy as np
 
 from .entanglement import (
+    MEASURES,
     concurrence_mixed,
-    concurrence_pure,
     entropy_of_entanglement,
-    eof_from_concurrence,
     measurement_space_entanglement,
+    pure_entanglement,
 )
 from .files import default_tolerance, load_measurement_set, load_protocol, load_state
 from .linalg import PureState, ValidationError, bell_phi_plus, haar_state
@@ -193,11 +193,7 @@ def cmd_entanglement(args) -> tuple[dict, int]:
                 "split-shape", f"split {split} does not factor dimension {psi.dim}"
             )
         psi = PureState(split, psi.vector)
-    if args.measure == "entropy":
-        original = entropy_of_entanglement(psi)
-    else:
-        c = concurrence_pure(psi)
-        original = c if args.measure == "concurrence" else eof_from_concurrence(c)
+    original = pure_entanglement(psi, args.measure)
     row = {"measure": args.measure, "original": original}
     if args.alice or args.bob:
         measurements = _load_local_sets(args, psi, tol)
@@ -279,7 +275,7 @@ def cmd_locc(args) -> tuple[dict, int]:
         }
         for row in branches
     ]
-    entropy_before = entropy_of_entanglement(psi)
+    entropy_before = pure_entanglement(psi, "entropy")
     entropy_after = measurement_space_entanglement(trace.mspace, "entropy")
     summary: dict[str, Any] = {
         "entropy_before": entropy_before,
@@ -287,7 +283,7 @@ def cmd_locc(args) -> tuple[dict, int]:
     }
     checks = [entropy_after <= entropy_before + MONOTONICITY_TOL]
     if psi.dims == (2, 2) and trace.mspace.structure == (2, 2):
-        c_before = concurrence_pure(psi)
+        c_before = pure_entanglement(psi, "concurrence")
         c_after = measurement_space_entanglement(trace.mspace, "concurrence")
         c_ancilla = concurrence_mixed(trace.ancilla_dm)
         summary.update(
@@ -359,6 +355,8 @@ def cmd_modes(args) -> tuple[dict, int]:
         grid = [(args.n, args.m)]
     elif args.n_max is not None and args.m_max is not None:
         grid = [(n, m) for n in range(1, args.n_max + 1) for m in range(2, args.m_max + 1)]
+        if not grid:
+            raise ValidationError("flag-format", "the grid needs --n-max >= 1 and --m-max >= 2")
     else:
         raise ValidationError("flag-format", "need --n/--m or --n-max/--m-max")
     rows = []
@@ -440,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--alice")
     p.add_argument("--bob")
-    p.add_argument("--measure", choices=("entropy", "concurrence", "eof"), default="entropy")
+    p.add_argument("--measure", choices=MEASURES, default="entropy")
     p.add_argument("--split")
     p.add_argument("--dims")
     add_common(p)

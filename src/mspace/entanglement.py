@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import PAULI_Y, DensityMatrix, PureState, ValidationError, schmidt, tensor
-from .measurement import LocalMeasurementSet, MeasurementSpaceState, map_to_measurement_space
+from .measurement import MeasurementSpaceState
 
 _YY = tensor(PAULI_Y, PAULI_Y)
 
@@ -24,11 +24,7 @@ def binary_entropy(p: float) -> float:
     """Shannon entropy (bits) of a {p, 1-p} distribution, with 0 log 0 := 0."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError("entropy-domain", f"p must lie in [0, 1], got {p!r}")
-    h = 0.0
-    for q in (p, 1.0 - p):
-        if q > 0.0:
-            h -= q * math.log2(q)
-    return h
+    return shannon_entropy((p, 1.0 - p))
 
 
 def shannon_entropy(probs: Sequence[float]) -> float:
@@ -39,16 +35,9 @@ def shannon_entropy(probs: Sequence[float]) -> float:
     return max(h, 0.0)
 
 
-def entropy_of_entanglement(
-    psi: PureState, split: tuple[Sequence[int], Sequence[int]] | None = None
-) -> float:
-    """Entropy (bits) of the squared Schmidt coefficients across a bipartition.
-
-    ``split`` defaults to the first subsystem against the rest.
-    """
-    if split is None:
-        split = ((0,), tuple(range(1, len(psi.dims))))
-    coeffs, _, _ = schmidt(psi, split)
+def entropy_of_entanglement(psi: PureState) -> float:
+    """Entropy (bits) of the squared Schmidt coefficients, first subsystem against the rest."""
+    coeffs, _, _ = schmidt(psi, ((0,), tuple(range(1, len(psi.dims)))))
     return shannon_entropy(coeffs**2)
 
 
@@ -94,10 +83,11 @@ MEASURES = ("entropy", "concurrence", "eof")
 
 @dataclasses.dataclass(frozen=True)
 class EntanglementReport:
+    """One measure's value across an ``(na, nb)`` cut, checked to lie in the measure's range."""
+
     measure: str
     value: float
     split: tuple[int, int]
-    input_descriptor: str
 
     def __post_init__(self):
         na, nb = self.split
@@ -111,6 +101,26 @@ class EntanglementReport:
                 )
 
 
+def pure_entanglement(psi: PureState, measure: str) -> float:
+    """One entanglement measure of ``psi``, first subsystem against the rest.
+
+    ``entropy`` is the entropy of entanglement and ``concurrence`` needs a
+    2x2 state. ``eof`` takes Wootters' route through the concurrence on 2x2;
+    on any other shape it is the entropy of entanglement, which equals the
+    entanglement of formation of a pure state. The value is returned once
+    ``EntanglementReport`` has checked its range.
+    """
+    if measure not in MEASURES:
+        raise ValidationError("measure-name", f"unknown measure {measure!r}; use {MEASURES}")
+    if measure == "entropy" or (measure == "eof" and psi.dims != (2, 2)):
+        value = entropy_of_entanglement(psi)
+    else:
+        c = concurrence_pure(psi)
+        value = c if measure == "concurrence" else eof_from_concurrence(c)
+    split = (psi.dims[0], psi.dim // psi.dims[0])
+    return EntanglementReport(measure, value, split).value
+
+
 def measurement_space_entanglement(
     ms: MeasurementSpaceState,
     measure: str = "entropy",
@@ -119,40 +129,12 @@ def measurement_space_entanglement(
     """Apply an entanglement measure to a measurement-space state.
 
     Needs a bipartite outcome structure, either attached to ``ms`` or given
-    explicitly. Concurrence and entanglement of formation require a 2x2
-    outcome grid.
+    explicitly. Concurrence requires a 2x2 outcome grid.
     """
-    if measure not in MEASURES:
-        raise ValidationError("measure-name", f"unknown measure {measure!r}; use {MEASURES}")
     state = ms.as_pure_state(split)
-    if measure == "entropy":
-        return entropy_of_entanglement(state, ((0,), (1,)))
-    if state.dims != (2, 2):
+    if measure == "concurrence" and state.dims != (2, 2):
+        # checked here as well, so that the message names the outcome grid
         raise ValidationError(
-            "concurrence-dims",
-            f"{measure} needs a 2x2 outcome grid, got {state.dims}",
+            "concurrence-dims", f"concurrence needs a 2x2 outcome grid, got {state.dims}"
         )
-    c = concurrence_pure(state)
-    return c if measure == "concurrence" else eof_from_concurrence(c)
-
-
-def operational_entanglement(
-    psi: PureState,
-    measurements: LocalMeasurementSet,
-    measure: str = "entropy",
-    descriptor: str = "",
-) -> EntanglementReport:
-    """Entanglement of the measurement-space image of ``psi``.
-
-    Maps the state through the joint local set and evaluates the chosen
-    measure across the (Alice outcomes | Bob outcomes) cut.
-    """
-    ms = map_to_measurement_space(psi, measurements)
-    assert ms.structure is not None
-    value = measurement_space_entanglement(ms, measure)
-    return EntanglementReport(
-        measure=measure,
-        value=value,
-        split=ms.structure,
-        input_descriptor=descriptor or f"state dims {psi.dims}",
-    )
+    return pure_entanglement(state, measure)

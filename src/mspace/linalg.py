@@ -60,12 +60,6 @@ def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return float(np.max(np.abs(a.conj().T @ a - eye))) <= tol
 
 
-def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    if not is_hermitian(a, tol):
-        return False
-    return float(np.min(np.linalg.eigvalsh(np.asarray(a)))) >= -tol
-
-
 def _require(
     ok: np.ndarray,
     invariant: str,
@@ -129,15 +123,6 @@ def operator_stack(
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product under the row-major index convention."""
     return np.kron(np.asarray(a), np.asarray(b))
-
-
-def tensor_all(factors: Iterable[np.ndarray]) -> np.ndarray:
-    out: np.ndarray | None = None
-    for f in factors:
-        out = np.asarray(f) if out is None else np.kron(out, f)
-    if out is None:
-        raise ValueError("tensor_all needs at least one factor")
-    return out
 
 
 def _check_dims(dims: tuple[int, ...]) -> None:
@@ -259,14 +244,6 @@ def ptrace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> 
     reduced = np.einsum(spec, t)
     dk = math.prod(dims[i] for i in keep_sorted)
     return reduced.reshape(dk, dk)
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix over the kept subsystems."""
-    keep_sorted = sorted(set(int(k) for k in keep))
-    reduced = ptrace_matrix(rho.matrix, rho.dims, keep_sorted)
-    new_dims = tuple(rho.dims[i] for i in keep_sorted)
-    return DensityMatrix(new_dims, reduced)
 
 
 def eig_hermitian(h: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:

@@ -131,10 +131,6 @@ class FourierStep:
     uniform: bool
     degenerate: bool
 
-    def projector(self, m: int, j: int) -> np.ndarray:
-        w = self.vectors[m][:, j]
-        return np.outer(w, w.conj())
-
 
 def fourier_step(blocks: np.ndarray, tol: float = DEFAULT_TOL) -> FourierStep:
     """Eigendecompose each block of an ``(n, d, d)`` stack and Fourier-transform its eigenbasis.

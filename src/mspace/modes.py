@@ -27,9 +27,9 @@ def composition_count(n: int, m: int) -> int:
     """
     n, m = int(n), int(m)
     if n < 1:
-        raise ValueError(f"particle count must be >= 1, got {n}")
+        raise ValidationError("mode-particles", f"particle count must be >= 1, got {n}")
     if m < 2:
-        raise ValueError(f"mode count must be >= 2, got {m}")
+        raise ValidationError("mode-modes", f"mode count must be >= 2, got {m}")
     return math.comb(n + m - 1, m - 1)
 
 

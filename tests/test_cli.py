@@ -173,6 +173,22 @@ class TestEntanglement:
         row = json.loads(out)["results"][0]
         assert row["measurement_space"] < 1e-10
 
+    QUTRITS = ("--state", "random:1", "--dims", "3,3", "--alice", "random:3:1", "--bob", "random:3:2")
+
+    def test_eof_beyond_two_by_two_is_the_entropy(self, capsys):
+        code, out, _ = run_cli(capsys, "entanglement", *self.QUTRITS, "--measure", "eof")
+        assert code == 0
+        eof = json.loads(out)["results"][0]
+        assert eof["monotone"] is True
+        code, out, _ = run_cli(capsys, "entanglement", *self.QUTRITS, "--measure", "entropy")
+        entropy = json.loads(out)["results"][0]
+        assert eof["original"] == entropy["original"]
+        assert eof["measurement_space"] == entropy["measurement_space"]
+
+    def test_concurrence_stays_two_by_two(self, capsys):
+        code, out, err = run_cli(capsys, "entanglement", *self.QUTRITS, "--measure", "concurrence")
+        assert code == 2 and "concurrence-dims" in err and out == ""
+
 
 class TestTheorem1:
     def test_random_suite_passes(self, capsys):
@@ -409,6 +425,19 @@ class TestModes:
         code, out, err = run_cli(capsys, "modes", "--n", "200", "--m", "20")
         assert code == 2 and "error: mode-count: " in err and out == ""
 
+    @pytest.mark.parametrize("argv, invariant", [
+        (("--n", "0", "--m", "2"), "mode-particles"),
+        (("--n", "3", "--m", "1"), "mode-modes"),
+    ])  # fmt: skip
+    def test_invalid_pair_names_its_invariant(self, capsys, argv, invariant):
+        code, out, err = run_cli(capsys, "modes", *argv)
+        assert code == 2 and f"error: {invariant}: " in err and out == ""
+
+    @pytest.mark.parametrize("argv", [("--n-max", "3", "--m-max", "1"), ("--n-max", "0", "--m-max", "3")])
+    def test_empty_grid_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, "modes", *argv)
+        assert code == 2 and "error: flag-format: " in err and out == ""
+
     def test_prime_rows_flag_loose_weak_bound(self, capsys):
         code, out, _ = run_cli(capsys, "modes", "--n", "2", "--m", "2")
         row = json.loads(out)["results"][0]
@@ -496,11 +525,17 @@ class TestReportContract:
 
     @pytest.mark.parametrize("fmt", ["json", "tsv"])
     def test_nonfinite_report_exits_two_printing_nothing(self, capsys, monkeypatch, fmt):
-        monkeypatch.setattr("mspace.cli.concurrence_pure", lambda psi: float("nan"))
-        code, out, err = run_cli(
-            capsys, "entanglement", "--state", "bell", "--measure", "concurrence", "--format", fmt
-        )
+        # sweep's entropy_original is not range-checked, so only the emitter stands in the way
+        monkeypatch.setattr("mspace.cli.entropy_of_entanglement", lambda psi: float("nan"))
+        code, out, err = run_cli(capsys, "sweep", "--steps", "2", "--format", fmt)
         assert code == 2 and "report-nonfinite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("value", [1.5, float("nan")])
+    def test_out_of_range_value_exits_two_printing_nothing(self, capsys, monkeypatch, value):
+        monkeypatch.setattr("mspace.entanglement.concurrence_pure", lambda psi: value)
+        code, out, err = run_cli(capsys, "entanglement", "--state", "bell", "--measure", "concurrence")
+        assert code == 2 and "report-range" in err
         assert out == ""
 
     def test_console_entry_point(self):

@@ -11,7 +11,7 @@ from mspace.entanglement import (
     entropy_of_entanglement,
     eof_from_concurrence,
     measurement_space_entanglement,
-    operational_entanglement,
+    pure_entanglement,
 )
 from mspace.linalg import (
     DensityMatrix,
@@ -168,9 +168,9 @@ class TestLocalUnitaryInvariance:
 class TestOperationalEntanglement:
     def test_bell_with_perfect_projectors(self):
         local = LocalMeasurementSet(z_projectors(2), z_projectors(2))
-        report = operational_entanglement(bell_phi_plus(), local, "entropy")
-        assert abs(report.value - 1.0) < 1e-12
-        assert report.split == (2, 2)
+        image = map_to_measurement_space(bell_phi_plus(), local)
+        assert abs(measurement_space_entanglement(image, "entropy") - 1.0) < 1e-12
+        assert image.structure == (2, 2)
 
     def test_separable_state_scores_zero(self):
         rng = np.random.default_rng(7)
@@ -178,30 +178,34 @@ class TestOperationalEntanglement:
         psi = PureState((2, 2), np.kron(np.array([1.0, 0.0]), plus))
         for _ in range(10):
             local = random_local_set(2, 2, int(rng.integers(2, 5)), int(rng.integers(2, 5)), rng)
-            report = operational_entanglement(psi, local, "entropy")
-            assert report.value < 1e-10
+            image = map_to_measurement_space(psi, local)
+            assert measurement_space_entanglement(image, "entropy") < 1e-10
 
     def test_noisy_pairs_concurrence_closed_form(self):
         for eta in (0.5, 0.7, 0.9, 1.0):
             local = LocalMeasurementSet(noisy_pair(eta), noisy_pair(eta))
-            report = operational_entanglement(bell_phi_plus(), local, "concurrence")
-            assert abs(report.value - (2 * eta - 1) ** 2) < 1e-9
+            image = map_to_measurement_space(bell_phi_plus(), local)
+            value = measurement_space_entanglement(image, "concurrence")
+            assert abs(value - (2 * eta - 1) ** 2) < 1e-9
 
     def test_monotonicity_sample(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             psi = haar_state((2, 2), rng)
             local = random_local_set(2, 2, int(rng.integers(2, 5)), int(rng.integers(2, 5)), rng)
-            entropy_m = operational_entanglement(psi, local, "entropy").value
+            image = map_to_measurement_space(psi, local)
+            entropy_m = measurement_space_entanglement(image, "entropy")
             assert entropy_m <= entropy_of_entanglement(psi) + 1e-9
             pair = random_local_set(2, 2, 2, 2, rng)
-            conc_m = operational_entanglement(psi, pair, "concurrence").value
+            image = map_to_measurement_space(psi, pair)
+            conc_m = measurement_space_entanglement(image, "concurrence")
             assert conc_m <= concurrence_pure(psi) + 1e-9
 
     def test_concurrence_needs_two_by_two_grid(self):
         local = random_local_set(2, 2, 3, 2, 9)
+        image = map_to_measurement_space(bell_phi_plus(), local)
         with pytest.raises(ValidationError, match="concurrence-dims"):
-            operational_entanglement(bell_phi_plus(), local, "concurrence")
+            measurement_space_entanglement(image, "concurrence")
 
     def test_explicit_factorization_for_flat_images(self):
         mset = random_local_set(2, 2, 2, 2, 10).joint()
@@ -214,6 +218,31 @@ class TestOperationalEntanglement:
 
     def test_report_range_validation(self):
         with pytest.raises(ValidationError):
-            EntanglementReport("entropy", 3.0, (2, 2), "bad")
+            EntanglementReport("entropy", 3.0, (2, 2))
         with pytest.raises(ValidationError):
-            EntanglementReport("concurrence", 1.5, (2, 2), "bad")
+            EntanglementReport("concurrence", 1.5, (2, 2))
+
+
+class TestPureEntanglement:
+    def test_eof_off_two_by_two_is_the_entropy(self):
+        rng = np.random.default_rng(11)
+        for dims in ((3, 3), (2, 3), (1, 4), (2, 2, 2)):
+            psi = haar_state(dims, rng)
+            assert pure_entanglement(psi, "eof") == pure_entanglement(psi, "entropy")
+
+    def test_two_by_two_eof_keeps_the_wootters_route(self):
+        psi = haar_state((2, 2), 12)
+        assert pure_entanglement(psi, "eof") == eof_from_concurrence(concurrence_pure(psi))
+
+    def test_concurrence_stays_two_by_two(self):
+        with pytest.raises(ValidationError, match="concurrence-dims"):
+            pure_entanglement(haar_state((3, 3), 13), "concurrence")
+
+    def test_unknown_measure(self):
+        with pytest.raises(ValidationError, match="measure-name"):
+            pure_entanglement(bell_phi_plus(), "negativity")
+
+    def test_out_of_range_value_is_rejected(self, monkeypatch):
+        monkeypatch.setattr("mspace.entanglement.entropy_of_entanglement", lambda psi: 1.5)
+        with pytest.raises(ValidationError, match="report-range"):
+            pure_entanglement(bell_phi_plus(), "entropy")

@@ -13,13 +13,10 @@ from mspace.linalg import (
     haar_state,
     haar_unitary,
     is_hermitian,
-    is_psd,
     is_unitary,
-    partial_trace,
     ptrace_matrix,
     schmidt,
     tensor,
-    tensor_all,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -94,7 +91,6 @@ class TestTensor:
         ints = [rng.integers(-3, 4, size=(d, d)).astype(complex) for d in (2, 3, 2)]
         a, b, c = ints
         assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
-        assert np.array_equal(tensor_all(ints), tensor(a, tensor(b, c)))
         # float entries: equal up to multiplication reordering
         mats = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in (2, 3, 2)]
         a, b, c = mats
@@ -104,16 +100,16 @@ class TestTensor:
 class TestPartialTrace:
     def test_bell_reduction(self):
         rho = bell_phi_plus().density()
-        reduced = partial_trace(rho, {0})
-        np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-14)
+        reduced = ptrace_matrix(rho.matrix, rho.dims, {0})
+        np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-14)
 
     def test_product_state(self):
         rng = np.random.default_rng(5)
         u = haar_state((2,), rng).vector
         v = haar_state((3,), rng).vector
         rho = DensityMatrix((2, 3), np.outer(np.kron(u, v), np.kron(u, v).conj()))
-        reduced = partial_trace(rho, {0})
-        np.testing.assert_allclose(reduced.matrix, np.outer(u, u.conj()), atol=1e-12)
+        reduced = ptrace_matrix(rho.matrix, rho.dims, {0})
+        np.testing.assert_allclose(reduced, np.outer(u, u.conj()), atol=1e-12)
 
     def test_random_three_subsystems_vs_oracle(self):
         rng = np.random.default_rng(7)
@@ -129,17 +125,17 @@ class TestPartialTrace:
         rng = np.random.default_rng(9)
         psi = haar_state((2, 2, 3), rng)
         rho = psi.density()
-        np.testing.assert_allclose(partial_trace(rho, {0, 1, 2}).matrix, rho.matrix, atol=1e-14)
+        np.testing.assert_allclose(ptrace_matrix(rho.matrix, rho.dims, {0, 1, 2}), rho.matrix, atol=1e-14)
         for keep in ({0}, {2}, {0, 1}):
-            reduced = partial_trace(rho, keep)
-            assert abs(np.trace(reduced.matrix) - np.trace(rho.matrix)) < 1e-12
+            reduced = ptrace_matrix(rho.matrix, rho.dims, keep)
+            assert abs(np.trace(reduced) - np.trace(rho.matrix)) < 1e-12
 
     def test_errors(self):
         rho = bell_phi_plus().density()
         with pytest.raises(ValidationError):
-            partial_trace(rho, set())
+            ptrace_matrix(rho.matrix, rho.dims, set())
         with pytest.raises(ValidationError):
-            partial_trace(rho, {5})
+            ptrace_matrix(rho.matrix, rho.dims, {5})
 
 
 class TestEigHermitian:
@@ -268,8 +264,6 @@ class TestPredicatesAndTypes:
         assert is_hermitian(PAULI_X)
         assert not is_hermitian(np.array([[0, 1], [0, 0]]))
         assert is_unitary(fourier_matrix(3), 1e-12)
-        assert is_psd(np.eye(2) / 2)
-        assert not is_psd(np.diag([1.0, -0.5]))
 
     def test_pure_state_validation(self):
         with pytest.raises(ValidationError):

@@ -142,7 +142,8 @@ class TestFourierStep:
     def test_projectors_are_rank_one(self):
         dilated = build_dilation(bell_phi_plus(), noisy_local_set())
         step = fourier_step(conditional_blocks(dilated, "A"))
-        proj = step.projector(0, 1)
+        w = step.vectors[0][:, 1]
+        proj = np.outer(w, w.conj())
         np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
         assert abs(np.trace(proj) - 1.0) < 1e-12
 

@@ -13,7 +13,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mspace.entanglement import entropy_of_entanglement, measurement_space_entanglement
+from mspace.entanglement import (
+    entropy_of_entanglement,
+    measurement_space_entanglement,
+    pure_entanglement,
+)
 from mspace.linalg import PureState, haar_state, haar_unitary
 from mspace.locc import (
     Channel,
@@ -117,6 +121,25 @@ def test_local_sets_do_not_raise_entropy(case):
     image = map_to_measurement_space(psi, local)
     after = measurement_space_entanglement(image, "entropy")
     assert after <= entropy_of_entanglement(psi) + 1e-9
+
+
+@PROFILE
+@given(local_case(top=4))
+def test_local_sets_do_not_raise_eof(case):
+    psi, local = case
+    image = map_to_measurement_space(psi, local)
+    assert measurement_space_entanglement(image, "eof") <= pure_entanglement(psi, "eof") + 1e-9
+
+
+@PROFILE
+@given(st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_two_qubit_eof_routes_agree(p, seed):
+    # Schmidt coefficients sqrt(p), sqrt(1 - p) under random local unitaries,
+    # product and maximally entangled states included
+    rng = np.random.default_rng(seed)
+    u = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    psi = PureState((2, 2), u @ np.array([np.sqrt(p), 0.0, 0.0, np.sqrt(1.0 - p)]))
+    assert abs(pure_entanglement(psi, "eof") - pure_entanglement(psi, "entropy")) <= 1e-12
 
 
 @PROFILE
