@@ -38,8 +38,8 @@ from .locc import (
     Channel,
     FourierStep,
     LoccTrace,
+    PartyMove,
     build_dilation,
-    conditional_blocks,
     depolarizing_channel,
     fourier_step,
     identity_channel,

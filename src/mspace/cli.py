@@ -22,8 +22,8 @@ import numpy as np
 
 from .entanglement import (
     MEASURES,
+    EntanglementReport,
     concurrence_mixed,
-    entropy_of_entanglement,
     measurement_space_entanglement,
     pure_entanglement,
 )
@@ -254,27 +254,35 @@ def cmd_theorem1(args) -> tuple[dict, int]:
 
 
 def cmd_locc(args) -> tuple[dict, int]:
+    if args.outcome and args.all_outcomes:
+        raise ValidationError("flag-format", "--outcome and --all-outcomes exclude each other")
     tol = default_tolerance()
     psi = load_state(args.state, _state_dims(args))
     measurements = _load_local_sets(args, psi, tol)
-    ja, jb = _parse_ints(args.outcome, 2) if args.outcome and not args.all_outcomes else (0, 0)
-    trace = run_locc_construction(psi, measurements, ja, jb)
-    branches = trace.branches if args.all_outcomes else [trace.branches[ja * psi.dims[1] + jb]]
-    uniformity_alice = trace.alice.fourier.max_deviation
-    worst_uniform = max(uniformity_alice, *(row.bob_uniformity_deviation for row in branches))
+    ja, jb = _parse_ints(args.outcome, 2) if args.outcome else (0, 0)
+    trace = run_locc_construction(psi, measurements)
+    d_a, d_b = psi.dims
+    if not 0 <= ja < d_a or not 0 <= jb < d_b:
+        raise ValidationError(
+            "locc-outcome", f"outcome choice ({ja}, {jb}) out of range ({d_a}, {d_b})"
+        )
+    uniformity_alice = float(trace.alice.fourier.max_deviation)
+    uniformity_bob = trace.bob.fourier.max_deviation.tolist()
+    degenerate = (trace.alice.fourier.degenerate | trace.bob.fourier.degenerate).tolist()
     rows = [
         {
-            "outcome_a": row.outcome_a,
-            "outcome_b": row.outcome_b,
+            "outcome_a": k // d_b,
+            "outcome_b": k % d_b,
             "uniformity_deviation_alice": uniformity_alice,
-            "uniformity_deviation_bob": row.bob_uniformity_deviation,
+            "uniformity_deviation_bob": uniformity_bob[k // d_b],
             "ancilla_diagonal_deviation": trace.diagonal_deviation,
-            "branch_diagonal_deviation": row.branch_diagonal_deviation,
-            "fidelity": row.fidelity,
-            "degenerate": row.degenerate,
+            "branch_diagonal_deviation": float(trace.branch_diagonal_deviations[k]),
+            "fidelity": float(trace.fidelities[k]),
+            "degenerate": degenerate[k // d_b],
         }
-        for row in branches
+        for k in (range(d_a * d_b) if args.all_outcomes else [ja * d_b + jb])
     ]
+    worst_uniform = max(uniformity_alice, *(row["uniformity_deviation_bob"] for row in rows))
     entropy_before = pure_entanglement(psi, "entropy")
     entropy_after = measurement_space_entanglement(trace.mspace, "entropy")
     summary: dict[str, Any] = {
@@ -285,7 +293,9 @@ def cmd_locc(args) -> tuple[dict, int]:
     if psi.dims == (2, 2) and trace.mspace.structure == (2, 2):
         c_before = pure_entanglement(psi, "concurrence")
         c_after = measurement_space_entanglement(trace.mspace, "concurrence")
-        c_ancilla = concurrence_mixed(trace.ancilla_dm)
+        c_ancilla = EntanglementReport(
+            "concurrence", concurrence_mixed(trace.ancilla_dm), (2, 2)
+        ).value
         summary.update(
             {
                 "concurrence_before": c_before,
@@ -351,6 +361,9 @@ def cmd_konrad(args) -> tuple[dict, int]:
 
 
 def cmd_modes(args) -> tuple[dict, int]:
+    pair, grid_flags = (args.n, args.m), (args.n_max, args.m_max)
+    if pair != (None, None) and grid_flags != (None, None):
+        raise ValidationError("flag-format", "--n/--m and --n-max/--m-max exclude each other")
     if args.n is not None and args.m is not None:
         grid = [(args.n, args.m)]
     elif args.n_max is not None and args.m_max is not None:
@@ -385,7 +398,7 @@ def cmd_sweep(args) -> tuple[dict, int]:
         raise ValidationError("sweep-state", "the efficiency sweep is defined for --state bell")
     _require_count(args.steps, "--steps")
     psi = bell_phi_plus()
-    entropy_before = entropy_of_entanglement(psi)
+    entropy_before = pure_entanglement(psi, "entropy")
     rows = []
     for eta in np.linspace(args.eta_start, args.eta_end, args.steps):
         pair = noisy_pair(float(eta))

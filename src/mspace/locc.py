@@ -30,6 +30,7 @@ from .linalg import (
     PureState,
     ValidationError,
     _as_rng,
+    _require,
     bell_phi_plus,
     eig_hermitian,
     fourier_matrix,
@@ -51,20 +52,15 @@ DEGENERACY_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# dilation and conditional blocks
-
-
-def _dilation_tensor(psi: PureState, measurements: LocalMeasurementSet) -> np.ndarray:
-    """phi[:, :, a, b] = A_a Psi B_b^T, on axes (sys_A, sys_B, anc_A, anc_B)."""
-    t = local_product(psi.reshaped(), measurements.alice.stack, measurements.bob.stack)
-    return t.transpose(2, 3, 0, 1)
+# dilation
 
 
 def build_dilation(psi: PureState, measurements: LocalMeasurementSet) -> PureState:
     """Attach one ancilla per party and entangle it with the local outcomes.
 
-    The result lives on (sys_A, sys_B, anc_A, anc_B), in that order, and the
-    completeness of both sets makes it normalized.
+    The result lives on (sys_A, sys_B, anc_A, anc_B), in that order: its
+    ``[:, :, a, b]`` slice is ``A_a Psi B_b^T``. The completeness of both
+    sets makes it normalized.
     """
     if len(psi.dims) != 2:
         raise ValidationError("dilation-state", f"need a bipartite state, got dims {psi.dims}")
@@ -76,35 +72,8 @@ def build_dilation(psi: PureState, measurements: LocalMeasurementSet) -> PureSta
         )
     measurements.alice.assert_complete(DEFAULT_TOL)
     measurements.bob.assert_complete(DEFAULT_TOL)
-    phi = _dilation_tensor(psi, measurements)
-    n_a, n_b = measurements.structure
-    return PureState((psi.dims[0], psi.dims[1], n_a, n_b), phi.reshape(-1))
-
-
-# each party's view of the (sys_A, sys_B, anc_A, anc_B) tensor: (sys, anc, other sys, other anc)
-_PARTY_LAYOUT = {"A": (0, 2, 1, 3), "B": (1, 3, 0, 2)}
-
-
-def _party_blocks(t: np.ndarray) -> np.ndarray:
-    """Blocks of a tensor in party layout: block m = sum_xy t[:, m, x, y] t[:, m, x, y]^dag."""
-    return frozen(np.einsum("imxy,jmxy->mij", t, t.conj()))
-
-
-def conditional_blocks(state: PureState, party: str) -> np.ndarray:
-    """Unnormalized system blocks conditioned on the party's ancilla label.
-
-    The blocks come as one ``(n, d, d)`` array. Block ``m`` is the partial
-    state of the party's system appearing next to ancilla basis vector ``m``
-    after tracing everything else out. The block traces sum to 1 and each
-    block is positive semidefinite.
-    """
-    if party not in _PARTY_LAYOUT:
-        raise ValidationError("party", f"party must be 'A' or 'B', got {party!r}")
-    if len(state.dims) != 4:
-        raise ValidationError(
-            "dilation-shape", f"need a (sys_A, sys_B, anc_A, anc_B) state, got dims {state.dims}"
-        )
-    return _party_blocks(state.reshaped().transpose(_PARTY_LAYOUT[party]))
+    t = local_product(psi.reshaped(), measurements.alice.stack, measurements.bob.stack)
+    return PureState(psi.dims + measurements.structure, t.transpose(2, 3, 0, 1).reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -113,27 +82,27 @@ def conditional_blocks(state: PureState, party: str) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class FourierStep:
-    """Fourier-rotated eigenbases of a stack of conditional blocks.
+    """Fourier-rotated eigenbases of a ``(..., n, d, d)`` stack of conditional blocks.
 
-    The arrays are indexed by block first. ``vectors[m]`` has the rotated
-    basis as columns: column ``j`` is the direction the party projects onto
-    for outcome ``j`` when the ancilla reads ``m``. ``outcome_totals[j]`` is
-    the total probability of outcome ``j`` across ancilla labels, which the
-    construction predicts to be ``1/dim`` for every ``j``; ``max_deviation``
-    measures how far the prediction is off (reported, never raised).
+    The leading ``...`` axes are a batch; each batch entry is one move of
+    the party. ``vectors[..., m, :, j]`` is the direction the party projects
+    onto for outcome ``j`` when its ancilla reads ``m``.
+    ``outcome_totals[..., j]`` is the total probability of outcome ``j``
+    across ancilla labels, which the construction predicts to be ``1/d``.
+    ``max_deviation``, ``uniform`` and ``degenerate`` hold one value per
+    batch entry; a deviation is reported, never raised.
     """
 
     vectors: np.ndarray
     eigenvalues: np.ndarray
-    eigenbases: np.ndarray
     outcome_totals: np.ndarray
-    max_deviation: float
-    uniform: bool
-    degenerate: bool
+    max_deviation: np.ndarray
+    uniform: np.ndarray
+    degenerate: np.ndarray
 
 
 def fourier_step(blocks: np.ndarray, tol: float = DEFAULT_TOL) -> FourierStep:
-    """Eigendecompose each block of an ``(n, d, d)`` stack and Fourier-transform its eigenbasis.
+    """Eigendecompose each block of a ``(..., n, d, d)`` stack and Fourier-transform its eigenbasis.
 
     Verifies that every Fourier outcome carries total probability ``1/dim``.
     A deviation beyond ``tol`` is recorded as a diagnostic rather than raised,
@@ -144,16 +113,15 @@ def fourier_step(blocks: np.ndarray, tol: float = DEFAULT_TOL) -> FourierStep:
     eigvals, eigvecs = eig_hermitian(blocks, tol=1e-8)
     vectors = eigvecs @ fourier_matrix(dim).T
     # totals[j] = sum_m <omega_mj| block_m |omega_mj>
-    totals = np.einsum("mij,mij->j", vectors.conj(), blocks @ vectors).real
-    max_dev = float(np.max(np.abs(totals - 1.0 / dim)))
+    totals = np.einsum("...mij,...mij->...j", vectors.conj(), blocks @ vectors).real
+    max_dev = np.max(np.abs(totals - 1.0 / dim), axis=-1)
     return FourierStep(
         vectors=frozen(vectors),
         eigenvalues=frozen(eigvals),
-        eigenbases=frozen(eigvecs),
         outcome_totals=totals,
         max_deviation=max_dev,
         uniform=max_dev <= tol,
-        degenerate=dim > 1 and float(np.min(np.abs(np.diff(eigvals, axis=-1)))) < DEGENERACY_TOL,
+        degenerate=np.any(np.abs(np.diff(eigvals, axis=-1)) < DEGENERACY_TOL, axis=(-2, -1)),
     )
 
 
@@ -162,174 +130,128 @@ def fourier_step(blocks: np.ndarray, tol: float = DEFAULT_TOL) -> FourierStep:
 
 
 @dataclasses.dataclass(frozen=True)
-class PartyStep:
-    """Record of one party's measure-and-reset move."""
+class PartyMove:
+    """One party's measure-and-reset move, for all of its outcomes ``j`` at once.
 
-    party: str
+    ``blocks[..., m]`` is the unnormalized state of the party's system next
+    to its ancilla label ``m``, the other party traced out.
+    ``probabilities[..., j]`` is the chance of outcome ``j``,
+    ``conditional_unitaries[..., j, m]`` the reset for outcome ``j`` in
+    sector ``m``, and ``skipped[..., m]`` marks the sectors of zero weight,
+    which keep the identity. Bob's arrays carry a leading axis over Alice's
+    outcomes ``j_a``.
+    """
+
     blocks: np.ndarray
     fourier: FourierStep
-    outcome: int
-    probability: float
+    probabilities: np.ndarray
     conditional_unitaries: np.ndarray
-    skipped_branches: tuple[int, ...]
-
-
-@dataclasses.dataclass(frozen=True)
-class BranchRow:
-    """Audit values of one (j_a, j_b) outcome branch."""
-
-    outcome_a: int
-    outcome_b: int
-    bob_uniformity_deviation: float
-    degenerate: bool
-    branch_diagonal_deviation: float
-    fidelity: float
+    skipped: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
 class LoccTrace:
     """Full record of one run of the construction.
 
-    ``branches`` has one row per outcome branch (j_a, j_b), in grid order.
-    ``alice``, ``bob``, ``final_state``, ``branch_ancilla``, ``fidelity`` and
-    ``branch_diagonal_deviation`` belong to the requested branch;
-    ``ancilla_dm`` is the deterministic output of the whole procedure, i.e.
-    the ancilla state averaged over both parties' Fourier outcomes, whose
-    diagonal matches the squared measurement-space amplitudes by
-    construction. ``fidelity`` compares the branch's pure ancilla candidate
-    with the measurement-space image and is informational.
+    Branch ``k = j_a * d_b + j_b`` is Alice's outcome ``j_a`` followed by
+    Bob's ``j_b``. ``branch_ancillas[k]`` is the branch's pure (anc_A, anc_B)
+    state once both systems sit in |0>; ``fidelities[k]`` compares it with
+    the measurement-space image and ``branch_diagonal_deviations[k]`` is the
+    largest gap between its squared amplitudes and the image's, both
+    informational. ``ancilla_dm`` is the deterministic output of the whole
+    procedure, i.e. the ancilla state averaged over both parties' Fourier
+    outcomes, whose diagonal matches the squared measurement-space
+    amplitudes by construction.
     """
 
     dilated: PureState
-    alice: PartyStep
-    bob: PartyStep
-    final_state: PureState
+    alice: PartyMove
+    bob: PartyMove
     mspace: MeasurementSpaceState
-    branch_ancilla: np.ndarray
-    fidelity: float
     ancilla_dm: DensityMatrix
     ancilla_diagonal: np.ndarray
     diagonal_deviation: float
-    branch_diagonal_deviation: float
-    degenerate: bool
-    branches: tuple[BranchRow, ...]
+    branch_ancillas: np.ndarray
+    fidelities: np.ndarray
+    branch_diagonal_deviations: np.ndarray
 
 
-def _measure_party(
-    t: np.ndarray, party: str, tol: float
-) -> tuple[np.ndarray, tuple[PartyStep, ...]]:
+def _measure_party(t: np.ndarray, party: str, tol: float) -> tuple[np.ndarray, PartyMove]:
     """One party's move for all of its outcomes at once.
 
-    ``t`` is the state in party layout. Returns the normalized post-reset
-    states, stacked as ``[j]`` in the same layout, and the step record of
-    each outcome ``j``. The reset for outcome ``j`` in sector ``m`` is
-    ``Omega_m^dag`` with rows 0 and ``j`` swapped: the columns of the unitary
-    ``Omega_m`` are the Fourier vectors, so it sends ``omega_j`` to ``e0``.
-    Sectors of zero weight keep the identity.
+    ``t`` is a ``(..., sys, anc, other sys, other anc)`` stack of states in
+    party layout. Returns the normalized post-reset states, stacked as
+    ``[..., j]`` in the same layout, and the record of the move. The reset
+    for outcome ``j`` in sector ``m`` is ``Omega_m^dag`` with rows 0 and
+    ``j`` swapped: the columns of the unitary ``Omega_m`` are the Fourier
+    vectors, so it sends ``omega_j`` to ``e0``. Sectors of zero weight keep
+    the identity.
     """
-    d = t.shape[0]
-    blocks = _party_blocks(t)
+    d = t.shape[-4]
+    blocks = frozen(np.einsum("...imxy,...jmxy->...mij", t, t.conj()))
     fs = fourier_step(blocks, tol)
-    omega = fs.vectors  # [m, i, j]: column j is omega_j in sector m
-    coef = np.einsum("mij,imxy->jmxy", omega.conj(), t)
-    probs = np.einsum("jmxy,jmxy->j", coef, coef.conj()).real
-    zero = np.flatnonzero(probs <= 0.0)
-    if zero.size:
-        raise ValidationError(
-            "locc-branch", f"outcome {zero[0]} for party {party} has zero probability"
-        )
+    omega = fs.vectors  # [..., m, i, j]: column j is omega_j in sector m
+    coef = np.einsum("...mij,...imxy->...jmxy", omega.conj(), t)
+    probs = np.einsum("...jmxy,...jmxy->...j", coef, coef.conj()).real
+    # written so that a NaN probability fails too
+    _require(
+        probs > 0.0,
+        "locc-branch",
+        lambda i: f"outcome {i[-1]} for party {party} has zero probability",
+    )
     swaps = np.tile(np.arange(d), (d, 1))
     swaps[:, 0], swaps[range(d), range(d)] = np.arange(d), 0
-    unitaries = omega.conj().transpose(0, 2, 1)[:, swaps].transpose(1, 0, 2, 3)  # [j, m]
-    skipped = tuple(np.flatnonzero(np.einsum("mii->m", blocks).real < ZERO_BRANCH_TOL).tolist())
-    unitaries[:, list(skipped)] = np.eye(d)
-    frozen(unitaries)
-    reset = np.einsum("jmai,mij->jma", unitaries, omega)  # U_jm omega_j, close to e0
-    states = np.einsum("jma,jmxy->jamxy", reset, coef) / np.sqrt(probs)[:, None, None, None, None]
-    steps = tuple(
-        PartyStep(party, blocks, fs, j, float(probs[j]), unitaries[j], skipped)
-        for j in range(d)
-    )
-    return states, steps
+    unitaries = np.moveaxis(omega.conj().swapaxes(-1, -2)[..., swaps, :], -3, -4)  # [..., j, m]
+    skipped = np.einsum("...mii->...m", blocks).real < ZERO_BRANCH_TOL
+    unitaries = frozen(np.where(skipped[..., None, :, None, None], np.eye(d), unitaries))
+    reset = np.einsum("...jmai,...mij->...jma", unitaries, omega)  # U_jm omega_j, close to e0
+    states = np.einsum("...jma,...jmxy->...jamxy", reset, coef)
+    states /= np.sqrt(probs)[..., None, None, None, None]
+    return states, PartyMove(blocks, fs, probs, unitaries, skipped)
 
 
 def run_locc_construction(
-    psi: PureState,
-    measurements: LocalMeasurementSet,
-    outcome_a: int = 0,
-    outcome_b: int = 0,
-    tol: float = DEFAULT_TOL,
+    psi: PureState, measurements: LocalMeasurementSet, tol: float = DEFAULT_TOL
 ) -> LoccTrace:
     """Run the two-party construction and audit its bookkeeping.
 
     Alice projects onto her Fourier-rotated eigenvectors and resets her
-    system; Bob repeats the move on each post-Alice state. One pass covers
-    every outcome branch: all of them are tabulated in ``branches`` and
+    system; Bob then makes the same move once, stacked over Alice's
+    outcomes. That one pass covers every outcome branch. The branches are
     accumulated into the procedure's deterministic ancilla output, whose
     diagonal is checked against the squared measurement-space amplitudes.
-    The requested branch (``outcome_a``, ``outcome_b``) is also reported in
-    full.
     """
     dilated = build_dilation(psi, measurements)
     d_a, d_b, n_a, n_b = dilated.dims
-    if not 0 <= outcome_a < d_a or not 0 <= outcome_b < d_b:
-        raise ValidationError(
-            "locc-outcome",
-            f"outcome choice ({outcome_a}, {outcome_b}) out of range ({d_a}, {d_b})",
-        )
     image = map_to_measurement_space(psi, measurements)
-
-    phi = dilated.reshaped().transpose(_PARTY_LAYOUT["A"])
-    after_alice, alice_steps = _measure_party(phi, "A", tol)
-    # Alice's layout turns into Bob's by swapping its two axis pairs
-    bob_states, bob_steps = zip(
-        *(_measure_party(s.transpose(2, 3, 0, 1), "B", tol) for s in after_alice)
-    )
+    # party layouts: Alice's (sys_A, anc_A, sys_B, anc_B), Bob's (sys_B, anc_B, sys_A, anc_A)
+    after_alice, alice = _measure_party(dilated.reshaped().transpose(0, 2, 1, 3), "A", tol)
+    after_bob, bob = _measure_party(after_alice.transpose(0, 3, 4, 1, 2), "B", tol)
     # row j_a * d_b + j_b: the branch's (anc_A, anc_B) part next to |0>|0>
-    flat = np.stack([s[:, 0, :, 0, :].transpose(0, 2, 1) for s in bob_states])
-    flat = flat.reshape(d_a * d_b, n_a * n_b)
-    for leak in 1.0 - np.sum(np.abs(flat) ** 2, axis=1):
-        if leak > 1e-9:
-            raise ValidationError(
-                "locc-reset", f"systems hold weight {float(leak)!r} outside |0>|0> after the resets"
-            )
-    weights = np.array(
-        [a.probability * b.probability for a, steps in zip(alice_steps, bob_steps) for b in steps]
+    flat = after_bob[:, :, 0, :, 0, :].swapaxes(-1, -2).reshape(d_a * d_b, n_a * n_b)
+    leak = 1.0 - np.sum(np.abs(flat) ** 2, axis=1)
+    _require(
+        leak <= 1e-9,
+        "locc-reset",
+        lambda i: f"systems hold weight {float(leak[i])!r} outside |0>|0> after the resets",
     )
+    weights = (alice.probabilities[:, None] * bob.probabilities).reshape(-1)
     ancilla_acc = np.einsum("k,ki,kj->ij", weights, flat, flat.conj())
     target = image.probabilities()
-    fidelities = np.abs(flat @ image.amplitudes) ** 2
-    branch_devs = np.max(np.abs(np.abs(flat) ** 2 - target), axis=1)
-    branches = tuple(
-        BranchRow(
-            outcome_a=j_a,
-            outcome_b=j_b,
-            bob_uniformity_deviation=bob_steps[j_a][0].fourier.max_deviation,
-            degenerate=alice_steps[0].fourier.degenerate or bob_steps[j_a][0].fourier.degenerate,
-            branch_diagonal_deviation=float(branch_devs[k]),
-            fidelity=float(fidelities[k]),
-        )
-        for k, (j_a, j_b) in enumerate(np.ndindex(d_a, d_b))
-    )
-    k = outcome_a * d_b + outcome_b
-    # Bob's layout (sys_B, anc_B, sys_A, anc_A) back to (sys_A, sys_B, anc_A, anc_B)
-    final = bob_states[outcome_a][outcome_b].transpose(2, 0, 3, 1)
     diag = np.real(np.diag(ancilla_acc)).copy()
     return LoccTrace(
         dilated=dilated,
-        alice=alice_steps[outcome_a],
-        bob=bob_steps[outcome_a][outcome_b],
-        final_state=PureState((d_a, d_b, n_a, n_b), final.reshape(-1)),
+        alice=alice,
+        bob=bob,
         mspace=image,
-        branch_ancilla=flat[k],
-        fidelity=branches[k].fidelity,
         ancilla_dm=DensityMatrix((n_a, n_b), ancilla_acc),
         ancilla_diagonal=diag,
         diagonal_deviation=float(np.max(np.abs(diag - target))),
-        branch_diagonal_deviation=branches[k].branch_diagonal_deviation,
-        degenerate=branches[k].degenerate,
-        branches=branches,
+        branch_ancillas=frozen(flat),
+        fidelities=np.abs(flat @ image.amplitudes) ** 2,
+        branch_diagonal_deviations=np.max(np.abs(np.abs(flat) ** 2 - target), axis=1),
     )
+
 
 # ---------------------------------------------------------------------------
 # channels and concurrence factorization

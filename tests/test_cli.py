@@ -525,9 +525,11 @@ class TestReportContract:
 
     @pytest.mark.parametrize("fmt", ["json", "tsv"])
     def test_nonfinite_report_exits_two_printing_nothing(self, capsys, monkeypatch, fmt):
-        # sweep's entropy_original is not range-checked, so only the emitter stands in the way
-        monkeypatch.setattr("mspace.cli.entropy_of_entanglement", lambda psi: float("nan"))
-        code, out, err = run_cli(capsys, "sweep", "--steps", "2", "--format", fmt)
+        # success rates carry no range check, so only the emitter stands in the way
+        monkeypatch.setattr("mspace.cli.success_rates_mspace", lambda batch: np.full(3, np.nan))
+        code, out, err = run_cli(
+            capsys, "theorem1", "--random", "--seed", "1", "--trials", "3", "--format", fmt
+        )
         assert code == 2 and "report-nonfinite" in err
         assert out == ""
 
@@ -537,6 +539,45 @@ class TestReportContract:
         code, out, err = run_cli(capsys, "entanglement", "--state", "bell", "--measure", "concurrence")
         assert code == 2 and "report-range" in err
         assert out == ""
+
+    @pytest.mark.parametrize("value", [1.5, float("nan")])
+    def test_sweep_original_entropy_is_range_checked(self, capsys, monkeypatch, value):
+        from mspace import entanglement
+
+        real = entanglement.entropy_of_entanglement
+        bell = bell_phi_plus().vector
+
+        def planted(psi):
+            # plant the value on the original Bell state only; the images below are not Bell
+            return value if np.allclose(psi.vector, bell) else real(psi)
+
+        monkeypatch.setattr(entanglement, "entropy_of_entanglement", planted)
+        code, out, err = run_cli(
+            capsys, "sweep", "--eta-start", "0.5", "--eta-end", "0.6", "--steps", "2"
+        )
+        assert code == 2 and "error: report-range: " in err
+        assert out == ""
+
+    @pytest.mark.parametrize("value", [1.5, float("nan")])
+    def test_locc_ancilla_concurrence_is_range_checked(self, capsys, monkeypatch, value):
+        monkeypatch.setattr("mspace.cli.concurrence_mixed", lambda rho: value)
+        code, out, err = run_cli(
+            capsys, "locc", "--state", "bell", "--alice", "noisy:0.9", "--bob", "noisy:0.9"
+        )
+        assert code == 2 and "error: report-range: " in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("modes", "--n", "1", "--m", "2", "--n-max", "2", "--m-max", "2"),
+        ("modes", "--n", "1", "--n-max", "2", "--m-max", "2"),
+        ("locc", "--state", "bell", "--alice", "z-projectors", "--bob", "z-projectors",
+         "--outcome", "9,9", "--all-outcomes"),
+        ("locc", "--state", "bell", "--alice", "z-projectors", "--bob", "z-projectors",
+         "--outcome", "0,0", "--all-outcomes"),
+    ])  # fmt: skip
+    def test_conflicting_flag_sets_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and "error: flag-format: " in err and out == ""
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -11,10 +11,10 @@ from mspace.linalg import (
     haar_state,
     ptrace_matrix,
 )
+from mspace.cli import main
 from mspace.locc import (
     Channel,
     build_dilation,
-    conditional_blocks,
     depolarizing_channel,
     fourier_step,
     identity_channel,
@@ -46,6 +46,11 @@ def z_local_set():
 
 def noisy_local_set(eta=0.9):
     return LocalMeasurementSet(noisy_pair(eta), noisy_pair(eta))
+
+
+def alice_blocks(psi, local):
+    """Alice's conditional blocks of the dilated state, as the construction computes them."""
+    return run_locc_construction(psi, local).alice.blocks
 
 
 class TestBuildDilation:
@@ -82,15 +87,13 @@ class TestBuildDilation:
 
 class TestConditionalBlocks:
     def test_z_projectors_on_bell(self):
-        dilated = build_dilation(bell_phi_plus(), z_local_set())
-        blocks = conditional_blocks(dilated, "A")
+        blocks = alice_blocks(bell_phi_plus(), z_local_set())
         np.testing.assert_allclose(blocks[0], np.diag([0.5, 0.0]), atol=1e-14)
         np.testing.assert_allclose(blocks[1], np.diag([0.0, 0.5]), atol=1e-14)
 
     def test_trivial_set_gives_reduced_state(self):
         psi = haar_state((2, 3), 6)
-        dilated = build_dilation(psi, trivial_local_set(2, 3))
-        (block,) = conditional_blocks(dilated, "A")
+        (block,) = alice_blocks(psi, trivial_local_set(2, 3))
         expected = ptrace_matrix(psi.density().matrix, (2, 3), {0})
         np.testing.assert_allclose(block, expected, atol=1e-12)
 
@@ -99,24 +102,18 @@ class TestConditionalBlocks:
         for _ in range(25):
             psi = haar_state((2, 2), rng)
             local = random_local_set(2, 2, int(rng.integers(2, 4)), int(rng.integers(2, 4)), rng)
-            dilated = build_dilation(psi, local)
-            for party in ("A", "B"):
-                blocks = conditional_blocks(dilated, party)
+            trace = run_locc_construction(psi, local)
+            # Alice's blocks, then Bob's on each of Alice's outcomes
+            for blocks in (trace.alice.blocks, *trace.bob.blocks):
                 total = sum(float(np.real(np.trace(b))) for b in blocks)
                 assert abs(total - 1.0) < 1e-10
                 for b in blocks:
                     assert float(np.min(np.linalg.eigvalsh(b))) > -1e-12
 
-    def test_bad_party(self):
-        dilated = build_dilation(bell_phi_plus(), z_local_set())
-        with pytest.raises(ValidationError, match="party"):
-            conditional_blocks(dilated, "C")
-
 
 class TestFourierStep:
     def test_uniform_totals_for_qubit_blocks(self):
-        dilated = build_dilation(bell_phi_plus(), noisy_local_set())
-        step = fourier_step(conditional_blocks(dilated, "A"))
+        step = fourier_step(alice_blocks(bell_phi_plus(), noisy_local_set()))
         np.testing.assert_allclose(step.outcome_totals, [0.5, 0.5], atol=1e-12)
         assert step.uniform and step.max_deviation < 1e-10
 
@@ -134,14 +131,12 @@ class TestFourierStep:
         for _ in range(100):
             psi = haar_state((2, 2), rng)
             local = random_local_set(2, 2, int(rng.integers(2, 4)), int(rng.integers(2, 4)), rng)
-            dilated = build_dilation(psi, local)
-            step = fourier_step(conditional_blocks(dilated, "A"))
+            step = fourier_step(alice_blocks(psi, local))
             worst = max(worst, step.max_deviation)
         assert worst < 1e-10
 
     def test_projectors_are_rank_one(self):
-        dilated = build_dilation(bell_phi_plus(), noisy_local_set())
-        step = fourier_step(conditional_blocks(dilated, "A"))
+        step = fourier_step(alice_blocks(bell_phi_plus(), noisy_local_set()))
         w = step.vectors[0][:, 1]
         proj = np.outer(w, w.conj())
         np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
@@ -150,90 +145,90 @@ class TestFourierStep:
     def test_degeneracy_flag(self):
         step = fourier_step([np.eye(2, dtype=complex) / 2.0])
         assert step.degenerate
-        dilated = build_dilation(bell_phi_plus(), noisy_local_set(0.9))
-        step = fourier_step(conditional_blocks(dilated, "A"))
+        step = fourier_step(alice_blocks(bell_phi_plus(), noisy_local_set(0.9)))
         assert not step.degenerate
 
 
 class TestRunLoccConstruction:
     def test_z_projectors_on_bell(self):
-        trace = run_locc_construction(bell_phi_plus(), z_local_set(), 0, 0)
+        trace = run_locc_construction(bell_phi_plus(), z_local_set())
         np.testing.assert_allclose(trace.ancilla_diagonal, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
         assert trace.diagonal_deviation < 1e-12
-        assert trace.branch_diagonal_deviation < 1e-9
-        assert abs(trace.fidelity - 1.0) < 1e-10
+        assert trace.branch_diagonal_deviations[0] < 1e-9
+        assert abs(trace.fidelities[0] - 1.0) < 1e-10
 
     def test_trivial_sets_single_outcome(self):
         psi = haar_state((2, 2), 13)
-        trace = run_locc_construction(psi, trivial_local_set(), 0, 0)
+        trace = run_locc_construction(psi, trivial_local_set())
         np.testing.assert_allclose(trace.ancilla_diagonal, [1.0], atol=1e-12)
-        assert abs(trace.fidelity - 1.0) < 1e-10
+        assert abs(trace.fidelities[0] - 1.0) < 1e-10
 
     def test_noisy_pairs_channel_diagonal(self):
-        trace = run_locc_construction(bell_phi_plus(), noisy_local_set(0.9), 0, 0)
+        trace = run_locc_construction(bell_phi_plus(), noisy_local_set(0.9))
         np.testing.assert_allclose(
             trace.ancilla_diagonal, [0.41, 0.09, 0.09, 0.41], atol=1e-9
         )
         assert trace.diagonal_deviation < 1e-9
         # the individual branch is not the image; its mismatch is reported
-        assert trace.branch_diagonal_deviation > 1e-3
-        assert 0.0 <= trace.fidelity <= 1.0
+        assert trace.branch_diagonal_deviations[0] > 1e-3
+        assert 0.0 <= trace.fidelities[0] <= 1.0
 
     def test_diagonal_matches_image_on_every_branch(self):
         rng = np.random.default_rng(37)
         for _ in range(10):
             psi = haar_state((2, 2), rng)
             local = random_local_set(2, 2, int(rng.integers(2, 4)), int(rng.integers(2, 4)), rng)
-            for j_a in range(2):
-                for j_b in range(2):
-                    trace = run_locc_construction(psi, local, j_a, j_b)
-                    assert trace.diagonal_deviation < 1e-9
+            # one run covers all four branches
+            trace = run_locc_construction(psi, local)
+            assert trace.diagonal_deviation < 1e-9
 
     def test_outcome_probabilities_are_uniform(self):
         rng = np.random.default_rng(41)
         psi = haar_state((2, 3), rng)
         local = random_local_set(2, 3, 3, 2, rng)
-        trace = run_locc_construction(psi, local, 1, 2)
-        assert abs(trace.alice.probability - 1 / 2) < 1e-10
-        assert abs(trace.bob.probability - 1 / 3) < 1e-10
-        assert trace.alice.fourier.uniform and trace.bob.fourier.uniform
+        trace = run_locc_construction(psi, local)
+        assert abs(trace.alice.probabilities[1] - 1 / 2) < 1e-10
+        assert abs(trace.bob.probabilities[1, 2] - 1 / 3) < 1e-10
+        assert trace.alice.fourier.uniform and trace.bob.fourier.uniform[1]
 
     def test_alice_outcomes_exhaust_probability(self):
         rng = np.random.default_rng(47)
         psi = haar_state((3, 2), rng)
         local = random_local_set(3, 2, 2, 3, rng)
-        total = sum(
-            run_locc_construction(psi, local, j_a, 0).alice.probability for j_a in range(3)
-        )
+        total = sum(run_locc_construction(psi, local).alice.probabilities)
         assert abs(total - 1.0) < 1e-10
 
     def test_zero_probability_sector_skipped(self):
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
         psi = PureState((2, 2), np.kron(np.array([1.0, 0.0]), plus))
-        trace = run_locc_construction(psi, z_local_set(), 0, 0)
-        assert trace.alice.skipped_branches == (1,)
+        trace = run_locc_construction(psi, z_local_set())
+        assert np.flatnonzero(trace.alice.skipped).tolist() == [1]
         np.testing.assert_allclose(trace.ancilla_diagonal, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
+        # outcome 0, sector 1
         np.testing.assert_allclose(
-            trace.alice.conditional_unitaries[1], np.eye(2), atol=1e-14
+            trace.alice.conditional_unitaries[0, 1], np.eye(2), atol=1e-14
         )
 
     def test_intermediate_states_normalized(self):
-        trace = run_locc_construction(bell_phi_plus(), noisy_local_set(0.8), 1, 1)
+        trace = run_locc_construction(bell_phi_plus(), noisy_local_set(0.8))
         assert abs(np.linalg.norm(trace.dilated.vector) - 1.0) < 1e-9
-        assert abs(np.linalg.norm(trace.final_state.vector) - 1.0) < 1e-9
-        assert abs(np.linalg.norm(trace.branch_ancilla) - 1.0) < 1e-9
+        # every branch, (1, 1) among them, leaves a unit ancilla state
+        for ancilla in trace.branch_ancillas:
+            assert abs(np.linalg.norm(ancilla) - 1.0) < 1e-9
 
     def test_mixed_output_entanglement_monotone(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
             psi = haar_state((2, 2), rng)
             local = random_local_set(2, 2, 2, 2, rng)
-            trace = run_locc_construction(psi, local, 0, 0)
+            trace = run_locc_construction(psi, local)
             assert concurrence_mixed(trace.ancilla_dm) <= concurrence_pure(psi) + 1e-9
 
-    def test_outcome_out_of_range(self):
-        with pytest.raises(ValidationError, match="locc-outcome"):
-            run_locc_construction(bell_phi_plus(), z_local_set(), 2, 0)
+    def test_outcome_out_of_range(self, capsys):
+        # a branch is picked from the run's arrays, so the range is checked where it is picked
+        argv = ["locc", "--state", "bell", "--alice", "z-projectors", "--bob", "z-projectors"]
+        assert main([*argv, "--outcome", "2,0"]) == 2
+        assert "error: locc-outcome: " in capsys.readouterr().err
 
 
 class TestChannels:
@@ -322,9 +317,15 @@ class TestChannelStacks:
         np.testing.assert_allclose(ch.apply(rho), expected, atol=1e-14)
 
     def test_blocks_and_unitaries_are_arrays(self):
-        trace = run_locc_construction(bell_phi_plus(), noisy_local_set(0.8), 1, 0)
+        trace = run_locc_construction(bell_phi_plus(), noisy_local_set(0.8))
         assert trace.alice.blocks.shape == (2, 2, 2)
-        assert trace.alice.conditional_unitaries.shape == (2, 2, 2)
+        assert trace.alice.conditional_unitaries.shape == (2, 2, 2, 2)
         assert trace.alice.fourier.vectors.shape == (2, 2, 2)
         assert trace.alice.fourier.eigenvalues.shape == (2, 2)
         assert not trace.alice.conditional_unitaries.flags.writeable
+        # Bob's move is stacked over Alice's outcomes
+        assert trace.bob.blocks.shape == (2, 2, 2, 2)
+        assert trace.bob.conditional_unitaries.shape == (2, 2, 2, 2, 2)
+        assert trace.bob.probabilities.shape == (2, 2)
+        assert trace.bob.fourier.max_deviation.shape == (2,)
+        assert not trace.bob.conditional_unitaries.flags.writeable

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mspace.locc as locc
-from mspace.linalg import haar_state
+from mspace.linalg import DEFAULT_TOL, haar_state
 from mspace.measurement import random_local_set
 
 
@@ -22,28 +22,56 @@ def test_fourier_step_runs_once_per_party_move(monkeypatch, d_a, d_b, n_a, n_b):
     monkeypatch.setattr(locc, "fourier_step", counted)
     rng = np.random.default_rng((d_a, d_b, n_a, n_b))
     psi = haar_state((d_a, d_b), rng)
-    trace = locc.run_locc_construction(psi, random_local_set(d_a, d_b, n_a, n_b, rng), d_a - 1, 0)
-    # Alice once, then Bob once for each Alice outcome
-    assert len(calls) == 1 + d_a
-    assert [(r.outcome_a, r.outcome_b) for r in trace.branches] == [
-        (a, b) for a in range(d_a) for b in range(d_b)
-    ]
+    trace = locc.run_locc_construction(psi, random_local_set(d_a, d_b, n_a, n_b, rng))
+    # Alice once, Bob once over all Alice outcomes
+    assert len(calls) == 2
+    assert trace.bob.probabilities.shape == (d_a, d_b)
+    assert trace.branch_ancillas.shape == (d_a * d_b, n_a * n_b)
+    assert trace.fidelities.shape == trace.branch_diagonal_deviations.shape == (d_a * d_b,)
 
 
-def test_requested_branch_is_its_table_row():
+def test_branch_rows_are_alice_then_bob_outcomes():
     rng = np.random.default_rng(3)
     psi = haar_state((3, 2), rng)
     local = random_local_set(3, 2, 2, 3, rng)
-    full = locc.run_locc_construction(psi, local)
+    trace = locc.run_locc_construction(psi, local)
+    again = locc.run_locc_construction(psi, local)
+    np.testing.assert_array_equal(trace.branch_ancillas, again.branch_ancillas)
+    np.testing.assert_array_equal(trace.fidelities, again.fidelities)
+    phi = trace.dilated.reshaped()  # (sys_A, sys_B, anc_A, anc_B)
+    omega_a, omega_b = trace.alice.fourier.vectors, trace.bob.fourier.vectors
+    target = trace.mspace.probabilities()
     for j_a in range(3):
         for j_b in range(2):
-            trace = locc.run_locc_construction(psi, local, j_a, j_b)
-            row = trace.branches[j_a * 2 + j_b]
-            assert trace.branches == full.branches
-            assert (trace.alice.outcome, trace.bob.outcome) == (j_a, j_b)
-            assert trace.fidelity == row.fidelity
-            assert trace.branch_diagonal_deviation == row.branch_diagonal_deviation
-            assert trace.degenerate == row.degenerate
-            assert trace.bob.fourier.max_deviation == row.bob_uniformity_deviation
-            final = trace.final_state.reshaped()
-            np.testing.assert_array_equal(final[0, 0].reshape(-1), trace.branch_ancilla)
+            k = j_a * 2 + j_b
+            # project each sector onto Alice's omega_{j_a}, then Bob's omega_{j_b} after j_a
+            amp = np.einsum(
+                "mi,nk,ikmn->mn", omega_a[:, :, j_a].conj(), omega_b[j_a, :, :, j_b].conj(), phi
+            )
+            amp /= np.sqrt(trace.alice.probabilities[j_a] * trace.bob.probabilities[j_a, j_b])
+            ancilla = trace.branch_ancillas[k]
+            np.testing.assert_allclose(ancilla, amp.reshape(-1), rtol=0, atol=1e-12)
+            assert trace.fidelities[k] == pytest.approx(
+                abs(ancilla @ trace.mspace.amplitudes) ** 2, rel=0, abs=1e-14
+            )
+            assert trace.branch_diagonal_deviations[k] == np.max(np.abs(np.abs(ancilla) ** 2 - target))
+
+
+def test_batched_bob_move_equals_one_move_per_alice_outcome():
+    for case in range(100):
+        rng = np.random.default_rng((83, case))
+        d_a, d_b, n_a, n_b = (int(x) for x in rng.integers(1, 6, size=4))
+        psi = haar_state((d_a, d_b), rng)
+        dilated = locc.build_dilation(psi, random_local_set(d_a, d_b, n_a, n_b, rng))
+        after_alice, _ = locc._measure_party(
+            dilated.reshaped().transpose(0, 2, 1, 3), "A", DEFAULT_TOL
+        )
+        bob_layout = after_alice.transpose(0, 3, 4, 1, 2)
+        states, move = locc._measure_party(bob_layout, "B", DEFAULT_TOL)
+        for j_a in range(d_a):
+            one_states, one = locc._measure_party(bob_layout[j_a], "B", DEFAULT_TOL)
+            assert np.array_equal(states[j_a], one_states)
+            for name in ("blocks", "probabilities", "conditional_unitaries", "skipped"):
+                assert np.array_equal(getattr(move, name)[j_a], getattr(one, name)), name
+            for name in ("vectors", "eigenvalues", "outcome_totals", "max_deviation", "degenerate"):
+                assert np.array_equal(getattr(move.fourier, name)[j_a], getattr(one.fourier, name)), name

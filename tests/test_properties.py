@@ -160,12 +160,12 @@ def test_dilation_matches_per_pair_loop(case):
 @given(local_case(top=4))
 def test_fourier_outcomes_are_uniform(case):
     psi, local = case
-    d_a, d_b = psi.dims
+    d_a = psi.dims[0]
     trace = run_locc_construction(psi, local)
     np.testing.assert_allclose(trace.alice.fourier.outcome_totals, 1 / d_a, rtol=0, atol=1e-12)
-    # Bob's deviation on each Alice outcome j_a, read from the row (j_a, 0)
-    for row in trace.branches[::d_b]:
-        assert row.bob_uniformity_deviation <= 1e-12
+    # Bob's deviation on each Alice outcome j_a
+    for dev in trace.bob.fourier.max_deviation:
+        assert dev <= 1e-12
 
 
 @PROFILE
@@ -181,10 +181,23 @@ def test_ancilla_diagonal_is_the_image(case):
 @given(local_case(top=4))
 def test_alice_branch_probabilities_sum_to_one(case):
     psi, local = case
-    total = sum(
-        run_locc_construction(psi, local, j_a, 0).alice.probability for j_a in range(psi.dims[0])
-    )
+    total = sum(run_locc_construction(psi, local).alice.probabilities)
     assert abs(total - 1.0) <= 1e-12
+
+
+@PROFILE
+@given(local_case(top=4))
+def test_every_branch_is_uniform_and_unit(case):
+    psi, local = case
+    d_a, d_b = psi.dims
+    trace = run_locc_construction(psi, local)
+    np.testing.assert_allclose(trace.alice.probabilities, 1 / d_a, rtol=0, atol=1e-12)
+    # Bob's outcomes on every Alice outcome j_a
+    np.testing.assert_allclose(trace.bob.probabilities, 1 / d_b, rtol=0, atol=1e-12)
+    assert trace.bob.fourier.max_deviation.shape == (d_a,)
+    assert np.all(trace.bob.fourier.max_deviation <= 1e-12)
+    norms = np.linalg.norm(trace.branch_ancillas, axis=1)
+    np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
 
 
 def _qubit_state(draw_product, rng):
