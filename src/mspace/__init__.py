@@ -30,7 +30,6 @@ from .linalg import (
     haar_unitary,
     haar_vectors,
     is_hermitian,
-    is_unitary,
     schmidt,
     tensor,
 )

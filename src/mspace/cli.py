@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Any
 
@@ -27,9 +28,10 @@ from .entanglement import (
     measurement_space_entanglement,
     pure_entanglement,
 )
-from .files import default_tolerance, load_measurement_set, load_protocol, load_state
-from .linalg import PureState, ValidationError, bell_phi_plus, haar_state
+from .files import load_measurement_set, load_protocol, load_state
+from .linalg import DEFAULT_TOL, PureState, ValidationError, bell_phi_plus, haar_state
 from .locc import (
+    KONRAD_TOL,
     konrad_single_sided_check,
     konrad_two_sided_check,
     random_channel,
@@ -41,8 +43,34 @@ from .protocols import random_protocol_batches, success_rates_mspace, success_ra
 
 THEOREM1_TOL = 1e-10
 MONOTONICITY_TOL = 1e-9
-KONRAD_TOL = 1e-8
 DIAGONAL_TOL = 1e-9
+# most rows a report may hold; every row is built before any is printed
+MAX_ROWS = 10**5
+# loosest completeness tolerance the environment may set; beyond it an
+# incomplete set would pass and yield a meaningless image
+TOLERANCE_CAP = 1e-4
+
+
+def default_tolerance() -> float:
+    """Completeness tolerance for map, entanglement and locc; MSPACE_DEFAULT_TOL overrides it.
+
+    An override must be a finite number in (0, TOLERANCE_CAP]. This is the
+    one place the package reads the environment; the library takes the
+    tolerance as an argument.
+    """
+    raw = os.environ.get("MSPACE_DEFAULT_TOL")
+    if raw is None:
+        return DEFAULT_TOL
+    try:
+        tol = float(raw)
+    except ValueError as exc:
+        raise ValidationError("tolerance-env", f"MSPACE_DEFAULT_TOL={raw!r} is not a number") from exc
+    # the chained comparison is false for NaN as well
+    if not 0.0 < tol <= TOLERANCE_CAP:
+        raise ValidationError(
+            "tolerance-env", f"MSPACE_DEFAULT_TOL={raw!r} is not in (0, {TOLERANCE_CAP!r}]"
+        )
+    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +157,14 @@ def _parse_ints(text: str, n: int | None = None) -> tuple[int, ...]:
 
 
 def _require_count(value: int, flag: str) -> None:
+    """One report row per unit of ``value``, so it must lie in [1, MAX_ROWS]."""
     # zero trials or steps would check nothing and still report a pass
     if value < 1:
         raise ValidationError("flag-format", f"{flag} must be >= 1, got {value}")
+    if value > MAX_ROWS:
+        raise ValidationError(
+            "flag-format", f"{flag} asks for {value} report rows, over the cap {MAX_ROWS}"
+        )
 
 
 def _load_local_sets(args, psi: PureState, tol: float) -> LocalMeasurementSet:
@@ -260,7 +293,7 @@ def cmd_locc(args) -> tuple[dict, int]:
     psi = load_state(args.state, _state_dims(args))
     measurements = _load_local_sets(args, psi, tol)
     ja, jb = _parse_ints(args.outcome, 2) if args.outcome else (0, 0)
-    trace = run_locc_construction(psi, measurements)
+    trace = run_locc_construction(psi, measurements, tol)
     d_a, d_b = psi.dims
     if not 0 <= ja < d_a or not 0 <= jb < d_b:
         raise ValidationError(
@@ -336,7 +369,7 @@ def cmd_konrad(args) -> tuple[dict, int]:
         if args.two_sided:
             ch_a = random_channel(2, int(rng.integers(1, 5)), rng)
             ch_b = random_channel(2, int(rng.integers(1, 5)), rng)
-            rep = konrad_two_sided_check(psi, ch_a, ch_b, tol=KONRAD_TOL)
+            rep = konrad_two_sided_check(psi, ch_a, ch_b)
             if not rep.holds:
                 violations += 1
             rows.append(
@@ -367,9 +400,10 @@ def cmd_modes(args) -> tuple[dict, int]:
     if args.n is not None and args.m is not None:
         grid = [(args.n, args.m)]
     elif args.n_max is not None and args.m_max is not None:
-        grid = [(n, m) for n in range(1, args.n_max + 1) for m in range(2, args.m_max + 1)]
-        if not grid:
+        if args.n_max < 1 or args.m_max < 2:
             raise ValidationError("flag-format", "the grid needs --n-max >= 1 and --m-max >= 2")
+        _require_count(args.n_max * (args.m_max - 1), "the --n-max/--m-max grid")
+        grid = [(n, m) for n in range(1, args.n_max + 1) for m in range(2, args.m_max + 1)]
     else:
         raise ValidationError("flag-format", "need --n/--m or --n-max/--m-max")
     rows = []

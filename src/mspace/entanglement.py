@@ -121,17 +121,13 @@ def pure_entanglement(psi: PureState, measure: str) -> float:
     return EntanglementReport(measure, value, split).value
 
 
-def measurement_space_entanglement(
-    ms: MeasurementSpaceState,
-    measure: str = "entropy",
-    split: tuple[int, int] | None = None,
-) -> float:
+def measurement_space_entanglement(ms: MeasurementSpaceState, measure: str = "entropy") -> float:
     """Apply an entanglement measure to a measurement-space state.
 
-    Needs a bipartite outcome structure, either attached to ``ms`` or given
-    explicitly. Concurrence requires a 2x2 outcome grid.
+    Needs the bipartite outcome structure attached to ``ms``. Concurrence
+    requires a 2x2 outcome grid.
     """
-    state = ms.as_pure_state(split)
+    state = ms.as_pure_state()
     if measure == "concurrence" and state.dims != (2, 2):
         # checked here as well, so that the message names the outcome grid
         raise ValidationError(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -24,29 +23,6 @@ from .protocols import ProtocolSpec
 
 STATE_NORM_ACCEPT = 1e-8
 STATE_NORM_REPAIR = 1e-4
-# loosest completeness tolerance the environment may set; beyond it an
-# incomplete set would pass and yield a meaningless image
-TOLERANCE_CAP = 1e-4
-
-
-def default_tolerance() -> float:
-    """Completeness tolerance for loaders; MSPACE_DEFAULT_TOL overrides it.
-
-    An override must be a finite number in (0, TOLERANCE_CAP].
-    """
-    raw = os.environ.get("MSPACE_DEFAULT_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise ValidationError("tolerance-env", f"MSPACE_DEFAULT_TOL={raw!r} is not a number") from exc
-    # the chained comparison is false for NaN as well
-    if not 0.0 < tol <= TOLERANCE_CAP:
-        raise ValidationError(
-            "tolerance-env", f"MSPACE_DEFAULT_TOL={raw!r} is not in (0, {TOLERANCE_CAP!r}]"
-        )
-    return tol
 
 
 def pairs_to_vector(pairs: Sequence[Sequence[float]]) -> np.ndarray:
@@ -120,7 +96,7 @@ def load_state(source: str, dims: Sequence[int] | None = None) -> PureState:
     return state_from_obj(_read_json(source))
 
 
-def measurement_set_from_obj(obj: Any, tol: float | None = None) -> MeasurementSet:
+def measurement_set_from_obj(obj: Any, tol: float = DEFAULT_TOL) -> MeasurementSet:
     if not isinstance(obj, dict) or "dim" not in obj or "operators" not in obj:
         raise ValidationError("measurement-schema", "measurement files need 'dim' and 'operators'")
     dim = int(obj["dim"])
@@ -132,15 +108,16 @@ def measurement_set_from_obj(obj: Any, tol: float | None = None) -> MeasurementS
             )
         ops.append((str(entry["label"]), pairs_to_matrix(entry["matrix"])))
     mset = MeasurementSet(dim, tuple(ops))
-    mset.assert_complete(default_tolerance() if tol is None else tol)
+    mset.assert_complete(tol)
     return mset
 
 
-def load_measurement_set(source: str, dim: int | None = None, tol: float | None = None) -> MeasurementSet:
+def load_measurement_set(source: str, dim: int | None = None, tol: float = DEFAULT_TOL) -> MeasurementSet:
     """Load a measurement set from a file path or a built-in family name.
 
     Families: ``z-projectors`` (dimension from context), ``noisy:<eta>``
-    (qubit pair) and ``random:<outcomes>:<seed>``.
+    (qubit pair) and ``random:<outcomes>:<seed>``. A file's set must be
+    complete within ``tol``.
     """
     if source == "z-projectors":
         return z_projectors(dim or 2)
@@ -165,7 +142,10 @@ def load_measurement_set(source: str, dim: int | None = None, tol: float | None 
 
 
 def load_protocol(path: str) -> ProtocolSpec:
-    """Load a protocol file: state, Alice's set, Bob's unitaries, verify pairs."""
+    """Load a protocol file: state, Alice's set, Bob's unitaries, verify pairs.
+
+    Alice's set must be complete within ``DEFAULT_TOL``, as ``ProtocolBatch`` demands.
+    """
     obj = _read_json(path)
     if not isinstance(obj, dict):
         raise ValidationError("protocol-schema", "protocol files must be JSON objects")

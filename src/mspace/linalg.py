@@ -20,6 +20,8 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 NORM_TOL = 1e-10
+# how far from Hermitian a matrix handed to eig_hermitian may be
+HERMITIAN_TOL = 1e-8
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -50,14 +52,6 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         return False
     return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) <= tol
-
-
-def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    eye = np.eye(a.shape[0])
-    return float(np.max(np.abs(a.conj().T @ a - eye))) <= tol
 
 
 def _require(
@@ -168,9 +162,11 @@ class PureState:
 
     @classmethod
     def basis(cls, dims: Sequence[int], index: int) -> "PureState":
+        dims = tuple(int(d) for d in dims)
+        _check_dims(dims)
         vec = np.zeros(math.prod(dims), dtype=complex)
         vec[index] = 1.0
-        return cls(tuple(dims), vec)
+        return cls(dims, vec)
 
 
 def bell_phi_plus() -> PureState:
@@ -246,7 +242,7 @@ def ptrace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> 
     return reduced.reshape(dk, dk)
 
 
-def eig_hermitian(h: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix or a ``(..., d, d)`` stack of them.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues descending and
@@ -256,8 +252,8 @@ def eig_hermitian(h: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndar
     matrix the same as single calls.
     """
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, tol):
-        raise ValidationError("hermitian", f"matrix is not Hermitian within {tol!r}")
+    if not is_hermitian(h, HERMITIAN_TOL):
+        raise ValidationError("hermitian", f"matrix is not Hermitian within {HERMITIAN_TOL!r}")
     w, v = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2.0)
     w = w[..., ::-1].copy()
     v = v[..., ::-1]

@@ -23,6 +23,7 @@ import numpy as np
 from .entanglement import concurrence_mixed, concurrence_pure
 from .linalg import (
     DEFAULT_TOL,
+    NORM_TOL,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -49,18 +50,22 @@ from .measurement import (
 
 ZERO_BRANCH_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
+KONRAD_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
 # dilation
 
 
-def build_dilation(psi: PureState, measurements: LocalMeasurementSet) -> PureState:
+def build_dilation(
+    psi: PureState, measurements: LocalMeasurementSet, completeness_tol: float = DEFAULT_TOL
+) -> PureState:
     """Attach one ancilla per party and entangle it with the local outcomes.
 
     The result lives on (sys_A, sys_B, anc_A, anc_B), in that order: its
-    ``[:, :, a, b]`` slice is ``A_a Psi B_b^T``. The completeness of both
-    sets makes it normalized.
+    ``[:, :, a, b]`` slice is ``A_a Psi B_b^T``. Both sets must be complete
+    within ``completeness_tol``, which makes it nearly normalized; when its
+    squared norm misses 1 by more than ``NORM_TOL`` the norm is divided out.
     """
     if len(psi.dims) != 2:
         raise ValidationError("dilation-state", f"need a bipartite state, got dims {psi.dims}")
@@ -70,10 +75,16 @@ def build_dilation(psi: PureState, measurements: LocalMeasurementSet) -> PureSta
             f"state dims {psi.dims} do not match measurement dims "
             f"({measurements.alice.dim}, {measurements.bob.dim})",
         )
-    measurements.alice.assert_complete(DEFAULT_TOL)
-    measurements.bob.assert_complete(DEFAULT_TOL)
+    measurements.alice.assert_complete(completeness_tol)
+    measurements.bob.assert_complete(completeness_tol)
     t = local_product(psi.reshaped(), measurements.alice.stack, measurements.bob.stack)
-    return PureState(psi.dims + measurements.structure, t.transpose(2, 3, 0, 1).reshape(-1))
+    vec = t.transpose(2, 3, 0, 1).reshape(-1)
+    norm = np.linalg.norm(vec)
+    # the squared norm is the trace of the ancilla output; within NORM_TOL
+    # the vector is left alone, so that complete sets keep every bit
+    if abs(norm * norm - 1.0) > NORM_TOL:
+        vec = vec / norm
+    return PureState(psi.dims + measurements.structure, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -89,28 +100,28 @@ class FourierStep:
     onto for outcome ``j`` when its ancilla reads ``m``.
     ``outcome_totals[..., j]`` is the total probability of outcome ``j``
     across ancilla labels, which the construction predicts to be ``1/d``.
-    ``max_deviation``, ``uniform`` and ``degenerate`` hold one value per
-    batch entry; a deviation is reported, never raised.
+    ``max_deviation`` and ``degenerate`` hold one value per batch entry; a
+    deviation is reported, never raised.
     """
 
     vectors: np.ndarray
     eigenvalues: np.ndarray
     outcome_totals: np.ndarray
     max_deviation: np.ndarray
-    uniform: np.ndarray
     degenerate: np.ndarray
 
 
-def fourier_step(blocks: np.ndarray, tol: float = DEFAULT_TOL) -> FourierStep:
+def fourier_step(blocks: np.ndarray) -> FourierStep:
     """Eigendecompose each block of a ``(..., n, d, d)`` stack and Fourier-transform its eigenbasis.
 
-    Verifies that every Fourier outcome carries total probability ``1/dim``.
-    A deviation beyond ``tol`` is recorded as a diagnostic rather than raised,
-    since it would falsify the uniformity prediction, not the computation.
+    Measures how far each Fourier outcome's total probability is from
+    ``1/dim``. The deviation is recorded as a diagnostic rather than
+    raised, since it would falsify the uniformity prediction, not the
+    computation.
     """
     blocks = np.asarray(blocks, dtype=complex)
     dim = blocks.shape[-1]
-    eigvals, eigvecs = eig_hermitian(blocks, tol=1e-8)
+    eigvals, eigvecs = eig_hermitian(blocks)
     vectors = eigvecs @ fourier_matrix(dim).T
     # totals[j] = sum_m <omega_mj| block_m |omega_mj>
     totals = np.einsum("...mij,...mij->...j", vectors.conj(), blocks @ vectors).real
@@ -120,7 +131,6 @@ def fourier_step(blocks: np.ndarray, tol: float = DEFAULT_TOL) -> FourierStep:
         eigenvalues=frozen(eigvals),
         outcome_totals=totals,
         max_deviation=max_dev,
-        uniform=max_dev <= tol,
         degenerate=np.any(np.abs(np.diff(eigvals, axis=-1)) < DEGENERACY_TOL, axis=(-2, -1)),
     )
 
@@ -176,7 +186,7 @@ class LoccTrace:
     branch_diagonal_deviations: np.ndarray
 
 
-def _measure_party(t: np.ndarray, party: str, tol: float) -> tuple[np.ndarray, PartyMove]:
+def _measure_party(t: np.ndarray, party: str) -> tuple[np.ndarray, PartyMove]:
     """One party's move for all of its outcomes at once.
 
     ``t`` is a ``(..., sys, anc, other sys, other anc)`` stack of states in
@@ -189,7 +199,7 @@ def _measure_party(t: np.ndarray, party: str, tol: float) -> tuple[np.ndarray, P
     """
     d = t.shape[-4]
     blocks = frozen(np.einsum("...imxy,...jmxy->...mij", t, t.conj()))
-    fs = fourier_step(blocks, tol)
+    fs = fourier_step(blocks)
     omega = fs.vectors  # [..., m, i, j]: column j is omega_j in sector m
     coef = np.einsum("...mij,...imxy->...jmxy", omega.conj(), t)
     probs = np.einsum("...jmxy,...jmxy->...j", coef, coef.conj()).real
@@ -211,7 +221,7 @@ def _measure_party(t: np.ndarray, party: str, tol: float) -> tuple[np.ndarray, P
 
 
 def run_locc_construction(
-    psi: PureState, measurements: LocalMeasurementSet, tol: float = DEFAULT_TOL
+    psi: PureState, measurements: LocalMeasurementSet, completeness_tol: float = DEFAULT_TOL
 ) -> LoccTrace:
     """Run the two-party construction and audit its bookkeeping.
 
@@ -220,13 +230,14 @@ def run_locc_construction(
     outcomes. That one pass covers every outcome branch. The branches are
     accumulated into the procedure's deterministic ancilla output, whose
     diagonal is checked against the squared measurement-space amplitudes.
+    Both sets must be complete within ``completeness_tol``, as for the map.
     """
-    dilated = build_dilation(psi, measurements)
+    dilated = build_dilation(psi, measurements, completeness_tol)
     d_a, d_b, n_a, n_b = dilated.dims
-    image = map_to_measurement_space(psi, measurements)
+    image = map_to_measurement_space(psi, measurements, completeness_tol)
     # party layouts: Alice's (sys_A, anc_A, sys_B, anc_B), Bob's (sys_B, anc_B, sys_A, anc_A)
-    after_alice, alice = _measure_party(dilated.reshaped().transpose(0, 2, 1, 3), "A", tol)
-    after_bob, bob = _measure_party(after_alice.transpose(0, 3, 4, 1, 2), "B", tol)
+    after_alice, alice = _measure_party(dilated.reshaped().transpose(0, 2, 1, 3), "A")
+    after_bob, bob = _measure_party(after_alice.transpose(0, 3, 4, 1, 2), "B")
     # row j_a * d_b + j_b: the branch's (anc_A, anc_B) part next to |0>|0>
     flat = after_bob[:, :, 0, :, 0, :].swapaxes(-1, -2).reshape(d_a * d_b, n_a * n_b)
     leak = 1.0 - np.sum(np.abs(flat) ** 2, axis=1)
@@ -359,10 +370,8 @@ class TwoSidedReport:
     holds: bool
 
 
-def konrad_two_sided_check(
-    psi: PureState, channel_a: Channel, channel_b: Channel, tol: float = 1e-8
-) -> TwoSidedReport:
-    """Check C((L_A x L_B) psi) <= C((L_A x 1) phi+) C((1 x L_B) phi+) C(psi)."""
+def konrad_two_sided_check(psi: PureState, channel_a: Channel, channel_b: Channel) -> TwoSidedReport:
+    """Check C((L_A x L_B) psi) <= C((L_A x 1) phi+) C((1 x L_B) phi+) C(psi) within ``KONRAD_TOL``."""
     if psi.dims != (2, 2):
         raise ValidationError("konrad-state", f"need a two-qubit state, got dims {psi.dims}")
     if channel_a.dim != 2 or channel_b.dim != 2:
@@ -374,4 +383,4 @@ def konrad_two_sided_check(
         * concurrence_mixed(channel_output(bell, _QUBIT_IDENTITY, channel_b.kraus))
         * concurrence_pure(psi)
     )
-    return TwoSidedReport(lhs=lhs, bound=bound, slack=bound - lhs, holds=lhs <= bound + tol)
+    return TwoSidedReport(lhs=lhs, bound=bound, slack=bound - lhs, holds=lhs <= bound + KONRAD_TOL)

@@ -181,26 +181,15 @@ class MeasurementSpaceState:
     def probabilities(self) -> np.ndarray:
         return self.amplitudes**2
 
-    def as_pure_state(self, split: tuple[int, int] | None = None) -> PureState:
-        """View the image as a bipartite pure state.
+    def as_pure_state(self) -> PureState:
+        """View the image as a bipartite pure state over its attached outcome structure.
 
-        Uses the attached outcome structure, or an explicit factorization of
-        the outcome count. Without either there is no canonical bipartition,
-        so the call is rejected.
+        Without a structure there is no canonical bipartition, so the call
+        is rejected.
         """
-        shape = split if split is not None else self.structure
-        if shape is None:
-            raise ValidationError(
-                "mspace-factorization",
-                "no bipartite structure attached; supply an explicit outcome factorization",
-            )
-        na, nb = (int(x) for x in shape)
-        if na * nb != self.amplitudes.size:
-            raise ValidationError(
-                "mspace-factorization",
-                f"{na}x{nb} does not factor {self.amplitudes.size} outcomes",
-            )
-        return PureState((na, nb), self.amplitudes.astype(complex))
+        if self.structure is None:
+            raise ValidationError("mspace-factorization", "no bipartite outcome structure attached")
+        return PureState(self.structure, self.amplitudes.astype(complex))
 
 
 def local_product(psi: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
@@ -337,12 +326,7 @@ def map_to_measurement_space(
     return MeasurementSpaceState(measurements.labels, _image(probs), structure)
 
 
-def random_measurement_set(
-    dim: int,
-    n_outcomes: int,
-    seed: int | np.random.Generator,
-    label_prefix: str = "",
-) -> MeasurementSet:
+def random_measurement_set(dim: int, n_outcomes: int, seed: int | np.random.Generator) -> MeasurementSet:
     """Random complete measurement set with ``n_outcomes`` operators.
 
     Slices the first block-column of a Haar unitary of size
@@ -352,9 +336,7 @@ def random_measurement_set(
     if n_outcomes < 1:
         raise ValidationError("measurement-outcomes", "need at least one outcome")
     u = haar_unitary(n_outcomes * dim, _as_rng(seed))
-    ops = tuple(
-        (f"{label_prefix}{m}", u[m * dim : (m + 1) * dim, :dim]) for m in range(n_outcomes)
-    )
+    ops = tuple((str(m), u[m * dim : (m + 1) * dim, :dim]) for m in range(n_outcomes))
     return MeasurementSet(dim, ops)
 
 

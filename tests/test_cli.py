@@ -8,10 +8,16 @@ import sys
 import numpy as np
 import pytest
 
-from mspace.cli import main
-from mspace.files import matrix_to_pairs, measurement_set_to_obj, state_to_obj
+from mspace.cli import MAX_ROWS, main
+from mspace.files import load_measurement_set, matrix_to_pairs, measurement_set_to_obj, state_to_obj
 from mspace.linalg import PureState, bell_phi_plus
-from mspace.measurement import noisy_pair, z_projectors
+from mspace.locc import run_locc_construction
+from mspace.measurement import (
+    LocalMeasurementSet,
+    map_to_measurement_space,
+    noisy_pair,
+    z_projectors,
+)
 
 P0 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 
@@ -36,6 +42,22 @@ def plus_state_file(tmp_path):
 @pytest.fixture
 def zproj_file(tmp_path):
     return write_json(tmp_path / "z.json", measurement_set_to_obj(z_projectors(2)))
+
+
+@pytest.fixture
+def loose_set_file(tmp_path):
+    """A qubit set that misses completeness by ~1e-6: rejected by default,
+    accepted when the environment loosens the tolerance."""
+    eps = 1e-6
+    m0 = np.diag([np.sqrt(1 - eps), 1.0]).astype(complex)
+    ops = {
+        "dim": 2,
+        "operators": [
+            {"label": "0", "matrix": matrix_to_pairs(m0 @ np.diag([1.0, 0.0]))},
+            {"label": "1", "matrix": matrix_to_pairs(np.diag([0.0, 1.0]).astype(complex))},
+        ],
+    }
+    return write_json(tmp_path / "loose.json", ops)
 
 
 class TestMap:
@@ -129,6 +151,15 @@ class TestMap:
         )
         assert code == 2 and "dimension-match" in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("map", "--dims", "0", "--measurements", "z-projectors"),
+        ("entanglement", "--dims=2,0"),
+        ("entanglement", "--dims=-1,2"),
+    ])  # fmt: skip
+    def test_product0_bad_dims_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv[0], "--state", "product0", *argv[1:])
+        assert code == 2 and "error: state-dims: " in err and out == ""
 
 
 class TestEntanglement:
@@ -463,6 +494,30 @@ class TestSweep:
         assert code == 2 and "sweep-state" in err
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the row count was checked")
+
+
+class TestRowCap:
+    # the function each command calls first for its rows, which must not run
+    @pytest.mark.parametrize("argv, first_step", [
+        (("sweep", "--steps", str(10**12)), "bell_phi_plus"),
+        (("sweep", "--steps", str(MAX_ROWS + 1)), "bell_phi_plus"),
+        (("konrad", "--seed", "1", "--trials", str(MAX_ROWS + 1)), "haar_state"),
+        (("theorem1", "--random", "--seed", "1", "--trials", str(MAX_ROWS + 1)), "random_protocol_batches"),
+        (("modes", "--n-max", str(MAX_ROWS + 1), "--m-max", "2"), "useful_entanglement_bound"),
+        (("modes", "--n-max", str(MAX_ROWS // 7 + 1), "--m-max", "8"), "useful_entanglement_bound"),
+    ])  # fmt: skip
+    def test_too_many_rows_rejected_before_any_work(self, capsys, monkeypatch, argv, first_step):
+        monkeypatch.setattr(f"mspace.cli.{first_step}", _no_work)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and "error: flag-format: " in err and out == ""
+
+    def test_largest_grid_in_use_is_under_the_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "modes", "--n-max", "60", "--m-max", "8")
+        assert code == 0 and len(json.loads(out)["results"]) == 420 <= MAX_ROWS
+
+
 class TestReportContract:
     def test_identical_seed_identical_bytes(self, capsys):
         argv = ["konrad", "--trials", "10", "--seed", "5"]
@@ -493,19 +548,8 @@ class TestReportContract:
         ]
         assert len(lines) == 4
 
-    def test_env_tolerance_override(self, capsys, tmp_path, monkeypatch):
-        # a set that misses completeness by ~1e-6: rejected by default,
-        # accepted when the environment loosens the tolerance
-        eps = 1e-6
-        m0 = np.diag([np.sqrt(1 - eps), 1.0]).astype(complex)
-        ops = {
-            "dim": 2,
-            "operators": [
-                {"label": "0", "matrix": matrix_to_pairs(m0 @ np.diag([1.0, 0.0]))},
-                {"label": "1", "matrix": matrix_to_pairs(np.diag([0.0, 1.0]).astype(complex))},
-            ],
-        }
-        path = write_json(tmp_path / "loose.json", ops)
+    def test_env_tolerance_override(self, capsys, loose_set_file, monkeypatch):
+        path = loose_set_file
         code, _, err = run_cli(capsys, "map", "--state", "product0", "--dims", "2",
                                "--measurements", path)
         assert code == 2 and "completeness" in err
@@ -513,6 +557,30 @@ class TestReportContract:
         code, out, _ = run_cli(capsys, "map", "--state", "product0", "--dims", "2",
                                "--measurements", path)
         assert code == 0
+
+    @pytest.mark.parametrize("command", [["map"], ["entanglement"], ["locc", "--all-outcomes"]])
+    def test_env_tolerance_governs_map_entanglement_and_locc(
+        self, capsys, loose_set_file, monkeypatch, command
+    ):
+        argv = [*command, "--state", "bell", "--alice", loose_set_file, "--bob", "z-projectors"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and "error: completeness: " in err and out == ""
+        monkeypatch.setenv("MSPACE_DEFAULT_TOL", "1e-4")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["parameters"]["tolerance"] == 1e-4
+        if command[0] == "locc":
+            assert report["passed"] is True and len(report["results"]) == 4
+
+    def test_library_reads_no_environment(self, zproj_file, monkeypatch):
+        # only the command line reads MSPACE_DEFAULT_TOL; the library takes the tolerance
+        monkeypatch.setenv("MSPACE_DEFAULT_TOL", "garbage")
+        zproj = load_measurement_set(zproj_file)
+        local = LocalMeasurementSet(zproj, zproj)
+        image = map_to_measurement_space(bell_phi_plus(), local)
+        trace = run_locc_construction(bell_phi_plus(), local)
+        np.testing.assert_allclose(trace.ancilla_diagonal, image.probabilities(), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1e-10", "1e-3"])
     def test_env_tolerance_must_be_finite_and_in_range(self, capsys, monkeypatch, value):

@@ -1,5 +1,7 @@
 """Entanglement measures and their behavior under the measurement-space map."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -213,7 +215,8 @@ class TestOperationalEntanglement:
         assert image.structure is None
         with pytest.raises(ValidationError, match="factorization"):
             measurement_space_entanglement(image, "entropy")
-        value = measurement_space_entanglement(image, "entropy", split=(2, 2))
+        # the factorization is given by attaching the outcome structure
+        value = measurement_space_entanglement(dataclasses.replace(image, structure=(2, 2)), "entropy")
         assert value >= 0.0
 
     def test_report_range_validation(self):

@@ -115,7 +115,7 @@ class TestFourierStep:
     def test_uniform_totals_for_qubit_blocks(self):
         step = fourier_step(alice_blocks(bell_phi_plus(), noisy_local_set()))
         np.testing.assert_allclose(step.outcome_totals, [0.5, 0.5], atol=1e-12)
-        assert step.uniform and step.max_deviation < 1e-10
+        assert step.max_deviation < 1e-10
 
     def test_maximally_mixed_block(self):
         # <w| block |w> = trace / n for every unit vector when block = 1/n
@@ -189,7 +189,8 @@ class TestRunLoccConstruction:
         trace = run_locc_construction(psi, local)
         assert abs(trace.alice.probabilities[1] - 1 / 2) < 1e-10
         assert abs(trace.bob.probabilities[1, 2] - 1 / 3) < 1e-10
-        assert trace.alice.fourier.uniform and trace.bob.fourier.uniform[1]
+        assert trace.alice.fourier.max_deviation <= 1e-10
+        assert trace.bob.fourier.max_deviation[1] <= 1e-10
 
     def test_alice_outcomes_exhaust_probability(self):
         rng = np.random.default_rng(47)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mspace.locc as locc
-from mspace.linalg import DEFAULT_TOL, haar_state
+from mspace.linalg import haar_state
 from mspace.measurement import random_local_set
 
 
@@ -63,13 +63,11 @@ def test_batched_bob_move_equals_one_move_per_alice_outcome():
         d_a, d_b, n_a, n_b = (int(x) for x in rng.integers(1, 6, size=4))
         psi = haar_state((d_a, d_b), rng)
         dilated = locc.build_dilation(psi, random_local_set(d_a, d_b, n_a, n_b, rng))
-        after_alice, _ = locc._measure_party(
-            dilated.reshaped().transpose(0, 2, 1, 3), "A", DEFAULT_TOL
-        )
+        after_alice, _ = locc._measure_party(dilated.reshaped().transpose(0, 2, 1, 3), "A")
         bob_layout = after_alice.transpose(0, 3, 4, 1, 2)
-        states, move = locc._measure_party(bob_layout, "B", DEFAULT_TOL)
+        states, move = locc._measure_party(bob_layout, "B")
         for j_a in range(d_a):
-            one_states, one = locc._measure_party(bob_layout[j_a], "B", DEFAULT_TOL)
+            one_states, one = locc._measure_party(bob_layout[j_a], "B")
             assert np.array_equal(states[j_a], one_states)
             for name in ("blocks", "probabilities", "conditional_unitaries", "skipped"):
                 assert np.array_equal(getattr(move, name)[j_a], getattr(one, name)), name

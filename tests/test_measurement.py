@@ -1,5 +1,7 @@
 """Measurement sets and the measurement-space map."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -187,9 +189,10 @@ class TestSetConstruction:
         flat = MeasurementSpaceState(("a", "b", "c", "d"), np.full(4, 0.5))
         with pytest.raises(ValidationError, match="factorization"):
             flat.as_pure_state()
-        assert flat.as_pure_state((2, 2)).dims == (2, 2)
-        with pytest.raises(ValidationError, match="factorization"):
-            flat.as_pure_state((3, 2))
+        assert dataclasses.replace(flat, structure=(2, 2)).as_pure_state().dims == (2, 2)
+        # a structure that does not factor the outcome count is refused when attached
+        with pytest.raises(ValidationError, match="structure"):
+            dataclasses.replace(flat, structure=(3, 2))
 
 
 def test_nan_amplitude_fails_normalization():

@@ -309,3 +309,31 @@ def test_batched_scores_equal_per_spec_scores(specs):
             for y, m in enumerate(pair):
                 p = np.linalg.norm(np.kron(a, m @ u) @ spec.state.vector) ** 2
                 assert abs(tables[t, k, y] - p) < 1e-12
+
+
+def _perturbed(mset, eps, rng):
+    """``mset`` with each operator multiplied by ``1 + eps H`` for one random
+    Hermitian ``H`` whose entries are at most 1 in modulus."""
+    d = mset.dim
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = (z + z.conj().T) / 2.0
+    h /= max(float(np.max(np.abs(h))), 1.0)
+    skew = np.eye(d) + eps * h
+    return MeasurementSet(d, tuple((label, op @ skew) for label, op in mset.operators))
+
+
+@PROFILE
+@given(local_case(top=4), st.floats(1e-9, 1e-4), st.floats(0.0, 1.0))
+def test_construction_follows_the_map_under_a_loosened_tolerance(case, tol, share):
+    psi, local = case
+    rng = np.random.default_rng(int(share * 2**32))
+    # each party's Gram deviation stays below about tol / 8, the product's below tol / 3
+    eps = share * tol / 16.0
+    loose = LocalMeasurementSet(_perturbed(local.alice, eps, rng), _perturbed(local.bob, eps, rng))
+    gram = np.kron(*(np.einsum("mji,mjk->ik", s.stack.conj(), s.stack) for s in (loose.alice, loose.bob)))
+    assert float(np.max(np.abs(gram - np.eye(psi.dim)))) <= tol
+    trace = run_locc_construction(psi, loose, tol)
+    expected = map_to_measurement_space(psi, loose, tol).probabilities()
+    np.testing.assert_allclose(trace.ancilla_diagonal, expected, rtol=0, atol=1e-9)
+    norms = np.linalg.norm(trace.branch_ancillas, axis=1)
+    np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
