@@ -41,9 +41,7 @@ from .locc import (
     build_dilation,
     depolarizing_channel,
     fourier_step,
-    identity_channel,
-    konrad_single_sided_check,
-    konrad_two_sided_check,
+    konrad_check,
     random_channel,
     run_locc_construction,
 )

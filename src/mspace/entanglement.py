@@ -41,33 +41,36 @@ def entropy_of_entanglement(psi: PureState) -> float:
     return shannon_entropy(coeffs**2)
 
 
-def concurrence_pure(psi: PureState) -> float:
-    """Concurrence of a two-qubit pure state: 2 |a00 a11 - a01 a10|."""
-    if psi.dims != (2, 2):
-        raise ValidationError("concurrence-dims", f"need a 2x2 pure state, got dims {psi.dims}")
-    a = psi.reshaped()
-    return float(2.0 * abs(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]))
+def concurrence_pure(amplitudes: np.ndarray) -> float | np.ndarray:
+    """Concurrence 2 |a00 a11 - a01 a10| of a ``(2, 2)`` amplitude matrix, or of each in a stack."""
+    a = np.asarray(amplitudes, dtype=complex)
+    if a.shape[-2:] != (2, 2):
+        raise ValidationError("concurrence-dims", f"need 2x2 amplitudes, got shape {a.shape}")
+    (r00, r01), (r10, r11) = np.moveaxis(a.real, (-2, -1), (0, 1))
+    (i00, i01), (i10, i11) = np.moveaxis(a.imag, (-2, -1), (0, 1))
+    # real products and hypot round as numpy's scalar complex product and abs() do
+    re = (r00 * r11 - i00 * i11) - (r01 * r10 - i01 * i10)
+    im = (r00 * i11 + i00 * r11) - (r01 * i10 + i01 * r10)
+    c = 2.0 * np.hypot(re, im)
+    return float(c) if c.ndim == 0 else c
 
 
-def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def concurrence_mixed(rho: DensityMatrix) -> float:
-    """Concurrence of a two-qubit density matrix.
+def concurrence_mixed(rho: DensityMatrix) -> float | np.ndarray:
+    """Concurrence of a two-qubit density matrix, or of each matrix in a stack.
 
     C = max(0, l1 - l2 - l3 - l4) with the l_i the descending square roots of
     the eigenvalues of rho (Y x Y) rho* (Y x Y). Those eigenvalues equal the
     squared singular values of sqrt(rho) (Y x Y) sqrt(rho)*, and the SVD is
     numerically stabler than the eigenvalues of the non-Hermitian product.
+    A stack gives one value per matrix, bit for bit that of its own call.
     """
     if rho.dims != (2, 2):
         raise ValidationError("concurrence-dims", f"need a 2x2 density matrix, got {rho.dims}")
-    s = _sqrtm_psd(rho.matrix)
+    w, v = np.linalg.eigh(rho.matrix)
+    s = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)  # sqrt(rho)
     lam = np.linalg.svd(s @ _YY @ s.conj(), compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return float(c) if c.ndim == 0 else c
 
 
 def eof_from_concurrence(c: float) -> float:
@@ -115,7 +118,9 @@ def pure_entanglement(psi: PureState, measure: str) -> float:
     if measure == "entropy" or (measure == "eof" and psi.dims != (2, 2)):
         value = entropy_of_entanglement(psi)
     else:
-        c = concurrence_pure(psi)
+        if psi.dims != (2, 2):
+            raise ValidationError("concurrence-dims", f"need a 2x2 pure state, got dims {psi.dims}")
+        c = concurrence_pure(psi.reshaped())
         value = c if measure == "concurrence" else eof_from_concurrence(c)
     split = (psi.dims[0], psi.dim // psi.dims[0])
     return EntanglementReport(measure, value, split).value

@@ -176,7 +176,11 @@ def bell_phi_plus() -> PureState:
 
 @dataclasses.dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix over subsystems."""
+    """Hermitian, unit-trace, positive-semidefinite matrix over subsystems.
+
+    ``matrix`` is one ``(d, d)`` matrix or a ``(..., d, d)`` stack of them
+    over ``dims``; a failed check in a stack names the first bad matrix.
+    """
 
     dims: tuple[int, ...]
     matrix: np.ndarray
@@ -187,16 +191,21 @@ class DensityMatrix:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
         d = math.prod(dims)
-        if mat.shape != (d, d):
+        if mat.shape[-2:] != (d, d):
             raise ValidationError("density-shape", f"matrix shape {mat.shape}, expected {(d, d)}")
-        if not is_hermitian(mat, DEFAULT_TOL):
-            raise ValidationError("density-hermitian", "matrix is not Hermitian within 1e-10")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > DEFAULT_TOL:
-            raise ValidationError("density-trace", f"trace is {tr!r}, expected 1")
-        lo = float(np.min(np.linalg.eigvalsh(mat)))
-        if lo < -DEFAULT_TOL:
-            raise ValidationError("density-positivity", f"smallest eigenvalue {lo!r} < -1e-10")
+        skew = np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)), axis=(-2, -1))
+        tr = np.trace(mat, axis1=-2, axis2=-1)
+        lo = np.min(np.linalg.eigvalsh(mat), axis=-1)
+        checks = (
+            (skew <= DEFAULT_TOL, "density-hermitian", lambda i: "matrix is not Hermitian within 1e-10"),
+            (abs(tr - 1.0) <= DEFAULT_TOL, "density-trace",
+             lambda i: f"trace is {complex(tr[i])!r}, expected 1"),
+            (lo >= -DEFAULT_TOL, "density-positivity",
+             lambda i: f"smallest eigenvalue {float(lo[i])!r} < -1e-10"),
+        )  # fmt: skip
+        for ok, invariant, describe in checks:
+            # in a stack, the message names the first bad matrix
+            _require(ok, invariant, lambda i: (f"matrix {i}: " if i else "") + describe(i))
 
     @property
     def dim(self) -> int:

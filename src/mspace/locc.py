@@ -1,5 +1,5 @@
 """Local construction that realizes the measurement-space map, plus
-concurrence factorization checks for quantum channels.
+the concurrence factorization check for quantum channels.
 
 The construction dilates a bipartite state with one measurement ancilla per
 party, has each party measure in the Fourier transform of the eigenbasis of
@@ -298,10 +298,6 @@ class Channel:
         return np.einsum("kij,jl,kml->im", self.kraus, rho, self.kraus.conj())
 
 
-def identity_channel(dim: int = 2) -> Channel:
-    return Channel((np.eye(dim, dtype=complex),))
-
-
 def depolarizing_channel(p: float) -> Channel:
     """Qubit depolarizing channel; p = 1 sends everything to 1/2."""
     if not 0.0 <= p <= 1.0:
@@ -324,63 +320,46 @@ def random_channel(dim: int, n_kraus: int, seed: int | np.random.Generator) -> C
     return Channel(u[:, :dim].reshape(n_kraus, dim, dim))
 
 
-# the one-operator Kraus stack of the qubit identity channel, for the untouched side
-_QUBIT_IDENTITY = identity_channel().kraus
+def channel_output(psi: np.ndarray, kraus_a: np.ndarray, kraus_b: np.ndarray) -> DensityMatrix:
+    """(L_A x L_B)|psi><psi| for amplitudes ``psi`` and Kraus stacks ``kraus_a``, ``kraus_b``.
 
-
-def channel_output(psi: PureState, kraus_a: np.ndarray, kraus_b: np.ndarray) -> DensityMatrix:
-    """(L_A x L_B)|psi><psi| for Kraus stacks ``kraus_a`` and ``kraus_b``.
-
-    With ``T = local_product(Psi, K_A, K_B)`` the output is
+    ``psi`` is a ``(d_a, d_b)`` amplitude matrix and the Kraus stacks are
+    ``(k, d, d)``; leading axes of the three broadcast, as in
+    ``local_product``, to a ``(..., d_a d_b, d_a d_b)`` stack. With
+    ``T = local_product(psi, K_A, K_B)`` the output is
     ``sum_ab vec(T_ab) vec(T_ab)^dag``, since ``vec(T_ab)`` is the vector
     ``(K_a (x) K_b)|psi>``.
     """
-    t = local_product(psi.reshaped(), kraus_a, kraus_b).reshape(-1, psi.dim)
-    return DensityMatrix(psi.dims, t.T @ t.conj())
+    t = local_product(psi, kraus_a, kraus_b)
+    d_a, d_b = t.shape[-2:]
+    t = t.reshape(*t.shape[:-4], -1, d_a * d_b)
+    return DensityMatrix((d_a, d_b), t.swapaxes(-1, -2) @ t.conj())
 
 
-@dataclasses.dataclass(frozen=True)
-class FactorizationReport:
-    lhs: float
-    rhs: float
-    residual: float
+def konrad_check(
+    psi: np.ndarray, kraus_a: np.ndarray, kraus_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of C((L_A x L_B) psi) <= C((L_A x 1) phi+) C((1 x L_B) phi+) C(psi), per trial.
 
-
-def konrad_single_sided_check(psi: PureState, channel: Channel) -> FactorizationReport:
-    """Check C((L x 1) psi) = C((L x 1) phi+) * C(psi) for a qubit channel.
-
-    Both sides are computed independently; the report carries their values
-    and the absolute residual.
+    ``psi`` is a ``(t, 2, 2)`` amplitude stack and ``kraus_a``, ``kraus_b``
+    are ``(t, k, 2, 2)`` Kraus stacks, each zero-padded to its own ``k``.
+    Returns ``(lhs, bound)``. With L_B the identity the bound is met with
+    equality, which is the one-sided check.
     """
-    if psi.dims != (2, 2):
-        raise ValidationError("konrad-state", f"need a two-qubit state, got dims {psi.dims}")
-    if channel.dim != 2:
-        raise ValidationError("konrad-channel", f"need a qubit channel, got dim {channel.dim}")
-    lhs = concurrence_mixed(channel_output(psi, channel.kraus, _QUBIT_IDENTITY))
-    factor = concurrence_mixed(channel_output(bell_phi_plus(), channel.kraus, _QUBIT_IDENTITY))
-    rhs = factor * concurrence_pure(psi)
-    return FactorizationReport(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
-
-
-@dataclasses.dataclass(frozen=True)
-class TwoSidedReport:
-    lhs: float
-    bound: float
-    slack: float
-    holds: bool
-
-
-def konrad_two_sided_check(psi: PureState, channel_a: Channel, channel_b: Channel) -> TwoSidedReport:
-    """Check C((L_A x L_B) psi) <= C((L_A x 1) phi+) C((1 x L_B) phi+) C(psi) within ``KONRAD_TOL``."""
-    if psi.dims != (2, 2):
-        raise ValidationError("konrad-state", f"need a two-qubit state, got dims {psi.dims}")
-    if channel_a.dim != 2 or channel_b.dim != 2:
+    if psi.shape[-2:] != (2, 2):
+        raise ValidationError("konrad-state", f"need two-qubit amplitudes, got shape {psi.shape}")
+    if kraus_a.shape[-2:] != (2, 2) or kraus_b.shape[-2:] != (2, 2):
         raise ValidationError("konrad-channel", "both channels must act on qubits")
-    bell = bell_phi_plus()
-    lhs = concurrence_mixed(channel_output(psi, channel_a.kraus, channel_b.kraus))
-    bound = (
-        concurrence_mixed(channel_output(bell, channel_a.kraus, _QUBIT_IDENTITY))
-        * concurrence_mixed(channel_output(bell, _QUBIT_IDENTITY, channel_b.kraus))
-        * concurrence_pure(psi)
+    # the identity channel on each side, padded like that side's stack
+    eye_a, eye_b = np.zeros_like(kraus_a), np.zeros_like(kraus_b)
+    eye_a[..., 0, :, :] = eye_b[..., 0, :, :] = np.eye(2)
+    bell = np.broadcast_to(bell_phi_plus().reshaped(), psi.shape)
+    # one stack of rows (L_A x L_B) psi, (L_A x 1) phi+ and (1 x L_B) phi+
+    c = concurrence_mixed(
+        channel_output(
+            np.stack([psi, bell, bell]),
+            np.stack([kraus_a, kraus_a, eye_a]),
+            np.stack([kraus_b, eye_b, kraus_b]),
+        )
     )
-    return TwoSidedReport(lhs=lhs, bound=bound, slack=bound - lhs, holds=lhs <= bound + KONRAD_TOL)
+    return c[0], c[1] * c[2] * concurrence_pure(psi)

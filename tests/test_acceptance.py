@@ -15,12 +15,7 @@ from mspace.entanglement import (
     measurement_space_entanglement,
 )
 from mspace.linalg import PureState, bell_phi_plus, haar_state
-from mspace.locc import (
-    konrad_single_sided_check,
-    konrad_two_sided_check,
-    random_channel,
-    run_locc_construction,
-)
+from mspace.locc import KONRAD_TOL, konrad_check, random_channel, run_locc_construction
 from mspace.measurement import (
     LocalMeasurementSet,
     map_to_measurement_space,
@@ -44,6 +39,11 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 def _rng(master, trial):
     return np.random.default_rng((master, trial))
+
+
+def _padded(kraus):
+    """A Kraus stack padded with zero operators to 4, the most a random channel here draws."""
+    return np.concatenate([kraus, np.zeros((4 - len(kraus), 2, 2), dtype=complex)])
 
 
 def test_criterion_1_protocol_success_equivalence():
@@ -84,7 +84,7 @@ def test_criterion_2_monotonicity_under_local_measurements():
         pair_image = map_to_measurement_space(psi, pair_set)
         worst_concurrence = max(
             worst_concurrence,
-            measurement_space_entanglement(pair_image, "concurrence") - concurrence_pure(psi),
+            measurement_space_entanglement(pair_image, "concurrence") - concurrence_pure(psi.reshaped()),
         )
     worst_qutrit = -np.inf
     for t in range(100):
@@ -148,20 +148,22 @@ def test_criterion_4_construction_bookkeeping():
 
 
 def test_criterion_5_concurrence_factorization():
-    worst_residual = 0.0
+    # one stack per run of 200 trials; Bob's identity channel makes the check one-sided
+    psi, kraus_a = [], []
     for t in range(200):
         rng = _rng(105, t)
-        psi = haar_state((2, 2), rng)
-        channel = random_channel(2, int(rng.integers(1, 5)), rng)
-        worst_residual = max(worst_residual, konrad_single_sided_check(psi, channel).residual)
-    violations = 0
+        psi.append(haar_state((2, 2), rng).reshaped())
+        kraus_a.append(_padded(random_channel(2, int(rng.integers(1, 5)), rng).kraus))
+    lhs, rhs = konrad_check(np.array(psi), np.array(kraus_a), np.broadcast_to(np.eye(2), (200, 1, 2, 2)))
+    worst_residual = float(np.max(np.abs(lhs - rhs)))
+    psi, kraus_a, kraus_b = [], [], []
     for t in range(200):
         rng = _rng(1052, t)
-        psi = haar_state((2, 2), rng)
-        ch_a = random_channel(2, int(rng.integers(1, 5)), rng)
-        ch_b = random_channel(2, int(rng.integers(1, 5)), rng)
-        if not konrad_two_sided_check(psi, ch_a, ch_b).holds:
-            violations += 1
+        psi.append(haar_state((2, 2), rng).reshaped())
+        kraus_a.append(_padded(random_channel(2, int(rng.integers(1, 5)), rng).kraus))
+        kraus_b.append(_padded(random_channel(2, int(rng.integers(1, 5)), rng).kraus))
+    lhs, bound = konrad_check(np.array(psi), np.array(kraus_a), np.array(kraus_b))
+    violations = int(np.count_nonzero(~(lhs <= bound + KONRAD_TOL)))
     ok = worst_residual < 1e-8 and violations == 0
     _report(
         5,

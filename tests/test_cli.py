@@ -432,6 +432,37 @@ class TestKonrad:
         code, out, err = run_cli(capsys, "konrad", "--trials", trials, "--seed", "3")
         assert code == 2 and "flag-format" in err and out == ""
 
+    @pytest.mark.parametrize("two_sided", [[], ["--two-sided"]])
+    def test_concurrence_calls_do_not_grow_with_the_trials(self, capsys, monkeypatch, two_sided):
+        from mspace import locc
+
+        calls = []
+        real = locc.concurrence_mixed
+
+        def counted(rho):
+            calls.append(rho)
+            return real(rho)
+
+        monkeypatch.setattr(locc, "concurrence_mixed", counted)
+        counts = []
+        for trials in ("40", "7"):
+            calls.clear()
+            code, _, _ = run_cli(capsys, "konrad", "--trials", trials, "--seed", "3", *two_sided)
+            assert code == 0
+            counts.append(len(calls))
+        assert counts == [1, 1]
+
+    @pytest.mark.parametrize("two_sided", [[], ["--two-sided"]])
+    def test_chunked_run_matches_one_chunk(self, capsys, monkeypatch, two_sided):
+        argv = ["konrad", "--trials", "11", "--seed", "4", *two_sided]
+        _, whole, _ = run_cli(capsys, *argv)
+        monkeypatch.setattr("mspace.cli.KONRAD_CHUNK", 3)
+        _, chunked, _ = run_cli(capsys, *argv)
+        assert chunked == whole
+        # and a trial's row does not depend on --trials
+        _, first, _ = run_cli(capsys, "konrad", "--trials", "4", "--seed", "4", *two_sided)
+        assert json.loads(first)["results"] == json.loads(whole)["results"][:4]
+
 
 class TestModes:
     def test_single_pair(self, capsys):

@@ -83,23 +83,30 @@ class TestEntropy:
 
 class TestConcurrencePure:
     def test_bell(self):
-        assert abs(concurrence_pure(bell_phi_plus()) - 1.0) < 1e-12
+        assert abs(concurrence_pure(bell_phi_plus().reshaped()) - 1.0) < 1e-12
 
     def test_partially_entangled(self):
         p = 0.25
         psi = PureState((2, 2), np.array([np.sqrt(p), 0, 0, np.sqrt(1 - p)]))
-        c = concurrence_pure(psi)
+        c = concurrence_pure(psi.reshaped())
         assert abs(c - 2 * np.sqrt(p * (1 - p))) < 1e-12
         assert abs(c - 0.8660254037844386) < 1e-12
         # monotone relation: eof(concurrence) is the entropy
         assert abs(eof_from_concurrence(c) - entropy_oracle(psi)) < 1e-10
 
     def test_measurement_space_image_of_bell(self):
-        assert abs(concurrence_pure(CORRELATED) - 0.64) < 1e-12
+        assert abs(concurrence_pure(CORRELATED.reshaped()) - 0.64) < 1e-12
 
     def test_wrong_dims(self):
-        with pytest.raises(ValidationError):
-            concurrence_pure(PureState((4,), np.array([1.0, 0, 0, 0])))
+        with pytest.raises(ValidationError, match="concurrence-dims"):
+            concurrence_pure(np.array([1.0, 0, 0, 0]))
+
+    def test_stack_equals_single_calls_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        states = np.array([haar_state((2, 2), rng).reshaped() for _ in range(60)]).reshape(3, 20, 2, 2)
+        singles = [[concurrence_pure(a) for a in row] for row in states]
+        assert isinstance(singles[0][0], float)
+        np.testing.assert_array_equal(concurrence_pure(states), singles)
 
 
 class TestConcurrenceMixed:
@@ -122,7 +129,19 @@ class TestConcurrenceMixed:
         rng = np.random.default_rng(3)
         for _ in range(50):
             psi = haar_state((2, 2), rng)
-            assert abs(concurrence_mixed(psi.density()) - concurrence_pure(psi)) < 1e-9
+            assert abs(concurrence_mixed(psi.density()) - concurrence_pure(psi.reshaped())) < 1e-9
+
+    def test_stack_equals_single_calls_bit_for_bit(self):
+        # near-rank-deficient channel outputs among mixtures of every rank
+        rng = np.random.default_rng(9)
+        mats = []
+        for rank in (1, 2, 3, 4) * 10:
+            v = haar_state((rank * 4,), rng).vector.reshape(4, rank)
+            mats.append(v @ v.conj().T)
+        mats = np.array(mats).reshape(2, 20, 4, 4)
+        singles = [[concurrence_mixed(DensityMatrix((2, 2), m)) for m in row] for row in mats]
+        assert isinstance(singles[0][0], float)
+        np.testing.assert_array_equal(concurrence_mixed(DensityMatrix((2, 2), mats)), singles)
 
     def test_matches_eigenvalue_oracle_on_random_mixtures(self):
         rng = np.random.default_rng(4)
@@ -148,7 +167,7 @@ class TestEof:
         rng = np.random.default_rng(5)
         for _ in range(100):
             psi = haar_state((2, 2), rng)
-            lhs = eof_from_concurrence(concurrence_pure(psi))
+            lhs = eof_from_concurrence(concurrence_pure(psi.reshaped()))
             assert abs(lhs - entropy_of_entanglement(psi)) < 1e-9
 
     def test_out_of_range(self):
@@ -164,7 +183,7 @@ class TestLocalUnitaryInvariance:
             u = tensor(haar_unitary(2, rng), haar_unitary(2, rng))
             rotated = PureState((2, 2), u @ psi.vector)
             assert abs(entropy_of_entanglement(rotated) - entropy_of_entanglement(psi)) < 1e-9
-            assert abs(concurrence_pure(rotated) - concurrence_pure(psi)) < 1e-9
+            assert abs(concurrence_pure(rotated.reshaped()) - concurrence_pure(psi.reshaped())) < 1e-9
 
 
 class TestOperationalEntanglement:
@@ -201,7 +220,7 @@ class TestOperationalEntanglement:
             pair = random_local_set(2, 2, 2, 2, rng)
             image = map_to_measurement_space(psi, pair)
             conc_m = measurement_space_entanglement(image, "concurrence")
-            assert conc_m <= concurrence_pure(psi) + 1e-9
+            assert conc_m <= concurrence_pure(psi.reshaped()) + 1e-9
 
     def test_concurrence_needs_two_by_two_grid(self):
         local = random_local_set(2, 2, 3, 2, 9)
@@ -235,7 +254,7 @@ class TestPureEntanglement:
 
     def test_two_by_two_eof_keeps_the_wootters_route(self):
         psi = haar_state((2, 2), 12)
-        assert pure_entanglement(psi, "eof") == eof_from_concurrence(concurrence_pure(psi))
+        assert pure_entanglement(psi, "eof") == eof_from_concurrence(concurrence_pure(psi.reshaped()))
 
     def test_concurrence_stays_two_by_two(self):
         with pytest.raises(ValidationError, match="concurrence-dims"):

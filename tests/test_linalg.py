@@ -285,6 +285,23 @@ class TestPredicatesAndTypes:
         with pytest.raises(ValidationError):
             DensityMatrix((2,), np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad, invariant", [
+        (np.array([[0.5, 0.5], [0.4, 0.5]]), "density-hermitian"),
+        (np.eye(2), "density-trace"),
+        (np.diag([1.5, -0.5]), "density-positivity"),
+        (np.full((2, 2), np.nan), "density-hermitian"),
+    ])  # fmt: skip
+    def test_density_stack_names_the_bad_matrix(self, bad, invariant):
+        with pytest.raises(ValidationError) as single:
+            DensityMatrix((2,), bad)
+        stack = np.tile(np.eye(2) / 2, (3, 4, 1, 1))
+        stack[2, 1] = bad
+        with pytest.raises(ValidationError) as stacked:
+            DensityMatrix((2,), stack)
+        assert single.value.invariant == stacked.value.invariant == invariant
+        message = str(single.value).split(": ", 1)[1]
+        assert str(stacked.value) == f"{invariant}: matrix (2, 1): {message}"
+
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])
 def test_eig_hermitian_stack_equals_single_calls(dim):

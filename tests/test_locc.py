@@ -15,11 +15,10 @@ from mspace.cli import main
 from mspace.locc import (
     Channel,
     build_dilation,
+    KONRAD_TOL,
     depolarizing_channel,
     fourier_step,
-    identity_channel,
-    konrad_single_sided_check,
-    konrad_two_sided_check,
+    konrad_check,
     random_channel,
     run_locc_construction,
 )
@@ -223,7 +222,7 @@ class TestRunLoccConstruction:
             psi = haar_state((2, 2), rng)
             local = random_local_set(2, 2, 2, 2, rng)
             trace = run_locc_construction(psi, local)
-            assert concurrence_mixed(trace.ancilla_dm) <= concurrence_pure(psi) + 1e-9
+            assert concurrence_mixed(trace.ancilla_dm) <= concurrence_pure(psi.reshaped()) + 1e-9
 
     def test_outcome_out_of_range(self, capsys):
         # a branch is picked from the run's arrays, so the range is checked where it is picked
@@ -248,17 +247,28 @@ class TestChannels:
         np.testing.assert_allclose(acc, np.eye(2), atol=1e-12)
 
 
+# the identity channel's Kraus stack
+IDENTITY = np.eye(2, dtype=complex)[None]
+
+
+def konrad(psi, kraus_a, kraus_b):
+    """``konrad_check`` on one trial: ``(lhs, bound)``, with ``bound`` the
+    one-sided right-hand side when ``kraus_b`` is ``IDENTITY``."""
+    lhs, bound = konrad_check(psi.reshaped()[None], kraus_a[None], kraus_b[None])
+    return float(lhs[0]), float(bound[0])
+
+
 class TestKonradChecks:
     def test_identity_channel_reduces_to_concurrence(self):
         psi = haar_state((2, 2), 51)
-        rep = konrad_single_sided_check(psi, identity_channel(2))
-        assert abs(rep.lhs - concurrence_pure(psi)) < 1e-9
-        assert rep.residual < 1e-9
+        lhs, rhs = konrad(psi, IDENTITY, IDENTITY)
+        assert abs(lhs - concurrence_pure(psi.reshaped())) < 1e-9
+        assert abs(lhs - rhs) < 1e-9
 
     def test_fully_depolarizing_kills_both_sides(self):
         psi = haar_state((2, 2), 53)
-        rep = konrad_single_sided_check(psi, depolarizing_channel(1.0))
-        assert rep.lhs < 1e-9 and rep.rhs < 1e-9
+        lhs, rhs = konrad(psi, depolarizing_channel(1.0).kraus, IDENTITY)
+        assert lhs < 1e-9 and rhs < 1e-9
 
     def test_random_pairs_satisfy_equality(self):
         worst = 0.0
@@ -266,18 +276,19 @@ class TestKonradChecks:
             rng = np.random.default_rng((61, t))
             psi = haar_state((2, 2), rng)
             ch = random_channel(2, int(rng.integers(1, 5)), rng)
-            worst = max(worst, konrad_single_sided_check(psi, ch).residual)
+            lhs, rhs = konrad(psi, ch.kraus, IDENTITY)
+            worst = max(worst, abs(lhs - rhs))
         assert worst < 1e-8
 
     def test_two_sided_identity_is_tight(self):
         psi = haar_state((2, 2), 67)
-        rep = konrad_two_sided_check(psi, identity_channel(2), identity_channel(2))
-        assert rep.holds and abs(rep.slack) < 1e-9
+        lhs, bound = konrad(psi, IDENTITY, IDENTITY)
+        assert lhs <= bound + KONRAD_TOL and abs(bound - lhs) < 1e-9
 
     def test_two_sided_depolarizing_left(self):
         psi = haar_state((2, 2), 71)
-        rep = konrad_two_sided_check(psi, depolarizing_channel(1.0), identity_channel(2))
-        assert rep.holds and rep.lhs < 1e-9
+        lhs, bound = konrad(psi, depolarizing_channel(1.0).kraus, IDENTITY)
+        assert lhs <= bound + KONRAD_TOL and lhs < 1e-9
 
     def test_two_sided_random_inequality(self):
         for t in range(50):
@@ -285,13 +296,29 @@ class TestKonradChecks:
             psi = haar_state((2, 2), rng)
             ch_a = random_channel(2, int(rng.integers(1, 5)), rng)
             ch_b = random_channel(2, int(rng.integers(1, 5)), rng)
-            assert konrad_two_sided_check(psi, ch_a, ch_b).holds
+            lhs, bound = konrad(psi, ch_a.kraus, ch_b.kraus)
+            assert lhs <= bound + KONRAD_TOL
 
     def test_dimension_guards(self):
         with pytest.raises(ValidationError, match="konrad-state"):
-            konrad_single_sided_check(haar_state((3, 2), 1), identity_channel(2))
+            konrad_check(haar_state((3, 2), 1).reshaped()[None], IDENTITY[None], IDENTITY[None])
         with pytest.raises(ValidationError, match="konrad-channel"):
-            konrad_single_sided_check(haar_state((2, 2), 1), identity_channel(3))
+            konrad(haar_state((2, 2), 1), np.eye(3, dtype=complex)[None], IDENTITY)
+
+    def test_stacked_trials_match_one_call_per_trial(self):
+        # Kraus stacks of different lengths, zero-padded to 4 in the stack
+        psi, kraus_a, kraus_b, single = [], [], [], []
+        for t in range(30):
+            rng = np.random.default_rng((79, t))
+            state = haar_state((2, 2), rng)
+            ch_a = random_channel(2, int(rng.integers(1, 5)), rng).kraus
+            ch_b = random_channel(2, int(rng.integers(1, 5)), rng).kraus
+            single.append(konrad(state, ch_a, ch_b))
+            psi.append(state.reshaped())
+            kraus_a.append(np.concatenate([ch_a, np.zeros((4 - len(ch_a), 2, 2))]))
+            kraus_b.append(np.concatenate([ch_b, np.zeros((4 - len(ch_b), 2, 2))]))
+        lhs, bound = konrad_check(np.array(psi), np.array(kraus_a), np.array(kraus_b))
+        np.testing.assert_allclose(np.column_stack([lhs, bound]), single, rtol=0, atol=1e-13)
 
 
 class TestChannelStacks:

@@ -20,11 +20,11 @@ from mspace.entanglement import (
 )
 from mspace.linalg import PureState, haar_state, haar_unitary
 from mspace.locc import (
+    KONRAD_TOL,
     Channel,
     build_dilation,
     channel_output,
-    konrad_single_sided_check,
-    konrad_two_sided_check,
+    konrad_check,
     run_locc_construction,
 )
 from mspace.measurement import (
@@ -222,18 +222,25 @@ def channel_case(draw):
     return psi, draw(qubit_channel(rng)), draw(qubit_channel(rng))
 
 
+def _konrad(psi, kraus_a, kraus_b):
+    lhs, bound = konrad_check(psi.reshaped()[None], kraus_a[None], kraus_b[None])
+    return lhs[0], bound[0]
+
+
 @PROFILE
 @given(channel_case())
 def test_single_sided_factorization_holds(case):
     psi, channel, _ = case
-    assert konrad_single_sided_check(psi, channel).residual < 1e-8
+    lhs, rhs = _konrad(psi, channel.kraus, np.eye(2)[None])
+    assert abs(lhs - rhs) < 1e-8
 
 
 @PROFILE
 @given(channel_case())
 def test_two_sided_bound_holds(case):
     psi, channel_a, channel_b = case
-    assert konrad_two_sided_check(psi, channel_a, channel_b).holds
+    lhs, bound = _konrad(psi, channel_a.kraus, channel_b.kraus)
+    assert lhs <= bound + KONRAD_TOL
 
 
 @PROFILE
@@ -248,13 +255,28 @@ def test_channel_output_matches_kron_sum(case):
             np.kron(a, b) @ rho @ np.kron(a, b).conj().T for a in kraus_a for b in kraus_b
         )
 
-    for kraus_a, kraus_b in (
+    cases = (
         (channel_a.kraus, [eye]),
         ([eye], channel_b.kraus),
         (channel_a.kraus, channel_b.kraus),
-    ):
-        out = channel_output(psi, np.asarray(kraus_a, dtype=complex), np.asarray(kraus_b, dtype=complex))
+    )
+    for kraus_a, kraus_b in cases:
+        out = channel_output(psi.reshaped(), np.asarray(kraus_a, dtype=complex), np.asarray(kraus_b, dtype=complex))
         np.testing.assert_allclose(out.matrix, kron_sum(kraus_a, kraus_b), rtol=0, atol=1e-12)
+    # the three at once, as one stack over a leading axis
+    stacked = channel_output(
+        np.stack([psi.reshaped()] * 3),
+        np.stack([channel_a.kraus, _identity_padded(channel_a.kraus), channel_a.kraus]),
+        np.stack([_identity_padded(channel_b.kraus), channel_b.kraus, channel_b.kraus]),
+    )
+    for out, (kraus_a, kraus_b) in zip(stacked.matrix, cases):
+        np.testing.assert_allclose(out, kron_sum(kraus_a, kraus_b), rtol=0, atol=1e-12)
+
+
+def _identity_padded(kraus):
+    eye = np.zeros_like(kraus)
+    eye[0] = np.eye(2)
+    return eye
 
 
 def protocol_spec(draw, d_a, ranks_a, d_b):
