@@ -165,6 +165,12 @@ def _require_count(value: int, flag: str) -> None:
         )
 
 
+def _require_seed(seed: int) -> None:
+    # numpy would reject it only once drawing, with a message that names no invariant
+    if seed < 0:
+        raise ValidationError("flag-format", f"--seed must be >= 0, got {seed}")
+
+
 def _load_local_sets(args, psi: PureState, tol: float) -> LocalMeasurementSet:
     if len(psi.dims) != 2:
         raise ValidationError(
@@ -255,6 +261,7 @@ def cmd_theorem1(args) -> tuple[dict, int]:
             raise ValidationError("flag-format", "need --protocol or --random")
         if args.seed is None:
             raise ValidationError("flag-format", "--random needs --seed")
+        _require_seed(args.seed)
         _require_count(args.trials, "--trials")
         d_a, d_b = _parse_ints(args.dims, 2) if args.dims else (2, 2)
         batches = random_protocol_batches(d_a, d_b, args.outcomes, args.seed, args.trials)
@@ -291,12 +298,12 @@ def cmd_locc(args) -> tuple[dict, int]:
     psi = load_state(args.state, _state_dims(args))
     measurements = _load_local_sets(args, psi, tol)
     ja, jb = _parse_ints(args.outcome, 2) if args.outcome else (0, 0)
-    trace = run_locc_construction(psi, measurements, tol)
     d_a, d_b = psi.dims
     if not 0 <= ja < d_a or not 0 <= jb < d_b:
         raise ValidationError(
             "locc-outcome", f"outcome choice ({ja}, {jb}) out of range ({d_a}, {d_b})"
         )
+    trace = run_locc_construction(psi, measurements, tol)
     uniformity_alice = float(trace.alice.fourier.max_deviation)
     uniformity_bob = trace.bob.fourier.max_deviation.tolist()
     degenerate = (trace.alice.fourier.degenerate | trace.bob.fourier.degenerate).tolist()
@@ -373,6 +380,7 @@ def _konrad_chunk(seed: int, trials: range, two_sided: bool) -> tuple[np.ndarray
 
 def cmd_konrad(args) -> tuple[dict, int]:
     _require_count(args.trials, "--trials")
+    _require_seed(args.seed)
     chunks = [
         _konrad_chunk(args.seed, range(start, min(start + KONRAD_CHUNK, args.trials)), args.two_sided)
         for start in range(0, args.trials, KONRAD_CHUNK)

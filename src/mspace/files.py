@@ -60,7 +60,9 @@ def _read_json(path: str | Path) -> Any:
 def state_from_obj(obj: Any) -> PureState:
     if not isinstance(obj, dict) or "dims" not in obj or "amplitudes" not in obj:
         raise ValidationError("state-schema", "state files need 'dims' and 'amplitudes'")
-    dims = tuple(int(d) for d in obj["dims"])
+    if not isinstance(obj["dims"], list) or not all(isinstance(d, int) for d in obj["dims"]):
+        raise ValidationError("state-schema", "state files need 'dims' as a list of integers")
+    dims = tuple(obj["dims"])
     vec = pairs_to_vector(obj["amplitudes"])
     if vec.size != math.prod(dims):
         raise ValidationError(
@@ -92,6 +94,8 @@ def load_state(source: str, dims: Sequence[int] | None = None) -> PureState:
             seed = int(source.split(":", 1)[1])
         except ValueError as exc:
             raise ValidationError("state-name", f"bad random state spec {source!r}") from exc
+        if seed < 0:
+            raise ValidationError("state-name", f"random state seeds must be >= 0, got {source!r}")
         return haar_state(shape, seed)
     return state_from_obj(_read_json(source))
 
@@ -99,7 +103,11 @@ def load_state(source: str, dims: Sequence[int] | None = None) -> PureState:
 def measurement_set_from_obj(obj: Any, tol: float = DEFAULT_TOL) -> MeasurementSet:
     if not isinstance(obj, dict) or "dim" not in obj or "operators" not in obj:
         raise ValidationError("measurement-schema", "measurement files need 'dim' and 'operators'")
-    dim = int(obj["dim"])
+    dim = obj["dim"]
+    if not isinstance(dim, int) or not isinstance(obj["operators"], list):
+        raise ValidationError(
+            "measurement-schema", "measurement files need 'dim' as an integer and 'operators' as a list"
+        )
     ops = []
     for entry in obj["operators"]:
         if not isinstance(entry, dict) or "label" not in entry or "matrix" not in entry:
@@ -137,6 +145,8 @@ def load_measurement_set(source: str, dim: int | None = None, tol: float = DEFAU
             outcomes, seed = int(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ValidationError("measurement-name", f"bad random set spec {source!r}") from exc
+        if seed < 0:
+            raise ValidationError("measurement-name", f"random set seeds must be >= 0, got {source!r}")
         return random_measurement_set(dim or 2, outcomes, seed)
     return measurement_set_from_obj(_read_json(source), tol)
 
@@ -152,6 +162,10 @@ def load_protocol(path: str) -> ProtocolSpec:
     for key in ("state", "alice", "bob_unitaries", "verify"):
         if key not in obj:
             raise ValidationError("protocol-schema", f"protocol files need {key!r}")
+    if not isinstance(obj["bob_unitaries"], list) or not isinstance(obj["verify"], dict):
+        raise ValidationError(
+            "protocol-schema", "protocol files need 'bob_unitaries' as a list and 'verify' as an object"
+        )
     state_obj = obj["state"]
     state = load_state(state_obj) if isinstance(state_obj, str) else state_from_obj(state_obj)
     alice = measurement_set_from_obj(obj["alice"])
@@ -162,7 +176,7 @@ def load_protocol(path: str) -> ProtocolSpec:
         if label not in verify_obj:
             raise ValidationError("protocol-verify", f"no verify pair for Alice label {label!r}")
         entry = verify_obj[label]
-        if "success" not in entry or "failure" not in entry:
+        if not isinstance(entry, dict) or "success" not in entry or "failure" not in entry:
             raise ValidationError(
                 "protocol-verify", f"verify pair {label!r} needs 'success' and 'failure'"
             )

@@ -413,6 +413,15 @@ class TestLocc:
             assert json.loads(out)["results"] == [row]
 
 
+    def test_outcome_out_of_range_rejected_before_the_construction(self, capsys, monkeypatch):
+        monkeypatch.setattr("mspace.cli.run_locc_construction", _no_work)
+        code, out, err = run_cli(
+            capsys, "locc", "--state", "random:1", "--dims", "5,5",
+            "--alice", "random:5:1", "--bob", "random:5:2", "--outcome", "9,9",
+        )  # fmt: skip
+        assert code == 2 and "error: locc-outcome: " in err and out == ""
+
+
 class TestKonrad:
     def test_single_sided(self, capsys):
         code, out, _ = run_cli(capsys, "konrad", "--trials", "25", "--seed", "3")
@@ -677,6 +686,46 @@ class TestReportContract:
     def test_conflicting_flag_sets_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and "error: flag-format: " in err and out == ""
+
+    @pytest.mark.parametrize("argv, invariant", [
+        (("konrad", "--seed", "-1"), "flag-format"),
+        (("theorem1", "--random", "--seed", "-1"), "flag-format"),
+        (("map", "--state", "random:-3", "--alice", "z-projectors", "--bob", "z-projectors"), "state-name"),
+        (("map", "--state", "bell", "--alice", "random:2:-1", "--bob", "z-projectors"), "measurement-name"),
+    ])  # fmt: skip
+    def test_negative_seed_names_its_invariant(self, capsys, argv, invariant):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and f"error: {invariant}: " in err and "must be >= 0" in err and out == ""
+
+    @pytest.mark.parametrize("kind, fields, invariant", [
+        ("state", {"dims": 4}, "state-schema"),
+        ("state", {"dims": ["a"]}, "state-schema"),
+        ("measurement", {"operators": 5}, "measurement-schema"),
+        ("measurement", {"dim": "x"}, "measurement-schema"),
+        ("protocol", {"bob_unitaries": 5}, "protocol-schema"),
+        ("protocol", {"verify": [1]}, "protocol-schema"),
+        ("protocol", {"verify": {"0": 5, "1": 5}}, "protocol-verify"),
+    ])  # fmt: skip
+    def test_wrongly_typed_field_is_named(self, capsys, tmp_path, kind, fields, invariant):
+        eye = matrix_to_pairs(np.eye(2))
+        valid = {
+            "state": state_to_obj(bell_phi_plus()),
+            "measurement": measurement_set_to_obj(z_projectors(2)),
+            "protocol": {
+                "state": "bell",
+                "alice": measurement_set_to_obj(z_projectors(2)),
+                "bob_unitaries": [eye, eye],
+                "verify": {label: {"success": eye, "failure": P0} for label in ("0", "1")},
+            },
+        }[kind]
+        path = write_json(tmp_path / f"{kind}.json", {**valid, **fields})
+        argv = {
+            "state": ("map", "--state", path, "--alice", "z-projectors", "--bob", "z-projectors"),
+            "measurement": ("map", "--state", "bell", "--alice", path, "--bob", "z-projectors"),
+            "protocol": ("theorem1", "--protocol", path),
+        }[kind]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and f"error: {invariant}: " in err and out == ""
 
     def test_console_entry_point(self):
         proc = subprocess.run(
