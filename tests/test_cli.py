@@ -412,7 +412,6 @@ class TestLocc:
             assert code == 0
             assert json.loads(out)["results"] == [row]
 
-
     def test_outcome_out_of_range_rejected_before_the_construction(self, capsys, monkeypatch):
         monkeypatch.setattr("mspace.cli.run_locc_construction", _no_work)
         code, out, err = run_cli(

@@ -222,6 +222,13 @@ def channel_case(draw):
     return psi, draw(qubit_channel(rng)), draw(qubit_channel(rng))
 
 
+def _identity_padded(kraus):
+    """The identity channel as a Kraus stack as long as ``kraus``."""
+    eye = np.zeros_like(kraus)
+    eye[0] = np.eye(2)
+    return eye
+
+
 def _konrad(psi, kraus_a, kraus_b):
     lhs, bound = konrad_check(psi.reshaped()[None], kraus_a[None], kraus_b[None])
     return lhs[0], bound[0]
@@ -261,7 +268,8 @@ def test_channel_output_matches_kron_sum(case):
         (channel_a.kraus, channel_b.kraus),
     )
     for kraus_a, kraus_b in cases:
-        out = channel_output(psi.reshaped(), np.asarray(kraus_a, dtype=complex), np.asarray(kraus_b, dtype=complex))
+        kraus = (np.asarray(kraus_a, dtype=complex), np.asarray(kraus_b, dtype=complex))
+        out = channel_output(psi.reshaped(), *kraus)
         np.testing.assert_allclose(out.matrix, kron_sum(kraus_a, kraus_b), rtol=0, atol=1e-12)
     # the three at once, as one stack over a leading axis
     stacked = channel_output(
@@ -271,12 +279,6 @@ def test_channel_output_matches_kron_sum(case):
     )
     for out, (kraus_a, kraus_b) in zip(stacked.matrix, cases):
         np.testing.assert_allclose(out, kron_sum(kraus_a, kraus_b), rtol=0, atol=1e-12)
-
-
-def _identity_padded(kraus):
-    eye = np.zeros_like(kraus)
-    eye[0] = np.eye(2)
-    return eye
 
 
 def protocol_spec(draw, d_a, ranks_a, d_b):
