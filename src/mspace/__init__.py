@@ -64,15 +64,11 @@ from .modes import (
 )
 from .protocols import (
     OutcomeTable,
-    ProtocolBatch,
     ProtocolSpec,
-    outcome_table,
     outcome_tables,
-    random_protocol,
     random_protocol_batches,
     random_protocols,
-    success_probability_mspace,
-    success_probability_original,
+    single_protocol,
     success_rates_mspace,
     success_rates_original,
 )

@@ -255,7 +255,7 @@ def cmd_entanglement(args) -> tuple[dict, int]:
 def cmd_theorem1(args) -> tuple[dict, int]:
     rows = []
     if args.protocol:
-        batches = [load_protocol(args.protocol).batch]
+        specs = [load_protocol(args.protocol)]
     else:
         if not args.random:
             raise ValidationError("flag-format", "need --protocol or --random")
@@ -264,11 +264,11 @@ def cmd_theorem1(args) -> tuple[dict, int]:
         _require_seed(args.seed)
         _require_count(args.trials, "--trials")
         d_a, d_b = _parse_ints(args.dims, 2) if args.dims else (2, 2)
-        batches = random_protocol_batches(d_a, d_b, args.outcomes, args.seed, args.trials)
+        specs = random_protocol_batches(d_a, d_b, args.outcomes, args.seed, args.trials)
     worst = 0.0
-    for batch in batches:
-        names = ["file"] if batch.trials is None else [str(t) for t in batch.trials]
-        scores = zip(names, success_rates_original(batch).tolist(), success_rates_mspace(batch).tolist())
+    for spec in specs:
+        names = ["file"] if spec.trials is None else [str(t) for t in spec.trials]
+        scores = zip(names, success_rates_original(spec).tolist(), success_rates_mspace(spec).tolist())
         for name, p_orig, p_ms in scores:
             delta = abs(p_orig - p_ms)
             worst = max(worst, delta)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, PureState, ValidationError, bell_phi_plus, haar_state
 from .measurement import MeasurementSet, noisy_pair, random_measurement_set, z_projectors
-from .protocols import ProtocolSpec
+from .protocols import ProtocolSpec, single_protocol
 
 STATE_NORM_ACCEPT = 1e-8
 STATE_NORM_REPAIR = 1e-4
@@ -152,9 +152,9 @@ def load_measurement_set(source: str, dim: int | None = None, tol: float = DEFAU
 
 
 def load_protocol(path: str) -> ProtocolSpec:
-    """Load a protocol file: state, Alice's set, Bob's unitaries, verify pairs.
+    """Load a protocol file (state, Alice's set, Bob's unitaries, verify pairs) as a stack of one.
 
-    Alice's set must be complete within ``DEFAULT_TOL``, as ``ProtocolBatch`` demands.
+    Alice's set must be complete within ``DEFAULT_TOL``, as ``ProtocolSpec`` demands.
     """
     obj = _read_json(path)
     if not isinstance(obj, dict):
@@ -181,7 +181,7 @@ def load_protocol(path: str) -> ProtocolSpec:
                 "protocol-verify", f"verify pair {label!r} needs 'success' and 'failure'"
             )
         pairs.append((pairs_to_matrix(entry["success"]), pairs_to_matrix(entry["failure"])))
-    return ProtocolSpec(state, alice, unitaries, tuple(pairs))
+    return single_protocol(state, alice, unitaries, tuple(pairs))
 
 
 def state_to_obj(psi: PureState) -> dict:

@@ -6,7 +6,8 @@ verification operators on Bob's side. Success can be scored two ways: by
 direct expectation values on the original state, or by first mapping the
 state into measurement space and scoring with rank-1 projectors there. The
 two routes agree identically, which is what makes measurement-space
-amplitudes operationally meaningful.
+amplitudes operationally meaningful. Protocols of one shape are stacked on a
+trial axis; a single protocol is a stack of one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .linalg import (
     NORM_TOL,
     PureState,
     ValidationError,
-    _as_rng,
     _check_dims,
     _require,
     _require_unit,
@@ -48,15 +48,17 @@ TRIAL_BYTES_CAP = 1 << 30
 
 
 @dataclasses.dataclass(frozen=True)
-class ProtocolBatch:
-    """Protocols of one shape, stacked on a leading trial axis.
+class ProtocolSpec:
+    """Measure-communicate-correct-verify protocols of one shape, stacked on a leading trial axis.
 
     ``psi`` is ``(t, d_a, d_b)``, ``alice`` ``(t, n, d_a, d_a)``,
-    ``bob_unitaries`` ``(t, n, d_b, d_b)`` and ``verify_pairs``
-    ``(t, n, 2, d_b, d_b)``. Construction checks, for every trial, the state
-    norm, the completeness of Alice's set, the unitarity of Bob's operators
-    and the completeness of every verify pair. ``trials`` names the trials
-    in error messages; without it (a single :class:`ProtocolSpec`) they go
+    ``bob_unitaries`` ``(t, n, d_b, d_b)``, one unitary per Alice outcome,
+    and ``verify_pairs`` ``(t, n, 2, d_b, d_b)``: ``verify_pairs[t, k]``
+    holds ``(M_yk, M_nk)``, Bob's success and failure operators for Alice
+    outcome ``k``. Construction checks, for every trial, the state norm, the
+    completeness of Alice's set, the unitarity of Bob's operators and the
+    completeness of every verify pair. ``trials`` names the trials in error
+    messages; without it (a protocol from :func:`single_protocol`) they go
     unnamed.
     """
 
@@ -101,107 +103,79 @@ class ProtocolBatch:
         return self.verify_pairs @ self.bob_unitaries[:, :, None]
 
 
-@dataclasses.dataclass(frozen=True)
-class ProtocolSpec:
-    """One measure-communicate-correct-verify protocol instance.
+def single_protocol(
+    state: PureState, alice: MeasurementSet, bob_unitaries: Sequence, verify_pairs: Sequence
+) -> ProtocolSpec:
+    """One protocol, as a stack of one whose trial goes unnamed.
 
-    ``bob_unitaries`` is a read-only ``(n, d_b, d_b)`` stack, one unitary per
-    Alice outcome. ``verify_pairs`` is a read-only ``(n, 2, d_b, d_b)``
-    stack: ``verify_pairs[k]`` holds ``(M_yk, M_nk)`` with
-    ``M_yk^dag M_yk + M_nk^dag M_nk = 1`` so that success and failure exhaust
-    Bob's outcomes for every Alice result ``k``. ``batch`` is the same
-    protocol as a batch of one, which runs the value checks and the scoring.
+    ``bob_unitaries`` holds one ``d_b x d_b`` unitary per Alice outcome and
+    ``verify_pairs`` one ``(M_yk, M_nk)`` pair per Alice outcome. The first
+    operator of the wrong shape is named.
     """
-
-    state: PureState
-    alice: MeasurementSet
-    bob_unitaries: np.ndarray
-    verify_pairs: np.ndarray
-    batch: ProtocolBatch = dataclasses.field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.state.dims) != 2:
-            raise ValidationError(
-                "protocol-state", f"need a bipartite state, got dims {self.state.dims}"
-            )
-        d_a, d_b = self.state.dims
-        if self.alice.dim != d_a:
-            raise ValidationError(
-                "protocol-alice-dim",
-                f"Alice set acts on dim {self.alice.dim}, state side is {d_a}",
-            )
-        n = len(self.alice)
-        if len(self.bob_unitaries) != n or len(self.verify_pairs) != n:
-            raise ValidationError(
-                "protocol-arity",
-                f"need one unitary and one verify pair per Alice outcome ({n})",
-            )
-        bob = operator_stack(
-            self.bob_unitaries,
-            (d_b, d_b),
-            "protocol-unitary",
-            lambda k: f"Bob operator {k} is not a {d_b}x{d_b} unitary",
+    if len(state.dims) != 2:
+        raise ValidationError("protocol-state", f"need a bipartite state, got dims {state.dims}")
+    d_a, d_b = state.dims
+    if alice.dim != d_a:
+        raise ValidationError(
+            "protocol-alice-dim", f"Alice set acts on dim {alice.dim}, state side is {d_a}"
         )
-        pairs = operator_stack(
-            self.verify_pairs,
-            (2, d_b, d_b),
-            "protocol-verify-shape",
-            lambda k: f"verify pair {k} must be {d_b}x{d_b}",
+    n = len(alice)
+    if len(bob_unitaries) != n or len(verify_pairs) != n:
+        raise ValidationError(
+            "protocol-arity", f"need one unitary and one verify pair per Alice outcome ({n})"
         )
-        object.__setattr__(self, "bob_unitaries", bob)
-        object.__setattr__(self, "verify_pairs", pairs)
-        batch = ProtocolBatch(self.state.reshaped()[None], self.alice.stack[None], bob[None], pairs[None])
-        object.__setattr__(self, "batch", batch)
-
-    def effective_ops(self) -> np.ndarray:
-        """Bob's unitary folded into each verify pair: ``[k] = (M_yk U_k, M_nk U_k)``."""
-        return self.batch.effective_ops()[0]
+    bob = operator_stack(
+        bob_unitaries,
+        (d_b, d_b),
+        "protocol-unitary",
+        lambda k: f"Bob operator {k} is not a {d_b}x{d_b} unitary",
+    )
+    pairs = operator_stack(
+        verify_pairs,
+        (2, d_b, d_b),
+        "protocol-verify-shape",
+        lambda k: f"verify pair {k} must be {d_b}x{d_b}",
+    )
+    return ProtocolSpec(state.reshaped()[None], alice.stack[None], bob[None], pairs[None])
 
 
 @dataclasses.dataclass(frozen=True)
 class OutcomeTable:
-    """Joint distribution over (Alice outcome, success/failure)."""
+    """Joint distribution over (Alice outcome, success/failure), per trial.
 
-    labels: tuple[str, ...]
+    ``p_success`` and ``p_failure`` are ``(t, n)``: ``p_success[t, k]`` is
+    the probability that trial ``t`` gives Alice outcome ``k`` and Bob's
+    success. Every trial's table must sum to 1; ``trials`` names the trial
+    that does not.
+    """
+
     p_success: np.ndarray
     p_failure: np.ndarray
+    trials: Sequence[int] | None
 
     def __post_init__(self):
-        ps = np.asarray(self.p_success, dtype=float)
-        pf = np.asarray(self.p_failure, dtype=float)
-        object.__setattr__(self, "p_success", ps)
-        object.__setattr__(self, "p_failure", pf)
-        if ps.shape != pf.shape or ps.size != len(self.labels):
-            raise ValidationError("outcome-shape", "per-outcome arrays are inconsistent")
-        _require_unit(ps.sum() + pf.sum(), DEFAULT_TOL, "outcome-total", "probabilities sum to")
+        total = self.p_success.sum(axis=1) + self.p_failure.sum(axis=1)
+        _require_unit(total, DEFAULT_TOL, "outcome-total", "probabilities sum to", self.trials)
 
 
-def outcome_tables(batch: ProtocolBatch) -> np.ndarray:
-    """p[t, k, (y, n)] = ||A_k Psi (M_yk U_k)^T||_F^2, likewise n, per trial.
+def outcome_tables(spec: ProtocolSpec) -> OutcomeTable:
+    """p_success[t, k] = ||A_k Psi (M_yk U_k)^T||_F^2, likewise p_failure with M_nk.
 
     Each trial's ``(A_k, (M_yk U_k, M_nk U_k))`` is one pair of local stacks
     for :func:`~mspace.measurement.local_product`, so only the products
-    outcome ``k`` reads are formed. Every trial's table must sum to 1.
+    outcome ``k`` reads are formed.
     """
-    eff = batch.effective_ops()
-    probs = _local_probabilities(batch.psi[:, None], batch.alice[:, :, None], eff, batch.trials)[:, :, 0]
-    total = probs.sum(axis=(1, 2))
-    _require_unit(total, DEFAULT_TOL, "outcome-total", "probabilities sum to", batch.trials)
-    return probs
+    eff = spec.effective_ops()
+    probs = _local_probabilities(spec.psi[:, None], spec.alice[:, :, None], eff, spec.trials)[:, :, 0]
+    return OutcomeTable(probs[..., 0], probs[..., 1], spec.trials)
 
 
-def outcome_table(spec: ProtocolSpec) -> OutcomeTable:
-    """The joint distribution of one protocol, from :func:`outcome_tables`."""
-    probs = outcome_tables(spec.batch)[0]
-    return OutcomeTable(spec.alice.labels, probs[:, 0], probs[:, 1])
-
-
-def success_rates_original(batch: ProtocolBatch) -> np.ndarray:
+def success_rates_original(spec: ProtocolSpec) -> np.ndarray:
     """Success rate of every trial on the original state: sum_k p_{k,y}."""
-    return outcome_tables(batch)[..., 0].sum(axis=-1)
+    return outcome_tables(spec).p_success.sum(axis=-1)
 
 
-def success_rates_mspace(batch: ProtocolBatch) -> np.ndarray:
+def success_rates_mspace(spec: ProtocolSpec) -> np.ndarray:
     """Success rate of every trial, recomputed entirely inside measurement space.
 
     Builds each trial's joint set {M_k (x) M_yk U_k, M_k (x) M_nk U_k} as a
@@ -211,31 +185,21 @@ def success_rates_mspace(batch: ProtocolBatch) -> np.ndarray:
     rank-1 projections on that image. It shares no kernel with
     :func:`outcome_tables`, which it is checked against.
     """
-    count, n, d_a, _ = batch.alice.shape
-    d_b = batch.bob_unitaries.shape[-1]
+    count, n, d_a, _ = spec.alice.shape
+    d_b = spec.bob_unitaries.shape[-1]
     dim = d_a * d_b
     # kron(A, B)[i d_b + k, j d_b + l] = A[i, j] B[k, l], for each (trial, outcome, y/n)
-    a = batch.alice[:, :, None, :, None, :, None]
-    b = batch.effective_ops()[:, :, :, None, :, None, :]
+    a = spec.alice[:, :, None, :, None, :, None]
+    b = spec.effective_ops()[:, :, :, None, :, None, :]
     joint = (a * b).reshape(count, 2 * n, dim, dim)
-    _require_complete(_identity_deviation(_gram(joint)), DEFAULT_TOL, batch.trials)
-    probs = _probabilities(batch.psi.reshape(count, dim), joint, DEFAULT_TOL, batch.trials)
-    image = (_image(probs, batch.trials) ** 2).reshape(count, n, 2)
+    _require_complete(_identity_deviation(_gram(joint)), DEFAULT_TOL, spec.trials)
+    probs = _probabilities(spec.psi.reshape(count, dim), joint, DEFAULT_TOL, spec.trials)
+    image = (_image(probs, spec.trials) ** 2).reshape(count, n, 2)
     p_y, p_n = image[..., 0], image[..., 1]
     p_k = p_y + p_n
     terms = np.divide(p_y, p_k, out=np.zeros_like(p_k), where=p_k > 0.0) * p_k
     # a running total in outcome order
     return np.cumsum(terms, axis=-1)[:, -1]
-
-
-def success_probability_original(spec: ProtocolSpec) -> float:
-    """Overall success rate of one protocol on the original state."""
-    return float(success_rates_original(spec.batch)[0])
-
-
-def success_probability_mspace(spec: ProtocolSpec) -> float:
-    """Success rate of one protocol recomputed inside measurement space."""
-    return float(success_rates_mspace(spec.batch)[0])
 
 
 def _trial_bytes(d_a: int, d_b: int, n_outcomes: int) -> int:
@@ -264,7 +228,7 @@ def random_protocols(
     n_outcomes: int,
     rngs: Sequence[np.random.Generator],
     trials: Sequence[int] | None = None,
-) -> ProtocolBatch:
+) -> ProtocolSpec:
     """One random protocol per generator: Haar state, random complete sets, Haar unitaries.
 
     Each generator draws, in order, the state's real and imaginary parts,
@@ -288,12 +252,12 @@ def random_protocols(
     alice = haar_unitaries(g_alice)[..., :d_a].reshape(count, n, d_a, d_a)
     verify = haar_unitaries(g_verify)[..., :d_b].reshape(count, n, 2, d_b, d_b)
     psi = haar_vectors(g_state).reshape(count, d_a, d_b)
-    return ProtocolBatch(psi, alice, haar_unitaries(g_bob), verify, trials)
+    return ProtocolSpec(psi, alice, haar_unitaries(g_bob), verify, trials)
 
 
 def random_protocol_batches(
     d_a: int, d_b: int, n_outcomes: int, seed: int, trials: int
-) -> Iterator[ProtocolBatch]:
+) -> Iterator[ProtocolSpec]:
     """Random protocols for trials ``0..trials-1``, in chunks of at most :data:`CHUNK_BYTES`.
 
     Trial ``t`` draws from ``default_rng((seed, t))``, so its protocol does
@@ -306,12 +270,3 @@ def random_protocol_batches(
             d_a, d_b, n_outcomes, [np.random.default_rng((seed, t)) for t in chunk], chunk
         )
 
-
-def random_protocol(
-    d_a: int, d_b: int, n_outcomes: int, seed: int | np.random.Generator
-) -> ProtocolSpec:
-    """Random protocol: Haar state, random complete sets, Haar unitaries."""
-    batch = random_protocols(d_a, d_b, n_outcomes, [_as_rng(seed)])
-    alice = MeasurementSet(d_a, tuple((str(k), op) for k, op in enumerate(batch.alice[0])))
-    state = PureState((d_a, d_b), batch.psi[0])
-    return ProtocolSpec(state, alice, batch.bob_unitaries[0], batch.verify_pairs[0])

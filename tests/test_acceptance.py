@@ -25,10 +25,10 @@ from mspace.measurement import (
 )
 from mspace.modes import composition_count, divisor_infimum, useful_entanglement_bound
 from mspace.protocols import (
-    ProtocolSpec,
-    random_protocol,
-    success_probability_mspace,
-    success_probability_original,
+    random_protocols,
+    single_protocol,
+    success_rates_mspace,
+    success_rates_original,
 )
 
 
@@ -53,17 +53,17 @@ def test_criterion_1_protocol_success_equivalence():
         d_a = int(rng.integers(2, 5))
         d_b = int(rng.integers(2, 5))
         n = int(rng.integers(2, 5))
-        spec = random_protocol(d_a, d_b, n, rng)
-        delta = abs(success_probability_original(spec) - success_probability_mspace(spec))
+        spec = random_protocols(d_a, d_b, n, [rng])
+        delta = abs(success_rates_original(spec)[0] - success_rates_mspace(spec)[0])
         worst = max(worst, delta)
     eye = np.eye(2, dtype=complex)
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
-    closed = ProtocolSpec(
+    closed = single_protocol(
         bell_phi_plus(), noisy_pair(0.9), (eye, eye), ((p0, p1), (p1, p0))
     )
-    p_orig = success_probability_original(closed)
-    p_ms = success_probability_mspace(closed)
+    p_orig = success_rates_original(closed)[0]
+    p_ms = success_rates_mspace(closed)[0]
     ok = worst < 1e-10 and abs(p_orig - 0.90) < 1e-12 and abs(p_ms - 0.90) < 1e-12
     _report(1, ok, f"200 trials max |delta| = {worst:.3e}; closed form {p_orig:.12f} / {p_ms:.12f}")
 

@@ -312,14 +312,15 @@ def random_rows(capsys, trials, dims="3,2", outcomes="3", seed="11"):
 
 class TestTheorem1Batches:
     def test_rows_equal_protocols_scored_one_by_one(self, capsys):
-        from mspace.protocols import random_protocol, success_probability_mspace, success_probability_original
+        from mspace.protocols import random_protocols, success_rates_mspace, success_rates_original
 
         rows, _ = random_rows(capsys, 12)
         for t, row in enumerate(rows):
-            spec = random_protocol(3, 2, 3, np.random.default_rng((11, t)))
+            # trial t alone, as a stack of one
+            spec = random_protocols(3, 2, 3, [np.random.default_rng((11, t))])
             assert row["trial"] == str(t)
-            assert abs(row["p_original"] - success_probability_original(spec)) <= 1e-15
-            assert abs(row["p_mspace"] - success_probability_mspace(spec)) <= 1e-15
+            assert abs(row["p_original"] - success_rates_original(spec)[0]) <= 1e-15
+            assert abs(row["p_mspace"] - success_rates_mspace(spec)[0]) <= 1e-15
 
     def test_rows_do_not_depend_on_the_trial_count(self, capsys):
         short, _ = random_rows(capsys, 7)
@@ -633,7 +634,7 @@ class TestReportContract:
     @pytest.mark.parametrize("fmt", ["json", "tsv"])
     def test_nonfinite_report_exits_two_printing_nothing(self, capsys, monkeypatch, fmt):
         # success rates carry no range check, so only the emitter stands in the way
-        monkeypatch.setattr("mspace.cli.success_rates_mspace", lambda batch: np.full(3, np.nan))
+        monkeypatch.setattr("mspace.cli.success_rates_mspace", lambda spec: np.full(3, np.nan))
         code, out, err = run_cli(
             capsys, "theorem1", "--random", "--seed", "1", "--trials", "3", "--format", fmt
         )

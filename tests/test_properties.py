@@ -34,11 +34,9 @@ from mspace.measurement import (
     outcome_probabilities,
 )
 from mspace.protocols import (
-    ProtocolBatch,
     ProtocolSpec,
     outcome_tables,
-    success_probability_mspace,
-    success_probability_original,
+    single_protocol,
     success_rates_mspace,
     success_rates_original,
 )
@@ -289,7 +287,7 @@ def protocol_spec(draw, d_a, ranks_a, d_b):
     verify = [complete_set(d_b, [r, d_b - r], rng).stack for r in draw(
         st.lists(st.integers(0, d_b), min_size=len(ranks_a), max_size=len(ranks_a))
     )]
-    return ProtocolSpec(haar_state((d_a, d_b), rng), alice, unitaries, verify)
+    return single_protocol(haar_state((d_a, d_b), rng), alice, unitaries, verify)
 
 
 @st.composite
@@ -309,29 +307,29 @@ def protocol_batch_case(draw):
 @PROFILE
 @given(protocol_case())
 def test_success_rates_agree(spec):
-    delta = success_probability_original(spec) - success_probability_mspace(spec)
+    delta = success_rates_original(spec)[0] - success_rates_mspace(spec)[0]
     assert abs(delta) < 1e-10
 
 
 @PROFILE
 @given(protocol_batch_case())
 def test_batched_scores_equal_per_spec_scores(specs):
-    batch = ProtocolBatch(
-        np.stack([s.state.reshaped() for s in specs]),
-        np.stack([s.alice.stack for s in specs]),
-        np.stack([s.bob_unitaries for s in specs]),
-        np.stack([s.verify_pairs for s in specs]),
+    stack = ProtocolSpec(
+        np.concatenate([s.psi for s in specs]),
+        np.concatenate([s.alice for s in specs]),
+        np.concatenate([s.bob_unitaries for s in specs]),
+        np.concatenate([s.verify_pairs for s in specs]),
         range(len(specs)),
     )
-    for rates, one in ((success_rates_original(batch), success_probability_original),
-                       (success_rates_mspace(batch), success_probability_mspace)):  # fmt: skip
-        np.testing.assert_allclose(rates, [one(s) for s in specs], rtol=0, atol=1e-15)
+    for rates in (success_rates_original, success_rates_mspace):
+        np.testing.assert_allclose(rates(stack), [rates(s)[0] for s in specs], rtol=0, atol=1e-15)
     # the batched table against ||(A_k (x) M_yk U_k) psi||^2, one protocol and outcome at a time
-    tables = outcome_tables(batch)
+    table = outcome_tables(stack)
+    tables = np.stack([table.p_success, table.p_failure], axis=-1)
     for t, spec in enumerate(specs):
-        for k, (a, pair, u) in enumerate(zip(spec.alice.stack, spec.verify_pairs, spec.bob_unitaries)):
+        for k, (a, pair, u) in enumerate(zip(spec.alice[0], spec.verify_pairs[0], spec.bob_unitaries[0])):
             for y, m in enumerate(pair):
-                p = np.linalg.norm(np.kron(a, m @ u) @ spec.state.vector) ** 2
+                p = np.linalg.norm(np.kron(a, m @ u) @ spec.psi[0].reshape(-1)) ** 2
                 assert abs(tables[t, k, y] - p) < 1e-12
 
 
