@@ -190,6 +190,8 @@ def _state_dims(args) -> tuple[int, ...] | None:
 
 
 def cmd_map(args) -> tuple[dict, int]:
+    if args.measurements and (args.alice or args.bob):
+        raise ValidationError("flag-format", "--measurements and --alice/--bob exclude each other")
     tol = default_tolerance()
     psi = load_state(args.state, _state_dims(args))
     if args.alice or args.bob:
@@ -253,6 +255,8 @@ def cmd_entanglement(args) -> tuple[dict, int]:
 
 
 def cmd_theorem1(args) -> tuple[dict, int]:
+    if args.protocol and args.random:
+        raise ValidationError("flag-format", "--protocol and --random exclude each other")
     rows = []
     if args.protocol:
         specs = [load_protocol(args.protocol)]

@@ -82,11 +82,10 @@ def load_state(source: str, dims: Sequence[int] | None = None) -> PureState:
     """Load a state from a file path or a built-in name.
 
     Names: ``bell``, ``product0`` and ``random:<seed>``; the latter two take
-    their shape from ``dims`` (default two qubits).
+    their shape from ``dims`` (default two qubits). The Bell state and a
+    file's state have their own dims, which ``dims``, if given, must equal.
     """
     shape = tuple(int(d) for d in dims) if dims else (2, 2)
-    if source == "bell":
-        return bell_phi_plus()
     if source == "product0":
         return PureState.basis(shape, 0)
     if source.startswith("random:"):
@@ -97,7 +96,10 @@ def load_state(source: str, dims: Sequence[int] | None = None) -> PureState:
         if seed < 0:
             raise ValidationError("state-name", f"random state seeds must be >= 0, got {source!r}")
         return haar_state(shape, seed)
-    return state_from_obj(_read_json(source))
+    psi = bell_phi_plus() if source == "bell" else state_from_obj(_read_json(source))
+    if dims and shape != psi.dims:
+        raise ValidationError("state-dims", f"dims {shape} given, but {source!r} has dims {psi.dims}")
+    return psi
 
 
 def measurement_set_from_obj(obj: Any, tol: float = DEFAULT_TOL) -> MeasurementSet:

@@ -32,6 +32,7 @@ from .linalg import (
     ValidationError,
     _as_rng,
     _require,
+    _row_norms,
     bell_phi_plus,
     eig_hermitian,
     fourier_matrix,
@@ -343,13 +344,25 @@ def konrad_check(
 
     ``psi`` is a ``(t, 2, 2)`` amplitude stack and ``kraus_a``, ``kraus_b``
     are ``(t, k, 2, 2)`` Kraus stacks, each zero-padded to its own ``k``.
-    Returns ``(lhs, bound)``. With L_B the identity the bound is met with
-    equality, which is the one-sided check.
+    Every state must have unit norm and every channel must preserve the
+    trace; the first row that fails is named. Returns ``(lhs, bound)``. With
+    L_B the identity the bound is met with equality, which is the one-sided
+    check.
     """
     if psi.shape[-2:] != (2, 2):
         raise ValidationError("konrad-state", f"need two-qubit amplitudes, got shape {psi.shape}")
     if kraus_a.shape[-2:] != (2, 2) or kraus_b.shape[-2:] != (2, 2):
         raise ValidationError("konrad-channel", "both channels must act on qubits")
+    dev = abs(_row_norms(psi.reshape(*psi.shape[:-2], 4)) - 1.0)
+    _require(
+        dev <= NORM_TOL, "konrad-state", lambda i: f"row {i[0]}: norm deviates from 1 by {float(dev[i])!r}"
+    )
+    dev = _identity_deviation(np.stack([_gram(kraus_a), _gram(kraus_b)], axis=-3))
+    _require(
+        dev <= DEFAULT_TOL,
+        "konrad-channel",
+        lambda i: f"row {i[0]}: side {'AB'[i[1]]}: sum K^dag K deviates from 1 by {float(dev[i])!r}",
+    )
     # the identity channel on each side, padded like that side's stack
     eye_a, eye_b = np.zeros_like(kraus_a), np.zeros_like(kraus_b)
     eye_a[..., 0, :, :] = eye_b[..., 0, :, :] = np.eye(2)

@@ -153,13 +153,25 @@ class TestMap:
         assert out == ""
 
     @pytest.mark.parametrize("argv", [
-        ("map", "--dims", "0", "--measurements", "z-projectors"),
-        ("entanglement", "--dims=2,0"),
-        ("entanglement", "--dims=-1,2"),
+        ("map", "--state", "product0", "--dims", "0", "--measurements", "z-projectors"),
+        ("entanglement", "--state", "product0", "--dims=2,0"),
+        ("entanglement", "--state", "product0", "--dims=-1,2"),
+        # the Bell state and a file's state have dims of their own
+        ("locc", "--state", "bell", "--dims", "5,5", "--alice", "z-projectors", "--bob", "z-projectors"),
+        ("map", "--state", "bell", "--dims", "3,3", "--alice", "z-projectors", "--bob", "z-projectors"),
+        ("map", "--state", "PLUS_FILE", "--dims", "4", "--measurements", "z-projectors"),
+        ("entanglement", "--state", "PLUS_FILE", "--dims", "1,2"),
     ])  # fmt: skip
-    def test_product0_bad_dims_exit_two(self, capsys, argv):
-        code, out, err = run_cli(capsys, argv[0], "--state", "product0", *argv[1:])
+    def test_product0_bad_dims_exit_two(self, capsys, plus_state_file, argv):
+        argv = [plus_state_file if a == "PLUS_FILE" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2 and "error: state-dims: " in err and out == ""
+
+    @pytest.mark.parametrize("state, dims", [("bell", "2,2"), ("PLUS_FILE", "2")])
+    def test_dims_equal_to_the_state_accepted(self, capsys, plus_state_file, state, dims):
+        state = plus_state_file if state == "PLUS_FILE" else state
+        argv = ("map", "--state", state, "--dims", dims, "--measurements", "z-projectors")
+        assert run_cli(capsys, *argv)[:2] == run_cli(capsys, *argv[:3], *argv[5:])[:2]
 
 
 class TestEntanglement:
@@ -682,6 +694,9 @@ class TestReportContract:
          "--outcome", "9,9", "--all-outcomes"),
         ("locc", "--state", "bell", "--alice", "z-projectors", "--bob", "z-projectors",
          "--outcome", "0,0", "--all-outcomes"),
+        ("map", "--state", "bell", "--measurements", "z-projectors",
+         "--alice", "z-projectors", "--bob", "z-projectors"),
+        ("theorem1", "--protocol", "missing.json", "--random", "--seed", "3", "--trials", "50"),
     ])  # fmt: skip
     def test_conflicting_flag_sets_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -305,6 +305,23 @@ class TestKonradChecks:
         with pytest.raises(ValidationError, match="konrad-channel"):
             konrad(haar_state((2, 2), 1), np.eye(3, dtype=complex)[None], IDENTITY)
 
+    def test_channel_that_is_not_trace_preserving_names_its_row_and_side(self):
+        # sum K^dag K = diag(1.5, 0.5), yet the Bell state's output has trace 1
+        bad = np.diag([np.sqrt(1.5), np.sqrt(0.5)]).astype(complex)[None]
+        with pytest.raises(ValidationError, match=r"^konrad-channel: row 0: side A: "):
+            konrad(bell_phi_plus(), bad, IDENTITY)
+        psi = np.stack([bell_phi_plus().reshaped()] * 2)
+        with pytest.raises(ValidationError, match=r"^konrad-channel: row 1: side B: "):
+            konrad_check(psi, np.stack([IDENTITY] * 2), np.stack([IDENTITY, bad]))
+        with pytest.raises(ValidationError, match=r"^konrad-channel: row 0: side A: "):
+            konrad(bell_phi_plus(), IDENTITY * np.nan, IDENTITY)
+
+    @pytest.mark.parametrize("scale", [1.1, np.nan])
+    def test_state_off_unit_norm_names_its_row(self, scale):
+        psi = np.stack([bell_phi_plus().reshaped(), scale * bell_phi_plus().reshaped()])
+        with pytest.raises(ValidationError, match=r"^konrad-state: row 1: "):
+            konrad_check(psi, np.stack([IDENTITY] * 2), np.stack([IDENTITY] * 2))
+
     def test_stacked_trials_match_one_call_per_trial(self):
         # Kraus stacks of different lengths, zero-padded to 4 in the stack
         psi, kraus_a, kraus_b, single = [], [], [], []
