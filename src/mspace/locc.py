@@ -353,7 +353,7 @@ def konrad_check(
         raise ValidationError("konrad-state", f"need two-qubit amplitudes, got shape {psi.shape}")
     if kraus_a.shape[-2:] != (2, 2) or kraus_b.shape[-2:] != (2, 2):
         raise ValidationError("konrad-channel", "both channels must act on qubits")
-    dev = abs(_row_norms(psi.reshape(*psi.shape[:-2], 4)) - 1.0)
+    dev = abs(_row_norms(psi.reshape(len(psi), 4)) - 1.0)
     _require(
         dev <= NORM_TOL, "konrad-state", lambda i: f"row {i[0]}: norm deviates from 1 by {float(dev[i])!r}"
     )

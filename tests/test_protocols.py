@@ -38,9 +38,9 @@ def always_succeed_protocol():
     return single_protocol(bell_phi_plus(), z_projectors(2), (I2, I2), ((I2, zero), (I2, zero)))
 
 
-def random_protocol(d_a, d_b, n, rng):
-    """One random protocol, a stack of one."""
-    return random_protocols(d_a, d_b, n, [np.random.default_rng(rng)])
+def random_protocol(d_a, d_b, n, seed):
+    """One random protocol from a seed or a generator, a stack of one."""
+    return random_protocols(d_a, d_b, n, [np.random.default_rng(seed)])
 
 
 def rebuilt(spec):
