@@ -25,9 +25,9 @@ from .linalg import (
     bell_phi_plus,
     eig_hermitian,
     fourier_matrix,
+    haar_blocks,
     haar_state,
     haar_unitaries,
-    haar_unitary,
     haar_vectors,
     is_hermitian,
     schmidt,
@@ -42,7 +42,7 @@ from .locc import (
     depolarizing_channel,
     fourier_step,
     konrad_check,
-    random_channel,
+    random_konrad_trials,
     run_locc_construction,
 )
 from .measurement import (

@@ -29,8 +29,8 @@ from .entanglement import (
     pure_entanglement,
 )
 from .files import load_measurement_set, load_protocol, load_state
-from .linalg import DEFAULT_TOL, PureState, ValidationError, bell_phi_plus, haar_state
-from .locc import KONRAD_TOL, konrad_check, random_channel, run_locc_construction
+from .linalg import DEFAULT_TOL, PureState, ValidationError, bell_phi_plus, seeded_chunks
+from .locc import KONRAD_TOL, KONRAD_TRIAL_BYTES, konrad_check, random_konrad_trials, run_locc_construction
 from .measurement import LocalMeasurementSet, map_to_measurement_space, noisy_pair
 from .modes import useful_entanglement_bound
 from .protocols import random_protocol_batches, success_rates_mspace, success_rates_original
@@ -38,10 +38,6 @@ from .protocols import random_protocol_batches, success_rates_mspace, success_ra
 THEOREM1_TOL = 1e-10
 MONOTONICITY_TOL = 1e-9
 DIAGONAL_TOL = 1e-9
-# konrad draws 1 to MAX_KRAUS Kraus operators per channel, and checks
-# KONRAD_CHUNK trials per call, which bounds its memory at any trial count
-MAX_KRAUS = 4
-KONRAD_CHUNK = 1024
 # most rows a report may hold; every row is built before any is printed
 MAX_ROWS = 10**5
 # loosest completeness tolerance the environment may set; beyond it an
@@ -367,27 +363,13 @@ def cmd_locc(args) -> tuple[dict, int]:
     return report, 0 if passed else 1
 
 
-def _konrad_chunk(seed: int, trials: range, two_sided: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``konrad_check`` on ``trials``; trial ``t`` draws a Haar state, then a
-    channel per side, from ``default_rng((seed, t))``."""
-    psi = np.empty((len(trials), 2, 2), dtype=complex)
-    kraus = np.zeros((2, len(trials), MAX_KRAUS, 2, 2), dtype=complex)
-    kraus[1, :, 0] = np.eye(2)  # Bob's identity channel, unless he draws one
-    for i, t in enumerate(trials):
-        rng = np.random.default_rng((seed, t))
-        psi[i] = haar_state((2, 2), rng).reshaped()
-        for side in range(2 if two_sided else 1):
-            ops = random_channel(2, int(rng.integers(1, MAX_KRAUS + 1)), rng).kraus
-            kraus[side, i, : len(ops)] = ops
-    return konrad_check(psi, kraus[0], kraus[1])
-
-
 def cmd_konrad(args) -> tuple[dict, int]:
     _require_count(args.trials, "--trials")
     _require_seed(args.seed)
+    # one check per chunk, which bounds the memory at any trial count
     chunks = [
-        _konrad_chunk(args.seed, range(start, min(start + KONRAD_CHUNK, args.trials)), args.two_sided)
-        for start in range(0, args.trials, KONRAD_CHUNK)
+        konrad_check(*random_konrad_trials(rngs, args.two_sided))
+        for _, rngs in seeded_chunks(args.seed, args.trials, KONRAD_TRIAL_BYTES)
     ]
     lhs, bound = (np.concatenate(side) for side in zip(*chunks))
     if args.two_sided:

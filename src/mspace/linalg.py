@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +22,10 @@ DEFAULT_TOL = 1e-10
 NORM_TOL = 1e-10
 # how far from Hermitian a matrix handed to eig_hermitian may be
 HERMITIAN_TOL = 1e-8
+
+# Bytes of trial arrays a random run holds at once; one trial may exceed it
+# and then forms a chunk of its own.
+CHUNK_BYTES = 1 << 22
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -322,9 +326,11 @@ def haar_unitaries(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def haar_unitary(n: int, seed: int | np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary, deterministic for a given seed."""
-    return haar_unitaries(_as_rng(seed).standard_normal((2, n, n)))
+def haar_blocks(g: np.ndarray, d: int) -> np.ndarray:
+    """Complete ``(..., n, d, d)`` sets from a ``(..., 2, n d, n d)`` stack of standard normals:
+    each is the first block column of a Haar unitary, cut into blocks."""
+    u = haar_unitaries(g)[..., :d]
+    return u.reshape(*u.shape[:-2], -1, d, d)
 
 
 def haar_vectors(g: np.ndarray) -> np.ndarray:
@@ -338,3 +344,13 @@ def haar_state(dims: Sequence[int], seed: int | np.random.Generator) -> PureStat
     dims = tuple(int(d) for d in dims)
     _check_dims(dims)
     return PureState(dims, haar_vectors(_as_rng(seed).standard_normal((2, math.prod(dims)))))
+
+
+def seeded_chunks(seed: int, trials: int, trial_bytes: int) -> Iterator[tuple[range, list]]:
+    """Trials ``0..trials-1`` of ``trial_bytes`` each, as (range, generators) chunks that fit
+    :data:`CHUNK_BYTES`. Trial ``t`` draws from ``default_rng((seed, t))``, so its draws
+    depend neither on ``trials`` nor on the chunking."""
+    step = max(1, CHUNK_BYTES // trial_bytes)
+    for start in range(0, trials, step):
+        chunk = range(start, min(start + step, trials))
+        yield chunk, [np.random.default_rng((seed, t)) for t in chunk]

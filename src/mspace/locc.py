@@ -30,14 +30,13 @@ from .linalg import (
     DensityMatrix,
     PureState,
     ValidationError,
-    _as_rng,
     _require,
     _row_norms,
-    bell_phi_plus,
     eig_hermitian,
     fourier_matrix,
     frozen,
-    haar_unitary,
+    haar_blocks,
+    haar_vectors,
     operator_stack,
 )
 from .measurement import (
@@ -52,6 +51,9 @@ from .measurement import (
 ZERO_BRANCH_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
 KONRAD_TOL = 1e-8
+MAX_KRAUS = 4
+# one random trial's amplitudes, padded Kraus stacks and stacked local products, as complex128
+KONRAD_TRIAL_BYTES = 16 * (4 + 2 * MAX_KRAUS * 4 + 3 * (2 * MAX_KRAUS) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +316,6 @@ def depolarizing_channel(p: float) -> Channel:
     )
 
 
-def random_channel(dim: int, n_kraus: int, seed: int | np.random.Generator) -> Channel:
-    """Random trace-preserving channel from a Haar block column."""
-    rng = _as_rng(seed)
-    u = haar_unitary(n_kraus * dim, rng)
-    return Channel(u[:, :dim].reshape(n_kraus, dim, dim))
-
-
 def channel_output(psi: np.ndarray, kraus_a: np.ndarray, kraus_b: np.ndarray) -> DensityMatrix:
     """(L_A x L_B)|psi><psi| for amplitudes ``psi`` and Kraus stacks ``kraus_a``, ``kraus_b``.
 
@@ -366,7 +361,7 @@ def konrad_check(
     # the identity channel on each side, padded like that side's stack
     eye_a, eye_b = np.zeros_like(kraus_a), np.zeros_like(kraus_b)
     eye_a[..., 0, :, :] = eye_b[..., 0, :, :] = np.eye(2)
-    bell = np.broadcast_to(bell_phi_plus().reshaped(), psi.shape)
+    bell = np.broadcast_to(np.eye(2) / np.sqrt(2.0), psi.shape)
     # one stack of rows (L_A x L_B) psi, (L_A x 1) phi+ and (1 x L_B) phi+
     c = concurrence_mixed(
         channel_output(
@@ -376,3 +371,21 @@ def konrad_check(
         )
     )
     return c[0], c[1] * c[2] * concurrence_pure(psi)
+
+
+def random_konrad_trials(rngs: list, two_sided: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One random trial per generator, as ``(psi, kraus_a, kraus_b)`` for :func:`konrad_check`.
+
+    Each generator draws a Haar state's normals, then per side (Bob's only
+    when ``two_sided``, else he keeps the identity) a Kraus count in
+    ``[1, MAX_KRAUS]`` and the normals of its ``haar_blocks``, zero-padded.
+    """
+    g_state = np.empty((len(rngs), 2, 4))
+    kraus = np.zeros((2, len(rngs), MAX_KRAUS, 2, 2), dtype=complex)
+    kraus[1, :, 0] = np.eye(2)
+    for t, rng in enumerate(rngs):
+        rng.standard_normal(out=g_state[t])
+        for side in range(2 if two_sided else 1):
+            k = int(rng.integers(1, MAX_KRAUS + 1))
+            kraus[side, t, :k] = haar_blocks(rng.standard_normal((2, 2 * k, 2 * k)), 2)
+    return haar_vectors(g_state).reshape(-1, 2, 2), kraus[0], kraus[1]

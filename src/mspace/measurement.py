@@ -23,7 +23,7 @@ from .linalg import (
     _require,
     _require_unit,
     _row_norms,
-    haar_unitary,
+    haar_blocks,
     operator_stack,
     tensor,
 )
@@ -329,15 +329,14 @@ def map_to_measurement_space(
 def random_measurement_set(dim: int, n_outcomes: int, seed: int | np.random.Generator) -> MeasurementSet:
     """Random complete measurement set with ``n_outcomes`` operators.
 
-    Slices the first block-column of a Haar unitary of size
-    ``(n_outcomes * dim)`` into ``dim x dim`` blocks, which satisfies the
-    completeness identity up to floating-point error by construction.
+    Its operators are the :func:`~mspace.linalg.haar_blocks` of one Gaussian
+    draw, so the set is complete up to floating-point error by construction.
     """
     if n_outcomes < 1:
         raise ValidationError("measurement-outcomes", "need at least one outcome")
-    u = haar_unitary(n_outcomes * dim, _as_rng(seed))
-    ops = tuple((str(m), u[m * dim : (m + 1) * dim, :dim]) for m in range(n_outcomes))
-    return MeasurementSet(dim, ops)
+    n = n_outcomes * dim
+    ops = haar_blocks(_as_rng(seed).standard_normal((2, n, n)), dim)
+    return MeasurementSet(dim, tuple((str(m), op) for m, op in enumerate(ops)))
 
 
 def z_projectors(dim: int = 2) -> MeasurementSet:

@@ -26,9 +26,11 @@ from .linalg import (
     _require,
     _require_unit,
     _row_norms,
+    haar_blocks,
     haar_unitaries,
     haar_vectors,
     operator_stack,
+    seeded_chunks,
 )
 from .measurement import (
     MeasurementSet,
@@ -40,9 +42,6 @@ from .measurement import (
     _require_complete,
 )
 
-# Bytes of trial arrays a random run holds at once; trials are scored in
-# chunks that fit. One trial may exceed it and then forms a chunk of its own.
-CHUNK_BYTES = 1 << 22
 # A trial whose arrays would exceed this is rejected before anything is drawn.
 TRIAL_BYTES_CAP = 1 << 30
 
@@ -248,25 +247,15 @@ def random_protocols(
         for g in draws:
             rng.standard_normal(out=g[t])
     g_state, g_alice, g_bob, g_verify = draws
-    # a complete set is the first block column of a Haar unitary, cut into blocks
-    alice = haar_unitaries(g_alice)[..., :d_a].reshape(count, n, d_a, d_a)
-    verify = haar_unitaries(g_verify)[..., :d_b].reshape(count, n, 2, d_b, d_b)
     psi = haar_vectors(g_state).reshape(count, d_a, d_b)
+    alice, verify = haar_blocks(g_alice, d_a), haar_blocks(g_verify, d_b)
     return ProtocolSpec(psi, alice, haar_unitaries(g_bob), verify, trials)
 
 
 def random_protocol_batches(
     d_a: int, d_b: int, n_outcomes: int, seed: int, trials: int
 ) -> Iterator[ProtocolSpec]:
-    """Random protocols for trials ``0..trials-1``, in chunks of at most :data:`CHUNK_BYTES`.
-
-    Trial ``t`` draws from ``default_rng((seed, t))``, so its protocol does
-    not depend on ``trials`` or on the chunking.
-    """
-    step = max(1, CHUNK_BYTES // _trial_bytes(d_a, d_b, n_outcomes))
-    for start in range(0, trials, step):
-        chunk = range(start, min(start + step, trials))
-        yield random_protocols(
-            d_a, d_b, n_outcomes, [np.random.default_rng((seed, t)) for t in chunk], chunk
-        )
+    """Random protocols for trials ``0..trials-1``, chunked by :func:`~mspace.linalg.seeded_chunks`."""
+    for chunk, rngs in seeded_chunks(seed, trials, _trial_bytes(d_a, d_b, n_outcomes)):
+        yield random_protocols(d_a, d_b, n_outcomes, rngs, chunk)
 

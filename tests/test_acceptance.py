@@ -15,7 +15,7 @@ from mspace.entanglement import (
     measurement_space_entanglement,
 )
 from mspace.linalg import PureState, bell_phi_plus, haar_state
-from mspace.locc import KONRAD_TOL, konrad_check, random_channel, run_locc_construction
+from mspace.locc import KONRAD_TOL, konrad_check, random_konrad_trials, run_locc_construction
 from mspace.measurement import (
     LocalMeasurementSet,
     map_to_measurement_space,
@@ -39,11 +39,6 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 def _rng(master, trial):
     return np.random.default_rng((master, trial))
-
-
-def _padded(kraus):
-    """A Kraus stack padded with zero operators to 4, the most a random channel here draws."""
-    return np.concatenate([kraus, np.zeros((4 - len(kraus), 2, 2), dtype=complex)])
 
 
 def test_criterion_1_protocol_success_equivalence():
@@ -149,20 +144,9 @@ def test_criterion_4_construction_bookkeeping():
 
 def test_criterion_5_concurrence_factorization():
     # one stack per run of 200 trials; Bob's identity channel makes the check one-sided
-    psi, kraus_a = [], []
-    for t in range(200):
-        rng = _rng(105, t)
-        psi.append(haar_state((2, 2), rng).reshaped())
-        kraus_a.append(_padded(random_channel(2, int(rng.integers(1, 5)), rng).kraus))
-    lhs, rhs = konrad_check(np.array(psi), np.array(kraus_a), np.broadcast_to(np.eye(2), (200, 1, 2, 2)))
+    lhs, rhs = konrad_check(*random_konrad_trials([_rng(105, t) for t in range(200)], False))
     worst_residual = float(np.max(np.abs(lhs - rhs)))
-    psi, kraus_a, kraus_b = [], [], []
-    for t in range(200):
-        rng = _rng(1052, t)
-        psi.append(haar_state((2, 2), rng).reshaped())
-        kraus_a.append(_padded(random_channel(2, int(rng.integers(1, 5)), rng).kraus))
-        kraus_b.append(_padded(random_channel(2, int(rng.integers(1, 5)), rng).kraus))
-    lhs, bound = konrad_check(np.array(psi), np.array(kraus_a), np.array(kraus_b))
+    lhs, bound = konrad_check(*random_konrad_trials([_rng(1052, t) for t in range(200)], True))
     violations = int(np.count_nonzero(~(lhs <= bound + KONRAD_TOL)))
     ok = worst_residual < 1e-8 and violations == 0
     _report(

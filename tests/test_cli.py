@@ -340,11 +340,11 @@ class TestTheorem1Batches:
         assert json.dumps(short) == json.dumps(long[:7])
 
     def test_chunked_run_matches_one_chunk(self, capsys, monkeypatch):
-        from mspace import protocols
+        from mspace import linalg, protocols
 
         _, whole = random_rows(capsys, 10)
         # three trials per chunk: 0-2, 3-5, 6-8, 9
-        monkeypatch.setattr(protocols, "CHUNK_BYTES", 3 * protocols._trial_bytes(3, 2, 3))
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", 3 * protocols._trial_bytes(3, 2, 3))
         seen = []
         batches = protocols.random_protocol_batches
 
@@ -475,14 +475,46 @@ class TestKonrad:
 
     @pytest.mark.parametrize("two_sided", [[], ["--two-sided"]])
     def test_chunked_run_matches_one_chunk(self, capsys, monkeypatch, two_sided):
+        from mspace import linalg
+        from mspace.locc import KONRAD_TRIAL_BYTES
+
         argv = ["konrad", "--trials", "11", "--seed", "4", *two_sided]
         _, whole, _ = run_cli(capsys, *argv)
-        monkeypatch.setattr("mspace.cli.KONRAD_CHUNK", 3)
+        # three trials per chunk: 0-2, 3-5, 6-8, 9-10
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", 3 * KONRAD_TRIAL_BYTES)
+        seen = []
+
+        def recording(*args):
+            for chunk, rngs in linalg.seeded_chunks(*args):
+                seen.append(list(chunk))
+                yield chunk, rngs
+
+        monkeypatch.setattr("mspace.cli.seeded_chunks", recording)
         _, chunked, _ = run_cli(capsys, *argv)
+        assert seen == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10]]
         assert chunked == whole
         # and a trial's row does not depend on --trials
         _, first, _ = run_cli(capsys, "konrad", "--trials", "4", "--seed", "4", *two_sided)
         assert json.loads(first)["results"] == json.loads(whole)["results"][:4]
+
+    @pytest.mark.parametrize("two_sided", [[], ["--two-sided"]])
+    def test_no_state_or_channel_objects_are_built(self, capsys, monkeypatch, two_sided):
+        from mspace.linalg import PureState
+        from mspace.locc import Channel, depolarizing_channel
+
+        built = []
+        for cls in (PureState, Channel):
+
+            def counted(self, real=cls.__post_init__):
+                built.append(type(self).__name__)
+                real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        code, _, _ = run_cli(capsys, "konrad", "--trials", "40", "--seed", "3", *two_sided)
+        assert code == 0 and built == []
+        # the counters do see both types
+        bell_phi_plus(), depolarizing_channel(0.5)
+        assert built == ["PureState", "Channel"]
 
 
 class TestModes:
@@ -555,7 +587,7 @@ class TestRowCap:
     @pytest.mark.parametrize("argv, first_step", [
         (("sweep", "--steps", str(10**12)), "bell_phi_plus"),
         (("sweep", "--steps", str(MAX_ROWS + 1)), "bell_phi_plus"),
-        (("konrad", "--seed", "1", "--trials", str(MAX_ROWS + 1)), "haar_state"),
+        (("konrad", "--seed", "1", "--trials", str(MAX_ROWS + 1)), "random_konrad_trials"),
         (("theorem1", "--random", "--seed", "1", "--trials", str(MAX_ROWS + 1)), "random_protocol_batches"),
         (("modes", "--n-max", str(MAX_ROWS + 1), "--m-max", "2"), "useful_entanglement_bound"),
         (("modes", "--n-max", str(MAX_ROWS // 7 + 1), "--m-max", "8"), "useful_entanglement_bound"),

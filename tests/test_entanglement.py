@@ -22,7 +22,7 @@ from mspace.linalg import (
     ValidationError,
     bell_phi_plus,
     haar_state,
-    haar_unitary,
+    haar_unitaries,
     ptrace_matrix,
     tensor,
 )
@@ -180,7 +180,7 @@ class TestLocalUnitaryInvariance:
         rng = np.random.default_rng(6)
         for _ in range(20):
             psi = haar_state((2, 2), rng)
-            u = tensor(haar_unitary(2, rng), haar_unitary(2, rng))
+            u = tensor(*haar_unitaries(rng.standard_normal((2, 2, 2, 2))))
             rotated = PureState((2, 2), u @ psi.vector)
             assert abs(entropy_of_entanglement(rotated) - entropy_of_entanglement(psi)) < 1e-9
             assert abs(concurrence_pure(rotated.reshaped()) - concurrence_pure(psi.reshaped())) < 1e-9

@@ -11,7 +11,7 @@ from mspace.linalg import (
     eig_hermitian,
     fourier_matrix,
     haar_state,
-    haar_unitary,
+    haar_unitaries,
     is_hermitian,
     ptrace_matrix,
     schmidt,
@@ -247,10 +247,11 @@ class TestFourierMatrix:
 class TestHaar:
     def test_deterministic(self):
         assert np.array_equal(haar_state((2, 2), 42).vector, haar_state((2, 2), 42).vector)
-        assert np.array_equal(haar_unitary(3, 42), haar_unitary(3, 42))
+        draw = lambda: haar_unitaries(np.random.default_rng(42).standard_normal((2, 3, 3)))
+        assert np.array_equal(draw(), draw())
 
     def test_unitary(self):
-        u = haar_unitary(3, 7)
+        u = haar_unitaries(np.random.default_rng(7).standard_normal((2, 3, 3)))
         assert is_unitary(u)
 
     def test_first_component_mean(self):

@@ -8,6 +8,7 @@ from mspace.linalg import (
     PureState,
     ValidationError,
     bell_phi_plus,
+    haar_blocks,
     haar_state,
     ptrace_matrix,
 )
@@ -19,7 +20,6 @@ from mspace.locc import (
     depolarizing_channel,
     fourier_step,
     konrad_check,
-    random_channel,
     run_locc_construction,
 )
 from mspace.measurement import (
@@ -242,13 +242,19 @@ class TestChannels:
         np.testing.assert_allclose(ch.apply(rho), np.eye(2) / 2, atol=1e-12)
 
     def test_random_channel_is_trace_preserving(self):
-        ch = random_channel(2, 3, 11)
-        acc = sum(k.conj().T @ k for k in ch.kraus)
+        kraus = haar_blocks(np.random.default_rng(11).standard_normal((2, 6, 6)), 2)
+        acc = sum(k.conj().T @ k for k in kraus)
         np.testing.assert_allclose(acc, np.eye(2), atol=1e-12)
 
 
 # the identity channel's Kraus stack
 IDENTITY = np.eye(2, dtype=complex)[None]
+
+
+def random_kraus(rng):
+    """A random qubit channel's Kraus stack of 1 to 4 operators, drawn as ``random_konrad_trials`` draws one side."""
+    k = int(rng.integers(1, 5))
+    return haar_blocks(rng.standard_normal((2, 2 * k, 2 * k)), 2)
 
 
 def konrad(psi, kraus_a, kraus_b):
@@ -275,8 +281,7 @@ class TestKonradChecks:
         for t in range(50):
             rng = np.random.default_rng((61, t))
             psi = haar_state((2, 2), rng)
-            ch = random_channel(2, int(rng.integers(1, 5)), rng)
-            lhs, rhs = konrad(psi, ch.kraus, IDENTITY)
+            lhs, rhs = konrad(psi, random_kraus(rng), IDENTITY)
             worst = max(worst, abs(lhs - rhs))
         assert worst < 1e-8
 
@@ -294,9 +299,7 @@ class TestKonradChecks:
         for t in range(50):
             rng = np.random.default_rng((73, t))
             psi = haar_state((2, 2), rng)
-            ch_a = random_channel(2, int(rng.integers(1, 5)), rng)
-            ch_b = random_channel(2, int(rng.integers(1, 5)), rng)
-            lhs, bound = konrad(psi, ch_a.kraus, ch_b.kraus)
+            lhs, bound = konrad(psi, random_kraus(rng), random_kraus(rng))
             assert lhs <= bound + KONRAD_TOL
 
     def test_dimension_guards(self):
@@ -328,8 +331,7 @@ class TestKonradChecks:
         for t in range(30):
             rng = np.random.default_rng((79, t))
             state = haar_state((2, 2), rng)
-            ch_a = random_channel(2, int(rng.integers(1, 5)), rng).kraus
-            ch_b = random_channel(2, int(rng.integers(1, 5)), rng).kraus
+            ch_a, ch_b = random_kraus(rng), random_kraus(rng)
             single.append(konrad(state, ch_a, ch_b))
             psi.append(state.reshaped())
             kraus_a.append(np.concatenate([ch_a, np.zeros((4 - len(ch_a), 2, 2))]))
@@ -355,7 +357,7 @@ class TestChannelStacks:
             Channel(())
 
     def test_apply_matches_kraus_sum(self):
-        ch = random_channel(3, 4, 19)
+        ch = Channel(haar_blocks(np.random.default_rng(19).standard_normal((2, 12, 12)), 3))
         psi = haar_state((3,), 20)
         rho = psi.density().matrix
         expected = sum(k @ rho @ k.conj().T for k in ch.kraus)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mspace.linalg import PureState, ValidationError, bell_phi_plus, haar_state, haar_unitary
+from mspace.linalg import PureState, ValidationError, bell_phi_plus, haar_state, haar_unitaries
 from mspace.measurement import (
     LocalMeasurementSet,
     MeasurementSet,
@@ -105,7 +105,7 @@ class TestMapToMeasurementSpace:
 
     def test_rank1_projective_gives_component_magnitudes(self):
         rng = np.random.default_rng(31)
-        u = haar_unitary(3, rng)
+        u = haar_unitaries(rng.standard_normal((2, 3, 3)))
         ops = tuple((str(i), np.outer(u[:, i], u[:, i].conj())) for i in range(3))
         basis_set = MeasurementSet(3, ops)
         psi = haar_state((3,), rng)

@@ -18,13 +18,15 @@ from mspace.entanglement import (
     measurement_space_entanglement,
     pure_entanglement,
 )
-from mspace.linalg import PureState, haar_state, haar_unitary
+from mspace.linalg import PureState, haar_blocks, haar_state, haar_unitaries
 from mspace.locc import (
     KONRAD_TOL,
+    MAX_KRAUS,
     Channel,
     build_dilation,
     channel_output,
     konrad_check,
+    random_konrad_trials,
     run_locc_construction,
 )
 from mspace.measurement import (
@@ -44,6 +46,11 @@ from mspace.protocols import (
 PROFILE = settings(derandomize=True, deadline=None, max_examples=100, database=None)
 
 
+def haar(n, rng):
+    """A Haar n x n unitary from ``rng``."""
+    return haar_unitaries(rng.standard_normal((2, n, n)))
+
+
 def complete_set(d, ranks, rng):
     """A complete set whose operator m has rank at most ranks[m].
 
@@ -53,10 +60,10 @@ def complete_set(d, ranks, rng):
     0 gives the zero operator.
     """
     total = sum(ranks)
-    x = haar_unitary(total, rng)[:, :d]
+    x = haar(total, rng)[:, :d]
     ops, row = [], 0
     for m, r in enumerate(ranks):
-        y = haar_unitary(d, rng)[:, :r]
+        y = haar(d, rng)[:, :r]
         ops.append((str(m), y @ x[row : row + r]))
         row += r
     return MeasurementSet(d, tuple(ops))
@@ -135,7 +142,7 @@ def test_two_qubit_eof_routes_agree(p, seed):
     # Schmidt coefficients sqrt(p), sqrt(1 - p) under random local unitaries,
     # product and maximally entangled states included
     rng = np.random.default_rng(seed)
-    u = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    u = np.kron(haar(2, rng), haar(2, rng))
     psi = PureState((2, 2), u @ np.array([np.sqrt(p), 0.0, 0.0, np.sqrt(1.0 - p)]))
     assert abs(pure_entanglement(psi, "eof") - pure_entanglement(psi, "entropy")) <= 1e-12
 
@@ -279,10 +286,42 @@ def test_channel_output_matches_kron_sum(case):
         np.testing.assert_allclose(out, kron_sum(kraus_a, kraus_b), rtol=0, atol=1e-12)
 
 
+@PROFILE
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5), st.integers(1, 3))
+def test_haar_blocks_of_a_stack_equal_single_calls(seed, d, n, count):
+    g = np.random.default_rng(seed).standard_normal((count, 2, 2, n * d, n * d))
+    stacked = haar_blocks(g, d)
+    assert stacked.shape == (count, 2, n, d, d)
+    for idx in np.ndindex(count, 2):
+        ops = haar_blocks(g[idx], d)
+        assert np.array_equal(stacked[idx], ops)
+        gram = sum(m.conj().T @ m for m in ops)
+        assert np.max(np.abs(gram - np.eye(d))) <= 1e-12
+
+
+@PROFILE
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans())
+def test_konrad_trials_equal_per_trial_draws(seed, count, two_sided):
+    psi, kraus_a, kraus_b = random_konrad_trials(
+        [np.random.default_rng((seed, t)) for t in range(count)], two_sided
+    )
+    assert kraus_a.shape == kraus_b.shape == (count, MAX_KRAUS, 2, 2)
+    for t in range(count):
+        # the reference: a Haar state, then per side a Kraus count and a Haar block column
+        rng = np.random.default_rng((seed, t))
+        assert np.array_equal(psi[t], haar_state((2, 2), rng).reshaped())
+        sides = [np.eye(2)[None], np.eye(2)[None]]
+        for side in range(2 if two_sided else 1):
+            k = int(rng.integers(1, MAX_KRAUS + 1))
+            sides[side] = haar_unitaries(rng.standard_normal((2, 2 * k, 2 * k)))[:, :2].reshape(k, 2, 2)
+        for got, ops in zip((kraus_a[t], kraus_b[t]), sides):
+            assert np.array_equal(got[: len(ops)], ops) and not np.any(got[len(ops) :])
+
+
 def protocol_spec(draw, d_a, ranks_a, d_b):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     alice = complete_set(d_a, ranks_a, rng)
-    unitaries = [haar_unitary(d_b, rng) for _ in ranks_a]
+    unitaries = [haar(d_b, rng) for _ in ranks_a]
     # each verify pair is a complete two-operator set whose ranks add up to d_b
     verify = [complete_set(d_b, [r, d_b - r], rng).stack for r in draw(
         st.lists(st.integers(0, d_b), min_size=len(ranks_a), max_size=len(ranks_a))
