@@ -168,6 +168,8 @@ def _require_seed(seed: int) -> None:
 
 
 def _load_local_sets(args, psi: PureState, tol: float) -> LocalMeasurementSet:
+    if not (args.alice and args.bob):
+        raise ValidationError("flag-format", "--alice and --bob go together")
     if len(psi.dims) != 2:
         raise ValidationError(
             "dimension-match", f"local sets need a bipartite state, got dims {psi.dims}"
@@ -191,8 +193,6 @@ def cmd_map(args) -> tuple[dict, int]:
     tol = default_tolerance()
     psi = load_state(args.state, _state_dims(args))
     if args.alice or args.bob:
-        if not (args.alice and args.bob):
-            raise ValidationError("flag-format", "--alice and --bob go together")
         measurements: Any = _load_local_sets(args, psi, tol)
     elif args.measurements:
         measurements = load_measurement_set(args.measurements, dim=psi.dim, tol=tol)
@@ -253,8 +253,13 @@ def cmd_entanglement(args) -> tuple[dict, int]:
 def cmd_theorem1(args) -> tuple[dict, int]:
     if args.protocol and args.random:
         raise ValidationError("flag-format", "--protocol and --random exclude each other")
+    outcomes = 2 if args.outcomes is None else args.outcomes
     rows = []
     if args.protocol:
+        # a protocol file fixes all of these itself
+        for flag in ("seed", "dims", "outcomes", "trials"):
+            if getattr(args, flag) is not None:
+                raise ValidationError("flag-format", f"--protocol and --{flag} exclude each other")
         specs = [load_protocol(args.protocol)]
     else:
         if not args.random:
@@ -262,9 +267,10 @@ def cmd_theorem1(args) -> tuple[dict, int]:
         if args.seed is None:
             raise ValidationError("flag-format", "--random needs --seed")
         _require_seed(args.seed)
-        _require_count(args.trials, "--trials")
+        trials = 1 if args.trials is None else args.trials
+        _require_count(trials, "--trials")
         d_a, d_b = _parse_ints(args.dims, 2) if args.dims else (2, 2)
-        specs = random_protocol_batches(d_a, d_b, args.outcomes, args.seed, args.trials)
+        specs = random_protocol_batches(d_a, d_b, outcomes, args.seed, trials)
     worst = 0.0
     for spec in specs:
         names = ["file"] if spec.trials is None else [str(t) for t in spec.trials]
@@ -281,7 +287,7 @@ def cmd_theorem1(args) -> tuple[dict, int]:
             "trials": len(rows),
             "seed": args.seed,
             "dims": args.dims,
-            "outcomes": args.outcomes,
+            "outcomes": outcomes,
         },
         "max_delta": worst,
         "tolerance": THEOREM1_TOL,
@@ -496,10 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem1", help="compare protocol success on both sides of the map")
     p.add_argument("--protocol")
     p.add_argument("--random", action="store_true")
-    p.add_argument("--trials", type=int, default=1)
+    # --trials and --outcomes default to 1 and 2 with --random; --protocol takes neither
+    p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--dims")
-    p.add_argument("--outcomes", type=int, default=2)
+    p.add_argument("--outcomes", type=int)
     add_common(p)
     p.set_defaults(func=cmd_theorem1)
 

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, PureState, ValidationError, bell_phi_plus, haar_state
+from .linalg import DEFAULT_TOL, PureState, ValidationError, _require_fits, bell_phi_plus, haar_state
 from .measurement import MeasurementSet, noisy_pair, random_measurement_set, z_projectors
 from .protocols import ProtocolSpec, single_protocol
 
@@ -78,16 +78,24 @@ def state_from_obj(obj: Any) -> PureState:
     return PureState(dims, vec / norm)
 
 
+def _builtin_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """``shape`` as the dims of a built-in state, whose amplitudes must fit the byte cap."""
+    # a dim below 1 is left for the state to name
+    _require_fits(16 * math.prod(max(d, 0) for d in shape), "state-size", f"a state of dims {shape}")
+    return shape
+
+
 def load_state(source: str, dims: Sequence[int] | None = None) -> PureState:
     """Load a state from a file path or a built-in name.
 
     Names: ``bell``, ``product0`` and ``random:<seed>``; the latter two take
-    their shape from ``dims`` (default two qubits). The Bell state and a
-    file's state have their own dims, which ``dims``, if given, must equal.
+    their shape from ``dims`` (default two qubits) and are size-checked
+    before they are allocated. The Bell state and a file's state have their
+    own dims, which ``dims``, if given, must equal.
     """
     shape = tuple(int(d) for d in dims) if dims else (2, 2)
     if source == "product0":
-        return PureState.basis(shape, 0)
+        return PureState.basis(_builtin_shape(shape), 0)
     if source.startswith("random:"):
         try:
             seed = int(source.split(":", 1)[1])
@@ -95,7 +103,7 @@ def load_state(source: str, dims: Sequence[int] | None = None) -> PureState:
             raise ValidationError("state-name", f"bad random state spec {source!r}") from exc
         if seed < 0:
             raise ValidationError("state-name", f"random state seeds must be >= 0, got {source!r}")
-        return haar_state(shape, seed)
+        return haar_state(_builtin_shape(shape), seed)
     psi = bell_phi_plus() if source == "bell" else state_from_obj(_read_json(source))
     if dims and shape != psi.dims:
         raise ValidationError("state-dims", f"dims {shape} given, but {source!r} has dims {psi.dims}")
@@ -126,11 +134,14 @@ def load_measurement_set(source: str, dim: int | None = None, tol: float = DEFAU
     """Load a measurement set from a file path or a built-in family name.
 
     Families: ``z-projectors`` (dimension from context), ``noisy:<eta>``
-    (qubit pair) and ``random:<outcomes>:<seed>``. A file's set must be
-    complete within ``tol``.
+    (qubit pair) and ``random:<outcomes>:<seed>``; the first and last are
+    size-checked before they are allocated. A file's set must be complete
+    within ``tol``.
     """
+    d = dim or 2
     if source == "z-projectors":
-        return z_projectors(dim or 2)
+        _require_fits(16 * d**3, "measurement-size", f"z-projectors on dim {d}")
+        return z_projectors(d)
     if source.startswith("noisy:"):
         try:
             eta = float(source.split(":", 1)[1])
@@ -149,7 +160,10 @@ def load_measurement_set(source: str, dim: int | None = None, tol: float = DEFAU
             raise ValidationError("measurement-name", f"bad random set spec {source!r}") from exc
         if seed < 0:
             raise ValidationError("measurement-name", f"random set seeds must be >= 0, got {source!r}")
-        return random_measurement_set(dim or 2, outcomes, seed)
+        # its Gaussian block; a count below 1 is left for random_measurement_set to name
+        n = max(outcomes, 0) * d
+        _require_fits(16 * n * n, "measurement-size", f"the set {source!r} on dim {d}")
+        return random_measurement_set(d, outcomes, seed)
     return measurement_set_from_obj(_read_json(source), tol)
 
 

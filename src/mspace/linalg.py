@@ -26,6 +26,8 @@ HERMITIAN_TOL = 1e-8
 # Bytes of trial arrays a random run holds at once; one trial may exceed it
 # and then forms a chunk of its own.
 CHUNK_BYTES = 1 << 22
+# an input whose arrays would exceed this is rejected before anything is allocated
+TRIAL_BYTES_CAP = 1 << 30
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -48,6 +50,13 @@ def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def _require_fits(size: int, invariant: str, what: str) -> int:
+    """``size``, unless ``what`` needs more than :data:`TRIAL_BYTES_CAP` bytes; then fail as ``invariant``."""
+    if size > TRIAL_BYTES_CAP:
+        raise ValidationError(invariant, f"{what} needs {size} bytes, over the cap of {TRIAL_BYTES_CAP}")
+    return size
 
 
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -24,6 +24,7 @@ from .linalg import (
     ValidationError,
     _check_dims,
     _require,
+    _require_fits,
     _require_unit,
     _row_norms,
     haar_blocks,
@@ -41,9 +42,6 @@ from .measurement import (
     _probabilities,
     _require_complete,
 )
-
-# A trial whose arrays would exceed this is rejected before anything is drawn.
-TRIAL_BYTES_CAP = 1 << 30
 
 
 @dataclasses.dataclass(frozen=True)
@@ -204,21 +202,15 @@ def success_rates_mspace(spec: ProtocolSpec) -> np.ndarray:
 def _trial_bytes(d_a: int, d_b: int, n_outcomes: int) -> int:
     """Bytes of one random trial's joint stack, Haar draws and operators, as complex128.
 
-    Rejects a shape with no valid protocol, or one over :data:`TRIAL_BYTES_CAP`,
-    before anything is allocated.
+    Rejects a shape with no valid protocol, or one over
+    :data:`~mspace.linalg.TRIAL_BYTES_CAP`, before anything is allocated.
     """
     _check_dims((d_a, d_b))
     if n_outcomes < 1:
         raise ValidationError("measurement-outcomes", "need at least one outcome")
     dim, n = d_a * d_b, n_outcomes
     size = 16 * (2 * n * dim * dim + (n * d_a) ** 2 + 5 * n * d_b * d_b + dim)
-    if size > TRIAL_BYTES_CAP:
-        raise ValidationError(
-            "protocol-size",
-            f"one {d_a}x{d_b} trial with {n} outcomes needs {size} bytes, "
-            f"over the cap of {TRIAL_BYTES_CAP}",
-        )
-    return size
+    return _require_fits(size, "protocol-size", f"one {d_a}x{d_b} trial with {n} outcomes")
 
 
 def random_protocols(

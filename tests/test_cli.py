@@ -597,6 +597,26 @@ class TestRowCap:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and "error: flag-format: " in err and out == ""
 
+    # the call that would allocate the built-in, which must not run
+    @pytest.mark.parametrize("argv, first_step, invariant", [
+        (("locc", "--state", "random:1", "--dims", "100000,100000", "--alice", "z-projectors",
+          "--bob", "z-projectors"), "haar_state", "state-size"),
+        (("map", "--state", "product0", "--dims", "100000,100000", "--measurements", "z-projectors"),
+         "PureState.basis", "state-size"),
+        (("locc", "--state", "random:1", "--dims", "3000,1", "--alice", "z-projectors", "--bob", "z-projectors"),
+         "z_projectors", "measurement-size"),
+        (("map", "--state", "product0", "--dims", "2000", "--measurements", "z-projectors"),
+         "z_projectors", "measurement-size"),
+        (("map", "--state", "bell", "--alice", "random:100000:1", "--bob", "z-projectors"),
+         "random_measurement_set", "measurement-size"),
+    ])  # fmt: skip
+    def test_builtin_over_the_byte_cap_rejected_before_allocating(
+        self, capsys, monkeypatch, argv, first_step, invariant
+    ):
+        monkeypatch.setattr(f"mspace.files.{first_step}", _no_work)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and f"error: {invariant}: " in err and "over the cap" in err and out == ""
+
     def test_largest_grid_in_use_is_under_the_cap(self, capsys):
         code, out, _ = run_cli(capsys, "modes", "--n-max", "60", "--m-max", "8")
         assert code == 0 and len(json.loads(out)["results"]) == 420 <= MAX_ROWS
@@ -729,6 +749,13 @@ class TestReportContract:
         ("map", "--state", "bell", "--measurements", "z-projectors",
          "--alice", "z-projectors", "--bob", "z-projectors"),
         ("theorem1", "--protocol", "missing.json", "--random", "--seed", "3", "--trials", "50"),
+        ("entanglement", "--state", "bell", "--alice", "z-projectors"),
+        ("entanglement", "--state", "bell", "--bob", "z-projectors"),
+        # rejected before the file is read, so a missing file is not named
+        ("theorem1", "--protocol", "missing.json", "--seed", "3"),
+        ("theorem1", "--protocol", "missing.json", "--dims", "3,3"),
+        ("theorem1", "--protocol", "missing.json", "--outcomes", "2"),
+        ("theorem1", "--protocol", "missing.json", "--trials", "1"),
     ])  # fmt: skip
     def test_conflicting_flag_sets_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
