@@ -23,8 +23,8 @@ NORM_TOL = 1e-10
 # how far from Hermitian a matrix handed to eig_hermitian may be
 HERMITIAN_TOL = 1e-8
 
-# Bytes of trial arrays a random run holds at once; one trial may exceed it
-# and then forms a chunk of its own.
+# bytes of trial arrays a random run holds at once; one trial may exceed it
+# and then forms a chunk of its own
 CHUNK_BYTES = 1 << 22
 # an input whose arrays would exceed this is rejected before anything is allocated
 TRIAL_BYTES_CAP = 1 << 30

@@ -247,8 +247,8 @@ class TestFourierMatrix:
 class TestHaar:
     def test_deterministic(self):
         assert np.array_equal(haar_state((2, 2), 42).vector, haar_state((2, 2), 42).vector)
-        draw = lambda: haar_unitaries(np.random.default_rng(42).standard_normal((2, 3, 3)))
-        assert np.array_equal(draw(), draw())
+        a, b = (haar_unitaries(np.random.default_rng(42).standard_normal((2, 3, 3))) for _ in range(2))
+        assert np.array_equal(a, b)
 
     def test_unitary(self):
         u = haar_unitaries(np.random.default_rng(7).standard_normal((2, 3, 3)))
