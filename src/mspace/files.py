@@ -118,14 +118,15 @@ def measurement_set_from_obj(obj: Any, tol: float = DEFAULT_TOL) -> MeasurementS
         raise ValidationError(
             "measurement-schema", "measurement files need 'dim' as an integer and 'operators' as a list"
         )
-    ops = []
+    labels, matrices = [], []
     for entry in obj["operators"]:
         if not isinstance(entry, dict) or "label" not in entry or "matrix" not in entry:
             raise ValidationError(
                 "measurement-schema", "each operator needs 'label' and 'matrix'"
             )
-        ops.append((str(entry["label"]), pairs_to_matrix(entry["matrix"])))
-    mset = MeasurementSet(dim, tuple(ops))
+        labels.append(str(entry["label"]))
+        matrices.append(pairs_to_matrix(entry["matrix"]))
+    mset = MeasurementSet(dim, tuple(labels), matrices)
     mset.assert_complete(tol)
     return mset
 
@@ -208,6 +209,6 @@ def measurement_set_to_obj(mset: MeasurementSet) -> dict:
     return {
         "dim": mset.dim,
         "operators": [
-            {"label": label, "matrix": matrix_to_pairs(op)} for label, op in mset.operators
+            {"label": label, "matrix": matrix_to_pairs(op)} for label, op in zip(mset.labels, mset.stack)
         ],
     }

@@ -42,6 +42,7 @@ from .linalg import (
 from .measurement import (
     LocalMeasurementSet,
     MeasurementSpaceState,
+    _checked_local_product,
     _gram,
     _identity_deviation,
     local_product,
@@ -66,21 +67,12 @@ def build_dilation(
     """Attach one ancilla per party and entangle it with the local outcomes.
 
     The result lives on (sys_A, sys_B, anc_A, anc_B), in that order: its
-    ``[:, :, a, b]`` slice is ``A_a Psi B_b^T``. Both sets must be complete
-    within ``completeness_tol``, which makes it nearly normalized; when its
+    ``[:, :, a, b]`` slice is ``A_a Psi B_b^T``. The pair is checked as for
+    the map: matching dims, the byte cap, and completeness within
+    ``completeness_tol``, which makes the result nearly normalized; when its
     squared norm misses 1 by more than ``NORM_TOL`` the norm is divided out.
     """
-    if len(psi.dims) != 2:
-        raise ValidationError("dilation-state", f"need a bipartite state, got dims {psi.dims}")
-    if psi.dims != (measurements.alice.dim, measurements.bob.dim):
-        raise ValidationError(
-            "dilation-dims",
-            f"state dims {psi.dims} do not match measurement dims "
-            f"({measurements.alice.dim}, {measurements.bob.dim})",
-        )
-    measurements.alice.assert_complete(completeness_tol)
-    measurements.bob.assert_complete(completeness_tol)
-    t = local_product(psi.reshaped(), measurements.alice.stack, measurements.bob.stack)
+    t = _checked_local_product(psi, measurements, completeness_tol)
     vec = t.transpose(2, 3, 0, 1).reshape(-1)
     norm = np.linalg.norm(vec)
     # the squared norm is the trace of the ancilla output; within NORM_TOL

@@ -31,30 +31,31 @@ from .linalg import (
 PROBABILITY_FLOOR = -1e-12
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class MeasurementSet:
     """Ordered, labeled measurement operators on a single space.
 
-    Structural invariants (shapes, unique labels) are enforced at
-    construction. Completeness is checked by the operations that rely on it,
-    so that an incomplete set can still be built and inspected with
-    :meth:`completeness_deviation`. The operators are stacked once into the
-    read-only ``(n, dim, dim)`` array ``stack``; the matrices in
-    ``operators`` are views into it.
+    ``labels[m]`` names ``stack[m]``, the read-only ``(n, dim, dim)`` copy of
+    the operators. Structural invariants (shapes, label count, unique labels)
+    are enforced at construction. Completeness is checked by the operations
+    that rely on it, so that an incomplete set can still be built and
+    inspected with :meth:`completeness_deviation`. A set equals only itself.
     """
 
     dim: int
-    operators: tuple[tuple[str, np.ndarray], ...]
-    stack: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    labels: tuple[str, ...]
+    stack: np.ndarray = dataclasses.field(repr=False)
 
     def __post_init__(self):
         dim = int(self.dim)
-        labels = [str(label) for label, _ in self.operators]
-        ops = [op for _, op in self.operators]
+        labels = tuple(str(label) for label in self.labels)
+        ops = self.stack
         if dim < 1:
             raise ValidationError("measurement-dim", f"dimension must be >= 1, got {dim}")
-        if not ops:
+        if not len(ops):
             raise ValidationError("measurement-empty", "a measurement set needs >= 1 operator")
+        if len(labels) != len(ops):
+            raise ValidationError("measurement-shape", f"{len(labels)} labels for {len(ops)} operators")
 
         def misshaped(k: int) -> str:
             try:
@@ -65,21 +66,13 @@ class MeasurementSet:
 
         stack = operator_stack(ops, (dim, dim), "measurement-shape", misshaped)
         if len(set(labels)) != len(labels):
-            raise ValidationError("measurement-labels", f"labels are not unique: {labels}")
+            raise ValidationError("measurement-labels", f"labels are not unique: {list(labels)}")
         object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "operators", tuple(zip(labels, stack)))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.operators)
-
-    @property
-    def matrices(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.stack)
 
     def __len__(self) -> int:
-        return len(self.operators)
+        return len(self.labels)
 
     def completeness_deviation(self) -> float:
         """Max-norm of sum_m M_m^dag M_m - 1."""
@@ -140,8 +133,11 @@ class LocalMeasurementSet:
         It holds n_a n_b operators of size (d_a d_b)^2; the map never builds
         it, and uses :func:`local_product` instead.
         """
-        ops = (tensor(ma, mb) for ma in self.alice.matrices for mb in self.bob.matrices)
-        return MeasurementSet(self.alice.dim * self.bob.dim, tuple(zip(self.labels, ops)))
+        a, b = self.alice.stack, self.bob.stack
+        # [a, b, i, k, j, l] = A_a[i, j] B_b[k, l], the entries of A_a (x) B_b
+        ops = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+        dim = self.alice.dim * self.bob.dim
+        return MeasurementSet(dim, self.labels, ops.reshape(-1, dim, dim))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -225,11 +221,8 @@ def _clamped(raw: np.ndarray, trials=None) -> np.ndarray:
     return np.clip(raw, 0.0, 1.0)
 
 
-def _local_probabilities(
-    psi: np.ndarray, alice: np.ndarray, bob: np.ndarray, trials=None
-) -> np.ndarray:
-    """Clamped p[..., a, b] = ||A_a Psi B_b^T||_F^2 from :func:`local_product`."""
-    t = local_product(psi, alice, bob)
+def _local_probabilities(t: np.ndarray, trials=None) -> np.ndarray:
+    """Clamped p[..., a, b] = ||T[..., a, b]||_F^2 of a :func:`local_product` ``T``."""
     return _clamped(np.sum(t.real**2 + t.imag**2, axis=(-2, -1)), trials)
 
 
@@ -286,13 +279,12 @@ def outcome_probabilities(
     return _probabilities(psi.vector, mset.stack, completeness_tol)
 
 
-def _local_outcome_probabilities(
-    psi: PureState, local: LocalMeasurementSet, completeness_tol: float
-) -> np.ndarray:
-    """Row-major joint outcome distribution of a local pair, without the joint set.
+def _checked_local_product(psi: PureState, local: LocalMeasurementSet, completeness_tol: float) -> np.ndarray:
+    """:func:`local_product` of ``psi`` and a local pair, after the one check of a pair.
 
-    Completeness of the product set follows from the per-party Gram matrices:
-    sum_ab (A_a (x) B_b)^dag (A_a (x) B_b) = G_A (x) G_B.
+    The state must have dims ``(alice.dim, bob.dim)``. Each Gram matrix and
+    their Kronecker product, the joint set's, must be 1 within
+    ``completeness_tol``.
     """
     alice, bob = local.alice, local.bob
     if psi.dims != (alice.dim, bob.dim):
@@ -300,10 +292,9 @@ def _local_outcome_probabilities(
             "dimension-match",
             f"state dims {psi.dims} != measurement dims ({alice.dim}, {bob.dim})",
         )
-    gram = tensor(_gram(alice.stack), _gram(bob.stack))
-    _require_complete(float(_identity_deviation(gram)), completeness_tol)
-    probs = _local_probabilities(psi.reshaped(), alice.stack, bob.stack).reshape(-1)
-    return _check_total(probs, psi.dim, completeness_tol)
+    grams = _gram(alice.stack), _gram(bob.stack)
+    _require_complete(max(float(_identity_deviation(g)) for g in (*grams, tensor(*grams))), completeness_tol)
+    return local_product(psi.reshaped(), alice.stack, bob.stack)
 
 
 def map_to_measurement_space(
@@ -318,7 +309,8 @@ def map_to_measurement_space(
     grid, whose structure is attached to the result.
     """
     if isinstance(measurements, LocalMeasurementSet):
-        probs = _local_outcome_probabilities(psi, measurements, completeness_tol)
+        t = _checked_local_product(psi, measurements, completeness_tol)
+        probs = _check_total(_local_probabilities(t).reshape(-1), psi.dim, completeness_tol)
         structure = measurements.structure
     else:
         probs = outcome_probabilities(psi, measurements, completeness_tol)
@@ -336,17 +328,13 @@ def random_measurement_set(dim: int, n_outcomes: int, seed: int | np.random.Gene
         raise ValidationError("measurement-outcomes", "need at least one outcome")
     n = n_outcomes * dim
     ops = haar_blocks(_as_rng(seed).standard_normal((2, n, n)), dim)
-    return MeasurementSet(dim, tuple((str(m), op) for m, op in enumerate(ops)))
+    return MeasurementSet(dim, tuple(map(str, range(n_outcomes))), ops)
 
 
 def z_projectors(dim: int = 2) -> MeasurementSet:
     """Rank-1 projectors onto the computational basis."""
-    ops = []
-    for i in range(dim):
-        p = np.zeros((dim, dim), dtype=complex)
-        p[i, i] = 1.0
-        ops.append((str(i), p))
-    return MeasurementSet(dim, tuple(ops))
+    eye = np.eye(max(dim, 0))
+    return MeasurementSet(dim, tuple(map(str, range(dim))), eye[:, :, None] * eye[:, None, :])
 
 
 def noisy_pair(eta: float) -> MeasurementSet:
@@ -359,7 +347,7 @@ def noisy_pair(eta: float) -> MeasurementSet:
         raise ValidationError("noisy-eta", f"eta must lie in [0, 1], got {eta!r}")
     m0 = np.diag([math.sqrt(eta), math.sqrt(1.0 - eta)]).astype(complex)
     m1 = np.diag([math.sqrt(1.0 - eta), math.sqrt(eta)]).astype(complex)
-    return MeasurementSet(2, (("0", m0), ("1", m1)))
+    return MeasurementSet(2, ("0", "1"), [m0, m1])
 
 
 def random_local_set(

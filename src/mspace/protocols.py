@@ -41,6 +41,7 @@ from .measurement import (
     _local_probabilities,
     _probabilities,
     _require_complete,
+    local_product,
 )
 
 
@@ -163,7 +164,8 @@ def outcome_tables(spec: ProtocolSpec) -> OutcomeTable:
     outcome ``k`` reads are formed.
     """
     eff = spec.effective_ops()
-    probs = _local_probabilities(spec.psi[:, None], spec.alice[:, :, None], eff, spec.trials)[:, :, 0]
+    t = local_product(spec.psi[:, None], spec.alice[:, :, None], eff)
+    probs = _local_probabilities(t, spec.trials)[:, :, 0]
     return OutcomeTable(probs[..., 0], probs[..., 1], spec.trials)
 
 

@@ -34,8 +34,8 @@ I2 = np.eye(2, dtype=complex)
 
 
 def trivial_local_set(dim_a=2, dim_b=2):
-    one_a = MeasurementSet(dim_a, (("all", np.eye(dim_a, dtype=complex)),))
-    one_b = MeasurementSet(dim_b, (("all", np.eye(dim_b, dtype=complex)),))
+    one_a = MeasurementSet(dim_a, ("all",), [np.eye(dim_a, dtype=complex)])
+    one_b = MeasurementSet(dim_b, ("all",), [np.eye(dim_b, dtype=complex)])
     return LocalMeasurementSet(one_a, one_b)
 
 
@@ -79,7 +79,7 @@ class TestBuildDilation:
 
     def test_incomplete_set_rejected(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
-        bad = LocalMeasurementSet(MeasurementSet(2, (("0", p0),)), z_projectors(2))
+        bad = LocalMeasurementSet(MeasurementSet(2, ("0",), [p0]), z_projectors(2))
         with pytest.raises(ValidationError, match="completeness"):
             build_dilation(bell_phi_plus(), bad)
 

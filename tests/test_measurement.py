@@ -47,7 +47,7 @@ class TestOutcomeProbabilities:
     def test_noisy_pair_vs_expectation_oracle(self):
         pair = noisy_pair(0.9)
         probs = outcome_probabilities(ZERO, pair)
-        expected = [expectation_oracle(ZERO.vector, op) for op in pair.matrices]
+        expected = [expectation_oracle(ZERO.vector, op) for op in pair.stack]
         np.testing.assert_allclose(probs, expected, atol=1e-12)
         np.testing.assert_allclose(probs, [0.9, 0.1], atol=1e-12)
 
@@ -57,7 +57,7 @@ class TestOutcomeProbabilities:
 
     def test_incomplete_set_rejected(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
-        lonely = MeasurementSet(2, (("0", p0),))
+        lonely = MeasurementSet(2, ("0",), [p0])
         with pytest.raises(ValidationError, match="completeness"):
             outcome_probabilities(ZERO, lonely)
 
@@ -70,7 +70,7 @@ class TestMapToMeasurementSpace:
         assert image.structure is None
 
     def test_trivial_set_single_outcome(self):
-        trivial = MeasurementSet(2, (("all", np.eye(2, dtype=complex)),))
+        trivial = MeasurementSet(2, ("all",), [np.eye(2, dtype=complex)])
         image = map_to_measurement_space(PLUS, trivial)
         np.testing.assert_allclose(image.amplitudes, [1.0], atol=1e-14)
 
@@ -81,8 +81,8 @@ class TestMapToMeasurementSpace:
         assert image.outcome_labels == ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
         expected = [
             expectation_oracle(bell_phi_plus().vector, np.kron(ma, mb))
-            for ma in noisy_pair(0.9).matrices
-            for mb in noisy_pair(0.9).matrices
+            for ma in noisy_pair(0.9).stack
+            for mb in noisy_pair(0.9).stack
         ]
         np.testing.assert_allclose(image.amplitudes, np.sqrt(expected), atol=1e-12)
         np.testing.assert_allclose(
@@ -106,8 +106,8 @@ class TestMapToMeasurementSpace:
     def test_rank1_projective_gives_component_magnitudes(self):
         rng = np.random.default_rng(31)
         u = haar_unitaries(rng.standard_normal((2, 3, 3)))
-        ops = tuple((str(i), np.outer(u[:, i], u[:, i].conj())) for i in range(3))
-        basis_set = MeasurementSet(3, ops)
+        ops = [np.outer(u[:, i], u[:, i].conj()) for i in range(3)]
+        basis_set = MeasurementSet(3, ("0", "1", "2"), ops)
         psi = haar_state((3,), rng)
         image = map_to_measurement_space(psi, basis_set)
         expected = [abs(np.vdot(u[:, i], psi.vector)) for i in range(3)]
@@ -144,7 +144,7 @@ class TestValidateCompleteness:
 
     def test_missing_outcome_fails(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
-        incomplete = MeasurementSet(2, (("0", p0),))
+        incomplete = MeasurementSet(2, ("0",), [p0])
         assert abs(incomplete.completeness_deviation() - 1.0) < 1e-15
         with pytest.raises(ValidationError, match="completeness"):
             incomplete.assert_complete()
@@ -154,15 +154,15 @@ class TestSetConstruction:
     def test_duplicate_labels_rejected(self):
         eye = np.eye(2, dtype=complex) / np.sqrt(2)
         with pytest.raises(ValidationError, match="labels"):
-            MeasurementSet(2, (("a", eye), ("a", eye)))
+            MeasurementSet(2, ("a", "a"), [eye, eye])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="shape"):
-            MeasurementSet(2, (("a", np.eye(3, dtype=complex)),))
+            MeasurementSet(2, ("a",), [np.eye(3, dtype=complex)])
 
     def test_ragged_operator_names_the_invariant(self):
         with pytest.raises(ValidationError, match="measurement-shape: operator 'a' is ragged"):
-            MeasurementSet(2, (("a", [[1, 0], [0]]),))
+            MeasurementSet(2, ("a",), [[[1, 0], [0]]])
 
     def test_random_set_is_complete(self):
         for seed in range(5):

@@ -64,9 +64,9 @@ def complete_set(d, ranks, rng):
     ops, row = [], 0
     for m, r in enumerate(ranks):
         y = haar(d, rng)[:, :r]
-        ops.append((str(m), y @ x[row : row + r]))
+        ops.append(y @ x[row : row + r])
         row += r
-    return MeasurementSet(d, tuple(ops))
+    return MeasurementSet(d, tuple(map(str, range(len(ranks)))), ops)
 
 
 def complete_ranks(draw, d, n):
@@ -153,8 +153,8 @@ def test_dilation_matches_per_pair_loop(case):
     psi, local = case
     (d_a, d_b), (n_a, n_b) = psi.dims, local.structure
     expected = np.zeros((d_a, d_b, n_a, n_b), dtype=complex)
-    for a, op_a in enumerate(local.alice.matrices):
-        for b, op_b in enumerate(local.bob.matrices):
+    for a, op_a in enumerate(local.alice.stack):
+        for b, op_b in enumerate(local.bob.stack):
             expected[:, :, a, b] = op_a @ psi.reshaped() @ op_b.T
     dilated = build_dilation(psi, local)
     assert dilated.dims == (d_a, d_b, n_a, n_b)
@@ -380,7 +380,7 @@ def _perturbed(mset, eps, rng):
     h = (z + z.conj().T) / 2.0
     h /= max(float(np.max(np.abs(h))), 1.0)
     skew = np.eye(d) + eps * h
-    return MeasurementSet(d, tuple((label, op @ skew) for label, op in mset.operators))
+    return MeasurementSet(d, mset.labels, [op @ skew for op in mset.stack])
 
 
 @PROFILE

@@ -46,7 +46,7 @@ def random_protocol(d_a, d_b, n, seed):
 def rebuilt(spec):
     """The stack of one ``spec`` rebuilt from its parts through ``single_protocol``."""
     d_a, d_b = spec.psi.shape[1:]
-    alice = MeasurementSet(d_a, tuple((str(k), op) for k, op in enumerate(spec.alice[0])))
+    alice = MeasurementSet(d_a, tuple(map(str, range(len(spec.alice[0])))), spec.alice[0])
     state = PureState((d_a, d_b), spec.psi[0].reshape(-1))
     return single_protocol(state, alice, spec.bob_unitaries[0], spec.verify_pairs[0])
 
@@ -67,7 +67,7 @@ class TestOutcomeTable:
         table = outcome_tables(spec)
         expected_y = [
             joint_expectation_oracle(bell_phi_plus(), m, v)
-            for m, (v, _) in zip(noisy_pair(0.9).matrices, spec.verify_pairs[0])
+            for m, (v, _) in zip(noisy_pair(0.9).stack, spec.verify_pairs[0])
         ]
         np.testing.assert_allclose(table.p_success, [expected_y], atol=1e-12)
         np.testing.assert_allclose(table.p_success, [[0.45, 0.45]], atol=1e-12)
@@ -115,7 +115,7 @@ class TestSuccessProbability:
 
 class TestProtocolValidation:
     def test_incomplete_alice_rejected(self):
-        lonely = MeasurementSet(2, (("0", P0),))
+        lonely = MeasurementSet(2, ("0",), [P0])
         with pytest.raises(ValidationError, match="completeness"):
             single_protocol(bell_phi_plus(), lonely, (I2,), ((I2, np.zeros((2, 2))),))
 
