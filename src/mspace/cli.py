@@ -168,7 +168,7 @@ def _require_seed(seed: int) -> None:
 
 
 def _load_local_sets(args, psi: PureState, tol: float) -> LocalMeasurementSet:
-    if not (args.alice and args.bob):
+    if args.alice is None or args.bob is None:
         raise ValidationError("flag-format", "--alice and --bob go together")
     if len(psi.dims) != 2:
         raise ValidationError(
@@ -180,7 +180,7 @@ def _load_local_sets(args, psi: PureState, tol: float) -> LocalMeasurementSet:
 
 
 def _state_dims(args) -> tuple[int, ...] | None:
-    return _parse_ints(args.dims) if getattr(args, "dims", None) else None
+    return None if args.dims is None else _parse_ints(args.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +188,14 @@ def _state_dims(args) -> tuple[int, ...] | None:
 
 
 def cmd_map(args) -> tuple[dict, int]:
-    if args.measurements and (args.alice or args.bob):
+    local = args.alice is not None or args.bob is not None
+    if args.measurements is not None and local:
         raise ValidationError("flag-format", "--measurements and --alice/--bob exclude each other")
     tol = default_tolerance()
     psi = load_state(args.state, _state_dims(args))
-    if args.alice or args.bob:
+    if local:
         measurements: Any = _load_local_sets(args, psi, tol)
-    elif args.measurements:
+    elif args.measurements is not None:
         measurements = load_measurement_set(args.measurements, dim=psi.dim, tol=tol)
     else:
         raise ValidationError("flag-format", "need --measurements or --alice/--bob")
@@ -221,7 +222,7 @@ def cmd_map(args) -> tuple[dict, int]:
 def cmd_entanglement(args) -> tuple[dict, int]:
     tol = default_tolerance()
     psi = load_state(args.state, _state_dims(args))
-    split = _parse_ints(args.split, 2) if args.split else None
+    split = None if args.split is None else _parse_ints(args.split, 2)
     if split is not None:
         if split[0] * split[1] != psi.dim:
             raise ValidationError(
@@ -230,7 +231,7 @@ def cmd_entanglement(args) -> tuple[dict, int]:
         psi = PureState(split, psi.vector)
     original = pure_entanglement(psi, args.measure)
     row = {"measure": args.measure, "original": original}
-    if args.alice or args.bob:
+    if args.alice is not None or args.bob is not None:
         measurements = _load_local_sets(args, psi, tol)
         image = map_to_measurement_space(psi, measurements, completeness_tol=tol)
         row["measurement_space"] = measurement_space_entanglement(image, args.measure)
@@ -251,11 +252,11 @@ def cmd_entanglement(args) -> tuple[dict, int]:
 
 
 def cmd_theorem1(args) -> tuple[dict, int]:
-    if args.protocol and args.random:
+    if args.protocol is not None and args.random:
         raise ValidationError("flag-format", "--protocol and --random exclude each other")
     outcomes = 2 if args.outcomes is None else args.outcomes
     rows = []
-    if args.protocol:
+    if args.protocol is not None:
         # a protocol file fixes all of these itself
         for flag in ("seed", "dims", "outcomes", "trials"):
             if getattr(args, flag) is not None:
@@ -269,7 +270,7 @@ def cmd_theorem1(args) -> tuple[dict, int]:
         _require_seed(args.seed)
         trials = 1 if args.trials is None else args.trials
         _require_count(trials, "--trials")
-        d_a, d_b = _parse_ints(args.dims, 2) if args.dims else (2, 2)
+        d_a, d_b = _parse_ints(args.dims, 2) if args.dims is not None else (2, 2)
         specs = random_protocol_batches(d_a, d_b, outcomes, args.seed, trials)
     worst = 0.0
     for spec in specs:
@@ -298,12 +299,12 @@ def cmd_theorem1(args) -> tuple[dict, int]:
 
 
 def cmd_locc(args) -> tuple[dict, int]:
-    if args.outcome and args.all_outcomes:
+    if args.outcome is not None and args.all_outcomes:
         raise ValidationError("flag-format", "--outcome and --all-outcomes exclude each other")
     tol = default_tolerance()
     psi = load_state(args.state, _state_dims(args))
     measurements = _load_local_sets(args, psi, tol)
-    ja, jb = _parse_ints(args.outcome, 2) if args.outcome else (0, 0)
+    ja, jb = _parse_ints(args.outcome, 2) if args.outcome is not None else (0, 0)
     d_a, d_b = psi.dims
     if not 0 <= ja < d_a or not 0 <= jb < d_b:
         raise ValidationError(

@@ -57,10 +57,15 @@ def _read_json(path: str | Path) -> Any:
         raise ValidationError("file-json", f"{path} is not valid JSON: {exc}") from exc
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true and false load as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def state_from_obj(obj: Any) -> PureState:
     if not isinstance(obj, dict) or "dims" not in obj or "amplitudes" not in obj:
         raise ValidationError("state-schema", "state files need 'dims' and 'amplitudes'")
-    if not isinstance(obj["dims"], list) or not all(isinstance(d, int) for d in obj["dims"]):
+    if not isinstance(obj["dims"], list) or not all(_is_int(d) for d in obj["dims"]):
         raise ValidationError("state-schema", "state files need 'dims' as a list of integers")
     dims = tuple(obj["dims"])
     vec = pairs_to_vector(obj["amplitudes"])
@@ -114,7 +119,7 @@ def measurement_set_from_obj(obj: Any, tol: float = DEFAULT_TOL) -> MeasurementS
     if not isinstance(obj, dict) or "dim" not in obj or "operators" not in obj:
         raise ValidationError("measurement-schema", "measurement files need 'dim' and 'operators'")
     dim = obj["dim"]
-    if not isinstance(dim, int) or not isinstance(obj["operators"], list):
+    if not _is_int(dim) or not isinstance(obj["operators"], list):
         raise ValidationError(
             "measurement-schema", "measurement files need 'dim' as an integer and 'operators' as a list"
         )

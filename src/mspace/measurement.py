@@ -21,6 +21,7 @@ from .linalg import (
     ValidationError,
     _as_rng,
     _require,
+    _require_fits,
     _require_unit,
     _row_norms,
     haar_blocks,
@@ -282,9 +283,10 @@ def outcome_probabilities(
 def _checked_local_product(psi: PureState, local: LocalMeasurementSet, completeness_tol: float) -> np.ndarray:
     """:func:`local_product` of ``psi`` and a local pair, after the one check of a pair.
 
-    The state must have dims ``(alice.dim, bob.dim)``. Each Gram matrix and
-    their Kronecker product, the joint set's, must be 1 within
-    ``completeness_tol``.
+    The state must have dims ``(alice.dim, bob.dim)``. The product tensor and
+    the ``(d_a d_b)^2`` Kronecker product of the Gram matrices must fit the
+    byte cap before either is built. Each Gram matrix and their Kronecker
+    product, the joint set's, must be 1 within ``completeness_tol``.
     """
     alice, bob = local.alice, local.bob
     if psi.dims != (alice.dim, bob.dim):
@@ -292,6 +294,9 @@ def _checked_local_product(psi: PureState, local: LocalMeasurementSet, completen
             "dimension-match",
             f"state dims {psi.dims} != measurement dims ({alice.dim}, {bob.dim})",
         )
+    n, dim = len(alice) * len(bob), psi.dim
+    what = f"a local pair of {n} outcomes on dims {psi.dims}"
+    _require_fits(16 * max(n, dim) * dim, "measurement-size", what)
     grams = _gram(alice.stack), _gram(bob.stack)
     _require_complete(max(float(_identity_deviation(g)) for g in (*grams, tensor(*grams))), completeness_tol)
     return local_product(psi.reshaped(), alice.stack, bob.stack)

@@ -137,7 +137,7 @@ class TestMap:
         code, _, err = run_cli(capsys, "map", "--state", "bell")
         assert code == 2 and "flag-format" in err
 
-    @pytest.mark.parametrize("command", ["map", "entanglement"])
+    @pytest.mark.parametrize("command", ["map", "entanglement", "locc"])
     def test_swapped_local_dims_exit_two(self, capsys, tmp_path, command):
         # a (3, 2) state with a qubit set for Alice and a qutrit set for Bob has
         # the right total dimension but no meaningful outcome grid
@@ -617,6 +617,17 @@ class TestRowCap:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and f"error: {invariant}: " in err and "over the cap" in err and out == ""
 
+    @pytest.mark.parametrize("command", [["map"], ["entanglement"], ["locc", "--all-outcomes"]])
+    def test_local_pair_over_the_byte_cap_rejected_before_building(self, capsys, monkeypatch, command):
+        # at a 1 MiB cap each set on dim 20 fits (128 KB), but the pair's product
+        # tensor and Gram matrix product of 400 x 400 entries each (2.56 MB) do not
+        monkeypatch.setattr("mspace.linalg.TRIAL_BYTES_CAP", 1 << 20)
+        for name in ("local_product", "tensor", "_gram"):
+            monkeypatch.setattr(f"mspace.measurement.{name}", _no_work)
+        argv = ("--state", "product0", "--dims", "20,20", "--alice", "z-projectors", "--bob", "z-projectors")
+        code, out, err = run_cli(capsys, *command, *argv)
+        assert code == 2 and "error: measurement-size: " in err and "over the cap" in err and out == ""
+
     def test_largest_grid_in_use_is_under_the_cap(self, capsys):
         code, out, _ = run_cli(capsys, "modes", "--n-max", "60", "--m-max", "8")
         assert code == 0 and len(json.loads(out)["results"]) == 420 <= MAX_ROWS
@@ -676,6 +687,15 @@ class TestReportContract:
         assert report["parameters"]["tolerance"] == 1e-4
         if command[0] == "locc":
             assert report["passed"] is True and len(report["results"]) == 4
+
+    @pytest.mark.parametrize("command", [["map"], ["entanglement"], ["locc", "--all-outcomes"]])
+    def test_map_entanglement_and_locc_accept_the_same_pairs(self, capsys, monkeypatch, command):
+        # each noisy set misses completeness by about 1e-16, while the Kronecker
+        # product of the two Gram matrices may not; all three commands check both
+        monkeypatch.setenv("MSPACE_DEFAULT_TOL", "1e-16")
+        argv = (*command, "--state", "bell", "--alice", "noisy:0.8", "--bob", "noisy:0.7")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and "error: completeness: " in err and out == ""
 
     def test_library_reads_no_environment(self, zproj_file, monkeypatch):
         # only the command line reads MSPACE_DEFAULT_TOL; the library takes the tolerance
@@ -756,6 +776,14 @@ class TestReportContract:
         ("theorem1", "--protocol", "missing.json", "--dims", "3,3"),
         ("theorem1", "--protocol", "missing.json", "--outcomes", "2"),
         ("theorem1", "--protocol", "missing.json", "--trials", "1"),
+        # an empty value is a given flag, not an absent one
+        ("theorem1", "--random", "--seed", "1", "--dims", ""),
+        ("entanglement", "--state", "bell", "--split", ""),
+        ("locc", "--state", "bell", "--alice", "z-projectors", "--bob", "z-projectors",
+         "--outcome", "", "--all-outcomes"),
+        ("theorem1", "--protocol", "", "--random", "--seed", "1"),
+        ("map", "--state", "bell", "--measurements", "", "--alice", "z-projectors", "--bob", "z-projectors"),
+        ("map", "--state", "bell", "--dims", "", "--alice", "z-projectors", "--bob", "z-projectors"),
     ])  # fmt: skip
     def test_conflicting_flag_sets_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -776,6 +804,10 @@ class TestReportContract:
         ("state", {"dims": ["a"]}, "state-schema"),
         ("measurement", {"operators": 5}, "measurement-schema"),
         ("measurement", {"dim": "x"}, "measurement-schema"),
+        # JSON true is a bool, not the integer 1
+        ("state", {"dims": [True, 2], "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}, "state-schema"),
+        ("measurement", {"dim": True, "operators": [{"label": "0", "matrix": [[[1.0, 0.0]]]}]},
+         "measurement-schema"),
         ("protocol", {"bob_unitaries": 5}, "protocol-schema"),
         ("protocol", {"verify": [1]}, "protocol-schema"),
         ("protocol", {"verify": {"0": 5, "1": 5}}, "protocol-verify"),

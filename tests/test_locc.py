@@ -25,6 +25,7 @@ from mspace.locc import (
 from mspace.measurement import (
     LocalMeasurementSet,
     MeasurementSet,
+    map_to_measurement_space,
     noisy_pair,
     random_local_set,
     z_projectors,
@@ -82,6 +83,21 @@ class TestBuildDilation:
         bad = LocalMeasurementSet(MeasurementSet(2, ("0",), [p0]), z_projectors(2))
         with pytest.raises(ValidationError, match="completeness"):
             build_dilation(bell_phi_plus(), bad)
+
+    def test_compensated_pair_rejected_by_the_map_and_the_construction(self):
+        # Alice's Gram matrix is (1 + delta) 1 and Bob's 1 / (1 + delta) 1: their
+        # Kronecker product is 1, but neither party's set is complete
+        delta, tol = 1e-6, 1e-10
+        z = z_projectors(2).stack
+        pair = LocalMeasurementSet(
+            MeasurementSet(2, ("0", "1"), z * np.sqrt(1 + delta)),
+            MeasurementSet(2, ("0", "1"), z / np.sqrt(1 + delta)),
+        )
+        gram = np.kron(*(np.sum(s.stack.conj().swapaxes(1, 2) @ s.stack, axis=0) for s in (pair.alice, pair.bob)))
+        assert np.max(np.abs(gram - np.eye(4))) <= tol
+        for run in (map_to_measurement_space, build_dilation, run_locc_construction):
+            with pytest.raises(ValidationError, match="completeness"):
+                run(haar_state((2, 2), 3), pair, tol)
 
 
 class TestConditionalBlocks:

@@ -164,6 +164,16 @@ class TestSetConstruction:
         with pytest.raises(ValidationError, match="measurement-shape: operator 'a' is ragged"):
             MeasurementSet(2, ("a",), [[[1, 0], [0]]])
 
+    def test_label_count_must_match_the_operators(self):
+        eye = np.eye(2, dtype=complex) / np.sqrt(2)
+        with pytest.raises(ValidationError, match="measurement-shape: 1 labels for 2 operators"):
+            MeasurementSet(2, ("a",), [eye, eye])
+
+    def test_equal_labels_do_not_make_equal_sets(self):
+        zproj, noisy = z_projectors(2), noisy_pair(0.9)
+        assert zproj.labels == noisy.labels
+        assert zproj != noisy and zproj == zproj
+
     def test_random_set_is_complete(self):
         for seed in range(5):
             mset = random_measurement_set(3, 4, seed)
