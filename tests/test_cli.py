@@ -804,13 +804,13 @@ class TestReportContract:
         ("state", {"dims": ["a"]}, "state-schema"),
         ("measurement", {"operators": 5}, "measurement-schema"),
         ("measurement", {"dim": "x"}, "measurement-schema"),
+        ("protocol", {"bob_unitaries": 5}, "protocol-schema"),
+        ("protocol", {"verify": [1]}, "protocol-schema"),
+        ("protocol", {"verify": {"0": 5, "1": 5}}, "protocol-verify"),
         # JSON true is a bool, not the integer 1
         ("state", {"dims": [True, 2], "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}, "state-schema"),
         ("measurement", {"dim": True, "operators": [{"label": "0", "matrix": [[[1.0, 0.0]]]}]},
          "measurement-schema"),
-        ("protocol", {"bob_unitaries": 5}, "protocol-schema"),
-        ("protocol", {"verify": [1]}, "protocol-schema"),
-        ("protocol", {"verify": {"0": 5, "1": 5}}, "protocol-verify"),
     ])  # fmt: skip
     def test_wrongly_typed_field_is_named(self, capsys, tmp_path, kind, fields, invariant):
         eye = matrix_to_pairs(np.eye(2))

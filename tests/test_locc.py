@@ -93,7 +93,8 @@ class TestBuildDilation:
             MeasurementSet(2, ("0", "1"), z * np.sqrt(1 + delta)),
             MeasurementSet(2, ("0", "1"), z / np.sqrt(1 + delta)),
         )
-        gram = np.kron(*(np.sum(s.stack.conj().swapaxes(1, 2) @ s.stack, axis=0) for s in (pair.alice, pair.bob)))
+        grams = [np.sum(s.stack.conj().swapaxes(1, 2) @ s.stack, axis=0) for s in (pair.alice, pair.bob)]
+        gram = np.kron(*grams)
         assert np.max(np.abs(gram - np.eye(4))) <= tol
         for run in (map_to_measurement_space, build_dilation, run_locc_construction):
             with pytest.raises(ValidationError, match="completeness"):

@@ -172,7 +172,7 @@ class TestSetConstruction:
     def test_equal_labels_do_not_make_equal_sets(self):
         zproj, noisy = z_projectors(2), noisy_pair(0.9)
         assert zproj.labels == noisy.labels
-        assert zproj != noisy and zproj == zproj
+        assert zproj != noisy
 
     def test_random_set_is_complete(self):
         for seed in range(5):
