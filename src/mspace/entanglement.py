@@ -37,7 +37,7 @@ def shannon_entropy(probs: Sequence[float]) -> float:
 
 def entropy_of_entanglement(psi: PureState) -> float:
     """Entropy (bits) of the squared Schmidt coefficients, first subsystem against the rest."""
-    coeffs, _, _ = schmidt(psi, ((0,), tuple(range(1, len(psi.dims)))))
+    coeffs, _, _ = schmidt(psi)
     return shannon_entropy(coeffs**2)
 
 

@@ -53,7 +53,7 @@ def _read_json(path: str | Path) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError("file-access", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationError("file-json", f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -220,49 +220,6 @@ class DensityMatrix:
             # in a stack, the message names the first bad matrix
             _require(ok, invariant, lambda i: (f"matrix {i}: " if i else "") + describe(i))
 
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
-
-
-def ptrace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Partial trace of a square matrix over the subsystems not in ``keep``.
-
-    Kept subsystems stay in their original relative order.
-    """
-    dims = tuple(int(d) for d in dims)
-    keep_sorted = sorted(set(int(k) for k in keep))
-    n = len(dims)
-    if not keep_sorted:
-        raise ValidationError("ptrace-keep", "keep set must be nonempty")
-    if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
-        raise ValidationError("ptrace-keep", f"subsystem index out of range for {n} subsystems")
-    mat = np.asarray(mat, dtype=complex)
-    d = math.prod(dims)
-    if mat.shape != (d, d):
-        raise ValidationError("ptrace-shape", f"matrix shape {mat.shape}, expected {(d, d)}")
-    t = mat.reshape(dims + dims)
-    # einsum: traced subsystems share a letter between row and column axes
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row = []
-    col = []
-    out = []
-    next_letter = 0
-    for i in range(n):
-        if i in keep_sorted:
-            row.append(letters[next_letter])
-            col.append(letters[next_letter + 1])
-            out.append((letters[next_letter], letters[next_letter + 1]))
-            next_letter += 2
-        else:
-            row.append(letters[next_letter])
-            col.append(letters[next_letter])
-            next_letter += 1
-    spec = "".join(row) + "".join(col) + "->" + "".join(r for r, _ in out) + "".join(c for _, c in out)
-    reduced = np.einsum(spec, t)
-    dk = math.prod(dims[i] for i in keep_sorted)
-    return reduced.reshape(dk, dk)
-
 
 def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix or a ``(..., d, d)`` stack of them.
@@ -286,30 +243,17 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
-def schmidt(
-    psi: PureState, split: tuple[Sequence[int], Sequence[int]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schmidt decomposition of a pure state across a bipartition.
+def schmidt(psi: PureState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schmidt decomposition of a pure state, first subsystem against the rest.
 
-    ``split`` is a pair of index groups that together partition the
-    subsystems. Returns ``(coefficients, left, right)`` where coefficients
-    are descending nonnegative reals with unit square-sum and the columns of
-    ``left``/``right`` are orthonormal vectors in the (reordered) left and
-    right factors, so the state equals ``sum_k c_k |L_k>|R_k>`` in the
-    ``(left..., right...)`` subsystem ordering.
+    Returns ``(coefficients, left, right)`` where coefficients are descending
+    nonnegative reals with unit square-sum and the columns of ``left``/``right``
+    are orthonormal vectors of the first subsystem and of the rest, so the
+    state equals ``sum_k c_k |L_k>|R_k>``.
     """
-    left_idx = [int(i) for i in split[0]]
-    right_idx = [int(i) for i in split[1]]
-    combined = left_idx + right_idx
-    if sorted(combined) != list(range(len(psi.dims))) or not left_idx or not right_idx:
-        raise ValidationError(
-            "schmidt-split",
-            f"split {split!r} does not partition subsystems 0..{len(psi.dims) - 1}",
-        )
-    d_left = math.prod(psi.dims[i] for i in left_idx)
-    d_right = math.prod(psi.dims[i] for i in right_idx)
-    mat = psi.reshaped().transpose(combined).reshape(d_left, d_right)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    if len(psi.dims) < 2:
+        raise ValidationError("schmidt-split", f"need at least two subsystems, got dims {psi.dims}")
+    u, s, vh = np.linalg.svd(psi.vector.reshape(psi.dims[0], -1), full_matrices=False)
     return s, u, vh.T
 
 

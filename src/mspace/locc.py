@@ -285,10 +285,6 @@ class Channel:
                 "channel-trace-preserving", f"sum K^dag K deviates from 1 by {dev!r}"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.kraus.shape[-1]
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return np.einsum("kij,jl,kml->im", self.kraus, rho, self.kraus.conj())
 

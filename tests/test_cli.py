@@ -232,6 +232,11 @@ class TestEntanglement:
         code, out, err = run_cli(capsys, "entanglement", *self.QUTRITS, "--measure", "concurrence")
         assert code == 2 and "concurrence-dims" in err and out == ""
 
+    def test_one_subsystem_has_no_cut(self, capsys, plus_state_file):
+        for state in (("random:3", "--dims", "4"), (plus_state_file,)):
+            code, out, err = run_cli(capsys, "entanglement", "--state", *state)
+            assert code == 2 and "error: schmidt-split: " in err and out == ""
+
 
 class TestTheorem1:
     def test_random_suite_passes(self, capsys):
@@ -832,6 +837,22 @@ class TestReportContract:
         }[kind]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and f"error: {invariant}: " in err and out == ""
+
+    @pytest.mark.parametrize("content", [
+        b'\xff\xfe{"dims": [2], "amplitudes": []}',  # not UTF-8
+        b"[" * 10**5,  # nested deeper than the decoder recurses
+    ], ids=["not-utf8", "too-deep"])  # fmt: skip
+    @pytest.mark.parametrize("flag", ["--state", "--alice", "--protocol"])
+    def test_undecodable_json_is_named(self, capsys, tmp_path, content, flag):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        argv = {
+            "--state": ("map", "--state", str(path), "--alice", "z-projectors", "--bob", "z-projectors"),
+            "--alice": ("map", "--state", "bell", "--alice", str(path), "--bob", "z-projectors"),
+            "--protocol": ("theorem1", "--protocol", str(path)),
+        }[flag]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and "error: file-json: " in err and out == ""
 
     def test_console_entry_point(self):
         proc = subprocess.run(

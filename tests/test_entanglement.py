@@ -23,7 +23,6 @@ from mspace.linalg import (
     bell_phi_plus,
     haar_state,
     haar_unitaries,
-    ptrace_matrix,
     tensor,
 )
 from mspace.measurement import (
@@ -39,7 +38,8 @@ CORRELATED = PureState((2, 2), np.sqrt([0.41, 0.09, 0.09, 0.41]).astype(complex)
 
 def entropy_oracle(psi):
     """Entropy from reduced-density eigenvalues, computed independently."""
-    rho_a = ptrace_matrix(psi.density().matrix, psi.dims, {0})
+    m = psi.vector.reshape(psi.dims[0], -1)
+    rho_a = m @ m.conj().T
     eigs = np.linalg.eigvalsh(rho_a)
     return float(-sum(p * np.log2(p) for p in eigs if p > 1e-15))
 

@@ -13,7 +13,6 @@ from mspace.linalg import (
     haar_state,
     haar_unitaries,
     is_hermitian,
-    ptrace_matrix,
     schmidt,
     tensor,
 )
@@ -101,47 +100,6 @@ class TestTensor:
         np.testing.assert_allclose(tensor(tensor(a, b), c), tensor(a, tensor(b, c)), atol=1e-14)
 
 
-class TestPartialTrace:
-    def test_bell_reduction(self):
-        rho = bell_phi_plus().density()
-        reduced = ptrace_matrix(rho.matrix, rho.dims, {0})
-        np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-14)
-
-    def test_product_state(self):
-        rng = np.random.default_rng(5)
-        u = haar_state((2,), rng).vector
-        v = haar_state((3,), rng).vector
-        rho = DensityMatrix((2, 3), np.outer(np.kron(u, v), np.kron(u, v).conj()))
-        reduced = ptrace_matrix(rho.matrix, rho.dims, {0})
-        np.testing.assert_allclose(reduced, np.outer(u, u.conj()), atol=1e-12)
-
-    def test_random_three_subsystems_vs_oracle(self):
-        rng = np.random.default_rng(7)
-        dims = (2, 3, 2)
-        psi = haar_state(dims, rng)
-        rho = psi.density()
-        for keep in ({0}, {1}, {0, 2}, {1, 2}):
-            got = ptrace_matrix(rho.matrix, dims, keep)
-            want = ptrace_oracle(rho.matrix, dims, keep)
-            np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_keep_all_and_trace_preserved(self):
-        rng = np.random.default_rng(9)
-        psi = haar_state((2, 2, 3), rng)
-        rho = psi.density()
-        np.testing.assert_allclose(ptrace_matrix(rho.matrix, rho.dims, {0, 1, 2}), rho.matrix, atol=1e-14)
-        for keep in ({0}, {2}, {0, 1}):
-            reduced = ptrace_matrix(rho.matrix, rho.dims, keep)
-            assert abs(np.trace(reduced) - np.trace(rho.matrix)) < 1e-12
-
-    def test_errors(self):
-        rho = bell_phi_plus().density()
-        with pytest.raises(ValidationError):
-            ptrace_matrix(rho.matrix, rho.dims, set())
-        with pytest.raises(ValidationError):
-            ptrace_matrix(rho.matrix, rho.dims, {5})
-
-
 class TestEigHermitian:
     def test_diagonal(self):
         w, v = eig_hermitian(np.diag([0.3, 0.7]).astype(complex))
@@ -180,7 +138,7 @@ class TestEigHermitian:
 
 class TestSchmidt:
     def test_bell(self):
-        c, _, _ = schmidt(bell_phi_plus(), ((0,), (1,)))
+        c, _, _ = schmidt(bell_phi_plus())
         np.testing.assert_allclose(c, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
 
     def test_product(self):
@@ -188,13 +146,13 @@ class TestSchmidt:
         u = haar_state((2,), rng).vector
         v = haar_state((2,), rng).vector
         psi = PureState((2, 2), np.kron(u, v))
-        c, _, _ = schmidt(psi, ((0,), (1,)))
+        c, _, _ = schmidt(psi)
         np.testing.assert_allclose(c, [1.0, 0.0], atol=1e-10)
 
     def test_correlated_example_vs_reduced_eigenvalues(self):
         amps = np.sqrt([0.41, 0.09, 0.09, 0.41]).astype(complex)
         psi = PureState((2, 2), amps)
-        c, left, right = schmidt(psi, ((0,), (1,)))
+        c, left, right = schmidt(psi)
         # independent oracle: eigenvalues of the reduced density matrix
         rho_a = ptrace_oracle(psi.density().matrix, (2, 2), {0})
         expected = np.sort(np.linalg.eigvalsh(rho_a))[::-1]
@@ -207,16 +165,15 @@ class TestSchmidt:
     def test_noncontiguous_split(self):
         rng = np.random.default_rng(13)
         psi = haar_state((2, 3, 2), rng)
-        c, left, right = schmidt(psi, ((0, 2), (1,)))
+        c, left, right = schmidt(psi)
+        assert left.shape == (2, 2) and right.shape == (6, 2)
         assert abs(np.sum(c**2) - 1.0) < 1e-10
-        recon = ((left * c) @ right.T).reshape(2, 2, 3).transpose(0, 2, 1)
+        recon = (left * c) @ right.T
         np.testing.assert_allclose(recon.reshape(-1), psi.vector, atol=1e-9)
 
     def test_invalid_split(self):
-        with pytest.raises(ValidationError):
-            schmidt(bell_phi_plus(), ((0,), (0,)))
-        with pytest.raises(ValidationError):
-            schmidt(bell_phi_plus(), ((0, 1), ()))
+        with pytest.raises(ValidationError, match="schmidt-split"):
+            schmidt(haar_state((4,), 3))
 
 
 class TestFourierMatrix:

@@ -10,7 +10,6 @@ from mspace.linalg import (
     bell_phi_plus,
     haar_blocks,
     haar_state,
-    ptrace_matrix,
 )
 from mspace.cli import main
 from mspace.locc import (
@@ -110,7 +109,8 @@ class TestConditionalBlocks:
     def test_trivial_set_gives_reduced_state(self):
         psi = haar_state((2, 3), 6)
         (block,) = alice_blocks(psi, trivial_local_set(2, 3))
-        expected = ptrace_matrix(psi.density().matrix, (2, 3), {0})
+        m = psi.vector.reshape(2, 3)
+        expected = m @ m.conj().T
         np.testing.assert_allclose(block, expected, atol=1e-12)
 
     def test_traces_sum_to_one_and_psd(self):
