@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 a checked property failed, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -78,6 +79,30 @@ def _finite(value: float) -> float:
     return value
 
 
+def _json_literal(value: Any) -> str:
+    return "null" if value is None else "true" if value else "false"
+
+
+# what json.dumps calls for a str
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_float(value: float) -> str:
+    # 17 significant digits: exact round-trip for doubles
+    return format(_finite(value), ".16e")
+
+
+# exact type -> text, for the scalars reports hold; other types go through _json_scalar
+_LITERALS = {bool: _json_literal, np.bool_: _json_literal, type(None): _json_literal}
+_SCALARS = {
+    **_LITERALS,
+    int: str,
+    float: _json_float,
+    np.float64: _json_float,
+    str: _json_string,
+}
+
+
 def _json_scalar(value: Any) -> str:
     if isinstance(value, np.bool_):
         value = bool(value)
@@ -86,20 +111,22 @@ def _json_scalar(value: Any) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        # 17 significant digits: exact round-trip for doubles
-        return format(_finite(value), ".16e")
+        return _json_float(value)
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def _emit_json(value: Any, indent: int = 0) -> str:
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [f"{inner}{json.dumps(str(k))}: {_emit_json(v, indent + 1)}" for k, v in value.items()]
+        items = [f"{inner}{_json_string(str(k))}: {_emit_json(v, indent + 1)}" for k, v in value.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)):
         seq = list(value)
@@ -111,8 +138,9 @@ def _emit_json(value: Any, indent: int = 0) -> str:
 
 
 def _tsv_cell(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    literal = _LITERALS.get(type(value))
+    if literal is not None:
+        return literal(value)
     if isinstance(value, (float, np.floating)):
         return format(_finite(value), ".12g")
     return str(value)
@@ -471,7 +499,9 @@ def cmd_sweep(args) -> tuple[dict, int]:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; ``parse_args`` gives each call a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="mspace",
         description="Measurement-space maps, operational entanglement, and mode bounds.",
@@ -488,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bob")
     p.add_argument("--dims")
     add_common(p)
-    p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("entanglement", help="entanglement before and after the map")
     p.add_argument("--state", required=True)
@@ -498,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split")
     p.add_argument("--dims")
     add_common(p)
-    p.set_defaults(func=cmd_entanglement)
 
     p = sub.add_parser("theorem1", help="compare protocol success on both sides of the map")
     p.add_argument("--protocol")
@@ -509,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims")
     p.add_argument("--outcomes", type=int)
     add_common(p)
-    p.set_defaults(func=cmd_theorem1)
 
     p = sub.add_parser("locc", help="audit the local construction that realizes the map")
     p.add_argument("--state", required=True)
@@ -519,14 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-outcomes", action="store_true")
     p.add_argument("--dims")
     add_common(p)
-    p.set_defaults(func=cmd_locc)
 
     p = sub.add_parser("konrad", help="concurrence factorization checks for random channels")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--two-sided", action="store_true")
     add_common(p)
-    p.set_defaults(func=cmd_konrad)
 
     p = sub.add_parser("modes", help="mode-counting entanglement bound table")
     p.add_argument("--n", type=int)
@@ -534,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int)
     p.add_argument("--m-max", type=int)
     add_common(p)
-    p.set_defaults(func=cmd_modes)
 
     p = sub.add_parser("sweep", help="detector-efficiency sweep on the Bell state")
     p.add_argument("--eta-start", type=float, default=0.5)
@@ -542,15 +566,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=6)
     p.add_argument("--state", default="bell")
     add_common(p)
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so a handler rebound on the module (a tracer, a test) is the one that runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        report, code = args.func(args)
+        report, code = handler(args)
         text = _emit(report, args.format)
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -170,9 +170,6 @@ class PureState:
         """Amplitudes as a tensor with one axis per subsystem."""
         return self.vector.reshape(self.dims)
 
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.dims, np.outer(self.vector, self.vector.conj()))
-
     @classmethod
     def basis(cls, dims: Sequence[int], index: int) -> "PureState":
         dims = tuple(int(d) for d in dims)

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from mspace import cli
 from mspace.cli import MAX_ROWS, main
 from mspace.files import load_measurement_set, matrix_to_pairs, measurement_set_to_obj, state_to_obj
 from mspace.linalg import PureState, bell_phi_plus
@@ -23,7 +24,10 @@ P0 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's own exits
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -668,6 +672,21 @@ class TestReportContract:
         ]
         assert len(lines) == 4
 
+    def test_tsv_monotone_flag_is_lowercase(self, capsys):
+        code, out, _ = run_cli(capsys, "entanglement", "--state", "bell", "--alice", "noisy:0.9",
+                               "--bob", "noisy:0.9", "--format", "tsv")  # fmt: skip
+        header, row = (line.split("\t") for line in out.splitlines() if not line.startswith("#"))
+        assert code == 0 and dict(zip(header, row))["monotone"] == "true"
+
+    @pytest.mark.parametrize("argv, line", [
+        (("konrad", "--seed", "1", "--trials", "3"), "# violations=null"),
+        (("konrad", "--seed", "1", "--trials", "3", "--two-sided"), "# max_residual=null"),
+        (("map", "--state", "bell", "--measurements", "random:3:5"), "# structure=null"),
+    ])  # fmt: skip
+    def test_tsv_none_is_null(self, capsys, argv, line):
+        code, out, _ = run_cli(capsys, *argv, "--format", "tsv")
+        assert code == 0 and line in out.splitlines()
+
     def test_env_tolerance_override(self, capsys, loose_set_file, monkeypatch):
         path = loose_set_file
         code, _, err = run_cli(capsys, "map", "--state", "product0", "--dims", "2",
@@ -862,3 +881,50 @@ class TestReportContract:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"][0]["count"] == 2
+
+
+# subcommands interleaved, each flag set followed by the same command without some of its flags
+INTERLEAVED = [
+    ["theorem1", "--bogus"],
+    ["theorem1", "--random", "--seed", "1", "--trials", "5", "--outcomes", "3"],
+    ["modes", "--n", "4", "--m", "3", "--format", "tsv"],
+    ["theorem1", "--random", "--seed", "1"],
+    ["konrad", "--seed", "2", "--trials", "3", "--two-sided"],
+    ["modes", "--n", "4", "--m", "3"],
+    ["konrad", "--seed", "2"],
+]
+
+
+class TestParser:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_interleaved_calls_match_a_fresh_parser(self, capsys, monkeypatch):
+        cached = [run_cli(capsys, *argv) for argv in INTERLEAVED]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [run_cli(capsys, *argv) for argv in INTERLEAVED]
+        assert cached == fresh
+        code, out, err = cached[0]
+        assert code == 2 and out == "" and "unrecognized arguments: --bogus" in err
+        assert all(code == 0 for code, _, _ in cached[1:])
+
+    def test_defaults_do_not_leak_between_calls(self, capsys):
+        run_cli(capsys, *INTERLEAVED[1])
+        args = cli.build_parser().parse_args(INTERLEAVED[3])
+        assert (args.trials, args.outcomes) == (None, None)
+        assert vars(args) == vars(cli.build_parser.__wrapped__().parse_args(INTERLEAVED[3]))
+        report = json.loads(run_cli(capsys, *INTERLEAVED[3])[1])
+        assert report["parameters"]["trials"] == 1 and report["parameters"]["outcomes"] == 2
+
+    def test_handler_is_looked_up_per_call(self, capsys, monkeypatch):
+        argv = ["modes", "--n", "2", "--m", "2"]
+        assert json.loads(run_cli(capsys, *argv)[1])["command"] == "modes"
+        calls = []
+
+        def patched(args):
+            calls.append(args.command)
+            return {"command": "patched"}, 0
+
+        monkeypatch.setattr(cli, "cmd_modes", patched)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out) == {"command": "patched"} and calls == ["modes"]

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import density_of
 
 from mspace.entanglement import (
     EntanglementReport,
@@ -111,14 +112,14 @@ class TestConcurrencePure:
 
 class TestConcurrenceMixed:
     def test_pure_bell_density(self):
-        assert abs(concurrence_mixed(bell_phi_plus().density()) - 1.0) < 1e-10
+        assert abs(concurrence_mixed(density_of(bell_phi_plus())) - 1.0) < 1e-10
 
     def test_maximally_mixed(self):
         assert concurrence_mixed(DensityMatrix((2, 2), np.eye(4) / 4)) == 0.0
 
     def test_werner_closed_form_and_oracle(self):
         w = 0.8
-        rho_mat = w * bell_phi_plus().density().matrix + (1 - w) * np.eye(4) / 4
+        rho_mat = w * density_of(bell_phi_plus()).matrix + (1 - w) * np.eye(4) / 4
         rho = DensityMatrix((2, 2), rho_mat)
         c = concurrence_mixed(rho)
         assert abs(c - max(0.0, (3 * w - 1) / 2)) < 1e-12
@@ -129,7 +130,7 @@ class TestConcurrenceMixed:
         rng = np.random.default_rng(3)
         for _ in range(50):
             psi = haar_state((2, 2), rng)
-            assert abs(concurrence_mixed(psi.density()) - concurrence_pure(psi.reshaped())) < 1e-9
+            assert abs(concurrence_mixed(density_of(psi)) - concurrence_pure(psi.reshaped())) < 1e-9
 
     def test_stack_equals_single_calls_bit_for_bit(self):
         # near-rank-deficient channel outputs among mixtures of every rank
@@ -147,7 +148,7 @@ class TestConcurrenceMixed:
         rng = np.random.default_rng(4)
         for _ in range(20):
             w = rng.uniform(0, 1)
-            rho_mat = w * haar_state((2, 2), rng).density().matrix + (1 - w) * np.eye(4) / 4
+            rho_mat = w * density_of(haar_state((2, 2), rng)).matrix + (1 - w) * np.eye(4) / 4
             c = concurrence_mixed(DensityMatrix((2, 2), rho_mat))
             assert abs(c - wootters_oracle(rho_mat)) < 1e-7
 

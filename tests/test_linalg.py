@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import density_of
 
 from mspace.linalg import (
     DensityMatrix,
@@ -154,7 +155,7 @@ class TestSchmidt:
         psi = PureState((2, 2), amps)
         c, left, right = schmidt(psi)
         # independent oracle: eigenvalues of the reduced density matrix
-        rho_a = ptrace_oracle(psi.density().matrix, (2, 2), {0})
+        rho_a = ptrace_oracle(density_of(psi).matrix, (2, 2), {0})
         expected = np.sort(np.linalg.eigvalsh(rho_a))[::-1]
         np.testing.assert_allclose(c**2, expected, atol=1e-9)
         # frozen from the oracle: 0.5 +- 2 sqrt(0.41 * 0.09)

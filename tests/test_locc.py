@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import density_of
 
 from mspace.entanglement import concurrence_mixed, concurrence_pure
 from mspace.linalg import (
@@ -376,7 +377,7 @@ class TestChannelStacks:
     def test_apply_matches_kraus_sum(self):
         ch = Channel(haar_blocks(np.random.default_rng(19).standard_normal((2, 12, 12)), 3))
         psi = haar_state((3,), 20)
-        rho = psi.density().matrix
+        rho = density_of(psi).matrix
         expected = sum(k @ rho @ k.conj().T for k in ch.kraus)
         np.testing.assert_allclose(ch.apply(rho), expected, atol=1e-14)
 

@@ -5,20 +5,27 @@ Inputs span dimensions 1-6 and outcome counts 1-6 per party (1-4 for the
 construction and for protocols), with rank-deficient and zero operators and
 states chosen to give outcomes of probability zero. Channels act on qubits
 with 1-4 Kraus operators, rank-deficient ones among them, on entangled and
-product states. The profile is derandomized, so every run tests the same
+product states. Reports are nested dicts and lists of the scalar types the
+CLI emits. The profile is derandomized, so every run tests the same
 examples.
 """
 
+import json
+import struct
+
 import numpy as np
+import pytest
+from conftest import density_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mspace.cli import _emit_json
 from mspace.entanglement import (
     entropy_of_entanglement,
     measurement_space_entanglement,
     pure_entanglement,
 )
-from mspace.linalg import PureState, haar_blocks, haar_state, haar_unitaries
+from mspace.linalg import PureState, ValidationError, haar_blocks, haar_state, haar_unitaries
 from mspace.locc import (
     KONRAD_TOL,
     MAX_KRAUS,
@@ -259,7 +266,7 @@ def test_two_sided_bound_holds(case):
 @given(channel_case())
 def test_channel_output_matches_kron_sum(case):
     psi, channel_a, channel_b = case
-    rho = psi.density().matrix
+    rho = density_of(psi).matrix
     eye = np.eye(2)
 
     def kron_sum(kraus_a, kraus_b):
@@ -398,3 +405,47 @@ def test_construction_follows_the_map_under_a_loosened_tolerance(case, tol, shar
     np.testing.assert_allclose(trace.ancilla_diagonal, expected, rtol=0, atol=1e-9)
     norms = np.linalg.norm(trace.branch_ancillas, axis=1)
     np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
+
+
+float_free_reports = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@PROFILE
+@given(float_free_reports)
+def test_float_free_reports_emit_as_json_dumps(report):
+    assert _emit_json(report) == json.dumps(report, indent=2)
+
+
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+)
+
+
+@PROFILE
+@given(st.lists(finite_floats, min_size=1, max_size=6))
+def test_finite_floats_read_back_bit_for_bit(values):
+    loaded = json.loads(_emit_json({"values": values}))["values"]
+    assert all(type(x) is float for x in loaded)
+    assert [struct.pack("<d", x) for x in loaded] == [struct.pack("<d", float(v)) for v in values]
+
+
+@PROFILE
+@given(st.booleans(), st.integers(-(2**63), 2**63 - 1))
+def test_numpy_bools_and_ints_emit_as_bool_and_int(flag, count):
+    loaded = json.loads(_emit_json({"flag": np.bool_(flag), "count": np.int64(count)}))
+    assert type(loaded["flag"]) is bool and loaded["flag"] == flag
+    assert type(loaded["count"]) is int and loaded["count"] == count
+
+
+@PROFILE
+@given(st.sampled_from([float, np.float64, np.float32]), st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_non_finite_floats_are_rejected(kind, value):
+    with pytest.raises(ValidationError) as info:
+        _emit_json({"results": [{"value": kind(value)}]})
+    assert info.value.invariant == "report-nonfinite"
