@@ -128,8 +128,11 @@ def operator_stack(
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product under the row-major index convention."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    """Kronecker product under the row-major index convention, of two matrices or of
+    two stacks of them whose leading axes broadcast."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def _check_dims(dims: tuple[int, ...]) -> None:

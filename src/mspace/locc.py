@@ -10,7 +10,9 @@ those outcomes yields the deterministic output of the whole procedure; the
 diagonal of that averaged ancilla state reproduces the squared
 measurement-space amplitudes exactly. Individual branches are pure states
 whose agreement with the measurement-space image is reported as a fidelity,
-not asserted.
+not asserted. A run checks its pair once: the dilated state and the image
+come from the same local product tensor, and the run's largest arrays must
+fit the byte cap before that tensor is built.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .linalg import (
     PureState,
     ValidationError,
     _require,
+    _require_fits,
     _row_norms,
     eig_hermitian,
     fourier_matrix,
@@ -45,8 +48,9 @@ from .measurement import (
     _checked_local_product,
     _gram,
     _identity_deviation,
+    _local_image,
+    _require_pair_fits,
     local_product,
-    map_to_measurement_space,
 )
 
 ZERO_BRANCH_TOL = 1e-12
@@ -72,14 +76,18 @@ def build_dilation(
     ``completeness_tol``, which makes the result nearly normalized; when its
     squared norm misses 1 by more than ``NORM_TOL`` the norm is divided out.
     """
-    t = _checked_local_product(psi, measurements, completeness_tol)
+    return _dilation(_checked_local_product(psi, measurements, completeness_tol))
+
+
+def _dilation(t: np.ndarray) -> PureState:
+    """The dilated state of a checked ``(n_a, n_b, d_a, d_b)`` local product ``t``."""
     vec = t.transpose(2, 3, 0, 1).reshape(-1)
     norm = np.linalg.norm(vec)
     # the squared norm is the trace of the ancilla output; within NORM_TOL
     # the vector is left alone, so that complete sets keep every bit
     if abs(norm * norm - 1.0) > NORM_TOL:
         vec = vec / norm
-    return PureState(psi.dims + measurements.structure, vec)
+    return PureState(t.shape[2:] + t.shape[:2], vec)
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +189,14 @@ class LoccTrace:
     branch_diagonal_deviations: np.ndarray
 
 
-def _measure_party(t: np.ndarray, party: str) -> tuple[np.ndarray, PartyMove]:
+def _measure_party(t: np.ndarray, party: str, rows: int | None = None) -> tuple[np.ndarray, PartyMove]:
     """One party's move for all of its outcomes at once.
 
     ``t`` is a ``(..., sys, anc, other sys, other anc)`` stack of states in
     party layout. Returns the normalized post-reset states, stacked as
-    ``[..., j]`` in the same layout, and the record of the move. The reset
+    ``[..., j]`` in the same layout, and the record of the move. The states
+    hold only the first ``rows`` rows of the party's system, all by default;
+    each entry is one product, so a row is the same bits either way. The reset
     for outcome ``j`` in sector ``m`` is ``Omega_m^dag`` with rows 0 and
     ``j`` swapped: the columns of the unitary ``Omega_m`` are the Fourier
     vectors, so it sends ``omega_j`` to ``e0``. Sectors of zero weight keep
@@ -210,7 +220,7 @@ def _measure_party(t: np.ndarray, party: str) -> tuple[np.ndarray, PartyMove]:
     skipped = np.einsum("...mii->...m", blocks).real < ZERO_BRANCH_TOL
     unitaries = frozen(np.where(skipped[..., None, :, None, None], np.eye(d), unitaries))
     reset = np.einsum("...jmai,...mij->...jma", unitaries, omega)  # U_jm omega_j, close to e0
-    states = np.einsum("...jma,...jmxy->...jamxy", reset, coef)
+    states = np.einsum("...jma,...jmxy->...jamxy", reset[..., :rows], coef)
     states /= np.sqrt(probs)[..., None, None, None, None]
     return states, PartyMove(blocks, fs, probs, unitaries, skipped)
 
@@ -226,13 +236,24 @@ def run_locc_construction(
     accumulated into the procedure's deterministic ancilla output, whose
     diagonal is checked against the squared measurement-space amplitudes.
     Both sets must be complete within ``completeness_tol``, as for the map.
+    Its largest array, Alice's states and Bob's coefficients (``d_a n_a n_b
+    d_a d_b`` entries) or a party's reset unitaries, must fit the byte cap
+    before anything is built; otherwise the run fails as ``locc-size``.
     """
-    dilated = build_dilation(psi, measurements, completeness_tol)
-    d_a, d_b, n_a, n_b = dilated.dims
-    image = map_to_measurement_space(psi, measurements, completeness_tol)
+    _require_pair_fits(psi, measurements)
+    (d_a, d_b), (n_a, n_b) = psi.dims, measurements.structure
+    _require_fits(
+        16 * max(d_a * n_a * n_b * d_a * d_b, d_a * n_b * d_b**3, d_a**3 * n_a),
+        "locc-size",
+        f"a LOCC run of {n_a * n_b} outcomes on dims ({d_a}, {d_b})",
+    )
+    t = _checked_local_product(psi, measurements, completeness_tol)
+    dilated = _dilation(t)
+    image = _local_image(t, measurements, completeness_tol)
     # party layouts: Alice's (sys_A, anc_A, sys_B, anc_B), Bob's (sys_B, anc_B, sys_A, anc_A)
     after_alice, alice = _measure_party(dilated.reshaped().transpose(0, 2, 1, 3), "A")
-    after_bob, bob = _measure_party(after_alice.transpose(0, 3, 4, 1, 2), "B")
+    # the run reads only Bob's row |0>; Alice's rows all feed his blocks
+    after_bob, bob = _measure_party(after_alice.transpose(0, 3, 4, 1, 2), "B", rows=1)
     # row j_a * d_b + j_b: the branch's (anc_A, anc_B) part next to |0>|0>
     flat = after_bob[:, :, 0, :, 0, :].swapaxes(-1, -2).reshape(d_a * d_b, n_a * n_b)
     leak = 1.0 - np.sum(np.abs(flat) ** 2, axis=1)

@@ -134,10 +134,8 @@ class LocalMeasurementSet:
         It holds n_a n_b operators of size (d_a d_b)^2; the map never builds
         it, and uses :func:`local_product` instead.
         """
-        a, b = self.alice.stack, self.bob.stack
-        # [a, b, i, k, j, l] = A_a[i, j] B_b[k, l], the entries of A_a (x) B_b
-        ops = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
         dim = self.alice.dim * self.bob.dim
+        ops = tensor(self.alice.stack[:, None], self.bob.stack[None, :])
         return MeasurementSet(dim, self.labels, ops.reshape(-1, dim, dim))
 
 
@@ -280,14 +278,10 @@ def outcome_probabilities(
     return _probabilities(psi.vector, mset.stack, completeness_tol)
 
 
-def _checked_local_product(psi: PureState, local: LocalMeasurementSet, completeness_tol: float) -> np.ndarray:
-    """:func:`local_product` of ``psi`` and a local pair, after the one check of a pair.
-
-    The state must have dims ``(alice.dim, bob.dim)``. The product tensor and
-    the ``(d_a d_b)^2`` Kronecker product of the Gram matrices must fit the
-    byte cap before either is built. Each Gram matrix and their Kronecker
-    product, the joint set's, must be 1 within ``completeness_tol``.
-    """
+def _require_pair_fits(psi: PureState, local: LocalMeasurementSet) -> None:
+    """The pair check's shapes: the state must have dims ``(alice.dim, bob.dim)``, and the
+    product tensor and the ``(d_a d_b)^2`` Kronecker product of the Gram matrices must fit
+    the byte cap."""
     alice, bob = local.alice, local.bob
     if psi.dims != (alice.dim, bob.dim):
         raise ValidationError(
@@ -297,9 +291,26 @@ def _checked_local_product(psi: PureState, local: LocalMeasurementSet, completen
     n, dim = len(alice) * len(bob), psi.dim
     what = f"a local pair of {n} outcomes on dims {psi.dims}"
     _require_fits(16 * max(n, dim) * dim, "measurement-size", what)
+
+
+def _checked_local_product(psi: PureState, local: LocalMeasurementSet, completeness_tol: float) -> np.ndarray:
+    """:func:`local_product` of ``psi`` and a local pair, after the one check of a pair.
+
+    The shapes pass :func:`_require_pair_fits` before anything is built. Each
+    Gram matrix and their Kronecker product, the joint set's, must be 1
+    within ``completeness_tol``.
+    """
+    _require_pair_fits(psi, local)
+    alice, bob = local.alice, local.bob
     grams = _gram(alice.stack), _gram(bob.stack)
     _require_complete(max(float(_identity_deviation(g)) for g in (*grams, tensor(*grams))), completeness_tol)
     return local_product(psi.reshaped(), alice.stack, bob.stack)
+
+
+def _local_image(t: np.ndarray, local: LocalMeasurementSet, completeness_tol: float) -> MeasurementSpaceState:
+    """The image of a state whose :func:`_checked_local_product` with ``local`` is ``t``."""
+    probs = _check_total(_local_probabilities(t).reshape(-1), t.shape[-2] * t.shape[-1], completeness_tol)
+    return MeasurementSpaceState(local.labels, _image(probs), local.structure)
 
 
 def map_to_measurement_space(
@@ -315,12 +326,9 @@ def map_to_measurement_space(
     """
     if isinstance(measurements, LocalMeasurementSet):
         t = _checked_local_product(psi, measurements, completeness_tol)
-        probs = _check_total(_local_probabilities(t).reshape(-1), psi.dim, completeness_tol)
-        structure = measurements.structure
-    else:
-        probs = outcome_probabilities(psi, measurements, completeness_tol)
-        structure = None
-    return MeasurementSpaceState(measurements.labels, _image(probs), structure)
+        return _local_image(t, measurements, completeness_tol)
+    probs = outcome_probabilities(psi, measurements, completeness_tol)
+    return MeasurementSpaceState(measurements.labels, _image(probs))
 
 
 def random_measurement_set(dim: int, n_outcomes: int, seed: int | np.random.Generator) -> MeasurementSet:

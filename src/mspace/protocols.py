@@ -32,6 +32,7 @@ from .linalg import (
     haar_vectors,
     operator_stack,
     seeded_chunks,
+    tensor,
 )
 from .measurement import (
     MeasurementSet,
@@ -187,10 +188,8 @@ def success_rates_mspace(spec: ProtocolSpec) -> np.ndarray:
     count, n, d_a, _ = spec.alice.shape
     d_b = spec.bob_unitaries.shape[-1]
     dim = d_a * d_b
-    # kron(A, B)[i d_b + k, j d_b + l] = A[i, j] B[k, l], for each (trial, outcome, y/n)
-    a = spec.alice[:, :, None, :, None, :, None]
-    b = spec.effective_ops()[:, :, :, None, :, None, :]
-    joint = (a * b).reshape(count, 2 * n, dim, dim)
+    # M_k (x) M_yk U_k and M_k (x) M_nk U_k for each trial and outcome k
+    joint = tensor(spec.alice[:, :, None], spec.effective_ops()).reshape(count, 2 * n, dim, dim)
     _require_complete(_identity_deviation(_gram(joint)), DEFAULT_TOL, spec.trials)
     probs = _probabilities(spec.psi.reshape(count, dim), joint, DEFAULT_TOL, spec.trials)
     image = (_image(probs, spec.trials) ** 2).reshape(count, n, 2)

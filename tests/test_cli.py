@@ -637,6 +637,17 @@ class TestRowCap:
         code, out, err = run_cli(capsys, *command, *argv)
         assert code == 2 and "error: measurement-size: " in err and "over the cap" in err and out == ""
 
+    def test_locc_run_over_the_byte_cap_rejected_before_the_pair_check(self, capsys, monkeypatch):
+        # at a 1 MiB cap the pair's product tensor of 100 x 100 entries (160 KB)
+        # fits, but Alice's states of 10 x 100 x 100 entries (1.6 MB) do not
+        monkeypatch.setattr("mspace.linalg.TRIAL_BYTES_CAP", 1 << 20)
+        argv = ("--state", "random:1", "--dims", "10,10", "--alice", "random:10:1", "--bob", "random:10:2")
+        assert run_cli(capsys, "map", *argv)[0] == 0
+        for name in ("locc._checked_local_product", "measurement.local_product", "locc.fourier_step"):
+            monkeypatch.setattr(f"mspace.{name}", _no_work)
+        code, out, err = run_cli(capsys, "locc", *argv)
+        assert code == 2 and "error: locc-size: " in err and "over the cap" in err and out == ""
+
     def test_largest_grid_in_use_is_under_the_cap(self, capsys):
         code, out, _ = run_cli(capsys, "modes", "--n-max", "60", "--m-max", "8")
         assert code == 0 and len(json.loads(out)["results"]) == 420 <= MAX_ROWS

@@ -101,6 +101,19 @@ class TestTensor:
         np.testing.assert_allclose(tensor(tensor(a, b), c), tensor(a, tensor(b, c)), atol=1e-14)
 
 
+    def test_leading_axes_broadcast_to_np_kron_bits(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            m, n, p, q = (int(x) for x in rng.integers(1, 5, size=4))
+            a = rng.standard_normal((3, 1, m, n)) + 1j * rng.standard_normal((3, 1, m, n))
+            b = rng.standard_normal((2, p, q)) + 1j * rng.standard_normal((2, p, q))
+            out = tensor(a, b)
+            assert out.shape == (3, 2, m * p, n * q)
+            for i in range(3):
+                for j in range(2):
+                    assert np.array_equal(out[i, j], np.kron(a[i, 0], b[j]))
+
+
 class TestEigHermitian:
     def test_diagonal(self):
         w, v = eig_hermitian(np.diag([0.3, 0.7]).astype(complex))

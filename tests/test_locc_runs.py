@@ -5,7 +5,7 @@ import pytest
 
 import mspace.locc as locc
 from mspace.linalg import haar_state
-from mspace.measurement import random_local_set
+from mspace.measurement import LocalMeasurementSet, MeasurementSet, map_to_measurement_space, random_local_set
 
 
 @pytest.mark.parametrize(
@@ -66,6 +66,9 @@ def test_batched_bob_move_equals_one_move_per_alice_outcome():
         after_alice, _ = locc._measure_party(dilated.reshaped().transpose(0, 2, 1, 3), "A")
         bob_layout = after_alice.transpose(0, 3, 4, 1, 2)
         states, move = locc._measure_party(bob_layout, "B")
+        # the run forms only Bob's reset row |0>, the same bits as that row of the full move
+        row0, _ = locc._measure_party(bob_layout, "B", rows=1)
+        assert np.array_equal(row0, states[:, :, :1])
         for j_a in range(d_a):
             one_states, one = locc._measure_party(bob_layout[j_a], "B")
             assert np.array_equal(states[j_a], one_states)
@@ -73,3 +76,42 @@ def test_batched_bob_move_equals_one_move_per_alice_outcome():
                 assert np.array_equal(getattr(move, name)[j_a], getattr(one, name)), name
             for name in ("vectors", "eigenvalues", "outcome_totals", "max_deviation", "degenerate"):
                 assert np.array_equal(getattr(move.fourier, name)[j_a], getattr(one.fourier, name)), name
+
+
+def test_run_checks_its_pair_once(monkeypatch):
+    calls = []
+    original = locc._checked_local_product
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # both names: the map reaches the check through its own module
+    monkeypatch.setattr("mspace.measurement._checked_local_product", counted)
+    monkeypatch.setattr(locc, "_checked_local_product", counted)
+    rng = np.random.default_rng(5)
+    locc.run_locc_construction(haar_state((3, 2), rng), random_local_set(3, 2, 2, 3, rng))
+    assert len(calls) == 1
+
+
+def _loosened(mset, delta):
+    """``mset`` with every operator scaled so that its Gram matrix is ``(1 + delta) 1``."""
+    return MeasurementSet(mset.dim, mset.labels, mset.stack * np.sqrt(1 + delta))
+
+
+@pytest.mark.parametrize("delta, tol", [(0.0, 1e-10), (1e-6, 1e-5)])
+def test_run_image_and_dilation_are_the_map_and_dilation_bits(delta, tol):
+    for case in range(60):
+        rng = np.random.default_rng((89, case))
+        d_a, d_b, n_a, n_b = (int(x) for x in rng.integers(1, 6, size=4))
+        psi = haar_state((d_a, d_b), rng)
+        exact = random_local_set(d_a, d_b, n_a, n_b, rng)
+        local = LocalMeasurementSet(_loosened(exact.alice, delta), _loosened(exact.bob, delta))
+        trace = locc.run_locc_construction(psi, local, tol)
+        image = map_to_measurement_space(psi, local, tol)
+        assert np.array_equal(trace.mspace.amplitudes, image.amplitudes)
+        assert trace.mspace.outcome_labels == image.outcome_labels
+        assert trace.mspace.structure == image.structure == (n_a, n_b)
+        dilated = locc.build_dilation(psi, local, tol)
+        assert trace.dilated.dims == dilated.dims
+        assert np.array_equal(trace.dilated.vector, dilated.vector)
