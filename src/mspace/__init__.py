@@ -13,6 +13,7 @@ from .entanglement import (
     binary_entropy,
     concurrence_mixed,
     concurrence_pure,
+    entanglement_entropies,
     entropy_of_entanglement,
     eof_from_concurrence,
     measurement_space_entanglement,
@@ -49,7 +50,9 @@ from .measurement import (
     LocalMeasurementSet,
     MeasurementSet,
     MeasurementSpaceState,
+    local_images,
     map_to_measurement_space,
+    noisy_operators,
     noisy_pair,
     outcome_probabilities,
     random_local_set,

@@ -26,13 +26,15 @@ from .entanglement import (
     MEASURES,
     EntanglementReport,
     concurrence_mixed,
+    concurrence_pure,
+    entanglement_entropies,
     measurement_space_entanglement,
     pure_entanglement,
 )
 from .files import load_measurement_set, load_protocol, load_state
 from .linalg import DEFAULT_TOL, PureState, ValidationError, bell_phi_plus, seeded_chunks
 from .locc import KONRAD_TOL, KONRAD_TRIAL_BYTES, konrad_check, random_konrad_trials, run_locc_construction
-from .measurement import LocalMeasurementSet, map_to_measurement_space, noisy_pair
+from .measurement import LocalMeasurementSet, local_images, map_to_measurement_space, noisy_operators
 from .modes import useful_entanglement_bound
 from .protocols import random_protocol_batches, success_rates_mspace, success_rates_original
 
@@ -470,18 +472,20 @@ def cmd_sweep(args) -> tuple[dict, int]:
     _require_count(args.steps, "--steps")
     psi = bell_phi_plus()
     entropy_before = pure_entanglement(psi, "entropy")
-    rows = []
-    for eta in np.linspace(args.eta_start, args.eta_end, args.steps):
-        pair = noisy_pair(float(eta))
-        image = map_to_measurement_space(psi, LocalMeasurementSet(pair, pair))
-        rows.append(
-            {
-                "eta": float(eta),
-                "entropy_original": entropy_before,
-                "concurrence_mspace": measurement_space_entanglement(image, "concurrence"),
-                "entropy_mspace": measurement_space_entanglement(image, "entropy"),
-            }
-        )
+    # every step at once: one stack of noisy pairs, one checked map, one stack of images
+    etas = np.linspace(args.eta_start, args.eta_end, args.steps)
+    ops = noisy_operators(etas)
+    images = local_images(psi, ops, ops).reshape(-1, 2, 2)
+    scores = zip(etas.tolist(), concurrence_pure(images).tolist(), entanglement_entropies(images))
+    rows = [
+        {
+            "eta": eta,
+            "entropy_original": entropy_before,
+            "concurrence_mspace": EntanglementReport("concurrence", c, (2, 2)).value,
+            "entropy_mspace": EntanglementReport("entropy", h, (2, 2)).value,
+        }
+        for eta, c, h in scores
+    ]
     report = {
         "command": "sweep",
         "parameters": {

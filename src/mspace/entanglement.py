@@ -41,6 +41,13 @@ def entropy_of_entanglement(psi: PureState) -> float:
     return shannon_entropy(coeffs**2)
 
 
+def entanglement_entropies(amplitudes: np.ndarray) -> list[float]:
+    """:func:`entropy_of_entanglement` of each ``(d_a, d_b)`` amplitude matrix in an ``(s, d_a, d_b)``
+    stack, bit for bit: one stacked SVD, the one ``schmidt`` makes."""
+    coeffs = np.linalg.svd(np.asarray(amplitudes, dtype=complex), full_matrices=False)[1]
+    return [shannon_entropy(row) for row in coeffs**2]
+
+
 def concurrence_pure(amplitudes: np.ndarray) -> float | np.ndarray:
     """Concurrence 2 |a00 a11 - a01 a10| of a ``(2, 2)`` amplitude matrix, or of each in a stack."""
     a = np.asarray(amplitudes, dtype=complex)

@@ -13,6 +13,7 @@ Conventions used everywhere:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Iterator, Sequence
 
@@ -77,8 +78,11 @@ def _require(
 
     ``describe`` turns the index of that entry into the message. With
     ``trials``, axis 0 of ``ok`` runs over those trials and the message names
-    the trial. Write ``ok`` as ``x <= tol`` so that a NaN fails.
+    the trial. Write ``ok`` as ``x <= tol`` so that a NaN fails. A check that
+    passes returns before any index is looked up.
     """
+    if np.asarray(ok).all():
+        return
     bad = np.argwhere(np.logical_not(ok))
     if len(bad):
         idx = tuple(int(i) for i in bad[0])
@@ -257,12 +261,14 @@ def schmidt(psi: PureState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s, u, vh.T
 
 
+@functools.cache
 def fourier_matrix(n: int) -> np.ndarray:
-    """Unitary with entries exp(2*pi*i*j*k/n) / sqrt(n), indices from 0."""
+    """Unitary with entries exp(2*pi*i*j*k/n) / sqrt(n), indices from 0, read-only and built
+    once per ``n``."""
     if n < 1:
         raise ValidationError("fourier-size", f"n must be >= 1, got {n}")
     j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(2.0j * np.pi * j * k / n) / np.sqrt(n)
+    return frozen(np.exp(2.0j * np.pi * j * k / n) / np.sqrt(n))
 
 
 def haar_unitaries(g: np.ndarray) -> np.ndarray:

@@ -76,7 +76,7 @@ def build_dilation(
     ``completeness_tol``, which makes the result nearly normalized; when its
     squared norm misses 1 by more than ``NORM_TOL`` the norm is divided out.
     """
-    return _dilation(_checked_local_product(psi, measurements, completeness_tol))
+    return _dilation(_checked_local_product(psi, *measurements.stacks, completeness_tol))
 
 
 def _dilation(t: np.ndarray) -> PureState:
@@ -240,16 +240,18 @@ def run_locc_construction(
     d_a d_b`` entries) or a party's reset unitaries, must fit the byte cap
     before anything is built; otherwise the run fails as ``locc-size``.
     """
-    _require_pair_fits(psi, measurements)
+    _require_pair_fits(psi, *measurements.stacks)
     (d_a, d_b), (n_a, n_b) = psi.dims, measurements.structure
     _require_fits(
         16 * max(d_a * n_a * n_b * d_a * d_b, d_a * n_b * d_b**3, d_a**3 * n_a),
         "locc-size",
         f"a LOCC run of {n_a * n_b} outcomes on dims ({d_a}, {d_b})",
     )
-    t = _checked_local_product(psi, measurements, completeness_tol)
+    t = _checked_local_product(psi, *measurements.stacks, completeness_tol)
     dilated = _dilation(t)
-    image = _local_image(t, measurements, completeness_tol)
+    image = MeasurementSpaceState(
+        measurements.labels, _local_image(t, completeness_tol), measurements.structure
+    )
     # party layouts: Alice's (sys_A, anc_A, sys_B, anc_B), Bob's (sys_B, anc_B, sys_A, anc_A)
     after_alice, alice = _measure_party(dilated.reshaped().transpose(0, 2, 1, 3), "A")
     # the run reads only Bob's row |0>; Alice's rows all feed his blocks
@@ -388,13 +390,19 @@ def random_konrad_trials(rngs: list, two_sided: bool) -> tuple[np.ndarray, np.nd
     Each generator draws a Haar state's normals, then per side (Bob's only
     when ``two_sided``, else he keeps the identity) a Kraus count in
     ``[1, MAX_KRAUS]`` and the normals of its ``haar_blocks``, zero-padded.
+    The draws of one side and Kraus count go through one stacked
+    ``haar_blocks``, which gives each trial the bits of its own call.
     """
     g_state = np.empty((len(rngs), 2, 4))
     kraus = np.zeros((2, len(rngs), MAX_KRAUS, 2, 2), dtype=complex)
     kraus[1, :, 0] = np.eye(2)
+    draws: dict[tuple[int, int], list] = {}  # (side, k) -> [(trial, normals)]
     for t, rng in enumerate(rngs):
         rng.standard_normal(out=g_state[t])
         for side in range(2 if two_sided else 1):
             k = int(rng.integers(1, MAX_KRAUS + 1))
-            kraus[side, t, :k] = haar_blocks(rng.standard_normal((2, 2 * k, 2 * k)), 2)
+            draws.setdefault((side, k), []).append((t, rng.standard_normal((2, 2 * k, 2 * k))))
+    for (side, k), group in draws.items():
+        trials, g = zip(*group)
+        kraus[side, list(trials), :k] = haar_blocks(np.stack(g), 2)
     return haar_vectors(g_state).reshape(-1, 2, 2), kraus[0], kraus[1]

@@ -11,7 +11,6 @@ bipartite state.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -127,6 +126,10 @@ class LocalMeasurementSet:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(f"({la},{lb})" for la in self.alice.labels for lb in self.bob.labels)
+
+    @property
+    def stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.alice.stack, self.bob.stack
 
     def joint(self) -> MeasurementSet:
         """The explicit product set {A_a (x) B_b}, as a reference.
@@ -278,39 +281,43 @@ def outcome_probabilities(
     return _probabilities(psi.vector, mset.stack, completeness_tol)
 
 
-def _require_pair_fits(psi: PureState, local: LocalMeasurementSet) -> None:
-    """The pair check's shapes: the state must have dims ``(alice.dim, bob.dim)``, and the
-    product tensor and the ``(d_a d_b)^2`` Kronecker product of the Gram matrices must fit
-    the byte cap."""
-    alice, bob = local.alice, local.bob
-    if psi.dims != (alice.dim, bob.dim):
+def _require_pair_fits(psi: PureState, alice: np.ndarray, bob: np.ndarray) -> None:
+    """The pair check's shapes for ``(..., n, d, d)`` stacks: the state must have dims ``(d_a, d_b)``,
+    and one pair's product tensor and the ``(d_a d_b)^2`` Kronecker product of its Gram matrices
+    must fit the byte cap."""
+    if psi.dims != (alice.shape[-1], bob.shape[-1]):
         raise ValidationError(
             "dimension-match",
-            f"state dims {psi.dims} != measurement dims ({alice.dim}, {bob.dim})",
+            f"state dims {psi.dims} != measurement dims ({alice.shape[-1]}, {bob.shape[-1]})",
         )
-    n, dim = len(alice) * len(bob), psi.dim
+    n, dim = alice.shape[-3] * bob.shape[-3], psi.dim
     what = f"a local pair of {n} outcomes on dims {psi.dims}"
     _require_fits(16 * max(n, dim) * dim, "measurement-size", what)
 
 
-def _checked_local_product(psi: PureState, local: LocalMeasurementSet, completeness_tol: float) -> np.ndarray:
-    """:func:`local_product` of ``psi`` and a local pair, after the one check of a pair.
+def _checked_local_product(
+    psi: PureState, alice: np.ndarray, bob: np.ndarray, completeness_tol: float, trials=None
+) -> np.ndarray:
+    """:func:`local_product` of ``psi`` and the operator stacks of a local pair, after the one
+    check of a pair.
 
     The shapes pass :func:`_require_pair_fits` before anything is built. Each
     Gram matrix and their Kronecker product, the joint set's, must be 1
-    within ``completeness_tol``.
+    within ``completeness_tol``. With ``trials``, ``alice`` and ``bob`` carry
+    a leading axis of pairs, checked at once, and a failure names the pair.
     """
-    _require_pair_fits(psi, local)
-    alice, bob = local.alice, local.bob
-    grams = _gram(alice.stack), _gram(bob.stack)
-    _require_complete(max(float(_identity_deviation(g)) for g in (*grams, tensor(*grams))), completeness_tol)
-    return local_product(psi.reshaped(), alice.stack, bob.stack)
+    _require_pair_fits(psi, alice, bob)
+    grams = _gram(alice), _gram(bob)
+    dev = np.max([_identity_deviation(g) for g in (*grams, tensor(*grams))], axis=0)
+    _require_complete(dev, completeness_tol, trials)
+    return local_product(psi.reshaped(), alice, bob)
 
 
-def _local_image(t: np.ndarray, local: LocalMeasurementSet, completeness_tol: float) -> MeasurementSpaceState:
-    """The image of a state whose :func:`_checked_local_product` with ``local`` is ``t``."""
-    probs = _check_total(_local_probabilities(t).reshape(-1), t.shape[-2] * t.shape[-1], completeness_tol)
-    return MeasurementSpaceState(local.labels, _image(probs), local.structure)
+def _local_image(t: np.ndarray, completeness_tol: float, trials=None) -> np.ndarray:
+    """The ``(..., n_a n_b)`` image amplitudes of a :func:`_checked_local_product` ``t``."""
+    probs = _local_probabilities(t, trials)
+    dim = t.shape[-2] * t.shape[-1]
+    return _image(_check_total(probs.reshape(*probs.shape[:-2], -1), dim, completeness_tol, trials), trials)
 
 
 def map_to_measurement_space(
@@ -325,10 +332,26 @@ def map_to_measurement_space(
     grid, whose structure is attached to the result.
     """
     if isinstance(measurements, LocalMeasurementSet):
-        t = _checked_local_product(psi, measurements, completeness_tol)
-        return _local_image(t, measurements, completeness_tol)
+        t = _checked_local_product(psi, *measurements.stacks, completeness_tol)
+        amps = _local_image(t, completeness_tol)
+        return MeasurementSpaceState(measurements.labels, amps, measurements.structure)
     probs = outcome_probabilities(psi, measurements, completeness_tol)
     return MeasurementSpaceState(measurements.labels, _image(probs))
+
+
+def local_images(
+    psi: PureState, alice: np.ndarray, bob: np.ndarray, completeness_tol: float = DEFAULT_TOL
+) -> np.ndarray:
+    """The local map of ``psi`` under each pair of a stack, as ``(s, n_a n_b)`` amplitudes.
+
+    ``alice`` and ``bob`` are ``(s, n, d, d)`` operator stacks; row ``k`` is
+    the amplitudes :func:`map_to_measurement_space` gives for the pair of
+    sets ``alice[k]``, ``bob[k]``, checked the same way, and a failure names
+    the pair as trial ``k``.
+    """
+    trials = range(len(alice))
+    t = _checked_local_product(psi, alice, bob, completeness_tol, trials)
+    return _local_image(t, completeness_tol, trials)
 
 
 def random_measurement_set(dim: int, n_outcomes: int, seed: int | np.random.Generator) -> MeasurementSet:
@@ -350,17 +373,31 @@ def z_projectors(dim: int = 2) -> MeasurementSet:
     return MeasurementSet(dim, tuple(map(str, range(dim))), eye[:, :, None] * eye[:, None, :])
 
 
+def noisy_operators(etas: np.ndarray) -> np.ndarray:
+    """The ``(s, 2, 2, 2)`` stack of :func:`noisy_pair` operators, one pair per efficiency.
+
+    The first ``eta`` outside [0, 1], NaN included, fails as ``noisy-eta``.
+    """
+    etas = np.asarray(etas, dtype=float)
+    _require(
+        (0.0 <= etas) & (etas <= 1.0),
+        "noisy-eta",
+        lambda i: f"eta must lie in [0, 1], got {float(etas[i])!r}",
+    )
+    root, rest = np.sqrt(etas), np.sqrt(1.0 - etas)
+    ops = np.zeros((len(etas), 2, 4), dtype=complex)  # each 2x2 operator flattened row-major
+    ops[:, 0, 0] = ops[:, 1, 3] = root
+    ops[:, 0, 3] = ops[:, 1, 0] = rest
+    return ops.reshape(-1, 2, 2, 2)
+
+
 def noisy_pair(eta: float) -> MeasurementSet:
     """Two-outcome qubit measurement with detector efficiency ``eta``.
 
     At eta = 1 this is the pair of computational-basis projectors; at
     eta = 1/2 both outcomes carry no information about the state.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError("noisy-eta", f"eta must lie in [0, 1], got {eta!r}")
-    m0 = np.diag([math.sqrt(eta), math.sqrt(1.0 - eta)]).astype(complex)
-    m1 = np.diag([math.sqrt(1.0 - eta), math.sqrt(eta)]).astype(complex)
-    return MeasurementSet(2, ("0", "1"), [m0, m1])
+    return MeasurementSet(2, ("0", "1"), noisy_operators([eta])[0])
 
 
 def random_local_set(

@@ -1,15 +1,20 @@
-"""Shared test helpers, and the checkout's ``src`` for the CLI subprocesses some tests start.
+"""Shared test helpers and reference oracles, and the checkout's ``src`` for the CLI
+subprocesses some tests start.
 
 ``pythonpath`` in ``pyproject.toml`` puts ``src`` on the path of the test
 process only; child processes see ``PYTHONPATH``, so ``src`` goes there too.
 """
 
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 
-from mspace.linalg import DensityMatrix
+from mspace.entanglement import measurement_space_entanglement, pure_entanglement
+from mspace.linalg import DensityMatrix, bell_phi_plus, haar_blocks, haar_vectors
+from mspace.locc import MAX_KRAUS
+from mspace.measurement import LocalMeasurementSet, MeasurementSet, map_to_measurement_space
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
@@ -19,3 +24,43 @@ def density_of(psi):
     """``|psi><psi|`` as a checked ``DensityMatrix``."""
     v = psi.vector
     return DensityMatrix(psi.dims, np.outer(v, v.conj()))
+
+
+def noisy_pair_reference(eta):
+    """The detector-efficiency pair built one efficiency at a time, as ``noisy_pair`` once did."""
+    m0 = np.diag([math.sqrt(eta), math.sqrt(1.0 - eta)]).astype(complex)
+    m1 = np.diag([math.sqrt(1.0 - eta), math.sqrt(eta)]).astype(complex)
+    return MeasurementSet(2, ("0", "1"), [m0, m1])
+
+
+def sweep_rows_reference(eta_start, eta_end, steps):
+    """The ``sweep`` rows composed one efficiency at a time: the map of the Bell state under a
+    pair of noisy sets, then its concurrence and entropy."""
+    psi = bell_phi_plus()
+    before = pure_entanglement(psi, "entropy")
+    rows = []
+    for eta in np.linspace(eta_start, eta_end, steps):
+        pair = noisy_pair_reference(float(eta))
+        image = map_to_measurement_space(psi, LocalMeasurementSet(pair, pair))
+        rows.append(
+            {
+                "eta": float(eta),
+                "entropy_original": before,
+                "concurrence_mspace": measurement_space_entanglement(image, "concurrence"),
+                "entropy_mspace": measurement_space_entanglement(image, "entropy"),
+            }
+        )
+    return rows
+
+
+def konrad_trials_reference(rngs, two_sided):
+    """``random_konrad_trials`` with one ``haar_blocks`` call per trial and side."""
+    g_state = np.empty((len(rngs), 2, 4))
+    kraus = np.zeros((2, len(rngs), MAX_KRAUS, 2, 2), dtype=complex)
+    kraus[1, :, 0] = np.eye(2)
+    for t, rng in enumerate(rngs):
+        rng.standard_normal(out=g_state[t])
+        for side in range(2 if two_sided else 1):
+            k = int(rng.integers(1, MAX_KRAUS + 1))
+            kraus[side, t, :k] = haar_blocks(rng.standard_normal((2, 2 * k, 2 * k)), 2)
+    return haar_vectors(g_state).reshape(-1, 2, 2), kraus[0], kraus[1]

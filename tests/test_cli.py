@@ -586,6 +586,33 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--state", "product0")
         assert code == 2 and "sweep-state" in err
 
+    @pytest.mark.parametrize("argv, first_bad", [
+        (("--eta-start", "1.2"), "1.2"),
+        (("--eta-end", "-0.1"), "-0.1"),
+        (("--eta-end", "nan"), "nan"),
+        (("--eta-start", "0.9", "--eta-end", "1.3", "--steps", "5"), "1.1"),
+    ])  # fmt: skip
+    def test_efficiency_outside_the_unit_interval_names_the_first_bad_eta(self, capsys, argv, first_bad):
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: noisy-eta: eta must lie in [0, 1], got {first_bad}\n"
+
+    def test_all_steps_are_mapped_in_one_call(self, capsys, monkeypatch):
+        calls = []
+        real = cli.local_images
+
+        def counted(psi, alice, bob):
+            calls.append(len(alice))
+            return real(psi, alice, bob)
+
+        monkeypatch.setattr(cli, "local_images", counted)
+        monkeypatch.setattr(cli, "map_to_measurement_space", _no_work)
+        monkeypatch.setattr(cli, "measurement_space_entanglement", _no_work)
+        for steps in ("1", "6", "50"):
+            code, _, _ = run_cli(capsys, "sweep", "--steps", steps)
+            assert code == 0
+        assert calls == [1, 6, 50]
+
 
 def _no_work(*args, **kwargs):
     raise AssertionError("work started before the row count was checked")

@@ -8,6 +8,7 @@ from mspace.linalg import (
     DensityMatrix,
     PureState,
     ValidationError,
+    _require,
     bell_phi_plus,
     eig_hermitian,
     fourier_matrix,
@@ -214,6 +215,16 @@ class TestFourierMatrix:
         with pytest.raises(ValidationError):
             fourier_matrix(0)
 
+    def test_built_once_per_size_and_read_only(self):
+        f = fourier_matrix(6)
+        assert fourier_matrix(6) is f and not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[0, 0] = 0.0
+        # a failed size is raised again, not remembered
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="^fourier-size: n must be >= 1, got -1$"):
+                fourier_matrix(-1)
+
 
 class TestHaar:
     def test_deterministic(self):
@@ -273,6 +284,24 @@ class TestPredicatesAndTypes:
         assert single.value.invariant == stacked.value.invariant == invariant
         message = str(single.value).split(": ", 1)[1]
         assert str(stacked.value) == f"{invariant}: matrix (2, 1): {message}"
+
+
+class TestRequire:
+    def test_passing_check_never_describes(self):
+        def describe(i):
+            raise AssertionError("a passing check built its message")
+
+        for ok in (np.array(True), np.ones((3, 2), dtype=bool), np.array([]) <= 1.0):
+            _require(ok, "x", describe)
+
+    @pytest.mark.parametrize("trials, prefix", [(None, ""), (range(10, 13), "trial 11: ")])
+    def test_first_failure_and_nan_are_named(self, trials, prefix):
+        values = np.array([[0.0, 0.5], [np.nan, 2.0], [0.0, 0.0]])
+        with pytest.raises(ValidationError) as info:
+            _require(values <= 1.0, "range", lambda i: f"{i} holds {float(values[i])!r}", trials)
+        assert str(info.value) == f"range: {prefix}(1, 0) holds nan"
+        with pytest.raises(ValidationError, match=r"^range: \(\) holds nan$"):
+            _require(np.asarray(float("nan")) <= 1.0, "range", lambda i: f"{i} holds {float('nan')!r}")
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])

@@ -15,17 +15,25 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import density_of
-from hypothesis import given, settings
+from conftest import density_of, konrad_trials_reference, noisy_pair_reference, sweep_rows_reference
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mspace.cli import _emit_json
+from mspace.cli import _emit_json, build_parser, cmd_sweep
 from mspace.entanglement import (
     entropy_of_entanglement,
     measurement_space_entanglement,
     pure_entanglement,
 )
-from mspace.linalg import PureState, ValidationError, haar_blocks, haar_state, haar_unitaries
+from mspace.linalg import (
+    CHUNK_BYTES,
+    PureState,
+    ValidationError,
+    haar_blocks,
+    haar_state,
+    haar_unitaries,
+    seeded_chunks,
+)
 from mspace.locc import (
     KONRAD_TOL,
     MAX_KRAUS,
@@ -40,6 +48,7 @@ from mspace.measurement import (
     LocalMeasurementSet,
     MeasurementSet,
     map_to_measurement_space,
+    noisy_pair,
     outcome_probabilities,
 )
 from mspace.protocols import (
@@ -324,6 +333,46 @@ def test_konrad_trials_equal_per_trial_draws(seed, count, two_sided):
         for got, ops in zip((kraus_a[t], kraus_b[t]), sides):
             assert np.array_equal(got[: len(ops)], ops) and not np.any(got[len(ops) :])
 
+
+
+ETA = st.floats(0.0, 1.0, allow_subnormal=False)
+
+
+@PROFILE
+@given(ETA, ETA, st.integers(1, 40))
+@example(0.5, 1.0, 1)  # one step
+@example(1.0, 0.5, 6)  # a reversed range
+@example(0.0, 1.0, 11)
+def test_stacked_sweep_rows_equal_the_per_eta_composition(eta_start, eta_end, steps):
+    argv = ["sweep", "--eta-start", repr(eta_start), "--eta-end", repr(eta_end), "--steps", str(steps)]
+    report, code = cmd_sweep(build_parser().parse_args(argv))
+    expected = sweep_rows_reference(eta_start, eta_end, steps)
+    assert code == 0 and len(report["results"]) == steps
+    for got, want in zip(report["results"], expected):
+        assert got.keys() == want.keys()
+        # bit for bit: equal floats of equal sign
+        assert all(float(got[k]).hex() == float(want[k]).hex() for k in want), (got, want)
+
+
+@PROFILE
+@given(ETA)
+def test_noisy_pair_is_the_one_eta_build(eta):
+    assert noisy_pair(eta).stack.tobytes() == noisy_pair_reference(eta).stack.tobytes()
+
+
+@PROFILE
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 9), st.booleans())
+def test_stacked_konrad_draws_equal_one_qr_per_trial(seed, trials, per_chunk, two_sided):
+    # chunks of per_chunk trials, so that most runs cross a chunk boundary
+    chunks = list(seeded_chunks(seed, trials, CHUNK_BYTES // per_chunk))
+    whole = [np.random.default_rng((seed, t)) for t in range(trials)]
+    expected = konrad_trials_reference(whole, two_sided)
+    got = [random_konrad_trials(rngs, two_sided) for _, rngs in chunks]
+    for part, want in zip(zip(*got), expected):
+        assert np.array_equal(np.concatenate(part), want)
+    counts = {int(np.count_nonzero(np.any(ops, axis=(-2, -1)))) for ops in expected[1]}
+    if trials >= 12:
+        assert len(counts) > 1  # mixed Kraus counts within one run
 
 def protocol_spec(draw, d_a, ranks_a, d_b):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
