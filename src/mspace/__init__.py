@@ -62,8 +62,10 @@ from .measurement import (
 from .modes import (
     ModeSystem,
     composition_count,
+    divisor_infima,
     divisor_infimum,
     useful_entanglement_bound,
+    useful_entanglement_bounds,
 )
 from .protocols import (
     OutcomeTable,

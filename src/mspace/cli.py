@@ -35,7 +35,7 @@ from .files import load_measurement_set, load_protocol, load_state
 from .linalg import DEFAULT_TOL, PureState, ValidationError, bell_phi_plus, seeded_chunks
 from .locc import KONRAD_TOL, KONRAD_TRIAL_BYTES, konrad_check, random_konrad_trials, run_locc_construction
 from .measurement import LocalMeasurementSet, local_images, map_to_measurement_space, noisy_operators
-from .modes import useful_entanglement_bound
+from .modes import useful_entanglement_bounds
 from .protocols import random_protocol_batches, success_rates_mspace, success_rates_original
 
 THEOREM1_TOL = 1e-10
@@ -189,6 +189,25 @@ def _require_count(value: int, flag: str) -> None:
         raise ValidationError(
             "flag-format", f"{flag} asks for {value} report rows, over the cap {MAX_ROWS}"
         )
+
+
+def _eta_steps(start: float, end: float, steps: int) -> np.ndarray:
+    """The efficiencies of a sweep, ``np.linspace(start, end, steps)``.
+
+    numpy turns an infinite end, or ends too far apart for their difference
+    to be a float, into NaN steps with a warning; both exit as ``noisy-eta``
+    naming the flags given. A NaN end passes, and the noisy kernel names it.
+    """
+    for flag, eta in (("--eta-start", start), ("--eta-end", end)):
+        if math.isinf(eta):
+            raise ValidationError("noisy-eta", f"{flag} must lie in [0, 1], got {eta!r}")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return np.linspace(start, end, steps)
+    except FloatingPointError:
+        raise ValidationError(
+            "noisy-eta", f"--eta-start {start!r} and --eta-end {end!r} are too far apart for float steps"
+        ) from None
 
 
 def _require_seed(seed: int) -> None:
@@ -445,23 +464,21 @@ def cmd_modes(args) -> tuple[dict, int]:
         grid = [(n, m) for n in range(1, args.n_max + 1) for m in range(2, args.m_max + 1)]
     else:
         raise ValidationError("flag-format", "need --n/--m or --n-max/--m-max")
-    rows = []
-    for n, m in grid:
-        system = useful_entanglement_bound(n, m)
-        rows.append(
-            {
-                "n": system.n,
-                "m": system.m,
-                "count": system.count,
-                "prime": system.prime,
-                "p": system.p,
-                "bound_bits": system.bound_bits,
-                "weak_bound_bits": system.weak_bound_bits,
-                # for prime counts the strong bound collapses to 0 while the
-                # weak one stays positive, so the weak form is not tight there
-                "weak_bound_loose": system.prime and system.count > 2,
-            }
-        )
+    rows = [
+        {
+            "n": system.n,
+            "m": system.m,
+            "count": system.count,
+            "prime": system.prime,
+            "p": system.p,
+            "bound_bits": system.bound_bits,
+            "weak_bound_bits": system.weak_bound_bits,
+            # for prime counts the strong bound collapses to 0 while the
+            # weak one stays positive, so the weak form is not tight there
+            "weak_bound_loose": system.prime and system.count > 2,
+        }
+        for system in useful_entanglement_bounds(grid)
+    ]
     report = {"command": "modes", "parameters": {"grid": len(rows)}, "results": rows}
     return report, 0
 
@@ -473,7 +490,7 @@ def cmd_sweep(args) -> tuple[dict, int]:
     psi = bell_phi_plus()
     entropy_before = pure_entanglement(psi, "entropy")
     # every step at once: one stack of noisy pairs, one checked map, one stack of images
-    etas = np.linspace(args.eta_start, args.eta_end, args.steps)
+    etas = _eta_steps(args.eta_start, args.eta_end, args.steps)
     ops = noisy_operators(etas)
     images = local_images(psi, ops, ops).reshape(-1, 2, 2)
     scores = zip(etas.tolist(), concurrence_pure(images).tolist(), entanglement_entropies(images))

@@ -13,11 +13,19 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
+
 from .linalg import ValidationError
 
 # Largest outcome count whose divisor search is run: the downward trial
-# division from isqrt(count) then takes at most 10^6 steps.
+# division from isqrt(count) then takes at most 10^6 steps. Being below 2^63,
+# it also keeps every count and candidate of the stacked search exact in int64.
 COUNT_CAP = 10**12
+
+# Most (row, candidate) entries one block of the stacked search holds: 8 MiB of int64.
+BLOCK_ELEMENTS = 1 << 20
+# Candidates each row tries in its first block; the width doubles per block.
+FIRST_WIDTH = 32
 
 
 def composition_count(n: int, m: int) -> int:
@@ -46,6 +54,40 @@ def divisor_infimum(n: int) -> int:
         if n % d == 0:
             return n // d
     raise AssertionError("unreachable: 1 divides every positive integer")
+
+
+def divisor_infima(counts) -> list[int]:
+    """:func:`divisor_infimum` of every count in ``counts``, in order, from one stacked search.
+
+    Each row runs the same downward trial division from isqrt(count), in
+    int64 blocks of candidates: FIRST_WIDTH per row at first, doubling while
+    rows remain, with rows x width held to BLOCK_ELEMENTS. Every count must
+    lie in [1, COUNT_CAP], which keeps the int64 arithmetic exact.
+    """
+    counts = [int(c) for c in counts]
+    bad = next((c for c in counts if not 1 <= c <= COUNT_CAP), None)
+    if bad is not None:
+        raise ValueError(f"need counts in [1, {COUNT_CAP}], got {bad}")
+    n = np.array(counts, dtype=np.int64)
+    top = np.array([math.isqrt(c) for c in counts], dtype=np.int64)
+    infima = np.zeros(len(n), dtype=np.int64)
+    rows, width = np.arange(len(n)), FIRST_WIDTH
+    while len(rows):
+        width = min(width, BLOCK_ELEMENTS)
+        height = BLOCK_ELEMENTS // width
+        for start in range(0, len(rows), height):
+            block = rows[start : start + height]
+            # a candidate below 1 stands after the 1 that divides every count,
+            # so raising it to 1 never changes a row's first hit
+            candidates = top[block, None] - np.arange(width)
+            np.maximum(candidates, 1, out=candidates)
+            hits = n[block, None] % candidates == 0
+            found = hits.any(axis=1)
+            first = hits.argmax(axis=1)[found]
+            infima[block[found]] = n[block[found]] // candidates[found, first]
+        top[rows] -= width
+        rows, width = rows[infima[rows] == 0], 2 * width
+    return infima.tolist()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,21 +120,37 @@ class ModeSystem:
             raise ValueError("a prime outcome count forces a zero bound")
 
 
-def useful_entanglement_bound(n: int, m: int) -> ModeSystem:
-    """Upper bounds (bits) on useful mode entanglement for (n, m)."""
-    count = composition_count(n, m)
-    if count > COUNT_CAP:
-        raise ValidationError(
-            "mode-count", f"{n} particles in {m} modes give {count} outcomes, over the cap of {COUNT_CAP}"
+def useful_entanglement_bounds(pairs) -> list[ModeSystem]:
+    """Upper bounds (bits) on useful mode entanglement for each (n, m) in ``pairs``.
+
+    Every count is computed and checked against COUNT_CAP first, in order,
+    so the first pair over the cap is the one named; then one
+    :func:`divisor_infima` call searches them all.
+    """
+    pairs = [(int(n), int(m)) for n, m in pairs]
+    counts = []
+    for n, m in pairs:
+        count = composition_count(n, m)
+        if count > COUNT_CAP:
+            raise ValidationError(
+                "mode-count", f"{n} particles in {m} modes give {count} outcomes, over the cap of {COUNT_CAP}"
+            )
+        counts.append(count)
+    return [
+        ModeSystem(
+            n=n,
+            m=m,
+            count=count,
+            p=p,
+            # for count >= 2, the divisor infimum is count itself exactly when count is prime
+            prime=p == count,
+            bound_bits=math.log2(count / p),
+            weak_bound_bits=math.log2(count / 2),
         )
-    p = divisor_infimum(count)
-    return ModeSystem(
-        n=int(n),
-        m=int(m),
-        count=count,
-        p=p,
-        # for count >= 2, the divisor infimum is count itself exactly when count is prime
-        prime=p == count,
-        bound_bits=math.log2(count / p),
-        weak_bound_bits=math.log2(count / 2),
-    )
+        for (n, m), count, p in zip(pairs, counts, divisor_infima(counts))
+    ]
+
+
+def useful_entanglement_bound(n: int, m: int) -> ModeSystem:
+    """Upper bounds (bits) on useful mode entanglement for (n, m): the one-pair case of the stack."""
+    return useful_entanglement_bounds([(n, m)])[0]

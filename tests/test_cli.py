@@ -4,11 +4,12 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from mspace import cli
+from mspace import cli, modes
 from mspace.cli import MAX_ROWS, main
 from mspace.files import load_measurement_set, matrix_to_pairs, measurement_set_to_obj, state_to_obj
 from mspace.linalg import PureState, bell_phi_plus
@@ -562,6 +563,28 @@ class TestModes:
         code, out, err = run_cli(capsys, "modes", *argv)
         assert code == 2 and "error: flag-format: " in err and out == ""
 
+    def test_over_cap_grid_names_its_first_pair_in_grid_order(self, capsys):
+        code, out, err = run_cli(capsys, "modes", "--n-max", "200", "--m-max", "12")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: mode-count: 55 particles in 12 modes give 1074082795968 outcomes, "
+            "over the cap of 1000000000000\n"
+        )
+
+    def test_one_divisor_search_per_command(self, capsys, monkeypatch):
+        calls = []
+        real = modes.divisor_infima
+
+        def counted(counts):
+            calls.append(len(counts))
+            return real(counts)
+
+        monkeypatch.setattr(modes, "divisor_infima", counted)
+        monkeypatch.setattr(modes, "divisor_infimum", _no_work)
+        for argv in (("--n-max", "60", "--m-max", "8"), ("--n-max", "24", "--m-max", "6"), ("--n", "9", "--m", "5")):
+            assert run_cli(capsys, "modes", *argv)[0] == 0
+        assert calls == [420, 120, 1]
+
     def test_prime_rows_flag_loose_weak_bound(self, capsys):
         code, out, _ = run_cli(capsys, "modes", "--n", "2", "--m", "2")
         row = json.loads(out)["results"][0]
@@ -597,6 +620,20 @@ class TestSweep:
         assert code == 2 and out == ""
         assert err == f"error: noisy-eta: eta must lie in [0, 1], got {first_bad}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--eta-start", "inf"), "--eta-start must lie in [0, 1], got inf"),
+        (("--eta-start=-inf", "--steps", "1"), "--eta-start must lie in [0, 1], got -inf"),
+        (("--eta-end", "inf", "--eta-start", "nan"), "--eta-end must lie in [0, 1], got inf"),
+        (("--eta-start=1e308", "--eta-end=-1e308"),
+         "--eta-start 1e+308 and --eta-end -1e+308 are too far apart for float steps"),
+    ])  # fmt: skip
+    def test_non_finite_steps_name_the_flags_given_without_a_warning(self, capsys, argv, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "sweep", *argv)
+        assert code == 2 and out == "" and caught == []
+        assert err == f"error: noisy-eta: {message}\n"
+
     def test_all_steps_are_mapped_in_one_call(self, capsys, monkeypatch):
         calls = []
         real = cli.local_images
@@ -625,8 +662,8 @@ class TestRowCap:
         (("sweep", "--steps", str(MAX_ROWS + 1)), "bell_phi_plus"),
         (("konrad", "--seed", "1", "--trials", str(MAX_ROWS + 1)), "random_konrad_trials"),
         (("theorem1", "--random", "--seed", "1", "--trials", str(MAX_ROWS + 1)), "random_protocol_batches"),
-        (("modes", "--n-max", str(MAX_ROWS + 1), "--m-max", "2"), "useful_entanglement_bound"),
-        (("modes", "--n-max", str(MAX_ROWS // 7 + 1), "--m-max", "8"), "useful_entanglement_bound"),
+        (("modes", "--n-max", str(MAX_ROWS + 1), "--m-max", "2"), "useful_entanglement_bounds"),
+        (("modes", "--n-max", str(MAX_ROWS // 7 + 1), "--m-max", "8"), "useful_entanglement_bounds"),
     ])  # fmt: skip
     def test_too_many_rows_rejected_before_any_work(self, capsys, monkeypatch, argv, first_step):
         monkeypatch.setattr(f"mspace.cli.{first_step}", _no_work)

@@ -1,14 +1,22 @@
 """Composition counting, divisor infimum, and the mode-entanglement bounds."""
 
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mspace import modes
+from mspace.linalg import ValidationError
 from mspace.modes import (
+    COUNT_CAP,
     ModeSystem,
     composition_count,
+    divisor_infima,
     divisor_infimum,
     useful_entanglement_bound,
+    useful_entanglement_bounds,
 )
 
 
@@ -114,6 +122,58 @@ class TestDivisorInfimum:
             divisor_infimum(0)
 
 
+class TestDivisorInfima:
+    """The stacked search must give the scalar reference's answer for every count."""
+
+    def test_every_n_to_1e5_as_one_stack(self):
+        counts = range(1, 10**5 + 1)
+        assert divisor_infima(counts) == [divisor_infimum(n) for n in counts]
+
+    def test_every_composition_count_under_the_cap(self):
+        counts = [composition_count(n, m) for n in range(1, 201) for m in range(2, 41)]
+        counts = [c for c in counts if c <= COUNT_CAP]
+        assert divisor_infima(counts) == [divisor_infimum(c) for c in counts]
+
+    def test_unit_and_the_longest_search_under_the_cap(self):
+        # the largest prime under the cap walks all ~10^6 candidates down to 1
+        assert divisor_infima([1, 999999999989]) == [1, divisor_infimum(999999999989)] == [1, 999999999989]
+
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(st.lists(st.integers(1, COUNT_CAP), min_size=1, max_size=4))
+    def test_drawn_counts_match_the_scalar_search(self, counts):
+        assert divisor_infima(counts) == [divisor_infimum(c) for c in counts]
+
+    def test_empty_stack(self):
+        assert divisor_infima([]) == []
+
+    @pytest.mark.parametrize("count", [0, -3, COUNT_CAP + 1])
+    def test_counts_outside_the_cap_rejected_before_the_search(self, count):
+        with pytest.raises(ValueError, match=f"got {count}"):
+            divisor_infima([12, count])
+
+    @pytest.mark.parametrize("cap", [1, 5, 33, 100, 4096])
+    def test_small_block_caps_stay_exact(self, monkeypatch, cap):
+        counts = [1, 2, 12, 997, 1024, 999983 * 2, composition_count(60, 8), 10**6 + 3]
+        if cap >= 100:
+            counts.append(999999999989)
+        expected = [divisor_infimum(c) for c in counts]
+        monkeypatch.setattr(modes, "BLOCK_ELEMENTS", cap)
+        assert divisor_infima(counts) == expected
+
+    def test_block_memory_stays_under_the_element_cap(self):
+        # with no cap, this grid's blocks reach about 270 MiB traced
+        counts = [composition_count(n, 3) for n in range(1, 20_000)]
+        tracemalloc.start()
+        try:
+            divisor_infima(counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # candidates and remainders in int64 and hits in bool per block entry,
+        # plus the per-row arrays and the isqrt of each count
+        assert peak < 17 * modes.BLOCK_ELEMENTS + 256 * len(counts)
+
+
 class TestUsefulEntanglementBound:
     def test_single_particle_two_modes(self):
         system = useful_entanglement_bound(1, 2)
@@ -150,6 +210,23 @@ class TestUsefulEntanglementBound:
                 root = math.isqrt(system.count)
                 if root * root == system.count:
                     assert abs(system.bound_bits - math.log2(root)) < 1e-12
+
+    def test_stack_equals_one_pair_at_a_time(self):
+        pairs = [(n, m) for n in range(1, 40) for m in range(2, 7)]
+        expected = []
+        for n, m in pairs:
+            count = composition_count(n, m)
+            p = divisor_infimum(count)
+            expected.append(ModeSystem(n, m, count, p, p == count, math.log2(count / p), math.log2(count / 2)))
+        assert useful_entanglement_bounds(pairs) == expected
+        assert [useful_entanglement_bound(n, m) for n, m in pairs] == expected
+
+    def test_first_pair_over_the_cap_is_named(self, monkeypatch):
+        monkeypatch.setattr(modes, "divisor_infima", None)  # the search must not start
+        # the first pair over the cap, not the one with the largest count
+        pairs = [(1, 2), (55, 12), (200, 20), (3, 3)]
+        with pytest.raises(ValidationError, match="^mode-count: 55 particles in 12 modes give "):
+            useful_entanglement_bounds(pairs)
 
     def test_mode_system_invariants_enforced(self):
         with pytest.raises(ValueError):
