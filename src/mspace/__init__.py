@@ -13,11 +13,10 @@ from .entanglement import (
     binary_entropy,
     concurrence_mixed,
     concurrence_pure,
-    entanglement_entropies,
-    entropy_of_entanglement,
     eof_from_concurrence,
     measurement_space_entanglement,
     pure_entanglement,
+    pure_entanglements,
 )
 from .linalg import (
     DensityMatrix,
@@ -39,8 +38,6 @@ from .locc import (
     FourierStep,
     LoccTrace,
     PartyMove,
-    build_dilation,
-    depolarizing_channel,
     fourier_step,
     konrad_check,
     random_konrad_trials,
@@ -55,7 +52,6 @@ from .measurement import (
     noisy_operators,
     noisy_pair,
     outcome_probabilities,
-    random_local_set,
     random_measurement_set,
     z_projectors,
 )
@@ -64,7 +60,6 @@ from .modes import (
     composition_count,
     divisor_infima,
     divisor_infimum,
-    useful_entanglement_bound,
     useful_entanglement_bounds,
 )
 from .protocols import (

@@ -26,10 +26,9 @@ from .entanglement import (
     MEASURES,
     EntanglementReport,
     concurrence_mixed,
-    concurrence_pure,
-    entanglement_entropies,
     measurement_space_entanglement,
     pure_entanglement,
+    pure_entanglements,
 )
 from .files import load_measurement_set, load_protocol, load_state
 from .linalg import DEFAULT_TOL, PureState, ValidationError, bell_phi_plus, seeded_chunks
@@ -489,18 +488,17 @@ def cmd_sweep(args) -> tuple[dict, int]:
     _require_count(args.steps, "--steps")
     psi = bell_phi_plus()
     entropy_before = pure_entanglement(psi, "entropy")
-    # every step at once: one stack of noisy pairs, one checked map, one stack of images
+    # every step at once: one stack of noisy pairs, one checked map, one checked stack per measure
     etas = _eta_steps(args.eta_start, args.eta_end, args.steps)
     ops = noisy_operators(etas)
     images = local_images(psi, ops, ops).reshape(-1, 2, 2)
-    scores = zip(etas.tolist(), concurrence_pure(images).tolist(), entanglement_entropies(images))
+    scores = zip(
+        etas.tolist(),
+        pure_entanglements(images, "concurrence").tolist(),
+        pure_entanglements(images, "entropy").tolist(),
+    )
     rows = [
-        {
-            "eta": eta,
-            "entropy_original": entropy_before,
-            "concurrence_mspace": EntanglementReport("concurrence", c, (2, 2)).value,
-            "entropy_mspace": EntanglementReport("entropy", h, (2, 2)).value,
-        }
+        {"eta": eta, "entropy_original": entropy_before, "concurrence_mspace": c, "entropy_mspace": h}
         for eta, c, h in scores
     ]
     report = {

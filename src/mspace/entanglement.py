@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import PAULI_Y, DensityMatrix, PureState, ValidationError, schmidt, tensor
+from .linalg import PAULI_Y, DensityMatrix, PureState, ValidationError, _require, schmidt, tensor
 from .measurement import MeasurementSpaceState
 
 _YY = tensor(PAULI_Y, PAULI_Y)
@@ -33,19 +33,6 @@ def shannon_entropy(probs: Sequence[float]) -> float:
         if q > 0.0:
             h -= q * math.log2(q)
     return max(h, 0.0)
-
-
-def entropy_of_entanglement(psi: PureState) -> float:
-    """Entropy (bits) of the squared Schmidt coefficients, first subsystem against the rest."""
-    coeffs, _, _ = schmidt(psi)
-    return shannon_entropy(coeffs**2)
-
-
-def entanglement_entropies(amplitudes: np.ndarray) -> list[float]:
-    """:func:`entropy_of_entanglement` of each ``(d_a, d_b)`` amplitude matrix in an ``(s, d_a, d_b)``
-    stack, bit for bit: one stacked SVD, the one ``schmidt`` makes."""
-    coeffs = np.linalg.svd(np.asarray(amplitudes, dtype=complex), full_matrices=False)[1]
-    return [shannon_entropy(row) for row in coeffs**2]
 
 
 def concurrence_pure(amplitudes: np.ndarray) -> float | np.ndarray:
@@ -93,44 +80,67 @@ MEASURES = ("entropy", "concurrence", "eof")
 
 @dataclasses.dataclass(frozen=True)
 class EntanglementReport:
-    """One measure's value across an ``(na, nb)`` cut, checked to lie in the measure's range."""
+    """One measure's value, or a stack of values, across an ``(na, nb)`` cut, checked to lie in
+    the measure's range; in a stack, the message names the first bad row."""
 
     measure: str
-    value: float
+    value: float | np.ndarray
     split: tuple[int, int]
 
     def __post_init__(self):
-        na, nb = self.split
-        if self.measure == "concurrence" and not -1e-12 <= self.value <= 1.0 + 1e-12:
-            raise ValidationError("report-range", f"concurrence {self.value!r} outside [0, 1]")
-        if self.measure in ("entropy", "eof"):
-            cap = math.log2(min(na, nb)) + 1e-9
-            if not -1e-12 <= self.value <= cap:
-                raise ValidationError(
-                    "report-range", f"{self.measure} value {self.value!r} outside [0, {cap!r}]"
-                )
+        if self.measure == "concurrence":
+            cap, what = 1.0 + 1e-12, "concurrence {!r} outside [0, 1]"
+        elif self.measure in ("entropy", "eof"):
+            cap = math.log2(min(self.split)) + 1e-9
+            what = f"{self.measure} value {{!r}} outside [0, {cap!r}]"
+        else:
+            return
+        value = np.asarray(self.value)
+        _require(
+            (-1e-12 <= value) & (value <= cap),
+            "report-range",
+            lambda i: (f"row {i[0]}: " if value.size > 1 else "") + what.format(float(value[i])),
+        )
 
 
-def pure_entanglement(psi: PureState, measure: str) -> float:
-    """One entanglement measure of ``psi``, first subsystem against the rest.
+def pure_entanglements(amplitudes: np.ndarray, measure: str) -> np.ndarray:
+    """One entanglement measure of each ``(d_a, d_b)`` amplitude matrix in an ``(s, d_a, d_b)``
+    stack, first side against the second, checked by one ``EntanglementReport``.
 
-    ``entropy`` is the entropy of entanglement and ``concurrence`` needs a
-    2x2 state. ``eof`` takes Wootters' route through the concurrence on 2x2;
-    on any other shape it is the entropy of entanglement, which equals the
-    entanglement of formation of a pure state. The value is returned once
-    ``EntanglementReport`` has checked its range.
+    ``entropy`` is the entropy of the squared Schmidt coefficients, one row
+    at a time through :func:`shannon_entropy`. ``concurrence`` needs 2x2
+    matrices. ``eof`` takes Wootters' route through the concurrence on 2x2;
+    on any other shape it is the entropy, which equals the entanglement of
+    formation of a pure state. Each row is the bits of a stack of one.
     """
     if measure not in MEASURES:
         raise ValidationError("measure-name", f"unknown measure {measure!r}; use {MEASURES}")
-    if measure == "entropy" or (measure == "eof" and psi.dims != (2, 2)):
-        value = entropy_of_entanglement(psi)
+    a = np.asarray(amplitudes, dtype=complex)
+    if measure == "entropy" or (measure == "eof" and a.shape[-2:] != (2, 2)):
+        values = [shannon_entropy(p) for p in schmidt(a)[0] ** 2]
+    elif measure == "concurrence":
+        values = concurrence_pure(a)
     else:
-        if psi.dims != (2, 2):
+        values = [eof_from_concurrence(c) for c in concurrence_pure(a).tolist()]
+    return EntanglementReport(measure, np.asarray(values, dtype=float), a.shape[-2:]).value
+
+
+def pure_entanglement(psi: PureState, measure: str) -> float:
+    """One entanglement measure of ``psi``, first subsystem against the rest: the one-state
+    case of :func:`pure_entanglements`.
+
+    ``concurrence`` needs a 2x2 state. ``eof`` takes Wootters' route on a 2x2
+    state; on any other dims, a 2x2 cut of more subsystems included, it is
+    the entropy of entanglement.
+    """
+    # an unknown measure is left for the kernel to name
+    if measure in MEASURES and psi.dims != (2, 2):
+        if measure == "concurrence":
             raise ValidationError("concurrence-dims", f"need a 2x2 pure state, got dims {psi.dims}")
-        c = concurrence_pure(psi.reshaped())
-        value = c if measure == "concurrence" else eof_from_concurrence(c)
-    split = (psi.dims[0], psi.dim // psi.dims[0])
-    return EntanglementReport(measure, value, split).value
+        if len(psi.dims) < 2:
+            raise ValidationError("schmidt-split", f"need at least two subsystems, got dims {psi.dims}")
+        measure = "entropy"
+    return float(pure_entanglements(psi.vector.reshape(1, psi.dims[0], -1), measure)[0])
 
 
 def measurement_space_entanglement(ms: MeasurementSpaceState, measure: str = "entropy") -> float:

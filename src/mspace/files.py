@@ -39,14 +39,6 @@ def pairs_to_matrix(rows: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
         raise ValidationError("complex-pairs", "matrix entries must be [re, im] pairs") from exc
 
 
-def vector_to_pairs(vec: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec, dtype=complex)]
-
-
-def matrix_to_pairs(mat: np.ndarray) -> list[list[list[float]]]:
-    return [vector_to_pairs(row) for row in np.asarray(mat, dtype=complex)]
-
-
 def _read_json(path: str | Path) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -204,16 +196,3 @@ def load_protocol(path: str) -> ProtocolSpec:
             )
         pairs.append((pairs_to_matrix(entry["success"]), pairs_to_matrix(entry["failure"])))
     return single_protocol(state, alice, unitaries, tuple(pairs))
-
-
-def state_to_obj(psi: PureState) -> dict:
-    return {"dims": list(psi.dims), "amplitudes": vector_to_pairs(psi.vector)}
-
-
-def measurement_set_to_obj(mset: MeasurementSet) -> dict:
-    return {
-        "dim": mset.dim,
-        "operators": [
-            {"label": label, "matrix": matrix_to_pairs(op)} for label, op in zip(mset.labels, mset.stack)
-        ],
-    }

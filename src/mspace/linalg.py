@@ -247,18 +247,20 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
-def schmidt(psi: PureState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schmidt decomposition of a pure state, first subsystem against the rest.
+def schmidt(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schmidt decomposition of a ``(d_a, d_b)`` amplitude matrix, or of each in a stack.
 
     Returns ``(coefficients, left, right)`` where coefficients are descending
-    nonnegative reals with unit square-sum and the columns of ``left``/``right``
-    are orthonormal vectors of the first subsystem and of the rest, so the
-    state equals ``sum_k c_k |L_k>|R_k>``.
+    nonnegative reals and the columns of ``left``/``right`` are orthonormal
+    vectors of the two sides, so the matrix equals ``sum_k c_k L_k R_k^T``: the
+    state ``sum_k c_k |L_k>|R_k>``, whose squared coefficients sum to 1. A ``(..., d_a, d_b)``
+    stack gives ``(..., k)``, ``(..., d_a, k)`` and ``(..., d_b, k)``, matrix by
+    matrix the bits of a single call.
     """
-    if len(psi.dims) < 2:
-        raise ValidationError("schmidt-split", f"need at least two subsystems, got dims {psi.dims}")
-    u, s, vh = np.linalg.svd(psi.vector.reshape(psi.dims[0], -1), full_matrices=False)
-    return s, u, vh.T
+    # u and v are computed: compute_uv=False takes another LAPACK route, whose
+    # singular values differ in the last bits
+    u, s, vh = np.linalg.svd(amplitudes, full_matrices=False)
+    return s, u, vh.swapaxes(-1, -2)
 
 
 @functools.cache

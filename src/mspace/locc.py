@@ -18,7 +18,6 @@ fit the byte cap before that tensor is built.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -26,9 +25,6 @@ from .entanglement import concurrence_mixed, concurrence_pure
 from .linalg import (
     DEFAULT_TOL,
     NORM_TOL,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     DensityMatrix,
     PureState,
     ValidationError,
@@ -65,22 +61,13 @@ KONRAD_TRIAL_BYTES = 16 * (4 + 2 * MAX_KRAUS * 4 + 3 * (2 * MAX_KRAUS) ** 2)
 # dilation
 
 
-def build_dilation(
-    psi: PureState, measurements: LocalMeasurementSet, completeness_tol: float = DEFAULT_TOL
-) -> PureState:
-    """Attach one ancilla per party and entangle it with the local outcomes.
-
-    The result lives on (sys_A, sys_B, anc_A, anc_B), in that order: its
-    ``[:, :, a, b]`` slice is ``A_a Psi B_b^T``. The pair is checked as for
-    the map: matching dims, the byte cap, and completeness within
-    ``completeness_tol``, which makes the result nearly normalized; when its
-    squared norm misses 1 by more than ``NORM_TOL`` the norm is divided out.
-    """
-    return _dilation(_checked_local_product(psi, *measurements.stacks, completeness_tol))
-
-
 def _dilation(t: np.ndarray) -> PureState:
-    """The dilated state of a checked ``(n_a, n_b, d_a, d_b)`` local product ``t``."""
+    """The dilated state of a checked ``(n_a, n_b, d_a, d_b)`` local product ``t``: one ancilla
+    per party, entangled with the local outcomes.
+
+    The state lives on (sys_A, sys_B, anc_A, anc_B), in that order, and its
+    ``[:, :, a, b]`` slice is ``A_a Psi B_b^T``.
+    """
     vec = t.transpose(2, 3, 0, 1).reshape(-1)
     norm = np.linalg.norm(vec)
     # the squared norm is the trace of the ancilla output; within NORM_TOL
@@ -310,21 +297,6 @@ class Channel:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return np.einsum("kij,jl,kml->im", self.kraus, rho, self.kraus.conj())
-
-
-def depolarizing_channel(p: float) -> Channel:
-    """Qubit depolarizing channel; p = 1 sends everything to 1/2."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError("channel-parameter", f"p must lie in [0, 1], got {p!r}")
-    eye = np.eye(2, dtype=complex)
-    return Channel(
-        (
-            math.sqrt(1.0 - 3.0 * p / 4.0) * eye,
-            math.sqrt(p / 4.0) * PAULI_X,
-            math.sqrt(p / 4.0) * PAULI_Y,
-            math.sqrt(p / 4.0) * PAULI_Z,
-        )
-    )
 
 
 def channel_output(psi: np.ndarray, kraus_a: np.ndarray, kraus_b: np.ndarray) -> DensityMatrix:

@@ -398,17 +398,3 @@ def noisy_pair(eta: float) -> MeasurementSet:
     eta = 1/2 both outcomes carry no information about the state.
     """
     return MeasurementSet(2, ("0", "1"), noisy_operators([eta])[0])
-
-
-def random_local_set(
-    dim_a: int,
-    dim_b: int,
-    n_a: int,
-    n_b: int,
-    seed: int | np.random.Generator,
-) -> LocalMeasurementSet:
-    rng = _as_rng(seed)
-    return LocalMeasurementSet(
-        random_measurement_set(dim_a, n_a, rng),
-        random_measurement_set(dim_b, n_b, rng),
-    )

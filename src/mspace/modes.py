@@ -149,8 +149,3 @@ def useful_entanglement_bounds(pairs) -> list[ModeSystem]:
         )
         for (n, m), count, p in zip(pairs, counts, divisor_infima(counts))
     ]
-
-
-def useful_entanglement_bound(n: int, m: int) -> ModeSystem:
-    """Upper bounds (bits) on useful mode entanglement for (n, m): the one-pair case of the stack."""
-    return useful_entanglement_bounds([(n, m)])[0]

@@ -12,12 +12,44 @@ from pathlib import Path
 import numpy as np
 
 from mspace.entanglement import measurement_space_entanglement, pure_entanglement
-from mspace.linalg import DensityMatrix, bell_phi_plus, haar_blocks, haar_vectors
+from mspace.linalg import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    DensityMatrix,
+    bell_phi_plus,
+    haar_blocks,
+    haar_vectors,
+)
 from mspace.locc import MAX_KRAUS
-from mspace.measurement import LocalMeasurementSet, MeasurementSet, map_to_measurement_space
+from mspace.measurement import (
+    LocalMeasurementSet,
+    MeasurementSet,
+    map_to_measurement_space,
+    random_measurement_set,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+
+
+def pairs(a):
+    """A complex array as nested ``[re, im]`` pairs, the JSON form of ``mspace.files``."""
+    return np.stack([np.real(a), np.imag(a)], axis=-1).tolist()
+
+
+def random_local_set(dim_a, dim_b, n_a, n_b, seed):
+    """A random complete set for each party, Alice's drawn first from one generator."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return LocalMeasurementSet(
+        random_measurement_set(dim_a, n_a, rng), random_measurement_set(dim_b, n_b, rng)
+    )
+
+
+def depolarizing_kraus(p):
+    """Kraus operators of the qubit depolarizing channel; p = 1 sends every state to 1/2."""
+    paulis = [math.sqrt(p / 4.0) * s for s in (PAULI_X, PAULI_Y, PAULI_Z)]
+    return np.array([math.sqrt(1.0 - 3.0 * p / 4.0) * np.eye(2, dtype=complex), *paulis])
 
 
 def density_of(psi):

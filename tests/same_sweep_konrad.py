@@ -1,4 +1,5 @@
-"""Run seeded ``sweep``, ``konrad`` and ``modes`` commands in two source trees and compare them.
+"""Run seeded ``sweep``, ``konrad``, ``modes``, ``entanglement``, ``map`` and ``locc`` commands in
+two source trees and compare them.
 
 Usage::
 
@@ -19,8 +20,21 @@ JSON and TSV, a few invalid flags), the ``konrad`` grid: seeds 0-39, 1,
 MODES seeded ``modes`` command lines: grids up to ``--n-max 200 --m-max 12``
 (many of them reach a count over the cap), single pairs up to 300 particles
 in 40 modes (many over the cap), small pairs with invalid counts, and both
-flag sets at once, in JSON and TSV. The file's name does not start with
-``test_``, so pytest does not collect it.
+flag sets at once, in JSON and TSV.
+
+After those come every ``entanglement --measure`` on ``bell``, ``product0``
+and ``random:<seed>`` over fixed 1-, 2- and 3-party dims, 2x2 cuts of three
+subsystems among them, in JSON; then PAIRS seeded command lines each of
+``entanglement``, ``map`` and ``locc``, drawn from a generator of their own
+so that the corpora above stay what they were for a seed. States are ``bell``,
+``product0`` and ``random:<seed>``, with no ``--dims`` or 1-, 2- and 3-party
+ones; sets are ``z-projectors``, ``noisy:<eta>`` (some outside [0, 1]) and
+``random:<outcomes>:<seed>``. ``entanglement`` draws every ``--measure``,
+some ``--split`` flags and local pairs, ``map`` a single set or a local
+pair, and ``locc`` one branch, ``--all-outcomes`` or an ``--outcome``.
+Among the exits are ``schmidt-split``, ``concurrence-dims``, ``split-shape``
+and ``dimension-match``. The file's name does not start with ``test_``, so
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -39,7 +53,9 @@ import numpy as np
 SRC = Path(__file__).resolve().parents[1] / "src"
 ETA_ENDS = ["0", "1", "0.5", "1.2", "-0.1", "nan", "inf", "1e-300", "0.9999999999999999"]
 MODES = 400
-COMMANDS = ("sweep", "konrad", "modes")
+PAIRS = 300
+COMMANDS = ("sweep", "konrad", "modes", "entanglement", "map", "locc")
+MEASURES = ("entropy", "concurrence", "eof")
 
 
 def corpus(seed: int, sweeps: int) -> list[list[str]]:
@@ -77,6 +93,64 @@ def corpus(seed: int, sweeps: int) -> list[list[str]]:
         if rng.random() < 0.03:
             argv += ["--n-max", "3"] if kind == 2 else ["--m-max", "0"]
         commands.append(["modes", *argv, "--format", "tsv" if k % 3 == 0 else "json"])
+    return commands
+
+
+def _dims(rng: np.random.Generator, state: str) -> list[int]:
+    """No dims (mostly, for ``bell``, whose own dims they must equal), or 1 to 3 parties."""
+    draw = rng.random()
+    if draw < (0.85 if state == "bell" else 0.15):
+        return []
+    parties = 1 if draw < 0.25 else 2 if draw < 0.8 else 3
+    return [int(d) for d in rng.integers(1, 5 if parties < 3 else 4, size=parties)]
+
+
+def _set(rng: np.random.Generator) -> str:
+    draw = rng.random()
+    if draw < 0.35:
+        return "z-projectors"
+    if draw < 0.6:
+        eta = rng.choice(["0", "1", "0.5", "1.2", repr(float(rng.random()))], p=[0.1, 0.1, 0.1, 0.1, 0.6])
+        return f"noisy:{eta}"
+    return f"random:{rng.integers(1, 5)}:{rng.integers(1000)}"
+
+
+def local_corpus(seed: int) -> list[list[str]]:
+    """Every measure on fixed cuts in JSON, which prints every bit, then PAIRS seeded
+    ``entanglement``, ``map`` and ``locc`` command lines each."""
+    rng = np.random.default_rng((seed, 1))
+    commands = [
+        ["entanglement", "--state", state, *(["--dims", dims] if dims else []), "--measure", measure]
+        for state in ("bell", "product0", f"random:{seed}")
+        for dims in ("", "4", "2,2", "2,1,2", "2,2,1", "1,2,2", "2,3", "3,3", "2,2,2")
+        for measure in MEASURES
+    ]
+    for k in range(3 * PAIRS):
+        command = COMMANDS[3 + k % 3]
+        state = str(rng.choice(["bell", "product0", f"random:{rng.integers(1000)}"], p=[0.25, 0.25, 0.5]))
+        dims = _dims(rng, state)
+        argv = [command, "--state", state] + (["--dims", ",".join(map(str, dims))] if dims else [])
+        pair = rng.random() < {"entanglement": 0.5, "map": 0.7, "locc": 0.97}[command]
+        if command == "map" and not pair:
+            argv += ["--measurements", _set(rng)]
+        elif pair:
+            argv += ["--alice", _set(rng), "--bob", _set(rng)]
+        if command == "entanglement":
+            argv += ["--measure", str(rng.choice(MEASURES))]
+            if rng.random() < 0.3:
+                # mostly a factorization of the state's dimension
+                dim = int(np.prod(dims)) if dims else 4
+                a = int(rng.choice([q for q in range(1, dim + 1) if dim % q == 0]))
+                b = dim // a if rng.random() < 0.8 else int(rng.integers(1, 5))
+                argv += ["--split", f"{a},{b}"]
+        if command == "locc":
+            draw = rng.random()
+            if draw < 0.4:
+                argv += ["--all-outcomes"]
+            elif draw < 0.7:
+                argv += ["--outcome", f"{rng.integers(0, 3)},{rng.integers(0, 3)}"]
+        argv += ["--format", "tsv" if k % 4 == 0 else "json"]
+        commands.append(argv)
     return commands
 
 
@@ -123,7 +197,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=17)
     parser.add_argument("--sweeps", type=int, default=406)
     args = parser.parse_args()
-    commands = corpus(args.seed, args.sweeps)
+    commands = corpus(args.seed, args.sweeps) + local_corpus(args.seed)
     ours, theirs = run_tree(args.src, commands), run_tree(args.other_src, commands)
     differ = [argv for argv, a, b in zip(commands, ours, theirs) if a != b]
     for argv in differ[:10]:

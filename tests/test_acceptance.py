@@ -8,11 +8,12 @@ import subprocess
 import sys
 
 import numpy as np
+from conftest import random_local_set
 
 from mspace.entanglement import (
     concurrence_pure,
-    entropy_of_entanglement,
     measurement_space_entanglement,
+    pure_entanglement,
 )
 from mspace.linalg import PureState, bell_phi_plus, haar_state
 from mspace.locc import KONRAD_TOL, konrad_check, random_konrad_trials, run_locc_construction
@@ -20,10 +21,9 @@ from mspace.measurement import (
     LocalMeasurementSet,
     map_to_measurement_space,
     noisy_pair,
-    random_local_set,
     random_measurement_set,
 )
-from mspace.modes import composition_count, divisor_infimum, useful_entanglement_bound
+from mspace.modes import composition_count, divisor_infimum, useful_entanglement_bounds
 from mspace.protocols import (
     random_protocols,
     single_protocol,
@@ -73,7 +73,7 @@ def test_criterion_2_monotonicity_under_local_measurements():
         image = map_to_measurement_space(psi, local)
         worst_entropy = max(
             worst_entropy,
-            measurement_space_entanglement(image, "entropy") - entropy_of_entanglement(psi),
+            measurement_space_entanglement(image, "entropy") - pure_entanglement(psi, "entropy"),
         )
         pair_set = random_local_set(2, 2, 2, 2, rng)
         pair_image = map_to_measurement_space(psi, pair_set)
@@ -89,7 +89,7 @@ def test_criterion_2_monotonicity_under_local_measurements():
         image = map_to_measurement_space(psi, local)
         worst_qutrit = max(
             worst_qutrit,
-            measurement_space_entanglement(image, "entropy") - entropy_of_entanglement(psi),
+            measurement_space_entanglement(image, "entropy") - pure_entanglement(psi, "entropy"),
         )
     ok = worst_entropy <= 1e-9 and worst_concurrence <= 1e-9 and worst_qutrit <= 1e-9
     _report(
@@ -212,10 +212,7 @@ def test_criterion_8_mode_bound_table():
         for m in range(2, 4):
             if composition_count(n, m) != _brute_force_composition_count(n, m):
                 table_ok = False
-    prime_cases = (
-        useful_entanglement_bound(1, 2).bound_bits == 0.0
-        and useful_entanglement_bound(2, 2).bound_bits == 0.0
-    )
+    prime_cases = all(s.bound_bits == 0.0 for s in useful_entanglement_bounds([(1, 2), (2, 2)]))
     limit = 10**6
     oracle = _divisor_infimum_sieve(limit)
     # spot-verify the sieve itself against literal pair enumeration

@@ -8,10 +8,11 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import depolarizing_kraus, pairs
 
 from mspace import cli, modes
 from mspace.cli import MAX_ROWS, main
-from mspace.files import load_measurement_set, matrix_to_pairs, measurement_set_to_obj, state_to_obj
+from mspace.files import load_measurement_set
 from mspace.linalg import PureState, bell_phi_plus
 from mspace.locc import run_locc_construction
 from mspace.measurement import (
@@ -31,6 +32,15 @@ def run_cli(capsys, *argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def state_to_obj(psi):
+    return {"dims": list(psi.dims), "amplitudes": pairs(psi.vector)}
+
+
+def measurement_set_to_obj(mset):
+    ops = [{"label": label, "matrix": pairs(op)} for label, op in zip(mset.labels, mset.stack)]
+    return {"dim": mset.dim, "operators": ops}
 
 
 def write_json(path, obj):
@@ -58,8 +68,8 @@ def loose_set_file(tmp_path):
     ops = {
         "dim": 2,
         "operators": [
-            {"label": "0", "matrix": matrix_to_pairs(m0 @ np.diag([1.0, 0.0]))},
-            {"label": "1", "matrix": matrix_to_pairs(np.diag([0.0, 1.0]).astype(complex))},
+            {"label": "0", "matrix": pairs(m0 @ np.diag([1.0, 0.0]))},
+            {"label": "1", "matrix": pairs(np.diag([0.0, 1.0]).astype(complex))},
         ],
     }
     return write_json(tmp_path / "loose.json", ops)
@@ -271,10 +281,10 @@ class TestTheorem1:
         protocol = {
             "state": state_to_obj(bell_phi_plus()),
             "alice": measurement_set_to_obj(noisy_pair(0.9)),
-            "bob_unitaries": [matrix_to_pairs(eye), matrix_to_pairs(eye)],
+            "bob_unitaries": [pairs(eye), pairs(eye)],
             "verify": {
-                "0": {"success": matrix_to_pairs(p0), "failure": matrix_to_pairs(p1)},
-                "1": {"success": matrix_to_pairs(p1), "failure": matrix_to_pairs(p0)},
+                "0": {"success": pairs(p0), "failure": pairs(p1)},
+                "1": {"success": pairs(p1), "failure": pairs(p0)},
             },
         }
         path = write_json(tmp_path / "protocol.json", protocol)
@@ -293,10 +303,10 @@ class TestTheorem1:
         protocol = {
             "state": "bell",
             "alice": measurement_set_to_obj(z_projectors(2)),
-            "bob_unitaries": [matrix_to_pairs(eye), matrix_to_pairs(eye)],
+            "bob_unitaries": [pairs(eye), pairs(eye)],
             "verify": {
-                "0": {"success": matrix_to_pairs(bad), "failure": matrix_to_pairs(p1)},
-                "1": {"success": matrix_to_pairs(p1), "failure": matrix_to_pairs(p0)},
+                "0": {"success": pairs(bad), "failure": pairs(p1)},
+                "1": {"success": pairs(p1), "failure": pairs(p0)},
             },
         }
         path = write_json(tmp_path / "protocol.json", protocol)
@@ -510,7 +520,7 @@ class TestKonrad:
     @pytest.mark.parametrize("two_sided", [[], ["--two-sided"]])
     def test_no_state_or_channel_objects_are_built(self, capsys, monkeypatch, two_sided):
         from mspace.linalg import PureState
-        from mspace.locc import Channel, depolarizing_channel
+        from mspace.locc import Channel
 
         built = []
         for cls in (PureState, Channel):
@@ -523,7 +533,7 @@ class TestKonrad:
         code, _, _ = run_cli(capsys, "konrad", "--trials", "40", "--seed", "3", *two_sided)
         assert code == 0 and built == []
         # the counters do see both types
-        bell_phi_plus(), depolarizing_channel(0.5)
+        bell_phi_plus(), Channel(depolarizing_kraus(0.5))
         assert built == ["PureState", "Channel"]
 
 
@@ -535,14 +545,14 @@ class TestModes:
         assert row["count"] == 2 and row["prime"] is True and row["bound_bits"] == 0.0
 
     def test_grid_matches_library(self, capsys):
-        from mspace.modes import useful_entanglement_bound
+        from mspace.modes import useful_entanglement_bounds
 
         code, out, _ = run_cli(capsys, "modes", "--n-max", "6", "--m-max", "3")
         assert code == 0
         rows = json.loads(out)["results"]
         assert len(rows) == 12
         for row in rows:
-            system = useful_entanglement_bound(row["n"], row["m"])
+            (system,) = useful_entanglement_bounds([(row["n"], row["m"])])
             assert row["count"] == system.count and row["p"] == system.p
             assert abs(row["bound_bits"] - system.bound_bits) < 1e-12
 
@@ -650,6 +660,36 @@ class TestSweep:
             assert code == 0
         assert calls == [1, 6, 50]
 
+
+    def test_each_measure_is_scored_in_one_call(self, capsys, monkeypatch):
+        calls = []
+        real = cli.pure_entanglements
+
+        def counted(amplitudes, measure):
+            calls.append((len(amplitudes), measure))
+            return real(amplitudes, measure)
+
+        monkeypatch.setattr(cli, "pure_entanglements", counted)
+        for steps in ("1", "11"):
+            code, _, _ = run_cli(capsys, "sweep", "--steps", steps)
+            assert code == 0
+        assert calls == [(1, "concurrence"), (1, "entropy"), (11, "concurrence"), (11, "entropy")]
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_planted_row_exits_two_naming_it(self, capsys, monkeypatch, fmt):
+        from mspace import entanglement
+
+        real = entanglement.concurrence_pure
+
+        def planted(a):
+            c = real(a)
+            c[3] = 1.5
+            return c
+
+        monkeypatch.setattr(entanglement, "concurrence_pure", planted)
+        code, out, err = run_cli(capsys, "sweep", "--steps", "6", "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == "error: report-range: row 3: concurrence 1.5 outside [0, 1]\n"
 
 def _no_work(*args, **kwargs):
     raise AssertionError("work started before the row count was checked")
@@ -826,7 +866,8 @@ class TestReportContract:
 
     @pytest.mark.parametrize("value", [1.5, float("nan")])
     def test_out_of_range_value_exits_two_printing_nothing(self, capsys, monkeypatch, value):
-        monkeypatch.setattr("mspace.entanglement.concurrence_pure", lambda psi: value)
+        # the kernel's concurrence step, planted on every row of the stack
+        monkeypatch.setattr("mspace.entanglement.concurrence_pure", lambda a: np.full(len(a), value))
         code, out, err = run_cli(capsys, "entanglement", "--state", "bell", "--measure", "concurrence")
         assert code == 2 and "report-range" in err
         assert out == ""
@@ -835,14 +876,14 @@ class TestReportContract:
     def test_sweep_original_entropy_is_range_checked(self, capsys, monkeypatch, value):
         from mspace import entanglement
 
-        real = entanglement.entropy_of_entanglement
-        bell = bell_phi_plus().vector
+        real = entanglement.shannon_entropy
 
-        def planted(psi):
-            # plant the value on the original Bell state only; the images below are not Bell
-            return value if np.allclose(psi.vector, bell) else real(psi)
+        def planted(probs):
+            # plant the value on the original Bell state's squared Schmidt coefficients only;
+            # the images below are not Bell
+            return value if np.allclose(probs, [0.5, 0.5]) else real(probs)
 
-        monkeypatch.setattr(entanglement, "entropy_of_entanglement", planted)
+        monkeypatch.setattr(entanglement, "shannon_entropy", planted)
         code, out, err = run_cli(
             capsys, "sweep", "--eta-start", "0.5", "--eta-end", "0.6", "--steps", "2"
         )
@@ -912,7 +953,7 @@ class TestReportContract:
          "measurement-schema"),
     ])  # fmt: skip
     def test_wrongly_typed_field_is_named(self, capsys, tmp_path, kind, fields, invariant):
-        eye = matrix_to_pairs(np.eye(2))
+        eye = pairs(np.eye(2))
         valid = {
             "state": state_to_obj(bell_phi_plus()),
             "measurement": measurement_set_to_obj(z_projectors(2)),

@@ -4,17 +4,17 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import density_of
+from conftest import density_of, random_local_set
 
 from mspace.entanglement import (
     EntanglementReport,
     binary_entropy,
     concurrence_mixed,
     concurrence_pure,
-    entropy_of_entanglement,
     eof_from_concurrence,
     measurement_space_entanglement,
     pure_entanglement,
+    pure_entanglements,
 )
 from mspace.linalg import (
     DensityMatrix,
@@ -30,7 +30,6 @@ from mspace.measurement import (
     LocalMeasurementSet,
     map_to_measurement_space,
     noisy_pair,
-    random_local_set,
     z_projectors,
 )
 
@@ -55,16 +54,16 @@ def wootters_oracle(rho_mat):
 
 class TestEntropy:
     def test_bell(self):
-        assert abs(entropy_of_entanglement(bell_phi_plus()) - 1.0) < 1e-12
+        assert abs(pure_entanglement(bell_phi_plus(), "entropy") - 1.0) < 1e-12
 
     def test_product(self):
         rng = np.random.default_rng(1)
         u, v = haar_state((2,), rng).vector, haar_state((2,), rng).vector
         psi = PureState((2, 2), np.kron(u, v))
-        assert entropy_of_entanglement(psi) < 1e-10
+        assert pure_entanglement(psi, "entropy") < 1e-10
 
     def test_correlated_example(self):
-        value = entropy_of_entanglement(CORRELATED)
+        value = pure_entanglement(CORRELATED, "entropy")
         assert abs(value - entropy_oracle(CORRELATED)) < 1e-10
         assert abs(value - 0.517) < 5e-4
 
@@ -72,7 +71,7 @@ class TestEntropy:
         rng = np.random.default_rng(2)
         for _ in range(20):
             psi = haar_state((3, 4), rng)
-            e = entropy_of_entanglement(psi)
+            e = pure_entanglement(psi, "entropy")
             assert -1e-12 <= e <= np.log2(3) + 1e-9
 
     def test_binary_entropy_domain(self):
@@ -161,7 +160,7 @@ class TestEof:
     def test_intermediate_value(self):
         # h((1 + sqrt(1 - 0.64^2)) / 2) = h(0.8841874...)
         value = eof_from_concurrence(0.64)
-        assert abs(value - entropy_of_entanglement(CORRELATED)) < 1e-12
+        assert abs(value - pure_entanglement(CORRELATED, "entropy")) < 1e-12
         assert abs(value - 0.517) < 5e-4
 
     def test_matches_entropy_for_random_pure(self):
@@ -169,7 +168,7 @@ class TestEof:
         for _ in range(100):
             psi = haar_state((2, 2), rng)
             lhs = eof_from_concurrence(concurrence_pure(psi.reshaped()))
-            assert abs(lhs - entropy_of_entanglement(psi)) < 1e-9
+            assert abs(lhs - pure_entanglement(psi, "entropy")) < 1e-9
 
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -183,7 +182,7 @@ class TestLocalUnitaryInvariance:
             psi = haar_state((2, 2), rng)
             u = tensor(*haar_unitaries(rng.standard_normal((2, 2, 2, 2))))
             rotated = PureState((2, 2), u @ psi.vector)
-            assert abs(entropy_of_entanglement(rotated) - entropy_of_entanglement(psi)) < 1e-9
+            assert abs(pure_entanglement(rotated, "entropy") - pure_entanglement(psi, "entropy")) < 1e-9
             assert abs(concurrence_pure(rotated.reshaped()) - concurrence_pure(psi.reshaped())) < 1e-9
 
 
@@ -217,7 +216,7 @@ class TestOperationalEntanglement:
             local = random_local_set(2, 2, int(rng.integers(2, 5)), int(rng.integers(2, 5)), rng)
             image = map_to_measurement_space(psi, local)
             entropy_m = measurement_space_entanglement(image, "entropy")
-            assert entropy_m <= entropy_of_entanglement(psi) + 1e-9
+            assert entropy_m <= pure_entanglement(psi, "entropy") + 1e-9
             pair = random_local_set(2, 2, 2, 2, rng)
             image = map_to_measurement_space(psi, pair)
             conc_m = measurement_space_entanglement(image, "concurrence")
@@ -266,6 +265,54 @@ class TestPureEntanglement:
             pure_entanglement(bell_phi_plus(), "negativity")
 
     def test_out_of_range_value_is_rejected(self, monkeypatch):
-        monkeypatch.setattr("mspace.entanglement.entropy_of_entanglement", lambda psi: 1.5)
+        # the kernel's entropy step: each row's squared Schmidt coefficients through shannon_entropy
+        monkeypatch.setattr("mspace.entanglement.shannon_entropy", lambda probs: 1.5)
         with pytest.raises(ValidationError, match="report-range"):
             pure_entanglement(bell_phi_plus(), "entropy")
+
+    def test_single_subsystem_messages(self):
+        psi = haar_state((4,), 3)
+        split = r"^schmidt-split: need at least two subsystems, got dims \(4,\)$"
+        for measure in ("entropy", "eof"):
+            with pytest.raises(ValidationError, match=split):
+                pure_entanglement(psi, measure)
+        dims = r"^concurrence-dims: need a 2x2 pure state, got dims \(4,\)$"
+        with pytest.raises(ValidationError, match=dims):
+            pure_entanglement(psi, "concurrence")
+
+
+class TestPureEntanglements:
+    STACK = np.stack([haar_state((2, 2), seed).reshaped() for seed in range(4)])
+
+    @pytest.mark.parametrize("value", [1.5, -0.5, float("nan")])
+    def test_planted_row_is_named(self, monkeypatch, value):
+        real = concurrence_pure
+
+        def planted(a):
+            c = real(a)
+            c[2] = value
+            return c
+
+        monkeypatch.setattr("mspace.entanglement.concurrence_pure", planted)
+        message = rf"^report-range: row 2: concurrence {value!r} outside \[0, 1\]$"
+        with pytest.raises(ValidationError, match=message):
+            pure_entanglements(self.STACK, "concurrence")
+
+    def test_planted_entropy_row_is_named(self, monkeypatch):
+        rows = iter([0.5, 0.25, 1.0, 2.0])
+        monkeypatch.setattr("mspace.entanglement.shannon_entropy", lambda probs: next(rows))
+        with pytest.raises(ValidationError, match=r"^report-range: row 3: entropy value 2.0 outside \[0, "):
+            pure_entanglements(self.STACK, "entropy")
+
+    def test_one_state_message_names_no_row(self, monkeypatch):
+        monkeypatch.setattr("mspace.entanglement.shannon_entropy", lambda probs: 1.5)
+        with pytest.raises(ValidationError, match=r"^report-range: entropy value 1.5 outside \[0, "):
+            pure_entanglements(self.STACK[:1], "entropy")
+
+    def test_concurrence_needs_two_by_two_matrices(self):
+        with pytest.raises(ValidationError, match="^concurrence-dims: need 2x2 amplitudes, got shape"):
+            pure_entanglements(np.ones((3, 2, 3)) / np.sqrt(6), "concurrence")
+
+    def test_unknown_measure(self):
+        with pytest.raises(ValidationError, match="measure-name"):
+            pure_entanglements(self.STACK, "negativity")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import density_of
 
+from mspace.entanglement import pure_entanglement
 from mspace.linalg import (
     DensityMatrix,
     PureState,
@@ -25,6 +26,11 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 def is_unitary(u, tol=1e-12):
     """U^dag U = 1 entrywise within ``tol``."""
     return float(np.max(np.abs(u.conj().T @ u - np.eye(len(u))))) <= tol
+
+
+def amplitudes(psi):
+    """The amplitude matrix of ``psi``, first subsystem against the rest."""
+    return psi.vector.reshape(psi.dims[0], -1)
 
 
 def kron_oracle(a, b):
@@ -153,7 +159,7 @@ class TestEigHermitian:
 
 class TestSchmidt:
     def test_bell(self):
-        c, _, _ = schmidt(bell_phi_plus())
+        c, _, _ = schmidt(amplitudes(bell_phi_plus()))
         np.testing.assert_allclose(c, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
 
     def test_product(self):
@@ -161,13 +167,13 @@ class TestSchmidt:
         u = haar_state((2,), rng).vector
         v = haar_state((2,), rng).vector
         psi = PureState((2, 2), np.kron(u, v))
-        c, _, _ = schmidt(psi)
+        c, _, _ = schmidt(amplitudes(psi))
         np.testing.assert_allclose(c, [1.0, 0.0], atol=1e-10)
 
     def test_correlated_example_vs_reduced_eigenvalues(self):
         amps = np.sqrt([0.41, 0.09, 0.09, 0.41]).astype(complex)
         psi = PureState((2, 2), amps)
-        c, left, right = schmidt(psi)
+        c, left, right = schmidt(amplitudes(psi))
         # independent oracle: eigenvalues of the reduced density matrix
         rho_a = ptrace_oracle(density_of(psi).matrix, (2, 2), {0})
         expected = np.sort(np.linalg.eigvalsh(rho_a))[::-1]
@@ -180,15 +186,25 @@ class TestSchmidt:
     def test_noncontiguous_split(self):
         rng = np.random.default_rng(13)
         psi = haar_state((2, 3, 2), rng)
-        c, left, right = schmidt(psi)
+        c, left, right = schmidt(amplitudes(psi))
         assert left.shape == (2, 2) and right.shape == (6, 2)
         assert abs(np.sum(c**2) - 1.0) < 1e-10
         recon = (left * c) @ right.T
         np.testing.assert_allclose(recon.reshape(-1), psi.vector, atol=1e-9)
 
+    def test_stack_equals_single_calls_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        stack = np.stack([amplitudes(haar_state((3, 5), rng)) for _ in range(7)])
+        c, left, right = schmidt(stack)
+        assert c.shape == (7, 3) and left.shape == (7, 3, 3) and right.shape == (7, 5, 3)
+        for k, matrix in enumerate(stack):
+            for stacked, single in zip((c, left, right), schmidt(matrix)):
+                assert np.array_equal(stacked[k], single)
+
     def test_invalid_split(self):
+        # a single subsystem has no amplitude matrix to split; the entanglement entry says so
         with pytest.raises(ValidationError, match="schmidt-split"):
-            schmidt(haar_state((4,), 3))
+            pure_entanglement(haar_state((4,), 3), "entropy")
 
 
 class TestFourierMatrix:

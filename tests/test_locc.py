@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import density_of
+from conftest import density_of, depolarizing_kraus, random_local_set
 
 from mspace.entanglement import concurrence_mixed, concurrence_pure
 from mspace.linalg import (
@@ -15,9 +15,7 @@ from mspace.linalg import (
 from mspace.cli import main
 from mspace.locc import (
     Channel,
-    build_dilation,
     KONRAD_TOL,
-    depolarizing_channel,
     fourier_step,
     konrad_check,
     run_locc_construction,
@@ -27,7 +25,6 @@ from mspace.measurement import (
     MeasurementSet,
     map_to_measurement_space,
     noisy_pair,
-    random_local_set,
     z_projectors,
 )
 
@@ -56,12 +53,12 @@ def alice_blocks(psi, local):
 class TestBuildDilation:
     def test_trivial_sets_append_ancillas(self):
         psi = haar_state((2, 2), 4)
-        dilated = build_dilation(psi, trivial_local_set())
+        dilated = run_locc_construction(psi, trivial_local_set()).dilated
         assert dilated.dims == (2, 2, 1, 1)
         np.testing.assert_allclose(dilated.vector, psi.vector, atol=1e-14)
 
     def test_z_projectors_on_bell(self):
-        dilated = build_dilation(bell_phi_plus(), z_local_set())
+        dilated = run_locc_construction(bell_phi_plus(), z_local_set()).dilated
         assert dilated.dims == (2, 2, 2, 2)
         tensor_view = dilated.reshaped()
         expected = np.zeros((2, 2, 2, 2), dtype=complex)
@@ -75,14 +72,14 @@ class TestBuildDilation:
             d_a, d_b = int(rng.integers(2, 4)), int(rng.integers(2, 4))
             psi = haar_state((d_a, d_b), rng)
             local = random_local_set(d_a, d_b, int(rng.integers(1, 4)), int(rng.integers(1, 4)), rng)
-            dilated = build_dilation(psi, local)
+            dilated = run_locc_construction(psi, local).dilated
             assert abs(np.linalg.norm(dilated.vector) - 1.0) < 1e-10
 
     def test_incomplete_set_rejected(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
         bad = LocalMeasurementSet(MeasurementSet(2, ("0",), [p0]), z_projectors(2))
         with pytest.raises(ValidationError, match="completeness"):
-            build_dilation(bell_phi_plus(), bad)
+            run_locc_construction(bell_phi_plus(), bad)
 
     def test_compensated_pair_rejected_by_the_map_and_the_construction(self):
         # Alice's Gram matrix is (1 + delta) 1 and Bob's 1 / (1 + delta) 1: their
@@ -96,7 +93,7 @@ class TestBuildDilation:
         grams = [np.sum(s.stack.conj().swapaxes(1, 2) @ s.stack, axis=0) for s in (pair.alice, pair.bob)]
         gram = np.kron(*grams)
         assert np.max(np.abs(gram - np.eye(4))) <= tol
-        for run in (map_to_measurement_space, build_dilation, run_locc_construction):
+        for run in (map_to_measurement_space, run_locc_construction):
             with pytest.raises(ValidationError, match="completeness"):
                 run(haar_state((2, 2), 3), pair, tol)
 
@@ -255,7 +252,7 @@ class TestChannels:
             Channel((np.diag([1.0, 0.5]).astype(complex),))
 
     def test_depolarizing_sends_to_maximally_mixed(self):
-        ch = depolarizing_channel(1.0)
+        ch = Channel(depolarizing_kraus(1.0))
         rho = np.diag([1.0, 0.0]).astype(complex)
         np.testing.assert_allclose(ch.apply(rho), np.eye(2) / 2, atol=1e-12)
 
@@ -291,7 +288,7 @@ class TestKonradChecks:
 
     def test_fully_depolarizing_kills_both_sides(self):
         psi = haar_state((2, 2), 53)
-        lhs, rhs = konrad(psi, depolarizing_channel(1.0).kraus, IDENTITY)
+        lhs, rhs = konrad(psi, depolarizing_kraus(1.0), IDENTITY)
         assert lhs < 1e-9 and rhs < 1e-9
 
     def test_random_pairs_satisfy_equality(self):
@@ -310,7 +307,7 @@ class TestKonradChecks:
 
     def test_two_sided_depolarizing_left(self):
         psi = haar_state((2, 2), 71)
-        lhs, bound = konrad(psi, depolarizing_channel(1.0).kraus, IDENTITY)
+        lhs, bound = konrad(psi, depolarizing_kraus(1.0), IDENTITY)
         assert lhs <= bound + KONRAD_TOL and lhs < 1e-9
 
     def test_two_sided_random_inequality(self):
@@ -364,7 +361,7 @@ class TestChannelStacks:
             Channel((np.full((2, 2), np.nan),))
 
     def test_kraus_is_a_read_only_stack(self):
-        ch = depolarizing_channel(0.3)
+        ch = Channel(depolarizing_kraus(0.3))
         assert ch.kraus.shape == (4, 2, 2)
         assert not ch.kraus.flags.writeable
 

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from conftest import random_local_set
 
 import mspace.locc as locc
 from mspace.linalg import haar_state
-from mspace.measurement import LocalMeasurementSet, MeasurementSet, map_to_measurement_space, random_local_set
+from mspace.measurement import LocalMeasurementSet, MeasurementSet, map_to_measurement_space
 
 
 @pytest.mark.parametrize(
@@ -62,7 +63,7 @@ def test_batched_bob_move_equals_one_move_per_alice_outcome():
         rng = np.random.default_rng((83, case))
         d_a, d_b, n_a, n_b = (int(x) for x in rng.integers(1, 6, size=4))
         psi = haar_state((d_a, d_b), rng)
-        dilated = locc.build_dilation(psi, random_local_set(d_a, d_b, n_a, n_b, rng))
+        dilated = locc.run_locc_construction(psi, random_local_set(d_a, d_b, n_a, n_b, rng)).dilated
         after_alice, _ = locc._measure_party(dilated.reshaped().transpose(0, 2, 1, 3), "A")
         bob_layout = after_alice.transpose(0, 3, 4, 1, 2)
         states, move = locc._measure_party(bob_layout, "B")
@@ -112,6 +113,7 @@ def test_run_image_and_dilation_are_the_map_and_dilation_bits(delta, tol):
         assert np.array_equal(trace.mspace.amplitudes, image.amplitudes)
         assert trace.mspace.outcome_labels == image.outcome_labels
         assert trace.mspace.structure == image.structure == (n_a, n_b)
-        dilated = locc.build_dilation(psi, local, tol)
+        # the run's dilated state is the dilation of the pair's one checked tensor
+        dilated = locc._dilation(locc._checked_local_product(psi, *local.stacks, tol))
         assert trace.dilated.dims == dilated.dims
         assert np.array_equal(trace.dilated.vector, dilated.vector)

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import random_local_set
 
 from mspace.linalg import PureState, ValidationError, bell_phi_plus, haar_state, haar_unitaries
 from mspace.measurement import (
@@ -13,7 +14,6 @@ from mspace.measurement import (
     map_to_measurement_space,
     noisy_pair,
     outcome_probabilities,
-    random_local_set,
     random_measurement_set,
     z_projectors,
 )

@@ -15,7 +15,6 @@ from mspace.modes import (
     composition_count,
     divisor_infima,
     divisor_infimum,
-    useful_entanglement_bound,
     useful_entanglement_bounds,
 )
 
@@ -51,6 +50,11 @@ def sieve_primes(limit):
     return flags
 
 
+
+def bound(n, m):
+    """The mode system of one (n, m) pair: a stack of one."""
+    return useful_entanglement_bounds([(n, m)])[0]
+
 class TestCompositionCount:
     def test_paper_cases(self):
         assert composition_count(1, 2) == 2
@@ -83,14 +87,14 @@ class TestIsPrime:
     """The ``prime`` flag of a mode system; with m = 2 the count is n + 1."""
 
     def test_small_cases(self):
-        assert useful_entanglement_bound(1, 2).prime
-        assert not useful_entanglement_bound(9, 2).prime
-        assert not useful_entanglement_bound(3, 3).prime
+        assert bound(1, 2).prime
+        assert not bound(9, 2).prime
+        assert not bound(3, 3).prime
 
     def test_against_sieve(self):
         flags = sieve_primes(10_001)
         for n in range(1, 10_001):
-            assert useful_entanglement_bound(n, 2).prime == flags[n + 1]
+            assert bound(n, 2).prime == flags[n + 1]
 
 
 class TestDivisorInfimum:
@@ -176,19 +180,19 @@ class TestDivisorInfima:
 
 class TestUsefulEntanglementBound:
     def test_single_particle_two_modes(self):
-        system = useful_entanglement_bound(1, 2)
+        system = bound(1, 2)
         assert system.count == 2 and system.p == 2 and system.prime
         assert system.bound_bits == 0.0
         assert system.weak_bound_bits == 0.0
 
     def test_two_particles_two_modes_prime(self):
-        system = useful_entanglement_bound(2, 2)
+        system = bound(2, 2)
         assert system.count == 3 and system.prime
         assert system.bound_bits == 0.0
         assert system.weak_bound_bits > 0.0  # weak form is not tight at primes
 
     def test_three_particles_two_modes(self):
-        system = useful_entanglement_bound(3, 2)
+        system = bound(3, 2)
         assert system.count == 4 and system.p == 2
         assert abs(system.bound_bits - 1.0) < 1e-15
         assert abs(system.weak_bound_bits - 1.0) < 1e-15
@@ -196,7 +200,7 @@ class TestUsefulEntanglementBound:
     def test_prime_counts_force_zero(self):
         for n in range(1, 40):
             for m in range(2, 5):
-                system = useful_entanglement_bound(n, m)
+                system = bound(n, m)
                 if system.prime:
                     assert system.bound_bits == 0.0
                     assert system.p == system.count
@@ -204,7 +208,7 @@ class TestUsefulEntanglementBound:
     def test_bound_orderings(self):
         for n in range(1, 40):
             for m in range(2, 5):
-                system = useful_entanglement_bound(n, m)
+                system = bound(n, m)
                 assert system.bound_bits <= system.weak_bound_bits + 1e-12
                 assert system.bound_bits <= 0.5 * math.log2(system.count) + 1e-12
                 root = math.isqrt(system.count)
@@ -219,7 +223,7 @@ class TestUsefulEntanglementBound:
             p = divisor_infimum(count)
             expected.append(ModeSystem(n, m, count, p, p == count, math.log2(count / p), math.log2(count / 2)))
         assert useful_entanglement_bounds(pairs) == expected
-        assert [useful_entanglement_bound(n, m) for n, m in pairs] == expected
+        assert [bound(n, m) for n, m in pairs] == expected
 
     def test_first_pair_over_the_cap_is_named(self, monkeypatch):
         monkeypatch.setattr(modes, "divisor_infima", None)  # the search must not start

@@ -21,14 +21,16 @@ from hypothesis import strategies as st
 
 from mspace.cli import _emit_json, build_parser, cmd_sweep
 from mspace.entanglement import (
-    entropy_of_entanglement,
+    MEASURES,
     measurement_space_entanglement,
     pure_entanglement,
+    pure_entanglements,
 )
 from mspace.linalg import (
     CHUNK_BYTES,
     PureState,
     ValidationError,
+    bell_phi_plus,
     haar_blocks,
     haar_state,
     haar_unitaries,
@@ -38,7 +40,6 @@ from mspace.locc import (
     KONRAD_TOL,
     MAX_KRAUS,
     Channel,
-    build_dilation,
     channel_output,
     konrad_check,
     random_konrad_trials,
@@ -141,7 +142,7 @@ def test_local_sets_do_not_raise_entropy(case):
     psi, local = case
     image = map_to_measurement_space(psi, local)
     after = measurement_space_entanglement(image, "entropy")
-    assert after <= entropy_of_entanglement(psi) + 1e-9
+    assert after <= pure_entanglement(psi, "entropy") + 1e-9
 
 
 @PROFILE
@@ -163,6 +164,34 @@ def test_two_qubit_eof_routes_agree(p, seed):
     assert abs(pure_entanglement(psi, "eof") - pure_entanglement(psi, "entropy")) <= 1e-12
 
 
+@st.composite
+def amplitude_stack(draw):
+    """A measure and a stack of 1-6 states it applies to: ``d_a x d_b`` from 1x2 to 5x7 for
+    entropy and eof, 2x2 for concurrence, with product states among them."""
+    measure = draw(st.sampled_from(MEASURES))
+    dims = (2, 2) if measure == "concurrence" else (draw(st.integers(1, 5)), draw(st.integers(2, 7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = []
+    for product in draw(st.lists(st.booleans(), min_size=1, max_size=6)):
+        if product:
+            a, b = haar_state(dims[:1], rng).vector, haar_state(dims[1:], rng).vector
+            states.append(PureState(dims, np.kron(a, b)))
+        else:
+            states.append(haar_state(dims, rng))
+    return measure, states
+
+
+@PROFILE
+@given(amplitude_stack())
+@example(("eof", [bell_phi_plus(), PureState((2, 2), np.array([1.0, 0.0, 0.0, 0.0]))]))
+def test_stacked_kernel_rows_equal_one_state_calls(case):
+    measure, states = case
+    values = pure_entanglements(np.stack([psi.reshaped() for psi in states]), measure)
+    assert values.shape == (len(states),)
+    for psi, value in zip(states, values.tolist()):
+        assert value.hex() == pure_entanglement(psi, measure).hex()
+
+
 @PROFILE
 @given(local_case())
 def test_dilation_matches_per_pair_loop(case):
@@ -172,7 +201,7 @@ def test_dilation_matches_per_pair_loop(case):
     for a, op_a in enumerate(local.alice.stack):
         for b, op_b in enumerate(local.bob.stack):
             expected[:, :, a, b] = op_a @ psi.reshaped() @ op_b.T
-    dilated = build_dilation(psi, local)
+    dilated = run_locc_construction(psi, local).dilated
     assert dilated.dims == (d_a, d_b, n_a, n_b)
     np.testing.assert_allclose(dilated.reshaped(), expected, rtol=0, atol=1e-12)
 
