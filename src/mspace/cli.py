@@ -93,35 +93,31 @@ def _json_float(value: float) -> str:
     return format(_finite(value), ".16e")
 
 
-# exact type -> text, for the scalars reports hold; other types go through _json_scalar
-_LITERALS = {bool: _json_literal, np.bool_: _json_literal, type(None): _json_literal}
-_SCALARS = {
-    **_LITERALS,
-    int: str,
-    float: _json_float,
-    np.float64: _json_float,
-    str: _json_string,
-}
+def _tsv_float(value: float) -> str:
+    return format(_finite(value), ".12g")
 
 
-def _json_scalar(value: Any) -> str:
-    if isinstance(value, np.bool_):
-        value = bool(value)
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _json_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
+# exact type -> text, one table per format, for the Python scalars a report holds
+_LITERALS = {bool: _json_literal, type(None): _json_literal}
+_JSON = {**_LITERALS, int: str, float: _json_float, str: _json_string}
+# a TSV header line may also hold the parameters, printed as JSON, or map's outcome structure
+_TSV = {**_LITERALS, int: str, float: _tsv_float, str: str, dict: json.dumps, list: str}
+
+
+def _numpy_scalar(value: Any, table: dict) -> str:
+    """``value``, which no entry of ``table`` formats, as text: a numpy scalar prints as its
+    ``.item()``; any other type is a programming error."""
+    if isinstance(value, np.generic):
+        text = table.get(type(item := value.item()))
+        if text is not None:
+            return text(item)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def _emit_json(value: Any, indent: int = 0) -> str:
-    scalar = _SCALARS.get(type(value))
-    if scalar is not None:
-        return scalar(value)
+    text = _JSON.get(type(value))
+    if text is not None:
+        return text(value)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
@@ -135,16 +131,12 @@ def _emit_json(value: Any, indent: int = 0) -> str:
             return "[]"
         items = [f"{inner}{_emit_json(v, indent + 1)}" for v in seq]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    return _json_scalar(value)
+    return _numpy_scalar(value, _JSON)
 
 
 def _tsv_cell(value: Any) -> str:
-    literal = _LITERALS.get(type(value))
-    if literal is not None:
-        return literal(value)
-    if isinstance(value, (float, np.floating)):
-        return format(_finite(value), ".12g")
-    return str(value)
+    text = _TSV.get(type(value))
+    return text(value) if text is not None else _numpy_scalar(value, _TSV)
 
 
 def _emit(report: dict, fmt: str) -> str:
@@ -155,7 +147,7 @@ def _emit(report: dict, fmt: str) -> str:
     for key, value in report.items():
         if key == "results":
             continue
-        lines.append(f"# {key}={_tsv_cell(value) if not isinstance(value, dict) else json.dumps(value)}")
+        lines.append(f"# {key}={_tsv_cell(value)}")
     rows = report.get("results", [])
     if rows:
         header = list(rows[0].keys())

@@ -78,23 +78,29 @@ def eof_from_concurrence(c: float) -> float:
 MEASURES = ("entropy", "concurrence", "eof")
 
 
+def _require_measure(measure: str) -> None:
+    """Fail as ``measure-name`` for a measure outside MEASURES; the kernel and the report both ask."""
+    if measure not in MEASURES:
+        raise ValidationError("measure-name", f"unknown measure {measure!r}; use {MEASURES}")
+
+
 @dataclasses.dataclass(frozen=True)
 class EntanglementReport:
     """One measure's value, or a stack of values, across an ``(na, nb)`` cut, checked to lie in
-    the measure's range; in a stack, the message names the first bad row."""
+    the measure's range; in a stack, the message names the first bad row. An unknown measure
+    fails as the kernel fails."""
 
     measure: str
     value: float | np.ndarray
     split: tuple[int, int]
 
     def __post_init__(self):
+        _require_measure(self.measure)
         if self.measure == "concurrence":
             cap, what = 1.0 + 1e-12, "concurrence {!r} outside [0, 1]"
-        elif self.measure in ("entropy", "eof"):
+        else:
             cap = math.log2(min(self.split)) + 1e-9
             what = f"{self.measure} value {{!r}} outside [0, {cap!r}]"
-        else:
-            return
         value = np.asarray(self.value)
         _require(
             (-1e-12 <= value) & (value <= cap),
@@ -113,8 +119,7 @@ def pure_entanglements(amplitudes: np.ndarray, measure: str) -> np.ndarray:
     on any other shape it is the entropy, which equals the entanglement of
     formation of a pure state. Each row is the bits of a stack of one.
     """
-    if measure not in MEASURES:
-        raise ValidationError("measure-name", f"unknown measure {measure!r}; use {MEASURES}")
+    _require_measure(measure)
     a = np.asarray(amplitudes, dtype=complex)
     if measure == "entropy" or (measure == "eof" and a.shape[-2:] != (2, 2)):
         values = [shannon_entropy(p) for p in schmidt(a)[0] ** 2]
@@ -144,15 +149,17 @@ def pure_entanglement(psi: PureState, measure: str) -> float:
 
 
 def measurement_space_entanglement(ms: MeasurementSpaceState, measure: str = "entropy") -> float:
-    """Apply an entanglement measure to a measurement-space state.
+    """Apply an entanglement measure to a measurement-space state, scored straight from its
+    amplitudes as an outcome-grid matrix.
 
-    Needs the bipartite outcome structure attached to ``ms``. Concurrence
-    requires a 2x2 outcome grid.
+    Needs the bipartite outcome structure attached to ``ms``; without one
+    there is no canonical bipartition. Concurrence requires a 2x2 outcome grid.
     """
-    state = ms.as_pure_state()
-    if measure == "concurrence" and state.dims != (2, 2):
+    if ms.structure is None:
+        raise ValidationError("mspace-factorization", "no bipartite outcome structure attached")
+    if measure == "concurrence" and ms.structure != (2, 2):
         # checked here as well, so that the message names the outcome grid
         raise ValidationError(
-            "concurrence-dims", f"concurrence needs a 2x2 outcome grid, got {state.dims}"
+            "concurrence-dims", f"concurrence needs a 2x2 outcome grid, got {ms.structure}"
         )
-    return pure_entanglement(state, measure)
+    return float(pure_entanglements(ms.amplitudes.reshape(1, *ms.structure), measure)[0])

@@ -30,9 +30,7 @@ CHUNK_BYTES = 1 << 22
 # an input whose arrays would exceed this is rejected before anything is allocated
 TRIAL_BYTES_CAP = 1 << 30
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 class ValidationError(ValueError):
@@ -83,11 +81,9 @@ def _require(
     """
     if np.asarray(ok).all():
         return
-    bad = np.argwhere(np.logical_not(ok))
-    if len(bad):
-        idx = tuple(int(i) for i in bad[0])
-        where = "" if trials is None else f"trial {trials[idx[0]]}: "
-        raise ValidationError(invariant, where + describe(idx))
+    idx = tuple(int(i) for i in np.argwhere(np.logical_not(ok))[0])
+    where = "" if trials is None else f"trial {trials[idx[0]]}: "
+    raise ValidationError(invariant, where + describe(idx))
 
 
 def _require_unit(

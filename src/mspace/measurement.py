@@ -170,7 +170,8 @@ class MeasurementSpaceState:
         if self.structure is not None:
             na, nb = (int(x) for x in self.structure)
             object.__setattr__(self, "structure", (na, nb))
-            if na * nb != amps.size:
+            # a grid of negative sides may still multiply out to the outcome count
+            if min(na, nb) < 1 or na * nb != amps.size:
                 raise ValidationError(
                     "mspace-structure",
                     f"structure {na}x{nb} does not match {amps.size} outcomes",
@@ -178,16 +179,6 @@ class MeasurementSpaceState:
 
     def probabilities(self) -> np.ndarray:
         return self.amplitudes**2
-
-    def as_pure_state(self) -> PureState:
-        """View the image as a bipartite pure state over its attached outcome structure.
-
-        Without a structure there is no canonical bipartition, so the call
-        is rejected.
-        """
-        if self.structure is None:
-            raise ValidationError("mspace-factorization", "no bipartite outcome structure attached")
-        return PureState(self.structure, self.amplitudes.astype(complex))
 
 
 def local_product(psi: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:

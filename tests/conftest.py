@@ -12,15 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from mspace.entanglement import measurement_space_entanglement, pure_entanglement
-from mspace.linalg import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    DensityMatrix,
-    bell_phi_plus,
-    haar_blocks,
-    haar_vectors,
-)
+from mspace.linalg import PAULI_Y, DensityMatrix, bell_phi_plus, haar_blocks, haar_vectors
 from mspace.locc import MAX_KRAUS
 from mspace.measurement import (
     LocalMeasurementSet,
@@ -31,6 +23,9 @@ from mspace.measurement import (
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def pairs(a):

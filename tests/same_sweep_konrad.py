@@ -1,5 +1,4 @@
-"""Run seeded ``sweep``, ``konrad``, ``modes``, ``entanglement``, ``map`` and ``locc`` commands in
-two source trees and compare them.
+"""Run seeded commands of every subcommand in two source trees and compare them.
 
 Usage::
 
@@ -33,8 +32,22 @@ ones; sets are ``z-projectors``, ``noisy:<eta>`` (some outside [0, 1]) and
 some ``--split`` flags and local pairs, ``map`` a single set or a local
 pair, and ``locc`` one branch, ``--all-outcomes`` or an ``--outcome``.
 Among the exits are ``schmidt-split``, ``concurrence-dims``, ``split-shape``
-and ``dimension-match``. The file's name does not start with ``test_``, so
-pytest does not collect it.
+and ``dimension-match``.
+
+Last come THEOREM1 seeded ``theorem1 --random`` lines (1, 7, 60 trials, or
+one more than a chunk holds for the shape, several dims and outcome counts,
+invalid values and flag clashes), every protocol file in JSON and TSV and
+with a clashing flag, and FILE_COMMANDS seeded file-input lines each of
+``map``, ``entanglement`` and ``locc``, from a third generator of their own.
+Their files are written once to a temporary directory before either tree
+runs: states off unit norm by up to 1e-3 (about 1e-6 prints the
+renormalization warning, 1e-3 is rejected), sets off completeness, with
+labels holding non-ASCII characters, quotes, backslashes and tabs, sets that
+are ragged, repeated or of the wrong dim, and valid and broken protocols.
+Many of these lines set ``MSPACE_DEFAULT_TOL`` (to valid and invalid values)
+with a leading ``MSPACE_DEFAULT_TOL=<value>``, which the worker applies to
+that command alone. The file's name does not start with ``test_``, so pytest
+does not collect it; ``test_same_corpus.py`` checks the corpus itself.
 """
 
 from __future__ import annotations
@@ -46,6 +59,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +68,23 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ETA_ENDS = ["0", "1", "0.5", "1.2", "-0.1", "nan", "inf", "1e-300", "0.9999999999999999"]
 MODES = 400
 PAIRS = 300
-COMMANDS = ("sweep", "konrad", "modes", "entanglement", "map", "locc")
+COMMANDS = ("sweep", "konrad", "modes", "entanglement", "map", "locc", "theorem1")
 MEASURES = ("entropy", "concurrence", "eof")
+ENV = "MSPACE_DEFAULT_TOL"
+# None leaves the variable unset; nan, abc and 2e-4 are rejected as tolerance-env
+TOLERANCES = [None, "1e-12", "1e-6", "1e-4", "2e-4", "nan", "abc"]
+TOLERANCE_WEIGHTS = [0.45, 0.1, 0.15, 0.15, 0.05, 0.05, 0.05]
+THEOREM1 = 160
+THEOREM1_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (1, 3)]
+FILE_COMMANDS = 200
+STATES = 54
+STATE_DIMS = [[2, 2], [2, 3], [3, 2], [3, 3], [2, 2], [1, 3], [4, 4], [4], [2, 2, 2]]
+# below 1e-8 a state file loads silently, up to 1e-4 with a renormalization warning, above it not
+NORM_DEFECTS = [0.0, 0.0, 3e-9, 1e-6, 1e-6, 1e-3]
+SET_DIMS = [1, 2, 3, 4, 6, 8, 9, 16]
+# completeness defects of the set files, against the tolerances above and the default 1e-10
+SET_DEFECTS = [0.0, 0.0, 1e-9, 1e-7, 5e-5, 3e-4]
+LABELS = ["0", "1", "α", "ψ₀", "é", 'say "hi"', "it's", "back\\slash", "tab\there", "日本"]
 
 
 def corpus(seed: int, sweeps: int) -> list[list[str]]:
@@ -154,9 +183,225 @@ def local_corpus(seed: int) -> list[list[str]]:
     return commands
 
 
+def _pairs(a: np.ndarray) -> list:
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _isometry(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """``(n, d, d)`` operators cut from a random ``(n d, d)`` isometry: a complete set."""
+    z = rng.standard_normal((n * d, d)) + 1j * rng.standard_normal((n * d, d))
+    return np.linalg.qr(z)[0].reshape(n, d, d)
+
+
+def past_one_chunk(d_a: int, d_b: int, outcomes: int) -> int:
+    """One ``theorem1 --random`` trial more than a chunk of the shape holds: ``linalg.CHUNK_BYTES``
+    over the bytes ``protocols._trial_bytes`` counts for one trial."""
+    dim, n = d_a * d_b, outcomes
+    trial = 16 * (2 * n * dim * dim + (n * d_a) ** 2 + 5 * n * d_b * d_b + dim)
+    return (1 << 22) // trial + 1
+
+
+class Files:
+    """Writes numbered JSON files under one directory, the same bytes for the same draws."""
+
+    def __init__(self, workdir: Path):
+        self.workdir = workdir
+        self.count = 0
+
+    def write(self, obj) -> str:
+        """``obj`` as JSON, or a ``str`` as it is; returns the path."""
+        self.count += 1
+        path = self.workdir / f"in{self.count:03d}.json"
+        text = obj if isinstance(obj, str) else json.dumps(obj, ensure_ascii=False)
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+
+def _labels(rng: np.random.Generator, n: int) -> list[str]:
+    """``n`` distinct outcome labels: digits, or drawn from LABELS."""
+    if rng.random() < 0.3:
+        return [str(k) for k in range(n)]
+    return [LABELS[i] for i in rng.choice(len(LABELS), size=n, replace=False)]
+
+
+def _set_obj(ops: np.ndarray, labels: list[str]) -> dict:
+    operators = [{"label": label, "matrix": _pairs(op)} for label, op in zip(labels, ops)]
+    return {"dim": ops.shape[-1], "operators": operators}
+
+
+def _write_states(rng: np.random.Generator, files: Files) -> list[tuple[str, list[int]]]:
+    """(path, dims) of STATES state files off unit norm by NORM_DEFECTS in turn, then broken ones."""
+    states = []
+    for k in range(STATES):
+        dims = STATE_DIMS[k % len(STATE_DIMS)]
+        v = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(int(np.prod(dims)))
+        v *= (1.0 + NORM_DEFECTS[k % len(NORM_DEFECTS)] * rng.choice([-1, 1])) / np.linalg.norm(v)
+        states.append((files.write({"dims": dims, "amplitudes": _pairs(v)}), dims))
+    v = _pairs(np.full(4, 0.5 + 0j))
+    broken = [
+        {"dims": [True, 4], "amplitudes": v[:4]},  # booleans as dims
+        {"dims": [2, 3], "amplitudes": v},  # too few amplitudes
+        {"dims": [2, 2], "amplitudes": [[0.5], [0.5, 0], [0.5, 0], [0.5, 0]]},  # not [re, im] pairs
+        {"amplitudes": v},
+        '{"dims": [2, 2], "amplitudes": [[0.5, 0',  # cut short
+    ]
+    return states + [(files.write(obj), [2, 2]) for obj in broken]
+
+
+def _write_sets(rng: np.random.Generator, files: Files) -> dict[int, list[str]]:
+    """Set files per dimension: complete ones, ones off completeness by SET_DEFECTS, with plain
+    and odd labels, then broken ones: a ragged matrix, a declared dim that is not the matrices',
+    repeated labels, no operators."""
+    sets = {}
+    for dim in SET_DIMS:
+        paths = []
+        for defect in SET_DEFECTS:
+            n = int(rng.integers(1, 5))
+            ops = _isometry(rng, dim, n)
+            ops[0] *= np.sqrt(1.0 - defect)
+            paths.append(files.write(_set_obj(ops, _labels(rng, n))))
+        ops = _isometry(rng, dim, 2)
+        good = _set_obj(ops, ["a", "b"])
+        ragged = _set_obj(ops, ["a", "b"])
+        ragged["operators"][1]["matrix"].append([[0.0, 0.0]] * (dim + 1))
+        repeated = _set_obj(ops, ["a", "a"])
+        paths += [
+            files.write(ragged),
+            files.write({**good, "dim": dim + 1}),
+            files.write(repeated),
+            files.write({"dim": dim}),
+        ]
+        sets[dim] = paths
+    return sets
+
+
+def _pick_set(rng: np.random.Generator, sets: dict[int, list[str]], dim: int) -> str:
+    """Mostly a complete set file on ``dim``, else one off completeness, a broken one, a
+    built-in or a set on another dim."""
+    draw = rng.random()
+    paths = sets[dim]
+    if draw < 0.6:
+        return paths[int(rng.integers(SET_DEFECTS.count(0.0)))]
+    if draw < 0.8:
+        return paths[int(rng.integers(SET_DEFECTS.count(0.0), len(SET_DEFECTS)))]
+    if draw < 0.85:
+        return paths[int(rng.integers(len(SET_DEFECTS), len(paths)))]
+    if draw < 0.93:
+        return str(rng.choice(["z-projectors", "noisy:0.8", f"random:{rng.integers(1, 4)}:{rng.integers(100)}"]))
+    return str(rng.choice(sets[int(rng.choice(list(sets)))]))
+
+
+def _write_protocols(rng: np.random.Generator, files: Files) -> list[str]:
+    """Valid protocol files, then broken ones: a non-unitary Bob operator, an incomplete verify
+    pair, a verify pair lacking 'failure', a missing label, too few unitaries, malformed JSON."""
+
+    def protocol(d_a: int, d_b: int, n: int, state) -> dict:
+        labels = _labels(rng, n)
+        verify = {}
+        for label in labels:
+            u = _isometry(rng, d_b, 1)[0]
+            keep = np.diag(rng.integers(0, 2, size=d_b).astype(complex))
+            success = u @ keep @ u.conj().T
+            verify[label] = {"success": _pairs(success), "failure": _pairs(np.eye(d_b) - success)}
+        return {
+            "state": state,
+            "alice": _set_obj(_isometry(rng, d_a, n), labels),
+            "bob_unitaries": [_pairs(_isometry(rng, d_b, 1)[0]) for _ in range(n)],
+            "verify": verify,
+        }
+
+    def state(d_a: int, d_b: int) -> dict:
+        v = rng.standard_normal(d_a * d_b) + 1j * rng.standard_normal(d_a * d_b)
+        return {"dims": [d_a, d_b], "amplitudes": _pairs(v / np.linalg.norm(v))}
+
+    valid = [protocol(2, 2, 2, "bell"), protocol(2, 2, 3, "random:5"), protocol(2, 2, 1, "product0")]
+    valid += [protocol(d_a, d_b, n, state(d_a, d_b)) for d_a, d_b, n in ((2, 3, 2), (3, 2, 4), (3, 3, 3), (1, 2, 1))]
+    broken = [protocol(2, 2, 2, "bell") for _ in range(5)]
+    broken[0]["bob_unitaries"][1] = _pairs(1.01 * np.eye(2))
+    first = next(iter(broken[1]["verify"].values()))
+    first.update({key: (0.9 * np.array(first[key])).tolist() for key in ("success", "failure")})
+    del next(iter(broken[2]["verify"].values()))["failure"]
+    del broken[3]["verify"][next(iter(broken[3]["verify"]))]
+    broken[4]["bob_unitaries"].pop()
+    paths = [files.write(obj) for obj in valid + broken]
+    return paths + [files.write(json.dumps(valid[0])[:200]), files.write({"state": "bell"})]
+
+
+def _theorem1_random(rng: np.random.Generator, k: int, protocols: list[str]) -> list[str]:
+    """A ``theorem1 --random`` line: 1, 7, 60 or one chunk and one trial in turn, with invalid
+    values and flag clashes now and then."""
+    d_a, d_b = THEOREM1_DIMS[int(rng.integers(len(THEOREM1_DIMS)))]
+    outcomes = [None, 1, 2, 3, 4][int(rng.integers(5))]
+    trials = [1, 7, 60, past_one_chunk(d_a, d_b, outcomes or 2)][k % 4]
+    argv = ["theorem1", "--random", "--seed", str(rng.integers(1000)), "--trials", str(trials)]
+    if (d_a, d_b) != (2, 2) or rng.random() < 0.5:
+        argv += ["--dims", f"{d_a},{d_b}"]
+    if outcomes is not None:
+        argv += ["--outcomes", str(outcomes)]
+    draw = rng.random()
+    if draw < 0.12:  # one invalid value
+        flag, value = [("--trials", "0"), ("--trials", "-3"), ("--seed", "-1"), ("--dims", "2,0"),
+                       ("--dims", "2"), ("--dims", "x,2"), ("--outcomes", "0"), ("--trials", "1.5")][k % 8]  # fmt: skip
+        argv += [flag, value]
+    elif draw < 0.2:  # a clash, or a missing flag
+        clash = [["--protocol", str(rng.choice(protocols))], []][k % 2]
+        argv = argv + clash if clash else [a for a in argv if a != "--random"]
+    return [*argv, "--format", "tsv" if k % 3 == 0 else "json"]
+
+
+def file_corpus(seed: int, workdir: Path) -> list[list[str]]:
+    """``theorem1`` lines and file-input ``map``, ``entanglement`` and ``locc`` lines, drawn from
+    a generator of their own; their files are written under ``workdir``. Each line may start with
+    an ``MSPACE_DEFAULT_TOL=<value>`` assignment, which the worker sets for that command."""
+    rng = np.random.default_rng((seed, 2))
+    files = Files(workdir)
+    states, sets, protocols = _write_states(rng, files), _write_sets(rng, files), _write_protocols(rng, files)
+    commands = [_theorem1_random(rng, k, protocols) for k in range(THEOREM1)]
+    for k, path in enumerate(protocols):
+        commands += [["theorem1", "--protocol", path, "--format", fmt] for fmt in ("json", "tsv")]
+        clash = [["--random"], ["--seed", "3"], ["--dims", "2,2"], ["--outcomes", "2"], ["--trials", "1"]][k % 5]
+        commands.append(["theorem1", "--protocol", path, *clash])
+    for k in range(3 * FILE_COMMANDS):
+        command = ("map", "entanglement", "locc")[k % 3]
+        path, dims = states[int(rng.integers(len(states)))] if rng.random() < 0.85 else ("bell", [2, 2])
+        argv = [command, "--state", path]
+        if rng.random() < 0.1:
+            argv += ["--dims", ",".join(map(str, dims if rng.random() < 0.7 else dims[::-1] + [1]))]
+        if command == "map" and rng.random() < 0.35:
+            argv += ["--measurements", _pick_set(rng, sets, int(np.prod(dims)))]
+        elif command != "entanglement" or rng.random() < 0.75:
+            sides = dims if len(dims) == 2 else [int(np.prod(dims)), 1]
+            argv += ["--alice", _pick_set(rng, sets, sides[0]), "--bob", _pick_set(rng, sets, sides[1])]
+        if command == "entanglement":
+            argv += ["--measure", str(rng.choice(MEASURES))]
+        if command == "locc":
+            draw = rng.random()
+            if draw < 0.4:
+                argv += ["--all-outcomes"]
+            elif draw < 0.7:
+                argv += ["--outcome", f"{rng.integers(0, 3)},{rng.integers(0, 3)}"]
+        argv += ["--format", "tsv" if k % 4 < 2 else "json"]
+        tol = TOLERANCES[int(rng.choice(len(TOLERANCES), p=TOLERANCE_WEIGHTS))]
+        commands.append(argv if tol is None else [f"{ENV}={tol}", *argv])
+    return commands
+
+
+def build(seed: int, sweeps: int, workdir: Path) -> list[list[str]]:
+    """The whole corpus for ``seed``, its input files written under ``workdir``."""
+    return corpus(seed, sweeps) + local_corpus(seed) + file_corpus(seed, workdir)
+
+
+def split_env(line: list[str]) -> tuple[str | None, list[str]]:
+    """A corpus line as (its MSPACE_DEFAULT_TOL value, or None to leave it unset; argv)."""
+    if line and line[0].startswith(f"{ENV}="):
+        return line[0].split("=", 1)[1], line[1:]
+    return None, line
+
+
 def per_command(commands: list) -> str:
     """How many of ``commands`` each subcommand has, as ``"3 sweep, 0 konrad, 1 modes"``."""
-    return ", ".join(f"{sum(argv[0] == name for argv in commands)} {name}" for name in COMMANDS)
+    names = [split_env(line)[1][0] for line in commands]
+    return ", ".join(f"{names.count(name)} {name}" for name in COMMANDS)
 
 
 def worker() -> None:
@@ -164,7 +409,12 @@ def worker() -> None:
     from mspace import cli
 
     results = []
-    for argv in json.load(sys.stdin):
+    for line in json.load(sys.stdin):
+        tol, argv = split_env(line)
+        if tol is None:
+            os.environ.pop(ENV, None)
+        else:
+            os.environ[ENV] = tol
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -197,8 +447,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=17)
     parser.add_argument("--sweeps", type=int, default=406)
     args = parser.parse_args()
-    commands = corpus(args.seed, args.sweeps) + local_corpus(args.seed)
-    ours, theirs = run_tree(args.src, commands), run_tree(args.other_src, commands)
+    # the input files are written once, before either tree runs
+    with tempfile.TemporaryDirectory() as workdir:
+        commands = build(args.seed, args.sweeps, Path(workdir))
+        ours, theirs = run_tree(args.src, commands), run_tree(args.other_src, commands)
     differ = [argv for argv, a, b in zip(commands, ours, theirs) if a != b]
     for argv in differ[:10]:
         print("differs:", " ".join(argv), file=sys.stderr)

@@ -802,6 +802,19 @@ class TestReportContract:
         code, out, _ = run_cli(capsys, *argv, "--format", "tsv")
         assert code == 0 and line in out.splitlines()
 
+    @pytest.mark.parametrize("value", [np.float32(0.1), np.int64(-7), np.bool_(True), np.str_("a\tb")])
+    def test_numpy_scalars_print_as_their_python_values(self, value):
+        assert cli._tsv_cell(value) == cli._tsv_cell(value.item())
+        assert cli._emit_json(value) == cli._emit_json(value.item())
+
+    @pytest.mark.parametrize("emit", [cli._emit_json, cli._tsv_cell])
+    @pytest.mark.parametrize(
+        "value", [1 + 2j, np.complex128(1 + 2j), np.array(0.5)], ids=["complex", "complex128", "0-d array"]
+    )
+    def test_other_types_are_a_programming_error(self, emit, value):
+        with pytest.raises(TypeError, match="^cannot serialize"):
+            emit(value)
+
     def test_env_tolerance_override(self, capsys, loose_set_file, monkeypatch):
         path = loose_set_file
         code, _, err = run_cli(capsys, "map", "--state", "product0", "--dims", "2",

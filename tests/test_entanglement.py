@@ -244,6 +244,25 @@ class TestOperationalEntanglement:
         with pytest.raises(ValidationError):
             EntanglementReport("concurrence", 1.5, (2, 2))
 
+    def test_report_names_an_unknown_measure_as_the_kernel_does(self):
+        message = r"^measure-name: unknown measure 'negativity'; use \('entropy', 'concurrence', 'eof'\)$"
+        with pytest.raises(ValidationError, match=message):
+            EntanglementReport("negativity", 5.0, (2, 2))
+        with pytest.raises(ValidationError, match=message):
+            pure_entanglements(np.eye(2)[None] / np.sqrt(2), "negativity")
+
+    @pytest.mark.parametrize("measure", ["entropy", "concurrence", "eof"])
+    def test_image_is_scored_without_building_a_state(self, monkeypatch, measure):
+        local = LocalMeasurementSet(noisy_pair(0.8), noisy_pair(0.7))
+        image = map_to_measurement_space(bell_phi_plus(), local)
+        expected = pure_entanglements(image.amplitudes.reshape(1, 2, 2), measure)[0]
+
+        def refuse(self):
+            raise AssertionError("a PureState was built")
+
+        monkeypatch.setattr(PureState, "__post_init__", refuse)
+        assert measurement_space_entanglement(image, measure) == expected
+
 
 class TestPureEntanglement:
     def test_eof_off_two_by_two_is_the_entropy(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import random_local_set
 
+from mspace.entanglement import measurement_space_entanglement
 from mspace.linalg import PureState, ValidationError, bell_phi_plus, haar_state, haar_unitaries
 from mspace.measurement import (
     LocalMeasurementSet,
@@ -194,12 +195,15 @@ class TestSetConstruction:
             MeasurementSpaceState(("a", "b"), np.array([1.0, 1.0]))
         with pytest.raises(ValidationError, match="structure"):
             MeasurementSpaceState(("a", "b"), np.array([1.0, 0.0]), structure=(2, 2))
+        with pytest.raises(ValidationError, match="structure"):
+            MeasurementSpaceState(("a", "b"), np.array([1.0, 0.0]), structure=(-1, -2))
 
     def test_as_pure_state_requires_factorization(self):
         flat = MeasurementSpaceState(("a", "b", "c", "d"), np.full(4, 0.5))
         with pytest.raises(ValidationError, match="factorization"):
-            flat.as_pure_state()
-        assert dataclasses.replace(flat, structure=(2, 2)).as_pure_state().dims == (2, 2)
+            measurement_space_entanglement(flat)
+        # uniform amplitudes on a 2x2 grid are a product state
+        assert measurement_space_entanglement(dataclasses.replace(flat, structure=(2, 2))) < 1e-12
         # a structure that does not factor the outcome count is refused when attached
         with pytest.raises(ValidationError, match="structure"):
             dataclasses.replace(flat, structure=(3, 2))
