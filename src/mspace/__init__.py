@@ -59,7 +59,6 @@ from .modes import (
     ModeSystem,
     composition_count,
     divisor_infima,
-    divisor_infimum,
     useful_entanglement_bounds,
 )
 from .protocols import (

@@ -294,7 +294,6 @@ def cmd_entanglement(args) -> tuple[dict, int]:
 def cmd_theorem1(args) -> tuple[dict, int]:
     if args.protocol is not None and args.random:
         raise ValidationError("flag-format", "--protocol and --random exclude each other")
-    outcomes = 2 if args.outcomes is None else args.outcomes
     rows = []
     if args.protocol is not None:
         # a protocol file fixes all of these itself
@@ -302,6 +301,7 @@ def cmd_theorem1(args) -> tuple[dict, int]:
             if getattr(args, flag) is not None:
                 raise ValidationError("flag-format", f"--protocol and --{flag} exclude each other")
         specs = [load_protocol(args.protocol)]
+        outcomes = specs[0].alice.shape[1]
     else:
         if not args.random:
             raise ValidationError("flag-format", "need --protocol or --random")
@@ -310,6 +310,7 @@ def cmd_theorem1(args) -> tuple[dict, int]:
         _require_seed(args.seed)
         trials = 1 if args.trials is None else args.trials
         _require_count(trials, "--trials")
+        outcomes = 2 if args.outcomes is None else args.outcomes
         d_a, d_b = _parse_ints(args.dims, 2) if args.dims is not None else (2, 2)
         specs = random_protocol_batches(d_a, d_b, outcomes, args.seed, trials)
     worst = 0.0

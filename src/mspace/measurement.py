@@ -36,10 +36,11 @@ class MeasurementSet:
     """Ordered, labeled measurement operators on a single space.
 
     ``labels[m]`` names ``stack[m]``, the read-only ``(n, dim, dim)`` copy of
-    the operators. Structural invariants (shapes, label count, unique labels)
-    are enforced at construction. Completeness is checked by the operations
-    that rely on it, so that an incomplete set can still be built and
-    inspected with :meth:`completeness_deviation`. A set equals only itself.
+    the operators. Structural invariants (shapes, label count, unique labels
+    free of tabs and line breaks) are enforced at construction. Completeness
+    is checked by the operations that rely on it, so that an incomplete set
+    can still be built and inspected with :meth:`completeness_deviation`. A
+    set equals only itself.
     """
 
     dim: int
@@ -67,6 +68,10 @@ class MeasurementSet:
         stack = operator_stack(ops, (dim, dim), "measurement-shape", misshaped)
         if len(set(labels)) != len(labels):
             raise ValidationError("measurement-labels", f"labels are not unique: {list(labels)}")
+        # a label is printed raw in a TSV cell, so it must not split the row
+        split = next((label for label in labels if any(c in label for c in "\t\n\r")), None)
+        if split is not None:
+            raise ValidationError("measurement-labels", f"label {split!r} holds a tab or a line break")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "stack", stack)

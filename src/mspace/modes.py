@@ -41,28 +41,17 @@ def composition_count(n: int, m: int) -> int:
     return math.comb(n + m - 1, m - 1)
 
 
-def divisor_infimum(n: int) -> int:
-    """Smallest divisor of n that is >= sqrt(n).
-
-    Equivalently: over all factorizations n = k * l, the minimum of
-    max(k, l). Equals n exactly when n is prime.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"need a positive integer, got {n}")
-    for d in range(math.isqrt(n), 0, -1):
-        if n % d == 0:
-            return n // d
-    raise AssertionError("unreachable: 1 divides every positive integer")
-
-
 def divisor_infima(counts) -> list[int]:
-    """:func:`divisor_infimum` of every count in ``counts``, in order, from one stacked search.
+    """The divisor infimum of every count in ``counts``, in order, from one stacked search.
 
-    Each row runs the same downward trial division from isqrt(count), in
-    int64 blocks of candidates: FIRST_WIDTH per row at first, doubling while
-    rows remain, with rows x width held to BLOCK_ELEMENTS. Every count must
-    lie in [1, COUNT_CAP], which keeps the int64 arithmetic exact.
+    The divisor infimum of n is its smallest divisor at or above sqrt(n):
+    over all factorizations n = k * l, the minimum of max(k, l). It equals n
+    exactly when n is prime.
+
+    Each row runs a downward trial division from isqrt(count), in int64
+    blocks of candidates: FIRST_WIDTH per row at first, doubling while rows
+    remain, with rows x width held to BLOCK_ELEMENTS. Every count must lie in
+    [1, COUNT_CAP], which keeps the int64 arithmetic exact.
     """
     counts = [int(c) for c in counts]
     bad = next((c for c in counts if not 1 <= c <= COUNT_CAP), None)

@@ -47,6 +47,12 @@ def depolarizing_kraus(p):
     return np.array([math.sqrt(1.0 - 3.0 * p / 4.0) * np.eye(2, dtype=complex), *paulis])
 
 
+def divisor_infimum(n):
+    """Smallest divisor of n at or above sqrt(n), by scalar trial division down from isqrt(n):
+    the reference for the stacked ``divisor_infima`` on counts too large for a sieve."""
+    return next(n // d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
+
+
 def density_of(psi):
     """``|psi><psi|`` as a checked ``DensityMatrix``."""
     v = psi.vector

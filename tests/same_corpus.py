@@ -2,15 +2,20 @@
 
 Usage::
 
-    python tests/same_sweep_konrad.py OTHER_SRC [--src SRC] [--seed N] [--sweeps N]
+    python tests/same_corpus.py OTHER_SRC [--src SRC] [--seed N] [--sweeps N]
 
 ``OTHER_SRC`` and ``SRC`` are ``src`` directories holding the ``mspace``
 package; ``SRC`` defaults to this checkout's. Each tree runs the whole
 corpus in one subprocess, calling ``mspace.cli.main`` in-process, and the
-script prints one summary line: how many commands there were, how many
-exited 2, and on how many stdout, stderr and exit code were all identical,
-with the differing ones counted per subcommand. The first differing
-commands go to stderr, and the exit status is 1 if any differ.
+script prints a summary line: how many commands there were, how many
+exited 2, on how many stdout, stderr and exit code were all identical, on
+how many only JSON floats moved, and how many differ otherwise, each counted
+per subcommand. A second line says how many floats moved and the largest
+absolute and relative change, each with its command and key path. A
+command counts as moved only if it has the same exit code, the same stderr,
+and stdout that parses as JSON and is the same outside its float values.
+The first differing commands go to stderr, and the exit status is 1 if any
+command moved or differs.
 
 The corpus holds ``--sweeps`` seeded ``sweep`` command lines (ranges inside
 and across [0, 1], reversed ones, NaN and infinite ends, 1 to 200 steps,
@@ -42,8 +47,9 @@ with a clashing flag, and FILE_COMMANDS seeded file-input lines each of
 Their files are written once to a temporary directory before either tree
 runs: states off unit norm by up to 1e-3 (about 1e-6 prints the
 renormalization warning, 1e-3 is rejected), sets off completeness, with
-labels holding non-ASCII characters, quotes, backslashes and tabs, sets that
-are ragged, repeated or of the wrong dim, and valid and broken protocols.
+labels holding non-ASCII characters, quotes, backslashes and tabs (a tab is
+rejected as ``measurement-labels``), sets that are ragged, repeated or of
+the wrong dim, and valid and broken protocols.
 Many of these lines set ``MSPACE_DEFAULT_TOL`` (to valid and invalid values)
 with a leading ``MSPACE_DEFAULT_TOL=<value>``, which the worker applies to
 that command alone. The file's name does not start with ``test_``, so pytest
@@ -57,6 +63,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -425,6 +432,53 @@ def worker() -> None:
     json.dump(results, sys.stdout)
 
 
+# a JSON number literal; masking them leaves the text that must not change at all
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+
+
+def float_moves(ours: list, theirs: list) -> list[tuple[str, float, float]] | None:
+    """The JSON floats that moved between two differing ``[code, stdout, stderr]`` results, as
+    ``(key path, ours, theirs)``; None if the results differ in anything else."""
+    (code, out, err), (their_code, their_out, their_err) = ours, theirs
+    if code != their_code or err != their_err or _NUMBER.sub("#", out) != _NUMBER.sub("#", their_out):
+        return None
+    try:
+        a, b = json.loads(out), json.loads(their_out)
+    except json.JSONDecodeError:
+        return None
+    moves = []
+
+    def same_outside_floats(x, y, path: str) -> bool:
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, dict):
+            return list(x) == list(y) and all(same_outside_floats(x[k], y[k], f"{path}.{k}") for k in x)
+        if isinstance(x, list):
+            pairs = enumerate(zip(x, y))
+            return len(x) == len(y) and all(same_outside_floats(u, v, f"{path}[{i}]") for i, (u, v) in pairs)
+        if isinstance(x, float) and x != y:
+            moves.append((path, x, y))
+            return True
+        return x == y
+
+    # a float written differently with the same value is a plain difference too
+    return moves if same_outside_floats(a, b, "") and moves else None
+
+
+def float_report(moved: list[tuple[list[str], list]]) -> str:
+    """One line on the floats moved in ``moved``, pairs of a command and its ``float_moves``."""
+    found = [
+        (abs(x - y), abs(x - y) / max(abs(x), abs(y)), " ".join(line), path)
+        for line, moves in moved
+        for path, x, y in moves
+    ]
+    text = f"floats moved: {len(found)} in {len(moved)} commands"
+    for name, key in (("absolute", 0), ("relative", 1)) if found else ():
+        worst = max(found, key=lambda f: f[key])
+        text += f"; largest {name} change {worst[key]:.3g} at `{worst[2]}` {worst[3]}"
+    return text
+
+
 def run_tree(src: Path, commands: list) -> list:
     proc = subprocess.run(
         [sys.executable, __file__, "--worker"],
@@ -451,15 +505,26 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         commands = build(args.seed, args.sweeps, Path(workdir))
         ours, theirs = run_tree(args.src, commands), run_tree(args.other_src, commands)
-    differ = [argv for argv, a, b in zip(commands, ours, theirs) if a != b]
-    for argv in differ[:10]:
-        print("differs:", " ".join(argv), file=sys.stderr)
+    moved, differ = [], []
+    for line, a, b in zip(commands, ours, theirs):
+        if a == b:
+            continue
+        moves = float_moves(a, b)
+        if moves is None:
+            differ.append(line)
+        else:
+            moved.append((line, moves))
+    for line in differ[:10]:
+        print("differs:", " ".join(line), file=sys.stderr)
     exit2 = sum(code == 2 for code, _, _ in ours)
     print(
-        f"same_sweep_konrad seed {args.seed}: {len(commands)} commands ({per_command(commands)}), "
-        f"{exit2} exit 2; identical {len(commands) - len(differ)}, differ {len(differ)} ({per_command(differ)})"
+        f"same_corpus seed {args.seed}: {len(commands)} commands ({per_command(commands)}), {exit2} exit 2; "
+        f"identical {len(commands) - len(moved) - len(differ)}, "
+        f"floats moved {len(moved)} ({per_command([line for line, _ in moved])}), "
+        f"differ {len(differ)} ({per_command(differ)})"
     )
-    return 1 if differ else 0
+    print(float_report(moved))
+    return 1 if moved or differ else 0
 
 
 if __name__ == "__main__":

@@ -17,8 +17,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mspace"
 ALLOWED = {
     # perfbench/tracer.py METHODS wraps Channel.__post_init__ and Channel.apply by name
     "Channel": "the benchmark tracer patches its methods",
-    # the scalar reference that criterion 8 and TestDivisorInfima check divisor_infima against
-    "divisor_infimum": "test reference for the stacked search",
 }
 
 

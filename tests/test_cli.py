@@ -1,5 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -9,6 +11,8 @@ import warnings
 import numpy as np
 import pytest
 from conftest import depolarizing_kraus, pairs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mspace import cli, modes
 from mspace.cli import MAX_ROWS, main
@@ -17,12 +21,14 @@ from mspace.linalg import PureState, bell_phi_plus
 from mspace.locc import run_locc_construction
 from mspace.measurement import (
     LocalMeasurementSet,
+    MeasurementSet,
     map_to_measurement_space,
     noisy_pair,
     z_projectors,
 )
 
 P0 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+P1 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +52,11 @@ def measurement_set_to_obj(mset):
 def write_json(path, obj):
     path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
+
+
+def z_set_obj(label0, label1):
+    """A qubit's Z projectors under two labels, as the JSON object of a set file."""
+    return {"dim": 2, "operators": [{"label": label0, "matrix": P0}, {"label": label1, "matrix": P1}]}
 
 
 @pytest.fixture
@@ -188,6 +199,32 @@ class TestMap:
         argv = ("map", "--state", state, "--dims", dims, "--measurements", "z-projectors")
         assert run_cli(capsys, *argv)[:2] == run_cli(capsys, *argv[:3], *argv[5:])[:2]
 
+    def test_label_that_would_split_a_tsv_row_exits_two(self, capsys, tmp_path):
+        mset = write_json(tmp_path / "set.json", z_set_obj("tab\there", "1"))
+        argv = ("map", "--state", "bell", "--alice", mset, "--bob", "z-projectors", "--format", "tsv")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: measurement-labels: label 'tab\\there' holds a tab or a line break\n"
+
+    @settings(derandomize=True, deadline=None, max_examples=80, database=None)
+    @given(labels=st.lists(st.text(st.characters() | st.sampled_from("\t\n\r"), max_size=4), min_size=2, max_size=2))
+    def test_generated_labels_keep_tsv_rows_whole(self, tmp_path_factory, labels):
+        # each example writes its own file; a function-scoped tmp_path would be shared by all of them
+        path = write_json(tmp_path_factory.mktemp("labels") / "set.json", z_set_obj(*labels))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["map", "--state", "bell", "--alice", path, "--bob", path, "--format", "tsv"])
+        if labels[0] == labels[1] or any(c in "".join(labels) for c in "\t\n\r"):
+            assert (code, out.getvalue()) == (2, "")
+            assert err.getvalue().startswith("error: measurement-labels: ")
+            return
+        assert code == 0 and err.getvalue() == ""
+        header, *rows = [line for line in out.getvalue().split("\n")[:-1] if not line.startswith("#")]
+        fields = header.split("\t")
+        assert len(rows) == 4 and all(len(row.split("\t")) == len(fields) for row in rows)
+        cells = [row.split("\t")[fields.index("label")] for row in rows]
+        assert cells == [f"({a},{b})" for a in labels for b in labels]
+
 
 class TestEntanglement:
     def test_bell_entropy(self, capsys):
@@ -293,6 +330,29 @@ class TestTheorem1:
         row = json.loads(out)["results"][0]
         assert abs(row["p_original"] - 0.9) < 1e-12
         assert abs(row["p_mspace"] - 0.9) < 1e-12
+
+    def test_protocol_file_reports_its_own_outcome_count(self, capsys, tmp_path):
+        eye = np.eye(2, dtype=complex)
+        p0 = np.diag([1.0, 0.0]).astype(complex)
+        p1 = np.diag([0.0, 1.0]).astype(complex)
+        # a three-outcome qubit set: the projector on |0> and two halves of the one on |1>
+        alice = MeasurementSet(2, ("0", "1", "2"), [p0, p1 / np.sqrt(2), p1 / np.sqrt(2)])
+        protocol = {
+            "state": "bell",
+            "alice": measurement_set_to_obj(alice),
+            "bob_unitaries": [pairs(eye)] * 3,
+            "verify": {
+                "0": {"success": pairs(p0), "failure": pairs(p1)},
+                "1": {"success": pairs(p1), "failure": pairs(p0)},
+                "2": {"success": pairs(p1), "failure": pairs(p0)},
+            },
+        }
+        path = write_json(tmp_path / "protocol.json", protocol)
+        code, out, _ = run_cli(capsys, "theorem1", "--protocol", path)
+        assert code == 0
+        report = json.loads(out)
+        assert report["parameters"]["outcomes"] == 3 and report["parameters"]["trials"] == 1
+        assert abs(report["results"][0]["p_original"] - 1.0) < 1e-12
 
     def test_nan_verify_operator_rejected(self, capsys, tmp_path):
         eye = np.eye(2, dtype=complex)
@@ -590,7 +650,6 @@ class TestModes:
             return real(counts)
 
         monkeypatch.setattr(modes, "divisor_infima", counted)
-        monkeypatch.setattr(modes, "divisor_infimum", _no_work)
         for argv in (("--n-max", "60", "--m-max", "8"), ("--n-max", "24", "--m-max", "6"), ("--n", "9", "--m", "5")):
             assert run_cli(capsys, "modes", *argv)[0] == 0
         assert calls == [420, 120, 1]

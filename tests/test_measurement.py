@@ -1,6 +1,7 @@
 """Measurement sets and the measurement-space map."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,13 @@ class TestSetConstruction:
         eye = np.eye(2, dtype=complex) / np.sqrt(2)
         with pytest.raises(ValidationError, match="labels"):
             MeasurementSet(2, ("a", "a"), [eye, eye])
+
+    @pytest.mark.parametrize("label", ["tab\there", "line\nbreak", "carriage\rreturn", "\t"])
+    def test_label_that_would_split_a_tsv_row_rejected(self, label):
+        eye = np.eye(2, dtype=complex) / np.sqrt(2)
+        message = f"measurement-labels: label {label!r} holds a tab or a line break"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            MeasurementSet(2, ("a", label), [eye, eye])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="shape"):

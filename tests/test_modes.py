@@ -4,6 +4,7 @@ import math
 import tracemalloc
 
 import pytest
+from conftest import divisor_infimum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,6 @@ from mspace.modes import (
     ModeSystem,
     composition_count,
     divisor_infima,
-    divisor_infimum,
     useful_entanglement_bounds,
 )
 
@@ -98,40 +98,33 @@ class TestIsPrime:
 
 
 class TestDivisorInfimum:
+    """The defining properties of the divisor infimum, checked on the stacked search."""
+
     def test_examples(self):
-        assert divisor_infimum(2) == 2
-        assert divisor_infimum(12) == 4
-        assert divisor_infimum(16) == 4
+        assert divisor_infima([2, 12, 16]) == [2, 4, 4]
 
     def test_unit(self):
-        assert divisor_infimum(1) == 1
+        assert divisor_infima([1]) == [1]
 
     def test_matches_enumeration_oracle(self):
-        for n in range(1, 3000):
-            assert divisor_infimum(n) == divisor_infimum_oracle(n)
+        counts = range(1, 3000)
+        assert divisor_infima(counts) == [divisor_infimum_oracle(n) for n in counts]
 
     def test_defining_inequalities(self):
-        for n in range(1, 10_000):
-            p = divisor_infimum(n)
+        counts = range(1, 10_000)
+        for n, p in zip(counts, divisor_infima(counts)):
             assert n % p == 0
             assert p * p >= n
             assert n // p <= p
 
     def test_prime_gives_n(self):
-        for n in (2, 3, 97, 7919):
-            assert divisor_infimum(n) == n
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            divisor_infimum(0)
+        primes = [2, 3, 97, 7919]
+        assert divisor_infima(primes) == primes
 
 
 class TestDivisorInfima:
-    """The stacked search must give the scalar reference's answer for every count."""
-
-    def test_every_n_to_1e5_as_one_stack(self):
-        counts = range(1, 10**5 + 1)
-        assert divisor_infima(counts) == [divisor_infimum(n) for n in counts]
+    """The stacked search must give the scalar trial division's answer on counts
+    beyond criterion 8's sieve, up to COUNT_CAP."""
 
     def test_every_composition_count_under_the_cap(self):
         counts = [composition_count(n, m) for n in range(1, 201) for m in range(2, 41)]

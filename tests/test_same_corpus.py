@@ -1,7 +1,8 @@
-"""The sameness corpus of ``same_sweep_konrad.py``: the same lines and files for a seed, and
-every subcommand, format and input kind among them. Only the corpus is built; no command runs."""
+"""The sameness corpus of ``same_corpus.py``: the same lines and files for a seed, and every
+subcommand, format and input kind among them; and its comparer of two results. Only the corpus
+is built; no command runs."""
 
-from same_sweep_konrad import COMMANDS, build, split_env
+from same_corpus import COMMANDS, build, float_moves, float_report, split_env
 
 
 def _build(workdir):
@@ -30,3 +31,23 @@ def test_corpus_reaches_every_subcommand_format_and_input_kind(tmp_path):
     assert file_flags("--alice") == file_flags("--bob") == {"map", "entanglement", "locc"}
     assert file_flags("--measurements") == {"map"}
     assert len(files) > 100
+
+
+def test_one_moved_float_is_counted():
+    ours = [0, '{\n  "eta": 5.0000000000000000e-01,\n  "rows": [{"p": 1.0, "label": "(0,1)"}]\n}\n', ""]
+    theirs = [0, '{\n  "eta": 5.0000000000000000e-01,\n  "rows": [{"p": 1.0000000000000002, "label": "(0,1)"}]\n}\n', ""]
+    moves = float_moves(ours, theirs)
+    assert moves == [(".rows[0].p", 1.0, 1.0000000000000002)]
+    report = float_report([(["map", "--state", "bell"], moves)])
+    assert report.startswith("floats moved: 1 in 1 commands; largest absolute change 2.22e-16 at `map --state bell` .rows[0].p")
+
+
+def test_anything_but_a_float_is_a_plain_difference():
+    ours = [0, '{"label": "(0,1)", "p": 1.0}\n', ""]
+    assert float_moves(ours, [0, '{"label": "(0,2)", "p": 1.0}\n', ""]) is None
+    assert float_moves(ours, [0, '{"label": "(0,1)", "p": 1}\n', ""]) is None
+    assert float_moves(ours, [0, '{"label":  "(0,1)", "p": 1.5}\n', ""]) is None
+    assert float_moves(ours, [1, '{"label": "(0,1)", "p": 1.5}\n', ""]) is None
+    assert float_moves(ours, [0, '{"label": "(0,1)", "p": 1.5}\n', "warning\n"]) is None
+    assert float_moves([0, "p\t1.0\n", ""], [0, "p\t1.5\n", ""]) is None
+    assert float_report([]) == "floats moved: 0 in 0 commands"
