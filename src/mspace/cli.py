@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
+import operator
 import os
 import sys
 from typing import Any
@@ -36,6 +36,7 @@ from .locc import KONRAD_TOL, KONRAD_TRIAL_BYTES, konrad_check, random_konrad_tr
 from .measurement import LocalMeasurementSet, local_images, map_to_measurement_space, noisy_operators
 from .modes import useful_entanglement_bounds
 from .protocols import random_protocol_batches, success_rates_mspace, success_rates_original
+from .report import emit
 
 THEOREM1_TOL = 1e-10
 MONOTONICITY_TOL = 1e-9
@@ -67,94 +68,6 @@ def default_tolerance() -> float:
             "tolerance-env", f"MSPACE_DEFAULT_TOL={raw!r} is not in (0, {TOLERANCE_CAP!r}]"
         )
     return tol
-
-
-# ---------------------------------------------------------------------------
-# report emission
-
-
-def _finite(value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValidationError("report-nonfinite", f"the report holds the non-finite value {value!r}")
-    return value
-
-
-def _json_literal(value: Any) -> str:
-    return "null" if value is None else "true" if value else "false"
-
-
-# what json.dumps calls for a str
-_json_string = json.encoder.encode_basestring_ascii
-
-
-def _json_float(value: float) -> str:
-    # 17 significant digits: exact round-trip for doubles
-    return format(_finite(value), ".16e")
-
-
-def _tsv_float(value: float) -> str:
-    return format(_finite(value), ".12g")
-
-
-# exact type -> text, one table per format, for the Python scalars a report holds
-_LITERALS = {bool: _json_literal, type(None): _json_literal}
-_JSON = {**_LITERALS, int: str, float: _json_float, str: _json_string}
-# a TSV header line may also hold the parameters, printed as JSON, or map's outcome structure
-_TSV = {**_LITERALS, int: str, float: _tsv_float, str: str, dict: json.dumps, list: str}
-
-
-def _numpy_scalar(value: Any, table: dict) -> str:
-    """``value``, which no entry of ``table`` formats, as text: a numpy scalar prints as its
-    ``.item()``; any other type is a programming error."""
-    if isinstance(value, np.generic):
-        text = table.get(type(item := value.item()))
-        if text is not None:
-            return text(item)
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def _emit_json(value: Any, indent: int = 0) -> str:
-    text = _JSON.get(type(value))
-    if text is not None:
-        return text(value)
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{inner}{_json_string(str(k))}: {_emit_json(v, indent + 1)}" for k, v in value.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
-            return "[]"
-        items = [f"{inner}{_emit_json(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    return _numpy_scalar(value, _JSON)
-
-
-def _tsv_cell(value: Any) -> str:
-    text = _TSV.get(type(value))
-    return text(value) if text is not None else _numpy_scalar(value, _TSV)
-
-
-def _emit(report: dict, fmt: str) -> str:
-    """The whole report as text, built before any of it is printed."""
-    if fmt == "json":
-        return _emit_json(report)
-    lines = []
-    for key, value in report.items():
-        if key == "results":
-            continue
-        lines.append(f"# {key}={_tsv_cell(value)}")
-    rows = report.get("results", [])
-    if rows:
-        header = list(rows[0].keys())
-        lines.append("\t".join(header))
-        for row in rows:
-            lines.append("\t".join(_tsv_cell(row[k]) for k in header))
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +153,11 @@ def cmd_map(args) -> tuple[dict, int]:
     else:
         raise ValidationError("flag-format", "need --measurements or --alice/--bob")
     image = map_to_measurement_space(psi, measurements, completeness_tol=tol)
-    rows = [
-        {"label": label, "probability": float(p), "amplitude": float(a)}
-        for label, p, a in zip(image.outcome_labels, image.probabilities(), image.amplitudes)
-    ]
+    columns = {
+        "label": image.outcome_labels,
+        "probability": image.probabilities(),
+        "amplitude": image.amplitudes,
+    }
     report = {
         "command": "map",
         "parameters": {
@@ -254,7 +168,7 @@ def cmd_map(args) -> tuple[dict, int]:
             "tolerance": tol,
         },
         "structure": list(image.structure) if image.structure else None,
-        "results": rows,
+        "results": columns,
     }
     return report, 0
 
@@ -270,12 +184,14 @@ def cmd_entanglement(args) -> tuple[dict, int]:
             )
         psi = PureState(split, psi.vector)
     original = pure_entanglement(psi, args.measure)
-    row = {"measure": args.measure, "original": original}
+    columns = {"measure": [args.measure], "original": [original]}
+    monotone = True
     if args.alice is not None or args.bob is not None:
         measurements = _load_local_sets(args, psi, tol)
         image = map_to_measurement_space(psi, measurements, completeness_tol=tol)
-        row["measurement_space"] = measurement_space_entanglement(image, args.measure)
-        row["monotone"] = row["measurement_space"] <= original + MONOTONICITY_TOL
+        after = measurement_space_entanglement(image, args.measure)
+        monotone = after <= original + MONOTONICITY_TOL
+        columns.update(measurement_space=[after], monotone=[monotone])
     report = {
         "command": "entanglement",
         "parameters": {
@@ -286,15 +202,14 @@ def cmd_entanglement(args) -> tuple[dict, int]:
             "split": args.split,
             "tolerance": tol,
         },
-        "results": [row],
+        "results": columns,
     }
-    return report, 0 if row.get("monotone", True) else 1
+    return report, 0 if monotone else 1
 
 
 def cmd_theorem1(args) -> tuple[dict, int]:
     if args.protocol is not None and args.random:
         raise ValidationError("flag-format", "--protocol and --random exclude each other")
-    rows = []
     if args.protocol is not None:
         # a protocol file fixes all of these itself
         for flag in ("seed", "dims", "outcomes", "trials"):
@@ -313,20 +228,20 @@ def cmd_theorem1(args) -> tuple[dict, int]:
         outcomes = 2 if args.outcomes is None else args.outcomes
         d_a, d_b = _parse_ints(args.dims, 2) if args.dims is not None else (2, 2)
         specs = random_protocol_batches(d_a, d_b, outcomes, args.seed, trials)
-    worst = 0.0
+    names, p_original, p_mspace = [], [], []
     for spec in specs:
-        names = ["file"] if spec.trials is None else [str(t) for t in spec.trials]
-        scores = zip(names, success_rates_original(spec).tolist(), success_rates_mspace(spec).tolist())
-        for name, p_orig, p_ms in scores:
-            delta = abs(p_orig - p_ms)
-            worst = max(worst, delta)
-            rows.append({"trial": name, "p_original": p_orig, "p_mspace": p_ms, "delta": delta})
+        names += ["file"] if spec.trials is None else map(str, spec.trials)
+        p_original += success_rates_original(spec).tolist()
+        p_mspace += success_rates_mspace(spec).tolist()
+    deltas = [abs(p_orig - p_ms) for p_orig, p_ms in zip(p_original, p_mspace)]
+    # a running maximum from 0.0, which a NaN delta leaves as it is
+    worst = max(0.0, *deltas)
     passed = worst < THEOREM1_TOL
     report = {
         "command": "theorem1",
         "parameters": {
             "protocol": args.protocol,
-            "trials": len(rows),
+            "trials": len(names),
             "seed": args.seed,
             "dims": args.dims,
             "outcomes": outcomes,
@@ -334,7 +249,7 @@ def cmd_theorem1(args) -> tuple[dict, int]:
         "max_delta": worst,
         "tolerance": THEOREM1_TOL,
         "passed": passed,
-        "results": rows,
+        "results": {"trial": names, "p_original": p_original, "p_mspace": p_mspace, "delta": deltas},
     }
     return report, 0 if passed else 1
 
@@ -353,22 +268,21 @@ def cmd_locc(args) -> tuple[dict, int]:
         )
     trace = run_locc_construction(psi, measurements, tol)
     uniformity_alice = float(trace.alice.fourier.max_deviation)
-    uniformity_bob = trace.bob.fourier.max_deviation.tolist()
-    degenerate = (trace.alice.fourier.degenerate | trace.bob.fourier.degenerate).tolist()
-    rows = [
-        {
-            "outcome_a": k // d_b,
-            "outcome_b": k % d_b,
-            "uniformity_deviation_alice": uniformity_alice,
-            "uniformity_deviation_bob": uniformity_bob[k // d_b],
-            "ancilla_diagonal_deviation": trace.diagonal_deviation,
-            "branch_diagonal_deviation": float(trace.branch_diagonal_deviations[k]),
-            "fidelity": float(trace.fidelities[k]),
-            "degenerate": degenerate[k // d_b],
-        }
-        for k in (range(d_a * d_b) if args.all_outcomes else [ja * d_b + jb])
-    ]
-    worst_uniform = max(uniformity_alice, *(row["uniformity_deviation_bob"] for row in rows))
+    degenerate = trace.alice.fourier.degenerate | trace.bob.fourier.degenerate
+    # branch k is Alice's outcome k // d_b and Bob's k % d_b
+    branches = np.arange(d_a * d_b) if args.all_outcomes else np.array([ja * d_b + jb])
+    outcome_a, outcome_b = divmod(branches, d_b)
+    columns = {
+        "outcome_a": outcome_a,
+        "outcome_b": outcome_b,
+        "uniformity_deviation_alice": [uniformity_alice] * len(branches),
+        "uniformity_deviation_bob": trace.bob.fourier.max_deviation[outcome_a].tolist(),
+        "ancilla_diagonal_deviation": [trace.diagonal_deviation] * len(branches),
+        "branch_diagonal_deviation": trace.branch_diagonal_deviations[branches],
+        "fidelity": trace.fidelities[branches],
+        "degenerate": degenerate[outcome_a],
+    }
+    worst_uniform = max(uniformity_alice, *columns["uniformity_deviation_bob"])
     entropy_before = pure_entanglement(psi, "entropy")
     entropy_after = measurement_space_entanglement(trace.mspace, "entropy")
     summary: dict[str, Any] = {
@@ -406,7 +320,7 @@ def cmd_locc(args) -> tuple[dict, int]:
         **summary,
         "monotonicity": monotone,
         "passed": passed,
-        "results": rows,
+        "results": columns,
     }
     return report, 0 if passed else 1
 
@@ -429,8 +343,6 @@ def cmd_konrad(args) -> tuple[dict, int]:
         columns = {"lhs": lhs, "rhs": bound, "residual": np.abs(lhs - bound)}
         violations, worst = None, float(np.max(columns["residual"]))
         passed = worst < KONRAD_TOL
-    values = zip(*(column.tolist() for column in columns.values()))
-    rows = [{"trial": t, **dict(zip(columns, row))} for t, row in enumerate(values)]
     report = {
         "command": "konrad",
         "parameters": {"trials": args.trials, "seed": args.seed, "two_sided": args.two_sided},
@@ -438,7 +350,7 @@ def cmd_konrad(args) -> tuple[dict, int]:
         "violations": violations,
         "tolerance": KONRAD_TOL,
         "passed": passed,
-        "results": rows,
+        "results": {"trial": range(args.trials), **columns},
     }
     return report, 0 if passed else 1
 
@@ -456,22 +368,14 @@ def cmd_modes(args) -> tuple[dict, int]:
         grid = [(n, m) for n in range(1, args.n_max + 1) for m in range(2, args.m_max + 1)]
     else:
         raise ValidationError("flag-format", "need --n/--m or --n-max/--m-max")
-    rows = [
-        {
-            "n": system.n,
-            "m": system.m,
-            "count": system.count,
-            "prime": system.prime,
-            "p": system.p,
-            "bound_bits": system.bound_bits,
-            "weak_bound_bits": system.weak_bound_bits,
-            # for prime counts the strong bound collapses to 0 while the
-            # weak one stays positive, so the weak form is not tight there
-            "weak_bound_loose": system.prime and system.count > 2,
-        }
-        for system in useful_entanglement_bounds(grid)
-    ]
-    report = {"command": "modes", "parameters": {"grid": len(rows)}, "results": rows}
+    systems = useful_entanglement_bounds(grid)
+    fields = ("n", "m", "count", "prime", "p", "bound_bits", "weak_bound_bits")
+    columns = {field: list(map(operator.attrgetter(field), systems)) for field in fields}
+    # for prime counts the strong bound collapses to 0 while the
+    # weak one stays positive, so the weak form is not tight there
+    primes, counts = columns["prime"], columns["count"]
+    columns["weak_bound_loose"] = [prime and count > 2 for prime, count in zip(primes, counts)]
+    report = {"command": "modes", "parameters": {"grid": len(systems)}, "results": columns}
     return report, 0
 
 
@@ -485,15 +389,12 @@ def cmd_sweep(args) -> tuple[dict, int]:
     etas = _eta_steps(args.eta_start, args.eta_end, args.steps)
     ops = noisy_operators(etas)
     images = local_images(psi, ops, ops).reshape(-1, 2, 2)
-    scores = zip(
-        etas.tolist(),
-        pure_entanglements(images, "concurrence").tolist(),
-        pure_entanglements(images, "entropy").tolist(),
-    )
-    rows = [
-        {"eta": eta, "entropy_original": entropy_before, "concurrence_mspace": c, "entropy_mspace": h}
-        for eta, c, h in scores
-    ]
+    columns = {
+        "eta": etas,
+        "entropy_original": [entropy_before] * args.steps,
+        "concurrence_mspace": pure_entanglements(images, "concurrence"),
+        "entropy_mspace": pure_entanglements(images, "entropy"),
+    }
     report = {
         "command": "sweep",
         "parameters": {
@@ -502,7 +403,7 @@ def cmd_sweep(args) -> tuple[dict, int]:
             "steps": args.steps,
             "state": args.state,
         },
-        "results": rows,
+        "results": columns,
     }
     return report, 0
 
@@ -588,7 +489,7 @@ def main(argv=None) -> int:
     handler = globals()[f"cmd_{args.command}"]
     try:
         report, code = handler(args)
-        text = _emit(report, args.format)
+        text = emit(report, args.format)
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

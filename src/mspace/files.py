@@ -17,7 +17,15 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, PureState, ValidationError, _require_fits, bell_phi_plus, haar_state
+from .linalg import (
+    DEFAULT_TOL,
+    PureState,
+    ValidationError,
+    _check_dims,
+    _require_fits,
+    bell_phi_plus,
+    haar_state,
+)
 from .measurement import MeasurementSet, noisy_pair, random_measurement_set, z_projectors
 from .protocols import ProtocolSpec, single_protocol
 
@@ -25,17 +33,24 @@ STATE_NORM_ACCEPT = 1e-8
 STATE_NORM_REPAIR = 1e-4
 
 
+def _quiet() -> np.errstate:
+    """Where a file's entries are first squared: an entry too large to square, or not
+    finite, fails the invariant it breaks (state-normalization, completeness, ...)
+    without numpy's floating-point warnings."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def pairs_to_vector(pairs: Sequence[Sequence[float]]) -> np.ndarray:
     try:
         return np.array([complex(re, im) for re, im in pairs], dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("complex-pairs", "amplitudes must be [re, im] pairs") from exc
 
 
 def pairs_to_matrix(rows: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
     try:
         return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("complex-pairs", "matrix entries must be [re, im] pairs") from exc
 
 
@@ -61,11 +76,14 @@ def state_from_obj(obj: Any) -> PureState:
         raise ValidationError("state-schema", "state files need 'dims' as a list of integers")
     dims = tuple(obj["dims"])
     vec = pairs_to_vector(obj["amplitudes"])
+    # as PureState checks them: a zero dim would otherwise fail as a zero norm
+    _check_dims(dims)
     if vec.size != math.prod(dims):
         raise ValidationError(
             "state-length", f"{vec.size} amplitudes for dims {dims} (need {math.prod(dims)})"
         )
-    norm = float(np.linalg.norm(vec))
+    with _quiet():
+        norm = float(np.linalg.norm(vec))
     dev = abs(norm - 1.0)
     # written so that a NaN norm fails too
     if not dev <= STATE_NORM_REPAIR:
@@ -123,8 +141,9 @@ def measurement_set_from_obj(obj: Any, tol: float = DEFAULT_TOL) -> MeasurementS
             )
         labels.append(str(entry["label"]))
         matrices.append(pairs_to_matrix(entry["matrix"]))
-    mset = MeasurementSet(dim, tuple(labels), matrices)
-    mset.assert_complete(tol)
+    with _quiet():
+        mset = MeasurementSet(dim, tuple(labels), matrices)
+        mset.assert_complete(tol)
     return mset
 
 
@@ -195,4 +214,5 @@ def load_protocol(path: str) -> ProtocolSpec:
                 "protocol-verify", f"verify pair {label!r} needs 'success' and 'failure'"
             )
         pairs.append((pairs_to_matrix(entry["success"]), pairs_to_matrix(entry["failure"])))
-    return single_protocol(state, alice, unitaries, tuple(pairs))
+    with _quiet():
+        return single_protocol(state, alice, unitaries, tuple(pairs))

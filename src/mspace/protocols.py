@@ -13,6 +13,7 @@ trial axis; a single protocol is a stack of one.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -225,21 +226,18 @@ def random_protocols(
 
     Each generator draws, in order, the state's real and imaginary parts,
     the Gaussian block behind Alice's set, the n Bob unitaries and the n
-    verify sets. Only the draws loop over trials; the QR decompositions
-    run once over the stack.
+    verify sets, as one call that fills the trial's row of one buffer. Only
+    the draws loop over trials; the QR decompositions run once over the stack.
     """
     _trial_bytes(d_a, d_b, n_outcomes)
     count, n = len(rngs), n_outcomes
-    draws = (
-        np.empty((count, 2, d_a * d_b)),
-        np.empty((count, 2, n * d_a, n * d_a)),
-        np.empty((count, n, 2, d_b, d_b)),
-        np.empty((count, n, 2, 2 * d_b, 2 * d_b)),
-    )
+    shapes = ((2, d_a * d_b), (2, n * d_a, n * d_a), (n, 2, d_b, d_b), (n, 2, 2 * d_b, 2 * d_b))
+    sizes = [math.prod(shape) for shape in shapes]
+    buffer = np.empty((count, sum(sizes)))
     for t, rng in enumerate(rngs):
-        for g in draws:
-            rng.standard_normal(out=g[t])
-    g_state, g_alice, g_bob, g_verify = draws
+        rng.standard_normal(out=buffer[t])
+    parts = np.split(buffer, np.cumsum(sizes[:-1]), axis=1)
+    g_state, g_alice, g_bob, g_verify = (g.reshape(count, *shape) for g, shape in zip(parts, shapes))
     psi = haar_vectors(g_state).reshape(count, d_a, d_b)
     alice, verify = haar_blocks(g_alice, d_a), haar_blocks(g_verify, d_b)
     return ProtocolSpec(psi, alice, haar_unitaries(g_bob), verify, trials)

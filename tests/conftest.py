@@ -20,6 +20,7 @@ from mspace.measurement import (
     map_to_measurement_space,
     random_measurement_set,
 )
+from mspace.report import _emit_json, _tsv_cell
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
@@ -86,6 +87,21 @@ def sweep_rows_reference(eta_start, eta_end, steps):
     return rows
 
 
+def protocol_draws_reference(d_a, d_b, n, rngs):
+    """The Gaussian draws behind ``random_protocols``, one ``standard_normal`` call per draw and
+    trial: the state, Alice's block, Bob's unitaries and the verify sets."""
+    draws = (
+        np.empty((len(rngs), 2, d_a * d_b)),
+        np.empty((len(rngs), 2, n * d_a, n * d_a)),
+        np.empty((len(rngs), n, 2, d_b, d_b)),
+        np.empty((len(rngs), n, 2, 2 * d_b, 2 * d_b)),
+    )
+    for t, rng in enumerate(rngs):
+        for g in draws:
+            rng.standard_normal(out=g[t])
+    return draws
+
+
 def konrad_trials_reference(rngs, two_sided):
     """``random_konrad_trials`` with one ``haar_blocks`` call per trial and side."""
     g_state = np.empty((len(rngs), 2, 4))
@@ -97,3 +113,23 @@ def konrad_trials_reference(rngs, two_sided):
             k = int(rng.integers(1, MAX_KRAUS + 1))
             kraus[side, t, :k] = haar_blocks(rng.standard_normal((2, 2 * k, 2 * k)), 2)
     return haar_vectors(g_state).reshape(-1, 2, 2), kraus[0], kraus[1]
+
+
+def rows_of(columns):
+    """A report table, given as columns, as one dict per row."""
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+def emit_reference(report, fmt):
+    """A report printed one value at a time, as ``mspace.report.emit`` printed it before it
+    formatted its table by column: the table's rows are rebuilt as dicts and walked in
+    emission order."""
+    columns = report.get("results", {})
+    rows = rows_of(columns)
+    if fmt == "json":
+        return _emit_json({**report, "results": rows})
+    lines = [f"# {key}={_tsv_cell(value)}" for key, value in report.items() if key != "results"]
+    if rows:
+        lines.append("\t".join(columns))
+        lines += ["\t".join(_tsv_cell(row[key]) for key in columns) for row in rows]
+    return "\n".join(lines)

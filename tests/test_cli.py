@@ -26,6 +26,7 @@ from mspace.measurement import (
     noisy_pair,
     z_projectors,
 )
+from mspace.report import _emit_json, _tsv_cell
 
 P0 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 P1 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -863,10 +864,10 @@ class TestReportContract:
 
     @pytest.mark.parametrize("value", [np.float32(0.1), np.int64(-7), np.bool_(True), np.str_("a\tb")])
     def test_numpy_scalars_print_as_their_python_values(self, value):
-        assert cli._tsv_cell(value) == cli._tsv_cell(value.item())
-        assert cli._emit_json(value) == cli._emit_json(value.item())
+        assert _tsv_cell(value) == _tsv_cell(value.item())
+        assert _emit_json(value) == _emit_json(value.item())
 
-    @pytest.mark.parametrize("emit", [cli._emit_json, cli._tsv_cell])
+    @pytest.mark.parametrize("emit", [_emit_json, _tsv_cell])
     @pytest.mark.parametrize(
         "value", [1 + 2j, np.complex128(1 + 2j), np.array(0.5)], ids=["complex", "complex128", "0-d array"]
     )
@@ -1069,6 +1070,66 @@ class TestReportContract:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"][0]["count"] == 2
+
+
+def _file_argv(kind, path):
+    """A command that loads ``path`` as a file of ``kind``."""
+    return {
+        "state": ("map", "--state", path, "--alice", "z-projectors", "--bob", "z-projectors"),
+        "set": ("map", "--state", "bell", "--alice", path, "--bob", "z-projectors"),
+        "protocol": ("theorem1", "--protocol", path),
+    }[kind]
+
+
+def _entry_obj(kind, entry):
+    """A qubit file of ``kind`` that is valid but for ``entry``: in both amplitudes of a state,
+    in the corner of a set's first operator, or in the corner of a protocol's first Bob unitary."""
+    corner = [[[entry, 0], [0, 0]], [[0, 0], [0, 0]]]
+    eye = pairs(np.eye(2))
+    return {
+        "state": {"dims": [2], "amplitudes": [[entry, 0], [entry, 0]]},
+        "set": {"dim": 2, "operators": [{"label": "0", "matrix": corner}, {"label": "1", "matrix": P1}]},
+        "protocol": {
+            "state": "bell",
+            "alice": measurement_set_to_obj(z_projectors(2)),
+            "bob_unitaries": [[corner[0], eye[1]], eye],
+            "verify": {label: {"success": eye, "failure": P0} for label in ("0", "1")},
+        },
+    }[kind]
+
+
+class TestFileEntries:
+    """Entries of state, set and protocol files whose values break an invariant."""
+
+    @pytest.mark.parametrize("kind", ["state", "set", "protocol"])
+    def test_huge_integer_entry_is_named(self, capsys, tmp_path, kind):
+        # a 400-digit integer loads as an int too large for a float
+        path = write_json(tmp_path / "huge.json", _entry_obj(kind, 10**400))
+        code, out, err = run_cli(capsys, *_file_argv(kind, path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: complex-pairs: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind, entry, invariant", [
+        ("set", 1e300, "completeness"),
+        ("set", float("inf"), "completeness"),
+        ("state", 1e300, "state-normalization"),
+        ("state", float("-inf"), "state-normalization"),
+        ("protocol", 1e300, "protocol-unitary"),
+        ("protocol", float("inf"), "protocol-unitary"),
+    ])  # fmt: skip
+    def test_huge_or_non_finite_entry_prints_only_its_error(self, capsys, tmp_path, kind, entry, invariant):
+        path = write_json(tmp_path / "entry.json", _entry_obj(kind, entry))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *_file_argv(kind, path))
+        assert code == 2 and out == "" and caught == []
+        assert err.startswith(f"error: {invariant}: ") and err.count("\n") == 1
+
+    def test_zero_dim_fails_as_state_dims(self, capsys, tmp_path):
+        path = write_json(tmp_path / "zero.json", {"dims": [0, 4], "amplitudes": []})
+        code, out, err = run_cli(capsys, *_file_argv("state", path))
+        assert code == 2 and out == ""
+        assert err == "error: state-dims: subsystem dimensions must be >= 1, got (0, 4)\n"
 
 
 # subcommands interleaved, each flag set followed by the same command without some of its flags

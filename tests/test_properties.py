@@ -6,8 +6,9 @@ construction and for protocols), with rank-deficient and zero operators and
 states chosen to give outcomes of probability zero. Channels act on qubits
 with 1-4 Kraus operators, rank-deficient ones among them, on entangled and
 product states. Reports are nested dicts and lists of the scalar types the
-CLI emits. The profile is derandomized, so every run tests the same
-examples.
+CLI emits, and report tables, given as columns, of those types and of numpy
+scalars, with zero rows, one row or a few. The profile is derandomized, so
+every run tests the same examples.
 """
 
 import json
@@ -15,11 +16,18 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import density_of, konrad_trials_reference, noisy_pair_reference, sweep_rows_reference
+from conftest import (
+    density_of,
+    emit_reference,
+    konrad_trials_reference,
+    noisy_pair_reference,
+    rows_of,
+    sweep_rows_reference,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mspace.cli import _emit_json, build_parser, cmd_sweep
+from mspace.cli import build_parser, cmd_sweep
 from mspace.entanglement import (
     MEASURES,
     measurement_space_entanglement,
@@ -59,6 +67,7 @@ from mspace.protocols import (
     success_rates_mspace,
     success_rates_original,
 )
+from mspace.report import _emit_json, emit
 
 PROFILE = settings(derandomize=True, deadline=None, max_examples=100, database=None)
 
@@ -376,8 +385,9 @@ def test_stacked_sweep_rows_equal_the_per_eta_composition(eta_start, eta_end, st
     argv = ["sweep", "--eta-start", repr(eta_start), "--eta-end", repr(eta_end), "--steps", str(steps)]
     report, code = cmd_sweep(build_parser().parse_args(argv))
     expected = sweep_rows_reference(eta_start, eta_end, steps)
-    assert code == 0 and len(report["results"]) == steps
-    for got, want in zip(report["results"], expected):
+    rows = rows_of(report["results"])
+    assert code == 0 and len(rows) == steps
+    for got, want in zip(rows, expected):
         assert got.keys() == want.keys()
         # bit for bit: equal floats of equal sign
         assert all(float(got[k]).hex() == float(want[k]).hex() for k in want), (got, want)
@@ -527,3 +537,65 @@ def test_non_finite_floats_are_rejected(kind, value):
     with pytest.raises(ValidationError) as info:
         _emit_json({"results": [{"value": kind(value)}]})
     assert info.value.invariant == "report-nonfinite"
+
+
+# key text a row template and a JSON string must carry through: % and braces for the
+# template, quotes and backslashes for the escaping, non-ASCII for the \u escapes
+TABLE_KEYS = st.text(st.sampled_from('ab%{}"\\ \u00e9\u20ac\U0001f600'), max_size=4)
+COLUMN_VALUES = [
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.text(max_size=4),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(),
+    st.one_of(
+        st.floats(width=32).map(np.float32),
+        st.floats().map(np.float64),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.booleans().map(np.bool_),
+    ),
+    st.one_of(st.booleans(), st.integers(), st.floats(), st.none(), st.text(max_size=2)),
+]
+
+
+@st.composite
+def report_tables(draw):
+    """A report table as columns: one list (or a numpy array) of one kind per key."""
+    keys = draw(st.lists(TABLE_KEYS, min_size=1, max_size=5, unique=True))
+    count = draw(st.sampled_from([0, 1, 1, 2, 5]))
+    columns = {}
+    for key in keys:
+        values = draw(st.lists(draw(st.sampled_from(COLUMN_VALUES)), min_size=count, max_size=count))
+        plain = all(type(v) in (bool, float) for v in values) or all(type(v) is int for v in values)
+        if plain and values and abs(max(values, key=abs)) < 2**63 and draw(st.booleans()):
+            values = np.array(values)
+        columns[key] = values
+    return columns
+
+
+HEAD_SCALARS = st.one_of(st.integers(), st.floats(), st.text(max_size=3))
+
+
+@PROFILE
+@given(report_tables(), HEAD_SCALARS, st.sampled_from(["json", "tsv"]))
+def test_report_table_prints_as_the_per_value_walk(columns, head, fmt):
+    report = {"command": "table", "head": head, "results": columns}
+    try:
+        expected = emit_reference(report, fmt)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
+            emit(report, fmt)
+        assert info.value.invariant == "report-nonfinite" and str(info.value) == str(exc)
+    else:
+        assert emit(report, fmt) == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+@pytest.mark.parametrize("head, named", [(0.5, "nan"), (-np.inf, "-inf")])
+def test_first_non_finite_value_named_in_emission_order(fmt, head, named):
+    # column by column the inf comes first; row by row, after the scalars, the NaN does
+    report = {"command": "table", "head": head, "results": {"a": [0.5, np.inf], "b": [np.nan, 1.0]}}
+    message = f"^report-nonfinite: the report holds the non-finite value {named}$"
+    with pytest.raises(ValidationError, match=message):
+        emit(report, fmt)

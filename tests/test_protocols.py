@@ -2,8 +2,17 @@
 
 import numpy as np
 import pytest
+from conftest import protocol_draws_reference
 
-from mspace.linalg import PureState, ValidationError, bell_phi_plus, tensor
+from mspace.linalg import (
+    PureState,
+    ValidationError,
+    bell_phi_plus,
+    haar_blocks,
+    haar_unitaries,
+    haar_vectors,
+    tensor,
+)
 from mspace.measurement import MeasurementSet, noisy_pair, z_projectors
 from mspace.protocols import (
     OutcomeTable,
@@ -203,6 +212,21 @@ class TestProtocolBatch:
         rngs = [np.random.default_rng((5, t)) for t in self.TRIALS]
         batch = random_protocols(2, 3, 3, rngs, self.TRIALS)
         return [a.copy() for a in (batch.psi, batch.alice, batch.bob_unitaries, batch.verify_pairs)]
+
+    def test_one_draw_per_trial_is_the_four_draws_in_order(self):
+        def rngs():
+            return [np.random.default_rng((5, t)) for t in self.TRIALS]
+
+        batch = random_protocols(2, 3, 3, rngs(), self.TRIALS)
+        g_state, g_alice, g_bob, g_verify = protocol_draws_reference(2, 3, 3, rngs())
+        expected = (
+            haar_vectors(g_state).reshape(-1, 2, 3),
+            haar_blocks(g_alice, 2),
+            haar_unitaries(g_bob),
+            haar_blocks(g_verify, 3),
+        )
+        got = (batch.psi, batch.alice, batch.bob_unitaries, batch.verify_pairs)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
 
     def test_non_unitary_bob_operator_names_its_trial(self):
         psi, alice, bob, verify = self.arrays()
