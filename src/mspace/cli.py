@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import operator
 import os
 import sys
 from typing import Any
@@ -368,14 +367,10 @@ def cmd_modes(args) -> tuple[dict, int]:
         grid = [(n, m) for n in range(1, args.n_max + 1) for m in range(2, args.m_max + 1)]
     else:
         raise ValidationError("flag-format", "need --n/--m or --n-max/--m-max")
-    systems = useful_entanglement_bounds(grid)
-    fields = ("n", "m", "count", "prime", "p", "bound_bits", "weak_bound_bits")
-    columns = {field: list(map(operator.attrgetter(field), systems)) for field in fields}
-    # for prime counts the strong bound collapses to 0 while the
-    # weak one stays positive, so the weak form is not tight there
-    primes, counts = columns["prime"], columns["count"]
-    columns["weak_bound_loose"] = [prime and count > 2 for prime, count in zip(primes, counts)]
-    report = {"command": "modes", "parameters": {"grid": len(systems)}, "results": columns}
+    table = useful_entanglement_bounds(grid)
+    # the report's columns are the table's fields, in field order
+    columns = {**vars(table), "weak_bound_loose": table.prime & (table.count > 2)}
+    report = {"command": "modes", "parameters": {"grid": len(grid)}, "results": columns}
     return report, 0
 
 

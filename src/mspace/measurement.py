@@ -266,7 +266,8 @@ def outcome_probabilities(
     """Outcome distribution p_m = <psi| M_m^dag M_m |psi> = ||M_m psi||^2.
 
     Each probability is clamped to [0, 1] after a -1e-12 floor check and the
-    distribution must sum to 1 within 1e-10, which completeness guarantees.
+    distribution must sum to 1 within max(1e-10, completeness_tol * dim),
+    the most a set complete within ``completeness_tol`` can move the sum.
     """
     if psi.dim != mset.dim:
         raise ValidationError(

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .linalg import ValidationError
+from .linalg import ValidationError, _require
 
 # Largest outcome count whose divisor search is run: the downward trial
 # division from isqrt(count) then takes at most 10^6 steps. Being below 2^63,
@@ -26,6 +26,9 @@ COUNT_CAP = 10**12
 BLOCK_ELEMENTS = 1 << 20
 # Candidates each row tries in its first block; the width doubles per block.
 FIRST_WIDTH = 32
+
+# math.log2 entry by entry, which np.log2 does not always match to the last bit
+_log2 = np.vectorize(math.log2, otypes=[float])
 
 
 def composition_count(n: int, m: int) -> int:
@@ -56,7 +59,7 @@ def divisor_infima(counts) -> list[int]:
     counts = [int(c) for c in counts]
     bad = next((c for c in counts if not 1 <= c <= COUNT_CAP), None)
     if bad is not None:
-        raise ValueError(f"need counts in [1, {COUNT_CAP}], got {bad}")
+        raise ValidationError("mode-count", f"need counts in [1, {COUNT_CAP}], got {bad}")
     n = np.array(counts, dtype=np.int64)
     top = np.array([math.isqrt(c) for c in counts], dtype=np.int64)
     infima = np.zeros(len(n), dtype=np.int64)
@@ -79,62 +82,63 @@ def divisor_infima(counts) -> list[int]:
     return infima.tolist()
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ModeSystem:
-    """Mode-counting data for n particles over m modes.
+    """Mode-counting data for a table of (n particles, m modes) rows, one column per field.
 
     ``count`` is the number of particle-number outcomes, ``p`` the divisor
     infimum, ``bound_bits`` the useful-entanglement cap log2(count / p) and
     ``weak_bound_bits`` the always-valid but looser cap log2(count / 2).
     For prime counts the strong cap is 0 while the weak one stays positive,
-    so the weak form is not tight there.
+    so the weak form is not tight there. ``n``, ``m``, ``count`` and ``p`` are
+    int64, ``prime`` bool and the bits float64; a failed check, ``mode-bound``, names its row.
     """
 
-    n: int
-    m: int
-    count: int
-    p: int
-    prime: bool
-    bound_bits: float
-    weak_bound_bits: float
+    n: np.ndarray
+    m: np.ndarray
+    count: np.ndarray
+    prime: np.ndarray
+    p: np.ndarray
+    bound_bits: np.ndarray
+    weak_bound_bits: np.ndarray
 
     def __post_init__(self):
-        if self.count < 2:
-            raise ValueError(f"outcome count must be >= 2, got {self.count}")
-        if self.count % self.p != 0 or self.p * self.p < self.count:
-            raise ValueError(f"p = {self.p} is not a divisor of {self.count} at or above its root")
-        if self.bound_bits < 0 or self.bound_bits > self.weak_bound_bits + 1e-12:
-            raise ValueError("bound ordering violated")
-        if self.prime and self.bound_bits != 0.0:
-            raise ValueError("a prime outcome count forces a zero bound")
+        count, p, bound, weak = self.count, self.p, self.bound_bits, self.weak_bound_bits
+        # p divides count with p >= count / p, exact in int64 where p * p overflows; p < 1 fails
+        divisor = np.maximum(p, 1)
+        divides = (count % divisor == 0) & (count // divisor <= p)
+        for ok, describe in (
+            (count >= 2, lambda i: f"outcome count must be >= 2, got {count[i]}"),
+            (divides, lambda i: f"p = {p[i]} is not a divisor of {count[i]} at or above its root"),
+            ((bound >= 0) & (bound <= weak + 1e-12), lambda i: "bound ordering violated"),
+            (~self.prime | (bound == 0.0), lambda i: "a prime outcome count forces a zero bound"),
+        ):
+            _require(ok, "mode-bound", lambda i: f"row {i[0]}: " + describe(i))
 
 
-def useful_entanglement_bounds(pairs) -> list[ModeSystem]:
-    """Upper bounds (bits) on useful mode entanglement for each (n, m) in ``pairs``.
+def useful_entanglement_bounds(pairs) -> ModeSystem:
+    """Upper bounds (bits) on useful mode entanglement for each (n, m) in ``pairs``, as one table.
 
-    Every count is computed and checked against COUNT_CAP first, in order,
-    so the first pair over the cap is the one named; then one
-    :func:`divisor_infima` call searches them all.
+    Every pair is checked against COUNT_CAP first, in order, so the first
+    pair over the cap is the one named; then one :func:`divisor_infima`
+    call searches all the counts.
     """
     pairs = [(int(n), int(m)) for n, m in pairs]
     counts = []
     for n, m in pairs:
-        count = composition_count(n, m)
-        if count > COUNT_CAP:
-            raise ValidationError(
-                "mode-count", f"{n} particles in {m} modes give {count} outcomes, over the cap of {COUNT_CAP}"
-            )
+        # with k = min(n, m - 1) the count binom(n + m - 1, k) is at least 2^k,
+        # so it is over the cap once k reaches the cap's bit length
+        count = None if min(n, m - 1) >= COUNT_CAP.bit_length() else composition_count(n, m)
+        if count is None or count > COUNT_CAP:
+            given = f"more than the cap of {COUNT_CAP} outcomes"
+            if count is not None:
+                try:
+                    given = f"{count} outcomes, over the cap of {COUNT_CAP}"
+                except ValueError:  # more digits than an int prints
+                    pass
+            raise ValidationError("mode-count", f"{n} particles in {m} modes give {given}")
         counts.append(count)
-    return [
-        ModeSystem(
-            n=n,
-            m=m,
-            count=count,
-            p=p,
-            # for count >= 2, the divisor infimum is count itself exactly when count is prime
-            prime=p == count,
-            bound_bits=math.log2(count / p),
-            weak_bound_bits=math.log2(count / 2),
-        )
-        for (n, m), count, p in zip(pairs, counts, divisor_infima(counts))
-    ]
+    n, m = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    count, p = np.array([counts, divisor_infima(counts)], dtype=np.int64)
+    # for count >= 2, the divisor infimum is count itself exactly when count is prime
+    return ModeSystem(n, m, count, p == count, p, _log2(count / p), _log2(count / 2))

@@ -7,6 +7,7 @@ process only; child processes see ``PYTHONPATH``, so ``src`` goes there too.
 
 import math
 import os
+import types
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,11 @@ def konrad_trials_reference(rngs, two_sided):
 def rows_of(columns):
     """A report table, given as columns, as one dict per row."""
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+def mode_rows(table):
+    """The rows of a ``ModeSystem`` table, each a namespace of its fields as Python scalars."""
+    return [types.SimpleNamespace(**row) for row in rows_of({k: v.tolist() for k, v in vars(table).items()})]
 
 
 def emit_reference(report, fmt):

@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import numpy as np
-from conftest import random_local_set
+from conftest import mode_rows, random_local_set
 
 from mspace.entanglement import (
     concurrence_pure,
@@ -212,7 +212,7 @@ def test_criterion_8_mode_bound_table():
         for m in range(2, 4):
             if composition_count(n, m) != _brute_force_composition_count(n, m):
                 table_ok = False
-    prime_cases = all(s.bound_bits == 0.0 for s in useful_entanglement_bounds([(1, 2), (2, 2)]))
+    prime_cases = all(s.bound_bits == 0.0 for s in mode_rows(useful_entanglement_bounds([(1, 2), (2, 2)])))
     limit = 10**6
     oracle = _divisor_infimum_sieve(limit)
     # spot-verify the sieve itself against literal pair enumeration

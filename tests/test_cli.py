@@ -6,11 +6,12 @@ import json
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
-from conftest import depolarizing_kraus, pairs
+from conftest import depolarizing_kraus, mode_rows, pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -613,7 +614,7 @@ class TestModes:
         rows = json.loads(out)["results"]
         assert len(rows) == 12
         for row in rows:
-            (system,) = useful_entanglement_bounds([(row["n"], row["m"])])
+            (system,) = mode_rows(useful_entanglement_bounds([(row["n"], row["m"])]))
             assert row["count"] == system.count and row["p"] == system.p
             assert abs(row["bound_bits"] - system.bound_bits) < 1e-12
 
@@ -654,6 +655,32 @@ class TestModes:
         for argv in (("--n-max", "60", "--m-max", "8"), ("--n-max", "24", "--m-max", "6"), ("--n", "9", "--m", "5")):
             assert run_cli(capsys, "modes", *argv)[0] == 0
         assert calls == [420, 120, 1]
+
+    def test_one_table_check_per_command(self, capsys, monkeypatch):
+        calls = []
+        real = modes.ModeSystem.__post_init__
+
+        def counted(table):
+            calls.append(np.size(table.n))
+            return real(table)
+
+        monkeypatch.setattr(modes.ModeSystem, "__post_init__", counted)
+        for argv in (("--n-max", "60", "--m-max", "8"), ("--n-max", "24", "--m-max", "6"), ("--n", "9", "--m", "5")):
+            assert run_cli(capsys, "modes", *argv)[0] == 0
+        assert calls == [420, 120, 1]
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "1000000", "--m", "1000000"),  # the count alone takes tens of seconds to form
+        ("--n", "7" * 4000, "--m", "3"),  # a count of 8000 digits, too long to print
+    ])  # fmt: skip
+    def test_count_far_over_the_cap_rejected_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "modes", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: mode-count: ") and err.endswith(
+            " modes give more than the cap of 1000000000000 outcomes\n"
+        )
 
     def test_prime_rows_flag_loose_weak_bound(self, capsys):
         code, out, _ = run_cli(capsys, "modes", "--n", "2", "--m", "2")

@@ -1,14 +1,21 @@
 """Composition counting, divisor infimum, and the mode-entanglement bounds."""
 
+import contextlib
+import dataclasses
+import functools
+import io
 import math
 import tracemalloc
+import types
 
+import numpy as np
 import pytest
-from conftest import divisor_infimum
-from hypothesis import given, settings
+from conftest import divisor_infimum, emit_reference, mode_rows
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mspace import modes
+from mspace.cli import main
 from mspace.linalg import ValidationError
 from mspace.modes import (
     COUNT_CAP,
@@ -50,10 +57,11 @@ def sieve_primes(limit):
     return flags
 
 
-
 def bound(n, m):
-    """The mode system of one (n, m) pair: a stack of one."""
-    return useful_entanglement_bounds([(n, m)])[0]
+    """The one row of the mode table of one (n, m) pair."""
+    (row,) = mode_rows(useful_entanglement_bounds([(n, m)]))
+    return row
+
 
 class TestCompositionCount:
     def test_paper_cases(self):
@@ -145,8 +153,9 @@ class TestDivisorInfima:
 
     @pytest.mark.parametrize("count", [0, -3, COUNT_CAP + 1])
     def test_counts_outside_the_cap_rejected_before_the_search(self, count):
-        with pytest.raises(ValueError, match=f"got {count}"):
+        with pytest.raises(ValidationError, match=f"got {count}") as info:
             divisor_infima([12, count])
+        assert info.value.invariant == "mode-count"
 
     @pytest.mark.parametrize("cap", [1, 5, 33, 100, 4096])
     def test_small_block_caps_stay_exact(self, monkeypatch, cap):
@@ -214,8 +223,13 @@ class TestUsefulEntanglementBound:
         for n, m in pairs:
             count = composition_count(n, m)
             p = divisor_infimum(count)
-            expected.append(ModeSystem(n, m, count, p, p == count, math.log2(count / p), math.log2(count / 2)))
-        assert useful_entanglement_bounds(pairs) == expected
+            expected.append(
+                types.SimpleNamespace(
+                    n=n, m=m, count=count, prime=p == count, p=p,
+                    bound_bits=math.log2(count / p), weak_bound_bits=math.log2(count / 2),
+                )
+            )  # fmt: skip
+        assert mode_rows(useful_entanglement_bounds(pairs)) == expected
         assert [bound(n, m) for n, m in pairs] == expected
 
     def test_first_pair_over_the_cap_is_named(self, monkeypatch):
@@ -225,8 +239,104 @@ class TestUsefulEntanglementBound:
         with pytest.raises(ValidationError, match="^mode-count: 55 particles in 12 modes give "):
             useful_entanglement_bounds(pairs)
 
+    def test_pairs_past_the_cap_bit_length_are_rejected_before_their_count(self, monkeypatch):
+        monkeypatch.setattr(modes, "composition_count", None)  # no count may be formed
+        for pair in [(40, 41), (10**6, 10**6), (10**4000, 10**4000)]:
+            with pytest.raises(ValidationError, match=" modes give more than the cap of 1000000000000 outcomes$"):
+                useful_entanglement_bounds([pair])
+
     def test_mode_system_invariants_enforced(self):
         with pytest.raises(ValueError):
-            ModeSystem(n=1, m=2, count=2, p=3, prime=True, bound_bits=0.0, weak_bound_bits=0.0)
+            one_row(n=1, m=2, count=2, p=3, prime=True, bound_bits=0.0, weak_bound_bits=0.0)
         with pytest.raises(ValueError):
-            ModeSystem(n=2, m=2, count=3, p=3, prime=True, bound_bits=0.5, weak_bound_bits=1.0)
+            one_row(n=2, m=2, count=3, p=3, prime=True, bound_bits=0.5, weak_bound_bits=1.0)
+
+    def test_counts_near_the_cap_pass_their_checks(self):
+        # p * p overflows int64 on both, and on the second wraps to below the count
+        prime, other = mode_rows(useful_entanglement_bounds([(999999999988, 2), (999999999969, 2)]))
+        assert prime.prime and prime.p == prime.count == 999999999989 and prime.bound_bits == 0.0
+        assert other.count == 999999999970 and other.p == divisor_infimum(other.count) > 2**32
+
+
+def one_row(**fields):
+    """A ``ModeSystem`` of one row, given its fields as Python scalars."""
+    return ModeSystem(**{name: np.array([value]) for name, value in fields.items()})
+
+
+# counts 4, 21, 15, 3 and 8: row 3 is prime
+TABLE_PAIRS = [(3, 2), (5, 3), (4, 3), (2, 2), (7, 2)]
+
+
+@pytest.mark.parametrize("field, row, value, message", [
+    ("count", 2, 1, "outcome count must be >= 2, got 1"),
+    ("p", 2, 3, "p = 3 is not a divisor of 15 at or above its root"),
+    ("p", 1, 2, "p = 2 is not a divisor of 21 at or above its root"),
+    ("p", 4, 0, "p = 0 is not a divisor of 8 at or above its root"),
+    ("p", 4, -4, "p = -4 is not a divisor of 8 at or above its root"),
+    ("bound_bits", 1, -0.5, "bound ordering violated"),
+    ("bound_bits", 4, 2.5, "bound ordering violated"),
+    ("bound_bits", 2, math.nan, "bound ordering violated"),
+    ("bound_bits", 3, 0.5, "a prime outcome count forces a zero bound"),
+])  # fmt: skip
+def test_corrupted_row_is_named_with_its_invariant(field, row, value, message):
+    table = useful_entanglement_bounds(TABLE_PAIRS)
+    column = getattr(table, field).copy()
+    column[row] = value
+    with pytest.raises(ValidationError) as info:
+        dataclasses.replace(table, **{field: column})
+    assert info.value.invariant == "mode-bound"
+    assert str(info.value) == f"mode-bound: row {row}: {message}"
+
+
+
+PROFILE = settings(derandomize=True, deadline=None, max_examples=100, database=None)
+
+# every pair of at most 300 particles in at most 40 modes whose count is within the cap
+WITHIN_CAP = [(n, m) for n in range(1, 301) for m in range(2, 41) if composition_count(n, m) <= COUNT_CAP]
+
+
+@functools.cache
+def reference_row(n, m):
+    """The row of one (n, m) pair, one value at a time: the exact count, the scalar divisor
+    search and ``math.log2``."""
+    count = composition_count(n, m)
+    p = divisor_infimum(count)
+    return {
+        "n": n, "m": m, "count": count, "prime": p == count, "p": p,
+        "bound_bits": math.log2(count / p), "weak_bound_bits": math.log2(count / 2),
+    }  # fmt: skip
+
+
+@PROFILE
+@given(st.lists(st.sampled_from(WITHIN_CAP), max_size=40))
+@example([])
+@example([(9, 5), (1, 2), (9, 5), (2, 2)])  # unsorted, with a repeat
+@example([(215, 6)])  # the one pair here whose bound np.log2 gives a last bit off
+def test_table_columns_equal_the_per_pair_reference(pairs):
+    table = useful_entanglement_bounds(pairs)
+    dtypes = {"prime": np.bool_, "bound_bits": np.float64, "weak_bound_bits": np.float64}
+    for field, column in vars(table).items():
+        assert column.dtype == dtypes.get(field, np.int64) and column.shape == (len(pairs),)
+        # repr tells bools from ints and prints every bit of a float
+        assert list(map(repr, column.tolist())) == [repr(reference_row(n, m)[field]) for n, m in pairs]
+
+
+@PROFILE
+@given(st.sampled_from(WITHIN_CAP), st.booleans(), st.sampled_from(["json", "tsv"]))
+@example((60, 8), True, "json")
+@example((215, 6), False, "json")
+def test_modes_report_prints_as_the_per_row_reference(pair, grid, fmt):
+    n, m = pair
+    if grid:
+        argv = ["--n-max", str(n), "--m-max", str(m)]
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(2, m + 1)]
+    else:
+        argv, pairs = ["--n", str(n), "--m", str(m)], [pair]
+    rows = [reference_row(a, b) for a, b in pairs]
+    rows = [{**row, "weak_bound_loose": row["prime"] and row["count"] > 2} for row in rows]
+    columns = {field: [row[field] for row in rows] for field in rows[0]}
+    report = {"command": "modes", "parameters": {"grid": len(rows)}, "results": columns}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["modes", *argv, "--format", fmt]) == 0
+    assert out.getvalue() == emit_reference(report, fmt) + "\n"
