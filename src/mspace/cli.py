@@ -63,9 +63,7 @@ def default_tolerance() -> float:
         raise ValidationError("tolerance-env", f"MSPACE_DEFAULT_TOL={raw!r} is not a number") from exc
     # the chained comparison is false for NaN as well
     if not 0.0 < tol <= TOLERANCE_CAP:
-        raise ValidationError(
-            "tolerance-env", f"MSPACE_DEFAULT_TOL={raw!r} is not in (0, {TOLERANCE_CAP!r}]"
-        )
+        raise ValidationError("tolerance-env", f"MSPACE_DEFAULT_TOL={raw!r} is not in (0, {TOLERANCE_CAP!r}]")
     return tol
 
 
@@ -89,9 +87,7 @@ def _require_count(value: int, flag: str) -> None:
     if value < 1:
         raise ValidationError("flag-format", f"{flag} must be >= 1, got {value}")
     if value > MAX_ROWS:
-        raise ValidationError(
-            "flag-format", f"{flag} asks for {value} report rows, over the cap {MAX_ROWS}"
-        )
+        raise ValidationError("flag-format", f"{flag} asks for {value} report rows, over the cap {MAX_ROWS}")
 
 
 def _eta_steps(start: float, end: float, steps: int) -> np.ndarray:
@@ -123,9 +119,7 @@ def _load_local_sets(args, psi: PureState, tol: float) -> LocalMeasurementSet:
     if args.alice is None or args.bob is None:
         raise ValidationError("flag-format", "--alice and --bob go together")
     if len(psi.dims) != 2:
-        raise ValidationError(
-            "dimension-match", f"local sets need a bipartite state, got dims {psi.dims}"
-        )
+        raise ValidationError("dimension-match", f"local sets need a bipartite state, got dims {psi.dims}")
     alice = load_measurement_set(args.alice, dim=psi.dims[0], tol=tol)
     bob = load_measurement_set(args.bob, dim=psi.dims[1], tol=tol)
     return LocalMeasurementSet(alice, bob)
@@ -178,9 +172,7 @@ def cmd_entanglement(args) -> tuple[dict, int]:
     split = None if args.split is None else _parse_ints(args.split, 2)
     if split is not None:
         if split[0] * split[1] != psi.dim:
-            raise ValidationError(
-                "split-shape", f"split {split} does not factor dimension {psi.dim}"
-            )
+            raise ValidationError("split-shape", f"split {split} does not factor dimension {psi.dim}")
         psi = PureState(split, psi.vector)
     original = pure_entanglement(psi, args.measure)
     columns = {"measure": [args.measure], "original": [original]}
@@ -262,9 +254,7 @@ def cmd_locc(args) -> tuple[dict, int]:
     ja, jb = _parse_ints(args.outcome, 2) if args.outcome is not None else (0, 0)
     d_a, d_b = psi.dims
     if not 0 <= ja < d_a or not 0 <= jb < d_b:
-        raise ValidationError(
-            "locc-outcome", f"outcome choice ({ja}, {jb}) out of range ({d_a}, {d_b})"
-        )
+        raise ValidationError("locc-outcome", f"outcome choice ({ja}, {jb}) out of range ({d_a}, {d_b})")
     trace = run_locc_construction(psi, measurements, tol)
     uniformity_alice = float(trace.alice.fourier.max_deviation)
     degenerate = trace.alice.fourier.degenerate | trace.bob.fourier.degenerate
@@ -284,24 +274,13 @@ def cmd_locc(args) -> tuple[dict, int]:
     worst_uniform = max(uniformity_alice, *columns["uniformity_deviation_bob"])
     entropy_before = pure_entanglement(psi, "entropy")
     entropy_after = measurement_space_entanglement(trace.mspace, "entropy")
-    summary: dict[str, Any] = {
-        "entropy_before": entropy_before,
-        "entropy_after": entropy_after,
-    }
+    summary: dict[str, Any] = {"entropy_before": entropy_before, "entropy_after": entropy_after}
     checks = [entropy_after <= entropy_before + MONOTONICITY_TOL]
     if psi.dims == (2, 2) and trace.mspace.structure == (2, 2):
         c_before = pure_entanglement(psi, "concurrence")
         c_after = measurement_space_entanglement(trace.mspace, "concurrence")
-        c_ancilla = EntanglementReport(
-            "concurrence", concurrence_mixed(trace.ancilla_dm), (2, 2)
-        ).value
-        summary.update(
-            {
-                "concurrence_before": c_before,
-                "concurrence_after": c_after,
-                "concurrence_ancilla": c_ancilla,
-            }
-        )
+        c_ancilla = EntanglementReport("concurrence", concurrence_mixed(trace.ancilla_dm), (2, 2)).value
+        summary.update(concurrence_before=c_before, concurrence_after=c_after, concurrence_ancilla=c_ancilla)
         checks.append(c_after <= c_before + MONOTONICITY_TOL)
         checks.append(c_ancilla <= c_before + MONOTONICITY_TOL)
     monotone = all(checks)

@@ -91,9 +91,7 @@ def _require_unit(
 ) -> None:
     """Fail as ``invariant`` unless every entry of ``total`` is 1 within ``tol``."""
     total = np.asarray(total)
-    _require(
-        abs(total - 1.0) <= tol, invariant, lambda i: f"{what} {float(total[i])!r}, expected 1", trials
-    )
+    _require(abs(total - 1.0) <= tol, invariant, lambda i: f"{what} {float(total[i])!r}, expected 1", trials)
 
 
 def _row_norms(z: np.ndarray) -> np.ndarray:
@@ -275,7 +273,9 @@ def haar_unitaries(g: np.ndarray) -> np.ndarray:
     ``g[..., 0, :, :]`` and ``g[..., 1, :, :]`` are the real and imaginary
     parts of a complex Gaussian matrix. Each gets a QR decomposition, with
     column phases fixed so that the triangular factor has a positive
-    diagonal; the result is ``(..., n, n)``.
+    diagonal; the result is ``(..., n, n)``. A ``(..., 2, n, k)`` stack with
+    ``k <= n`` gives the first ``k`` columns of those unitaries, since
+    Householder QR forms them from the first ``k`` columns of ``g`` alone.
     """
     z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -286,7 +286,7 @@ def haar_unitaries(g: np.ndarray) -> np.ndarray:
 def haar_blocks(g: np.ndarray, d: int) -> np.ndarray:
     """Complete ``(..., n, d, d)`` sets from a ``(..., 2, n d, n d)`` stack of standard normals:
     each is the first block column of a Haar unitary, cut into blocks."""
-    u = haar_unitaries(g)[..., :d]
+    u = haar_unitaries(g[..., :d])
     return u.reshape(*u.shape[:-2], -1, d, d)
 
 

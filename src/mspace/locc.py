@@ -18,6 +18,7 @@ fit the byte cap before that tensor is built.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -115,13 +116,14 @@ def fourier_step(blocks: np.ndarray) -> FourierStep:
     vectors = eigvecs @ fourier_matrix(dim).T
     # totals[j] = sum_m <omega_mj| block_m |omega_mj>
     totals = np.einsum("...mij,...mij->...j", vectors.conj(), blocks @ vectors).real
-    max_dev = np.max(np.abs(totals - 1.0 / dim), axis=-1)
+    max_dev = np.abs(totals - 1.0 / dim).max(axis=-1)
     return FourierStep(
         vectors=frozen(vectors),
         eigenvalues=frozen(eigvals),
         outcome_totals=totals,
         max_deviation=max_dev,
-        degenerate=np.any(np.abs(np.diff(eigvals, axis=-1)) < DEGENERACY_TOL, axis=(-2, -1)),
+        # the eigenvalues descend, so each gap is one minus the next
+        degenerate=(eigvals[..., :-1] - eigvals[..., 1:] < DEGENERACY_TOL).any(axis=(-2, -1)),
     )
 
 
@@ -176,6 +178,14 @@ class LoccTrace:
     branch_diagonal_deviations: np.ndarray
 
 
+@functools.cache
+def _swaps(d: int) -> np.ndarray:
+    """``swaps[j]`` is ``range(d)`` with 0 and ``j`` swapped, read-only and built once per ``d``."""
+    swaps = np.tile(np.arange(d), (d, 1))
+    swaps[:, 0], swaps[range(d), range(d)] = np.arange(d), 0
+    return frozen(swaps)
+
+
 def _measure_party(t: np.ndarray, party: str, rows: int | None = None) -> tuple[np.ndarray, PartyMove]:
     """One party's move for all of its outcomes at once.
 
@@ -187,29 +197,34 @@ def _measure_party(t: np.ndarray, party: str, rows: int | None = None) -> tuple[
     for outcome ``j`` in sector ``m`` is ``Omega_m^dag`` with rows 0 and
     ``j`` swapped: the columns of the unitary ``Omega_m`` are the Fourier
     vectors, so it sends ``omega_j`` to ``e0``. Sectors of zero weight keep
-    the identity.
+    the identity. Each contraction is one matrix product over the sectors.
     """
-    d = t.shape[-4]
-    blocks = frozen(np.einsum("...imxy,...jmxy->...mij", t, t.conj()))
+    d, n = t.shape[-4:-2]
+    # tm, coef, the states and Bob's unitaries may each be as large as the run's largest array;
+    # freeing tm after coef and coef after the states keeps Bob's move at three, his input included
+    # tm is [..., m, i, (other sys, other anc)], contiguous so that no product copies it again
+    tm = np.ascontiguousarray(t.swapaxes(-4, -3).reshape(*t.shape[:-4], n, d, -1))
+    blocks = frozen(tm @ tm.conj().swapaxes(-1, -2))
     fs = fourier_step(blocks)
     omega = fs.vectors  # [..., m, i, j]: column j is omega_j in sector m
-    coef = np.einsum("...mij,...imxy->...jmxy", omega.conj(), t)
-    probs = np.einsum("...jmxy,...jmxy->...j", coef, coef.conj()).real
-    # written so that a NaN probability fails too
-    _require(
-        probs > 0.0,
-        "locc-branch",
-        lambda i: f"outcome {i[-1]} for party {party} has zero probability",
-    )
-    swaps = np.tile(np.arange(d), (d, 1))
-    swaps[:, 0], swaps[range(d), range(d)] = np.arange(d), 0
-    unitaries = np.moveaxis(omega.conj().swapaxes(-1, -2)[..., swaps, :], -3, -4)  # [..., j, m]
-    skipped = np.einsum("...mii->...m", blocks).real < ZERO_BRANCH_TOL
-    unitaries = frozen(np.where(skipped[..., None, :, None, None], np.eye(d), unitaries))
-    reset = np.einsum("...jmai,...mij->...jma", unitaries, omega)  # U_jm omega_j, close to e0
-    states = np.einsum("...jma,...jmxy->...jamxy", reset[..., :rows], coef)
-    states /= np.sqrt(probs)[..., None, None, None, None]
-    return states, PartyMove(blocks, fs, probs, unitaries, skipped)
+    omega_dag = omega.conj().swapaxes(-1, -2)
+    coef = omega_dag @ tm  # [..., m, j, (other sys, other anc)]
+    del tm
+    # sum_m <omega_mj| block_m |omega_mj>, outcome j's squared coefficient norm; a NaN fails too
+    probs = fs.outcome_totals
+    _require(probs > 0.0, "locc-branch", lambda i: f"outcome {i[-1]} for party {party} has zero probability")
+    swaps = _swaps(d)
+    skipped = blocks.trace(axis1=-2, axis2=-1).real < ZERO_BRANCH_TOL
+    # U_jm omega_j, close to e0, as [..., j, a, m]: entry (swaps[j, a], j) of Omega_m^dag Omega_m,
+    # or omega_j itself where the sector keeps the identity
+    reset = (omega_dag @ omega)[..., np.arange(n), swaps[:, :rows, None], np.arange(d)[:, None, None]]
+    reset = np.where(skipped[..., None, None, :], omega[..., :rows, :].swapaxes(-1, -3), reset)
+    states = (reset / np.sqrt(probs)[..., None, None])[..., None] * coef.swapaxes(-3, -2)[..., None, :, :]
+    del coef
+    unitaries = omega_dag[..., np.arange(n)[:, None], swaps[:, None, :], :]  # [..., j, m]
+    np.copyto(unitaries, np.eye(d), where=skipped[..., None, :, None, None])
+    move = PartyMove(blocks, fs, probs, frozen(unitaries), skipped)
+    return states.reshape(*states.shape[:-1], *t.shape[-2:]), move
 
 
 def run_locc_construction(
@@ -252,7 +267,7 @@ def run_locc_construction(
         lambda i: f"systems hold weight {float(leak[i])!r} outside |0>|0> after the resets",
     )
     weights = (alice.probabilities[:, None] * bob.probabilities).reshape(-1)
-    ancilla_acc = np.einsum("k,ki,kj->ij", weights, flat, flat.conj())
+    ancilla_acc = (flat.T * weights) @ flat.conj()
     target = image.probabilities()
     diag = np.real(np.diag(ancilla_acc)).copy()
     return LoccTrace(
@@ -291,9 +306,7 @@ class Channel:
         dev = float(_identity_deviation(_gram(kraus)))
         # written so that a NaN deviation fails too
         if not dev <= DEFAULT_TOL:
-            raise ValidationError(
-                "channel-trace-preserving", f"sum K^dag K deviates from 1 by {dev!r}"
-            )
+            raise ValidationError("channel-trace-preserving", f"sum K^dag K deviates from 1 by {dev!r}")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return np.einsum("kij,jl,kml->im", self.kraus, rho, self.kraus.conj())
@@ -315,9 +328,7 @@ def channel_output(psi: np.ndarray, kraus_a: np.ndarray, kraus_b: np.ndarray) ->
     return DensityMatrix((d_a, d_b), t.swapaxes(-1, -2) @ t.conj())
 
 
-def konrad_check(
-    psi: np.ndarray, kraus_a: np.ndarray, kraus_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def konrad_check(psi: np.ndarray, kraus_a: np.ndarray, kraus_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of C((L_A x L_B) psi) <= C((L_A x 1) phi+) C((1 x L_B) phi+) C(psi), per trial.
 
     ``psi`` is a ``(t, 2, 2)`` amplitude stack and ``kraus_a``, ``kraus_b``

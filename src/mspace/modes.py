@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
@@ -31,6 +32,14 @@ FIRST_WIDTH = 32
 _log2 = np.vectorize(math.log2, otypes=[float])
 
 
+def _shown(k: int) -> str:
+    """``k`` in decimal, or a bound on it when it has more digits than an int prints."""
+    try:
+        return str(k)
+    except ValueError:
+        return f"{'at most -' if k < 0 else 'at least '}10^{sys.get_int_max_str_digits()}"
+
+
 def composition_count(n: int, m: int) -> int:
     """Number of ordered ways to write n as a sum of m nonnegative integers.
 
@@ -38,9 +47,9 @@ def composition_count(n: int, m: int) -> int:
     """
     n, m = int(n), int(m)
     if n < 1:
-        raise ValidationError("mode-particles", f"particle count must be >= 1, got {n}")
+        raise ValidationError("mode-particles", f"particle count must be >= 1, got {_shown(n)}")
     if m < 2:
-        raise ValidationError("mode-modes", f"mode count must be >= 2, got {m}")
+        raise ValidationError("mode-modes", f"mode count must be >= 2, got {_shown(m)}")
     return math.comb(n + m - 1, m - 1)
 
 
@@ -136,7 +145,7 @@ def useful_entanglement_bounds(pairs) -> ModeSystem:
                     given = f"{count} outcomes, over the cap of {COUNT_CAP}"
                 except ValueError:  # more digits than an int prints
                     pass
-            raise ValidationError("mode-count", f"{n} particles in {m} modes give {given}")
+            raise ValidationError("mode-count", f"{_shown(n)} particles in {_shown(m)} modes give {given}")
         counts.append(count)
     n, m = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     count, p = np.array([counts, divisor_infima(counts)], dtype=np.int64)

@@ -14,7 +14,8 @@ import numpy as np
 
 from mspace.entanglement import measurement_space_entanglement, pure_entanglement
 from mspace.linalg import PAULI_Y, DensityMatrix, bell_phi_plus, haar_blocks, haar_vectors
-from mspace.locc import MAX_KRAUS
+from mspace.linalg import _require, frozen
+from mspace.locc import MAX_KRAUS, ZERO_BRANCH_TOL, PartyMove, fourier_step
 from mspace.measurement import (
     LocalMeasurementSet,
     MeasurementSet,
@@ -114,6 +115,35 @@ def konrad_trials_reference(rngs, two_sided):
             k = int(rng.integers(1, MAX_KRAUS + 1))
             kraus[side, t, :k] = haar_blocks(rng.standard_normal((2, 2 * k, 2 * k)), 2)
     return haar_vectors(g_state).reshape(-1, 2, 2), kraus[0], kraus[1]
+
+
+def measure_party_reference(t, party, rows=None, eigen_blocks=None):
+    """``locc._measure_party`` as two-operand einsums: blocks, coefficients, probabilities as
+    their squared norms, resets as ``U_jm omega_j`` and the post-reset states.
+
+    ``eigen_blocks``, when given, are eigendecomposed in place of the einsum blocks, so that a
+    move and its reference share one eigenbasis even where a degenerate block leaves it free.
+    """
+    d = t.shape[-4]
+    blocks = frozen(np.einsum("...imxy,...jmxy->...mij", t, t.conj()))
+    fs = fourier_step(blocks if eigen_blocks is None else eigen_blocks)
+    omega = fs.vectors
+    coef = np.einsum("...mij,...imxy->...jmxy", omega.conj(), t)
+    probs = np.einsum("...jmxy,...jmxy->...j", coef, coef.conj()).real
+    _require(
+        probs > 0.0,
+        "locc-branch",
+        lambda i: f"outcome {i[-1]} for party {party} has zero probability",
+    )
+    swaps = np.tile(np.arange(d), (d, 1))
+    swaps[:, 0], swaps[range(d), range(d)] = np.arange(d), 0
+    unitaries = np.moveaxis(omega.conj().swapaxes(-1, -2)[..., swaps, :], -3, -4)
+    skipped = np.einsum("...mii->...m", blocks).real < ZERO_BRANCH_TOL
+    unitaries = frozen(np.where(skipped[..., None, :, None, None], np.eye(d), unitaries))
+    reset = np.einsum("...jmai,...mij->...jma", unitaries, omega)
+    states = np.einsum("...jma,...jmxy->...jamxy", reset[..., :rows], coef)
+    states /= np.sqrt(probs)[..., None, None, None, None]
+    return states, PartyMove(blocks, fs, probs, unitaries, skipped)
 
 
 def rows_of(columns):

@@ -14,6 +14,10 @@ per subcommand. A second line says how many floats moved and the largest
 absolute and relative change, each with its command and key path. A
 command counts as moved only if it has the same exit code, the same stderr,
 and stdout that parses as JSON and is the same outside its float values.
+A third line reports the same for the floats outside ``results`` rows
+flagged ``"degenerate": true``: a degenerate block has no unique
+eigenbasis, so the branch floats of such a row rest on the last bits of the
+block, and any change to how the block is formed may move them far.
 The first differing commands go to stderr, and the exit status is 1 if any
 command moved or differs.
 
@@ -465,14 +469,20 @@ def float_moves(ours: list, theirs: list) -> list[tuple[str, float, float]] | No
     return moves if same_outside_floats(a, b, "") and moves else None
 
 
-def float_report(moved: list[tuple[list[str], list]]) -> str:
+def in_degenerate_row(out: str, path: str) -> bool:
+    """Whether the key ``path`` of the JSON report ``out`` lies in a ``results`` row flagged degenerate."""
+    row = re.match(r"\.results\[(\d+)\]\.", path)
+    return row is not None and json.loads(out)["results"][int(row[1])].get("degenerate") is True
+
+
+def float_report(moved: list[tuple[list[str], list]], what: str = "floats moved") -> str:
     """One line on the floats moved in ``moved``, pairs of a command and its ``float_moves``."""
     found = [
         (abs(x - y), abs(x - y) / max(abs(x), abs(y)), " ".join(line), path)
         for line, moves in moved
         for path, x, y in moves
     ]
-    text = f"floats moved: {len(found)} in {len(moved)} commands"
+    text = f"{what}: {len(found)} in {len(moved)} commands"
     for name, key in (("absolute", 0), ("relative", 1)) if found else ():
         worst = max(found, key=lambda f: f[key])
         text += f"; largest {name} change {worst[key]:.3g} at `{worst[2]}` {worst[3]}"
@@ -505,15 +515,18 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         commands = build(args.seed, args.sweeps, Path(workdir))
         ours, theirs = run_tree(args.src, commands), run_tree(args.other_src, commands)
-    moved, differ = [], []
+    moved, steady, differ = [], [], []
     for line, a, b in zip(commands, ours, theirs):
         if a == b:
             continue
         moves = float_moves(a, b)
         if moves is None:
             differ.append(line)
-        else:
-            moved.append((line, moves))
+            continue
+        moved.append((line, moves))
+        outside = [move for move in moves if not in_degenerate_row(a[1], move[0])]
+        if outside:
+            steady.append((line, outside))
     for line in differ[:10]:
         print("differs:", " ".join(line), file=sys.stderr)
     exit2 = sum(code == 2 for code, _, _ in ours)
@@ -524,6 +537,7 @@ def main() -> int:
         f"differ {len(differ)} ({per_command(differ)})"
     )
     print(float_report(moved))
+    print(float_report(steady, "floats moved outside degenerate rows"))
     return 1 if moved or differ else 0
 
 

@@ -13,6 +13,7 @@ from mspace.linalg import (
     bell_phi_plus,
     eig_hermitian,
     fourier_matrix,
+    haar_blocks,
     haar_state,
     haar_unitaries,
     is_hermitian,
@@ -251,6 +252,16 @@ class TestHaar:
     def test_unitary(self):
         u = haar_unitaries(np.random.default_rng(7).standard_normal((2, 3, 3)))
         assert is_unitary(u)
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 4)])
+    def test_blocks_are_the_first_columns_of_the_full_unitaries(self, lead):
+        # haar_blocks factors only the d columns it keeps, with the full factorization's bits
+        rng = np.random.default_rng(5)
+        for n in range(1, 6):
+            for d in range(1, 5):
+                g = rng.standard_normal((*lead, 2, n * d, n * d))
+                full = haar_unitaries(g)[..., :d].reshape(*lead, n, d, d)
+                assert np.array_equal(haar_blocks(g, d), full), (n, d)
 
     def test_first_component_mean(self):
         # Monte-Carlo oracle: E|<0|psi>|^2 = 1/d within 3 binomial sigmas

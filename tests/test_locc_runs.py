@@ -1,12 +1,21 @@
-"""One run of the local construction covers every outcome branch."""
+"""One run of the local construction covers every outcome branch, and each party's move
+matches its two-operand einsum reference."""
 
 import numpy as np
 import pytest
-from conftest import random_local_set
+from conftest import measure_party_reference, random_local_set
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mspace.locc as locc
-from mspace.linalg import haar_state
-from mspace.measurement import LocalMeasurementSet, MeasurementSet, map_to_measurement_space
+from mspace.linalg import PureState, bell_phi_plus, haar_state
+from mspace.measurement import (
+    LocalMeasurementSet,
+    MeasurementSet,
+    map_to_measurement_space,
+    random_measurement_set,
+    z_projectors,
+)
 
 
 @pytest.mark.parametrize(
@@ -117,3 +126,56 @@ def test_run_image_and_dilation_are_the_map_and_dilation_bits(delta, tol):
         dilated = locc._dilation(locc._checked_local_product(psi, *local.stacks, tol))
         assert trace.dilated.dims == dilated.dims
         assert np.array_equal(trace.dilated.vector, dilated.vector)
+
+
+def _party_set(kind, d, n, rng):
+    if kind == "z-projectors":
+        return z_projectors(d)
+    if kind == "one-outcome":
+        return MeasurementSet(d, ("0",), [np.eye(d)])
+    return random_measurement_set(d, n, rng)
+
+
+@st.composite
+def party_move_case(draw):
+    """A pair and its local sets: dims and outcome counts 1-5, ``bell``, ``product0`` or a
+    Haar state, each party's set z-projectors, the one-outcome identity or a random one."""
+    state = draw(st.sampled_from(["bell", "product0", "random"]))
+    dims = (2, 2) if state == "bell" else (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    kinds = [draw(st.sampled_from(["z-projectors", "one-outcome", "random"])) for _ in dims]
+    counts = [draw(st.integers(1, 5)) for _ in dims]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = {"bell": bell_phi_plus, "product0": lambda: PureState.basis(dims, 0)}.get(
+        state, lambda: haar_state(dims, rng)
+    )()
+    return psi, LocalMeasurementSet(*(_party_set(k, d, n, rng) for k, d, n in zip(kinds, dims, counts)))
+
+
+def _same_move(t, party, rows):
+    """The party's move on ``t`` against the reference, to 1e-12; returns the move's states.
+
+    The reference eigendecomposes the move's own blocks: a degenerate block leaves its
+    eigenbasis free, so two routes to its bits may pick different bases."""
+    states, move = locc._measure_party(t, party, rows)
+    ref_states, ref = measure_party_reference(t, party, rows, move.blocks)
+    np.testing.assert_allclose(move.blocks, ref.blocks, rtol=0, atol=1e-12)
+    assert states.shape == ref_states.shape
+    np.testing.assert_allclose(states, ref_states, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(move.probabilities, ref.probabilities, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(move.conditional_unitaries, ref.conditional_unitaries, rtol=0, atol=1e-12)
+    assert np.array_equal(move.skipped, ref.skipped)
+    return states
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(party_move_case(), st.sampled_from([None, 1]))
+@example((PureState.basis((3, 2), 0), LocalMeasurementSet(z_projectors(3), z_projectors(2))), None)
+@example((PureState.basis((4, 3), 0), LocalMeasurementSet(z_projectors(4), z_projectors(3))), 1)
+@example((bell_phi_plus(), LocalMeasurementSet(*[MeasurementSet(2, ("0",), [np.eye(2)])] * 2)), None)
+@example((bell_phi_plus(), LocalMeasurementSet(MeasurementSet(2, ("0",), [np.eye(2)]), z_projectors(2))), 1)
+def test_party_moves_match_the_einsum_reference(case, rows):
+    psi, local = case
+    dilated = locc.run_locc_construction(psi, local).dilated
+    after_alice = _same_move(dilated.reshaped().transpose(0, 2, 1, 3), "A", None)
+    _same_move(dilated.reshaped().transpose(0, 2, 1, 3), "A", rows)
+    _same_move(after_alice.transpose(0, 3, 4, 1, 2), "B", rows)

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import io
 import math
+import re
 import tracemalloc
 import types
 
@@ -244,6 +245,21 @@ class TestUsefulEntanglementBound:
         for pair in [(40, 41), (10**6, 10**6), (10**4000, 10**4000)]:
             with pytest.raises(ValidationError, match=" modes give more than the cap of 1000000000000 outcomes$"):
                 useful_entanglement_bounds([pair])
+
+    @pytest.mark.parametrize(
+        "pair, invariant, message",
+        [
+            ((10**5000, 2), "mode-count", "at least 10^4300 particles in 2 modes give more than the cap"),
+            ((3, 10**5000), "mode-count", "3 particles in at least 10^4300 modes give more than the cap"),
+            ((10**5000,) * 2, "mode-count", "at least 10^4300 particles in at least 10^4300 modes give"),
+            ((-(10**5000), 2), "mode-particles", "particle count must be >= 1, got at most -10^4300"),
+            ((2, -(10**5000)), "mode-modes", "mode count must be >= 2, got at most -10^4300"),
+        ],
+    )
+    def test_counts_too_long_to_print_are_named_as_bounds(self, pair, invariant, message):
+        with pytest.raises(ValidationError, match=f"^{invariant}: {re.escape(message)}") as info:
+            useful_entanglement_bounds([pair])
+        assert info.value.invariant == invariant
 
     def test_mode_system_invariants_enforced(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 subcommand, format and input kind among them; and its comparer of two results. Only the corpus
 is built; no command runs."""
 
-from same_corpus import COMMANDS, build, float_moves, float_report, split_env
+from same_corpus import COMMANDS, build, float_moves, float_report, in_degenerate_row, split_env
 
 
 def _build(workdir):
@@ -51,3 +51,12 @@ def test_anything_but_a_float_is_a_plain_difference():
     assert float_moves(ours, [0, '{"label": "(0,1)", "p": 1.5}\n', "warning\n"]) is None
     assert float_moves([0, "p\t1.0\n", ""], [0, "p\t1.5\n", ""]) is None
     assert float_report([]) == "floats moved: 0 in 0 commands"
+
+
+def test_floats_in_degenerate_rows_are_told_apart():
+    out = '{"fidelity": 1.0, "results": [{"fidelity": 0.5, "degenerate": true}, {"fidelity": 0.5, "degenerate": false}]}'
+    assert in_degenerate_row(out, ".results[0].fidelity")
+    assert not in_degenerate_row(out, ".results[1].fidelity")
+    assert not in_degenerate_row(out, ".fidelity")
+    assert not in_degenerate_row('{"results": [{"p": 0.5}]}', ".results[0].p")
+    assert float_report([], "floats moved outside degenerate rows") == "floats moved outside degenerate rows: 0 in 0 commands"
