@@ -125,8 +125,10 @@ def _load_local_sets(args, psi: PureState, tol: float) -> LocalMeasurementSet:
     return LocalMeasurementSet(alice, bob)
 
 
-def _state_dims(args) -> tuple[int, ...] | None:
-    return None if args.dims is None else _parse_ints(args.dims)
+def _tolerance_and_state(args) -> tuple[float, PureState]:
+    """The completeness tolerance, then ``--state`` on ``--dims``: a bad MSPACE_DEFAULT_TOL is named first."""
+    tol = default_tolerance()
+    return tol, load_state(args.state, None if args.dims is None else _parse_ints(args.dims))
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +139,13 @@ def cmd_map(args) -> tuple[dict, int]:
     local = args.alice is not None or args.bob is not None
     if args.measurements is not None and local:
         raise ValidationError("flag-format", "--measurements and --alice/--bob exclude each other")
-    tol = default_tolerance()
-    psi = load_state(args.state, _state_dims(args))
+    tol, psi = _tolerance_and_state(args)
     if local:
         measurements: Any = _load_local_sets(args, psi, tol)
+        _require_count(math.prod(measurements.structure), "--alice/--bob")
     elif args.measurements is not None:
         measurements = load_measurement_set(args.measurements, dim=psi.dim, tol=tol)
+        _require_count(len(measurements), "--measurements")
     else:
         raise ValidationError("flag-format", "need --measurements or --alice/--bob")
     image = map_to_measurement_space(psi, measurements, completeness_tol=tol)
@@ -152,7 +155,6 @@ def cmd_map(args) -> tuple[dict, int]:
         "amplitude": image.amplitudes,
     }
     report = {
-        "command": "map",
         "parameters": {
             "state": args.state,
             "measurements": args.measurements,
@@ -167,8 +169,7 @@ def cmd_map(args) -> tuple[dict, int]:
 
 
 def cmd_entanglement(args) -> tuple[dict, int]:
-    tol = default_tolerance()
-    psi = load_state(args.state, _state_dims(args))
+    tol, psi = _tolerance_and_state(args)
     split = None if args.split is None else _parse_ints(args.split, 2)
     if split is not None:
         if split[0] * split[1] != psi.dim:
@@ -184,7 +185,6 @@ def cmd_entanglement(args) -> tuple[dict, int]:
         monotone = after <= original + MONOTONICITY_TOL
         columns.update(measurement_space=[after], monotone=[monotone])
     report = {
-        "command": "entanglement",
         "parameters": {
             "state": args.state,
             "alice": args.alice,
@@ -229,7 +229,6 @@ def cmd_theorem1(args) -> tuple[dict, int]:
     worst = max(0.0, *deltas)
     passed = worst < THEOREM1_TOL
     report = {
-        "command": "theorem1",
         "parameters": {
             "protocol": args.protocol,
             "trials": len(names),
@@ -248,8 +247,7 @@ def cmd_theorem1(args) -> tuple[dict, int]:
 def cmd_locc(args) -> tuple[dict, int]:
     if args.outcome is not None and args.all_outcomes:
         raise ValidationError("flag-format", "--outcome and --all-outcomes exclude each other")
-    tol = default_tolerance()
-    psi = load_state(args.state, _state_dims(args))
+    tol, psi = _tolerance_and_state(args)
     measurements = _load_local_sets(args, psi, tol)
     ja, jb = _parse_ints(args.outcome, 2) if args.outcome is not None else (0, 0)
     d_a, d_b = psi.dims
@@ -286,7 +284,6 @@ def cmd_locc(args) -> tuple[dict, int]:
     monotone = all(checks)
     passed = monotone and worst_uniform <= tol and trace.diagonal_deviation <= DIAGONAL_TOL
     report = {
-        "command": "locc",
         "parameters": {
             "state": args.state,
             "alice": args.alice,
@@ -322,7 +319,6 @@ def cmd_konrad(args) -> tuple[dict, int]:
         violations, worst = None, float(np.max(columns["residual"]))
         passed = worst < KONRAD_TOL
     report = {
-        "command": "konrad",
         "parameters": {"trials": args.trials, "seed": args.seed, "two_sided": args.two_sided},
         "max_residual": worst,
         "violations": violations,
@@ -349,8 +345,7 @@ def cmd_modes(args) -> tuple[dict, int]:
     table = useful_entanglement_bounds(grid)
     # the report's columns are the table's fields, in field order
     columns = {**vars(table), "weak_bound_loose": table.prime & (table.count > 2)}
-    report = {"command": "modes", "parameters": {"grid": len(grid)}, "results": columns}
-    return report, 0
+    return {"parameters": {"grid": len(grid)}, "results": columns}, 0
 
 
 def cmd_sweep(args) -> tuple[dict, int]:
@@ -370,7 +365,6 @@ def cmd_sweep(args) -> tuple[dict, int]:
         "entropy_mspace": pure_entanglements(images, "entropy"),
     }
     report = {
-        "command": "sweep",
         "parameters": {
             "eta_start": args.eta_start,
             "eta_end": args.eta_end,
@@ -395,16 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
-
     p = sub.add_parser("map", help="map a state to its measurement-space image")
     p.add_argument("--state", required=True)
     p.add_argument("--measurements")
     p.add_argument("--alice")
     p.add_argument("--bob")
     p.add_argument("--dims")
-    add_common(p)
 
     p = sub.add_parser("entanglement", help="entanglement before and after the map")
     p.add_argument("--state", required=True)
@@ -413,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=MEASURES, default="entropy")
     p.add_argument("--split")
     p.add_argument("--dims")
-    add_common(p)
 
     p = sub.add_parser("theorem1", help="compare protocol success on both sides of the map")
     p.add_argument("--protocol")
@@ -423,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--dims")
     p.add_argument("--outcomes", type=int)
-    add_common(p)
 
     p = sub.add_parser("locc", help="audit the local construction that realizes the map")
     p.add_argument("--state", required=True)
@@ -432,28 +420,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcome")
     p.add_argument("--all-outcomes", action="store_true")
     p.add_argument("--dims")
-    add_common(p)
 
     p = sub.add_parser("konrad", help="concurrence factorization checks for random channels")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--two-sided", action="store_true")
-    add_common(p)
 
     p = sub.add_parser("modes", help="mode-counting entanglement bound table")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--n-max", type=int)
     p.add_argument("--m-max", type=int)
-    add_common(p)
 
     p = sub.add_parser("sweep", help="detector-efficiency sweep on the Bell state")
     p.add_argument("--eta-start", type=float, default=0.5)
     p.add_argument("--eta-end", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=6)
     p.add_argument("--state", default="bell")
-    add_common(p)
 
+    # after every subcommand's own options, as the last one of each
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "tsv"), default="json")
     return parser
 
 
@@ -463,7 +450,8 @@ def main(argv=None) -> int:
     handler = globals()[f"cmd_{args.command}"]
     try:
         report, code = handler(args)
-        text = emit(report, args.format)
+        # the handler's own keys follow the command, and override it
+        text = emit({"command": args.command, **report}, args.format)
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

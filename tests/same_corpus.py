@@ -9,13 +9,15 @@ package; ``SRC`` defaults to this checkout's. Each tree runs the whole
 corpus in one subprocess, calling ``mspace.cli.main`` in-process, and the
 script prints a summary line: how many commands there were, how many
 exited 2, on how many stdout, stderr and exit code were all identical, on
-how many only JSON floats moved, and how many differ otherwise, each counted
+how many only floats moved, and how many differ otherwise, each counted
 per subcommand. A second line says how many floats moved and the largest
 absolute and relative change, each with its command and key path. A
 command counts as moved only if it has the same exit code, the same stderr,
-and stdout that parses as JSON and is the same outside its float values.
-A third line reports the same for the floats outside ``results`` rows
-flagged ``"degenerate": true``: a degenerate block has no unique
+and stdout that is the same outside its float values: a JSON report value
+by value, a TSV report cell by cell, where a changed cell is a float if
+both sides are numbers and one is not an integer. A third line reports the
+same for the floats outside ``results`` rows flagged degenerate (``true``
+in the JSON flag or the TSV column): a degenerate block has no unique
 eigenbasis, so the branch floats of such a row rest on the last bits of the
 block, and any change to how the block is formed may move them far.
 The first differing commands go to stderr, and the exit status is 1 if any
@@ -438,14 +440,47 @@ def worker() -> None:
 
 # a JSON number literal; masking them leaves the text that must not change at all
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+_INTEGER = re.compile(r"-?\d+")
+
+
+def tsv_cells(out: str) -> list[tuple[str, str]]:
+    """A TSV report as ``(key path, text)`` pairs in print order: ``.key`` for each ``# key=value``
+    line, then ``.results[i].column`` for each cell of table row ``i``."""
+    lines = out.removesuffix("\n").split("\n")
+    head = next((k for k, line in enumerate(lines) if not line.startswith("# ")), len(lines))
+    cells = [(f".{key}", value) for key, _, value in (line[2:].partition("=") for line in lines[:head])]
+    columns = lines[head].split("\t") if head < len(lines) else []
+    for i, line in enumerate(lines[head + 1 :]):
+        cells += [(f".results[{i}].{name}", cell) for name, cell in zip(columns, line.split("\t"))]
+    return cells
+
+
+def _tsv_moves(out: str, their_out: str) -> list[tuple[str, float, float]] | None:
+    """``float_moves`` of two TSV reports with the same text outside their numbers, so the same
+    lines and cells."""
+    moves = []
+    for (path, x), (their_path, y) in zip(tsv_cells(out), tsv_cells(their_out)):
+        if path != their_path:
+            return None
+        if x == y:
+            continue
+        # "%.12g" prints a whole float without a point, so one side of a float cell may look like an int;
+        # a float written differently with the same value is a plain difference, as in JSON
+        numbers = _NUMBER.fullmatch(x) and _NUMBER.fullmatch(y)
+        if not numbers or _INTEGER.fullmatch(x) and _INTEGER.fullmatch(y) or float(x) == float(y):
+            return None
+        moves.append((path, float(x), float(y)))
+    return moves or None
 
 
 def float_moves(ours: list, theirs: list) -> list[tuple[str, float, float]] | None:
-    """The JSON floats that moved between two differing ``[code, stdout, stderr]`` results, as
+    """The floats that moved between two differing ``[code, stdout, stderr]`` results, as
     ``(key path, ours, theirs)``; None if the results differ in anything else."""
     (code, out, err), (their_code, their_out, their_err) = ours, theirs
     if code != their_code or err != their_err or _NUMBER.sub("#", out) != _NUMBER.sub("#", their_out):
         return None
+    if not out.startswith("{"):
+        return _tsv_moves(out, their_out)
     try:
         a, b = json.loads(out), json.loads(their_out)
     except json.JSONDecodeError:
@@ -470,9 +505,14 @@ def float_moves(ours: list, theirs: list) -> list[tuple[str, float, float]] | No
 
 
 def in_degenerate_row(out: str, path: str) -> bool:
-    """Whether the key ``path`` of the JSON report ``out`` lies in a ``results`` row flagged degenerate."""
+    """Whether the key ``path`` of the report ``out``, JSON or TSV, lies in a ``results`` row
+    flagged degenerate."""
     row = re.match(r"\.results\[(\d+)\]\.", path)
-    return row is not None and json.loads(out)["results"][int(row[1])].get("degenerate") is True
+    if row is None:
+        return False
+    if out.startswith("{"):
+        return json.loads(out)["results"][int(row[1])].get("degenerate") is True
+    return dict(tsv_cells(out)).get(f"{row[0]}degenerate") == "true"
 
 
 def float_report(moved: list[tuple[list[str], list]], what: str = "floats moved") -> str:

@@ -797,6 +797,21 @@ class TestRowCap:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and "error: flag-format: " in err and out == ""
 
+    def test_map_over_the_cap_through_a_local_pair_rejected_before_the_map(self, capsys, monkeypatch):
+        # 400 x 400 outcomes: both sets fit the byte cap, the 160,000 rows do not fit the row cap
+        monkeypatch.setattr("mspace.cli.map_to_measurement_space", _no_work)
+        argv = ("map", "--state", "bell", "--alice", "random:400:1", "--bob", "random:400:2")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: flag-format: --alice/--bob asks for 160000 report rows, over the cap 100000\n"
+
+    @pytest.mark.parametrize("cap, code", [(3, 2), (4, 0)])
+    def test_map_over_the_cap_through_one_set_rejected(self, capsys, monkeypatch, cap, code):
+        monkeypatch.setattr("mspace.cli.MAX_ROWS", cap)
+        got, out, err = run_cli(capsys, "map", "--state", "bell", "--measurements", "random:4:1")
+        over = "error: flag-format: --measurements asks for 4 report rows, over the cap 3\n"
+        assert got == code and (out == "") == (code == 2) and err == (over if code == 2 else "")
+
     # the call that would allocate the built-in, which must not run
     @pytest.mark.parametrize("argv, first_step, invariant", [
         (("locc", "--state", "random:1", "--dims", "100000,100000", "--alice", "z-projectors",

@@ -2,7 +2,8 @@
 subcommand, format and input kind among them; and its comparer of two results. Only the corpus
 is built; no command runs."""
 
-from same_corpus import COMMANDS, build, float_moves, float_report, in_degenerate_row, split_env
+import pytest
+from same_corpus import COMMANDS, build, float_moves, float_report, in_degenerate_row, split_env, tsv_cells
 
 
 def _build(workdir):
@@ -49,7 +50,6 @@ def test_anything_but_a_float_is_a_plain_difference():
     assert float_moves(ours, [0, '{"label":  "(0,1)", "p": 1.5}\n', ""]) is None
     assert float_moves(ours, [1, '{"label": "(0,1)", "p": 1.5}\n', ""]) is None
     assert float_moves(ours, [0, '{"label": "(0,1)", "p": 1.5}\n', "warning\n"]) is None
-    assert float_moves([0, "p\t1.0\n", ""], [0, "p\t1.5\n", ""]) is None
     assert float_report([]) == "floats moved: 0 in 0 commands"
 
 
@@ -60,3 +60,38 @@ def test_floats_in_degenerate_rows_are_told_apart():
     assert not in_degenerate_row(out, ".fidelity")
     assert not in_degenerate_row('{"results": [{"p": 0.5}]}', ".results[0].p")
     assert float_report([], "floats moved outside degenerate rows") == "floats moved outside degenerate rows: 0 in 0 commands"
+
+
+TSV = "# command=locc\n# entropy_after=1\n" + "\n".join(
+    ["label\tn\tfidelity\tdegenerate", "(0,1)\t3\t0.5\ttrue", "(1,1)\t4\t1\tfalse", ""]
+)
+
+
+def _tsv_moves(old, new):
+    return float_moves([1, TSV, ""], [1, TSV.replace(old, new), ""])
+
+
+def test_tsv_floats_are_compared_cell_by_cell():
+    head = [(".command", "locc"), (".entropy_after", "1"), (".results[0].label", "(0,1)")]
+    assert tsv_cells(TSV)[:3] == head
+    assert _tsv_moves("\t0.5\t", "\t0.50000000001\t") == [(".results[0].fidelity", 0.5, 0.50000000001)]
+    # "%.12g" prints a whole float as an integer
+    assert _tsv_moves("\t1\tfalse", "\t0.9999999999\tfalse") == [(".results[1].fidelity", 1.0, 0.9999999999)]
+    assert _tsv_moves("entropy_after=1", "entropy_after=1e-16") == [(".entropy_after", 1.0, 1e-16)]
+
+
+@pytest.mark.parametrize("old, new", [
+    ("(0,1)", "(0,2)"),  # a label
+    ("\t3\t", "\t5\t"),  # an int cell
+    ("\tdegenerate", "\tdegenerate1"),  # a column name
+    ("0.5\ttrue", "0.5\ttrue\t7"),  # a ragged row
+    ("entropy_after=1", "entropy_after=1.0"),  # the same float written otherwise
+])  # fmt: skip
+def test_tsv_cells_other_than_floats_differ_plainly(old, new):
+    assert _tsv_moves(old, new) is None
+
+
+def test_tsv_degenerate_column_marks_a_row():
+    assert in_degenerate_row(TSV, ".results[0].fidelity")
+    assert not in_degenerate_row(TSV, ".results[1].fidelity")
+    assert not in_degenerate_row(TSV, ".entropy_after")
