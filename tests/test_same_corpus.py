@@ -50,6 +50,8 @@ def test_anything_but_a_float_is_a_plain_difference():
     assert float_moves(ours, [0, '{"label":  "(0,1)", "p": 1.5}\n', ""]) is None
     assert float_moves(ours, [1, '{"label": "(0,1)", "p": 1.5}\n', ""]) is None
     assert float_moves(ours, [0, '{"label": "(0,1)", "p": 1.5}\n', "warning\n"]) is None
+    assert float_moves([0, "p\t1.0\n", ""], [0, "p\t1.5\n", ""]) is None
+    assert float_moves([0, "p\t1.0\nx\t2.5\n", ""], [0, "p\t1.5\nx\t2.5\n", ""]) is None
     assert float_report([]) == "floats moved: 0 in 0 commands"
 
 
