@@ -150,7 +150,7 @@ def cmd_map(args) -> tuple[dict, int]:
         raise ValidationError("flag-format", "need --measurements or --alice/--bob")
     image = map_to_measurement_space(psi, measurements, completeness_tol=tol)
     columns = {
-        "label": image.outcome_labels,
+        "label": measurements.labels,
         "probability": image.probabilities(),
         "amplitude": image.amplitudes,
     }

@@ -251,9 +251,7 @@ def run_locc_construction(
     )
     t = _checked_local_product(psi, *measurements.stacks, completeness_tol)
     dilated = _dilation(t)
-    image = MeasurementSpaceState(
-        measurements.labels, _local_image(t, completeness_tol), measurements.structure
-    )
+    image = MeasurementSpaceState(_local_image(t, completeness_tol), measurements.structure)
     # party layouts: Alice's (sys_A, anc_A, sys_B, anc_B), Bob's (sys_B, anc_B, sys_A, anc_A)
     after_alice, alice = _measure_party(dilated.reshaped().transpose(0, 2, 1, 3), "A")
     # the run reads only Bob's row |0>; Alice's rows all feed his blocks

@@ -152,23 +152,19 @@ class MeasurementSpaceState:
     """Image of a state in measurement space.
 
     Amplitudes are the nonnegative square roots of the outcome probabilities,
-    listed in the measurement set's label order. ``structure`` is present
-    when the outcomes form an (Alice x Bob) grid.
+    one vector entry per outcome in the measurement set's order; the set, not
+    the image, names the outcomes. ``structure`` is present when the outcomes
+    form an (Alice x Bob) grid.
     """
 
-    outcome_labels: tuple[str, ...]
     amplitudes: np.ndarray
     structure: tuple[int, int] | None = None
 
     def __post_init__(self):
-        labels = tuple(str(s) for s in self.outcome_labels)
         amps = np.asarray(self.amplitudes, dtype=float)
-        object.__setattr__(self, "outcome_labels", labels)
         object.__setattr__(self, "amplitudes", amps)
-        if amps.ndim != 1 or amps.size != len(labels):
-            raise ValidationError(
-                "mspace-shape", f"{len(labels)} labels but {amps.size} amplitudes"
-            )
+        if amps.ndim != 1:
+            raise ValidationError("mspace-shape", f"amplitudes of shape {amps.shape} do not form one vector")
         if np.any(amps < 0):
             raise ValidationError("mspace-nonnegative", "amplitudes must be >= 0")
         _require_unit(np.sum(amps**2), DEFAULT_TOL, "mspace-normalization", "squared amplitudes sum to")
@@ -280,8 +276,9 @@ def outcome_probabilities(
 
 def _require_pair_fits(psi: PureState, alice: np.ndarray, bob: np.ndarray) -> None:
     """The pair check's shapes for ``(..., n, d, d)`` stacks: the state must have dims ``(d_a, d_b)``,
-    and one pair's product tensor and the ``(d_a d_b)^2`` Kronecker product of its Gram matrices
-    must fit the byte cap."""
+    and one pair's product tensor, ``n dim`` entries, must fit the byte cap. So must ``dim^2``
+    entries: that term caps the dimension on its own until one peak-memory budget per command
+    replaces this check."""
     if psi.dims != (alice.shape[-1], bob.shape[-1]):
         raise ValidationError(
             "dimension-match",
@@ -292,6 +289,30 @@ def _require_pair_fits(psi: PureState, alice: np.ndarray, bob: np.ndarray) -> No
     _require_fits(16 * max(n, dim) * dim, "measurement-size", what)
 
 
+def _pair_deviations(ga: np.ndarray, gb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_identity_deviation` of a pair's Gram matrices ``G_A``, ``G_B`` and of their
+    Kronecker product, the joint set's; the last is worked out from the two factors alone.
+
+    An entry of ``G_A (x) G_B - 1`` is ``a_ii b_jj - 1`` on the diagonal, ``a_ii b_jl`` off Bob's
+    diagonal only, and ``a_ik b_jl`` off Alice's. Its largest magnitude is therefore the largest
+    of ``|a_ii b_jj - 1|``, ``max_i |a_ii| off(G_B)`` and ``off(G_A) max |G_B|``, where ``off(G)``
+    is the largest off-diagonal ``|g_ik|``: no ``(d_a d_b)^2`` array is built. Leading axes
+    broadcast, giving one deviation of each kind per pair.
+    """
+    sides = []
+    for g in (ga, gb):
+        eye = np.eye(g.shape[-1])
+        gap = np.abs(g - eye)
+        off = np.where(eye, 0.0, gap).max(axis=(-2, -1))
+        sides.append((gap.max(axis=(-2, -1)), g.diagonal(0, -2, -1), off))
+    (dev_a, diag_a, off_a), (dev_b, diag_b, off_b) = sides
+    # the same complex products as the Kronecker product's diagonal, so the same bits
+    on_diagonal = np.abs(diag_a[..., :, None] * diag_b[..., None, :] - 1).max(axis=(-2, -1))
+    peak_b = np.maximum(np.abs(diag_b).max(axis=-1), off_b)
+    off_diagonal = np.maximum(np.abs(diag_a).max(axis=-1) * off_b, off_a * peak_b)
+    return dev_a, dev_b, np.maximum(on_diagonal, off_diagonal)
+
+
 def _checked_local_product(
     psi: PureState, alice: np.ndarray, bob: np.ndarray, completeness_tol: float, trials=None
 ) -> np.ndarray:
@@ -300,13 +321,13 @@ def _checked_local_product(
 
     The shapes pass :func:`_require_pair_fits` before anything is built. Each
     Gram matrix and their Kronecker product, the joint set's, must be 1
-    within ``completeness_tol``. With ``trials``, ``alice`` and ``bob`` carry
-    a leading axis of pairs, checked at once, and a failure names the pair.
+    within ``completeness_tol`` (:func:`_pair_deviations`). With ``trials``,
+    ``alice`` and ``bob`` carry a leading axis of pairs, checked at once, and
+    a failure names the pair.
     """
     _require_pair_fits(psi, alice, bob)
-    grams = _gram(alice), _gram(bob)
-    dev = np.max([_identity_deviation(g) for g in (*grams, tensor(*grams))], axis=0)
-    _require_complete(dev, completeness_tol, trials)
+    dev_a, dev_b, joint = _pair_deviations(_gram(alice), _gram(bob))
+    _require_complete(np.maximum(np.maximum(dev_a, dev_b), joint), completeness_tol, trials)
     return local_product(psi.reshaped(), alice, bob)
 
 
@@ -331,9 +352,9 @@ def map_to_measurement_space(
     if isinstance(measurements, LocalMeasurementSet):
         t = _checked_local_product(psi, *measurements.stacks, completeness_tol)
         amps = _local_image(t, completeness_tol)
-        return MeasurementSpaceState(measurements.labels, amps, measurements.structure)
+        return MeasurementSpaceState(amps, measurements.structure)
     probs = outcome_probabilities(psi, measurements, completeness_tol)
-    return MeasurementSpaceState(measurements.labels, _image(probs))
+    return MeasurementSpaceState(_image(probs))
 
 
 def local_images(

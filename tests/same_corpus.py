@@ -58,8 +58,17 @@ rejected as ``measurement-labels``), sets that are ragged, repeated or of
 the wrong dim, and valid and broken protocols.
 Many of these lines set ``MSPACE_DEFAULT_TOL`` (to valid and invalid values)
 with a leading ``MSPACE_DEFAULT_TOL=<value>``, which the worker applies to
-that command alone. The file's name does not start with ``test_``, so pytest
-does not collect it; ``test_same_corpus.py`` checks the corpus itself.
+that command alone.
+
+The last block holds GRID_PAIRS seeded local-pair lines each of ``map`` and
+``entanglement`` on dims 6x6 to 24x24 and of ``locc`` on dims up to 8x8,
+with 1 to 3 ``random:<outcomes>:<seed>`` outcomes per side, from a fourth
+generator of their own. About a third of them set ``MSPACE_DEFAULT_TOL`` to
+one of NEAR_TOLERANCES, about the completeness deviation of such a pair, so
+that the pair check fails as ``completeness`` on some of them.
+
+The file's name does not start with ``test_``, so pytest does not collect
+it; ``test_same_corpus.py`` checks the corpus itself.
 """
 
 from __future__ import annotations
@@ -98,6 +107,9 @@ SET_DIMS = [1, 2, 3, 4, 6, 8, 9, 16]
 # completeness defects of the set files, against the tolerances above and the default 1e-10
 SET_DEFECTS = [0.0, 0.0, 1e-9, 1e-7, 5e-5, 3e-4]
 LABELS = ["0", "1", "α", "ψ₀", "é", 'say "hi"', "it's", "back\\slash", "tab\there", "日本"]
+GRID_PAIRS = 60
+# a random pair's sets and their Kronecker product miss completeness by about 1e-16 to 1e-15
+NEAR_TOLERANCES = ["3e-16", "6e-16", "1e-15", "2e-15"]
 
 
 def corpus(seed: int, sweeps: int) -> list[list[str]]:
@@ -399,9 +411,31 @@ def file_corpus(seed: int, workdir: Path) -> list[list[str]]:
     return commands
 
 
+def grid_corpus(seed: int) -> list[list[str]]:
+    """GRID_PAIRS ``map``, ``entanglement`` and ``locc`` local-pair lines each, drawn from a generator
+    of their own; some set ``MSPACE_DEFAULT_TOL`` to one of NEAR_TOLERANCES."""
+    rng = np.random.default_rng((seed, 3))
+    commands = []
+    for k in range(3 * GRID_PAIRS):
+        command = ("map", "entanglement", "locc")[k % 3]
+        low, high = (2, 8) if command == "locc" else (6, 24)
+        d_a, d_b = (int(d) for d in rng.integers(low, high + 1, size=2))
+        argv = [command, "--state", f"random:{rng.integers(1000)}", "--dims", f"{d_a},{d_b}"]
+        for side in ("--alice", "--bob"):
+            argv += [side, f"random:{rng.integers(1, 4)}:{rng.integers(1000)}"]
+        if command == "entanglement":  # concurrence takes only 2x2
+            argv += ["--measure", str(rng.choice(["entropy", "eof"]))]
+        if command == "locc" and rng.random() < 0.5:
+            argv += ["--all-outcomes"]
+        argv += ["--format", "tsv" if k % 4 == 0 else "json"]
+        near = rng.random() < 0.35
+        commands.append([f"{ENV}={rng.choice(NEAR_TOLERANCES)}", *argv] if near else argv)
+    return commands
+
+
 def build(seed: int, sweeps: int, workdir: Path) -> list[list[str]]:
     """The whole corpus for ``seed``, its input files written under ``workdir``."""
-    return corpus(seed, sweeps) + local_corpus(seed) + file_corpus(seed, workdir)
+    return corpus(seed, sweeps) + local_corpus(seed) + file_corpus(seed, workdir) + grid_corpus(seed)
 
 
 def split_env(line: list[str]) -> tuple[str | None, list[str]]:

@@ -515,6 +515,19 @@ class TestLocc:
         )  # fmt: skip
         assert code == 2 and "error: locc-outcome: " in err and out == ""
 
+    @pytest.mark.parametrize("command", [["entanglement"], ["locc", "--all-outcomes"]])
+    def test_no_outcome_names_are_built_outside_map(self, capsys, monkeypatch, command):
+        # only map prints the joint outcome names; the image carries amplitudes and grid alone
+        argv = (*command, "--state", "random:4", "--dims", "3,2",
+                "--alice", "random:3:1", "--bob", "random:2:2")  # fmt: skip
+        expected = run_cli(capsys, *argv)
+
+        def unnamed(self):
+            raise AssertionError("joint outcome names built")
+
+        monkeypatch.setattr(LocalMeasurementSet, "labels", property(unnamed))
+        assert expected[0] == 0 and run_cli(capsys, *argv) == expected
+
 
 class TestKonrad:
     def test_single_sided(self, capsys):
@@ -835,7 +848,7 @@ class TestRowCap:
     @pytest.mark.parametrize("command", [["map"], ["entanglement"], ["locc", "--all-outcomes"]])
     def test_local_pair_over_the_byte_cap_rejected_before_building(self, capsys, monkeypatch, command):
         # at a 1 MiB cap each set on dim 20 fits (128 KB), but the pair's product
-        # tensor and Gram matrix product of 400 x 400 entries each (2.56 MB) do not
+        # tensor and the check's dim^2 term, 400 x 400 entries each (2.56 MB), do not
         monkeypatch.setattr("mspace.linalg.TRIAL_BYTES_CAP", 1 << 20)
         for name in ("local_product", "tensor", "_gram"):
             monkeypatch.setattr(f"mspace.measurement.{name}", _no_work)

@@ -120,7 +120,7 @@ def test_run_image_and_dilation_are_the_map_and_dilation_bits(delta, tol):
         trace = locc.run_locc_construction(psi, local, tol)
         image = map_to_measurement_space(psi, local, tol)
         assert np.array_equal(trace.mspace.amplitudes, image.amplitudes)
-        assert trace.mspace.outcome_labels == image.outcome_labels
+        assert trace.mspace.amplitudes.shape == image.amplitudes.shape == (len(local.labels),)
         assert trace.mspace.structure == image.structure == (n_a, n_b)
         # the run's dilated state is the dilation of the pair's one checked tensor
         dilated = locc._dilation(locc._checked_local_product(psi, *local.stacks, tol))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,9 +67,10 @@ class TestOutcomeProbabilities:
 
 class TestMapToMeasurementSpace:
     def test_plus_with_projectors(self):
-        image = map_to_measurement_space(PLUS, z_projectors(2))
+        zproj = z_projectors(2)
+        image = map_to_measurement_space(PLUS, zproj)
         np.testing.assert_allclose(image.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
-        assert image.outcome_labels == ("0", "1")
+        assert zproj.labels == ("0", "1")
         assert image.structure is None
 
     def test_trivial_set_single_outcome(self):
@@ -80,7 +82,7 @@ class TestMapToMeasurementSpace:
         local = LocalMeasurementSet(noisy_pair(0.9), noisy_pair(0.9))
         image = map_to_measurement_space(bell_phi_plus(), local)
         assert image.structure == (2, 2)
-        assert image.outcome_labels == ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
+        assert local.labels == ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
         expected = [
             expectation_oracle(bell_phi_plus().vector, np.kron(ma, mb))
             for ma in noisy_pair(0.9).stack
@@ -198,16 +200,18 @@ class TestSetConstruction:
 
     def test_mspace_state_validation(self):
         with pytest.raises(ValidationError, match="nonnegative"):
-            MeasurementSpaceState(("a", "b"), np.array([1.2, -0.1]))
+            MeasurementSpaceState(np.array([1.2, -0.1]))
         with pytest.raises(ValidationError, match="normalization"):
-            MeasurementSpaceState(("a", "b"), np.array([1.0, 1.0]))
+            MeasurementSpaceState(np.array([1.0, 1.0]))
         with pytest.raises(ValidationError, match="structure"):
-            MeasurementSpaceState(("a", "b"), np.array([1.0, 0.0]), structure=(2, 2))
+            MeasurementSpaceState(np.array([1.0, 0.0]), structure=(2, 2))
         with pytest.raises(ValidationError, match="structure"):
-            MeasurementSpaceState(("a", "b"), np.array([1.0, 0.0]), structure=(-1, -2))
+            MeasurementSpaceState(np.array([1.0, 0.0]), structure=(-1, -2))
+        with pytest.raises(ValidationError, match="mspace-shape"):
+            MeasurementSpaceState(np.full((2, 2), 0.5))
 
     def test_as_pure_state_requires_factorization(self):
-        flat = MeasurementSpaceState(("a", "b", "c", "d"), np.full(4, 0.5))
+        flat = MeasurementSpaceState(np.full(4, 0.5))
         with pytest.raises(ValidationError, match="factorization"):
             measurement_space_entanglement(flat)
         # uniform amplitudes on a 2x2 grid are a product state
@@ -217,6 +221,19 @@ class TestSetConstruction:
             dataclasses.replace(flat, structure=(3, 2))
 
 
+def test_pair_map_at_32x32_stays_under_one_mib():
+    # the joint set's Gram matrix alone would hold 1024^2 complex entries, 16 MiB
+    rng = np.random.default_rng(3)
+    psi, local = haar_state((32, 32), rng), random_local_set(32, 32, 2, 2, rng)
+    tracemalloc.start()
+    try:
+        image = map_to_measurement_space(psi, local)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert image.structure == (2, 2) and peak < 1 << 20
+
+
 def test_nan_amplitude_fails_normalization():
     with pytest.raises(ValidationError, match="mspace-normalization"):
-        MeasurementSpaceState(("a", "b"), [np.nan, 0.5])
+        MeasurementSpaceState([np.nan, 0.5])

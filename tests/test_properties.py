@@ -43,6 +43,7 @@ from mspace.linalg import (
     haar_state,
     haar_unitaries,
     seeded_chunks,
+    tensor,
 )
 from mspace.locc import (
     KONRAD_TOL,
@@ -56,9 +57,15 @@ from mspace.locc import (
 from mspace.measurement import (
     LocalMeasurementSet,
     MeasurementSet,
+    _gram,
+    _identity_deviation,
+    _pair_deviations,
     map_to_measurement_space,
+    noisy_operators,
     noisy_pair,
     outcome_probabilities,
+    random_measurement_set,
+    z_projectors,
 )
 from mspace.protocols import (
     ProtocolSpec,
@@ -132,9 +139,56 @@ def test_kernel_matches_explicit_joint_set(case):
     image = map_to_measurement_space(psi, local)
     joint = local.joint()
     reference = outcome_probabilities(PureState((psi.dim,), psi.vector), joint)
-    assert image.outcome_labels == joint.labels
+    assert local.labels == joint.labels
     assert image.structure == local.structure
     np.testing.assert_allclose(image.probabilities(), reference, rtol=0, atol=1e-12)
+
+
+def _assert_pair_deviations(ga, gb, rtol):
+    """The factored deviations of a pair against each Gram matrix's and their Kronecker product's."""
+    dev_a, dev_b, joint = _pair_deviations(ga, gb)
+    assert np.array_equal(dev_a, _identity_deviation(ga)) and np.array_equal(dev_b, _identity_deviation(gb))
+    reference = _identity_deviation(tensor(ga, gb))
+    assert joint.shape == reference.shape
+    assert np.all(np.abs(joint - reference) <= rtol * reference)
+
+
+@PROFILE
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 1e-2]),
+    st.sampled_from([None, 3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_factored_pair_deviation_matches_the_kronecker_product(d_a, d_b, delta, stacked, seed):
+    """Near-identity Gram matrices: those of random complete sets whose operators are moved by
+    ``delta``, one pair or a stack of three."""
+    rng = np.random.default_rng(seed)
+
+    def gram(d):
+        ops = random_measurement_set(d, int(rng.integers(1, 4)), rng).stack
+        return _gram(ops + delta * (rng.standard_normal(ops.shape) + 1j * rng.standard_normal(ops.shape)))
+
+    if stacked is None:
+        _assert_pair_deviations(gram(d_a), gram(d_b), 1e-15)
+    else:
+        _assert_pair_deviations(*(np.stack([gram(d) for _ in range(stacked)]) for d in (d_a, d_b)), 1e-15)
+
+
+@PROFILE
+@given(
+    st.lists(st.floats(0, 1), min_size=1, max_size=4),
+    st.integers(1, 5),
+    st.lists(st.floats(0.5, 1.5), min_size=5, max_size=5),
+)
+def test_factored_pair_deviation_is_exact_on_diagonal_grams(etas, d, scales):
+    """Diagonal Gram matrices: noisy pairs, one per efficiency, against z-projectors with each
+    projector scaled, so the Gram matrix holds ``scales`` on its diagonal."""
+    noisy = _gram(noisy_operators(etas))
+    z = _gram(z_projectors(d).stack * np.sqrt(scales[:d])[:, None, None])
+    for ga, gb in ((noisy, z), (z, noisy), (noisy, noisy[::-1]), (z, z)):
+        _assert_pair_deviations(ga, gb, 0.0)
 
 
 @PROFILE

@@ -3,7 +3,18 @@ subcommand, format and input kind among them; and its comparer of two results. O
 is built; no command runs."""
 
 import pytest
-from same_corpus import COMMANDS, build, float_moves, float_report, in_degenerate_row, split_env, tsv_cells
+from same_corpus import (
+    COMMANDS,
+    GRID_PAIRS,
+    NEAR_TOLERANCES,
+    build,
+    float_moves,
+    float_report,
+    grid_corpus,
+    in_degenerate_row,
+    split_env,
+    tsv_cells,
+)
 
 
 def _build(workdir):
@@ -22,7 +33,8 @@ def test_corpus_reaches_every_subcommand_format_and_input_kind(tmp_path):
     split = [split_env(line) for line in lines]
     assert {argv[0] for _, argv in split} == set(COMMANDS) and len(COMMANDS) == 7
     assert {argv[argv.index("--format") + 1] for _, argv in split if "--format" in argv} == {"json", "tsv"}
-    assert {tol for tol, _ in split} == {None, "1e-12", "1e-6", "1e-4", "2e-4", "nan", "abc"}
+    tolerances = {None, "1e-12", "1e-6", "1e-4", "2e-4", "nan", "abc", *NEAR_TOLERANCES}
+    assert {tol for tol, _ in split} == tolerances
 
     def file_flags(flag):
         return {argv[0] for _, argv in split for a, b in zip(argv, argv[1:]) if a == flag and b.startswith("<dir>/")}
@@ -32,6 +44,22 @@ def test_corpus_reaches_every_subcommand_format_and_input_kind(tmp_path):
     assert file_flags("--alice") == file_flags("--bob") == {"map", "entanglement", "locc"}
     assert file_flags("--measurements") == {"map"}
     assert len(files) > 100
+
+
+def test_corpus_ends_with_the_grid_pair_block(tmp_path):
+    lines, _ = _build(tmp_path / "corpus")
+    block = lines[-3 * GRID_PAIRS :]
+    assert block == grid_corpus(17)
+    split = [split_env(line) for line in block]
+    assert [argv[0] for _, argv in split] == ["map", "entanglement", "locc"] * GRID_PAIRS
+    assert {tol for tol, _ in split} == {None, *NEAR_TOLERANCES}
+    dims = {"map": set(), "entanglement": set(), "locc": set()}
+    for _, argv in split:
+        dims[argv[0]].update(map(int, argv[argv.index("--dims") + 1].split(",")))
+        outcomes = [int(argv[argv.index(side) + 1].split(":")[1]) for side in ("--alice", "--bob")]
+        assert all(1 <= n <= 3 for n in outcomes)
+    assert min(dims["map"] | dims["entanglement"]) == 6 and max(dims["map"] | dims["entanglement"]) == 24
+    assert max(dims["locc"]) == 8
 
 
 def test_one_moved_float_is_counted():
