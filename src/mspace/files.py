@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, BinaryIO, Sequence
 
 import numpy as np
 
@@ -31,6 +33,8 @@ from .protocols import ProtocolSpec, single_protocol
 
 STATE_NORM_ACCEPT = 1e-8
 STATE_NORM_REPAIR = 1e-4
+# bytes read at a time from a file whose size is not known in advance
+READ_CHUNK = 1 << 20
 
 
 def _quiet() -> np.errstate:
@@ -54,14 +58,36 @@ def pairs_to_matrix(rows: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
         raise ValidationError("complex-pairs", "matrix entries must be [re, im] pairs") from exc
 
 
+def _read_capped(fh: BinaryIO, what: str) -> bytes:
+    """All of ``fh``, failing as ``file-size`` past :data:`~mspace.linalg.TRIAL_BYTES_CAP`: a
+    regular file by its size before it is read, any other once its read passes the cap."""
+    info = os.fstat(fh.fileno())
+    if stat.S_ISREG(info.st_mode):
+        _require_fits(info.st_size, "file-size", what)
+        return fh.read()
+    chunks, total = [], 0
+    while chunk := fh.read(READ_CHUNK):
+        total = _require_fits(total + len(chunk), "file-size", what)
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
 def _read_json(path: str | Path) -> Any:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = _read_capped(fh, f"reading {path}")
     except OSError as exc:
         raise ValidationError("file-access", f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+        # line ends as a text-mode read gives them, so that an error names the same position
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationError("file-json", f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer with more digits than Python converts
+        raise ValidationError("file-json", f"{path} holds a number too long to read: {exc}") from exc
 
 
 def _is_int(value: Any) -> bool:

@@ -63,7 +63,7 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         return False
-    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) <= tol
+    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max()) <= tol
 
 
 def _require(
@@ -204,9 +204,9 @@ class DensityMatrix:
         d = math.prod(dims)
         if mat.shape[-2:] != (d, d):
             raise ValidationError("density-shape", f"matrix shape {mat.shape}, expected {(d, d)}")
-        skew = np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)), axis=(-2, -1))
-        tr = np.trace(mat, axis1=-2, axis2=-1)
-        lo = np.min(np.linalg.eigvalsh(mat), axis=-1)
+        skew = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        tr = mat.trace(axis1=-2, axis2=-1)
+        lo = np.linalg.eigvalsh(mat).min(axis=-1)
         checks = (
             (skew <= DEFAULT_TOL, "density-hermitian", lambda i: "matrix is not Hermitian within 1e-10"),
             (abs(tr - 1.0) <= DEFAULT_TOL, "density-trace",
@@ -234,8 +234,10 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2.0)
     w = w[..., ::-1].copy()
     v = v[..., ::-1]
-    rows = np.argmax(np.abs(v), axis=-2)[..., None, :]
-    pivot = np.take_along_axis(v, rows, axis=-2)
+    rows = np.abs(v).argmax(axis=-2)
+    # pivot[..., c] = v[..., rows[..., c], c] as one fancy index, open index arrays on the other axes
+    *batch, cols = np.indices(rows.shape, sparse=True)
+    pivot = v[(*batch, rows, cols)][..., None, :]
     # the columns have unit norm, so no pivot is zero; hypot rounds like the
     # scalar abs(), which the vectorized np.abs of a complex array does not
     return w, v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))

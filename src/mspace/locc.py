@@ -137,17 +137,20 @@ class PartyMove:
 
     ``blocks[..., m]`` is the unnormalized state of the party's system next
     to its ancilla label ``m``, the other party traced out.
-    ``probabilities[..., j]`` is the chance of outcome ``j``,
-    ``conditional_unitaries[..., j, m]`` the reset for outcome ``j`` in
-    sector ``m``, and ``skipped[..., m]`` marks the sectors of zero weight,
-    which keep the identity. Bob's arrays carry a leading axis over Alice's
-    outcomes ``j_a``.
+    ``probabilities[..., j]`` is the chance of outcome ``j`` and
+    ``skipped[..., m]`` marks the sectors of zero weight, which keep the
+    identity. ``resets[..., j, a, m]`` is row ``a`` of ``U_jm omega_mj``, the
+    reset for outcome ``j`` in sector ``m`` applied to its Fourier vector, for
+    the rows the move forms: ``omega_mj`` itself in a skipped sector. The
+    reset ``U_jm`` is ``Omega_m^dag`` with rows 0 and ``j`` swapped, so
+    ``fourier.vectors`` and ``skipped`` define it; no unitary is stored.
+    Bob's arrays carry a leading axis over Alice's outcomes ``j_a``.
     """
 
     blocks: np.ndarray
     fourier: FourierStep
     probabilities: np.ndarray
-    conditional_unitaries: np.ndarray
+    resets: np.ndarray
     skipped: np.ndarray
 
 
@@ -197,11 +200,12 @@ def _measure_party(t: np.ndarray, party: str, rows: int | None = None) -> tuple[
     for outcome ``j`` in sector ``m`` is ``Omega_m^dag`` with rows 0 and
     ``j`` swapped: the columns of the unitary ``Omega_m`` are the Fourier
     vectors, so it sends ``omega_j`` to ``e0``. Sectors of zero weight keep
-    the identity. Each contraction is one matrix product over the sectors.
+    the identity. The move records the reset vectors it applies, not the
+    unitaries. Each contraction is one matrix product over the sectors.
     """
     d, n = t.shape[-4:-2]
-    # tm, coef, the states and Bob's unitaries may each be as large as the run's largest array;
-    # freeing tm after coef and coef after the states keeps Bob's move at three, his input included
+    # tm, coef and the states may each be as large as the run's largest array; freeing tm after
+    # coef and coef after the states keeps Bob's move at three, his input included
     # tm is [..., m, i, (other sys, other anc)], contiguous so that no product copies it again
     tm = np.ascontiguousarray(t.swapaxes(-4, -3).reshape(*t.shape[:-4], n, d, -1))
     blocks = frozen(tm @ tm.conj().swapaxes(-1, -2))
@@ -218,12 +222,10 @@ def _measure_party(t: np.ndarray, party: str, rows: int | None = None) -> tuple[
     # U_jm omega_j, close to e0, as [..., j, a, m]: entry (swaps[j, a], j) of Omega_m^dag Omega_m,
     # or omega_j itself where the sector keeps the identity
     reset = (omega_dag @ omega)[..., np.arange(n), swaps[:, :rows, None], np.arange(d)[:, None, None]]
-    reset = np.where(skipped[..., None, None, :], omega[..., :rows, :].swapaxes(-1, -3), reset)
+    reset = frozen(np.where(skipped[..., None, None, :], omega[..., :rows, :].swapaxes(-1, -3), reset))
     states = (reset / np.sqrt(probs)[..., None, None])[..., None] * coef.swapaxes(-3, -2)[..., None, :, :]
     del coef
-    unitaries = omega_dag[..., np.arange(n)[:, None], swaps[:, None, :], :]  # [..., j, m]
-    np.copyto(unitaries, np.eye(d), where=skipped[..., None, :, None, None])
-    move = PartyMove(blocks, fs, probs, frozen(unitaries), skipped)
+    move = PartyMove(blocks, fs, probs, reset, skipped)
     return states.reshape(*states.shape[:-1], *t.shape[-2:]), move
 
 
@@ -239,8 +241,11 @@ def run_locc_construction(
     diagonal is checked against the squared measurement-space amplitudes.
     Both sets must be complete within ``completeness_tol``, as for the map.
     Its largest array, Alice's states and Bob's coefficients (``d_a n_a n_b
-    d_a d_b`` entries) or a party's reset unitaries, must fit the byte cap
-    before anything is built; otherwise the run fails as ``locc-size``.
+    d_a d_b`` entries), must fit the byte cap before anything is built;
+    otherwise the run fails as ``locc-size``. The check also counts each
+    party's reset unitaries (``d_a n_b d_b^3`` entries for Bob), though no
+    move builds them; that term stays until one peak-memory budget per
+    command replaces this check.
     """
     _require_pair_fits(psi, *measurements.stacks)
     (d_a, d_b), (n_a, n_b) = psi.dims, measurements.structure
@@ -258,7 +263,8 @@ def run_locc_construction(
     after_bob, bob = _measure_party(after_alice.transpose(0, 3, 4, 1, 2), "B", rows=1)
     # row j_a * d_b + j_b: the branch's (anc_A, anc_B) part next to |0>|0>
     flat = after_bob[:, :, 0, :, 0, :].swapaxes(-1, -2).reshape(d_a * d_b, n_a * n_b)
-    leak = 1.0 - np.sum(np.abs(flat) ** 2, axis=1)
+    weight = np.abs(flat) ** 2
+    leak = 1.0 - weight.sum(axis=1)
     _require(
         leak <= 1e-9,
         "locc-reset",
@@ -267,7 +273,7 @@ def run_locc_construction(
     weights = (alice.probabilities[:, None] * bob.probabilities).reshape(-1)
     ancilla_acc = (flat.T * weights) @ flat.conj()
     target = image.probabilities()
-    diag = np.real(np.diag(ancilla_acc)).copy()
+    diag = ancilla_acc.diagonal().real.copy()
     return LoccTrace(
         dilated=dilated,
         alice=alice,
@@ -275,10 +281,10 @@ def run_locc_construction(
         mspace=image,
         ancilla_dm=DensityMatrix((n_a, n_b), ancilla_acc),
         ancilla_diagonal=diag,
-        diagonal_deviation=float(np.max(np.abs(diag - target))),
+        diagonal_deviation=float(np.abs(diag - target).max()),
         branch_ancillas=frozen(flat),
         fidelities=np.abs(flat @ image.amplitudes) ** 2,
-        branch_diagonal_deviations=np.max(np.abs(np.abs(flat) ** 2 - target), axis=1),
+        branch_diagonal_deviations=np.abs(weight - target).max(axis=1),
     )
 
 

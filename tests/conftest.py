@@ -119,7 +119,8 @@ def konrad_trials_reference(rngs, two_sided):
 
 def measure_party_reference(t, party, rows=None, eigen_blocks=None):
     """``locc._measure_party`` as two-operand einsums: blocks, coefficients, probabilities as
-    their squared norms, resets as ``U_jm omega_j`` and the post-reset states.
+    their squared norms, the unitaries ``U_jm``, the reset vectors ``U_jm omega_mj`` they give
+    (as ``[..., j, a, m]``, first ``rows`` rows) and the post-reset states.
 
     ``eigen_blocks``, when given, are eigendecomposed in place of the einsum blocks, so that a
     move and its reference share one eigenbasis even where a degenerate block leaves it free.
@@ -139,11 +140,11 @@ def measure_party_reference(t, party, rows=None, eigen_blocks=None):
     swaps[:, 0], swaps[range(d), range(d)] = np.arange(d), 0
     unitaries = np.moveaxis(omega.conj().swapaxes(-1, -2)[..., swaps, :], -3, -4)
     skipped = np.einsum("...mii->...m", blocks).real < ZERO_BRANCH_TOL
-    unitaries = frozen(np.where(skipped[..., None, :, None, None], np.eye(d), unitaries))
-    reset = np.einsum("...jmai,...mij->...jma", unitaries, omega)
-    states = np.einsum("...jma,...jmxy->...jamxy", reset[..., :rows], coef)
+    unitaries = np.where(skipped[..., None, :, None, None], np.eye(d), unitaries)
+    reset = np.einsum("...jmai,...mij->...jam", unitaries, omega)[..., :rows, :]
+    states = np.einsum("...jam,...jmxy->...jamxy", reset, coef)
     states /= np.sqrt(probs)[..., None, None, None, None]
-    return states, PartyMove(blocks, fs, probs, unitaries, skipped)
+    return states, PartyMove(blocks, fs, probs, frozen(reset), skipped)
 
 
 def rows_of(columns):

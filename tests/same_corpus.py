@@ -2,11 +2,15 @@
 
 Usage::
 
-    python tests/same_corpus.py OTHER_SRC [--src SRC] [--seed N] [--sweeps N]
+    python tests/same_corpus.py OTHER_SRC [--src SRC] [--seed N] [--sweeps N] [--threads A,B]
 
 ``OTHER_SRC`` and ``SRC`` are ``src`` directories holding the ``mspace``
 package; ``SRC`` defaults to this checkout's. Each tree runs the whole
-corpus in one subprocess, calling ``mspace.cli.main`` in-process, and the
+corpus in one subprocess, calling ``mspace.cli.main`` in-process. With
+``--threads A,B`` the ``SRC`` subprocess runs at ``A`` BLAS threads and the
+``OTHER_SRC`` one at ``B`` (each of THREAD_VARS set to the count); without
+it both inherit the environment. So ``python tests/same_corpus.py src
+--threads 1,2`` compares this checkout with itself at 1 and 2 threads. The
 script prints a summary line: how many commands there were, how many
 exited 2, on how many stdout, stderr and exit code were all identical, on
 how many only floats moved, and how many differ otherwise, each counted
@@ -110,6 +114,8 @@ LABELS = ["0", "1", "α", "ψ₀", "é", 'say "hi"', "it's", "back\\slash", "tab
 GRID_PAIRS = 60
 # a random pair's sets and their Kronecker product miss completeness by about 1e-16 to 1e-15
 NEAR_TOLERANCES = ["3e-16", "6e-16", "1e-15", "2e-15"]
+# the thread counts of the BLAS builds numpy may use
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def corpus(seed: int, sweeps: int) -> list[list[str]]:
@@ -563,16 +569,31 @@ def float_report(moved: list[tuple[list[str], list]], what: str = "floats moved"
     return text
 
 
-def run_tree(src: Path, commands: list) -> list:
+def run_tree(src: Path, commands: list, threads: int | None = None) -> list:
+    """The results of ``commands`` run by the tree ``src``, at ``threads`` BLAS threads if given."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    if threads is not None:
+        env.update(dict.fromkeys(THREAD_VARS, str(threads)))
     proc = subprocess.run(
         [sys.executable, __file__, "--worker"],
         input=json.dumps(commands),
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=env,
         check=True,
     )
     return json.loads(proc.stdout)
+
+
+def thread_pair(text: str) -> tuple[int, int]:
+    """``A,B`` as two thread counts of at least 1."""
+    try:
+        a, b = (int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected A,B, got {text!r}") from exc
+    if min(a, b) < 1:
+        raise argparse.ArgumentTypeError(f"thread counts must be >= 1, got {text!r}")
+    return a, b
 
 
 def main() -> int:
@@ -584,11 +605,13 @@ def main() -> int:
     parser.add_argument("--src", type=Path, default=SRC)
     parser.add_argument("--seed", type=int, default=17)
     parser.add_argument("--sweeps", type=int, default=406)
+    parser.add_argument("--threads", type=thread_pair, default=(None, None), metavar="A,B")
     args = parser.parse_args()
     # the input files are written once, before either tree runs
     with tempfile.TemporaryDirectory() as workdir:
         commands = build(args.seed, args.sweeps, Path(workdir))
-        ours, theirs = run_tree(args.src, commands), run_tree(args.other_src, commands)
+        ours = run_tree(args.src, commands, args.threads[0])
+        theirs = run_tree(args.other_src, commands, args.threads[1])
     moved, steady, differ = [], [], []
     for line, a, b in zip(commands, ours, theirs):
         if a == b:
@@ -604,8 +627,9 @@ def main() -> int:
     for line in differ[:10]:
         print("differs:", " ".join(line), file=sys.stderr)
     exit2 = sum(code == 2 for code, _, _ in ours)
+    threads = "" if args.threads[0] is None else f" threads {args.threads[0]},{args.threads[1]}"
     print(
-        f"same_corpus seed {args.seed}: {len(commands)} commands ({per_command(commands)}), {exit2} exit 2; "
+        f"same_corpus seed {args.seed}{threads}: {len(commands)} commands ({per_command(commands)}), {exit2} exit 2; "
         f"identical {len(commands) - len(moved) - len(differ)}, "
         f"floats moved {len(moved)} ({per_command([line for line, _ in moved])}), "
         f"differ {len(differ)} ({per_command(differ)})"

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -1180,11 +1181,64 @@ class TestFileEntries:
         assert code == 2 and out == "" and caught == []
         assert err.startswith(f"error: {invariant}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind, obj", [
+        ("state", _entry_obj("state", "DIGITS")),
+        ("set", z_set_obj("DIGITS", "1")),
+    ])  # fmt: skip
+    def test_over_long_integer_is_named_as_file_json(self, capsys, tmp_path, kind, obj):
+        # 5000 digits: past the 4300 Python converts from a string, so no JSON decoder reads it
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(obj).replace('"DIGITS"', "1" * 5000), encoding="utf-8")
+        code, out, err = run_cli(capsys, *_file_argv(kind, str(path)))
+        assert code == 2 and out == ""
+        assert err.startswith("error: file-json: ") and err.count("\n") == 1
+
     def test_zero_dim_fails_as_state_dims(self, capsys, tmp_path):
         path = write_json(tmp_path / "zero.json", {"dims": [0, 4], "amplitudes": []})
         code, out, err = run_cli(capsys, *_file_argv("state", path))
         assert code == 2 and out == ""
         assert err == "error: state-dims: subsystem dimensions must be >= 1, got (0, 4)\n"
+
+
+@contextlib.contextmanager
+def _pipe_holding(data):
+    """The path of a pipe that holds ``data``, which must fit the pipe's buffer, and then ends:
+    a file with no size of its own."""
+    r, w = os.pipe()
+    os.write(w, data)
+    os.close(w)
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+
+
+class TestFileSize:
+    """An input file over the byte cap fails as ``file-size`` before it is parsed."""
+
+    # padded past the bytes the rest of the command needs, so that the file meets the cap first
+    STATE = json.dumps(state_to_obj(bell_phi_plus())).encode() + b" " * 4096
+
+    @pytest.mark.parametrize("over", [False, True])
+    @pytest.mark.parametrize("kind", ["regular", "pipe"])
+    def test_file_one_byte_over_the_cap_is_refused(self, capsys, tmp_path, monkeypatch, kind, over):
+        # a regular file is measured by its size, a pipe by how far its read has got
+        path = tmp_path / "bell.json"
+        path.write_bytes(self.STATE)
+        source = contextlib.nullcontext(str(path)) if kind == "regular" else _pipe_holding(self.STATE)
+        monkeypatch.setattr("mspace.linalg.TRIAL_BYTES_CAP", len(self.STATE) - over)
+        with source as name:
+            code, out, err = run_cli(capsys, *_file_argv("state", name))
+        if over:
+            assert code == 2 and out == "" and err.startswith("error: file-size: ") and "over the cap" in err
+        else:
+            assert code == 0 and err == ""
+
+    def test_endless_device_is_cut_at_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr("mspace.linalg.TRIAL_BYTES_CAP", 1 << 16)
+        code, out, err = run_cli(capsys, *_file_argv("state", "/dev/zero"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: file-size: reading /dev/zero needs ") and "over the cap of 65536" in err
 
 
 # subcommands interleaved, each flag set followed by the same command without some of its flags

@@ -219,10 +219,8 @@ class TestRunLoccConstruction:
         trace = run_locc_construction(psi, z_local_set())
         assert np.flatnonzero(trace.alice.skipped).tolist() == [1]
         np.testing.assert_allclose(trace.ancilla_diagonal, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
-        # outcome 0, sector 1
-        np.testing.assert_allclose(
-            trace.alice.conditional_unitaries[0, 1], np.eye(2), atol=1e-14
-        )
+        # outcome 0, sector 1: the reset keeps the identity, so it leaves the Fourier vector as it is
+        assert np.array_equal(trace.alice.resets[0, :, 1], trace.alice.fourier.vectors[1, :, 0])
 
     def test_intermediate_states_normalized(self):
         trace = run_locc_construction(bell_phi_plus(), noisy_local_set(0.8))
@@ -378,16 +376,17 @@ class TestChannelStacks:
         expected = sum(k @ rho @ k.conj().T for k in ch.kraus)
         np.testing.assert_allclose(ch.apply(rho), expected, atol=1e-14)
 
-    def test_blocks_and_unitaries_are_arrays(self):
+    def test_blocks_and_resets_are_arrays(self):
         trace = run_locc_construction(bell_phi_plus(), noisy_local_set(0.8))
         assert trace.alice.blocks.shape == (2, 2, 2)
-        assert trace.alice.conditional_unitaries.shape == (2, 2, 2, 2)
+        # [j, a, m]: every row of Alice's system
+        assert trace.alice.resets.shape == (2, 2, 2)
         assert trace.alice.fourier.vectors.shape == (2, 2, 2)
         assert trace.alice.fourier.eigenvalues.shape == (2, 2)
-        assert not trace.alice.conditional_unitaries.flags.writeable
-        # Bob's move is stacked over Alice's outcomes
+        assert not trace.alice.resets.flags.writeable
+        # Bob's move is stacked over Alice's outcomes, and forms only his row |0>
         assert trace.bob.blocks.shape == (2, 2, 2, 2)
-        assert trace.bob.conditional_unitaries.shape == (2, 2, 2, 2, 2)
+        assert trace.bob.resets.shape == (2, 2, 1, 2)
         assert trace.bob.probabilities.shape == (2, 2)
         assert trace.bob.fourier.max_deviation.shape == (2,)
-        assert not trace.bob.conditional_unitaries.flags.writeable
+        assert not trace.bob.resets.flags.writeable

@@ -82,7 +82,7 @@ def test_batched_bob_move_equals_one_move_per_alice_outcome():
         for j_a in range(d_a):
             one_states, one = locc._measure_party(bob_layout[j_a], "B")
             assert np.array_equal(states[j_a], one_states)
-            for name in ("blocks", "probabilities", "conditional_unitaries", "skipped"):
+            for name in ("blocks", "probabilities", "resets", "skipped"):
                 assert np.array_equal(getattr(move, name)[j_a], getattr(one, name)), name
             for name in ("vectors", "eigenvalues", "outcome_totals", "max_deviation", "degenerate"):
                 assert np.array_equal(getattr(move.fourier, name)[j_a], getattr(one.fourier, name)), name
@@ -162,7 +162,7 @@ def _same_move(t, party, rows):
     assert states.shape == ref_states.shape
     np.testing.assert_allclose(states, ref_states, rtol=0, atol=1e-12)
     np.testing.assert_allclose(move.probabilities, ref.probabilities, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(move.conditional_unitaries, ref.conditional_unitaries, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(move.resets, ref.resets, rtol=0, atol=1e-12)
     assert np.array_equal(move.skipped, ref.skipped)
     return states
 

@@ -2,11 +2,18 @@
 subcommand, format and input kind among them; and its comparer of two results. Only the corpus
 is built; no command runs."""
 
+import json
+import subprocess
+import sys
+import types
+
 import pytest
+import same_corpus
 from same_corpus import (
     COMMANDS,
     GRID_PAIRS,
     NEAR_TOLERANCES,
+    THREAD_VARS,
     build,
     float_moves,
     float_report,
@@ -60,6 +67,31 @@ def test_corpus_ends_with_the_grid_pair_block(tmp_path):
         assert all(1 <= n <= 3 for n in outcomes)
     assert min(dims["map"] | dims["entanglement"]) == 6 and max(dims["map"] | dims["entanglement"]) == 24
     assert max(dims["locc"]) == 8
+
+
+@pytest.mark.parametrize("flags, counts", [(["--threads", "1,2"], ("1", "2")), ([], (None, None))])
+def test_each_tree_runs_at_its_thread_count(monkeypatch, capsys, flags, counts):
+    runs = []
+
+    def fake_run(argv, input, env, **kwargs):
+        runs.append((env["PYTHONPATH"], {name: env.get(name) for name in THREAD_VARS}))
+        return types.SimpleNamespace(stdout=json.dumps([[0, "", ""]] * len(json.loads(input))))
+
+    for name in THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", ["same_corpus.py", "theirs", "--src", "ours", *flags])
+    assert same_corpus.main() == 0
+    assert runs == [(tree, dict.fromkeys(THREAD_VARS, n)) for tree, n in zip(("ours", "theirs"), counts)]
+    assert capsys.readouterr().out.startswith("same_corpus seed 17" + (" threads 1,2:" if flags else ":"))
+
+
+@pytest.mark.parametrize("text", ["1", "1,2,3", "0,2", "a,b"])
+def test_bad_thread_pair_is_an_argument_error(monkeypatch, text):
+    monkeypatch.setattr(sys, "argv", ["same_corpus.py", "theirs", "--threads", text])
+    with pytest.raises(SystemExit) as exc:
+        same_corpus.main()
+    assert exc.value.code == 2
 
 
 def test_one_moved_float_is_counted():
