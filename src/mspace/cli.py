@@ -316,7 +316,7 @@ def cmd_konrad(args) -> tuple[dict, int]:
         passed = violations == 0
     else:
         columns = {"lhs": lhs, "rhs": bound, "residual": np.abs(lhs - bound)}
-        violations, worst = None, float(np.max(columns["residual"]))
+        violations, worst = None, float(columns["residual"].max())
         passed = worst < KONRAD_TOL
     report = {
         "parameters": {"trials": args.trials, "seed": args.seed, "two_sided": args.two_sided},
@@ -441,11 +441,32 @@ def build_parser() -> argparse.ArgumentParser:
     # after every subcommand's own options, as the last one of each
     for p in sub.choices.values():
         p.add_argument("--format", choices=("json", "tsv"), default="json")
+    # the subcommand parsers by name, for main's one-pass parse
+    parser.subcommands = sub.choices
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """``argv`` parsed as ``build_parser().parse_args`` parses it, in one argparse pass where it can be.
+
+    A line whose first word names a subcommand is parsed by that subcommand's
+    parser alone: the whole parser would hand it every word after the name
+    anyway. Any other line, and one that leaves words unparsed, goes through
+    the whole parser, which writes the usage, help and error text.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     # looked up per call, so a handler rebound on the module (a tracer, a test) is the one that runs
     handler = globals()[f"cmd_{args.command}"]
     try:

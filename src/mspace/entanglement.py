@@ -40,8 +40,9 @@ def concurrence_pure(amplitudes: np.ndarray) -> float | np.ndarray:
     a = np.asarray(amplitudes, dtype=complex)
     if a.shape[-2:] != (2, 2):
         raise ValidationError("concurrence-dims", f"need 2x2 amplitudes, got shape {a.shape}")
-    (r00, r01), (r10, r11) = np.moveaxis(a.real, (-2, -1), (0, 1))
-    (i00, i01), (i10, i11) = np.moveaxis(a.imag, (-2, -1), (0, 1))
+    r, i = a.real, a.imag
+    r00, r01, r10, r11 = r[..., 0, 0], r[..., 0, 1], r[..., 1, 0], r[..., 1, 1]
+    i00, i01, i10, i11 = i[..., 0, 0], i[..., 0, 1], i[..., 1, 0], i[..., 1, 1]
     # real products and hypot round as numpy's scalar complex product and abs() do
     re = (r00 * r11 - i00 * i11) - (r01 * r10 - i01 * i10)
     im = (r00 * i11 + i00 * r11) - (r01 * i10 + i01 * r10)

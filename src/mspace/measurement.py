@@ -100,7 +100,7 @@ def _gram(stack: np.ndarray) -> np.ndarray:
 
 def _identity_deviation(gram: np.ndarray) -> np.ndarray:
     """max |G - 1| of a Gram matrix, or of each matrix in a stack of them."""
-    return np.max(np.abs(gram - np.eye(gram.shape[-1])), axis=(-2, -1))
+    return np.abs(gram - np.eye(gram.shape[-1])).max(axis=(-2, -1))
 
 
 def _require_complete(dev: np.ndarray, tol: float, trials=None) -> None:
@@ -165,9 +165,9 @@ class MeasurementSpaceState:
         object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 1:
             raise ValidationError("mspace-shape", f"amplitudes of shape {amps.shape} do not form one vector")
-        if np.any(amps < 0):
+        if (amps < 0).any():
             raise ValidationError("mspace-nonnegative", "amplitudes must be >= 0")
-        _require_unit(np.sum(amps**2), DEFAULT_TOL, "mspace-normalization", "squared amplitudes sum to")
+        _require_unit((amps**2).sum(), DEFAULT_TOL, "mspace-normalization", "squared amplitudes sum to")
         if self.structure is not None:
             na, nb = (int(x) for x in self.structure)
             object.__setattr__(self, "structure", (na, nb))
@@ -212,12 +212,12 @@ def _clamped(raw: np.ndarray, trials=None) -> np.ndarray:
         lambda i: f"outcome probability {float(raw[i])!r} < -1e-12",
         trials,
     )
-    return np.clip(raw, 0.0, 1.0)
+    return raw.clip(0.0, 1.0)
 
 
 def _local_probabilities(t: np.ndarray, trials=None) -> np.ndarray:
     """Clamped p[..., a, b] = ||T[..., a, b]||_F^2 of a :func:`local_product` ``T``."""
-    return _clamped(np.sum(t.real**2 + t.imag**2, axis=(-2, -1)), trials)
+    return _clamped((t.real**2 + t.imag**2).sum(axis=(-2, -1)), trials)
 
 
 def _check_total(probs: np.ndarray, dim: int, completeness_tol: float, trials=None) -> np.ndarray:
@@ -239,7 +239,7 @@ def _probabilities(
     """
     n, dim = stack.shape[-3], stack.shape[-1]
     amps = (_rows(stack) @ vectors[..., None]).reshape(*stack.shape[:-3], n, dim)
-    raw = np.sum(amps.real**2 + amps.imag**2, axis=-1)
+    raw = (amps.real**2 + amps.imag**2).sum(axis=-1)
     return _check_total(_clamped(raw, trials), dim, completeness_tol, trials)
 
 
@@ -249,7 +249,7 @@ def _image(probs: np.ndarray, trials=None) -> np.ndarray:
     # when the completeness tolerance is loosened the raw probabilities may
     # miss unit sum by up to that amount; the image itself stays a unit vector
     amps /= _row_norms(amps)[..., None]
-    total = np.sum(amps**2, axis=-1)
+    total = (amps**2).sum(axis=-1)
     _require_unit(total, DEFAULT_TOL, "mspace-normalization", "squared amplitudes sum to", trials)
     return amps
 

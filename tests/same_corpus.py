@@ -64,6 +64,13 @@ Many of these lines set ``MSPACE_DEFAULT_TOL`` (to valid and invalid values)
 with a leading ``MSPACE_DEFAULT_TOL=<value>``, which the worker applies to
 that command alone.
 
+Then comes a fixed block. PARSER_LINES are lines that argparse itself
+answers, or that test how it reads words: help, an unknown subcommand or
+flag, left-over words, ``--``, abbreviated and ambiguous flags,
+``--flag=value``, a repeated flag and a bad choice. DRIFT_LINES are two
+local-pair lines large enough that their floats move between 1 and 2 BLAS
+threads, so that ``--threads 1,2`` has drift to show.
+
 The last block holds GRID_PAIRS seeded local-pair lines each of ``map`` and
 ``entanglement`` on dims 6x6 to 24x24 and of ``locc`` on dims up to 8x8,
 with 1 to 3 ``random:<outcomes>:<seed>`` outcomes per side, from a fourth
@@ -116,6 +123,38 @@ GRID_PAIRS = 60
 NEAR_TOLERANCES = ["3e-16", "6e-16", "1e-15", "2e-15"]
 # the thread counts of the BLAS builds numpy may use
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+Z_PAIR = ["--alice", "z-projectors", "--bob", "z-projectors"]
+# lines that argparse answers itself, or whose words test how it reads them
+PARSER_LINES = [
+    ["-h"],
+    ["-h", "map"],
+    ["bogus"],
+    ["--format", "json", "map"],
+    ["map", "-h"],
+    ["modes", "--he"],
+    ["map", "--bogus"],
+    ["map", "--state"],
+    ["map", "--state", "bell", "extra"],
+    ["map", "--state", "bell", *Z_PAIR, "-x"],
+    ["map", "--", "--state", "bell"],
+    ["sweep", "--format", "tsv", "extra", "--steps", "2"],
+    ["konrad"],
+    ["konrad", "--seed", "x"],
+    ["konrad", "--seed", "-1"],
+    ["konrad", "--seed", "1", "--t", "3"],
+    ["theorem1", "--random", "--seed", "3", "--tri", "3"],
+    ["locc", "--state", "bell", *Z_PAIR, "--all"],
+    ["map", "--state=bell", *Z_PAIR],
+    ["modes", "--n", "2", "--m", "2", "--format=tsv"],
+    ["sweep", "--steps", "3", "--steps", "4"],
+    ["entanglement", "--state", "bell", "--measure", "bogus"],
+    ["map", "--state", "bell", *Z_PAIR, "--format", "xml"],
+]
+# their floats move between 1 and 2 OpenBLAS threads, and stay put at one count
+DRIFT_LINES = [
+    ["map", "--state", "random:3", "--dims", "40,40", "--alice", "random:40:1", "--bob", "random:40:2"],
+    ["entanglement", "--state", "random:3", "--dims", "24,24", "--alice", "random:24:1", "--bob", "random:24:2"],
+]
 
 
 def corpus(seed: int, sweeps: int) -> list[list[str]]:
@@ -441,7 +480,8 @@ def grid_corpus(seed: int) -> list[list[str]]:
 
 def build(seed: int, sweeps: int, workdir: Path) -> list[list[str]]:
     """The whole corpus for ``seed``, its input files written under ``workdir``."""
-    return corpus(seed, sweeps) + local_corpus(seed) + file_corpus(seed, workdir) + grid_corpus(seed)
+    seeded = corpus(seed, sweeps) + local_corpus(seed) + file_corpus(seed, workdir)
+    return seeded + PARSER_LINES + DRIFT_LINES + grid_corpus(seed)
 
 
 def split_env(line: list[str]) -> tuple[str | None, list[str]]:
@@ -452,9 +492,11 @@ def split_env(line: list[str]) -> tuple[str | None, list[str]]:
 
 
 def per_command(commands: list) -> str:
-    """How many of ``commands`` each subcommand has, as ``"3 sweep, 0 konrad, 1 modes"``."""
+    """How many of ``commands`` each subcommand has, as ``"3 sweep, 0 konrad, 1 modes, ..., 2 other"``;
+    ``other`` counts the lines whose first word names no subcommand."""
     names = [split_env(line)[1][0] for line in commands]
-    return ", ".join(f"{names.count(name)} {name}" for name in COMMANDS)
+    counts = [f"{names.count(name)} {name}" for name in COMMANDS]
+    return ", ".join([*counts, f"{len(names) - sum(map(names.count, COMMANDS))} other"])
 
 
 def worker() -> None:

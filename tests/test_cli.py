@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+import same_corpus
 from conftest import depolarizing_kraus, mode_rows, pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1253,9 +1254,42 @@ INTERLEAVED = [
 ]
 
 
+# a valid line of each subcommand
+VALID_LINES = [
+    ["map", "--state", "bell", "--alice", "z-projectors", "--bob", "noisy:0.9"],
+    ["entanglement", "--state", "bell", "--measure", "concurrence"],
+    ["theorem1", "--random", "--seed", "1", "--trials", "2"],
+    ["locc", "--state", "bell", "--alice", "z-projectors", "--bob", "z-projectors", "--all-outcomes"],
+    ["konrad", "--seed", "1", "--trials", "2"],
+    ["modes", "--n", "2", "--m", "2"],
+    ["sweep", "--steps", "2"],
+]
+
+
 class TestParser:
     def test_one_parser_per_process(self):
         assert cli.build_parser() is cli.build_parser()
+
+    def test_a_subcommand_line_is_parsed_by_its_subcommand_alone(self, capsys, monkeypatch):
+        parser, asked = cli.build_parser(), []
+
+        def spy(name):
+            method = getattr(parser, name)
+            return lambda *args, **kwargs: asked.append(name) or method(*args, **kwargs)
+
+        for name in ("parse_args", "parse_known_args"):
+            monkeypatch.setattr(parser, name, spy(name))
+        results = [run_cli(capsys, *argv) for argv in VALID_LINES]
+        assert asked == [] and [code for code, _, _ in results] == [0] * len(VALID_LINES)
+        assert {argv[0] for argv in VALID_LINES} == set(parser.subcommands)
+        assert [json.loads(out)["command"] for _, out, _ in results] == [argv[0] for argv in VALID_LINES]
+
+    @pytest.mark.parametrize("argv", [[], *same_corpus.PARSER_LINES], ids=" ".join)
+    def test_every_line_reads_as_the_whole_parser_reads_it(self, capsys, monkeypatch, argv):
+        ours = run_cli(capsys, *argv)
+        # the reference: one pass of the whole parser over every line
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        assert ours == run_cli(capsys, *argv)
 
     def test_interleaved_calls_match_a_fresh_parser(self, capsys, monkeypatch):
         cached = [run_cli(capsys, *argv) for argv in INTERLEAVED]

@@ -11,14 +11,17 @@ import pytest
 import same_corpus
 from same_corpus import (
     COMMANDS,
+    DRIFT_LINES,
     GRID_PAIRS,
     NEAR_TOLERANCES,
+    PARSER_LINES,
     THREAD_VARS,
     build,
     float_moves,
     float_report,
     grid_corpus,
     in_degenerate_row,
+    per_command,
     split_env,
     tsv_cells,
 )
@@ -38,8 +41,9 @@ def test_corpus_is_deterministic_for_a_seed(tmp_path):
 def test_corpus_reaches_every_subcommand_format_and_input_kind(tmp_path):
     lines, files = _build(tmp_path / "corpus")
     split = [split_env(line) for line in lines]
-    assert {argv[0] for _, argv in split} == set(COMMANDS) and len(COMMANDS) == 7
-    assert {argv[argv.index("--format") + 1] for _, argv in split if "--format" in argv} == {"json", "tsv"}
+    # beyond the subcommands, the first words and the bad format of the parser-level lines
+    assert {argv[0] for _, argv in split} == {*COMMANDS, "-h", "bogus", "--format"} and len(COMMANDS) == 7
+    assert {argv[argv.index("--format") + 1] for _, argv in split if "--format" in argv} == {"json", "tsv", "xml"}
     tolerances = {None, "1e-12", "1e-6", "1e-4", "2e-4", "nan", "abc", *NEAR_TOLERANCES}
     assert {tol for tol, _ in split} == tolerances
 
@@ -67,6 +71,20 @@ def test_corpus_ends_with_the_grid_pair_block(tmp_path):
         assert all(1 <= n <= 3 for n in outcomes)
     assert min(dims["map"] | dims["entanglement"]) == 6 and max(dims["map"] | dims["entanglement"]) == 24
     assert max(dims["locc"]) == 8
+
+
+def test_fixed_block_comes_just_before_the_grid_pair_block(tmp_path):
+    lines, _ = _build(tmp_path / "corpus")
+    end = len(lines) - 3 * GRID_PAIRS
+    assert lines[end - len(PARSER_LINES) - len(DRIFT_LINES) : end] == PARSER_LINES + DRIFT_LINES
+    # the drift lines are local pairs at 24x24 or larger
+    for argv in DRIFT_LINES:
+        assert "--alice" in argv and min(map(int, argv[argv.index("--dims") + 1].split(","))) >= 24
+    # the lines whose first word names no subcommand are counted as other
+    assert per_command(PARSER_LINES).endswith(", 4 other")
+    assert per_command([["-h"], ["MSPACE_DEFAULT_TOL=1e-6", "map"]]) == (
+        "0 sweep, 0 konrad, 0 modes, 0 entanglement, 1 map, 0 locc, 0 theorem1, 1 other"
+    )
 
 
 @pytest.mark.parametrize("flags, counts", [(["--threads", "1,2"], ("1", "2")), ([], (None, None))])
