@@ -269,7 +269,7 @@ def cmd_locc(args) -> tuple[dict, int]:
         "fidelity": trace.fidelities[branches],
         "degenerate": degenerate[outcome_a],
     }
-    worst_uniform = max(uniformity_alice, *columns["uniformity_deviation_bob"])
+    worst_uniform = max(uniformity_alice, *trace.bob.fourier.max_deviation.tolist())
     entropy_before = pure_entanglement(psi, "entropy")
     entropy_after = measurement_space_entanglement(trace.mspace, "entropy")
     summary: dict[str, Any] = {"entropy_before": entropy_before, "entropy_after": entropy_after}

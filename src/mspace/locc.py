@@ -240,17 +240,15 @@ def run_locc_construction(
     accumulated into the procedure's deterministic ancilla output, whose
     diagonal is checked against the squared measurement-space amplitudes.
     Both sets must be complete within ``completeness_tol``, as for the map.
-    Its largest array, Alice's states and Bob's coefficients (``d_a n_a n_b
-    d_a d_b`` entries), must fit the byte cap before anything is built;
-    otherwise the run fails as ``locc-size``. The check also counts each
-    party's reset unitaries (``d_a n_b d_b^3`` entries for Bob), though no
-    move builds them; that term stays until one peak-memory budget per
-    command replaces this check.
+    Its largest array must fit the byte cap before anything is built,
+    otherwise the run fails as ``locc-size``: Alice's states and Bob's
+    coefficients (``d_a n_a n_b d_a d_b`` entries), Bob's blocks (``d_a n_b
+    d_b^2``) or the ancilla output (``(n_a n_b)^2``).
     """
     _require_pair_fits(psi, *measurements.stacks)
     (d_a, d_b), (n_a, n_b) = psi.dims, measurements.structure
     _require_fits(
-        16 * max(d_a * n_a * n_b * d_a * d_b, d_a * n_b * d_b**3, d_a**3 * n_a),
+        16 * max(d_a * n_a * n_b * d_a * d_b, d_a * n_b * d_b**2, (n_a * n_b) ** 2),
         "locc-size",
         f"a LOCC run of {n_a * n_b} outcomes on dims ({d_a}, {d_b})",
     )

@@ -276,9 +276,7 @@ def outcome_probabilities(
 
 def _require_pair_fits(psi: PureState, alice: np.ndarray, bob: np.ndarray) -> None:
     """The pair check's shapes for ``(..., n, d, d)`` stacks: the state must have dims ``(d_a, d_b)``,
-    and one pair's product tensor, ``n dim`` entries, must fit the byte cap. So must ``dim^2``
-    entries: that term caps the dimension on its own until one peak-memory budget per command
-    replaces this check."""
+    and one pair's product tensor, its largest array at ``n dim`` entries, must fit the byte cap."""
     if psi.dims != (alice.shape[-1], bob.shape[-1]):
         raise ValidationError(
             "dimension-match",
@@ -286,7 +284,7 @@ def _require_pair_fits(psi: PureState, alice: np.ndarray, bob: np.ndarray) -> No
         )
     n, dim = alice.shape[-3] * bob.shape[-3], psi.dim
     what = f"a local pair of {n} outcomes on dims {psi.dims}"
-    _require_fits(16 * max(n, dim) * dim, "measurement-size", what)
+    _require_fits(16 * n * dim, "measurement-size", what)
 
 
 def _pair_deviations(ga: np.ndarray, gb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

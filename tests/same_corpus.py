@@ -64,10 +64,13 @@ Many of these lines set ``MSPACE_DEFAULT_TOL`` (to valid and invalid values)
 with a leading ``MSPACE_DEFAULT_TOL=<value>``, which the worker applies to
 that command alone.
 
-Then comes a fixed block. PARSER_LINES are lines that argparse itself
-answers, or that test how it reads words: help, an unknown subcommand or
-flag, left-over words, ``--``, abbreviated and ambiguous flags,
-``--flag=value``, a repeated flag and a bad choice. DRIFT_LINES are two
+Then comes a fixed block. EDGE_LINES are a ``locc`` line whose verdict
+rests on a Bob move that its printed row does not show, and two local pairs
+of large dimension and few outcomes, which the size checks admit by the
+largest arrays their kernels build. PARSER_LINES are lines that argparse
+itself answers, or that test how it reads words: help, an unknown
+subcommand or flag, left-over words, ``--``, abbreviated and ambiguous
+flags, ``--flag=value``, a repeated flag and a bad choice. DRIFT_LINES are two
 local-pair lines large enough that their floats move between 1 and 2 BLAS
 threads, so that ``--threads 1,2`` has drift to show.
 
@@ -124,6 +127,14 @@ NEAR_TOLERANCES = ["3e-16", "6e-16", "1e-15", "2e-15"]
 # the thread counts of the BLAS builds numpy may use
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 Z_PAIR = ["--alice", "z-projectors", "--bob", "z-projectors"]
+# the verdict rests on Bob's move after Alice's outcome 1, which --outcome 0,0 does not print;
+# the pairs' largest arrays are Bob's blocks (16.4 MB) and the product tensor (160 KB)
+EDGE_LINES = [
+    [f"{ENV}=3e-16", "locc", "--state", "random:28", "--dims", "2,2", "--alice", "random:1:128",
+     "--bob", "random:1:228", "--outcome", "0,0"],
+    ["locc", "--state", "product0", "--dims", "2,80", *Z_PAIR],
+    ["map", "--state", "product0", "--dims", "100,100", "--alice", "random:1:1", "--bob", "random:1:2"],
+]  # fmt: skip
 # lines that argparse answers itself, or whose words test how it reads them
 PARSER_LINES = [
     ["-h"],
@@ -481,7 +492,7 @@ def grid_corpus(seed: int) -> list[list[str]]:
 def build(seed: int, sweeps: int, workdir: Path) -> list[list[str]]:
     """The whole corpus for ``seed``, its input files written under ``workdir``."""
     seeded = corpus(seed, sweeps) + local_corpus(seed) + file_corpus(seed, workdir)
-    return seeded + PARSER_LINES + DRIFT_LINES + grid_corpus(seed)
+    return seeded + EDGE_LINES + PARSER_LINES + DRIFT_LINES + grid_corpus(seed)
 
 
 def split_env(line: list[str]) -> tuple[str | None, list[str]]:

@@ -509,6 +509,17 @@ class TestLocc:
             assert code == 0
             assert json.loads(out)["results"] == [row]
 
+    def test_verdict_is_the_runs_whatever_outcome_is_printed(self, capsys, monkeypatch):
+        # Bob's uniformity deviations are about 2.8e-16 after Alice's outcome 0 and 6.1e-16
+        # after her outcome 1, on either side of the tolerance
+        monkeypatch.setenv("MSPACE_DEFAULT_TOL", "3e-16")
+        argv = ("locc", "--state", "random:28", "--dims", "2,2", "--alice", "random:1:128", "--bob", "random:1:228")
+        code, out, _ = run_cli(capsys, *argv, "--all-outcomes")
+        passed = json.loads(out)["passed"]
+        for outcome in ("0,0", "0,1", "1,0", "1,1"):
+            got, out, _ = run_cli(capsys, *argv, "--outcome", outcome)
+            assert (got, json.loads(out)["passed"]) == (code, passed)
+
     def test_outcome_out_of_range_rejected_before_the_construction(self, capsys, monkeypatch):
         monkeypatch.setattr("mspace.cli.run_locc_construction", _no_work)
         code, out, err = run_cli(
@@ -850,7 +861,7 @@ class TestRowCap:
     @pytest.mark.parametrize("command", [["map"], ["entanglement"], ["locc", "--all-outcomes"]])
     def test_local_pair_over_the_byte_cap_rejected_before_building(self, capsys, monkeypatch, command):
         # at a 1 MiB cap each set on dim 20 fits (128 KB), but the pair's product
-        # tensor and the check's dim^2 term, 400 x 400 entries each (2.56 MB), do not
+        # tensor, 400 x 400 entries (2.56 MB), does not
         monkeypatch.setattr("mspace.linalg.TRIAL_BYTES_CAP", 1 << 20)
         for name in ("local_product", "tensor", "_gram"):
             monkeypatch.setattr(f"mspace.measurement.{name}", _no_work)
@@ -859,15 +870,33 @@ class TestRowCap:
         assert code == 2 and "error: measurement-size: " in err and "over the cap" in err and out == ""
 
     def test_locc_run_over_the_byte_cap_rejected_before_the_pair_check(self, capsys, monkeypatch):
-        # at a 1 MiB cap the pair's product tensor of 100 x 100 entries (160 KB)
-        # fits, but Alice's states of 10 x 100 x 100 entries (1.6 MB) do not
+        # at a 1 MiB cap each pair's product tensor fits, and so does its map, but the run's largest
+        # array does not: Alice's states of 10 x 100 x 100 entries (1.6 MB), the ancilla output of
+        # 272 x 272 (1.18 MB), Bob's blocks of 2 x 33 x 33 x 33 (1.15 MB)
         monkeypatch.setattr("mspace.linalg.TRIAL_BYTES_CAP", 1 << 20)
-        argv = ("--state", "random:1", "--dims", "10,10", "--alice", "random:10:1", "--bob", "random:10:2")
-        assert run_cli(capsys, "map", *argv)[0] == 0
+        lines = [
+            ("--state", "random:1", "--dims", "10,10", "--alice", "random:10:1", "--bob", "random:10:2"),
+            ("--state", "bell", "--alice", "random:17:1", "--bob", "random:16:2"),
+            ("--state", "product0", "--dims", "2,33", "--alice", "z-projectors", "--bob", "z-projectors"),
+        ]
+        for argv in lines:
+            assert run_cli(capsys, "map", *argv)[0] == 0
         for name in ("locc._checked_local_product", "measurement.local_product", "locc.fourier_step"):
             monkeypatch.setattr(f"mspace.{name}", _no_work)
-        code, out, err = run_cli(capsys, "locc", *argv)
-        assert code == 2 and "error: locc-size: " in err and "over the cap" in err and out == ""
+        for argv in lines:
+            code, out, err = run_cli(capsys, "locc", *argv)
+            assert code == 2 and "error: locc-size: " in err and "over the cap" in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        # Bob's blocks, 2 x 12 x 12 x 12 entries (55 KB), are the run's largest array
+        ("locc", "--state", "product0", "--dims", "2,12", "--alice", "z-projectors", "--bob", "z-projectors"),
+        # the pair's product tensor holds 3600 entries (58 KB); no array of 3600^2 is built
+        ("map", "--state", "product0", "--dims", "60,60", "--alice", "random:1:1", "--bob", "random:1:2"),
+    ])  # fmt: skip
+    def test_local_pair_whose_arrays_fit_the_byte_cap_runs(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("mspace.linalg.TRIAL_BYTES_CAP", 1 << 16)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and json.loads(out)["command"] == argv[0]
 
     def test_largest_grid_in_use_is_under_the_cap(self, capsys):
         code, out, _ = run_cli(capsys, "modes", "--n-max", "60", "--m-max", "8")

@@ -1,5 +1,7 @@
 """The local construction behind the map, and channel concurrence factorization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import density_of, depolarizing_kraus, random_local_set
@@ -12,6 +14,7 @@ from mspace.linalg import (
     haar_blocks,
     haar_state,
 )
+from mspace import locc, measurement
 from mspace.cli import main
 from mspace.locc import (
     Channel,
@@ -25,6 +28,7 @@ from mspace.measurement import (
     MeasurementSet,
     map_to_measurement_space,
     noisy_pair,
+    random_measurement_set,
     z_projectors,
 )
 
@@ -242,6 +246,54 @@ class TestRunLoccConstruction:
         argv = ["locc", "--state", "bell", "--alice", "z-projectors", "--bob", "z-projectors"]
         assert main([*argv, "--outcome", "2,0"]) == 2
         assert "error: locc-outcome: " in capsys.readouterr().err
+
+
+def _sized_pair(dims, n_a, n_b):
+    """A Haar state on ``dims`` and random sets of ``n_a``, ``n_b`` outcomes; ``None`` is z-projectors."""
+    sets = (
+        z_projectors(d) if n is None else random_measurement_set(d, n, seed)
+        for d, n, seed in zip(dims, (n_a, n_b), (1, 2))
+    )
+    return haar_state(dims, 3), LocalMeasurementSet(*sets)
+
+
+class TestSizeRule:
+    # each term of the two size checks of a local pair, at the largest shape of its kind that a
+    # 1 MiB cap admits, where that term counts the most, and at the next shape, which it refuses
+    @pytest.mark.parametrize("run, admitted, refused, entries, invariant", [
+        # the pair's product tensor, n_a n_b d_a d_b entries
+        (map_to_measurement_space, ((32, 32), 8, 8), ((32, 32), 9, 8), 8**2 * 32**2, "measurement-size"),
+        # Alice's states and Bob's coefficients, d_a n_a n_b d_a d_b
+        (run_locc_construction, ((9, 9), 9, 9), ((10, 10), 10, 10), 9**5, "locc-size"),
+        # Bob's blocks, d_a n_b d_b^2
+        (run_locc_construction, ((2, 32), None, None), ((2, 33), None, None), 2 * 32**3, "locc-size"),
+        # the ancilla output, (n_a n_b)^2
+        (run_locc_construction, ((2, 2), 16, 16), ((2, 2), 17, 16), 16**4, "locc-size"),
+    ], ids=["pair-tensor", "locc-states", "bob-blocks", "ancilla"])  # fmt: skip
+    def test_peak_stays_within_a_few_of_the_counted_array(
+        self, monkeypatch, run, admitted, refused, entries, invariant
+    ):
+        monkeypatch.setattr("mspace.linalg.TRIAL_BYTES_CAP", 1 << 20)
+        with pytest.raises(ValidationError, match=invariant):
+            run(*_sized_pair(*refused))
+        counted = []
+        real = measurement._require_fits
+
+        def recorded(size, *args):
+            counted.append(size)
+            return real(size, *args)
+
+        monkeypatch.setattr(measurement, "_require_fits", recorded)
+        monkeypatch.setattr(locc, "_require_fits", recorded)
+        psi, pair = _sized_pair(*admitted)
+        tracemalloc.start()
+        try:
+            run(psi, pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the counted array is built, and nothing uncounted outgrows it
+        assert max(counted) == 16 * entries <= peak <= 8 * max(counted)
 
 
 class TestChannels:

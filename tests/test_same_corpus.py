@@ -12,6 +12,7 @@ import same_corpus
 from same_corpus import (
     COMMANDS,
     DRIFT_LINES,
+    EDGE_LINES,
     GRID_PAIRS,
     NEAR_TOLERANCES,
     PARSER_LINES,
@@ -76,7 +77,16 @@ def test_corpus_ends_with_the_grid_pair_block(tmp_path):
 def test_fixed_block_comes_just_before_the_grid_pair_block(tmp_path):
     lines, _ = _build(tmp_path / "corpus")
     end = len(lines) - 3 * GRID_PAIRS
-    assert lines[end - len(PARSER_LINES) - len(DRIFT_LINES) : end] == PARSER_LINES + DRIFT_LINES
+    fixed = EDGE_LINES + PARSER_LINES + DRIFT_LINES
+    assert lines[end - len(fixed) : end] == fixed
+    (tol, verdict), *pairs = [split_env(line) for line in EDGE_LINES]
+    # one printed branch of a run at a tolerance near its deviations
+    assert verdict[0] == "locc" and "--outcome" in verdict and tol in NEAR_TOLERANCES
+    # two local pairs on 160 dimensions or more, at the default tolerance
+    assert [(tol, argv[0]) for tol, argv in pairs] == [(None, "locc"), (None, "map")]
+    for _, argv in pairs:
+        d_a, d_b = map(int, argv[argv.index("--dims") + 1].split(","))
+        assert "--alice" in argv and d_a * d_b >= 160
     # the drift lines are local pairs at 24x24 or larger
     for argv in DRIFT_LINES:
         assert "--alice" in argv and min(map(int, argv[argv.index("--dims") + 1].split(","))) >= 24
