@@ -30,7 +30,7 @@ from .entanglement import (
     pure_entanglements,
 )
 from .files import load_measurement_set, load_protocol, load_state
-from .linalg import DEFAULT_TOL, PureState, ValidationError, bell_phi_plus, seeded_chunks
+from .linalg import DEFAULT_TOL, DensityMatrix, PureState, ValidationError, bell_phi_plus, seeded_chunks
 from .locc import KONRAD_TOL, KONRAD_TRIAL_BYTES, konrad_check, random_konrad_trials, run_locc_construction
 from .measurement import LocalMeasurementSet, local_images, map_to_measurement_space, noisy_operators
 from .modes import useful_entanglement_bounds
@@ -277,7 +277,9 @@ def cmd_locc(args) -> tuple[dict, int]:
     if psi.dims == (2, 2) and trace.mspace.structure == (2, 2):
         c_before = pure_entanglement(psi, "concurrence")
         c_after = measurement_space_entanglement(trace.mspace, "concurrence")
-        c_ancilla = EntanglementReport("concurrence", concurrence_mixed(trace.ancilla_dm), (2, 2)).value
+        # the one check of the ancilla output as a density matrix: the run holds it as an array
+        ancilla = DensityMatrix((2, 2), trace.ancilla)
+        c_ancilla = EntanglementReport("concurrence", concurrence_mixed(ancilla), (2, 2)).value
         summary.update(concurrence_before=c_before, concurrence_after=c_after, concurrence_ancilla=c_ancilla)
         checks.append(c_after <= c_before + MONOTONICITY_TOL)
         checks.append(c_ancilla <= c_before + MONOTONICITY_TOL)

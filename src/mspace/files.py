@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, Sequence
 
 import numpy as np
+import orjson
 
 from .linalg import (
     DEFAULT_TOL,
@@ -35,6 +36,11 @@ STATE_NORM_ACCEPT = 1e-8
 STATE_NORM_REPAIR = 1e-4
 # bytes read at a time from a file whose size is not known in advance
 READ_CHUNK = 1 << 20
+# orjson parses nested arrays and objects by recursion with no depth limit of its own, taking up
+# to about 160 bytes of C stack a level, and a text nested past the stack kills the process
+# (SIGSEGV; measured at about 52000 levels of objects on an 8 MiB stack). A text with at most
+# this many opening brackets nests no deeper, so within 1.6 MB of stack; json reads the rest.
+ORJSON_MAX_BRACKETS = 10_000
 
 
 def _quiet() -> np.errstate:
@@ -78,6 +84,15 @@ def _read_json(path: str | Path) -> Any:
             data = _read_capped(fh, f"reading {path}")
     except OSError as exc:
         raise ValidationError("file-access", f"cannot read {path}: {exc}") from exc
+    # orjson reads what json reads, to the same values, but for integers outside [-2^63, 2^64),
+    # which it reads as floats; json reads what orjson refuses (NaN and Infinity, numbers past a
+    # double, lone surrogates) and words every error
+    marks = np.frombuffer(data, np.uint8)
+    if np.count_nonzero(marks == ord("[")) + np.count_nonzero(marks == ord("{")) <= ORJSON_MAX_BRACKETS:
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
     try:
         text = data.decode("utf-8")
         # line ends as a text-mode read gives them, so that an error names the same position
@@ -165,7 +180,10 @@ def measurement_set_from_obj(obj: Any, tol: float = DEFAULT_TOL) -> MeasurementS
             raise ValidationError(
                 "measurement-schema", "each operator needs 'label' and 'matrix'"
             )
-        labels.append(str(entry["label"]))
+        try:
+            labels.append(str(entry["label"]))
+        except RecursionError as exc:
+            raise ValidationError("measurement-labels", "a label is nested too deep to print") from exc
         matrices.append(pairs_to_matrix(entry["matrix"]))
     with _quiet():
         mset = MeasurementSet(dim, tuple(labels), matrices)

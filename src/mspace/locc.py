@@ -163,17 +163,19 @@ class LoccTrace:
     state once both systems sit in |0>; ``fidelities[k]`` compares it with
     the measurement-space image and ``branch_diagonal_deviations[k]`` is the
     largest gap between its squared amplitudes and the image's, both
-    informational. ``ancilla_dm`` is the deterministic output of the whole
+    informational. ``ancilla`` is the deterministic output of the whole
     procedure, i.e. the ancilla state averaged over both parties' Fourier
     outcomes, whose diagonal matches the squared measurement-space
-    amplitudes by construction.
+    amplitudes by construction: the read-only ``(n_a n_b, n_a n_b)`` matrix
+    ``X^T W X^*`` of the branch rows ``X`` under nonnegative weights ``W``,
+    so positive by its form, and not checked as a ``DensityMatrix``.
     """
 
     dilated: PureState
     alice: PartyMove
     bob: PartyMove
     mspace: MeasurementSpaceState
-    ancilla_dm: DensityMatrix
+    ancilla: np.ndarray
     ancilla_diagonal: np.ndarray
     diagonal_deviation: float
     branch_ancillas: np.ndarray
@@ -277,7 +279,7 @@ def run_locc_construction(
         alice=alice,
         bob=bob,
         mspace=image,
-        ancilla_dm=DensityMatrix((n_a, n_b), ancilla_acc),
+        ancilla=frozen(ancilla_acc),
         ancilla_diagonal=diag,
         diagonal_deviation=float(np.abs(diag - target).max()),
         branch_ancillas=frozen(flat),

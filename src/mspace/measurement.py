@@ -37,10 +37,10 @@ class MeasurementSet:
 
     ``labels[m]`` names ``stack[m]``, the read-only ``(n, dim, dim)`` copy of
     the operators. Structural invariants (shapes, label count, unique labels
-    free of tabs and line breaks) are enforced at construction. Completeness
-    is checked by the operations that rely on it, so that an incomplete set
-    can still be built and inspected with :meth:`completeness_deviation`. A
-    set equals only itself.
+    free of tabs, line breaks and lone surrogates) are enforced at
+    construction. Completeness is checked by the operations that rely on it,
+    so that an incomplete set can still be built and inspected with
+    :meth:`completeness_deviation`. A set equals only itself.
     """
 
     dim: int
@@ -72,6 +72,10 @@ class MeasurementSet:
         split = next((label for label in labels if any(c in label for c in "\t\n\r")), None)
         if split is not None:
             raise ValidationError("measurement-labels", f"label {split!r} holds a tab or a line break")
+        # nor hold a lone surrogate (a JSON file may escape one), which has no UTF-8 to print
+        lone = next((s for s in labels if not s.isascii() and any("\ud800" <= c <= "\udfff" for c in s)), None)
+        if lone is not None:
+            raise ValidationError("measurement-labels", f"label {lone!r} holds a lone surrogate")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "stack", stack)

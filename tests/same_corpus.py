@@ -59,7 +59,11 @@ runs: states off unit norm by up to 1e-3 (about 1e-6 prints the
 renormalization warning, 1e-3 is rejected), sets off completeness, with
 labels holding non-ASCII characters, quotes, backslashes and tabs (a tab is
 rejected as ``measurement-labels``), sets that are ragged, repeated or of
-the wrong dim, and valid and broken protocols.
+the wrong dim, and valid and broken protocols. The file lines end with
+JSON_PATH_FILES, one fixed line each on a file that orjson refuses, so that
+the file reader parses it with json: NaN, Infinity and 1e400 entries, a
+label holding an escaped lone surrogate, and a UTF-8 byte order mark (which
+json refuses too).
 Many of these lines set ``MSPACE_DEFAULT_TOL`` (to valid and invalid values)
 with a leading ``MSPACE_DEFAULT_TOL=<value>``, which the worker applies to
 that command alone.
@@ -135,6 +139,19 @@ EDGE_LINES = [
     ["locc", "--state", "product0", "--dims", "2,80", *Z_PAIR],
     ["map", "--state", "product0", "--dims", "100,100", "--alice", "random:1:1", "--bob", "random:1:2"],
 ]  # fmt: skip
+STATE_TEXT = '{"dims": [2, 2], "amplitudes": [[%s, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]]}'
+SET_TEXT = (
+    '{"dim": 2, "operators": [{"label": %s, "matrix": [[[%s, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}, '
+    '{"label": "1", "matrix": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}]}'
+)
+# file texts that orjson refuses, each with a line that reads it in place of FILE
+JSON_PATH_FILES = [
+    (STATE_TEXT % "NaN", ["map", "--state", "FILE", *Z_PAIR]),
+    (SET_TEXT % ('"0"', "Infinity"), ["map", "--state", "bell", "--alice", "FILE", "--bob", "z-projectors"]),
+    (STATE_TEXT % "1e400", ["entanglement", "--state", "FILE"]),
+    (SET_TEXT % ('"\\ud800"', "1.0"), ["map", "--state", "bell", "--alice", "FILE", "--bob", "z-projectors"]),
+    ("\ufeff" + STATE_TEXT % "0.5", ["locc", "--state", "FILE", *Z_PAIR]),
+]
 # lines that argparse answers itself, or whose words test how it reads them
 PARSER_LINES = [
     ["-h"],
@@ -464,6 +481,9 @@ def file_corpus(seed: int, workdir: Path) -> list[list[str]]:
         argv += ["--format", "tsv" if k % 4 < 2 else "json"]
         tol = TOLERANCES[int(rng.choice(len(TOLERANCES), p=TOLERANCE_WEIGHTS))]
         commands.append(argv if tol is None else [f"{ENV}={tol}", *argv])
+    for text, argv in JSON_PATH_FILES:
+        path = files.write(text)
+        commands.append([path if arg == "FILE" else arg for arg in argv])
     return commands
 
 

@@ -210,6 +210,15 @@ class TestMap:
         assert (code, out) == (2, "")
         assert err == "error: measurement-labels: label 'tab\\there' holds a tab or a line break\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_label_with_a_lone_surrogate_exits_two(self, capsys, tmp_path, fmt):
+        # json.dumps escapes the surrogate, json reads it back, and it has no UTF-8 to print
+        mset = write_json(tmp_path / "set.json", z_set_obj("\ud800", "1"))
+        argv = ("map", "--state", "bell", "--alice", mset, "--bob", "z-projectors", "--format", fmt)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: measurement-labels: label '\\ud800' holds a lone surrogate\n"
+
     @settings(derandomize=True, deadline=None, max_examples=80, database=None)
     @given(labels=st.lists(st.text(st.characters() | st.sampled_from("\t\n\r"), max_size=4), min_size=2, max_size=2))
     def test_generated_labels_keep_tsv_rows_whole(self, tmp_path_factory, labels):
@@ -1228,6 +1237,57 @@ class TestFileEntries:
         code, out, err = run_cli(capsys, *_file_argv("state", path))
         assert code == 2 and out == ""
         assert err == "error: state-dims: subsystem dimensions must be >= 1, got (0, 4)\n"
+
+    @pytest.mark.parametrize("entry", [2**64, -(2**63) - 1, 10**300], ids=["2^64", "-2^63-1", "10^300"])
+    @pytest.mark.parametrize("kind", ["state", "set", "protocol"])
+    def test_entry_past_int64_gives_the_json_result(self, capsys, tmp_path, monkeypatch, kind, entry):
+        # orjson reads an integer outside [-2^63, 2^64) as a float, json as an int: the same bits
+        path = write_json(tmp_path / "big.json", _entry_obj(kind, entry))
+        ours = run_cli(capsys, *_file_argv(kind, path))
+        monkeypatch.setattr("mspace.files.ORJSON_MAX_BRACKETS", -1)  # every file read by json
+        assert ours == run_cli(capsys, *_file_argv(kind, path))
+
+    @pytest.mark.parametrize("value", [2**64, -(2**63) - 1], ids=["2^64", "-2^63-1"])
+    @pytest.mark.parametrize("kind, invariant", [
+        ("state", "state-schema: state files need 'dims' as a list of integers"),
+        ("set", "measurement-schema: measurement files need 'dim' as an integer and 'operators' as a list"),
+    ], ids=["state", "set"])  # fmt: skip
+    def test_dims_past_int64_fail_the_schema(self, capsys, tmp_path, kind, invariant, value):
+        # read as floats, where json read integers the shape checks then refused
+        if kind == "state":
+            obj = {"dims": [value], "amplitudes": [[1.0, 0.0]]}
+        else:
+            obj = {**z_set_obj("0", "1"), "dim": value}
+        code, out, err = run_cli(capsys, *_file_argv(kind, write_json(tmp_path / "dims.json", obj)))
+        assert (code, out, err) == (2, "", f"error: {invariant}\n")
+
+    def test_label_past_int64_prints_as_its_float(self, capsys, tmp_path):
+        path = write_json(tmp_path / "label.json", z_set_obj(2**64, "1"))
+        code, out, err = run_cli(capsys, *_file_argv("set", path), "--format", "tsv")
+        assert code == 0 and err == ""
+        assert "\n(1.8446744073709552e+19,0)\t0.5\t" in out
+
+    @pytest.mark.parametrize("kind, obj, invariant", [
+        ("set", z_set_obj("DEEP", "1"), "measurement-labels: a label is nested too deep to print"),
+        ("state", {"dims": [2], "amplitudes": "DEEP"}, "complex-pairs: amplitudes must be [re, im] pairs"),
+    ], ids=["label", "amplitudes"])  # fmt: skip
+    def test_nesting_past_the_recursion_limit_is_named(self, capsys, tmp_path, kind, obj, invariant):
+        # 5000 levels: past what json or str() recurses through, within what orjson reads
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(obj).replace('"DEEP"', "[" * 5000 + "]" * 5000), encoding="utf-8")
+        code, out, err = run_cli(capsys, *_file_argv(kind, str(path)))
+        assert (code, out, err) == (2, "", f"error: {invariant}\n")
+
+    def test_nesting_past_the_orjson_stack_is_read_by_json(self, tmp_path):
+        # 200000 levels of objects overflow an 8 MiB stack in orjson, which kills its process;
+        # the CLI runs in a process of its own, so that a crash fails only this test
+        path = tmp_path / "deep.json"
+        path.write_text('{"a":' * 200_000 + "1" + "}" * 200_000, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mspace.cli", *_file_argv("state", str(path))], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"error: file-json: {path} is not valid JSON: maximum recursion depth")
 
 
 @contextlib.contextmanager

@@ -8,6 +8,7 @@ from conftest import density_of, depolarizing_kraus, random_local_set
 
 from mspace.entanglement import concurrence_mixed, concurrence_pure
 from mspace.linalg import (
+    DensityMatrix,
     PureState,
     ValidationError,
     bell_phi_plus,
@@ -239,7 +240,7 @@ class TestRunLoccConstruction:
             psi = haar_state((2, 2), rng)
             local = random_local_set(2, 2, 2, 2, rng)
             trace = run_locc_construction(psi, local)
-            assert concurrence_mixed(trace.ancilla_dm) <= concurrence_pure(psi.reshaped()) + 1e-9
+            assert concurrence_mixed(DensityMatrix((2, 2), trace.ancilla)) <= concurrence_pure(psi.reshaped()) + 1e-9
 
     def test_outcome_out_of_range(self, capsys):
         # a branch is picked from the run's arrays, so the range is checked where it is picked

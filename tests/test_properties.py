@@ -1,5 +1,5 @@
-"""Properties of the local map, its local construction, the channel checks and
-protocol scoring on generated inputs.
+"""Properties of the local map, its local construction, the channel checks,
+protocol scoring and the JSON file reader on generated inputs.
 
 Inputs span dimensions 1-6 and outcome counts 1-6 per party (1-4 for the
 construction and for protocols), with rank-deficient and zero operators and
@@ -7,8 +7,10 @@ states chosen to give outcomes of probability zero. Channels act on qubits
 with 1-4 Kraus operators, rank-deficient ones among them, on entangled and
 product states. Reports are nested dicts and lists of the scalar types the
 CLI emits, and report tables, given as columns, of those types and of numpy
-scalars, with zero rows, one row or a few. The profile is derandomized, so
-every run tests the same examples.
+scalars, with zero rows, one row or a few. Files are JSON documents of
+nulls, booleans, int64 integers, floats (non-finite ones among them) and
+strings, nested in arrays and objects. The profile is derandomized, so every
+run tests the same examples.
 """
 
 import json
@@ -34,6 +36,7 @@ from mspace.entanglement import (
     pure_entanglement,
     pure_entanglements,
 )
+from mspace.files import _read_json
 from mspace.linalg import (
     CHUNK_BYTES,
     PureState,
@@ -288,6 +291,18 @@ def test_ancilla_diagonal_is_the_image(case):
     trace = run_locc_construction(psi, local)
     expected = map_to_measurement_space(psi, local).probabilities()
     np.testing.assert_allclose(trace.ancilla_diagonal, expected, rtol=0, atol=1e-12)
+
+
+@PROFILE
+@given(local_case(top=4))
+def test_ancilla_output_is_a_density_matrix_by_its_form(case):
+    # the run holds it as X^T W X^* with W >= 0 and checks none of this itself
+    psi, local = case
+    ancilla = run_locc_construction(psi, local).ancilla
+    assert not ancilla.flags.writeable
+    assert np.abs(ancilla - ancilla.conj().T).max() <= 1e-10
+    assert abs(np.trace(ancilla) - 1.0) <= 1e-10
+    assert np.linalg.eigvalsh(ancilla).min() >= -1e-10
 
 
 @PROFILE
@@ -653,3 +668,27 @@ def test_first_non_finite_value_named_in_emission_order(fmt, head, named):
     message = f"^report-nonfinite: the report holds the non-finite value {named}$"
     with pytest.raises(ValidationError, match=message):
         emit(report, fmt)
+
+
+# ---------------------------------------------------------------------------
+# the JSON file reader
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(2**63), 2**63 - 1) | st.floats() | st.text(max_size=8)
+)
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@PROFILE
+@given(JSON_DOCUMENTS)
+def test_file_reads_as_json_reads_it(tmp_path_factory, doc):
+    # orjson reads most of these and json the rest (NaN, Infinity, lone surrogates); repr tells
+    # floats apart by their bits, NaN included, and ints from floats and bools
+    text = json.dumps(doc)
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert repr(_read_json(path)) == repr(json.loads(text))

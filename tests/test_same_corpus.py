@@ -7,6 +7,7 @@ import subprocess
 import sys
 import types
 
+import orjson
 import pytest
 import same_corpus
 from same_corpus import (
@@ -14,6 +15,7 @@ from same_corpus import (
     DRIFT_LINES,
     EDGE_LINES,
     GRID_PAIRS,
+    JSON_PATH_FILES,
     NEAR_TOLERANCES,
     PARSER_LINES,
     THREAD_VARS,
@@ -95,6 +97,20 @@ def test_fixed_block_comes_just_before_the_grid_pair_block(tmp_path):
     assert per_command([["-h"], ["MSPACE_DEFAULT_TOL=1e-6", "map"]]) == (
         "0 sweep, 0 konrad, 0 modes, 0 entanglement, 1 map, 0 locc, 0 theorem1, 1 other"
     )
+
+
+def test_file_lines_end_with_the_json_path_block_before_the_fixed_block(tmp_path):
+    lines, files = _build(tmp_path / "corpus")
+    end = len(lines) - 3 * GRID_PAIRS - len(EDGE_LINES + PARSER_LINES + DRIFT_LINES)
+    block = lines[end - len(JSON_PATH_FILES) : end]
+    for line, (text, argv) in zip(block, JSON_PATH_FILES):
+        (path,) = [arg for arg in line if arg.startswith("<dir>/")]
+        assert [arg if arg != path else "FILE" for arg in line] == argv
+        data = files[path.removeprefix("<dir>/")]
+        assert data == text.encode()
+        # so the file reader parses it with json
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(data)
 
 
 @pytest.mark.parametrize("flags, counts", [(["--threads", "1,2"], ("1", "2")), ([], (None, None))])
