@@ -10,7 +10,6 @@ the counting bounds for mode entanglement.
 
 from .entanglement import (
     EntanglementReport,
-    binary_entropy,
     concurrence_mixed,
     concurrence_pure,
     eof_from_concurrence,
@@ -30,7 +29,6 @@ from .linalg import (
     haar_unitaries,
     haar_vectors,
     is_hermitian,
-    schmidt,
     tensor,
 )
 from .locc import (

@@ -10,29 +10,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
 
 import numpy as np
 
-from .linalg import PAULI_Y, DensityMatrix, PureState, ValidationError, _require, schmidt, tensor
+from .linalg import PAULI_Y, DensityMatrix, PureState, ValidationError, _require, reduced_spectrum, tensor
 from .measurement import MeasurementSpaceState
 
 _YY = tensor(PAULI_Y, PAULI_Y)
 
 
-def binary_entropy(p: float) -> float:
-    """Shannon entropy (bits) of a {p, 1-p} distribution, with 0 log 0 := 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError("entropy-domain", f"p must lie in [0, 1], got {p!r}")
-    return shannon_entropy((p, 1.0 - p))
-
-
-def shannon_entropy(probs: Sequence[float]) -> float:
-    h = 0.0
-    for q in probs:
-        if q > 0.0:
-            h -= q * math.log2(q)
-    return max(h, 0.0)
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy (bits) of each distribution on the last axis of ``p``, with 0 log 0 := 0."""
+    # 0.0 - sum, so that a product state scores +0.0 rather than -0.0
+    return 0.0 - np.sum(p * np.log2(p, out=np.zeros_like(p), where=p > 0.0), axis=-1)
 
 
 def concurrence_pure(amplitudes: np.ndarray) -> float | np.ndarray:
@@ -68,12 +58,21 @@ def concurrence_mixed(rho: DensityMatrix) -> float | np.ndarray:
     return float(c) if c.ndim == 0 else c
 
 
-def eof_from_concurrence(c: float) -> float:
-    """Entanglement of formation (bits) of a two-qubit state with concurrence c."""
-    if not 0.0 <= c <= 1.0 + 1e-12:
-        raise ValidationError("concurrence-range", f"concurrence must lie in [0, 1], got {c!r}")
-    c = min(c, 1.0)
-    return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
+def eof_from_concurrence(c: float | np.ndarray) -> float | np.ndarray:
+    """Entanglement of formation (bits) of a two-qubit state with concurrence ``c``, or of each
+    in an array: the entropy of ``{(1 + s) / 2, c^2 / (2 (1 + s))}`` with ``s = sqrt(1 - c^2)``.
+    That form of the smaller weight avoids the cancellation in ``(1 - s) / 2``."""
+    c = np.asarray(c, dtype=float)
+    _require(
+        (0.0 <= c) & (c <= 1.0 + 1e-12),
+        "concurrence-range",
+        lambda i: f"concurrence must lie in [0, 1], got {float(c[i])!r}",
+    )
+    # values up to 1 + 1e-12 pass the check; 1 - c^2 must not go negative
+    c = np.minimum(c, 1.0)
+    s = np.sqrt(1.0 - c * c)
+    e = _entropy_bits(np.stack([(1.0 + s) / 2.0, c * c / (2.0 * (1.0 + s))], axis=-1))
+    return float(e) if e.ndim == 0 else e
 
 
 MEASURES = ("entropy", "concurrence", "eof")
@@ -88,8 +87,8 @@ def _require_measure(measure: str) -> None:
 @dataclasses.dataclass(frozen=True)
 class EntanglementReport:
     """One measure's value, or a stack of values, across an ``(na, nb)`` cut, checked to lie in
-    the measure's range; in a stack, the message names the first bad row. An unknown measure
-    fails as the kernel fails."""
+    the measure's range within a tolerance and then clipped to that range exactly; in a stack,
+    the message names the first bad row. An unknown measure fails as the kernel fails."""
 
     measure: str
     value: float | np.ndarray
@@ -98,9 +97,10 @@ class EntanglementReport:
     def __post_init__(self):
         _require_measure(self.measure)
         if self.measure == "concurrence":
-            cap, what = 1.0 + 1e-12, "concurrence {!r} outside [0, 1]"
+            top, cap, what = 1.0, 1.0 + 1e-12, "concurrence {!r} outside [0, 1]"
         else:
-            cap = math.log2(min(self.split)) + 1e-9
+            top = math.log2(min(self.split))
+            cap = top + 1e-9
             what = f"{self.measure} value {{!r}} outside [0, {cap!r}]"
         value = np.asarray(self.value)
         _require(
@@ -108,27 +108,29 @@ class EntanglementReport:
             "report-range",
             lambda i: (f"row {i[0]}: " if value.size > 1 else "") + what.format(float(value[i])),
         )
+        value = value.clip(0.0, top)
+        object.__setattr__(self, "value", float(value) if value.ndim == 0 else value)
 
 
 def pure_entanglements(amplitudes: np.ndarray, measure: str) -> np.ndarray:
     """One entanglement measure of each ``(d_a, d_b)`` amplitude matrix in an ``(s, d_a, d_b)``
     stack, first side against the second, checked by one ``EntanglementReport``.
 
-    ``entropy`` is the entropy of the squared Schmidt coefficients, one row
-    at a time through :func:`shannon_entropy`. ``concurrence`` needs 2x2
+    ``entropy`` is the entropy of the squared Schmidt coefficients, the
+    :func:`reduced_spectrum` of each matrix. ``concurrence`` needs 2x2
     matrices. ``eof`` takes Wootters' route through the concurrence on 2x2;
     on any other shape it is the entropy, which equals the entanglement of
     formation of a pure state. Each row is the bits of a stack of one.
     """
     _require_measure(measure)
     a = np.asarray(amplitudes, dtype=complex)
-    if measure == "entropy" or (measure == "eof" and a.shape[-2:] != (2, 2)):
-        values = [shannon_entropy(p) for p in schmidt(a)[0] ** 2]
-    elif measure == "concurrence":
+    if measure == "concurrence":
         values = concurrence_pure(a)
+    elif measure == "eof" and a.shape[-2:] == (2, 2):
+        values = eof_from_concurrence(concurrence_pure(a))
     else:
-        values = [eof_from_concurrence(c) for c in concurrence_pure(a).tolist()]
-    return EntanglementReport(measure, np.asarray(values, dtype=float), a.shape[-2:]).value
+        values = _entropy_bits(reduced_spectrum(a))
+    return EntanglementReport(measure, values, a.shape[-2:]).value
 
 
 def pure_entanglement(psi: PureState, measure: str) -> float:

@@ -243,20 +243,15 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
-def schmidt(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schmidt decomposition of a ``(d_a, d_b)`` amplitude matrix, or of each in a stack.
-
-    Returns ``(coefficients, left, right)`` where coefficients are descending
-    nonnegative reals and the columns of ``left``/``right`` are orthonormal
-    vectors of the two sides, so the matrix equals ``sum_k c_k L_k R_k^T``: the
-    state ``sum_k c_k |L_k>|R_k>``, whose squared coefficients sum to 1. A ``(..., d_a, d_b)``
-    stack gives ``(..., k)``, ``(..., d_a, k)`` and ``(..., d_b, k)``, matrix by
-    matrix the bits of a single call.
+def reduced_spectrum(amplitudes: np.ndarray) -> np.ndarray:
+    """Squared Schmidt coefficients of a ``(d_a, d_b)`` amplitude matrix ``A``, or of each in a
+    stack: the eigenvalues, ascending and clipped at 0, of the smaller side's reduced state,
+    ``A A^†``, or ``A^† A`` when ``d_a > d_b``. A stack gives each matrix the bits of its own call.
     """
-    # u and v are computed: compute_uv=False takes another LAPACK route, whose
-    # singular values differ in the last bits
-    u, s, vh = np.linalg.svd(amplitudes, full_matrices=False)
-    return s, u, vh.swapaxes(-1, -2)
+    a = np.asarray(amplitudes, dtype=complex)
+    ah = a.conj().swapaxes(-1, -2)
+    rho = ah @ a if a.shape[-2] > a.shape[-1] else a @ ah
+    return np.linalg.eigvalsh(rho).clip(0.0, None)
 
 
 @functools.cache

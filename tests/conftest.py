@@ -62,6 +62,14 @@ def density_of(psi):
     return DensityMatrix(psi.dims, np.outer(v, v.conj()))
 
 
+def entropy_reference(psi):
+    """Entropy of entanglement (bits) of ``psi``, first subsystem against the rest, from the
+    singular values of its amplitude matrix and ``math.log2``: a route independent of the
+    kernel's reduced-state spectrum and ``np.log2``."""
+    s = np.linalg.svd(psi.vector.reshape(psi.dims[0], -1), compute_uv=False)
+    return -sum(p * math.log2(p) for p in (s * s).tolist() if p > 0.0)
+
+
 def noisy_pair_reference(eta):
     """The detector-efficiency pair built one efficiency at a time, as ``noisy_pair`` once did."""
     m0 = np.diag([math.sqrt(eta), math.sqrt(1.0 - eta)]).astype(complex)

@@ -1044,19 +1044,32 @@ class TestReportContract:
     def test_sweep_original_entropy_is_range_checked(self, capsys, monkeypatch, value):
         from mspace import entanglement
 
-        real = entanglement.shannon_entropy
+        real = entanglement._entropy_bits
 
-        def planted(probs):
-            # plant the value on the original Bell state's squared Schmidt coefficients only;
-            # the images below are not Bell
-            return value if np.allclose(probs, [0.5, 0.5]) else real(probs)
+        def planted(p):
+            # plant the value on the rows with the Bell spectrum only: the original
+            # state's; the images below are not Bell
+            return np.where(np.isclose(p, 0.5).all(axis=-1), value, real(p))
 
-        monkeypatch.setattr(entanglement, "shannon_entropy", planted)
+        monkeypatch.setattr(entanglement, "_entropy_bits", planted)
         code, out, err = run_cli(
             capsys, "sweep", "--eta-start", "0.5", "--eta-end", "0.6", "--steps", "2"
         )
         assert code == 2 and "error: report-range: " in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv, key, rows", [
+        (("entanglement", "--state", "bell", "--alice", "noisy:0", "--bob", "noisy:0",
+          "--measure", "concurrence"), "measurement_space", [0]),
+        (("sweep", "--eta-start", "0", "--eta-end", "1", "--steps", "1001"), "concurrence_mspace", [0, 1000]),
+    ])  # fmt: skip
+    def test_printed_concurrence_lies_in_the_exact_range(self, capsys, argv, key, rows):
+        # the image's concurrence rounds to 1 + 2^-52 at these rows; the report prints 1
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        results = json.loads(out)["results"]
+        assert all(0.0 <= row[key] <= 1.0 for row in results)
+        assert [results[k][key] for k in rows] == [1.0] * len(rows)
 
     @pytest.mark.parametrize("value", [1.5, float("nan")])
     def test_locc_ancilla_concurrence_is_range_checked(self, capsys, monkeypatch, value):

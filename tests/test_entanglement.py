@@ -4,11 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import density_of, random_local_set
+from conftest import density_of, entropy_reference, random_local_set
 
 from mspace.entanglement import (
     EntanglementReport,
-    binary_entropy,
     concurrence_mixed,
     concurrence_pure,
     eof_from_concurrence,
@@ -36,14 +35,6 @@ from mspace.measurement import (
 CORRELATED = PureState((2, 2), np.sqrt([0.41, 0.09, 0.09, 0.41]).astype(complex))
 
 
-def entropy_oracle(psi):
-    """Entropy from reduced-density eigenvalues, computed independently."""
-    m = psi.vector.reshape(psi.dims[0], -1)
-    rho_a = m @ m.conj().T
-    eigs = np.linalg.eigvalsh(rho_a)
-    return float(-sum(p * np.log2(p) for p in eigs if p > 1e-15))
-
-
 def wootters_oracle(rho_mat):
     """Reference eigenvalue recipe for the mixed-state concurrence."""
     yy = tensor(PAULI_Y, PAULI_Y)
@@ -64,7 +55,7 @@ class TestEntropy:
 
     def test_correlated_example(self):
         value = pure_entanglement(CORRELATED, "entropy")
-        assert abs(value - entropy_oracle(CORRELATED)) < 1e-10
+        assert abs(value - entropy_reference(CORRELATED)) < 1e-10
         assert abs(value - 0.517) < 5e-4
 
     def test_bounds(self):
@@ -73,12 +64,6 @@ class TestEntropy:
             psi = haar_state((3, 4), rng)
             e = pure_entanglement(psi, "entropy")
             assert -1e-12 <= e <= np.log2(3) + 1e-9
-
-    def test_binary_entropy_domain(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(0.5) == 1.0
-        with pytest.raises(ValidationError):
-            binary_entropy(1.2)
 
 
 class TestConcurrencePure:
@@ -92,7 +77,7 @@ class TestConcurrencePure:
         assert abs(c - 2 * np.sqrt(p * (1 - p))) < 1e-12
         assert abs(c - 0.8660254037844386) < 1e-12
         # monotone relation: eof(concurrence) is the entropy
-        assert abs(eof_from_concurrence(c) - entropy_oracle(psi)) < 1e-10
+        assert abs(eof_from_concurrence(c) - entropy_reference(psi)) < 1e-10
 
     def test_measurement_space_image_of_bell(self):
         assert abs(concurrence_pure(CORRELATED.reshaped()) - 0.64) < 1e-12
@@ -174,6 +159,18 @@ class TestEof:
         with pytest.raises(ValidationError):
             eof_from_concurrence(1.5)
 
+    @pytest.mark.parametrize("value", [1.5, float("nan")])
+    def test_array_names_the_first_bad_value(self, value):
+        c = np.array([0.2, 0.64, 1.0, value, 2.0])
+        message = rf"^concurrence-range: concurrence must lie in \[0, 1\], got {value!r}$"
+        with pytest.raises(ValidationError, match=message):
+            eof_from_concurrence(c)
+
+    def test_array_rows_equal_scalar_calls(self):
+        c = np.linspace(0.0, 1.0, 101)
+        values = eof_from_concurrence(c)
+        assert [v.hex() for v in values.tolist()] == [eof_from_concurrence(x).hex() for x in c.tolist()]
+
 
 class TestLocalUnitaryInvariance:
     def test_entropy_and_concurrence(self):
@@ -244,6 +241,19 @@ class TestOperationalEntanglement:
         with pytest.raises(ValidationError):
             EntanglementReport("concurrence", 1.5, (2, 2))
 
+    @pytest.mark.parametrize("measure, split, value, exact", [
+        ("concurrence", (2, 2), 1.0 + 5e-13, 1.0),
+        ("concurrence", (2, 2), -5e-13, 0.0),
+        ("entropy", (3, 4), np.log2(3) + 5e-10, np.log2(3)),
+        ("eof", (2, 5), -5e-13, 0.0),
+        ("entropy", (1, 4), 3e-16, 0.0),
+    ])  # fmt: skip
+    def test_report_clips_values_within_tolerance_to_the_exact_range(self, measure, split, value, exact):
+        report = EntanglementReport(measure, value, split)
+        assert type(report.value) is float and report.value.hex() == exact.hex()
+        stacked = EntanglementReport(measure, np.array([0.0, value, 0.0]), split).value
+        assert stacked.tolist() == [0.0, exact, 0.0] and not np.signbit(stacked).any()
+
     def test_report_names_an_unknown_measure_as_the_kernel_does(self):
         message = r"^measure-name: unknown measure 'negativity'; use \('entropy', 'concurrence', 'eof'\)$"
         with pytest.raises(ValidationError, match=message):
@@ -284,8 +294,8 @@ class TestPureEntanglement:
             pure_entanglement(bell_phi_plus(), "negativity")
 
     def test_out_of_range_value_is_rejected(self, monkeypatch):
-        # the kernel's entropy step: each row's squared Schmidt coefficients through shannon_entropy
-        monkeypatch.setattr("mspace.entanglement.shannon_entropy", lambda probs: 1.5)
+        # the kernel's entropy step, over the squared Schmidt coefficients of every row at once
+        monkeypatch.setattr("mspace.entanglement._entropy_bits", lambda p: np.full(len(p), 1.5))
         with pytest.raises(ValidationError, match="report-range"):
             pure_entanglement(bell_phi_plus(), "entropy")
 
@@ -318,13 +328,12 @@ class TestPureEntanglements:
             pure_entanglements(self.STACK, "concurrence")
 
     def test_planted_entropy_row_is_named(self, monkeypatch):
-        rows = iter([0.5, 0.25, 1.0, 2.0])
-        monkeypatch.setattr("mspace.entanglement.shannon_entropy", lambda probs: next(rows))
+        monkeypatch.setattr("mspace.entanglement._entropy_bits", lambda p: np.array([0.5, 0.25, 1.0, 2.0]))
         with pytest.raises(ValidationError, match=r"^report-range: row 3: entropy value 2.0 outside \[0, "):
             pure_entanglements(self.STACK, "entropy")
 
     def test_one_state_message_names_no_row(self, monkeypatch):
-        monkeypatch.setattr("mspace.entanglement.shannon_entropy", lambda probs: 1.5)
+        monkeypatch.setattr("mspace.entanglement._entropy_bits", lambda p: np.full(len(p), 1.5))
         with pytest.raises(ValidationError, match=r"^report-range: entropy value 1.5 outside \[0, "):
             pure_entanglements(self.STACK[:1], "entropy")
 

@@ -16,8 +16,9 @@ from mspace.linalg import (
     haar_blocks,
     haar_state,
     haar_unitaries,
+    haar_vectors,
     is_hermitian,
-    schmidt,
+    reduced_spectrum,
     tensor,
 )
 
@@ -159,48 +160,48 @@ class TestEigHermitian:
 
 
 class TestSchmidt:
+    """The squared Schmidt coefficients, as the spectrum of the smaller side's reduced state."""
+
     def test_bell(self):
-        c, _, _ = schmidt(amplitudes(bell_phi_plus()))
-        np.testing.assert_allclose(c, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
+        p = reduced_spectrum(amplitudes(bell_phi_plus()))
+        np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-12)
 
     def test_product(self):
         rng = np.random.default_rng(2)
         u = haar_state((2,), rng).vector
         v = haar_state((2,), rng).vector
         psi = PureState((2, 2), np.kron(u, v))
-        c, _, _ = schmidt(amplitudes(psi))
-        np.testing.assert_allclose(c, [1.0, 0.0], atol=1e-10)
+        p = reduced_spectrum(amplitudes(psi))
+        np.testing.assert_allclose(p, [0.0, 1.0], atol=1e-10)
+        assert (p >= 0.0).all()
 
     def test_correlated_example_vs_reduced_eigenvalues(self):
         amps = np.sqrt([0.41, 0.09, 0.09, 0.41]).astype(complex)
         psi = PureState((2, 2), amps)
-        c, left, right = schmidt(amplitudes(psi))
-        # independent oracle: eigenvalues of the reduced density matrix
+        p = reduced_spectrum(amplitudes(psi))
+        # independent oracle: eigenvalues of the reduced density matrix by explicit partial trace
         rho_a = ptrace_oracle(density_of(psi).matrix, (2, 2), {0})
-        expected = np.sort(np.linalg.eigvalsh(rho_a))[::-1]
-        np.testing.assert_allclose(c**2, expected, atol=1e-9)
+        np.testing.assert_allclose(p, np.sort(np.linalg.eigvalsh(rho_a)), atol=1e-9)
         # frozen from the oracle: 0.5 +- 2 sqrt(0.41 * 0.09)
-        np.testing.assert_allclose(c**2, [0.8841874542459709, 0.1158125457540291], atol=1e-12)
-        recon = (left * c) @ right.T
-        np.testing.assert_allclose(recon.reshape(-1), psi.vector, atol=1e-9)
+        np.testing.assert_allclose(p, [0.1158125457540291, 0.8841874542459709], atol=1e-12)
 
     def test_noncontiguous_split(self):
         rng = np.random.default_rng(13)
         psi = haar_state((2, 3, 2), rng)
-        c, left, right = schmidt(amplitudes(psi))
-        assert left.shape == (2, 2) and right.shape == (6, 2)
-        assert abs(np.sum(c**2) - 1.0) < 1e-10
-        recon = (left * c) @ right.T
-        np.testing.assert_allclose(recon.reshape(-1), psi.vector, atol=1e-9)
+        p = reduced_spectrum(amplitudes(psi))
+        assert p.shape == (2,)
+        assert abs(np.sum(p) - 1.0) < 1e-10
+        rho_a = ptrace_oracle(density_of(psi).matrix, (2, 3, 2), {0})
+        np.testing.assert_allclose(p, np.sort(np.linalg.eigvalsh(rho_a)), atol=1e-9)
 
     def test_stack_equals_single_calls_bit_for_bit(self):
         rng = np.random.default_rng(29)
-        stack = np.stack([amplitudes(haar_state((3, 5), rng)) for _ in range(7)])
-        c, left, right = schmidt(stack)
-        assert c.shape == (7, 3) and left.shape == (7, 3, 3) and right.shape == (7, 5, 3)
-        for k, matrix in enumerate(stack):
-            for stacked, single in zip((c, left, right), schmidt(matrix)):
-                assert np.array_equal(stacked[k], single)
+        for dims in ((3, 5), (5, 3)):
+            stack = np.stack([amplitudes(haar_state(dims, rng)) for _ in range(7)])
+            p = reduced_spectrum(stack)
+            assert p.shape == (7, 3)
+            for k, matrix in enumerate(stack):
+                assert np.array_equal(p[k], reduced_spectrum(matrix))
 
     def test_invalid_split(self):
         # a single subsystem has no amplitude matrix to split; the entanglement entry says so
@@ -266,9 +267,9 @@ class TestHaar:
     def test_first_component_mean(self):
         # Monte-Carlo oracle: E|<0|psi>|^2 = 1/d within 3 binomial sigmas
         draws, dim = 100_000, 4
-        rng = np.random.default_rng(2024)
-        total = sum(abs(haar_state((dim,), rng).vector[0]) ** 2 for _ in range(draws))
-        mean = total / draws
+        # one stack, drawn from the same normals in the order that successive haar_state calls take
+        vectors = haar_vectors(np.random.default_rng(2024).standard_normal((draws, 2, dim)))
+        mean = np.mean(np.abs(vectors[:, 0]) ** 2)
         sigma = np.sqrt((1 / dim) * (1 - 1 / dim) / draws)
         assert abs(mean - 1 / dim) < 3 * sigma
 

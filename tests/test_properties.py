@@ -21,6 +21,7 @@ import pytest
 from conftest import (
     density_of,
     emit_reference,
+    entropy_reference,
     konrad_trials_reference,
     noisy_pair_reference,
     rows_of,
@@ -256,6 +257,8 @@ def test_stacked_kernel_rows_equal_one_state_calls(case):
     assert values.shape == (len(states),)
     for psi, value in zip(states, values.tolist()):
         assert value.hex() == pure_entanglement(psi, measure).hex()
+        if measure != "concurrence":
+            assert abs(value - entropy_reference(psi)) <= 1e-12
 
 
 @PROFILE
