@@ -12,7 +12,6 @@ from .entanglement import (
     EntanglementReport,
     concurrence_mixed,
     concurrence_pure,
-    eof_from_concurrence,
     measurement_space_entanglement,
     pure_entanglement,
     pure_entanglements,
@@ -49,7 +48,6 @@ from .measurement import (
     map_to_measurement_space,
     noisy_operators,
     noisy_pair,
-    outcome_probabilities,
     random_measurement_set,
     z_projectors,
 )

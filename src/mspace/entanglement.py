@@ -1,9 +1,11 @@
 """Entanglement measures on bipartite pure states and measurement-space images.
 
 All entropic quantities use base-2 logarithms, so a maximally entangled qubit
-pair scores exactly 1. Concurrence follows the standard two-qubit closed
-forms: ``2|a00 a11 - a01 a10|`` for pure states and the descending-lambda
-eigenvalue formula for mixed states.
+pair scores exactly 1. The entanglement of formation of a pure state is its
+entropy of entanglement, so ``eof`` and ``entropy`` take one route on every
+shape: the entropy of the reduced state's spectrum. Concurrence follows the
+standard two-qubit closed forms: ``2|a00 a11 - a01 a10|`` for pure states
+and the descending-lambda eigenvalue formula for mixed states.
 """
 
 from __future__ import annotations
@@ -58,23 +60,6 @@ def concurrence_mixed(rho: DensityMatrix) -> float | np.ndarray:
     return float(c) if c.ndim == 0 else c
 
 
-def eof_from_concurrence(c: float | np.ndarray) -> float | np.ndarray:
-    """Entanglement of formation (bits) of a two-qubit state with concurrence ``c``, or of each
-    in an array: the entropy of ``{(1 + s) / 2, c^2 / (2 (1 + s))}`` with ``s = sqrt(1 - c^2)``.
-    That form of the smaller weight avoids the cancellation in ``(1 - s) / 2``."""
-    c = np.asarray(c, dtype=float)
-    _require(
-        (0.0 <= c) & (c <= 1.0 + 1e-12),
-        "concurrence-range",
-        lambda i: f"concurrence must lie in [0, 1], got {float(c[i])!r}",
-    )
-    # values up to 1 + 1e-12 pass the check; 1 - c^2 must not go negative
-    c = np.minimum(c, 1.0)
-    s = np.sqrt(1.0 - c * c)
-    e = _entropy_bits(np.stack([(1.0 + s) / 2.0, c * c / (2.0 * (1.0 + s))], axis=-1))
-    return float(e) if e.ndim == 0 else e
-
-
 MEASURES = ("entropy", "concurrence", "eof")
 
 
@@ -118,18 +103,13 @@ def pure_entanglements(amplitudes: np.ndarray, measure: str) -> np.ndarray:
 
     ``entropy`` is the entropy of the squared Schmidt coefficients, the
     :func:`reduced_spectrum` of each matrix. ``concurrence`` needs 2x2
-    matrices. ``eof`` takes Wootters' route through the concurrence on 2x2;
-    on any other shape it is the entropy, which equals the entanglement of
-    formation of a pure state. Each row is the bits of a stack of one.
+    matrices. ``eof`` is the same entropy on every shape, 2x2 included: the
+    entanglement of formation of a pure state is its entropy of
+    entanglement. Each row is the bits of a stack of one.
     """
     _require_measure(measure)
     a = np.asarray(amplitudes, dtype=complex)
-    if measure == "concurrence":
-        values = concurrence_pure(a)
-    elif measure == "eof" and a.shape[-2:] == (2, 2):
-        values = eof_from_concurrence(concurrence_pure(a))
-    else:
-        values = _entropy_bits(reduced_spectrum(a))
+    values = concurrence_pure(a) if measure == "concurrence" else _entropy_bits(reduced_spectrum(a))
     return EntanglementReport(measure, values, a.shape[-2:]).value
 
 
@@ -137,9 +117,8 @@ def pure_entanglement(psi: PureState, measure: str) -> float:
     """One entanglement measure of ``psi``, first subsystem against the rest: the one-state
     case of :func:`pure_entanglements`.
 
-    ``concurrence`` needs a 2x2 state. ``eof`` takes Wootters' route on a 2x2
-    state; on any other dims, a 2x2 cut of more subsystems included, it is
-    the entropy of entanglement.
+    ``concurrence`` needs a 2x2 state; ``entropy`` and ``eof`` need at least
+    two subsystems.
     """
     # an unknown measure is left for the kernel to name
     if measure in MEASURES and psi.dims != (2, 2):
@@ -147,7 +126,6 @@ def pure_entanglement(psi: PureState, measure: str) -> float:
             raise ValidationError("concurrence-dims", f"need a 2x2 pure state, got dims {psi.dims}")
         if len(psi.dims) < 2:
             raise ValidationError("schmidt-split", f"need at least two subsystems, got dims {psi.dims}")
-        measure = "entropy"
     return float(pure_entanglements(psi.vector.reshape(1, psi.dims[0], -1), measure)[0])
 
 

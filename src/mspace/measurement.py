@@ -258,26 +258,6 @@ def _image(probs: np.ndarray, trials=None) -> np.ndarray:
     return amps
 
 
-def outcome_probabilities(
-    psi: PureState,
-    mset: MeasurementSet,
-    completeness_tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """Outcome distribution p_m = <psi| M_m^dag M_m |psi> = ||M_m psi||^2.
-
-    Each probability is clamped to [0, 1] after a -1e-12 floor check and the
-    distribution must sum to 1 within max(1e-10, completeness_tol * dim),
-    the most a set complete within ``completeness_tol`` can move the sum.
-    """
-    if psi.dim != mset.dim:
-        raise ValidationError(
-            "dimension-match",
-            f"state dimension {psi.dim} != measurement dimension {mset.dim}",
-        )
-    mset.assert_complete(completeness_tol)
-    return _probabilities(psi.vector, mset.stack, completeness_tol)
-
-
 def _require_pair_fits(psi: PureState, alice: np.ndarray, bob: np.ndarray) -> None:
     """The pair check's shapes for ``(..., n, d, d)`` stacks: the state must have dims ``(d_a, d_b)``,
     and one pair's product tensor, its largest array at ``n dim`` entries, must fit the byte cap."""
@@ -349,14 +329,28 @@ def map_to_measurement_space(
 
     With a :class:`LocalMeasurementSet` the state must have dims
     ``(alice.dim, bob.dim)``; the outcomes are the row-major (Alice x Bob)
-    grid, whose structure is attached to the result.
+    grid, whose structure is attached to the result. A
+    :class:`MeasurementSet` on the whole space maps as the one-party case of
+    a pair: the set is Alice's, the state a ``(D, 1)`` amplitude matrix and
+    Bob's set the single ``1x1`` identity; no structure is attached. Either
+    way the probabilities are ``||M_m psi||^2``, each clamped to [0, 1] after
+    a -1e-12 floor check, and they must sum to 1 within
+    ``max(1e-10, completeness_tol * dim)``, the most a set complete within
+    ``completeness_tol`` can move the sum.
     """
     if isinstance(measurements, LocalMeasurementSet):
-        t = _checked_local_product(psi, *measurements.stacks, completeness_tol)
-        amps = _local_image(t, completeness_tol)
-        return MeasurementSpaceState(amps, measurements.structure)
-    probs = outcome_probabilities(psi, measurements, completeness_tol)
-    return MeasurementSpaceState(_image(probs))
+        alice, bob = measurements.stacks
+        structure = measurements.structure
+    else:
+        if psi.dim != measurements.dim:
+            raise ValidationError(
+                "dimension-match",
+                f"state dimension {psi.dim} != measurement dimension {measurements.dim}",
+            )
+        psi = dataclasses.replace(psi, dims=(psi.dim, 1))
+        alice, bob, structure = measurements.stack, np.ones((1, 1, 1)), None
+    t = _checked_local_product(psi, alice, bob, completeness_tol)
+    return MeasurementSpaceState(_local_image(t, completeness_tol), structure)
 
 
 def local_images(

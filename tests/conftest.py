@@ -70,6 +70,23 @@ def entropy_reference(psi):
     return -sum(p * math.log2(p) for p in (s * s).tolist() if p > 0.0)
 
 
+def wootters_eof(psi):
+    """Entanglement of formation (bits) of a two-qubit pure state by Wootters' closed form: the
+    binary entropy of ``(1 + s) / 2`` with ``s = sqrt(1 - C^2)`` and the concurrence
+    ``C = 2 |a00 a11 - a01 a10|``. The smaller weight is written ``C^2 / (2 (1 + s))``, which
+    avoids the cancellation in ``(1 - s) / 2``."""
+    a = psi.reshaped()
+    c = min(2.0 * abs(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]), 1.0)
+    s = math.sqrt(1.0 - c * c)
+    return -sum(p * math.log2(p) for p in ((1.0 + s) / 2.0, c * c / (2.0 * (1.0 + s))) if p > 0.0)
+
+
+def probabilities_reference(psi, mset):
+    """Outcome probabilities ``||M_m psi||^2`` of a set on the whole space, by one einsum."""
+    amps = np.einsum("mij,j->mi", mset.stack, psi.vector)
+    return np.einsum("mi,mi->m", amps, amps.conj()).real
+
+
 def noisy_pair_reference(eta):
     """The detector-efficiency pair built one efficiency at a time, as ``noisy_pair`` once did."""
     m0 = np.diag([math.sqrt(eta), math.sqrt(1.0 - eta)]).astype(complex)

@@ -247,6 +247,12 @@ class TestEntanglement:
         assert abs(row["original"] - 1.0) < 1e-12
         assert "measurement_space" not in row
 
+    @pytest.mark.parametrize("measure", ["entropy", "eof"])
+    def test_bell_scores_exactly_one(self, capsys, measure):
+        code, out, _ = run_cli(capsys, "entanglement", "--state", "bell", "--measure", measure)
+        assert code == 0
+        assert '"original": 1.0000000000000000e+00' in [line.strip() for line in out.splitlines()]
+
     def test_bell_noisy_concurrence_side_by_side(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -4,13 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import density_of, entropy_reference, random_local_set
+from conftest import density_of, entropy_reference, random_local_set, wootters_eof
 
 from mspace.entanglement import (
     EntanglementReport,
     concurrence_mixed,
     concurrence_pure,
-    eof_from_concurrence,
     measurement_space_entanglement,
     pure_entanglement,
     pure_entanglements,
@@ -76,8 +75,8 @@ class TestConcurrencePure:
         c = concurrence_pure(psi.reshaped())
         assert abs(c - 2 * np.sqrt(p * (1 - p))) < 1e-12
         assert abs(c - 0.8660254037844386) < 1e-12
-        # monotone relation: eof(concurrence) is the entropy
-        assert abs(eof_from_concurrence(c) - entropy_reference(psi)) < 1e-10
+        # monotone relation: Wootters' eof(concurrence) is the entropy
+        assert abs(wootters_eof(psi) - entropy_reference(psi)) < 1e-10
 
     def test_measurement_space_image_of_bell(self):
         assert abs(concurrence_pure(CORRELATED.reshaped()) - 0.64) < 1e-12
@@ -137,39 +136,47 @@ class TestConcurrenceMixed:
             assert abs(c - wootters_oracle(rho_mat)) < 1e-7
 
 
+def eof_of(*states):
+    """The kernel's EoF of each state, as one stack."""
+    return pure_entanglements(np.stack([psi.reshaped() for psi in states]), "eof")
+
+
 class TestEof:
     def test_endpoints(self):
-        assert eof_from_concurrence(0.0) == 0.0
-        assert abs(eof_from_concurrence(1.0) - 1.0) < 1e-15
+        assert eof_of(PureState((2, 2), np.array([1.0, 0.0, 0.0, 0.0])))[0] == 0.0
+        assert eof_of(bell_phi_plus())[0] == 1.0
 
     def test_intermediate_value(self):
-        # h((1 + sqrt(1 - 0.64^2)) / 2) = h(0.8841874...)
-        value = eof_from_concurrence(0.64)
-        assert abs(value - pure_entanglement(CORRELATED, "entropy")) < 1e-12
+        # concurrence 0.64: h((1 + sqrt(1 - 0.64^2)) / 2) = h(0.8841874...)
+        value = eof_of(CORRELATED)[0]
+        assert abs(value - wootters_eof(CORRELATED)) < 1e-12
         assert abs(value - 0.517) < 5e-4
 
     def test_matches_entropy_for_random_pure(self):
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            psi = haar_state((2, 2), rng)
-            lhs = eof_from_concurrence(concurrence_pure(psi.reshaped()))
-            assert abs(lhs - pure_entanglement(psi, "entropy")) < 1e-9
+        states = [haar_state((2, 2), rng) for _ in range(100)]
+        for psi, value in zip(states, eof_of(*states).tolist()):
+            assert abs(value - entropy_reference(psi)) < 1e-9
+            assert abs(value - wootters_eof(psi)) < 1e-9
 
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            eof_from_concurrence(1.5)
+    def test_out_of_range(self, monkeypatch):
+        monkeypatch.setattr("mspace.entanglement._entropy_bits", lambda p: np.full(len(p), 1.5))
+        with pytest.raises(ValidationError, match="report-range"):
+            eof_of(bell_phi_plus())
 
     @pytest.mark.parametrize("value", [1.5, float("nan")])
-    def test_array_names_the_first_bad_value(self, value):
-        c = np.array([0.2, 0.64, 1.0, value, 2.0])
-        message = rf"^concurrence-range: concurrence must lie in \[0, 1\], got {value!r}$"
+    def test_array_names_the_first_bad_value(self, monkeypatch, value):
+        planted = np.array([0.2, 0.64, 1.0, value, 2.0])
+        monkeypatch.setattr("mspace.entanglement._entropy_bits", lambda p: planted)
+        message = rf"^report-range: row 3: eof value {value!r} outside \[0, 1.000000001\]$"
         with pytest.raises(ValidationError, match=message):
-            eof_from_concurrence(c)
+            eof_of(*[bell_phi_plus()] * 5)
 
     def test_array_rows_equal_scalar_calls(self):
-        c = np.linspace(0.0, 1.0, 101)
-        values = eof_from_concurrence(c)
-        assert [v.hex() for v in values.tolist()] == [eof_from_concurrence(x).hex() for x in c.tolist()]
+        # Schmidt weights p, 1 - p from a product state (p = 0) to a maximally entangled one (p = 1/2)
+        states = [PureState((2, 2), np.sqrt([p, 0.0, 0.0, 1.0 - p])) for p in np.linspace(0.0, 0.5, 101)]
+        values = eof_of(*states)
+        assert [v.hex() for v in values.tolist()] == [pure_entanglement(psi, "eof").hex() for psi in states]
 
 
 class TestLocalUnitaryInvariance:
@@ -281,9 +288,9 @@ class TestPureEntanglement:
             psi = haar_state(dims, rng)
             assert pure_entanglement(psi, "eof") == pure_entanglement(psi, "entropy")
 
-    def test_two_by_two_eof_keeps_the_wootters_route(self):
+    def test_two_by_two_eof_is_the_entropy(self):
         psi = haar_state((2, 2), 12)
-        assert pure_entanglement(psi, "eof") == eof_from_concurrence(concurrence_pure(psi.reshaped()))
+        assert pure_entanglement(psi, "eof").hex() == pure_entanglement(psi, "entropy").hex()
 
     def test_concurrence_stays_two_by_two(self):
         with pytest.raises(ValidationError, match="concurrence-dims"):

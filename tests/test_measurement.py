@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_local_set
+from conftest import probabilities_reference, random_local_set
 
 from mspace.entanglement import measurement_space_entanglement
 from mspace.linalg import PureState, ValidationError, bell_phi_plus, haar_state, haar_unitaries
@@ -16,7 +16,6 @@ from mspace.measurement import (
     MeasurementSpaceState,
     map_to_measurement_space,
     noisy_pair,
-    outcome_probabilities,
     random_measurement_set,
     z_projectors,
 )
@@ -40,29 +39,40 @@ PLUS = PureState((2,), np.array([1.0, 1.0]) / np.sqrt(2))
 ZERO = PureState((2,), np.array([1.0, 0.0]))
 
 
+def probabilities(psi, mset):
+    """The whole-space map's outcome probabilities, checked against the einsum reference."""
+    probs = map_to_measurement_space(psi, mset).probabilities()
+    np.testing.assert_allclose(probs, probabilities_reference(psi, mset), rtol=0, atol=1e-12)
+    return probs
+
+
 class TestOutcomeProbabilities:
     def test_projective_on_basis_state(self):
-        np.testing.assert_allclose(outcome_probabilities(ZERO, z_projectors(2)), [1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(probabilities(ZERO, z_projectors(2)), [1.0, 0.0], atol=1e-14)
 
     def test_plus_state_half_half(self):
-        np.testing.assert_allclose(outcome_probabilities(PLUS, z_projectors(2)), [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(probabilities(PLUS, z_projectors(2)), [0.5, 0.5], atol=1e-12)
 
     def test_noisy_pair_vs_expectation_oracle(self):
         pair = noisy_pair(0.9)
-        probs = outcome_probabilities(ZERO, pair)
+        probs = probabilities(ZERO, pair)
         expected = [expectation_oracle(ZERO.vector, op) for op in pair.stack]
         np.testing.assert_allclose(probs, expected, atol=1e-12)
         np.testing.assert_allclose(probs, [0.9, 0.1], atol=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError, match="dimension-match"):
-            outcome_probabilities(bell_phi_plus(), z_projectors(2))
+        # checked before completeness, so an incomplete set of the wrong dimension fails here too
+        lonely = MeasurementSet(2, ("0",), [np.diag([1.0, 0.0]).astype(complex)])
+        message = r"^dimension-match: state dimension 4 != measurement dimension 2$"
+        for mset in (z_projectors(2), lonely):
+            with pytest.raises(ValidationError, match=message):
+                map_to_measurement_space(bell_phi_plus(), mset)
 
     def test_incomplete_set_rejected(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
         lonely = MeasurementSet(2, ("0",), [p0])
-        with pytest.raises(ValidationError, match="completeness"):
-            outcome_probabilities(ZERO, lonely)
+        with pytest.raises(ValidationError, match=r"^completeness: completeness deviation 1\.0 exceeds"):
+            map_to_measurement_space(ZERO, lonely)
 
 
 class TestMapToMeasurementSpace:

@@ -102,8 +102,9 @@ class TestIsPrime:
 
     def test_against_sieve(self):
         flags = sieve_primes(10_001)
-        for n in range(1, 10_001):
-            assert bound(n, 2).prime == flags[n + 1]
+        table = useful_entanglement_bounds([(n, 2) for n in range(1, 10_001)])
+        for n, prime in zip(range(1, 10_001), table.prime.tolist()):
+            assert prime == flags[n + 1]
 
 
 class TestDivisorInfimum:

@@ -24,8 +24,10 @@ from conftest import (
     entropy_reference,
     konrad_trials_reference,
     noisy_pair_reference,
+    probabilities_reference,
     rows_of,
     sweep_rows_reference,
+    wootters_eof,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -67,7 +69,6 @@ from mspace.measurement import (
     map_to_measurement_space,
     noisy_operators,
     noisy_pair,
-    outcome_probabilities,
     random_measurement_set,
     z_projectors,
 )
@@ -142,10 +143,15 @@ def test_kernel_matches_explicit_joint_set(case):
     psi, local = case
     image = map_to_measurement_space(psi, local)
     joint = local.joint()
-    reference = outcome_probabilities(PureState((psi.dim,), psi.vector), joint)
+    whole = PureState((psi.dim,), psi.vector)
+    reference = probabilities_reference(whole, joint)
     assert local.labels == joint.labels
     assert image.structure == local.structure
     np.testing.assert_allclose(image.probabilities(), reference, rtol=0, atol=1e-12)
+    # the joint set maps on the whole space as the one-party case of a pair
+    flat = map_to_measurement_space(whole, joint)
+    assert flat.structure is None
+    np.testing.assert_allclose(flat.probabilities(), reference, rtol=0, atol=1e-12)
 
 
 def _assert_pair_deviations(ga, gb, rtol):
@@ -228,7 +234,7 @@ def test_two_qubit_eof_routes_agree(p, seed):
     rng = np.random.default_rng(seed)
     u = np.kron(haar(2, rng), haar(2, rng))
     psi = PureState((2, 2), u @ np.array([np.sqrt(p), 0.0, 0.0, np.sqrt(1.0 - p)]))
-    assert abs(pure_entanglement(psi, "eof") - pure_entanglement(psi, "entropy")) <= 1e-12
+    assert abs(pure_entanglement(psi, "eof") - wootters_eof(psi)) <= 1e-12
 
 
 @st.composite
