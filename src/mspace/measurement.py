@@ -208,8 +208,10 @@ def local_product(psi: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.nda
 # of their arrays then runs over those trials, and a failure names the trial.
 
 
-def _clamped(raw: np.ndarray, trials=None) -> np.ndarray:
-    """Outcome weights checked against the -1e-12 floor and clamped to [0, 1]."""
+def _local_probabilities(t: np.ndarray, trials=None) -> np.ndarray:
+    """p[..., a, b] = ||T[..., a, b]||_F^2 of a :func:`local_product` ``T``, checked against
+    the -1e-12 floor and clamped to [0, 1]."""
+    raw = (t.real**2 + t.imag**2).sum(axis=(-2, -1))
     _require(
         raw >= PROBABILITY_FLOOR,
         "probability-floor",
@@ -217,45 +219,6 @@ def _clamped(raw: np.ndarray, trials=None) -> np.ndarray:
         trials,
     )
     return raw.clip(0.0, 1.0)
-
-
-def _local_probabilities(t: np.ndarray, trials=None) -> np.ndarray:
-    """Clamped p[..., a, b] = ||T[..., a, b]||_F^2 of a :func:`local_product` ``T``."""
-    return _clamped((t.real**2 + t.imag**2).sum(axis=(-2, -1)), trials)
-
-
-def _check_total(probs: np.ndarray, dim: int, completeness_tol: float, trials=None) -> np.ndarray:
-    """``probs`` with each distribution over its last axis checked to sum to 1."""
-    # a completeness deviation of eps can push the sum off by up to dim * eps
-    sum_tol = max(DEFAULT_TOL, completeness_tol * dim)
-    _require_unit(probs.sum(axis=-1), sum_tol, "probability-normalization", "probabilities sum to", trials)
-    return probs
-
-
-def _probabilities(
-    vectors: np.ndarray, stack: np.ndarray, completeness_tol: float, trials=None
-) -> np.ndarray:
-    """p[..., m] = ||M_m psi||^2 for ``(..., D)`` vectors and ``(..., n, D, D)`` stacks.
-
-    The caller checks completeness within ``completeness_tol`` first. Each
-    probability is clamped to [0, 1] after a -1e-12 floor check, and each
-    distribution must sum to 1.
-    """
-    n, dim = stack.shape[-3], stack.shape[-1]
-    amps = (_rows(stack) @ vectors[..., None]).reshape(*stack.shape[:-3], n, dim)
-    raw = (amps.real**2 + amps.imag**2).sum(axis=-1)
-    return _check_total(_clamped(raw, trials), dim, completeness_tol, trials)
-
-
-def _image(probs: np.ndarray, trials=None) -> np.ndarray:
-    """Square-root amplitudes over the last axis, scaled to unit norm and checked."""
-    amps = np.sqrt(probs)
-    # when the completeness tolerance is loosened the raw probabilities may
-    # miss unit sum by up to that amount; the image itself stays a unit vector
-    amps /= _row_norms(amps)[..., None]
-    total = (amps**2).sum(axis=-1)
-    _require_unit(total, DEFAULT_TOL, "mspace-normalization", "squared amplitudes sum to", trials)
-    return amps
 
 
 def _require_pair_fits(psi: PureState, alice: np.ndarray, bob: np.ndarray) -> None:
@@ -314,10 +277,25 @@ def _checked_local_product(
 
 
 def _local_image(t: np.ndarray, completeness_tol: float, trials=None) -> np.ndarray:
-    """The ``(..., n_a n_b)`` image amplitudes of a :func:`_checked_local_product` ``t``."""
+    """The ``(..., n_a n_b)`` image amplitudes of a :func:`local_product` ``t``.
+
+    The :func:`_local_probabilities` of each distribution must sum to 1
+    within ``max(1e-10, completeness_tol * dim)``; their square roots are
+    scaled to a unit vector, which is checked.
+    """
     probs = _local_probabilities(t, trials)
+    probs = probs.reshape(*probs.shape[:-2], -1)
     dim = t.shape[-2] * t.shape[-1]
-    return _image(_check_total(probs.reshape(*probs.shape[:-2], -1), dim, completeness_tol, trials), trials)
+    # a completeness deviation of eps can push the sum off by up to dim * eps
+    sum_tol = max(DEFAULT_TOL, completeness_tol * dim)
+    _require_unit(probs.sum(axis=-1), sum_tol, "probability-normalization", "probabilities sum to", trials)
+    amps = np.sqrt(probs)
+    # when the completeness tolerance is loosened the raw probabilities may
+    # miss unit sum by up to that amount; the image itself stays a unit vector
+    amps /= _row_norms(amps)[..., None]
+    total = (amps**2).sum(axis=-1)
+    _require_unit(total, DEFAULT_TOL, "mspace-normalization", "squared amplitudes sum to", trials)
+    return amps
 
 
 def map_to_measurement_space(

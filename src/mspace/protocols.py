@@ -39,9 +39,8 @@ from .measurement import (
     MeasurementSet,
     _gram,
     _identity_deviation,
-    _image,
+    _local_image,
     _local_probabilities,
-    _probabilities,
     _require_complete,
     local_product,
 )
@@ -181,10 +180,11 @@ def success_rates_mspace(spec: ProtocolSpec) -> np.ndarray:
 
     Builds each trial's joint set {M_k (x) M_yk U_k, M_k (x) M_nk U_k} as a
     stack of Kronecker products, checks it for completeness, maps the state
-    to its measurement-space image through the generic outcome
-    probabilities, and accumulates ``sum_k p(success | k) p(k)`` from
-    rank-1 projections on that image. It shares no kernel with
-    :func:`outcome_tables`, which it is checked against.
+    to its measurement-space image the way
+    :func:`~mspace.measurement.map_to_measurement_space` maps a set on the
+    whole space, and accumulates ``sum_k p(success | k) p(k)`` from rank-1
+    projections on that image. Unlike :func:`outcome_tables`, which it is
+    checked against, it applies the Kronecker operators to the state vector.
     """
     count, n, d_a, _ = spec.alice.shape
     d_b = spec.bob_unitaries.shape[-1]
@@ -192,8 +192,9 @@ def success_rates_mspace(spec: ProtocolSpec) -> np.ndarray:
     # M_k (x) M_yk U_k and M_k (x) M_nk U_k for each trial and outcome k
     joint = tensor(spec.alice[:, :, None], spec.effective_ops()).reshape(count, 2 * n, dim, dim)
     _require_complete(_identity_deviation(_gram(joint)), DEFAULT_TOL, spec.trials)
-    probs = _probabilities(spec.psi.reshape(count, dim), joint, DEFAULT_TOL, spec.trials)
-    image = (_image(probs, spec.trials) ** 2).reshape(count, n, 2)
+    # the one-party case of a local pair: the set is Alice's, Bob's the single 1x1 identity
+    t = local_product(spec.psi.reshape(count, dim, 1), joint, np.ones((1, 1, 1)))
+    image = (_local_image(t, DEFAULT_TOL, spec.trials) ** 2).reshape(count, n, 2)
     p_y, p_n = image[..., 0], image[..., 1]
     p_k = p_y + p_n
     terms = np.divide(p_y, p_k, out=np.zeros_like(p_k), where=p_k > 0.0) * p_k

@@ -1,9 +1,11 @@
-"""Every name the package exports has a caller inside the package.
+"""Every name the package exports, and every private top-level function, has a caller
+inside the package.
 
 A name is called when the syntax tree of some module in ``src/mspace`` loads
 it outside the name's own top-level ``def`` or ``class``; a mention in a
 docstring or a comment does not count. API that only tests call is deleted
-instead, and tests build what they need in ``conftest.py``.
+instead, and tests build what they need in ``conftest.py``; a private helper
+whose last caller goes is deleted with it.
 """
 
 import ast
@@ -30,6 +32,16 @@ def exported_names() -> list[str]:
     ]
 
 
+def private_functions() -> list[str]:
+    """Every top-level ``def`` in ``src/mspace`` whose name starts with an underscore."""
+    return sorted(
+        top.name
+        for path in PACKAGE.glob("*.py")
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(top, ast.FunctionDef) and top.name.startswith("_")
+    )
+
+
 def loaded_names() -> set[tuple[str, str | None]]:
     """(name, top-level def or class it is loaded in, None at module level) over the package."""
     loads = set()
@@ -47,13 +59,13 @@ def loaded_names() -> set[tuple[str, str | None]]:
 LOADS = loaded_names()
 
 
-@pytest.mark.parametrize("name", exported_names())
+@pytest.mark.parametrize("name", exported_names() + private_functions())
 def test_exported_name_has_a_caller_in_the_package(name):
     callers = {owner for loaded, owner in LOADS if loaded == name and owner != name}
     if name in ALLOWED:
         assert not callers, f"{name} has callers now; take it off the allowlist"
     else:
-        assert callers, f"{name} is exported but nothing in src/mspace calls it"
+        assert callers, f"nothing in src/mspace calls {name}"
 
 
 def test_allowlist_names_only_exports():

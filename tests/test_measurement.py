@@ -9,11 +9,12 @@ import pytest
 from conftest import probabilities_reference, random_local_set
 
 from mspace.entanglement import measurement_space_entanglement
-from mspace.linalg import PureState, ValidationError, bell_phi_plus, haar_state, haar_unitaries
+from mspace.linalg import DEFAULT_TOL, PureState, ValidationError, bell_phi_plus, haar_state, haar_unitaries
 from mspace.measurement import (
     LocalMeasurementSet,
     MeasurementSet,
     MeasurementSpaceState,
+    _local_image,
     map_to_measurement_space,
     noisy_pair,
     random_measurement_set,
@@ -247,3 +248,39 @@ def test_pair_map_at_32x32_stays_under_one_mib():
 def test_nan_amplitude_fails_normalization():
     with pytest.raises(ValidationError, match="mspace-normalization"):
         MeasurementSpaceState([np.nan, 0.5])
+
+
+class TestLocalImageChecks:
+    TRIALS = range(10, 13)
+
+    def stack(self):
+        """Three trials of |+> under the z projectors, with Bob's set the 1x1 identity."""
+        t = np.zeros((3, 2, 1, 2, 1), dtype=complex)
+        t[:, 0, 0, 0, 0] = t[:, 1, 0, 1, 0] = np.sqrt(0.5)
+        return t
+
+    def test_valid_stack_maps_to_unit_images(self):
+        image = _local_image(self.stack(), DEFAULT_TOL, self.TRIALS)
+        np.testing.assert_array_equal(image, np.full((3, 2), np.sqrt(0.5)))
+
+    def test_nan_row_fails_the_floor_before_the_sum(self):
+        t = self.stack()
+        t[0] *= np.sqrt(2.0)  # trial 10 fails only the sum check
+        t[1, 0, 0, 0, 0] = np.nan
+        with pytest.raises(ValidationError, match=r"^probability-floor: trial 11: outcome probability nan"):
+            _local_image(t, DEFAULT_TOL, self.TRIALS)
+
+    def test_scaled_row_fails_the_sum(self):
+        t = self.stack()
+        t[2] *= np.sqrt(2.0)
+        with pytest.raises(ValidationError, match=r"^probability-normalization: trial 12: probabilities sum to 2\."):
+            _local_image(t, DEFAULT_TOL, self.TRIALS)
+
+    def test_zero_row_under_a_loose_tolerance_fails_the_image_norm(self):
+        # tol * dim = 1 lets an all-zero distribution past the sum check; its image is 0 / 0
+        t = self.stack()
+        t[0] = 0.0
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValidationError, match=r"^mspace-normalization: trial 10: squared amplitudes sum to nan"
+        ):
+            _local_image(t, 0.5, self.TRIALS)

@@ -13,7 +13,7 @@ from mspace.linalg import (
     haar_vectors,
     tensor,
 )
-from mspace.measurement import MeasurementSet, noisy_pair, z_projectors
+from mspace.measurement import MeasurementSet, map_to_measurement_space, noisy_pair, z_projectors
 from mspace.protocols import (
     OutcomeTable,
     ProtocolSpec,
@@ -120,6 +120,22 @@ class TestSuccessProbability:
             spec = random_protocol(d_a, d_b, n, rng)
             delta = abs(success_rates_original(spec)[0] - success_rates_mspace(spec)[0])
             assert delta < 1e-10
+
+    @pytest.mark.parametrize("d_a, d_b, n", [(1, 1, 1), (2, 2, 2), (3, 3, 3), (2, 3, 4), (5, 5, 3)])
+    def test_mspace_route_scores_the_map_image(self, d_a, d_b, n):
+        # each trial's joint set, mapped as a whole-space set, gives the same bits
+        spec = random_protocols(d_a, d_b, n, [np.random.default_rng((33, t)) for t in range(40)])
+        dim, eff = d_a * d_b, spec.effective_ops()
+        for k, rate in enumerate(success_rates_mspace(spec)):
+            ops = tensor(spec.alice[k][:, None], eff[k]).reshape(2 * n, dim, dim)
+            joint = MeasurementSet(dim, tuple(map(str, range(2 * n))), ops)
+            state = PureState((d_a, d_b), spec.psi[k].reshape(-1))
+            probs = map_to_measurement_space(state, joint).probabilities().reshape(n, 2)
+            total = 0.0
+            for p_y, p_n in probs:
+                p_k = p_y + p_n
+                total += p_y / p_k * p_k if p_k > 0.0 else 0.0
+            assert rate == total
 
 
 class TestProtocolValidation:
