@@ -49,11 +49,12 @@ def concurrence_mixed(rho: DensityMatrix) -> float | np.ndarray:
     the eigenvalues of rho (Y x Y) rho* (Y x Y). Those eigenvalues equal the
     squared singular values of sqrt(rho) (Y x Y) sqrt(rho)*, and the SVD is
     numerically stabler than the eigenvalues of the non-Hermitian product.
+    sqrt(rho) comes from the eigenpairs that ``rho``'s positivity check found.
     A stack gives one value per matrix, bit for bit that of its own call.
     """
     if rho.dims != (2, 2):
         raise ValidationError("concurrence-dims", f"need a 2x2 density matrix, got {rho.dims}")
-    w, v = np.linalg.eigh(rho.matrix)
+    w, v = rho.eigh
     s = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)  # sqrt(rho)
     lam = np.linalg.svd(s @ _YY @ s.conj(), compute_uv=False)
     c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])

@@ -30,6 +30,13 @@ CHUNK_BYTES = 1 << 22
 # an input whose arrays would exceed this is rejected before anything is allocated
 TRIAL_BYTES_CAP = 1 << 30
 
+# numpy's SeedSequence hash constants, and PCG64's multiplier
+_POOL_SIZE = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 
@@ -191,10 +198,13 @@ class DensityMatrix:
 
     ``matrix`` is one ``(d, d)`` matrix or a ``(..., d, d)`` stack of them
     over ``dims``; a failed check in a stack names the first bad matrix.
+    ``eigh`` holds ``np.linalg.eigh(matrix)``, the ascending eigenvalues and
+    the eigenvectors the positivity check reads, for kernels that need them.
     """
 
     dims: tuple[int, ...]
     matrix: np.ndarray
+    eigh: tuple[np.ndarray, np.ndarray] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -206,7 +216,8 @@ class DensityMatrix:
             raise ValidationError("density-shape", f"matrix shape {mat.shape}, expected {(d, d)}")
         skew = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
         tr = mat.trace(axis1=-2, axis2=-1)
-        lo = np.linalg.eigvalsh(mat).min(axis=-1)
+        object.__setattr__(self, "eigh", np.linalg.eigh(mat))
+        lo = self.eigh[0].min(axis=-1)
         checks = (
             (skew <= DEFAULT_TOL, "density-hermitian", lambda i: "matrix is not Hermitian within 1e-10"),
             (abs(tr - 1.0) <= DEFAULT_TOL, "density-trace",
@@ -300,11 +311,91 @@ def haar_state(dims: Sequence[int], seed: int | np.random.Generator) -> PureStat
     return PureState(dims, haar_vectors(_as_rng(seed).standard_normal((2, math.prod(dims)))))
 
 
-def seeded_chunks(seed: int, trials: int, trial_bytes: int) -> Iterator[tuple[range, list]]:
+def _running_multipliers(init: int, mult: int, n: int) -> np.ndarray:
+    """``init``, then ``n`` successive products with ``mult`` modulo 2**32, as a uint32 column."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _pcg64_states(seed: int, chunk: range) -> list[tuple[int, int]]:
+    """PCG64's ``(state, inc)`` in ``default_rng((seed, t))`` for each trial ``t`` of ``chunk``.
+
+    One stacked uint32 pass over the chunk runs numpy's SeedSequence hash on
+    the entropy words ``seed words + [t]`` (a pool of 4 words, then
+    ``generate_state(4, uint64)``); PCG64's ``srandom`` then turns each
+    trial's four words into its state. The hash's running multipliers do not
+    depend on the words, so the hashes of one source word into the other
+    pool words run as one array step.
+    """
+    if seed < 0 or chunk.stop > 1 << 32:
+        raise ValueError(f"need a seed >= 0 and trials below 2**32, got {seed} and {chunk}")
+    words = []  # the seed's 32-bit words, least significant first
+    while not words or seed:
+        words.append(seed & _MASK32)
+        seed >>= 32
+    # one row per entropy word, then zero rows up to the pool size
+    entropy = np.zeros((max(len(words) + 1, _POOL_SIZE), len(chunk)), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = chunk
+    mults = _running_multipliers(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
+    calls = 0
+
+    def hashmix(value: np.ndarray, n: int) -> np.ndarray:
+        """The next ``n`` hashes, one per row of the result."""
+        nonlocal calls
+        value = (value ^ mults[calls : calls + n]) * mults[calls + 1 : calls + n + 1]
+        calls += n
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return value ^ (value >> 16)
+
+    pool = hashmix(entropy[:_POOL_SIZE], _POOL_SIZE)
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL_SIZE - 1))
+    for word in entropy[_POOL_SIZE:]:
+        pool = mix(pool, hashmix(word, _POOL_SIZE))
+    mults = _running_multipliers(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    out = (np.concatenate([pool, pool]) ^ mults[:-1]) * mults[1:]
+    out = (out ^ (out >> 16)).astype(np.uint64)
+    # little-endian word pairs: the uint64 words v0..v3, as Python ints per trial
+    v0, v1, v2, v3 = (out[1::2] << np.uint64(32) | out[0::2]).tolist()
+    states = []
+    for high, low, inc_high, inc_low in zip(v0, v1, v2, v3):
+        inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
+        # srandom: from state 0 a step gives inc; add the initial state, step again
+        states.append((((inc + (high << 64 | low)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def seeded_chunks(
+    seed: int, trials: int, trial_bytes: int
+) -> Iterator[tuple[range, Iterator[np.random.Generator]]]:
     """Trials ``0..trials-1`` of ``trial_bytes`` each, as (range, generators) chunks that fit
-    :data:`CHUNK_BYTES`. Trial ``t`` draws from ``default_rng((seed, t))``, so its draws
-    depend neither on ``trials`` nor on the chunking."""
+    :data:`CHUNK_BYTES`. Trial ``t`` draws what ``default_rng((seed, t))`` draws, so its draws
+    depend neither on ``trials`` nor on the chunking.
+
+    A chunk's generators are one generator whose state is set per trial, so
+    they come as a one-pass iterator: draw all of a trial's numbers before
+    taking the next trial's generator.
+    """
     step = max(1, CHUNK_BYTES // trial_bytes)
+    rng = np.random.Generator(np.random.PCG64(0))
+
+    def reseeded(states: list[tuple[int, int]]) -> Iterator[np.random.Generator]:
+        for state, inc in states:
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
     for start in range(0, trials, step):
         chunk = range(start, min(start + step, trials))
-        yield chunk, [np.random.default_rng((seed, t)) for t in chunk]
+        yield chunk, reseeded(_pcg64_states(seed, chunk))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from typing import Iterable
 
 import numpy as np
 
@@ -371,25 +372,29 @@ def konrad_check(psi: np.ndarray, kraus_a: np.ndarray, kraus_b: np.ndarray) -> t
     return c[0], c[1] * c[2] * concurrence_pure(psi)
 
 
-def random_konrad_trials(rngs: list, two_sided: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def random_konrad_trials(
+    rngs: Iterable[np.random.Generator], two_sided: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One random trial per generator, as ``(psi, kraus_a, kraus_b)`` for :func:`konrad_check`.
 
-    Each generator draws a Haar state's normals, then per side (Bob's only
-    when ``two_sided``, else he keeps the identity) a Kraus count in
-    ``[1, MAX_KRAUS]`` and the normals of its ``haar_blocks``, zero-padded.
+    ``rngs`` may be a list or a one-pass iterator, such as a chunk of
+    :func:`~mspace.linalg.seeded_chunks`. Each generator draws a Haar
+    state's normals, then per side (Bob's only when ``two_sided``, else he
+    keeps the identity) a Kraus count in ``[1, MAX_KRAUS]`` and the normals
+    of its ``haar_blocks``, zero-padded.
     The draws of one side and Kraus count go through one stacked
     ``haar_blocks``, which gives each trial the bits of its own call.
     """
-    g_state = np.empty((len(rngs), 2, 4))
-    kraus = np.zeros((2, len(rngs), MAX_KRAUS, 2, 2), dtype=complex)
-    kraus[1, :, 0] = np.eye(2)
+    g_state = []
     draws: dict[tuple[int, int], list] = {}  # (side, k) -> [(trial, normals)]
     for t, rng in enumerate(rngs):
-        rng.standard_normal(out=g_state[t])
+        g_state.append(rng.standard_normal((2, 4)))
         for side in range(2 if two_sided else 1):
             k = int(rng.integers(1, MAX_KRAUS + 1))
             draws.setdefault((side, k), []).append((t, rng.standard_normal((2, 2 * k, 2 * k))))
+    kraus = np.zeros((2, len(g_state), MAX_KRAUS, 2, 2), dtype=complex)
+    kraus[1, :, 0] = np.eye(2)
     for (side, k), group in draws.items():
         trials, g = zip(*group)
         kraus[side, list(trials), :k] = haar_blocks(np.stack(g), 2)
-    return haar_vectors(g_state).reshape(-1, 2, 2), kraus[0], kraus[1]
+    return haar_vectors(np.array(g_state).reshape(-1, 2, 4)).reshape(-1, 2, 2), kraus[0], kraus[1]

@@ -13,8 +13,9 @@ trial axis; a single protocol is a stack of one.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,8 +98,10 @@ class ProtocolSpec:
             trials,
         )
 
+    @functools.cached_property
     def effective_ops(self) -> np.ndarray:
-        """Bob's unitary folded into each verify pair: ``[t, k] = (M_yk U_k, M_nk U_k)``."""
+        """Bob's unitary folded into each verify pair: ``[t, k] = (M_yk U_k, M_nk U_k)``, formed
+        once per spec for both success routes."""
         return self.verify_pairs @ self.bob_unitaries[:, :, None]
 
 
@@ -164,8 +167,7 @@ def outcome_tables(spec: ProtocolSpec) -> OutcomeTable:
     for :func:`~mspace.measurement.local_product`, so only the products
     outcome ``k`` reads are formed.
     """
-    eff = spec.effective_ops()
-    t = local_product(spec.psi[:, None], spec.alice[:, :, None], eff)
+    t = local_product(spec.psi[:, None], spec.alice[:, :, None], spec.effective_ops)
     probs = _local_probabilities(t, spec.trials)[:, :, 0]
     return OutcomeTable(probs[..., 0], probs[..., 1], spec.trials)
 
@@ -190,7 +192,7 @@ def success_rates_mspace(spec: ProtocolSpec) -> np.ndarray:
     d_b = spec.bob_unitaries.shape[-1]
     dim = d_a * d_b
     # M_k (x) M_yk U_k and M_k (x) M_nk U_k for each trial and outcome k
-    joint = tensor(spec.alice[:, :, None], spec.effective_ops()).reshape(count, 2 * n, dim, dim)
+    joint = tensor(spec.alice[:, :, None], spec.effective_ops).reshape(count, 2 * n, dim, dim)
     _require_complete(_identity_deviation(_gram(joint)), DEFAULT_TOL, spec.trials)
     # the one-party case of a local pair: the set is Alice's, Bob's the single 1x1 identity
     t = local_product(spec.psi.reshape(count, dim, 1), joint, np.ones((1, 1, 1)))
@@ -220,23 +222,24 @@ def random_protocols(
     d_a: int,
     d_b: int,
     n_outcomes: int,
-    rngs: Sequence[np.random.Generator],
+    rngs: Iterable[np.random.Generator],
     trials: Sequence[int] | None = None,
 ) -> ProtocolSpec:
     """One random protocol per generator: Haar state, random complete sets, Haar unitaries.
 
-    Each generator draws, in order, the state's real and imaginary parts,
-    the Gaussian block behind Alice's set, the n Bob unitaries and the n
-    verify sets, as one call that fills the trial's row of one buffer. Only
-    the draws loop over trials; the QR decompositions run once over the stack.
+    ``rngs`` may be a list or a one-pass iterator, such as a chunk of
+    :func:`~mspace.linalg.seeded_chunks`. Each generator draws, in order,
+    the state's real and imaginary parts, the Gaussian block behind Alice's
+    set, the n Bob unitaries and the n verify sets, as one call that gives
+    the trial's row of one buffer. Only the draws loop over trials; the QR
+    decompositions run once over the stack.
     """
     _trial_bytes(d_a, d_b, n_outcomes)
-    count, n = len(rngs), n_outcomes
+    n = n_outcomes
     shapes = ((2, d_a * d_b), (2, n * d_a, n * d_a), (n, 2, d_b, d_b), (n, 2, 2 * d_b, 2 * d_b))
     sizes = [math.prod(shape) for shape in shapes]
-    buffer = np.empty((count, sum(sizes)))
-    for t, rng in enumerate(rngs):
-        rng.standard_normal(out=buffer[t])
+    buffer = np.array([rng.standard_normal(sum(sizes)) for rng in rngs]).reshape(-1, sum(sizes))
+    count = len(buffer)
     parts = np.split(buffer, np.cumsum(sizes[:-1]), axis=1)
     g_state, g_alice, g_bob, g_verify = (g.reshape(count, *shape) for g, shape in zip(parts, shapes))
     psi = haar_vectors(g_state).reshape(count, d_a, d_b)

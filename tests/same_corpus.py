@@ -30,8 +30,11 @@ command moved or differs.
 The corpus holds ``--sweeps`` seeded ``sweep`` command lines (ranges inside
 and across [0, 1], reversed ones, NaN and infinite ends, 1 to 200 steps,
 JSON and TSV, a few invalid flags), the ``konrad`` grid: seeds 0-39, 1,
-7, 40 and 1500 trials (1500 spans two chunks), one- and two-sided, and
-MODES seeded ``modes`` command lines: grids up to ``--n-max 200 --m-max 12``
+7, 40 and 1500 trials (1500 spans two chunks), one- and two-sided,
+WIDE_SEED_LINES (``konrad`` and ``theorem1 --random`` lines at seeds of
+one, two, three and five 32-bit words, so that a trial's seed words fill
+numpy's 4-word entropy pool and overflow it), and MODES seeded ``modes``
+command lines: grids up to ``--n-max 200 --m-max 12``
 (many of them reach a count over the cap), single pairs up to 300 particles
 in 40 modes (many over the cap), small pairs with invalid counts, and both
 flag sets at once, in JSON and TSV.
@@ -183,6 +186,18 @@ DRIFT_LINES = [
     ["map", "--state", "random:3", "--dims", "40,40", "--alice", "random:40:1", "--bob", "random:40:2"],
     ["entanglement", "--state", "random:3", "--dims", "24,24", "--alice", "random:24:1", "--bob", "random:24:2"],
 ]
+# seeds of one, two, three and five 32-bit words: a trial's entropy is these words and its index
+WIDE_SEEDS = [2**32 - 1, 2**32, 2**64 + 1, 10**39 + 7]
+WIDE_SEED_LINES = [
+    line
+    for seed in map(str, WIDE_SEEDS)
+    for line in (
+        ["konrad", "--seed", seed, "--trials", "40", "--two-sided"],
+        ["konrad", "--seed", seed, "--trials", "1500", "--format", "tsv"],
+        ["theorem1", "--random", "--seed", seed, "--trials", "60", "--dims", "3,3", "--outcomes", "3"],
+        ["theorem1", "--random", "--seed", seed, "--trials", "7", "--format", "tsv"],
+    )
+]
 
 
 def corpus(seed: int, sweeps: int) -> list[list[str]]:
@@ -209,6 +224,7 @@ def corpus(seed: int, sweeps: int) -> list[list[str]]:
                 fmt = "tsv" if (konrad_seed + trials) % 2 else "json"
                 argv = ["konrad", "--seed", str(konrad_seed), "--trials", str(trials), *two_sided]
                 commands.append([*argv, "--format", fmt])
+    commands += WIDE_SEED_LINES
     for k in range(MODES):
         kind = k % 4
         if kind < 2:

@@ -457,6 +457,24 @@ class TestTheorem1Batches:
         assert seen == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
         assert chunked == whole
 
+    def test_effective_ops_formed_once_per_spec(self, capsys, monkeypatch):
+        from mspace import linalg, protocols
+
+        formed = []
+        # the cached property's own function, so that an uncached one fails here
+        cached = protocols.ProtocolSpec.__dict__["effective_ops"]
+        fold = cached.func
+
+        def counted(spec):
+            formed.append(spec)
+            return fold(spec)
+
+        monkeypatch.setattr(cached, "func", counted)
+        # three trials per chunk: four specs, each scored by both routes
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", 3 * protocols._trial_bytes(3, 2, 3))
+        random_rows(capsys, 10)
+        assert len(formed) == len({id(spec) for spec in formed}) == 4
+
     def test_planted_failure_names_its_trial(self, capsys, monkeypatch):
         from mspace import protocols
 
@@ -595,6 +613,39 @@ class TestKonrad:
             assert code == 0
             counts.append(len(calls))
         assert counts == [1, 1]
+
+    def test_no_generator_is_built_per_trial(self, capsys, monkeypatch):
+        built = []
+        real = np.random.default_rng
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        for argv in (["konrad", "--two-sided"], ["theorem1", "--random"]):
+            code, _, _ = run_cli(capsys, *argv, "--trials", "40", "--seed", "3")
+            assert code == 0
+        assert built == []
+
+    def test_one_eigensolve_per_chunk(self, capsys, monkeypatch):
+        from mspace import linalg
+        from mspace.locc import KONRAD_TRIAL_BYTES
+
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        # 16 trials per chunk: 16, 16, 8
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", 16 * KONRAD_TRIAL_BYTES)
+        code, _, _ = run_cli(capsys, "konrad", "--trials", "40", "--seed", "3", "--two-sided")
+        assert code == 0
+        assert calls == {"eigh": 3, "eigvalsh": 0}
 
     @pytest.mark.parametrize("two_sided", [[], ["--two-sided"]])
     def test_chunked_run_matches_one_chunk(self, capsys, monkeypatch, two_sided):

@@ -127,6 +127,20 @@ class TestConcurrenceMixed:
         assert isinstance(singles[0][0], float)
         np.testing.assert_array_equal(concurrence_mixed(DensityMatrix((2, 2), mats)), singles)
 
+    def test_reuses_the_positivity_check_eigenpairs_bit_for_bit(self):
+        rng = np.random.default_rng(10)
+        mats = []
+        for rank in (1, 2, 3, 4) * 6:
+            v = haar_state((rank * 4,), rng).vector.reshape(4, rank)
+            mats.append(v @ v.conj().T)
+        mats = np.array(mats)
+        # the formula with an eigensolve of its own
+        w, v = np.linalg.eigh(mats)
+        root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        lam = np.linalg.svd(root @ tensor(PAULI_Y, PAULI_Y) @ root.conj(), compute_uv=False)
+        want = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+        assert concurrence_mixed(DensityMatrix((2, 2), mats)).tobytes() == want.tobytes()
+
     def test_matches_eigenvalue_oracle_on_random_mixtures(self):
         rng = np.random.default_rng(4)
         for _ in range(20):

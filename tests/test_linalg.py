@@ -19,6 +19,7 @@ from mspace.linalg import (
     haar_vectors,
     is_hermitian,
     reduced_spectrum,
+    seeded_chunks,
     tensor,
 )
 
@@ -344,6 +345,11 @@ def test_eig_hermitian_stack_equals_single_calls(dim):
         w_single, v_single = eig_hermitian(h)
         assert np.array_equal(w_k, w_single)
         assert np.array_equal(v_k, v_single)
+
+
+def test_seeded_chunks_reject_a_negative_seed_as_default_rng_does():
+    with pytest.raises(ValueError):
+        next(seeded_chunks(-1, 3, 1))
 
 
 def test_eig_hermitian_rejects_a_non_hermitian_block_in_a_stack():

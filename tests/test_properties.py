@@ -477,6 +477,31 @@ def test_noisy_pair_is_the_one_eta_build(eta):
     assert noisy_pair(eta).stack.tobytes() == noisy_pair_reference(eta).stack.tobytes()
 
 
+SEEDS = st.one_of(
+    st.integers(0, 2**32 - 1),
+    # the boundaries where the seed gains a 32-bit entropy word
+    st.sampled_from([2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 1]),
+    st.integers(0, 2**256),
+)
+
+
+@PROFILE
+@given(SEEDS, st.integers(1, 40), st.integers(1, 9))
+@example(10**39 + 7, 12, 5)
+def test_seeded_chunks_draw_what_default_rng_draws(seed, trials, per_chunk):
+    # chunks of per_chunk trials, so that most runs cross a chunk boundary
+    seen = []
+    for chunk, rngs in seeded_chunks(seed, trials, CHUNK_BYTES // per_chunk):
+        assert len(chunk) <= per_chunk
+        for t, rng in zip(chunk, rngs, strict=True):
+            want = np.random.default_rng((seed, t))
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert rng.standard_normal() == want.standard_normal()
+            assert rng.integers(1, MAX_KRAUS + 1) == want.integers(1, MAX_KRAUS + 1)
+            seen.append(t)
+    assert seen == list(range(trials))
+
+
 @PROFILE
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 9), st.booleans())
 def test_stacked_konrad_draws_equal_one_qr_per_trial(seed, trials, per_chunk, two_sided):

@@ -125,7 +125,7 @@ class TestSuccessProbability:
     def test_mspace_route_scores_the_map_image(self, d_a, d_b, n):
         # each trial's joint set, mapped as a whole-space set, gives the same bits
         spec = random_protocols(d_a, d_b, n, [np.random.default_rng((33, t)) for t in range(40)])
-        dim, eff = d_a * d_b, spec.effective_ops()
+        dim, eff = d_a * d_b, spec.effective_ops
         for k, rate in enumerate(success_rates_mspace(spec)):
             ops = tensor(spec.alice[k][:, None], eff[k]).reshape(2 * n, dim, dim)
             joint = MeasurementSet(dim, tuple(map(str, range(2 * n))), ops)
@@ -188,7 +188,7 @@ class TestProtocolStacks:
 
     def test_effective_ops_fold_in_the_unitary(self):
         spec = random_protocol(2, 3, 4, 6)
-        eff = spec.effective_ops()[0]
+        eff = spec.effective_ops[0]
         for k, ((m_y, m_n), u) in enumerate(zip(spec.verify_pairs[0], spec.bob_unitaries[0])):
             np.testing.assert_allclose(eff[k], [m_y @ u, m_n @ u], atol=1e-14)
 

@@ -19,6 +19,7 @@ from same_corpus import (
     NEAR_TOLERANCES,
     PARSER_LINES,
     THREAD_VARS,
+    WIDE_SEED_LINES,
     build,
     float_moves,
     float_report,
@@ -74,6 +75,16 @@ def test_corpus_ends_with_the_grid_pair_block(tmp_path):
         assert all(1 <= n <= 3 for n in outcomes)
     assert min(dims["map"] | dims["entanglement"]) == 6 and max(dims["map"] | dims["entanglement"]) == 24
     assert max(dims["locc"]) == 8
+
+
+def test_wide_seed_lines_follow_the_konrad_grid(tmp_path):
+    lines, _ = _build(tmp_path / "corpus")
+    # after the 406 sweep lines and the konrad grid of 40 seeds, 4 trial counts and 2 sides
+    start = 406 + 40 * 4 * 2
+    assert lines[start : start + len(WIDE_SEED_LINES)] == WIDE_SEED_LINES
+    assert per_command(WIDE_SEED_LINES).startswith("0 sweep, 8 konrad,")
+    seeds = {int(argv[argv.index("--seed") + 1]) for argv in WIDE_SEED_LINES}
+    assert sorted(-(-seed.bit_length() // 32) for seed in seeds) == [1, 2, 3, 5]
 
 
 def test_fixed_block_comes_just_before_the_grid_pair_block(tmp_path):
