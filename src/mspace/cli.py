@@ -30,7 +30,7 @@ from .entanglement import (
     pure_entanglements,
 )
 from .files import load_measurement_set, load_protocol, load_state
-from .linalg import DEFAULT_TOL, DensityMatrix, PureState, ValidationError, bell_phi_plus, seeded_chunks
+from .linalg import DEFAULT_TOL, DensityMatrix, PureState, ValidationError, _shown, bell_phi_plus, seeded_chunks
 from .locc import KONRAD_TOL, KONRAD_TRIAL_BYTES, konrad_check, random_konrad_trials, run_locc_construction
 from .measurement import LocalMeasurementSet, local_images, map_to_measurement_space, noisy_operators
 from .modes import useful_entanglement_bounds
@@ -85,9 +85,11 @@ def _require_count(value: int, flag: str) -> None:
     """One report row per unit of ``value``, so it must lie in [1, MAX_ROWS]."""
     # zero trials or steps would check nothing and still report a pass
     if value < 1:
-        raise ValidationError("flag-format", f"{flag} must be >= 1, got {value}")
+        raise ValidationError("flag-format", f"{flag} must be >= 1, got {_shown(value)}")
     if value > MAX_ROWS:
-        raise ValidationError("flag-format", f"{flag} asks for {value} report rows, over the cap {MAX_ROWS}")
+        raise ValidationError(
+            "flag-format", f"{flag} asks for {_shown(value)} report rows, over the cap {MAX_ROWS}"
+        )
 
 
 def _eta_steps(start: float, end: float, steps: int) -> np.ndarray:
@@ -478,7 +480,11 @@ def main(argv=None) -> int:
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early; devnull takes what is left, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

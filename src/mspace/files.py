@@ -78,15 +78,27 @@ def _read_capped(fh: BinaryIO, what: str) -> bytes:
     return b"".join(chunks)
 
 
+def _orjson_int(text: str) -> int | float:
+    """A JSON integer as orjson reads it: outside [-2^63, 2^64) the nearest float. Past a double,
+    which orjson refuses, it stays an int, which then fails where a float is read (``complex-pairs``)."""
+    value = int(text)
+    if -(2**63) <= value < 2**64:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        return value
+
+
 def _read_json(path: str | Path) -> Any:
     try:
         with open(path, "rb") as fh:
             data = _read_capped(fh, f"reading {path}")
     except OSError as exc:
         raise ValidationError("file-access", f"cannot read {path}: {exc}") from exc
-    # orjson reads what json reads, to the same values, but for integers outside [-2^63, 2^64),
-    # which it reads as floats; json reads what orjson refuses (NaN and Infinity, numbers past a
-    # double, lone surrogates) and words every error
+    # orjson reads what json reads, to the same values, integers outside [-2^63, 2^64) as floats
+    # included (json's by _orjson_int); json reads what orjson refuses (NaN and Infinity, numbers
+    # past a double, lone surrogates) and words every error
     marks = np.frombuffer(data, np.uint8)
     if np.count_nonzero(marks == ord("[")) + np.count_nonzero(marks == ord("{")) <= ORJSON_MAX_BRACKETS:
         try:
@@ -98,7 +110,7 @@ def _read_json(path: str | Path) -> Any:
         # line ends as a text-mode read gives them, so that an error names the same position
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        return json.loads(text)
+        return json.loads(text, parse_int=_orjson_int)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationError("file-json", f"{path} is not valid JSON: {exc}") from exc
     except ValueError as exc:  # an integer with more digits than Python converts

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -50,6 +51,14 @@ class ValidationError(ValueError):
     def __init__(self, invariant: str, message: str):
         super().__init__(f"{invariant}: {message}")
         self.invariant = invariant
+
+
+def _shown(k: int) -> str:
+    """``k`` in decimal, or a bound on it when it has more digits than an int prints."""
+    try:
+        return str(k)
+    except ValueError:
+        return f"{'at most -' if k < 0 else 'at least '}10^{sys.get_int_max_str_digits()}"
 
 
 def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:

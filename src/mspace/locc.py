@@ -43,10 +43,9 @@ from .linalg import (
 from .measurement import (
     LocalMeasurementSet,
     MeasurementSpaceState,
-    _checked_local_product,
+    _checked_image,
     _gram,
     _identity_deviation,
-    _local_image,
     _require_pair_fits,
     local_product,
 )
@@ -248,16 +247,16 @@ def run_locc_construction(
     coefficients (``d_a n_a n_b d_a d_b`` entries), Bob's blocks (``d_a n_b
     d_b^2``) or the ancilla output (``(n_a n_b)^2``).
     """
-    _require_pair_fits(psi, *measurements.stacks)
+    _require_pair_fits(psi.dims, *measurements.stacks)
     (d_a, d_b), (n_a, n_b) = psi.dims, measurements.structure
     _require_fits(
         16 * max(d_a * n_a * n_b * d_a * d_b, d_a * n_b * d_b**2, (n_a * n_b) ** 2),
         "locc-size",
         f"a LOCC run of {n_a * n_b} outcomes on dims ({d_a}, {d_b})",
     )
-    t = _checked_local_product(psi, *measurements.stacks, completeness_tol)
+    t, amps = _checked_image(psi.dims, psi.reshaped(), *measurements.stacks, completeness_tol)
     dilated = _dilation(t)
-    image = MeasurementSpaceState(_local_image(t, completeness_tol), measurements.structure)
+    image = MeasurementSpaceState(amps, measurements.structure)
     # party layouts: Alice's (sys_A, anc_A, sys_B, anc_B), Bob's (sys_B, anc_B, sys_A, anc_A)
     after_alice, alice = _measure_party(dilated.reshaped().transpose(0, 2, 1, 3), "A")
     # the run reads only Bob's row |0>; Alice's rows all feed his blocks

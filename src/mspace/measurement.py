@@ -221,17 +221,17 @@ def _local_probabilities(t: np.ndarray, trials=None) -> np.ndarray:
     return raw.clip(0.0, 1.0)
 
 
-def _require_pair_fits(psi: PureState, alice: np.ndarray, bob: np.ndarray) -> None:
-    """The pair check's shapes for ``(..., n, d, d)`` stacks: the state must have dims ``(d_a, d_b)``,
-    and one pair's product tensor, its largest array at ``n dim`` entries, must fit the byte cap."""
-    if psi.dims != (alice.shape[-1], bob.shape[-1]):
+def _require_pair_fits(dims: tuple[int, ...], alice: np.ndarray, bob: np.ndarray) -> None:
+    """The pair check's shapes for ``(..., n, d, d)`` stacks: the state's ``dims`` must be ``(d_a, d_b)``,
+    and one pair's product tensor, its largest array at ``n d_a d_b`` entries, must fit the byte cap."""
+    if dims != (alice.shape[-1], bob.shape[-1]):
         raise ValidationError(
             "dimension-match",
-            f"state dims {psi.dims} != measurement dims ({alice.shape[-1]}, {bob.shape[-1]})",
+            f"state dims {dims} != measurement dims ({alice.shape[-1]}, {bob.shape[-1]})",
         )
-    n, dim = alice.shape[-3] * bob.shape[-3], psi.dim
-    what = f"a local pair of {n} outcomes on dims {psi.dims}"
-    _require_fits(16 * n * dim, "measurement-size", what)
+    n = alice.shape[-3] * bob.shape[-3]
+    what = f"a local pair of {n} outcomes on dims {dims}"
+    _require_fits(16 * n * dims[0] * dims[1], "measurement-size", what)
 
 
 def _pair_deviations(ga: np.ndarray, gb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -258,24 +258,6 @@ def _pair_deviations(ga: np.ndarray, gb: np.ndarray) -> tuple[np.ndarray, np.nda
     return dev_a, dev_b, np.maximum(on_diagonal, off_diagonal)
 
 
-def _checked_local_product(
-    psi: PureState, alice: np.ndarray, bob: np.ndarray, completeness_tol: float, trials=None
-) -> np.ndarray:
-    """:func:`local_product` of ``psi`` and the operator stacks of a local pair, after the one
-    check of a pair.
-
-    The shapes pass :func:`_require_pair_fits` before anything is built. Each
-    Gram matrix and their Kronecker product, the joint set's, must be 1
-    within ``completeness_tol`` (:func:`_pair_deviations`). With ``trials``,
-    ``alice`` and ``bob`` carry a leading axis of pairs, checked at once, and
-    a failure names the pair.
-    """
-    _require_pair_fits(psi, alice, bob)
-    dev_a, dev_b, joint = _pair_deviations(_gram(alice), _gram(bob))
-    _require_complete(np.maximum(np.maximum(dev_a, dev_b), joint), completeness_tol, trials)
-    return local_product(psi.reshaped(), alice, bob)
-
-
 def _local_image(t: np.ndarray, completeness_tol: float, trials=None) -> np.ndarray:
     """The ``(..., n_a n_b)`` image amplitudes of a :func:`local_product` ``t``.
 
@@ -298,6 +280,25 @@ def _local_image(t: np.ndarray, completeness_tol: float, trials=None) -> np.ndar
     return amps
 
 
+def _checked_image(
+    dims: tuple, psi: np.ndarray, alice: np.ndarray, bob: np.ndarray, completeness_tol: float, trials=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`local_product` ``t`` of a state's amplitude matrix ``psi`` and a local pair's stacks,
+    and its :func:`_local_image`, after the one check of a pair.
+
+    The state's ``dims`` and the stacks pass :func:`_require_pair_fits`
+    before anything is built. Each Gram matrix and their Kronecker product,
+    the joint set's, must be 1 within ``completeness_tol``
+    (:func:`_pair_deviations`). With ``trials``, the arrays carry a leading
+    axis of trials, checked at once, and a failure names the trial.
+    """
+    _require_pair_fits(dims, alice, bob)
+    dev_a, dev_b, joint = _pair_deviations(_gram(alice), _gram(bob))
+    _require_complete(np.maximum(np.maximum(dev_a, dev_b), joint), completeness_tol, trials)
+    t = local_product(psi, alice, bob)
+    return t, _local_image(t, completeness_tol, trials)
+
+
 def map_to_measurement_space(
     psi: PureState,
     measurements: MeasurementSet | LocalMeasurementSet,
@@ -317,18 +318,15 @@ def map_to_measurement_space(
     ``completeness_tol`` can move the sum.
     """
     if isinstance(measurements, LocalMeasurementSet):
-        alice, bob = measurements.stacks
-        structure = measurements.structure
+        pair, structure = (psi.dims, psi.reshaped(), *measurements.stacks), measurements.structure
     else:
         if psi.dim != measurements.dim:
             raise ValidationError(
                 "dimension-match",
                 f"state dimension {psi.dim} != measurement dimension {measurements.dim}",
             )
-        psi = dataclasses.replace(psi, dims=(psi.dim, 1))
-        alice, bob, structure = measurements.stack, np.ones((1, 1, 1)), None
-    t = _checked_local_product(psi, alice, bob, completeness_tol)
-    return MeasurementSpaceState(_local_image(t, completeness_tol), structure)
+        pair, structure = ((psi.dim, 1), psi.vector[:, None], measurements.stack, np.ones((1, 1, 1))), None
+    return MeasurementSpaceState(_checked_image(*pair, completeness_tol)[1], structure)
 
 
 def local_images(
@@ -341,9 +339,7 @@ def local_images(
     sets ``alice[k]``, ``bob[k]``, checked the same way, and a failure names
     the pair as trial ``k``.
     """
-    trials = range(len(alice))
-    t = _checked_local_product(psi, alice, bob, completeness_tol, trials)
-    return _local_image(t, completeness_tol, trials)
+    return _checked_image(psi.dims, psi.reshaped(), alice, bob, completeness_tol, range(len(alice)))[1]
 
 
 def random_measurement_set(dim: int, n_outcomes: int, seed: int | np.random.Generator) -> MeasurementSet:

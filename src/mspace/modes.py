@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 
 import numpy as np
 
-from .linalg import ValidationError, _require
+from .linalg import ValidationError, _require, _shown
 
 # Largest outcome count whose divisor search is run: the downward trial
 # division from isqrt(count) then takes at most 10^6 steps. Being below 2^63,
@@ -30,14 +29,6 @@ FIRST_WIDTH = 32
 
 # math.log2 entry by entry, which np.log2 does not always match to the last bit
 _log2 = np.vectorize(math.log2, otypes=[float])
-
-
-def _shown(k: int) -> str:
-    """``k`` in decimal, or a bound on it when it has more digits than an int prints."""
-    try:
-        return str(k)
-    except ValueError:
-        return f"{'at most -' if k < 0 else 'at least '}10^{sys.get_int_max_str_digits()}"
 
 
 def composition_count(n: int, m: int) -> int:

@@ -38,9 +38,9 @@ from .linalg import (
 )
 from .measurement import (
     MeasurementSet,
+    _checked_image,
     _gram,
     _identity_deviation,
-    _local_image,
     _local_probabilities,
     _require_complete,
     local_product,
@@ -181,9 +181,8 @@ def success_rates_mspace(spec: ProtocolSpec) -> np.ndarray:
     """Success rate of every trial, recomputed entirely inside measurement space.
 
     Builds each trial's joint set {M_k (x) M_yk U_k, M_k (x) M_nk U_k} as a
-    stack of Kronecker products, checks it for completeness, maps the state
-    to its measurement-space image the way
-    :func:`~mspace.measurement.map_to_measurement_space` maps a set on the
+    stack of Kronecker products, checks and maps it as
+    :func:`~mspace.measurement.map_to_measurement_space` does a set on the
     whole space, and accumulates ``sum_k p(success | k) p(k)`` from rank-1
     projections on that image. Unlike :func:`outcome_tables`, which it is
     checked against, it applies the Kronecker operators to the state vector.
@@ -193,10 +192,9 @@ def success_rates_mspace(spec: ProtocolSpec) -> np.ndarray:
     dim = d_a * d_b
     # M_k (x) M_yk U_k and M_k (x) M_nk U_k for each trial and outcome k
     joint = tensor(spec.alice[:, :, None], spec.effective_ops).reshape(count, 2 * n, dim, dim)
-    _require_complete(_identity_deviation(_gram(joint)), DEFAULT_TOL, spec.trials)
     # the one-party case of a local pair: the set is Alice's, Bob's the single 1x1 identity
-    t = local_product(spec.psi.reshape(count, dim, 1), joint, np.ones((1, 1, 1)))
-    image = (_local_image(t, DEFAULT_TOL, spec.trials) ** 2).reshape(count, n, 2)
+    pair = ((dim, 1), spec.psi.reshape(count, dim, 1), joint, np.ones((1, 1, 1)))
+    image = (_checked_image(*pair, DEFAULT_TOL, spec.trials)[1] ** 2).reshape(count, n, 2)
     p_y, p_n = image[..., 0], image[..., 1]
     p_k = p_y + p_n
     terms = np.divide(p_y, p_k, out=np.zeros_like(p_k), where=p_k > 0.0) * p_k

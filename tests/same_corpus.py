@@ -37,7 +37,8 @@ numpy's 4-word entropy pool and overflow it), and MODES seeded ``modes``
 command lines: grids up to ``--n-max 200 --m-max 12``
 (many of them reach a count over the cap), single pairs up to 300 particles
 in 40 modes (many over the cap), small pairs with invalid counts, and both
-flag sets at once, in JSON and TSV.
+flag sets at once, in JSON and TSV; then HUGE_GRID_LINE, a grid of two
+4300-digit counts, whose row count has too many digits to print.
 
 After those come every ``entanglement --measure`` on ``bell``, ``product0``
 and ``random:<seed>`` over fixed 1-, 2- and 3-party dims, 2x2 cuts of three
@@ -63,8 +64,11 @@ renormalization warning, 1e-3 is rejected), sets off completeness, with
 labels holding non-ASCII characters, quotes, backslashes and tabs (a tab is
 rejected as ``measurement-labels``), sets that are ragged, repeated or of
 the wrong dim, and valid and broken protocols. The file lines end with
-JSON_PATH_FILES, one fixed line each on a file that orjson refuses, so that
-the file reader parses it with json: NaN, Infinity and 1e400 entries, a
+BIG_INT_FILES, two states and a set holding integers outside [-2^63,
+2^64), one of them past a double, each as it is and then padded with a
+string of brackets that sends it to json,
+and JSON_PATH_FILES, one fixed line each on a file that orjson refuses, so
+that the file reader parses it with json: NaN, Infinity and 1e400 entries, a
 label holding an escaped lone surrogate, and a UTF-8 byte order mark (which
 json refuses too).
 Many of these lines set ``MSPACE_DEFAULT_TOL`` (to valid and invalid values)
@@ -155,6 +159,20 @@ JSON_PATH_FILES = [
     (SET_TEXT % ('"\\ud800"', "1.0"), ["map", "--state", "bell", "--alice", "FILE", "--bob", "z-projectors"]),
     ("\ufeff" + STATE_TEXT % "0.5", ["locc", "--state", "FILE", *Z_PAIR]),
 ]
+# a string of more opening brackets than orjson is given (ORJSON_MAX_BRACKETS = 10,000), which
+# sends a file to json
+PAD = ', "note": "%s"}' % ("[" * 10_001)
+BIG_INT = str(2**64)
+# integers outside [-2^63, 2^64), each text as it is and then padded: both parsers read them alike
+BIG_INT_FILES = [
+    (padded, argv)
+    for text, argv in [
+        ('{"dims": [%s, 1], "amplitudes": [[1.0, 0.0]]}' % BIG_INT, ["entanglement", "--state", "FILE"]),
+        (SET_TEXT % (BIG_INT, "1.0"), ["map", "--state", "bell", "--alice", "FILE", "--bob", "z-projectors"]),
+        (STATE_TEXT % ("1" + "0" * 400), ["map", "--state", "FILE", *Z_PAIR]),
+    ]
+    for padded in (text, text[:-1] + PAD)
+]
 # lines that argparse answers itself, or whose words test how it reads them
 PARSER_LINES = [
     ["-h"],
@@ -181,6 +199,8 @@ PARSER_LINES = [
     ["entanglement", "--state", "bell", "--measure", "bogus"],
     ["map", "--state", "bell", *Z_PAIR, "--format", "xml"],
 ]
+# each count has the most digits an int reads, so their product has too many to print
+HUGE_GRID_LINE = ["modes", "--n-max", "9" * 4300, "--m-max", "9" * 4300]
 # their floats move between 1 and 2 OpenBLAS threads, and stay put at one count
 DRIFT_LINES = [
     ["map", "--state", "random:3", "--dims", "40,40", "--alice", "random:40:1", "--bob", "random:40:2"],
@@ -236,7 +256,7 @@ def corpus(seed: int, sweeps: int) -> list[list[str]]:
         if rng.random() < 0.03:
             argv += ["--n-max", "3"] if kind == 2 else ["--m-max", "0"]
         commands.append(["modes", *argv, "--format", "tsv" if k % 3 == 0 else "json"])
-    return commands
+    return commands + [HUGE_GRID_LINE]
 
 
 def _dims(rng: np.random.Generator, state: str) -> list[int]:
@@ -497,7 +517,7 @@ def file_corpus(seed: int, workdir: Path) -> list[list[str]]:
         argv += ["--format", "tsv" if k % 4 < 2 else "json"]
         tol = TOLERANCES[int(rng.choice(len(TOLERANCES), p=TOLERANCE_WEIGHTS))]
         commands.append(argv if tol is None else [f"{ENV}={tol}", *argv])
-    for text, argv in JSON_PATH_FILES:
+    for text, argv in BIG_INT_FILES + JSON_PATH_FILES:
         path = files.write(text)
         commands.append([path if arg == "FILE" else arg for arg in argv])
     return commands

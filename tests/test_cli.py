@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from mspace import cli, modes
 from mspace.cli import MAX_ROWS, main
-from mspace.files import load_measurement_set
-from mspace.linalg import PureState, bell_phi_plus
+from mspace.files import ORJSON_MAX_BRACKETS, _read_json, load_measurement_set
+from mspace.linalg import PureState, ValidationError, bell_phi_plus
 from mspace.locc import run_locc_construction
 from mspace.measurement import (
     LocalMeasurementSet,
@@ -889,6 +889,14 @@ class TestRowCap:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and "error: flag-format: " in err and out == ""
 
+    def test_row_count_too_long_to_print_names_the_invariant(self, capsys):
+        # each flag has the most digits an int converts, so their product has too many to print
+        nines = "9" * 4300
+        code, out, err = run_cli(capsys, "modes", "--n-max", nines, "--m-max", nines)
+        assert (code, out) == (2, "")
+        rows = "the --n-max/--m-max grid asks for at least 10^4300 report rows"
+        assert err == f"error: flag-format: {rows}, over the cap 100000\n"
+
     def test_map_over_the_cap_through_a_local_pair_rejected_before_the_map(self, capsys, monkeypatch):
         # 400 x 400 outcomes: both sets fit the byte cap, the 160,000 rows do not fit the row cap
         monkeypatch.setattr("mspace.cli.map_to_measurement_space", _no_work)
@@ -947,7 +955,7 @@ class TestRowCap:
         ]
         for argv in lines:
             assert run_cli(capsys, "map", *argv)[0] == 0
-        for name in ("locc._checked_local_product", "measurement.local_product", "locc.fourier_step"):
+        for name in ("locc._checked_image", "measurement.local_product", "locc.fourier_step"):
             monkeypatch.setattr(f"mspace.{name}", _no_work)
         for argv in lines:
             code, out, err = run_cli(capsys, "locc", *argv)
@@ -1236,6 +1244,18 @@ class TestReportContract:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"][0]["count"] == 2
 
+    def test_closed_stdout_exits_quietly_with_the_command_code(self):
+        # the reader stops after 100 bytes, as `| head -c 100` does, of a report far larger than a pipe holds
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mspace.cli", "sweep", "--steps", "20000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate()
+        assert (proc.returncode, err) == (0, b"")
+
 
 def _file_argv(kind, path):
     """A command that loads ``path`` as a file of ``kind``."""
@@ -1336,6 +1356,31 @@ class TestFileEntries:
         code, out, err = run_cli(capsys, *_file_argv("set", path), "--format", "tsv")
         assert code == 0 and err == ""
         assert "\n(1.8446744073709552e+19,0)\t0.5\t" in out
+
+    @pytest.mark.parametrize("kind, obj", [
+        ("set", z_set_obj(2**64, "1")),
+        ("set", z_set_obj(-(2**63) - 1, "1")),
+        ("set", {**z_set_obj("0", "1"), "dim": 2**64}),
+        ("state", {"dims": [2**64, 1], "amplitudes": [[1.0, 0.0]]}),
+        ("state", _entry_obj("state", 2**64)),
+        ("state", _entry_obj("state", 10**400)),
+        ("state", _entry_obj("state", "DIGITS")),
+    ], ids=["label-2^64", "label-2^63-1", "dim-2^64", "dims-2^64", "amplitude-2^64", "10^400", "5000-digits"])  # fmt: skip
+    def test_a_pad_that_switches_the_parser_reads_the_same(self, capsys, tmp_path, kind, obj):
+        # a string of more than ORJSON_MAX_BRACKETS brackets sends the file to json, which must read
+        # integers as orjson does; both texts go to one path, which the reports may name
+        path = tmp_path / "file.json"
+        runs = []
+        for pad in ({}, {"note": "[" * (ORJSON_MAX_BRACKETS + 1)}):
+            path.write_text(json.dumps({**obj, **pad}).replace('"DIGITS"', "1" * 5000), encoding="utf-8")
+            try:
+                read = _read_json(path)
+                read.pop("note", None)
+                read = repr(read)
+            except ValidationError as exc:
+                read = str(exc)
+            runs.append((read, run_cli(capsys, *_file_argv(kind, str(path)))))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("kind, obj, invariant", [
         ("set", z_set_obj("DEEP", "1"), "measurement-labels: a label is nested too deep to print"),

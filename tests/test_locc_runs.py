@@ -90,15 +90,15 @@ def test_batched_bob_move_equals_one_move_per_alice_outcome():
 
 def test_run_checks_its_pair_once(monkeypatch):
     calls = []
-    original = locc._checked_local_product
+    original = locc._checked_image
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
     # both names: the map reaches the check through its own module
-    monkeypatch.setattr("mspace.measurement._checked_local_product", counted)
-    monkeypatch.setattr(locc, "_checked_local_product", counted)
+    monkeypatch.setattr("mspace.measurement._checked_image", counted)
+    monkeypatch.setattr(locc, "_checked_image", counted)
     rng = np.random.default_rng(5)
     locc.run_locc_construction(haar_state((3, 2), rng), random_local_set(3, 2, 2, 3, rng))
     assert len(calls) == 1
@@ -123,7 +123,7 @@ def test_run_image_and_dilation_are_the_map_and_dilation_bits(delta, tol):
         assert trace.mspace.amplitudes.shape == image.amplitudes.shape == (len(local.labels),)
         assert trace.mspace.structure == image.structure == (n_a, n_b)
         # the run's dilated state is the dilation of the pair's one checked tensor
-        dilated = locc._dilation(locc._checked_local_product(psi, *local.stacks, tol))
+        dilated = locc._dilation(locc._checked_image(psi.dims, psi.reshaped(), *local.stacks, tol)[0])
         assert trace.dilated.dims == dilated.dims
         assert np.array_equal(trace.dilated.vector, dilated.vector)
 

@@ -18,6 +18,7 @@ from mspace.protocols import (
     OutcomeTable,
     ProtocolSpec,
     outcome_tables,
+    random_protocol_batches,
     random_protocols,
     single_protocol,
     success_rates_mspace,
@@ -136,6 +137,17 @@ class TestSuccessProbability:
                 p_k = p_y + p_n
                 total += p_y / p_k * p_k if p_k > 0.0 else 0.0
             assert rate == total
+
+    def test_joint_set_off_completeness_fails_the_map_check(self):
+        # Alice's set and each verify pair miss completeness by 0.75e-10, inside the spec's 1e-10,
+        # but their Kronecker products, the joint set the image route maps, miss by twice that
+        spec = next(random_protocol_batches(2, 2, 2, 5, 3))
+        scale = np.sqrt(1 + 0.75e-10)
+        loose = ProtocolSpec(spec.psi, spec.alice * scale, spec.bob_unitaries, spec.verify_pairs * scale, spec.trials)
+        with pytest.raises(ValidationError) as exc:
+            success_rates_mspace(loose)
+        expected = "completeness: trial 0: completeness deviation 1.5000023445566057e-10 exceeds tolerance 1e-10"
+        assert str(exc.value) == expected
 
 
 class TestProtocolValidation:

@@ -11,6 +11,7 @@ import orjson
 import pytest
 import same_corpus
 from same_corpus import (
+    BIG_INT_FILES,
     COMMANDS,
     DRIFT_LINES,
     EDGE_LINES,
@@ -122,6 +123,21 @@ def test_file_lines_end_with_the_json_path_block_before_the_fixed_block(tmp_path
         # so the file reader parses it with json
         with pytest.raises(orjson.JSONDecodeError):
             orjson.loads(data)
+
+
+def test_big_integer_files_come_plain_then_padded_before_the_json_path_block(tmp_path):
+    lines, files = _build(tmp_path / "corpus")
+    end = len(lines) - 3 * GRID_PAIRS - len(EDGE_LINES + PARSER_LINES + DRIFT_LINES) - len(JSON_PATH_FILES)
+    block = lines[end - len(BIG_INT_FILES) : end]
+    for line, (text, argv) in zip(block, BIG_INT_FILES):
+        (path,) = [arg for arg in line if arg.startswith("<dir>/")]
+        assert [arg if arg != path else "FILE" for arg in line] == argv
+        assert files[path.removeprefix("<dir>/")] == text.encode()
+    # each text as it is, then with a pad of more opening brackets than orjson is given
+    for (plain, argv), (padded, padded_argv) in zip(BIG_INT_FILES[::2], BIG_INT_FILES[1::2]):
+        assert argv == padded_argv and padded.startswith(plain[:-1])
+        assert plain.count("[") <= 10_000 < padded.count("[")
+        assert json.loads(padded).pop("note") == "[" * 10_001
 
 
 @pytest.mark.parametrize("flags, counts", [(["--threads", "1,2"], ("1", "2")), ([], (None, None))])
