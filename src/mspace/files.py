@@ -9,13 +9,15 @@ without hand-written files.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import stat
 import sys
+from itertools import chain, starmap
 from pathlib import Path
-from typing import Any, BinaryIO, Sequence
+from typing import Any, BinaryIO, Callable, Sequence
 
 import numpy as np
 import orjson
@@ -50,18 +52,69 @@ def _quiet() -> np.errstate:
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def pairs_to_vector(pairs: Sequence[Sequence[float]]) -> np.ndarray:
+def _complex_vector(pairs: Any, message: str) -> np.ndarray:
+    """``complex(re, im)`` of every ``[re, im]`` pair in the list ``pairs``, in one C-level pass.
+    Anything else fails as ``complex-pairs`` with ``message``, a JSON ``true`` or ``false`` among
+    the parts included.
+
+    Every length is checked first, since ``complex`` would read a 1-entry pair as ``complex(re)``.
+    """
     try:
-        return np.array([complex(re, im) for re, im in pairs], dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("complex-pairs", "amplitudes must be [re, im] pairs") from exc
+        if set(map(len, pairs)) <= {2}:
+            out = np.fromiter(starmap(complex, pairs), complex, len(pairs))
+            # a boolean part reads as exactly 0.0 or 1.0, the only values x with x == (x > 0.5),
+            # so only the pairs holding such a part have their parts' types read
+            parts = out.view(float)
+            suspect = parts == (parts > 0.5)
+            if not np.count_nonzero(suspect) or not any(
+                type(part) is bool for i in (suspect.nonzero()[0] >> 1).tolist() for part in pairs[i]
+            ):
+                return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError("complex-pairs", message)
+
+
+def pairs_to_vector(pairs: Sequence[Sequence[float]]) -> np.ndarray:
+    return _complex_vector(pairs, "amplitudes must be [re, im] pairs")
+
+
+def pairs_to_matrices(matrices: Sequence[Sequence[Sequence[Sequence[float]]]]) -> list[np.ndarray]:
+    """Each of ``matrices``, a list of equally long rows of ``[re, im]`` pairs, as a ``(rows,
+    width)`` array, or ``(0,)`` for no rows; all of them are converted in one pass."""
+    message = "matrix entries must be [re, im] pairs"
+    try:
+        shapes = [(len(rows), *set(map(len, rows))) for rows in matrices]
+        pairs = list(chain.from_iterable(chain.from_iterable(matrices)))
+    except TypeError as exc:
+        raise ValidationError("complex-pairs", message) from exc
+    # a ragged matrix has two widths or more in its shape
+    if max(map(len, shapes), default=0) > 2:
+        raise ValidationError("complex-pairs", message)
+    out, start, arrays = _complex_vector(pairs, message), 0, []
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        arrays.append(out[start:stop].reshape(shape))
+        start = stop
+    return arrays
 
 
 def pairs_to_matrix(rows: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
+    return pairs_to_matrices([rows])[0]
+
+
+def _load(read: Callable[..., Any], path: str | Path, *args: Any) -> Any:
+    """``read(parsed file, *args)`` with the cyclic GC paused over the whole load: the parse, the
+    conversion to arrays and the release of the parse tree. JSON text makes no cycles, so the
+    collections its many lists would set off free nothing. The caller's ``gc.isenabled()`` state
+    is restored on every exit."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("complex-pairs", "matrix entries must be [re, im] pairs") from exc
+        return read(_read_json(path), *args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _read_capped(fh: BinaryIO, what: str) -> bytes:
@@ -172,7 +225,7 @@ def load_state(source: str, dims: Sequence[int] | None = None) -> PureState:
         if seed < 0:
             raise ValidationError("state-name", f"random state seeds must be >= 0, got {source!r}")
         return haar_state(_builtin_shape(shape), seed)
-    psi = bell_phi_plus() if source == "bell" else state_from_obj(_read_json(source))
+    psi = bell_phi_plus() if source == "bell" else _load(state_from_obj, source)
     if dims and shape != psi.dims:
         raise ValidationError("state-dims", f"dims {shape} given, but {source!r} has dims {psi.dims}")
     return psi
@@ -186,17 +239,22 @@ def measurement_set_from_obj(obj: Any, tol: float = DEFAULT_TOL) -> MeasurementS
         raise ValidationError(
             "measurement-schema", "measurement files need 'dim' as an integer and 'operators' as a list"
         )
-    labels, matrices = [], []
+    labels, raw, broken = [], [], None
     for entry in obj["operators"]:
         if not isinstance(entry, dict) or "label" not in entry or "matrix" not in entry:
-            raise ValidationError(
-                "measurement-schema", "each operator needs 'label' and 'matrix'"
-            )
+            broken = ValidationError("measurement-schema", "each operator needs 'label' and 'matrix'")
+            break
         try:
             labels.append(str(entry["label"]))
-        except RecursionError as exc:
-            raise ValidationError("measurement-labels", "a label is nested too deep to print") from exc
-        matrices.append(pairs_to_matrix(entry["matrix"]))
+        except RecursionError:
+            broken = ValidationError("measurement-labels", "a label is nested too deep to print")
+            break
+        raw.append(entry["matrix"])
+    # the matrices before a broken entry are converted first, as the entries come: one of them
+    # that is not pairs fails before the entry does
+    matrices = pairs_to_matrices(raw)
+    if broken is not None:
+        raise broken
     with _quiet():
         mset = MeasurementSet(dim, tuple(labels), matrices)
         mset.assert_complete(tol)
@@ -237,7 +295,7 @@ def load_measurement_set(source: str, dim: int | None = None, tol: float = DEFAU
         n = max(outcomes, 0) * d
         _require_fits(16 * n * n, "measurement-size", f"the set {source!r} on dim {d}")
         return random_measurement_set(d, outcomes, seed)
-    return measurement_set_from_obj(_read_json(source), tol)
+    return _load(measurement_set_from_obj, source, tol)
 
 
 def load_protocol(path: str) -> ProtocolSpec:
@@ -245,7 +303,10 @@ def load_protocol(path: str) -> ProtocolSpec:
 
     Alice's set must be complete within ``DEFAULT_TOL``, as ``ProtocolSpec`` demands.
     """
-    obj = _read_json(path)
+    return _load(_protocol_from_obj, path)
+
+
+def _protocol_from_obj(obj: Any) -> ProtocolSpec:
     if not isinstance(obj, dict):
         raise ValidationError("protocol-schema", "protocol files must be JSON objects")
     for key in ("state", "alice", "bob_unitaries", "verify"):
@@ -258,7 +319,7 @@ def load_protocol(path: str) -> ProtocolSpec:
     state_obj = obj["state"]
     state = load_state(state_obj) if isinstance(state_obj, str) else state_from_obj(state_obj)
     alice = measurement_set_from_obj(obj["alice"])
-    unitaries = tuple(pairs_to_matrix(rows) for rows in obj["bob_unitaries"])
+    unitaries = tuple(pairs_to_matrices(obj["bob_unitaries"]))
     verify_obj = obj["verify"]
     pairs = []
     for label in alice.labels:

@@ -242,17 +242,23 @@ def _pair_deviations(ga: np.ndarray, gb: np.ndarray) -> tuple[np.ndarray, np.nda
     diagonal only, and ``a_ik b_jl`` off Alice's. Its largest magnitude is therefore the largest
     of ``|a_ii b_jj - 1|``, ``max_i |a_ii| off(G_B)`` and ``off(G_A) max |G_B|``, where ``off(G)``
     is the largest off-diagonal ``|g_ik|``: no ``(d_a d_b)^2`` array is built. Leading axes
-    broadcast, giving one deviation of each kind per pair.
+    broadcast, giving one deviation of each kind per pair. Each maximum runs over a flattened last
+    axis; a maximum picks one of its entries, so the order of the passes leaves every bit as it is.
     """
     sides = []
     for g in (ga, gb):
-        eye = np.eye(g.shape[-1])
-        gap = np.abs(g - eye)
-        off = np.where(eye, 0.0, gap).max(axis=(-2, -1))
-        sides.append((gap.max(axis=(-2, -1)), g.diagonal(0, -2, -1), off))
+        n = g.shape[-1]
+        diag = g.diagonal(0, -2, -1)
+        # |g_ik| (the bits of |g_ik - 0|), with the diagonal zeroed in place for the
+        # off-diagonal maximum; the diagonal's |g_ii - 1| comes from the diagonal alone
+        gap = np.abs(g).reshape(*g.shape[:-2], n * n)
+        gap[..., :: n + 1] = 0.0
+        off = gap.max(axis=-1)
+        sides.append((np.maximum(np.abs(diag - 1).max(axis=-1), off), diag, off))
     (dev_a, diag_a, off_a), (dev_b, diag_b, off_b) = sides
     # the same complex products as the Kronecker product's diagonal, so the same bits
-    on_diagonal = np.abs(diag_a[..., :, None] * diag_b[..., None, :] - 1).max(axis=(-2, -1))
+    products = diag_a[..., :, None] * diag_b[..., None, :]
+    on_diagonal = np.abs(products.reshape(*products.shape[:-2], -1) - 1).max(axis=-1)
     peak_b = np.maximum(np.abs(diag_b).max(axis=-1), off_b)
     off_diagonal = np.maximum(np.abs(diag_a).max(axis=-1) * off_b, off_a * peak_b)
     return dev_a, dev_b, np.maximum(on_diagonal, off_diagonal)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from mspace.entanglement import measurement_space_entanglement, pure_entanglement
-from mspace.linalg import PAULI_Y, DensityMatrix, bell_phi_plus, haar_blocks, haar_vectors
+from mspace.linalg import PAULI_Y, DensityMatrix, ValidationError, bell_phi_plus, haar_blocks, haar_vectors
 from mspace.linalg import _require, frozen
 from mspace.locc import MAX_KRAUS, ZERO_BRANCH_TOL, PartyMove, fourier_step
 from mspace.measurement import (
@@ -34,6 +34,19 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 def pairs(a):
     """A complex array as nested ``[re, im]`` pairs, the JSON form of ``mspace.files``."""
     return np.stack([np.real(a), np.imag(a)], axis=-1).tolist()
+
+
+def complex_pairs_reference(rows, nested):
+    """``files.pairs_to_vector`` (or, when ``nested``, ``pairs_to_matrix``) as each was written
+    before the one-pass conversion: one ``complex(re, im)`` per unpacked pair, and ``complex-pairs``
+    on any failure. It reads a JSON ``true`` or ``false`` as 1 or 0, which the files now refuse."""
+    what = "matrix entries" if nested else "amplitudes"
+    try:
+        if nested:
+            return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+        return np.array([complex(re, im) for re, im in rows], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError("complex-pairs", f"{what} must be [re, im] pairs") from exc
 
 
 def random_local_set(dim_a, dim_b, n_a, n_b, seed):

@@ -64,7 +64,10 @@ renormalization warning, 1e-3 is rejected), sets off completeness, with
 labels holding non-ASCII characters, quotes, backslashes and tabs (a tab is
 rejected as ``measurement-labels``), sets that are ragged, repeated or of
 the wrong dim, and valid and broken protocols. The file lines end with
-BIG_INT_FILES, two states and a set holding integers outside [-2^63,
+PAIR_FILES, a state, a set and a protocol each holding one pair that is a
+boolean ``[true, false]`` (which read as ``[1, 0]`` would make the file
+valid; it is refused as ``complex-pairs``), a 1-entry pair or a 3-entry one,
+then BIG_INT_FILES, two states and a set holding integers outside [-2^63,
 2^64), one of them past a double, each as it is and then padded with a
 string of brackets that sends it to json,
 and JSON_PATH_FILES, one fixed line each on a file that orjson refuses, so
@@ -172,6 +175,24 @@ BIG_INT_FILES = [
         (STATE_TEXT % ("1" + "0" * 400), ["map", "--state", "FILE", *Z_PAIR]),
     ]
     for padded in (text, text[:-1] + PAD)
+]
+Z0 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+Z1 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+Z_SET = {"dim": 2, "operators": [{"label": "0", "matrix": Z0}, {"label": "1", "matrix": Z1}]}
+# a file of each kind whose first pair, PAIR, makes it valid as [1.0, 0.0]: the first amplitude of
+# |00>, the corner of a Z projector, the corner of a Bob unitary that is the identity
+PAIR_TEXTS = [
+    ({"dims": [2, 2], "amplitudes": ["PAIR", [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}, ["entanglement", "--state", "FILE"]),
+    ({**Z_SET, "operators": [{"label": "0", "matrix": [["PAIR", [0.0, 0.0]], Z0[1]]}, Z_SET["operators"][1]]},
+     ["map", "--state", "bell", "--alice", "FILE", "--bob", "z-projectors"]),
+    ({"state": "bell", "alice": Z_SET, "bob_unitaries": [[["PAIR", [0.0, 0.0]], Z1[1]], [Z0[0], Z1[1]]],
+      "verify": {label: {"success": Z0, "failure": Z1} for label in ("0", "1")}}, ["theorem1", "--protocol", "FILE"]),
+]  # fmt: skip
+# each file with a boolean pair, a 1-entry pair and a 3-entry pair in turn
+PAIR_FILES = [
+    (json.dumps(obj).replace('"PAIR"', pair), argv)
+    for obj, argv in PAIR_TEXTS
+    for pair in ("[true, false]", "[1.0]", "[1.0, 0.0, 0.0]")
 ]
 # lines that argparse answers itself, or whose words test how it reads them
 PARSER_LINES = [
@@ -517,7 +538,7 @@ def file_corpus(seed: int, workdir: Path) -> list[list[str]]:
         argv += ["--format", "tsv" if k % 4 < 2 else "json"]
         tol = TOLERANCES[int(rng.choice(len(TOLERANCES), p=TOLERANCE_WEIGHTS))]
         commands.append(argv if tol is None else [f"{ENV}={tol}", *argv])
-    for text, argv in BIG_INT_FILES + JSON_PATH_FILES:
+    for text, argv in PAIR_FILES + BIG_INT_FILES + JSON_PATH_FILES:
         path = files.write(text)
         commands.append([path if arg == "FILE" else arg for arg in argv])
     return commands

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from conftest import depolarizing_kraus, mode_rows, pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mspace import cli, modes
+from mspace import cli, files, modes
 from mspace.cli import MAX_ROWS, main
 from mspace.files import ORJSON_MAX_BRACKETS, _read_json, load_measurement_set
 from mspace.linalg import PureState, ValidationError, bell_phi_plus
@@ -33,6 +35,9 @@ from mspace.report import _emit_json, _tsv_cell
 
 P0 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 P1 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+# (1/sqrt 6) [[1, 1, 0], [1, 0, 1], [0, 1, -1]]: rank 2, spectrum (1/2, 1/2, 0); under Z projectors
+# on both sides its image has rank 3 and spectrum (2/3, 1/6, 1/6)
+RANK2_QUTRITS = str(Path(__file__).parent / "data" / "rank2_qutrits.json")
 
 
 def run_cli(capsys, *argv):
@@ -307,6 +312,28 @@ class TestEntanglement:
         for state in (("random:3", "--dims", "4"), (plus_state_file,)):
             code, out, err = run_cli(capsys, "entanglement", "--state", *state)
             assert code == 2 and "error: schmidt-split: " in err and out == ""
+
+
+class TestMonotonicityCounterexample:
+    """Local measurements can raise the image's entanglement above the state's. The package has a
+    proof only for 2x2 states under rank-1 projective sets; this exact 3x3 state under Z
+    projectors on both sides goes from 1 bit to log2(3) - 1/3 = 1.2516 bits, and both
+    commands that check the relation say so."""
+
+    Z_PAIR = ("--alice", "z-projectors", "--bob", "z-projectors")
+
+    @pytest.mark.parametrize("measure", ["entropy", "eof"])
+    def test_entanglement_reports_it_not_monotone(self, capsys, measure):
+        code, out, err = run_cli(capsys, "entanglement", "--state", RANK2_QUTRITS, *self.Z_PAIR, "--measure", measure)
+        (row,) = json.loads(out)["results"]
+        assert (code, err, row["monotone"]) == (1, "", False)
+        assert abs(row["original"] - 1.0) < 1e-12
+        assert abs(row["measurement_space"] - (np.log2(3) - 1 / 3)) < 1e-12
+
+    def test_locc_reports_it_not_monotone(self, capsys):
+        code, out, err = run_cli(capsys, "locc", "--state", RANK2_QUTRITS, *self.Z_PAIR, "--format", "tsv")
+        assert (code, err) == (1, "")
+        assert "\n# monotonicity=false\n# passed=false\n" in out
 
 
 class TestTheorem1:
@@ -1283,8 +1310,54 @@ def _entry_obj(kind, entry):
     }[kind]
 
 
+def _valid_obj(kind, pair):
+    """A qubit file of ``kind`` whose first pair is ``pair``, valid where ``pair`` is 1: the first
+    amplitude of a |00> state, the corner of a set's first Z projector, or the corner of a
+    protocol's first Bob unitary, the identity."""
+    corner = [[pair, [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    eye = pairs(np.eye(2))
+    return {
+        "state": {"dims": [2, 2], "amplitudes": [pair, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+        "set": {"dim": 2, "operators": [{"label": "0", "matrix": corner}, {"label": "1", "matrix": P1}]},
+        "protocol": {
+            "state": "bell",
+            "alice": z_set_obj("0", "1"),
+            "bob_unitaries": [[corner[0], eye[1]], eye],
+            "verify": {label: {"success": P0, "failure": P1} for label in ("0", "1")},
+        },
+    }[kind]
+
+
 class TestFileEntries:
     """Entries of state, set and protocol files whose values break an invariant."""
+
+    @pytest.mark.parametrize("kind", ["state", "set", "protocol"])
+    def test_boolean_entry_is_named(self, capsys, tmp_path, kind):
+        # read as 1 and 0, [true, false] would make each file valid: a product state, Z projectors,
+        # a Bob unitary equal to the identity
+        path = write_json(tmp_path / "bool.json", _valid_obj(kind, [True, False]))
+        code, out, err = run_cli(capsys, *_file_argv(kind, path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: complex-pairs: ") and err.count("\n") == 1
+        # and with [1.0, 0.0] in its place, each runs
+        path = write_json(tmp_path / "number.json", _valid_obj(kind, [1.0, 0.0]))
+        assert run_cli(capsys, *_file_argv(kind, path))[0] == 0
+
+    @pytest.mark.parametrize("broken, invariant", [
+        ({"label": "1"}, "measurement-schema: each operator needs 'label' and 'matrix'"),
+        ({"label": "DEEP", "matrix": P1}, "measurement-labels: a label is nested too deep to print"),
+    ], ids=["schema", "label"])  # fmt: skip
+    @pytest.mark.parametrize("matrix_first", [True, False])
+    def test_set_entries_fail_in_file_order(self, capsys, tmp_path, broken, invariant, matrix_first):
+        # the matrices are converted together, yet the first of two broken entries is the one named
+        bad = {"label": "0", "matrix": [[["x", 0.0]]]}
+        operators = [bad, broken] if matrix_first else [broken, bad]
+        path = tmp_path / "set.json"
+        text = json.dumps({"dim": 2, "operators": operators})
+        path.write_text(text.replace('"DEEP"', "[" * 5000 + "]" * 5000), encoding="utf-8")
+        code, out, err = run_cli(capsys, *_file_argv("set", str(path)))
+        first = "complex-pairs: matrix entries must be [re, im] pairs" if matrix_first else invariant
+        assert (code, out, err) == (2, "", f"error: {first}\n")
 
     @pytest.mark.parametrize("kind", ["state", "set", "protocol"])
     def test_huge_integer_entry_is_named(self, capsys, tmp_path, kind):
@@ -1403,6 +1476,56 @@ class TestFileEntries:
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith(f"error: file-json: {path} is not valid JSON: maximum recursion depth")
+
+
+class TestLoadsPauseTheCollector:
+    """Each file loader parses with the cyclic GC paused and leaves ``gc.isenabled()`` as it found
+    it, whether the load succeeds or fails."""
+
+    LOADERS = {
+        "state": files.load_state,
+        "set": lambda path: files.load_measurement_set(path, 2),
+        "protocol": files.load_protocol,
+    }
+    # per kind, the invariant a file entry of 0.5 breaks
+    INVARIANTS = {"state": "state-normalization", "set": "completeness", "protocol": "completeness"}
+
+    def _text(self, kind, outcome):
+        if outcome == "file-json":
+            return "{"
+        if outcome == "complex-pairs":
+            return json.dumps(_valid_obj(kind, ["x", 0.0]))
+        obj = _valid_obj(kind, [1.0 if outcome == "ok" else 0.5, 0.0])
+        if kind == "protocol" and outcome != "ok":
+            obj["alice"] = _valid_obj("set", [0.5, 0.0])
+        return json.dumps(obj)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("outcome", ["ok", "file-json", "complex-pairs", "invariant"])
+    @pytest.mark.parametrize("kind", ["state", "set", "protocol"])
+    def test_gc_state_is_restored(self, tmp_path, monkeypatch, kind, outcome, enabled):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(self._text(kind, outcome), encoding="utf-8")
+        during = []
+
+        def read_json(source):
+            during.append(gc.isenabled())
+            return _read_json(source)
+
+        monkeypatch.setattr(files, "_read_json", read_json)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if outcome == "ok":
+                self.LOADERS[kind](str(path))
+            else:
+                with pytest.raises(ValidationError) as info:
+                    self.LOADERS[kind](str(path))
+                assert info.value.invariant == (self.INVARIANTS[kind] if outcome == "invariant" else outcome)
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert (during, after) == ([False], enabled)
 
 
 @contextlib.contextmanager

@@ -9,8 +9,11 @@ product states. Reports are nested dicts and lists of the scalar types the
 CLI emits, and report tables, given as columns, of those types and of numpy
 scalars, with zero rows, one row or a few. Files are JSON documents of
 nulls, booleans, int64 integers, floats (non-finite ones among them) and
-strings, nested in arrays and objects. The profile is derandomized, so every
-run tests the same examples.
+strings, nested in arrays and objects. The ``[re, im]`` pair converters get
+vectors and matrices of number pairs, and the same with ragged rows, pairs of
+0-3 entries, and entries that are not numbers: null, booleans, strings,
+objects, lists and integers past a double; matrices also in batches of 1-3.
+The profile is derandomized, so every run tests the same examples.
 """
 
 import json
@@ -19,6 +22,7 @@ import struct
 import numpy as np
 import pytest
 from conftest import (
+    complex_pairs_reference,
     density_of,
     emit_reference,
     entropy_reference,
@@ -39,7 +43,7 @@ from mspace.entanglement import (
     pure_entanglement,
     pure_entanglements,
 )
-from mspace.files import _read_json
+from mspace.files import _read_json, pairs_to_matrices, pairs_to_matrix, pairs_to_vector
 from mspace.linalg import (
     CHUNK_BYTES,
     PureState,
@@ -726,3 +730,90 @@ def test_file_reads_as_json_reads_it(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "doc.json"
     path.write_text(text, encoding="utf-8")
     assert repr(_read_json(path)) == repr(json.loads(text))
+
+
+# ---------------------------------------------------------------------------
+# the [re, im] pair converters
+
+NUMBERS = st.floats() | st.integers(-(2**63), 2**64)
+PAIRS = st.tuples(NUMBERS, NUMBERS).map(list)
+NON_NUMBERS = (
+    st.none()
+    | st.booleans()
+    | st.text(max_size=4)
+    | st.integers(2**1024, 2**1030)  # past a double
+    | st.lists(NUMBERS, max_size=2)
+    | st.dictionaries(st.text(max_size=2), NUMBERS, max_size=2)
+)
+# pairs of 0-3 entries of any kind, or something that is no pair at all
+ODD_PAIRS = st.lists(NUMBERS | NON_NUMBERS, max_size=3) | NON_NUMBERS
+
+
+def regular_pairs(nested):
+    """A vector of number pairs, or a matrix of equally long rows of them."""
+    if not nested:
+        return st.lists(PAIRS, max_size=6)
+    return st.integers(0, 4).flatmap(lambda width: st.lists(st.lists(PAIRS, min_size=width, max_size=width), max_size=4))
+
+
+def odd_pairs(nested):
+    """Vectors and matrices with ragged rows, odd pairs and non-numbers among the regular pairs."""
+    pair = PAIRS | ODD_PAIRS
+    if not nested:
+        return st.lists(pair, max_size=4) | NON_NUMBERS
+    return st.lists(st.lists(pair, max_size=3) | NON_NUMBERS, max_size=3) | NON_NUMBERS
+
+
+def _conversion(convert, rows, *args):
+    try:
+        out = convert(rows, *args)
+    except ValidationError as exc:
+        return str(exc)
+    return [(a.shape, a.tobytes()) for a in out] if isinstance(out, list) else (out.shape, out.tobytes())
+
+
+def _nested(depth):
+    deep = []
+    for _ in range(depth):
+        deep = [deep]
+    return deep
+
+
+@settings(PROFILE, max_examples=400)
+@given(
+    st.booleans().flatmap(
+        lambda nested: st.tuples(st.lists(regular_pairs(nested) | odd_pairs(nested), min_size=1, max_size=3), st.just(nested))
+    )
+)
+@example(([[]], True))
+@example(([[[], []]], True))
+@example(([{"": 1.0}], True))
+@example(([[[True, False]]], False))
+@example(([[[[1.0, 0.0], [0.0, False]]], [[[1.0, 0.0]]]], True))
+def test_pairs_convert_as_the_per_entry_expression_did(case):
+    # the same array bits, or the same invariant and message; a boolean part, which the old
+    # expression read as 1 or 0, now fails as complex-pairs too
+    _assert_converts_as_the_reference(*case)
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_pairs_nested_5000_deep_fail_as_the_per_entry_expression_did(nested):
+    # outside hypothesis, whose report of an example recurses through it
+    _assert_converts_as_the_reference([_nested(5000)], nested)
+
+
+def _assert_converts_as_the_reference(arrays, nested):
+    """Each of ``arrays`` converts alone as the reference does, and a matrix batch of them as the
+    references of all: the first failure's message, or every array."""
+    expected = []
+    for rows in arrays:
+        outcome = _conversion(complex_pairs_reference, rows, nested)
+        if not isinstance(outcome, str):
+            pairs = [pair for row in rows for pair in row] if nested else rows
+            if any(type(part) is bool for pair in pairs for part in pair):
+                outcome = _conversion(complex_pairs_reference, None, nested)
+        expected.append(outcome)
+    assert [_conversion(pairs_to_matrix if nested else pairs_to_vector, rows) for rows in arrays] == expected
+    if nested:
+        failures = [outcome for outcome in expected if isinstance(outcome, str)]
+        assert _conversion(pairs_to_matrices, arrays) == (failures[0] if failures else expected)

@@ -18,6 +18,7 @@ from same_corpus import (
     GRID_PAIRS,
     JSON_PATH_FILES,
     NEAR_TOLERANCES,
+    PAIR_FILES,
     PARSER_LINES,
     THREAD_VARS,
     WIDE_SEED_LINES,
@@ -138,6 +139,21 @@ def test_big_integer_files_come_plain_then_padded_before_the_json_path_block(tmp
         assert argv == padded_argv and padded.startswith(plain[:-1])
         assert plain.count("[") <= 10_000 < padded.count("[")
         assert json.loads(padded).pop("note") == "[" * 10_001
+
+
+def test_pair_files_come_before_the_big_integer_block(tmp_path):
+    lines, files = _build(tmp_path / "corpus")
+    end = len(lines) - 3 * GRID_PAIRS - len(EDGE_LINES + PARSER_LINES + DRIFT_LINES)
+    end -= len(JSON_PATH_FILES + BIG_INT_FILES)
+    block = lines[end - len(PAIR_FILES) : end]
+    for line, (text, argv) in zip(block, PAIR_FILES):
+        (path,) = [arg for arg in line if arg.startswith("<dir>/")]
+        assert [arg if arg != path else "FILE" for arg in line] == argv
+        assert files[path.removeprefix("<dir>/")] == text.encode()
+    # a state, a set and a protocol, each with a boolean, a 1-entry and a 3-entry pair
+    assert [argv[0] for _, argv in PAIR_FILES] == ["entanglement"] * 3 + ["map"] * 3 + ["theorem1"] * 3
+    assert [text.count("[true, false]") for text, _ in PAIR_FILES] == [1, 0, 0] * 3
+    assert [text.count("[1.0]") + text.count("[1.0, 0.0, 0.0]") for text, _ in PAIR_FILES] == [0, 1, 1] * 3
 
 
 @pytest.mark.parametrize("flags, counts", [(["--threads", "1,2"], ("1", "2")), ([], (None, None))])
