@@ -52,34 +52,29 @@ def _quiet() -> np.errstate:
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _complex_vector(pairs: Any, message: str) -> np.ndarray:
+def _complex_vector(pairs: Any, message: str, booleans: bool) -> np.ndarray:
     """``complex(re, im)`` of every ``[re, im]`` pair in the list ``pairs``, in one C-level pass.
     Anything else fails as ``complex-pairs`` with ``message``, a JSON ``true`` or ``false`` among
-    the parts included.
+    the parts included; ``booleans=False`` says that ``pairs`` can hold none, and skips the check.
 
     Every length is checked first, since ``complex`` would read a 1-entry pair as ``complex(re)``.
     """
     try:
-        if set(map(len, pairs)) <= {2}:
-            out = np.fromiter(starmap(complex, pairs), complex, len(pairs))
-            # a boolean part reads as exactly 0.0 or 1.0, the only values x with x == (x > 0.5),
-            # so only the pairs holding such a part have their parts' types read
-            parts = out.view(float)
-            suspect = parts == (parts > 0.5)
-            if not np.count_nonzero(suspect) or not any(
-                type(part) is bool for i in (suspect.nonzero()[0] >> 1).tolist() for part in pairs[i]
-            ):
-                return out
+        regular = set(map(len, pairs)) <= {2}
+        if regular and not (booleans and bool in set(map(type, chain.from_iterable(pairs)))):
+            return np.fromiter(starmap(complex, pairs), complex, len(pairs))
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValidationError("complex-pairs", message)
 
 
-def pairs_to_vector(pairs: Sequence[Sequence[float]]) -> np.ndarray:
-    return _complex_vector(pairs, "amplitudes must be [re, im] pairs")
+def pairs_to_vector(pairs: Sequence[Sequence[float]], booleans: bool = True) -> np.ndarray:
+    return _complex_vector(pairs, "amplitudes must be [re, im] pairs", booleans)
 
 
-def pairs_to_matrices(matrices: Sequence[Sequence[Sequence[Sequence[float]]]]) -> list[np.ndarray]:
+def pairs_to_matrices(
+    matrices: Sequence[Sequence[Sequence[Sequence[float]]]], booleans: bool = True
+) -> list[np.ndarray]:
     """Each of ``matrices``, a list of equally long rows of ``[re, im]`` pairs, as a ``(rows,
     width)`` array, or ``(0,)`` for no rows; all of them are converted in one pass."""
     message = "matrix entries must be [re, im] pairs"
@@ -91,7 +86,7 @@ def pairs_to_matrices(matrices: Sequence[Sequence[Sequence[Sequence[float]]]]) -
     # a ragged matrix has two widths or more in its shape
     if max(map(len, shapes), default=0) > 2:
         raise ValidationError("complex-pairs", message)
-    out, start, arrays = _complex_vector(pairs, message), 0, []
+    out, start, arrays = _complex_vector(pairs, message, booleans), 0, []
     for shape in shapes:
         stop = start + math.prod(shape)
         arrays.append(out[start:stop].reshape(shape))
@@ -99,19 +94,17 @@ def pairs_to_matrices(matrices: Sequence[Sequence[Sequence[Sequence[float]]]]) -
     return arrays
 
 
-def pairs_to_matrix(rows: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
-    return pairs_to_matrices([rows])[0]
-
-
 def _load(read: Callable[..., Any], path: str | Path, *args: Any) -> Any:
-    """``read(parsed file, *args)`` with the cyclic GC paused over the whole load: the parse, the
-    conversion to arrays and the release of the parse tree. JSON text makes no cycles, so the
-    collections its many lists would set off free nothing. The caller's ``gc.isenabled()`` state
-    is restored on every exit."""
+    """``read(parsed file, *args, booleans=...)`` with the cyclic GC paused over the whole load:
+    the parse, the conversion to arrays and the release of the parse tree. JSON text makes no
+    cycles, so the collections its many lists would set off free nothing. The caller's
+    ``gc.isenabled()`` state is restored on every exit. ``booleans`` is false where the text holds
+    no ``true`` or ``false`` token, so that its pairs' types need not be read."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return read(_read_json(path), *args)
+        obj, booleans = _read_json(path, booleans=True)
+        return read(obj, *args, booleans=booleans)
     finally:
         if enabled:
             gc.enable()
@@ -143,12 +136,26 @@ def _orjson_int(text: str) -> int | float:
         return value
 
 
-def _read_json(path: str | Path) -> Any:
+def _read_json(path: str | Path, booleans: bool = False) -> Any:
+    """The parsed JSON file at ``path``; with ``booleans``, the pair of that and whether its text
+    holds a ``true`` or ``false`` token, without which the parse holds no boolean."""
     try:
         with open(path, "rb") as fh:
             data = _read_capped(fh, f"reading {path}")
     except OSError as exc:
         raise ValidationError("file-access", f"cannot read {path}: {exc}") from exc
+    obj = _parse_json(data, path)
+    return (obj, _holds_boolean_token(data)) if booleans else obj
+
+
+def _holds_boolean_token(data: bytes) -> bool:
+    """Whether ``data`` holds a ``true`` or ``false``, which JSON reads as a boolean. A search for
+    a token steps slowly over digits, some of which share its skip table's bits; so each runs only
+    where a letter of it that no set file's key holds ('u', 'f') is found, by one memchr."""
+    return (b"u" in data and b"true" in data) or (b"f" in data and b"false" in data)
+
+
+def _parse_json(data: bytes, path: str | Path) -> Any:
     # orjson reads what json reads, to the same values, integers outside [-2^63, 2^64) as floats
     # included (json's by _orjson_int); json reads what orjson refuses (NaN and Infinity, numbers
     # past a double, lone surrogates) and words every error
@@ -175,13 +182,13 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def state_from_obj(obj: Any) -> PureState:
+def state_from_obj(obj: Any, booleans: bool = True) -> PureState:
     if not isinstance(obj, dict) or "dims" not in obj or "amplitudes" not in obj:
         raise ValidationError("state-schema", "state files need 'dims' and 'amplitudes'")
     if not isinstance(obj["dims"], list) or not all(_is_int(d) for d in obj["dims"]):
         raise ValidationError("state-schema", "state files need 'dims' as a list of integers")
     dims = tuple(obj["dims"])
-    vec = pairs_to_vector(obj["amplitudes"])
+    vec = pairs_to_vector(obj["amplitudes"], booleans)
     # as PureState checks them: a zero dim would otherwise fail as a zero norm
     _check_dims(dims)
     if vec.size != math.prod(dims):
@@ -231,7 +238,7 @@ def load_state(source: str, dims: Sequence[int] | None = None) -> PureState:
     return psi
 
 
-def measurement_set_from_obj(obj: Any, tol: float = DEFAULT_TOL) -> MeasurementSet:
+def measurement_set_from_obj(obj: Any, tol: float = DEFAULT_TOL, booleans: bool = True) -> MeasurementSet:
     if not isinstance(obj, dict) or "dim" not in obj or "operators" not in obj:
         raise ValidationError("measurement-schema", "measurement files need 'dim' and 'operators'")
     dim = obj["dim"]
@@ -252,7 +259,7 @@ def measurement_set_from_obj(obj: Any, tol: float = DEFAULT_TOL) -> MeasurementS
         raw.append(entry["matrix"])
     # the matrices before a broken entry are converted first, as the entries come: one of them
     # that is not pairs fails before the entry does
-    matrices = pairs_to_matrices(raw)
+    matrices = pairs_to_matrices(raw, booleans)
     if broken is not None:
         raise broken
     with _quiet():
@@ -306,7 +313,7 @@ def load_protocol(path: str) -> ProtocolSpec:
     return _load(_protocol_from_obj, path)
 
 
-def _protocol_from_obj(obj: Any) -> ProtocolSpec:
+def _protocol_from_obj(obj: Any, booleans: bool = True) -> ProtocolSpec:
     if not isinstance(obj, dict):
         raise ValidationError("protocol-schema", "protocol files must be JSON objects")
     for key in ("state", "alice", "bob_unitaries", "verify"):
@@ -317,19 +324,29 @@ def _protocol_from_obj(obj: Any) -> ProtocolSpec:
             "protocol-schema", "protocol files need 'bob_unitaries' as a list and 'verify' as an object"
         )
     state_obj = obj["state"]
-    state = load_state(state_obj) if isinstance(state_obj, str) else state_from_obj(state_obj)
-    alice = measurement_set_from_obj(obj["alice"])
-    unitaries = tuple(pairs_to_matrices(obj["bob_unitaries"]))
-    verify_obj = obj["verify"]
-    pairs = []
+    if isinstance(state_obj, str):
+        state = load_state(state_obj)
+    else:
+        state = state_from_obj(state_obj, booleans)
+    alice = measurement_set_from_obj(obj["alice"], booleans=booleans)
+    verify_obj, n_unitaries = obj["verify"], len(obj["bob_unitaries"])
+    raw, broken = list(obj["bob_unitaries"]), None
     for label in alice.labels:
         if label not in verify_obj:
-            raise ValidationError("protocol-verify", f"no verify pair for Alice label {label!r}")
+            broken = ValidationError("protocol-verify", f"no verify pair for Alice label {label!r}")
+            break
         entry = verify_obj[label]
         if not isinstance(entry, dict) or "success" not in entry or "failure" not in entry:
-            raise ValidationError(
+            broken = ValidationError(
                 "protocol-verify", f"verify pair {label!r} needs 'success' and 'failure'"
             )
-        pairs.append((pairs_to_matrix(entry["success"]), pairs_to_matrix(entry["failure"])))
+            break
+        raw += (entry["success"], entry["failure"])
+    # Bob's unitaries and, as in a set file, the verify pairs before a broken entry are converted
+    # together before it is named
+    matrices = pairs_to_matrices(raw, booleans)
+    if broken is not None:
+        raise broken
+    unitaries, verify = tuple(matrices[:n_unitaries]), matrices[n_unitaries:]
     with _quiet():
-        return single_protocol(state, alice, unitaries, tuple(pairs))
+        return single_protocol(state, alice, unitaries, tuple(zip(verify[::2], verify[1::2])))

@@ -37,9 +37,10 @@ def pairs(a):
 
 
 def complex_pairs_reference(rows, nested):
-    """``files.pairs_to_vector`` (or, when ``nested``, ``pairs_to_matrix``) as each was written
-    before the one-pass conversion: one ``complex(re, im)`` per unpacked pair, and ``complex-pairs``
-    on any failure. It reads a JSON ``true`` or ``false`` as 1 or 0, which the files now refuse."""
+    """``files.pairs_to_vector`` (or, when ``nested``, one matrix of ``pairs_to_matrices``) as each
+    was written before the one-pass conversion: one ``complex(re, im)`` per unpacked pair, and
+    ``complex-pairs`` on any failure. It reads a JSON ``true`` or ``false`` as 1 or 0, which the
+    converters now refuse unless told that their input holds neither."""
     what = "matrix entries" if nested else "amplitudes"
     try:
         if nested:

@@ -1339,9 +1339,11 @@ class TestFileEntries:
         code, out, err = run_cli(capsys, *_file_argv(kind, path))
         assert (code, out) == (2, "")
         assert err.startswith("error: complex-pairs: ") and err.count("\n") == 1
-        # and with [1.0, 0.0] in its place, each runs
-        path = write_json(tmp_path / "number.json", _valid_obj(kind, [1.0, 0.0]))
-        assert run_cli(capsys, *_file_argv(kind, path))[0] == 0
+        # and with [1.0, 0.0] in its place, each runs, also where a true elsewhere in the text has
+        # its pairs' types read
+        for extra in ({}, {"note": True}):
+            path = write_json(tmp_path / "number.json", {**_valid_obj(kind, [1.0, 0.0]), **extra})
+            assert run_cli(capsys, *_file_argv(kind, path))[0] == 0
 
     @pytest.mark.parametrize("broken, invariant", [
         ({"label": "1"}, "measurement-schema: each operator needs 'label' and 'matrix'"),
@@ -1357,6 +1359,20 @@ class TestFileEntries:
         path.write_text(text.replace('"DEEP"', "[" * 5000 + "]" * 5000), encoding="utf-8")
         code, out, err = run_cli(capsys, *_file_argv("set", str(path)))
         first = "complex-pairs: matrix entries must be [re, im] pairs" if matrix_first else invariant
+        assert (code, out, err) == (2, "", f"error: {first}\n")
+
+    @pytest.mark.parametrize("matrix_first", [True, False])
+    def test_protocol_verify_pairs_fail_in_file_order(self, capsys, tmp_path, matrix_first):
+        # the verify matrices are converted together, yet a broken matrix of Alice's first label
+        # is named before her second label's missing pair, and her first label's missing pair
+        # before a broken matrix of the second
+        obj = _valid_obj("protocol", [1.0, 0.0])
+        obj["verify"] = {"0" if matrix_first else "1": {"success": [[["x", 0.0]]], "failure": P1}}
+        path = write_json(tmp_path / "protocol.json", obj)
+        code, out, err = run_cli(capsys, *_file_argv("protocol", path))
+        first = "complex-pairs: matrix entries must be [re, im] pairs" if matrix_first else (
+            "protocol-verify: no verify pair for Alice label '0'"
+        )
         assert (code, out, err) == (2, "", f"error: {first}\n")
 
     @pytest.mark.parametrize("kind", ["state", "set", "protocol"])
@@ -1508,9 +1524,9 @@ class TestLoadsPauseTheCollector:
         path.write_text(self._text(kind, outcome), encoding="utf-8")
         during = []
 
-        def read_json(source):
+        def read_json(source, **kwargs):
             during.append(gc.isenabled())
-            return _read_json(source)
+            return _read_json(source, **kwargs)
 
         monkeypatch.setattr(files, "_read_json", read_json)
         was = gc.isenabled()

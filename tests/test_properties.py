@@ -43,7 +43,7 @@ from mspace.entanglement import (
     pure_entanglement,
     pure_entanglements,
 )
-from mspace.files import _read_json, pairs_to_matrices, pairs_to_matrix, pairs_to_vector
+from mspace.files import _read_json, pairs_to_matrices, pairs_to_vector
 from mspace.linalg import (
     CHUNK_BYTES,
     PureState,
@@ -813,7 +813,15 @@ def _assert_converts_as_the_reference(arrays, nested):
             if any(type(part) is bool for pair in pairs for part in pair):
                 outcome = _conversion(complex_pairs_reference, None, nested)
         expected.append(outcome)
-    assert [_conversion(pairs_to_matrix if nested else pairs_to_vector, rows) for rows in arrays] == expected
+    assert [_conversion(_one, rows, nested) for rows in arrays] == expected
     if nested:
         failures = [outcome for outcome in expected if isinstance(outcome, str)]
         assert _conversion(pairs_to_matrices, arrays) == (failures[0] if failures else expected)
+    # a loader whose text holds no true or false token skips the boolean check, and reads
+    # as the reference did, booleans included
+    unchecked = [_conversion(_one, rows, nested, False) for rows in arrays]
+    assert unchecked == [_conversion(complex_pairs_reference, rows, nested) for rows in arrays]
+
+
+def _one(rows, nested, booleans=True):
+    return pairs_to_matrices([rows], booleans)[0] if nested else pairs_to_vector(rows, booleans)
