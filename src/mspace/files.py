@@ -15,7 +15,7 @@ import math
 import os
 import stat
 import sys
-from itertools import chain, starmap
+from itertools import chain
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Sequence
 
@@ -52,29 +52,26 @@ def _quiet() -> np.errstate:
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _complex_vector(pairs: Any, message: str, booleans: bool) -> np.ndarray:
-    """``complex(re, im)`` of every ``[re, im]`` pair in the list ``pairs``, in one C-level pass.
-    Anything else fails as ``complex-pairs`` with ``message``, a JSON ``true`` or ``false`` among
-    the parts included; ``booleans=False`` says that ``pairs`` can hold none, and skips the check.
-
-    Every length is checked first, since ``complex`` would read a 1-entry pair as ``complex(re)``.
-    """
+def _complex_vector(pairs: Any, message: str) -> np.ndarray:
+    """The ``[re, im]`` pairs in the list ``pairs`` as a complex array, in one C-level pass: the
+    same ``(re, im)`` doubles that ``complex(re, im)`` gives. Anything else fails as
+    ``complex-pairs`` with ``message``: a pair of another length, or a part whose exact type is
+    not ``float`` or ``int``, such as a JSON ``true`` or ``false``, which loads as ``bool``."""
     try:
-        regular = set(map(len, pairs)) <= {2}
-        if regular and not (booleans and bool in set(map(type, chain.from_iterable(pairs)))):
-            return np.fromiter(starmap(complex, pairs), complex, len(pairs))
-    except (TypeError, ValueError, OverflowError):
+        if set(map(len, pairs)) <= {2}:
+            parts = list(chain.from_iterable(pairs))
+            if set(map(type, parts)) <= {float, int}:
+                return np.fromiter(parts, float, len(parts)).view(complex)
+    except (TypeError, OverflowError):
         pass
     raise ValidationError("complex-pairs", message)
 
 
-def pairs_to_vector(pairs: Sequence[Sequence[float]], booleans: bool = True) -> np.ndarray:
-    return _complex_vector(pairs, "amplitudes must be [re, im] pairs", booleans)
+def pairs_to_vector(pairs: Sequence[Sequence[float]]) -> np.ndarray:
+    return _complex_vector(pairs, "amplitudes must be [re, im] pairs")
 
 
-def pairs_to_matrices(
-    matrices: Sequence[Sequence[Sequence[Sequence[float]]]], booleans: bool = True
-) -> list[np.ndarray]:
+def pairs_to_matrices(matrices: Sequence[Sequence[Sequence[Sequence[float]]]]) -> list[np.ndarray]:
     """Each of ``matrices``, a list of equally long rows of ``[re, im]`` pairs, as a ``(rows,
     width)`` array, or ``(0,)`` for no rows; all of them are converted in one pass."""
     message = "matrix entries must be [re, im] pairs"
@@ -86,7 +83,7 @@ def pairs_to_matrices(
     # a ragged matrix has two widths or more in its shape
     if max(map(len, shapes), default=0) > 2:
         raise ValidationError("complex-pairs", message)
-    out, start, arrays = _complex_vector(pairs, message, booleans), 0, []
+    out, start, arrays = _complex_vector(pairs, message), 0, []
     for shape in shapes:
         stop = start + math.prod(shape)
         arrays.append(out[start:stop].reshape(shape))
@@ -95,16 +92,14 @@ def pairs_to_matrices(
 
 
 def _load(read: Callable[..., Any], path: str | Path, *args: Any) -> Any:
-    """``read(parsed file, *args, booleans=...)`` with the cyclic GC paused over the whole load:
-    the parse, the conversion to arrays and the release of the parse tree. JSON text makes no
-    cycles, so the collections its many lists would set off free nothing. The caller's
-    ``gc.isenabled()`` state is restored on every exit. ``booleans`` is false where the text holds
-    no ``true`` or ``false`` token, so that its pairs' types need not be read."""
+    """``read(parsed file, *args)`` with the cyclic GC paused over the whole load: the parse, the
+    conversion to arrays and the release of the parse tree. JSON text makes no cycles, so the
+    collections its many lists would set off free nothing. The caller's ``gc.isenabled()`` state
+    is restored on every exit."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        obj, booleans = _read_json(path, booleans=True)
-        return read(obj, *args, booleans=booleans)
+        return read(_read_json(path), *args)
     finally:
         if enabled:
             gc.enable()
@@ -136,23 +131,14 @@ def _orjson_int(text: str) -> int | float:
         return value
 
 
-def _read_json(path: str | Path, booleans: bool = False) -> Any:
-    """The parsed JSON file at ``path``; with ``booleans``, the pair of that and whether its text
-    holds a ``true`` or ``false`` token, without which the parse holds no boolean."""
+def _read_json(path: str | Path) -> Any:
+    """The parsed JSON file at ``path``."""
     try:
         with open(path, "rb") as fh:
             data = _read_capped(fh, f"reading {path}")
     except OSError as exc:
         raise ValidationError("file-access", f"cannot read {path}: {exc}") from exc
-    obj = _parse_json(data, path)
-    return (obj, _holds_boolean_token(data)) if booleans else obj
-
-
-def _holds_boolean_token(data: bytes) -> bool:
-    """Whether ``data`` holds a ``true`` or ``false``, which JSON reads as a boolean. A search for
-    a token steps slowly over digits, some of which share its skip table's bits; so each runs only
-    where a letter of it that no set file's key holds ('u', 'f') is found, by one memchr."""
-    return (b"u" in data and b"true" in data) or (b"f" in data and b"false" in data)
+    return _parse_json(data, path)
 
 
 def _parse_json(data: bytes, path: str | Path) -> Any:
@@ -177,18 +163,13 @@ def _parse_json(data: bytes, path: str | Path) -> Any:
         raise ValidationError("file-json", f"{path} holds a number too long to read: {exc}") from exc
 
 
-def _is_int(value: Any) -> bool:
-    # JSON true and false load as bool, which Python counts as int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def state_from_obj(obj: Any, booleans: bool = True) -> PureState:
+def state_from_obj(obj: Any) -> PureState:
     if not isinstance(obj, dict) or "dims" not in obj or "amplitudes" not in obj:
         raise ValidationError("state-schema", "state files need 'dims' and 'amplitudes'")
-    if not isinstance(obj["dims"], list) or not all(_is_int(d) for d in obj["dims"]):
+    if not isinstance(obj["dims"], list) or not all(type(d) is int for d in obj["dims"]):
         raise ValidationError("state-schema", "state files need 'dims' as a list of integers")
     dims = tuple(obj["dims"])
-    vec = pairs_to_vector(obj["amplitudes"], booleans)
+    vec = pairs_to_vector(obj["amplitudes"])
     # as PureState checks them: a zero dim would otherwise fail as a zero norm
     _check_dims(dims)
     if vec.size != math.prod(dims):
@@ -238,11 +219,11 @@ def load_state(source: str, dims: Sequence[int] | None = None) -> PureState:
     return psi
 
 
-def measurement_set_from_obj(obj: Any, tol: float = DEFAULT_TOL, booleans: bool = True) -> MeasurementSet:
+def measurement_set_from_obj(obj: Any, tol: float = DEFAULT_TOL) -> MeasurementSet:
     if not isinstance(obj, dict) or "dim" not in obj or "operators" not in obj:
         raise ValidationError("measurement-schema", "measurement files need 'dim' and 'operators'")
     dim = obj["dim"]
-    if not _is_int(dim) or not isinstance(obj["operators"], list):
+    if type(dim) is not int or not isinstance(obj["operators"], list):
         raise ValidationError(
             "measurement-schema", "measurement files need 'dim' as an integer and 'operators' as a list"
         )
@@ -259,7 +240,7 @@ def measurement_set_from_obj(obj: Any, tol: float = DEFAULT_TOL, booleans: bool 
         raw.append(entry["matrix"])
     # the matrices before a broken entry are converted first, as the entries come: one of them
     # that is not pairs fails before the entry does
-    matrices = pairs_to_matrices(raw, booleans)
+    matrices = pairs_to_matrices(raw)
     if broken is not None:
         raise broken
     with _quiet():
@@ -313,7 +294,7 @@ def load_protocol(path: str) -> ProtocolSpec:
     return _load(_protocol_from_obj, path)
 
 
-def _protocol_from_obj(obj: Any, booleans: bool = True) -> ProtocolSpec:
+def _protocol_from_obj(obj: Any) -> ProtocolSpec:
     if not isinstance(obj, dict):
         raise ValidationError("protocol-schema", "protocol files must be JSON objects")
     for key in ("state", "alice", "bob_unitaries", "verify"):
@@ -327,8 +308,8 @@ def _protocol_from_obj(obj: Any, booleans: bool = True) -> ProtocolSpec:
     if isinstance(state_obj, str):
         state = load_state(state_obj)
     else:
-        state = state_from_obj(state_obj, booleans)
-    alice = measurement_set_from_obj(obj["alice"], booleans=booleans)
+        state = state_from_obj(state_obj)
+    alice = measurement_set_from_obj(obj["alice"])
     verify_obj, n_unitaries = obj["verify"], len(obj["bob_unitaries"])
     raw, broken = list(obj["bob_unitaries"]), None
     for label in alice.labels:
@@ -344,7 +325,7 @@ def _protocol_from_obj(obj: Any, booleans: bool = True) -> ProtocolSpec:
         raw += (entry["success"], entry["failure"])
     # Bob's unitaries and, as in a set file, the verify pairs before a broken entry are converted
     # together before it is named
-    matrices = pairs_to_matrices(raw, booleans)
+    matrices = pairs_to_matrices(raw)
     if broken is not None:
         raise broken
     unitaries, verify = tuple(matrices[:n_unitaries]), matrices[n_unitaries:]

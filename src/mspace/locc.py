@@ -1,5 +1,6 @@
-"""Local construction that realizes the measurement-space map, plus
-the concurrence factorization check for quantum channels.
+"""Local construction that realizes the measurement-space map's outcome
+distribution (not the image itself), plus the concurrence factorization
+check for quantum channels.
 
 The construction dilates a bipartite state with one measurement ancilla per
 party, has each party measure in the Fourier transform of the eigenbasis of
@@ -240,7 +241,9 @@ def run_locc_construction(
     system; Bob then makes the same move once, stacked over Alice's
     outcomes. That one pass covers every outcome branch. The branches are
     accumulated into the procedure's deterministic ancilla output, whose
-    diagonal is checked against the squared measurement-space amplitudes.
+    diagonal is checked against the squared measurement-space amplitudes:
+    the construction reproduces the image's outcome distribution there. No
+    branch is the image; each branch's fidelity to it is reported.
     Both sets must be complete within ``completeness_tol``, as for the map.
     Its largest array must fit the byte cap before anything is built,
     otherwise the run fails as ``locc-size``: Alice's states and Bob's

@@ -40,7 +40,7 @@ def complex_pairs_reference(rows, nested):
     """``files.pairs_to_vector`` (or, when ``nested``, one matrix of ``pairs_to_matrices``) as each
     was written before the one-pass conversion: one ``complex(re, im)`` per unpacked pair, and
     ``complex-pairs`` on any failure. It reads a JSON ``true`` or ``false`` as 1 or 0, which the
-    converters now refuse unless told that their input holds neither."""
+    converters refuse: they take a part only if its exact type is ``float`` or ``int``."""
     what = "matrix entries" if nested else "amplitudes"
     try:
         if nested:

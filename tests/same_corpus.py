@@ -67,9 +67,11 @@ the wrong dim, and valid and broken protocols. The file lines end with
 PAIR_FILES, a state, a set and a protocol each holding one pair that is a
 boolean ``[true, false]`` (which read as ``[1, 0]`` would make the file
 valid; it is refused as ``complex-pairs``), a 1-entry pair or a 3-entry one,
-then BIG_INT_FILES, two states and a set holding integers outside [-2^63,
-2^64), one of them past a double, each as it is and then padded with a
-string of brackets that sends it to json,
+then STRAY_BOOLEAN_FILES, the same three files valid, with ``[1.0, 0.0]``
+in that pair and an extra ``"note": true`` key, and a set whose first label
+is ``false``, then BIG_INT_FILES, two states and a set holding integers
+outside [-2^63, 2^64), one of them past a double, each as it is and then
+padded with a string of brackets that sends it to json,
 and JSON_PATH_FILES, one fixed line each on a file that orjson refuses, so
 that the file reader parses it with json: NaN, Infinity and 1e400 entries, a
 label holding an escaped lone surrogate, and a UTF-8 byte order mark (which
@@ -194,6 +196,12 @@ PAIR_FILES = [
     for obj, argv in PAIR_TEXTS
     for pair in ("[true, false]", "[1.0]", "[1.0, 0.0, 0.0]")
 ]
+# valid files with a boolean that is no amplitude: each file above with [1.0, 0.0] and an extra
+# "note": true key, then a set whose first label is false
+STRAY_BOOLEAN_FILES = [
+    (json.dumps({**obj, "note": True}).replace('"PAIR"', "[1.0, 0.0]"), argv) for obj, argv in PAIR_TEXTS
+] + [(json.dumps({**Z_SET, "operators": [{**Z_SET["operators"][0], "label": False}, Z_SET["operators"][1]]}),
+      PAIR_TEXTS[1][1])]  # fmt: skip
 # lines that argparse answers itself, or whose words test how it reads them
 PARSER_LINES = [
     ["-h"],
@@ -538,7 +546,7 @@ def file_corpus(seed: int, workdir: Path) -> list[list[str]]:
         argv += ["--format", "tsv" if k % 4 < 2 else "json"]
         tol = TOLERANCES[int(rng.choice(len(TOLERANCES), p=TOLERANCE_WEIGHTS))]
         commands.append(argv if tol is None else [f"{ENV}={tol}", *argv])
-    for text, argv in PAIR_FILES + BIG_INT_FILES + JSON_PATH_FILES:
+    for text, argv in PAIR_FILES + STRAY_BOOLEAN_FILES + BIG_INT_FILES + JSON_PATH_FILES:
         path = files.write(text)
         commands.append([path if arg == "FILE" else arg for arg in argv])
     return commands

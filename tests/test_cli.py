@@ -1339,8 +1339,7 @@ class TestFileEntries:
         code, out, err = run_cli(capsys, *_file_argv(kind, path))
         assert (code, out) == (2, "")
         assert err.startswith("error: complex-pairs: ") and err.count("\n") == 1
-        # and with [1.0, 0.0] in its place, each runs, also where a true elsewhere in the text has
-        # its pairs' types read
+        # and with [1.0, 0.0] in its place, each runs, also beside a true that is not an amplitude
         for extra in ({}, {"note": True}):
             path = write_json(tmp_path / "number.json", {**_valid_obj(kind, [1.0, 0.0]), **extra})
             assert run_cli(capsys, *_file_argv(kind, path))[0] == 0
@@ -1524,9 +1523,9 @@ class TestLoadsPauseTheCollector:
         path.write_text(self._text(kind, outcome), encoding="utf-8")
         during = []
 
-        def read_json(source, **kwargs):
+        def read_json(source):
             during.append(gc.isenabled())
-            return _read_json(source, **kwargs)
+            return _read_json(source)
 
         monkeypatch.setattr(files, "_read_json", read_json)
         was = gc.isenabled()

@@ -26,6 +26,7 @@ from mspace.linalg import (
 )
 from mspace.measurement import (
     LocalMeasurementSet,
+    local_images,
     map_to_measurement_space,
     noisy_pair,
     z_projectors,
@@ -239,6 +240,32 @@ class TestOperationalEntanglement:
             image = map_to_measurement_space(psi, pair)
             conc_m = measurement_space_entanglement(image, "concurrence")
             assert conc_m <= concurrence_pure(psi.reshaped()) + 1e-9
+
+    @pytest.mark.parametrize("state", ["haar-1", "haar-2", "haar-3", "schmidt-0.8-0.6"])
+    def test_qubit_bases_never_raise_entanglement(self, state):
+        # the class with a proof: rank-1 projective local measurements on a 2x2 state. With Alice's
+        # basis the columns of U and Bob's of V, the image is |m| for m = U^dagger psi conj(V), so its
+        # concurrence is 2 ||m00||m11| - |m01||m10||, at most 2 |det m| = 2 |det psi|
+        if state.startswith("haar"):
+            psi = haar_state((2, 2), int(state[-1]))
+        else:
+            psi = PureState((2, 2), np.array([0.8, 0.0, 0.0, 0.6], dtype=complex))
+        theta, phi = np.meshgrid(np.linspace(0.0, np.pi / 2, 5), [0.0, 2.0, 4.0])
+        c, s, e = np.cos(theta).ravel(), np.sin(theta).ravel(), np.exp(1j * phi).ravel()
+        # 15 unitaries, each with its basis as columns
+        bases = np.stack([np.stack([c, -s / e], -1), np.stack([s * e, c], -1)], -2)
+        columns = bases.swapaxes(1, 2)
+        projectors = columns[..., :, None] * columns.conj()[..., None, :]
+        alice = np.repeat(projectors, len(bases), axis=0)
+        bob = np.tile(projectors, (len(bases), 1, 1, 1))
+        images = local_images(psi, alice, bob).reshape(-1, 2, 2)
+        m = np.abs(columns.conj()[:, None] @ psi.reshaped() @ bases.conj()[None]).reshape(-1, 2, 2)
+        assert np.abs(images - m).max() < 1e-12
+        closed_form = 2.0 * np.abs(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])
+        concurrence = pure_entanglements(images, "concurrence")
+        assert np.abs(concurrence - closed_form).max() < 1e-12
+        assert concurrence.max() <= pure_entanglement(psi, "concurrence") + 1e-12
+        assert pure_entanglements(images, "entropy").max() <= pure_entanglement(psi, "entropy") + 1e-12
 
     def test_concurrence_needs_two_by_two_grid(self):
         local = random_local_set(2, 2, 3, 2, 9)

@@ -817,11 +817,7 @@ def _assert_converts_as_the_reference(arrays, nested):
     if nested:
         failures = [outcome for outcome in expected if isinstance(outcome, str)]
         assert _conversion(pairs_to_matrices, arrays) == (failures[0] if failures else expected)
-    # a loader whose text holds no true or false token skips the boolean check, and reads
-    # as the reference did, booleans included
-    unchecked = [_conversion(_one, rows, nested, False) for rows in arrays]
-    assert unchecked == [_conversion(complex_pairs_reference, rows, nested) for rows in arrays]
 
 
-def _one(rows, nested, booleans=True):
-    return pairs_to_matrices([rows], booleans)[0] if nested else pairs_to_vector(rows, booleans)
+def _one(rows, nested):
+    return pairs_to_matrices([rows])[0] if nested else pairs_to_vector(rows)

@@ -20,6 +20,7 @@ from same_corpus import (
     NEAR_TOLERANCES,
     PAIR_FILES,
     PARSER_LINES,
+    STRAY_BOOLEAN_FILES,
     THREAD_VARS,
     WIDE_SEED_LINES,
     build,
@@ -145,8 +146,8 @@ def test_pair_files_come_before_the_big_integer_block(tmp_path):
     lines, files = _build(tmp_path / "corpus")
     end = len(lines) - 3 * GRID_PAIRS - len(EDGE_LINES + PARSER_LINES + DRIFT_LINES)
     end -= len(JSON_PATH_FILES + BIG_INT_FILES)
-    block = lines[end - len(PAIR_FILES) : end]
-    for line, (text, argv) in zip(block, PAIR_FILES):
+    block = lines[end - len(PAIR_FILES + STRAY_BOOLEAN_FILES) : end]
+    for line, (text, argv) in zip(block, PAIR_FILES + STRAY_BOOLEAN_FILES, strict=True):
         (path,) = [arg for arg in line if arg.startswith("<dir>/")]
         assert [arg if arg != path else "FILE" for arg in line] == argv
         assert files[path.removeprefix("<dir>/")] == text.encode()
@@ -154,6 +155,11 @@ def test_pair_files_come_before_the_big_integer_block(tmp_path):
     assert [argv[0] for _, argv in PAIR_FILES] == ["entanglement"] * 3 + ["map"] * 3 + ["theorem1"] * 3
     assert [text.count("[true, false]") for text, _ in PAIR_FILES] == [1, 0, 0] * 3
     assert [text.count("[1.0]") + text.count("[1.0, 0.0, 0.0]") for text, _ in PAIR_FILES] == [0, 1, 1] * 3
+    # then the same three, valid, beside a true key, and a set labelled false
+    assert [argv[0] for _, argv in STRAY_BOOLEAN_FILES] == ["entanglement", "map", "theorem1", "map"]
+    assert [(text.count('"note": true'), text.count('"label": false')) for text, _ in STRAY_BOOLEAN_FILES] == [
+        (1, 0), (1, 0), (1, 0), (0, 1)
+    ]  # fmt: skip
 
 
 @pytest.mark.parametrize("flags, counts", [(["--threads", "1,2"], ("1", "2")), ([], (None, None))])
