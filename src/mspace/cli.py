@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
 import os
 import sys
@@ -473,6 +474,10 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     # looked up per call, so a handler rebound on the module (a tracer, a test) is the one that runs
     handler = globals()[f"cmd_{args.command}"]
+    # the command runs with the cyclic GC paused: its parsed files and arrays make no cycles, so
+    # the collections their many objects set off would free nothing; the caller's state comes back
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         report, code = handler(args)
         # the handler's own keys follow the command, and override it
@@ -480,6 +485,9 @@ def main(argv=None) -> int:
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
     try:
         print(text, flush=True)
     except BrokenPipeError:

@@ -9,7 +9,6 @@ without hand-written files.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import os
@@ -17,7 +16,7 @@ import stat
 import sys
 from itertools import chain
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Sequence
+from typing import Any, BinaryIO, Sequence
 
 import numpy as np
 import orjson
@@ -89,20 +88,6 @@ def pairs_to_matrices(matrices: Sequence[Sequence[Sequence[Sequence[float]]]]) -
         arrays.append(out[start:stop].reshape(shape))
         start = stop
     return arrays
-
-
-def _load(read: Callable[..., Any], path: str | Path, *args: Any) -> Any:
-    """``read(parsed file, *args)`` with the cyclic GC paused over the whole load: the parse, the
-    conversion to arrays and the release of the parse tree. JSON text makes no cycles, so the
-    collections its many lists would set off free nothing. The caller's ``gc.isenabled()`` state
-    is restored on every exit."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return read(_read_json(path), *args)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _read_capped(fh: BinaryIO, what: str) -> bytes:
@@ -213,7 +198,7 @@ def load_state(source: str, dims: Sequence[int] | None = None) -> PureState:
         if seed < 0:
             raise ValidationError("state-name", f"random state seeds must be >= 0, got {source!r}")
         return haar_state(_builtin_shape(shape), seed)
-    psi = bell_phi_plus() if source == "bell" else _load(state_from_obj, source)
+    psi = bell_phi_plus() if source == "bell" else state_from_obj(_read_json(source))
     if dims and shape != psi.dims:
         raise ValidationError("state-dims", f"dims {shape} given, but {source!r} has dims {psi.dims}")
     return psi
@@ -283,7 +268,7 @@ def load_measurement_set(source: str, dim: int | None = None, tol: float = DEFAU
         n = max(outcomes, 0) * d
         _require_fits(16 * n * n, "measurement-size", f"the set {source!r} on dim {d}")
         return random_measurement_set(d, outcomes, seed)
-    return _load(measurement_set_from_obj, source, tol)
+    return measurement_set_from_obj(_read_json(source), tol)
 
 
 def load_protocol(path: str) -> ProtocolSpec:
@@ -291,10 +276,7 @@ def load_protocol(path: str) -> ProtocolSpec:
 
     Alice's set must be complete within ``DEFAULT_TOL``, as ``ProtocolSpec`` demands.
     """
-    return _load(_protocol_from_obj, path)
-
-
-def _protocol_from_obj(obj: Any) -> ProtocolSpec:
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise ValidationError("protocol-schema", "protocol files must be JSON objects")
     for key in ("state", "alice", "bob_unitaries", "verify"):

@@ -102,9 +102,22 @@ def _gram(stack: np.ndarray) -> np.ndarray:
     return rows.conj().swapaxes(-1, -2) @ rows
 
 
+def _deviation_parts(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """max |G - 1| of a Gram matrix, or of each in a stack, with the diagonal and the largest
+    off-diagonal ``|g_ik|`` it is taken from: the same bits as ``|G - 1|``'s maximum, since a
+    maximum picks one of its entries and ``|g_ik|`` is ``|g_ik - 0|``."""
+    n = g.shape[-1]
+    diag = g.diagonal(0, -2, -1)
+    # the diagonal is zeroed in place for the off-diagonal maximum; its |g_ii - 1| comes from diag
+    gap = np.abs(g).reshape(*g.shape[:-2], n * n)
+    gap[..., :: n + 1] = 0.0
+    off = gap.max(axis=-1)
+    return np.maximum(np.abs(diag - 1).max(axis=-1), off), diag, off
+
+
 def _identity_deviation(gram: np.ndarray) -> np.ndarray:
     """max |G - 1| of a Gram matrix, or of each matrix in a stack of them."""
-    return np.abs(gram - np.eye(gram.shape[-1])).max(axis=(-2, -1))
+    return _deviation_parts(gram)[0]
 
 
 def _require_complete(dev: np.ndarray, tol: float, trials=None) -> None:
@@ -245,17 +258,7 @@ def _pair_deviations(ga: np.ndarray, gb: np.ndarray) -> tuple[np.ndarray, np.nda
     broadcast, giving one deviation of each kind per pair. Each maximum runs over a flattened last
     axis; a maximum picks one of its entries, so the order of the passes leaves every bit as it is.
     """
-    sides = []
-    for g in (ga, gb):
-        n = g.shape[-1]
-        diag = g.diagonal(0, -2, -1)
-        # |g_ik| (the bits of |g_ik - 0|), with the diagonal zeroed in place for the
-        # off-diagonal maximum; the diagonal's |g_ii - 1| comes from the diagonal alone
-        gap = np.abs(g).reshape(*g.shape[:-2], n * n)
-        gap[..., :: n + 1] = 0.0
-        off = gap.max(axis=-1)
-        sides.append((np.maximum(np.abs(diag - 1).max(axis=-1), off), diag, off))
-    (dev_a, diag_a, off_a), (dev_b, diag_b, off_b) = sides
+    (dev_a, diag_a, off_a), (dev_b, diag_b, off_b) = _deviation_parts(ga), _deviation_parts(gb)
     # the same complex products as the Kronecker product's diagonal, so the same bits
     products = diag_a[..., :, None] * diag_b[..., None, :]
     on_diagonal = np.abs(products.reshape(*products.shape[:-2], -1) - 1).max(axis=-1)

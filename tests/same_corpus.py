@@ -83,7 +83,11 @@ that command alone.
 Then comes a fixed block. EDGE_LINES are a ``locc`` line whose verdict
 rests on a Bob move that its printed row does not show, and two local pairs
 of large dimension and few outcomes, which the size checks admit by the
-largest arrays their kernels build. PARSER_LINES are lines that argparse
+largest arrays their kernels build. COUNTEREXAMPLE_LINES run
+``entanglement`` under ``entropy`` and ``eof`` and ``locc`` in JSON and
+TSV on the two exact inputs in ``tests/data`` whose image is more entangled
+than the state: the 3x3 state under Z projectors on both sides, and the
+Bell state under trine POVMs. PARSER_LINES are lines that argparse
 itself answers, or that test how it reads words: help, an unknown
 subcommand or flag, left-over words, ``--``, abbreviated and ambiguous
 flags, ``--flag=value``, a repeated flag and a bad choice. DRIFT_LINES are two
@@ -151,6 +155,22 @@ EDGE_LINES = [
     ["locc", "--state", "product0", "--dims", "2,80", *Z_PAIR],
     ["map", "--state", "product0", "--dims", "100,100", "--alice", "random:1:1", "--bob", "random:1:2"],
 ]  # fmt: skip
+DATA = Path(__file__).resolve().parent / "data"
+# the exact inputs whose image carries more entanglement than the state, 1 bit -> log2(3) - 1/3
+COUNTEREXAMPLES = [
+    ["--state", str(DATA / "rank2_qutrits.json"), *Z_PAIR],
+    ["--state", "bell", "--alice", str(DATA / "trine.json"), "--bob", str(DATA / "trine_90.json")],
+]
+COUNTEREXAMPLE_LINES = [
+    line
+    for pair in COUNTEREXAMPLES
+    for line in (
+        ["entanglement", *pair, "--measure", "entropy"],
+        ["entanglement", *pair, "--measure", "eof"],
+        ["locc", *pair],
+        ["locc", *pair, "--format", "tsv"],
+    )
+]
 STATE_TEXT = '{"dims": [2, 2], "amplitudes": [[%s, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]]}'
 SET_TEXT = (
     '{"dim": 2, "operators": [{"label": %s, "matrix": [[[%s, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}, '
@@ -235,6 +255,7 @@ DRIFT_LINES = [
     ["map", "--state", "random:3", "--dims", "40,40", "--alice", "random:40:1", "--bob", "random:40:2"],
     ["entanglement", "--state", "random:3", "--dims", "24,24", "--alice", "random:24:1", "--bob", "random:24:2"],
 ]
+FIXED_LINES = EDGE_LINES + COUNTEREXAMPLE_LINES + PARSER_LINES + DRIFT_LINES
 # seeds of one, two, three and five 32-bit words: a trial's entropy is these words and its index
 WIDE_SEEDS = [2**32 - 1, 2**32, 2**64 + 1, 10**39 + 7]
 WIDE_SEED_LINES = [
@@ -577,7 +598,7 @@ def grid_corpus(seed: int) -> list[list[str]]:
 def build(seed: int, sweeps: int, workdir: Path) -> list[list[str]]:
     """The whole corpus for ``seed``, its input files written under ``workdir``."""
     seeded = corpus(seed, sweeps) + local_corpus(seed) + file_corpus(seed, workdir)
-    return seeded + EDGE_LINES + PARSER_LINES + DRIFT_LINES + grid_corpus(seed)
+    return seeded + FIXED_LINES + grid_corpus(seed)
 
 
 def split_env(line: list[str]) -> tuple[str | None, list[str]]:

@@ -37,7 +37,8 @@ P0 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 P1 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 # (1/sqrt 6) [[1, 1, 0], [1, 0, 1], [0, 1, -1]]: rank 2, spectrum (1/2, 1/2, 0); under Z projectors
 # on both sides its image has rank 3 and spectrum (2/3, 1/6, 1/6)
-RANK2_QUTRITS = str(Path(__file__).parent / "data" / "rank2_qutrits.json")
+DATA = Path(__file__).parent / "data"
+RANK2_QUTRITS = str(DATA / "rank2_qutrits.json")
 
 
 def run_cli(capsys, *argv):
@@ -316,24 +317,42 @@ class TestEntanglement:
 
 class TestMonotonicityCounterexample:
     """Local measurements can raise the image's entanglement above the state's. The package has a
-    proof only for 2x2 states under rank-1 projective sets; this exact 3x3 state under Z
-    projectors on both sides goes from 1 bit to log2(3) - 1/3 = 1.2516 bits, and both
-    commands that check the relation say so."""
+    proof only for 2x2 states under rank-1 projective sets. Two exact inputs go from 1 bit to
+    log2(3) - 1/3 = 1.2516 bits, and both commands that check the relation say so: the 3x3 state
+    under Z projectors on both sides, and the Bell state under trine POVMs, sqrt(2/3)|e_a><e_a|
+    with e_a at 0, 120 and 240 degrees for Alice and at 90, 210 and 330 degrees for Bob."""
 
-    Z_PAIR = ("--alice", "z-projectors", "--bob", "z-projectors")
+    INPUTS = {
+        "qutrits": ("--state", RANK2_QUTRITS, "--alice", "z-projectors", "--bob", "z-projectors"),
+        "trines": ("--state", "bell", "--alice", str(DATA / "trine.json"), "--bob", str(DATA / "trine_90.json")),
+    }
 
     @pytest.mark.parametrize("measure", ["entropy", "eof"])
     def test_entanglement_reports_it_not_monotone(self, capsys, measure):
-        code, out, err = run_cli(capsys, "entanglement", "--state", RANK2_QUTRITS, *self.Z_PAIR, "--measure", measure)
-        (row,) = json.loads(out)["results"]
-        assert (code, err, row["monotone"]) == (1, "", False)
-        assert abs(row["original"] - 1.0) < 1e-12
-        assert abs(row["measurement_space"] - (np.log2(3) - 1 / 3)) < 1e-12
+        for argv in self.INPUTS.values():
+            code, out, err = run_cli(capsys, "entanglement", *argv, "--measure", measure)
+            (row,) = json.loads(out)["results"]
+            assert (code, err, row["monotone"]) == (1, "", False)
+            assert abs(row["original"] - 1.0) < 1e-12
+            assert abs(row["measurement_space"] - (np.log2(3) - 1 / 3)) < 1e-12
 
     def test_locc_reports_it_not_monotone(self, capsys):
-        code, out, err = run_cli(capsys, "locc", "--state", RANK2_QUTRITS, *self.Z_PAIR, "--format", "tsv")
-        assert (code, err) == (1, "")
-        assert "\n# monotonicity=false\n# passed=false\n" in out
+        for argv in self.INPUTS.values():
+            code, out, err = run_cli(capsys, "locc", *argv, "--format", "tsv")
+            assert (code, err) == (1, "")
+            assert "\n# monotonicity=false\n# passed=false\n" in out
+
+    def test_trine_image_is_exact(self, capsys):
+        # |<e_a|f_b>|^2 is 3/4 off the diagonal and 0 on it, so p_ab = (1 - delta_ab) / 6: the
+        # image is (J - I) / sqrt(6), with squared Schmidt coefficients (2/3, 1/6, 1/6)
+        code, out, err = run_cli(capsys, "map", *self.INPUTS["trines"])
+        rows = json.loads(out)["results"]
+        assert (code, err) == (0, "")
+        probs = np.array([row["probability"] for row in rows]).reshape(3, 3)
+        np.testing.assert_allclose(probs, (1 - np.eye(3)) / 6, rtol=0, atol=1e-12)
+        amps = np.array([row["amplitude"] for row in rows]).reshape(3, 3)
+        schmidt = np.linalg.svd(amps, compute_uv=False) ** 2
+        np.testing.assert_allclose(schmidt, [2 / 3, 1 / 6, 1 / 6], rtol=0, atol=1e-12)
 
 
 class TestTheorem1:
@@ -1493,54 +1512,96 @@ class TestFileEntries:
         assert proc.stderr.startswith(f"error: file-json: {path} is not valid JSON: maximum recursion depth")
 
 
-class TestLoadsPauseTheCollector:
-    """Each file loader parses with the cyclic GC paused and leaves ``gc.isenabled()`` as it found
-    it, whether the load succeeds or fails."""
+class TestMainPausesGC:
+    """``main`` runs each command's handler and emission with the cyclic GC paused, and leaves
+    ``gc.isenabled()`` as it found it on every exit: a report, a failed check, invalid input and
+    a handler that raises."""
 
-    LOADERS = {
-        "state": files.load_state,
-        "set": lambda path: files.load_measurement_set(path, 2),
-        "protocol": files.load_protocol,
+    # a command that loads a file of each kind, and the invariant a file entry of 0.5 breaks
+    ARGV = {
+        "state": ("entanglement", "--state"),
+        "set": ("map", "--state", "bell", "--bob", "z-projectors", "--alice"),
+        "protocol": ("theorem1", "--protocol"),
     }
-    # per kind, the invariant a file entry of 0.5 breaks
     INVARIANTS = {"state": "state-normalization", "set": "completeness", "protocol": "completeness"}
+    Z_PAIR = ("--alice", "z-projectors", "--bob", "z-projectors")
 
-    def _text(self, kind, outcome):
+    def _file(self, tmp_path, kind, outcome):
+        path = tmp_path / f"{kind}.json"
         if outcome == "file-json":
-            return "{"
+            path.write_text("{", encoding="utf-8")
+            return str(path)
         if outcome == "complex-pairs":
-            return json.dumps(_valid_obj(kind, ["x", 0.0]))
+            return write_json(path, _valid_obj(kind, ["x", 0.0]))
         obj = _valid_obj(kind, [1.0 if outcome == "ok" else 0.5, 0.0])
         if kind == "protocol" and outcome != "ok":
             obj["alice"] = _valid_obj("set", [0.5, 0.0])
-        return json.dumps(obj)
+        return write_json(path, obj)
 
-    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-    @pytest.mark.parametrize("outcome", ["ok", "file-json", "complex-pairs", "invariant"])
-    @pytest.mark.parametrize("kind", ["state", "set", "protocol"])
-    def test_gc_state_is_restored(self, tmp_path, monkeypatch, kind, outcome, enabled):
-        path = tmp_path / f"{kind}.json"
-        path.write_text(self._text(kind, outcome), encoding="utf-8")
-        during = []
+    def _run(self, capsys, monkeypatch, enabled, argv):
+        """``main(argv)`` started with the GC ``enabled`` or not: its exit code and stderr, the GC
+        state at each ``emit`` and ``_read_json`` it reached, and the GC state it left."""
+        emits, reads, real_emit = [], [], cli.emit
+
+        def emit(*args):
+            emits.append(gc.isenabled())
+            return real_emit(*args)
 
         def read_json(source):
-            during.append(gc.isenabled())
+            reads.append(gc.isenabled())
             return _read_json(source)
 
+        monkeypatch.setattr(cli, "emit", emit)
         monkeypatch.setattr(files, "_read_json", read_json)
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
-            if outcome == "ok":
-                self.LOADERS[kind](str(path))
-            else:
-                with pytest.raises(ValidationError) as info:
-                    self.LOADERS[kind](str(path))
-                assert info.value.invariant == (self.INVARIANTS[kind] if outcome == "invariant" else outcome)
+            code, _, err = run_cli(capsys, *argv)
             after = gc.isenabled()
         finally:
             (gc.enable if was else gc.disable)()
-        assert (during, after) == ([False], enabled)
+        return code, err, emits, reads, after
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("outcome", ["ok", "file-json", "complex-pairs", "invariant"])
+    @pytest.mark.parametrize("kind", ["state", "set", "protocol"])
+    def test_file_commands_run_paused(self, capsys, monkeypatch, tmp_path, kind, outcome, enabled):
+        argv = (*self.ARGV[kind], self._file(tmp_path, kind, outcome))
+        code, err, emits, reads, after = self._run(capsys, monkeypatch, enabled, argv)
+        if outcome == "ok":
+            assert (code, err, emits) == (0, "", [False])
+        else:
+            invariant = self.INVARIANTS[kind] if outcome == "invariant" else outcome
+            assert (code, emits) == (2, [])
+            assert err.startswith(f"error: {invariant}: ")
+        assert (reads, after) == ([False], enabled)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_failed_check_runs_paused(self, capsys, monkeypatch, enabled):
+        argv = ("entanglement", "--state", RANK2_QUTRITS, *self.Z_PAIR)
+        assert self._run(capsys, monkeypatch, enabled, argv) == (1, "", [False], [False], enabled)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_command_without_files_runs_paused(self, capsys, monkeypatch, enabled):
+        argv = ("modes", "--n", "3", "--m", "2")
+        assert self._run(capsys, monkeypatch, enabled, argv) == (0, "", [False], [], enabled)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_raising_handler_restores_the_state(self, monkeypatch, enabled):
+        def cmd_modes(args):
+            assert not gc.isenabled()
+            raise RuntimeError("handler failed")
+
+        monkeypatch.setattr(cli, "cmd_modes", cmd_modes)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(RuntimeError, match="handler failed"):
+                main(["modes", "--n", "3", "--m", "2"])
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert after == enabled
 
 
 @contextlib.contextmanager

@@ -159,10 +159,16 @@ def test_kernel_matches_explicit_joint_set(case):
 
 
 def _assert_pair_deviations(ga, gb, rtol):
-    """The factored deviations of a pair against each Gram matrix's and their Kronecker product's."""
+    """The factored deviations of a pair against each Gram matrix's and their Kronecker product's,
+    max |G - 1| taken literally: ``_identity_deviation`` shares the pass under test."""
+
+    def literal(g):
+        return np.abs(g - np.eye(g.shape[-1])).max(axis=(-2, -1))
+
     dev_a, dev_b, joint = _pair_deviations(ga, gb)
-    assert np.array_equal(dev_a, _identity_deviation(ga)) and np.array_equal(dev_b, _identity_deviation(gb))
-    reference = _identity_deviation(tensor(ga, gb))
+    assert np.array_equal(dev_a, literal(ga)) and np.array_equal(dev_b, literal(gb))
+    assert np.array_equal(_identity_deviation(ga), dev_a)
+    reference = literal(tensor(ga, gb))
     assert joint.shape == reference.shape
     assert np.all(np.abs(joint - reference) <= rtol * reference)
 

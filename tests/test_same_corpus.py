@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import orjson
 import pytest
@@ -13,8 +14,10 @@ import same_corpus
 from same_corpus import (
     BIG_INT_FILES,
     COMMANDS,
+    COUNTEREXAMPLE_LINES,
     DRIFT_LINES,
     EDGE_LINES,
+    FIXED_LINES,
     GRID_PAIRS,
     JSON_PATH_FILES,
     NEAR_TOLERANCES,
@@ -93,8 +96,8 @@ def test_wide_seed_lines_follow_the_konrad_grid(tmp_path):
 def test_fixed_block_comes_just_before_the_grid_pair_block(tmp_path):
     lines, _ = _build(tmp_path / "corpus")
     end = len(lines) - 3 * GRID_PAIRS
-    fixed = EDGE_LINES + PARSER_LINES + DRIFT_LINES
-    assert lines[end - len(fixed) : end] == fixed
+    assert lines[end - len(FIXED_LINES) : end] == FIXED_LINES
+    assert FIXED_LINES == EDGE_LINES + COUNTEREXAMPLE_LINES + PARSER_LINES + DRIFT_LINES
     (tol, verdict), *pairs = [split_env(line) for line in EDGE_LINES]
     # one printed branch of a run at a tolerance near its deviations
     assert verdict[0] == "locc" and "--outcome" in verdict and tol in NEAR_TOLERANCES
@@ -103,6 +106,12 @@ def test_fixed_block_comes_just_before_the_grid_pair_block(tmp_path):
     for _, argv in pairs:
         d_a, d_b = map(int, argv[argv.index("--dims") + 1].split(","))
         assert "--alice" in argv and d_a * d_b >= 160
+    # the two counterexamples, each under entanglement's entropy and eof and locc in JSON and TSV
+    assert per_command(COUNTEREXAMPLE_LINES).startswith("0 sweep, 0 konrad, 0 modes, 4 entanglement, 0 map, 4 locc,")
+    for argv in COUNTEREXAMPLE_LINES:
+        assert all(Path(arg).is_file() for arg in argv if arg.endswith(".json"))
+    assert sum("rank2_qutrits.json" in " ".join(argv) for argv in COUNTEREXAMPLE_LINES) == 4
+    assert sum("trine_90.json" in " ".join(argv) for argv in COUNTEREXAMPLE_LINES) == 4
     # the drift lines are local pairs at 24x24 or larger
     for argv in DRIFT_LINES:
         assert "--alice" in argv and min(map(int, argv[argv.index("--dims") + 1].split(","))) >= 24
@@ -115,7 +124,7 @@ def test_fixed_block_comes_just_before_the_grid_pair_block(tmp_path):
 
 def test_file_lines_end_with_the_json_path_block_before_the_fixed_block(tmp_path):
     lines, files = _build(tmp_path / "corpus")
-    end = len(lines) - 3 * GRID_PAIRS - len(EDGE_LINES + PARSER_LINES + DRIFT_LINES)
+    end = len(lines) - 3 * GRID_PAIRS - len(FIXED_LINES)
     block = lines[end - len(JSON_PATH_FILES) : end]
     for line, (text, argv) in zip(block, JSON_PATH_FILES):
         (path,) = [arg for arg in line if arg.startswith("<dir>/")]
@@ -129,7 +138,7 @@ def test_file_lines_end_with_the_json_path_block_before_the_fixed_block(tmp_path
 
 def test_big_integer_files_come_plain_then_padded_before_the_json_path_block(tmp_path):
     lines, files = _build(tmp_path / "corpus")
-    end = len(lines) - 3 * GRID_PAIRS - len(EDGE_LINES + PARSER_LINES + DRIFT_LINES) - len(JSON_PATH_FILES)
+    end = len(lines) - 3 * GRID_PAIRS - len(FIXED_LINES) - len(JSON_PATH_FILES)
     block = lines[end - len(BIG_INT_FILES) : end]
     for line, (text, argv) in zip(block, BIG_INT_FILES):
         (path,) = [arg for arg in line if arg.startswith("<dir>/")]
@@ -144,7 +153,7 @@ def test_big_integer_files_come_plain_then_padded_before_the_json_path_block(tmp
 
 def test_pair_files_come_before_the_big_integer_block(tmp_path):
     lines, files = _build(tmp_path / "corpus")
-    end = len(lines) - 3 * GRID_PAIRS - len(EDGE_LINES + PARSER_LINES + DRIFT_LINES)
+    end = len(lines) - 3 * GRID_PAIRS - len(FIXED_LINES)
     end -= len(JSON_PATH_FILES + BIG_INT_FILES)
     block = lines[end - len(PAIR_FILES + STRAY_BOOLEAN_FILES) : end]
     for line, (text, argv) in zip(block, PAIR_FILES + STRAY_BOOLEAN_FILES, strict=True):
