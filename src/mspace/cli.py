@@ -385,9 +385,78 @@ def cmd_sweep(args) -> tuple[dict, int]:
 # parser
 
 
+def _table_arm(sub: argparse.ArgumentParser):
+    """One subcommand's table arm: its words read from ``sub``'s own actions, or None for a line it does not take.
+
+    It takes a line whose every word is an exact option string of a store or
+    switch action of ``sub``, each action used once, each store followed by a
+    value that does not start with ``-`` and passes the action's ``type`` and
+    ``choices``, with every required action present. Its namespace is the one
+    ``sub.parse_args`` builds: each action's default, a ``str`` default
+    converted through ``type``, ``const`` for a switch, and the converted values.
+    """
+    actions = [action for action in sub._actions if action.dest is not argparse.SUPPRESS]
+    options = {
+        word: action
+        for action in actions
+        if isinstance(action, argparse._StoreConstAction)
+        or (type(action) is argparse._StoreAction and action.nargs is None)
+        for word in action.option_strings
+    }
+    required = [action for action in actions if action.required]
+    defaults = [action for action in actions if action.default is not argparse.SUPPRESS]
+
+    def converted(action, text):
+        # as argparse reads a value: through the action's type, if it has one
+        return text if action.type is None else action.type(text)
+
+    def parse(words) -> argparse.Namespace | None:
+        given = {}
+        words = iter(words)
+        try:
+            for word in words:
+                action = options.get(word)
+                if action is None or action in given:
+                    return None
+                if action.nargs == 0:
+                    given[action] = action.const
+                    continue
+                text = next(words, "-")
+                if text.startswith("-"):
+                    return None
+                value = converted(action, text)
+                if action.choices is not None and value not in action.choices:
+                    return None
+                given[action] = value
+            if not all(action in given for action in required):
+                return None
+            args = argparse.Namespace()
+            for action in defaults:
+                if action in given:
+                    value = given[action]
+                elif isinstance(action.default, str):
+                    value = converted(action, action.default)
+                else:
+                    value = action.default
+                setattr(args, action.dest, value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            # argparse refuses a value its type cannot read
+            return None
+        return args
+
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use; ``parse_args`` gives each call a fresh namespace."""
+    """The one parser of the process, built on first use; ``parse_args`` gives each call a fresh namespace.
+
+    It is the reference for every command line. ``parser.subcommands`` maps
+    each subcommand's name to its table arm (``_table_arm``), read from that
+    subcommand's actions here, which reads a well-formed line of exact option
+    strings without argparse; every other line, and all usage, help and error
+    text, comes from this parser.
+    """
     parser = argparse.ArgumentParser(
         prog="mspace",
         description="Measurement-space maps, operational entanglement, and mode bounds.",
@@ -446,28 +515,31 @@ def build_parser() -> argparse.ArgumentParser:
     # after every subcommand's own options, as the last one of each
     for p in sub.choices.values():
         p.add_argument("--format", choices=("json", "tsv"), default="json")
-    # the subcommand parsers by name, for main's one-pass parse
-    parser.subcommands = sub.choices
+    # each subcommand's table arm by name, read from the parser just built: a fresh parser gets its own
+    parser.subcommands = {name: _table_arm(p) for name, p in sub.choices.items()}
     return parser
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """``argv`` parsed as ``build_parser().parse_args`` parses it, in one argparse pass where it can be.
+    """``argv`` parsed as ``build_parser().parse_args`` parses it, from its subcommand's action table where it can be.
 
-    A line whose first word names a subcommand is parsed by that subcommand's
-    parser alone: the whole parser would hand it every word after the name
-    anyway. Any other line, and one that leaves words unparsed, goes through
-    the whole parser, which writes the usage, help and error text.
+    The table arm takes a line whose first word names a subcommand and whose
+    every later word is an exact option string of that subcommand used once,
+    each value-taking option followed by a value that does not start with
+    ``-`` and passes the option's type and choices, with every required option
+    present; it builds the namespace without argparse. Every other line
+    (abbreviations, ``--flag=value``, negative numbers, repeats, ``-h``, stray
+    words, bad values) goes through the whole parser, which writes all usage,
+    help and error text.
     """
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, rest = sub.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    table = parser.subcommands.get(argv[0]) if argv else None
+    args = None if table is None else table(argv[1:])
+    if args is None:
+        return parser.parse_args(argv)
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:

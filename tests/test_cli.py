@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import gc
 import io
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 
 from mspace import cli, files, modes
 from mspace.cli import MAX_ROWS, main
-from mspace.files import ORJSON_MAX_BRACKETS, _read_json, load_measurement_set
+from mspace.entanglement import pure_entanglement
+from mspace.files import ORJSON_MAX_BRACKETS, _read_json, load_measurement_set, load_state
 from mspace.linalg import PureState, ValidationError, bell_phi_plus
 from mspace.locc import run_locc_construction
 from mspace.measurement import (
@@ -1645,6 +1647,92 @@ class TestFileSize:
         assert err.startswith("error: file-size: reading /dev/zero needs ") and "over the cap of 65536" in err
 
 
+Z_PAIR_ARGS = ("--alice", "z-projectors", "--bob", "z-projectors")
+# files the validation-branch cases read, by name; "missing.json" is never written
+BRANCH_FILES = {
+    "no-amplitudes.json": {"dims": [2]},
+    "short.json": {"dims": [2, 2], "amplitudes": [[1.0, 0.0]]},
+    "no-operators.json": {"dim": 2},
+    "dim-zero.json": {"dim": 0, "operators": [{"label": "0", "matrix": [[[1.0, 0.0]]]}]},
+    "no-entries.json": {"dim": 2, "operators": []},
+    "list.json": [1],
+    "qutrit-alice.json": {
+        "state": "bell",
+        "alice": {"dim": 3, "operators": [{"label": "0", "matrix": pairs(np.eye(3))}]},
+        "bob_unitaries": [pairs(np.eye(2))],
+        "verify": {"0": {"success": pairs(np.eye(2)), "failure": P0}},
+    },
+}
+
+
+class TestValidationBranches:
+    """One command line per validation branch: exit 2 naming its invariant, with nothing on stdout."""
+
+    @pytest.mark.parametrize("env, argv, message", [
+        ("abc", ("map", "--state", "bell", *Z_PAIR_ARGS), "tolerance-env: MSPACE_DEFAULT_TOL='abc' is not a number"),
+        (None, ("locc", "--state", "bell", *Z_PAIR_ARGS, "--outcome", "1,2,3"),
+         "flag-format: expected 2 integers, got '1,2,3'"),
+        (None, ("map", "--state", "product0", "--dims", "2,2,2", *Z_PAIR_ARGS),
+         "dimension-match: local sets need a bipartite state"),
+        (None, ("entanglement", "--state", "random:1", "--dims", "2,6", "--split", "3,3"),
+         "split-shape: split (3, 3) does not factor dimension 12"),
+        (None, ("theorem1",), "flag-format: need --protocol or --random"),
+        (None, ("theorem1", "--random"), "flag-format: --random needs --seed"),
+        (None, ("modes",), "flag-format: need --n/--m or --n-max/--m-max"),
+        (None, ("entanglement", "--state", "missing.json"), "file-access: cannot read "),
+        (None, ("entanglement", "--state", "no-amplitudes.json"), "state-schema: "),
+        (None, ("entanglement", "--state", "short.json"), "state-length: 1 amplitudes for dims (2, 2)"),
+        (None, ("entanglement", "--state", "random:x"), "state-name: bad random state spec"),
+        (None, ("map", "--state", "bell", "--alice", "noisy:x", "--bob", "z-projectors"),
+         "measurement-name: bad noisy spec"),
+        (None, ("map", "--state", "bell", "--alice", "random:2", "--bob", "z-projectors"),
+         "measurement-name: random sets are 'random:<outcomes>:<seed>'"),
+        (None, ("map", "--state", "bell", "--alice", "random:x:1", "--bob", "z-projectors"),
+         "measurement-name: bad random set spec"),
+        (None, ("map", "--state", "bell", "--alice", "no-operators.json", "--bob", "z-projectors"),
+         "measurement-schema: measurement files need 'dim' and 'operators'"),
+        (None, ("map", "--state", "bell", "--measurements", "dim-zero.json"), "measurement-dim: "),
+        (None, ("map", "--state", "bell", "--alice", "no-entries.json", "--bob", "z-projectors"),
+         "measurement-empty: "),
+        (None, ("map", "--state", "bell", "--alice", "random:0:1", "--bob", "z-projectors"),
+         "measurement-outcomes: "),
+        (None, ("theorem1", "--protocol", "list.json"), "protocol-schema: protocol files must be JSON objects"),
+        (None, ("theorem1", "--protocol", "qutrit-alice.json"), "protocol-alice-dim: "),
+        (None, ("theorem1", "--random", "--seed", "1", "--outcomes", "0"), "measurement-outcomes: "),
+    ])  # fmt: skip
+    def test_branch_names_its_invariant(self, capsys, tmp_path, monkeypatch, env, argv, message):
+        if env is not None:
+            monkeypatch.setenv("MSPACE_DEFAULT_TOL", env)
+        for name, obj in BRANCH_FILES.items():
+            write_json(tmp_path / name, obj)
+        argv = [str(tmp_path / word) if word.endswith(".json") else word for word in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+
+    def test_split_reports_the_entanglement_across_the_new_cut(self, capsys):
+        code, out, err = run_cli(capsys, "entanglement", "--state", "random:1", "--dims", "2,6", "--split", "3,4")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        psi = PureState((3, 4), load_state("random:1", (2, 6)).vector)
+        assert report["parameters"]["split"] == "3,4"
+        assert report["results"] == [{"measure": "entropy", "original": pure_entanglement(psi, "entropy")}]
+        # a cut of its own: not the entropy across the 2x6 one
+        assert report["results"][0]["original"] != pure_entanglement(load_state("random:1", (2, 6)), "entropy")
+
+    def test_crlf_json_error_names_the_position_of_its_lf_text(self, capsys, tmp_path):
+        # orjson refuses the text, so json reads it and names the line and column of the fault
+        text = b'{"dims": [2],\n "amplitudes":\n oops}'
+        errors = []
+        for name, content in [("lf", text), ("crlf", text.replace(b"\n", b"\r\n")), ("cr", text.replace(b"\n", b"\r"))]:
+            path = tmp_path / name / "state.json"
+            path.parent.mkdir()
+            path.write_bytes(content)
+            code, out, err = run_cli(capsys, "entanglement", "--state", str(path))
+            assert (code, out) == (2, "") and err.startswith("error: file-json: ")
+            errors.append(err.replace(str(path), "<path>"))
+        assert errors[0] == errors[1] == errors[2] and "line 3 column 2" in errors[0]
+
+
 # subcommands interleaved, each flag set followed by the same command without some of its flags
 INTERLEAVED = [
     ["theorem1", "--bogus"],
@@ -1723,3 +1811,115 @@ class TestParser:
         monkeypatch.setattr(cli, "cmd_modes", patched)
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and json.loads(out) == {"command": "patched"} and calls == ["modes"]
+
+
+def _subcommand_parsers():
+    """Each subcommand's argparse parser by name, from a fresh whole parser."""
+    parser = cli.build_parser.__wrapped__()
+    (action,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return action.choices
+
+
+SUBCOMMAND_PARSERS = _subcommand_parsers()
+STRAY_WORDS = ["-h", "--help", "extra", "--", "-1", "--bogus"]
+DEFECTS = ["stray", "drop", "repeat", "prefix", "equals", "bare", "negative", "bad"]
+
+
+def _values(action, good=True):
+    """Values of ``action`` that its type and choices accept, or that they refuse."""
+    if action.choices is not None:
+        return list(action.choices) if good else ["bogus", "JSON"]
+    if action.type is int:
+        return ["0", "2", "17", " 7", "1_000"] if good else ["x", "1.5", "", "0x10"]
+    if action.type is float:
+        return ["0", "0.5", "1", "1e-300", "nan", "inf"] if good else ["x", "", "1,5"]
+    return ["bell", "z-projectors", "noisy:0.9", "2,2", "", "a b"] if good else ["-x"]
+
+
+@st.composite
+def command_lines(draw):
+    """A line of one subcommand drawn from its actions: each required option and some others once,
+    each with a good value, then up to two defects of the kinds the table arm leaves to argparse."""
+    name = draw(st.sampled_from(sorted(SUBCOMMAND_PARSERS)))
+    actions = [action for action in SUBCOMMAND_PARSERS[name]._actions if action.dest != "help"]
+    optional = draw(st.lists(st.sampled_from([action for action in actions if not action.required]), unique=True))
+    chosen = draw(st.permutations([action for action in actions if action.required] + optional))
+
+    def words(action, good=True):
+        flag = draw(st.sampled_from(action.option_strings))
+        return [flag] if action.nargs == 0 else [flag, draw(st.sampled_from(_values(action, good)))]
+
+    options = [(action, words(action)) for action in chosen]
+    for defect in draw(st.lists(st.sampled_from(DEFECTS), max_size=2)):
+        if defect == "stray":
+            options.insert(draw(st.integers(0, len(options))), (None, [draw(st.sampled_from(STRAY_WORDS))]))
+            continue
+        if not options:
+            continue
+        i = draw(st.integers(0, len(options) - 1))
+        action, (flag, *value) = options[i]
+        if defect == "drop":
+            del options[i]
+        elif action is None:
+            continue
+        elif defect == "repeat":
+            options.insert(draw(st.integers(0, len(options))), (action, words(action)))
+        elif defect == "prefix":
+            options[i] = (action, [flag[: draw(st.integers(2, max(2, len(flag) - 1)))], *value])
+        elif not value:
+            continue
+        elif defect == "equals":
+            options[i] = (action, [f"{flag}={value[0]}"])
+        elif defect == "bare":
+            options[i] = (action, [flag])
+        elif defect == "negative":
+            options[i] = (action, [flag, draw(st.sampled_from(["-1", "-0.5", "-x"]))])
+        else:
+            options[i] = (action, words(action, good=False))
+    return [name, *(word for _, option in options for word in option)]
+
+
+def _parsed(parse, argv):
+    """What ``parse(argv)`` gives: the repr of each namespace value, or the exit code; then stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            # repr, so that a NaN value equals itself and -0.0 differs from 0.0
+            result = {key: repr(value) for key, value in vars(parse(argv)).items()}
+    except SystemExit as exc:
+        result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestTableArm:
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(argv=command_lines())
+    def test_a_line_reads_as_the_whole_parser_reads_it(self, argv):
+        assert _parsed(cli._parse_args, argv) == _parsed(cli.build_parser().parse_args, argv)
+
+    def test_drawn_lines_reach_both_arms(self):
+        # the property above is vacuous unless its lines reach each arm on each subcommand
+        taken, left = set(), set()
+
+        @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+        @given(argv=command_lines())
+        def sort(argv):
+            (taken if cli.build_parser().subcommands[argv[0]](argv[1:]) else left).add(argv[0])
+
+        sort()
+        assert taken == left == set(SUBCOMMAND_PARSERS)
+
+    def test_valid_lines_run_no_argparse_parse(self, capsys, monkeypatch):
+        # patched on the class, so neither the whole parser nor any subcommand's parser parses
+        asked = []
+
+        def spy(name):
+            method = getattr(argparse.ArgumentParser, name)
+            return lambda self, *args, **kwargs: asked.append(name) or method(self, *args, **kwargs)
+
+        for name in ("parse_args", "parse_known_args"):
+            monkeypatch.setattr(argparse.ArgumentParser, name, spy(name))
+        results = [run_cli(capsys, *argv) for argv in VALID_LINES]
+        assert asked == [] and [code for code, _, _ in results] == [0] * len(VALID_LINES)
+        # the spies do see a line that the table arm leaves to argparse
+        assert run_cli(capsys, "modes", "--n=2", "--m", "2")[0] == 0 and asked

@@ -101,6 +101,11 @@ class TestConcurrenceMixed:
     def test_maximally_mixed(self):
         assert concurrence_mixed(DensityMatrix((2, 2), np.eye(4) / 4)) == 0.0
 
+    def test_wrong_dims(self):
+        # a valid density matrix, but of one ququart rather than two qubits
+        with pytest.raises(ValidationError, match=r"^concurrence-dims: need a 2x2 density matrix, got \(4,\)$"):
+            concurrence_mixed(DensityMatrix((4,), np.eye(4) / 4))
+
     def test_werner_closed_form_and_oracle(self):
         w = 0.8
         rho_mat = w * density_of(bell_phi_plus()).matrix + (1 - w) * np.eye(4) / 4

@@ -279,6 +279,8 @@ class TestPredicatesAndTypes:
     def test_predicates(self):
         assert is_hermitian(PAULI_X)
         assert not is_hermitian(np.array([[0, 1], [0, 0]]))
+        # no array but a square one, or a stack of them, is Hermitian
+        assert not is_hermitian(np.zeros((2, 3))) and not is_hermitian(np.zeros(3))
         assert is_unitary(fourier_matrix(3))
 
     def test_pure_state_validation(self):
@@ -296,6 +298,8 @@ class TestPredicatesAndTypes:
             DensityMatrix((2,), np.eye(2))
         with pytest.raises(ValidationError):
             DensityMatrix((2,), np.diag([1.5, -0.5]))
+        with pytest.raises(ValidationError, match=r"^density-shape: matrix shape \(2, 2\), expected \(4, 4\)$"):
+            DensityMatrix((2, 2), np.eye(2) / 2)
 
     @pytest.mark.parametrize("bad, invariant", [
         (np.array([[0.5, 0.5], [0.4, 0.5]]), "density-hermitian"),
