@@ -386,14 +386,13 @@ def cmd_sweep(args) -> tuple[dict, int]:
 
 
 def _table_arm(sub: argparse.ArgumentParser):
-    """One subcommand's table arm: its words read from ``sub``'s own actions, or None for a line it does not take.
+    """``sub``'s table arm: the namespace ``sub.parse_args(words)`` gives, or None for a line it does not take.
 
-    It takes a line whose every word is an exact option string of a store or
-    switch action of ``sub``, each action used once, each store followed by a
-    value that does not start with ``-`` and passes the action's ``type`` and
-    ``choices``, with every required action present. Its namespace is the one
-    ``sub.parse_args`` builds: each action's default, a ``str`` default
-    converted through ``type``, ``const`` for a switch, and the converted values.
+    The table holds ``sub``'s store actions of one value and its switches by
+    exact option string; ``_parse_args`` says which lines the arm takes. The
+    namespace holds each action's default (a ``str`` default converted
+    through ``type``, as argparse converts it), ``const`` for a given switch
+    and each given value converted through ``type``.
     """
     actions = [action for action in sub._actions if action.dest is not argparse.SUPPRESS]
     options = {
@@ -404,7 +403,6 @@ def _table_arm(sub: argparse.ArgumentParser):
         for word in action.option_strings
     }
     required = [action for action in actions if action.required]
-    defaults = [action for action in actions if action.default is not argparse.SUPPRESS]
 
     def converted(action, text):
         # as argparse reads a value: through the action's type, if it has one
@@ -421,8 +419,8 @@ def _table_arm(sub: argparse.ArgumentParser):
                 if action.nargs == 0:
                     given[action] = action.const
                     continue
-                text = next(words, "-")
-                if text.startswith("-"):
+                text = next(words, None)
+                if text is None or text.startswith("-"):
                     return None
                 value = converted(action, text)
                 if action.choices is not None and value not in action.choices:
@@ -431,9 +429,11 @@ def _table_arm(sub: argparse.ArgumentParser):
             if not all(action in given for action in required):
                 return None
             args = argparse.Namespace()
-            for action in defaults:
+            for action in actions:
                 if action in given:
                     value = given[action]
+                elif action.default is argparse.SUPPRESS:
+                    continue
                 elif isinstance(action.default, str):
                     value = converted(action, action.default)
                 else:
@@ -452,10 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use; ``parse_args`` gives each call a fresh namespace.
 
     It is the reference for every command line. ``parser.subcommands`` maps
-    each subcommand's name to its table arm (``_table_arm``), read from that
-    subcommand's actions here, which reads a well-formed line of exact option
-    strings without argparse; every other line, and all usage, help and error
-    text, comes from this parser.
+    each subcommand's name to its table arm (``_table_arm``), read here from
+    that subcommand's actions. The arm reads, without argparse, a line of
+    exact option strings of the subcommand, each used once and each value
+    free of a leading ``-`` and passing the option's type and choices, with
+    every required option present. Every other line, and all usage, help and
+    error text, comes from this parser.
     """
     parser = argparse.ArgumentParser(
         prog="mspace",

@@ -1647,7 +1647,6 @@ class TestFileSize:
         assert err.startswith("error: file-size: reading /dev/zero needs ") and "over the cap of 65536" in err
 
 
-Z_PAIR_ARGS = ("--alice", "z-projectors", "--bob", "z-projectors")
 # files the validation-branch cases read, by name; "missing.json" is never written
 BRANCH_FILES = {
     "no-amplitudes.json": {"dims": [2]},
@@ -1669,10 +1668,11 @@ class TestValidationBranches:
     """One command line per validation branch: exit 2 naming its invariant, with nothing on stdout."""
 
     @pytest.mark.parametrize("env, argv, message", [
-        ("abc", ("map", "--state", "bell", *Z_PAIR_ARGS), "tolerance-env: MSPACE_DEFAULT_TOL='abc' is not a number"),
-        (None, ("locc", "--state", "bell", *Z_PAIR_ARGS, "--outcome", "1,2,3"),
+        ("abc", ("map", "--state", "bell", *same_corpus.Z_PAIR),
+         "tolerance-env: MSPACE_DEFAULT_TOL='abc' is not a number"),
+        (None, ("locc", "--state", "bell", *same_corpus.Z_PAIR, "--outcome", "1,2,3"),
          "flag-format: expected 2 integers, got '1,2,3'"),
-        (None, ("map", "--state", "product0", "--dims", "2,2,2", *Z_PAIR_ARGS),
+        (None, ("map", "--state", "product0", "--dims", "2,2,2", *same_corpus.Z_PAIR),
          "dimension-match: local sets need a bipartite state"),
         (None, ("entanglement", "--state", "random:1", "--dims", "2,6", "--split", "3,3"),
          "split-shape: split (3, 3) does not factor dimension 12"),
@@ -1904,7 +1904,7 @@ class TestTableArm:
         @settings(derandomize=True, deadline=None, max_examples=300, database=None)
         @given(argv=command_lines())
         def sort(argv):
-            (taken if cli.build_parser().subcommands[argv[0]](argv[1:]) else left).add(argv[0])
+            (left if cli.build_parser().subcommands[argv[0]](argv[1:]) is None else taken).add(argv[0])
 
         sort()
         assert taken == left == set(SUBCOMMAND_PARSERS)
