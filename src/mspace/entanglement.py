@@ -24,7 +24,7 @@ _YY = tensor(PAULI_Y, PAULI_Y)
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
     """Shannon entropy (bits) of each distribution on the last axis of ``p``, with 0 log 0 := 0."""
     # 0.0 - sum, so that a product state scores +0.0 rather than -0.0
-    return 0.0 - np.sum(p * np.log2(p, out=np.zeros_like(p), where=p > 0.0), axis=-1)
+    return 0.0 - np.add.reduce(p * np.log2(p, out=np.zeros(p.shape), where=p > 0.0), axis=-1)
 
 
 def concurrence_pure(amplitudes: np.ndarray) -> float | np.ndarray:
@@ -55,7 +55,7 @@ def concurrence_mixed(rho: DensityMatrix) -> float | np.ndarray:
     if rho.dims != (2, 2):
         raise ValidationError("concurrence-dims", f"need a 2x2 density matrix, got {rho.dims}")
     w, v = rho.eigh
-    s = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)  # sqrt(rho)
+    s = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)  # sqrt(rho)
     lam = np.linalg.svd(s @ _YY @ s.conj(), compute_uv=False)
     c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
     return float(c) if c.ndim == 0 else c

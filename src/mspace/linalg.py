@@ -79,7 +79,7 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         return False
-    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max()) <= tol
+    return float(np.maximum.reduce(np.abs(a - a.conj().swapaxes(-1, -2)), axis=None)) <= tol
 
 
 def _require(
@@ -93,9 +93,11 @@ def _require(
     ``describe`` turns the index of that entry into the message. With
     ``trials``, axis 0 of ``ok`` runs over those trials and the message names
     the trial. Write ``ok`` as ``x <= tol`` so that a NaN fails. A check that
-    passes returns before any index is looked up.
+    passes returns before any index is looked up. Here and on every command's
+    path the package calls numpy's ufuncs and C methods (``np.logical_and.reduce``
+    in place of ``ndarray.all``) directly, not their Python-level wrappers.
     """
-    if np.asarray(ok).all():
+    if np.logical_and.reduce(ok, axis=None):
         return
     idx = tuple(int(i) for i in np.argwhere(np.logical_not(ok))[0])
     where = "" if trials is None else f"trial {trials[idx[0]]}: "
@@ -129,15 +131,17 @@ def operator_stack(
     """A read-only complex copy of ``ops`` as one ``(len(ops), *shape)`` array.
 
     The first entry ``k`` of another shape, a ragged one included, fails as
-    ``invariant`` with the message ``describe(k)``.
+    ``invariant`` with the message ``describe(k)``. An ``(n, *shape)`` array
+    passes whole, with no per-operator ``np.shape`` call.
     """
-    for k, op in enumerate(ops):
-        try:
-            ok = np.shape(op) == shape
-        except ValueError:  # numpy rejects ragged nesting
-            ok = False
-        if not ok:
-            raise ValidationError(invariant, describe(k))
+    if not (isinstance(ops, np.ndarray) and ops.shape[1:] == shape):
+        for k, op in enumerate(ops):
+            try:
+                ok = np.shape(op) == shape
+            except ValueError:  # numpy rejects ragged nesting
+                ok = False
+            if not ok:
+                raise ValidationError(invariant, describe(k))
     return frozen(np.array(ops, dtype=complex))
 
 
@@ -177,7 +181,9 @@ class PureState:
                 "state-length",
                 f"amplitude vector has length {vec.size}, expected {math.prod(dims)}",
             )
-        _require_unit(np.linalg.norm(vec), NORM_TOL, "state-normalization", "norm is")
+        # np.linalg.norm's own formula for a complex vector, so the same bits
+        norm = np.sqrt(vec.real.dot(vec.real) + vec.imag.dot(vec.imag))
+        _require_unit(norm, NORM_TOL, "state-normalization", "norm is")
 
     @property
     def dim(self) -> int:
@@ -196,9 +202,13 @@ class PureState:
         return cls(dims, vec)
 
 
+@functools.cache
 def bell_phi_plus() -> PureState:
-    """The two-qubit state (|00> + |11>) / sqrt(2)."""
-    return PureState((2, 2), np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
+    """The two-qubit state (|00> + |11>) / sqrt(2): one read-only state per process, built and
+    checked on first use."""
+    psi = PureState((2, 2), np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
+    frozen(psi.vector)
+    return psi
 
 
 @dataclasses.dataclass(frozen=True)
@@ -223,10 +233,10 @@ class DensityMatrix:
         d = math.prod(dims)
         if mat.shape[-2:] != (d, d):
             raise ValidationError("density-shape", f"matrix shape {mat.shape}, expected {(d, d)}")
-        skew = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        skew = np.maximum.reduce(np.abs(mat - mat.conj().swapaxes(-1, -2)), axis=(-2, -1))
         tr = mat.trace(axis1=-2, axis2=-1)
         object.__setattr__(self, "eigh", np.linalg.eigh(mat))
-        lo = self.eigh[0].min(axis=-1)
+        lo = np.minimum.reduce(self.eigh[0], axis=-1)
         checks = (
             (skew <= DEFAULT_TOL, "density-hermitian", lambda i: "matrix is not Hermitian within 1e-10"),
             (abs(tr - 1.0) <= DEFAULT_TOL, "density-trace",
@@ -255,9 +265,9 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = w[..., ::-1].copy()
     v = v[..., ::-1]
     rows = np.abs(v).argmax(axis=-2)
-    # pivot[..., c] = v[..., rows[..., c], c] as one fancy index, open index arrays on the other axes
-    *batch, cols = np.indices(rows.shape, sparse=True)
-    pivot = v[(*batch, rows, cols)][..., None, :]
+    # pivot[..., c] = v[..., rows[..., c], c], one gather from the columns laid end to end, d apart
+    d = v.shape[-1]
+    pivot = v.swapaxes(-1, -2).take(np.arange(0, rows.size * d, d).reshape(rows.shape) + rows)[..., None, :]
     # the columns have unit norm, so no pivot is zero; hypot rounds like the
     # scalar abs(), which the vectorized np.abs of a complex array does not
     return w, v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
@@ -271,7 +281,7 @@ def reduced_spectrum(amplitudes: np.ndarray) -> np.ndarray:
     a = np.asarray(amplitudes, dtype=complex)
     ah = a.conj().swapaxes(-1, -2)
     rho = ah @ a if a.shape[-2] > a.shape[-1] else a @ ah
-    return np.linalg.eigvalsh(rho).clip(0.0, None)
+    return np.maximum(np.linalg.eigvalsh(rho), 0.0)
 
 
 @functools.cache
@@ -296,7 +306,7 @@ def haar_unitaries(g: np.ndarray) -> np.ndarray:
     """
     z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
+    d = r.diagonal(0, -2, -1)
     return q * (d / np.abs(d))[..., None, :]
 
 

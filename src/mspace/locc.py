@@ -71,7 +71,7 @@ def _dilation(t: np.ndarray) -> PureState:
     ``[:, :, a, b]`` slice is ``A_a Psi B_b^T``.
     """
     vec = t.transpose(2, 3, 0, 1).reshape(-1)
-    norm = np.linalg.norm(vec)
+    norm = np.sqrt(vec.real.dot(vec.real) + vec.imag.dot(vec.imag))  # np.linalg.norm's formula
     # the squared norm is the trace of the ancilla output; within NORM_TOL
     # the vector is left alone, so that complete sets keep every bit
     if abs(norm * norm - 1.0) > NORM_TOL:
@@ -117,14 +117,14 @@ def fourier_step(blocks: np.ndarray) -> FourierStep:
     vectors = eigvecs @ fourier_matrix(dim).T
     # totals[j] = sum_m <omega_mj| block_m |omega_mj>
     totals = np.einsum("...mij,...mij->...j", vectors.conj(), blocks @ vectors).real
-    max_dev = np.abs(totals - 1.0 / dim).max(axis=-1)
+    max_dev = np.maximum.reduce(np.abs(totals - 1.0 / dim), axis=-1)
     return FourierStep(
         vectors=frozen(vectors),
         eigenvalues=frozen(eigvals),
         outcome_totals=totals,
         max_deviation=max_dev,
         # the eigenvalues descend, so each gap is one minus the next
-        degenerate=(eigvals[..., :-1] - eigvals[..., 1:] < DEGENERACY_TOL).any(axis=(-2, -1)),
+        degenerate=np.logical_or.reduce(eigvals[..., :-1] - eigvals[..., 1:] < DEGENERACY_TOL, axis=(-2, -1)),
     )
 
 
@@ -267,7 +267,7 @@ def run_locc_construction(
     # row j_a * d_b + j_b: the branch's (anc_A, anc_B) part next to |0>|0>
     flat = after_bob[:, :, 0, :, 0, :].swapaxes(-1, -2).reshape(d_a * d_b, n_a * n_b)
     weight = np.abs(flat) ** 2
-    leak = 1.0 - weight.sum(axis=1)
+    leak = 1.0 - np.add.reduce(weight, axis=1)
     _require(
         leak <= 1e-9,
         "locc-reset",
@@ -284,10 +284,10 @@ def run_locc_construction(
         mspace=image,
         ancilla=frozen(ancilla_acc),
         ancilla_diagonal=diag,
-        diagonal_deviation=float(np.abs(diag - target).max()),
+        diagonal_deviation=float(np.maximum.reduce(np.abs(diag - target))),
         branch_ancillas=frozen(flat),
         fidelities=np.abs(flat @ image.amplitudes) ** 2,
-        branch_diagonal_deviations=np.abs(weight - target).max(axis=1),
+        branch_diagonal_deviations=np.maximum.reduce(np.abs(weight - target), axis=1),
     )
 
 
@@ -360,7 +360,7 @@ def konrad_check(psi: np.ndarray, kraus_a: np.ndarray, kraus_b: np.ndarray) -> t
         lambda i: f"row {i[0]}: side {'AB'[i[1]]}: sum K^dag K deviates from 1 by {float(dev[i])!r}",
     )
     # the identity channel on each side, padded like that side's stack
-    eye_a, eye_b = np.zeros_like(kraus_a), np.zeros_like(kraus_b)
+    eye_a, eye_b = np.zeros(kraus_a.shape, kraus_a.dtype), np.zeros(kraus_b.shape, kraus_b.dtype)
     eye_a[..., 0, :, :] = eye_b[..., 0, :, :] = np.eye(2)
     bell = np.broadcast_to(np.eye(2) / np.sqrt(2.0), psi.shape)
     # one stack of rows (L_A x L_B) psi, (L_A x 1) phi+ and (1 x L_B) phi+

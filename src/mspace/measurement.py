@@ -111,8 +111,8 @@ def _deviation_parts(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     # the diagonal is zeroed in place for the off-diagonal maximum; its |g_ii - 1| comes from diag
     gap = np.abs(g).reshape(*g.shape[:-2], n * n)
     gap[..., :: n + 1] = 0.0
-    off = gap.max(axis=-1)
-    return np.maximum(np.abs(diag - 1).max(axis=-1), off), diag, off
+    off = np.maximum.reduce(gap, axis=-1)
+    return np.maximum(np.maximum.reduce(np.abs(diag - 1), axis=-1), off), diag, off
 
 
 def _identity_deviation(gram: np.ndarray) -> np.ndarray:
@@ -182,9 +182,10 @@ class MeasurementSpaceState:
         object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 1:
             raise ValidationError("mspace-shape", f"amplitudes of shape {amps.shape} do not form one vector")
-        if (amps < 0).any():
+        if np.logical_or.reduce(amps < 0):
             raise ValidationError("mspace-nonnegative", "amplitudes must be >= 0")
-        _require_unit((amps**2).sum(), DEFAULT_TOL, "mspace-normalization", "squared amplitudes sum to")
+        total = np.add.reduce(amps**2)
+        _require_unit(total, DEFAULT_TOL, "mspace-normalization", "squared amplitudes sum to")
         if self.structure is not None:
             na, nb = (int(x) for x in self.structure)
             object.__setattr__(self, "structure", (na, nb))
@@ -224,7 +225,7 @@ def local_product(psi: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.nda
 def _local_probabilities(t: np.ndarray, trials=None) -> np.ndarray:
     """p[..., a, b] = ||T[..., a, b]||_F^2 of a :func:`local_product` ``T``, checked against
     the -1e-12 floor and clamped to [0, 1]."""
-    raw = (t.real**2 + t.imag**2).sum(axis=(-2, -1))
+    raw = np.add.reduce(t.real**2 + t.imag**2, axis=(-2, -1))
     _require(
         raw >= PROBABILITY_FLOOR,
         "probability-floor",
@@ -261,9 +262,9 @@ def _pair_deviations(ga: np.ndarray, gb: np.ndarray) -> tuple[np.ndarray, np.nda
     (dev_a, diag_a, off_a), (dev_b, diag_b, off_b) = _deviation_parts(ga), _deviation_parts(gb)
     # the same complex products as the Kronecker product's diagonal, so the same bits
     products = diag_a[..., :, None] * diag_b[..., None, :]
-    on_diagonal = np.abs(products.reshape(*products.shape[:-2], -1) - 1).max(axis=-1)
-    peak_b = np.maximum(np.abs(diag_b).max(axis=-1), off_b)
-    off_diagonal = np.maximum(np.abs(diag_a).max(axis=-1) * off_b, off_a * peak_b)
+    on_diagonal = np.maximum.reduce(np.abs(products.reshape(*products.shape[:-2], -1) - 1), axis=-1)
+    peak_b = np.maximum(np.maximum.reduce(np.abs(diag_b), axis=-1), off_b)
+    off_diagonal = np.maximum(np.maximum.reduce(np.abs(diag_a), axis=-1) * off_b, off_a * peak_b)
     return dev_a, dev_b, np.maximum(on_diagonal, off_diagonal)
 
 
@@ -279,12 +280,13 @@ def _local_image(t: np.ndarray, completeness_tol: float, trials=None) -> np.ndar
     dim = t.shape[-2] * t.shape[-1]
     # a completeness deviation of eps can push the sum off by up to dim * eps
     sum_tol = max(DEFAULT_TOL, completeness_tol * dim)
-    _require_unit(probs.sum(axis=-1), sum_tol, "probability-normalization", "probabilities sum to", trials)
+    sums = np.add.reduce(probs, axis=-1)
+    _require_unit(sums, sum_tol, "probability-normalization", "probabilities sum to", trials)
     amps = np.sqrt(probs)
     # when the completeness tolerance is loosened the raw probabilities may
     # miss unit sum by up to that amount; the image itself stays a unit vector
     amps /= _row_norms(amps)[..., None]
-    total = (amps**2).sum(axis=-1)
+    total = np.add.reduce(amps**2, axis=-1)
     _require_unit(total, DEFAULT_TOL, "mspace-normalization", "squared amplitudes sum to", trials)
     return amps
 

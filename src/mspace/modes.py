@@ -27,9 +27,6 @@ BLOCK_ELEMENTS = 1 << 20
 # Candidates each row tries in its first block; the width doubles per block.
 FIRST_WIDTH = 32
 
-# math.log2 entry by entry, which np.log2 does not always match to the last bit
-_log2 = np.vectorize(math.log2, otypes=[float])
-
 
 def composition_count(n: int, m: int) -> int:
     """Number of ordered ways to write n as a sum of m nonnegative integers.
@@ -74,7 +71,7 @@ def divisor_infima(counts) -> list[int]:
             candidates = top[block, None] - np.arange(width)
             np.maximum(candidates, 1, out=candidates)
             hits = n[block, None] % candidates == 0
-            found = hits.any(axis=1)
+            found = np.logical_or.reduce(hits, axis=1)
             first = hits.argmax(axis=1)[found]
             infima[block[found]] = n[block[found]] // candidates[found, first]
         top[rows] -= width
@@ -140,5 +137,7 @@ def useful_entanglement_bounds(pairs) -> ModeSystem:
         counts.append(count)
     n, m = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     count, p = np.array([counts, divisor_infima(counts)], dtype=np.int64)
+    # math.log2 entry by entry, which np.log2 does not always match to the last bit
+    bound, weak = (np.array([*map(math.log2, ratio.tolist())]) for ratio in (count / p, count / 2))
     # for count >= 2, the divisor infimum is count itself exactly when count is prime
-    return ModeSystem(n, m, count, p == count, p, _log2(count / p), _log2(count / 2))
+    return ModeSystem(n, m, count, p == count, p, bound, weak)

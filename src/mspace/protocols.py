@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
@@ -156,7 +157,7 @@ class OutcomeTable:
     trials: Sequence[int] | None
 
     def __post_init__(self):
-        total = self.p_success.sum(axis=1) + self.p_failure.sum(axis=1)
+        total = np.add.reduce(self.p_success, axis=1) + np.add.reduce(self.p_failure, axis=1)
         _require_unit(total, DEFAULT_TOL, "outcome-total", "probabilities sum to", self.trials)
 
 
@@ -174,7 +175,7 @@ def outcome_tables(spec: ProtocolSpec) -> OutcomeTable:
 
 def success_rates_original(spec: ProtocolSpec) -> np.ndarray:
     """Success rate of every trial on the original state: sum_k p_{k,y}."""
-    return outcome_tables(spec).p_success.sum(axis=-1)
+    return np.add.reduce(outcome_tables(spec).p_success, axis=-1)
 
 
 def success_rates_mspace(spec: ProtocolSpec) -> np.ndarray:
@@ -197,9 +198,9 @@ def success_rates_mspace(spec: ProtocolSpec) -> np.ndarray:
     image = (_checked_image(*pair, DEFAULT_TOL, spec.trials)[1] ** 2).reshape(count, n, 2)
     p_y, p_n = image[..., 0], image[..., 1]
     p_k = p_y + p_n
-    terms = np.divide(p_y, p_k, out=np.zeros_like(p_k), where=p_k > 0.0) * p_k
+    terms = np.divide(p_y, p_k, out=np.zeros(p_k.shape), where=p_k > 0.0) * p_k
     # a running total in outcome order
-    return np.cumsum(terms, axis=-1)[:, -1]
+    return terms.cumsum(axis=-1)[:, -1]
 
 
 def _trial_bytes(d_a: int, d_b: int, n_outcomes: int) -> int:
@@ -238,8 +239,9 @@ def random_protocols(
     sizes = [math.prod(shape) for shape in shapes]
     buffer = np.array([rng.standard_normal(sum(sizes)) for rng in rngs]).reshape(-1, sum(sizes))
     count = len(buffer)
-    parts = np.split(buffer, np.cumsum(sizes[:-1]), axis=1)
-    g_state, g_alice, g_bob, g_verify = (g.reshape(count, *shape) for g, shape in zip(parts, shapes))
+    bounds = itertools.pairwise(itertools.accumulate(sizes, initial=0))
+    parts = (buffer[:, start:stop].reshape(count, *shape) for (start, stop), shape in zip(bounds, shapes))
+    g_state, g_alice, g_bob, g_verify = parts
     psi = haar_vectors(g_state).reshape(count, d_a, d_b)
     alice, verify = haar_blocks(g_alice, d_a), haar_blocks(g_verify, d_b)
     return ProtocolSpec(psi, alice, haar_unitaries(g_bob), verify, trials)

@@ -316,6 +316,20 @@ class TestEntanglement:
             code, out, err = run_cli(capsys, "entanglement", "--state", *state)
             assert code == 2 and "error: schmidt-split: " in err and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("entanglement", "--state", "bell", "--split", "2,2"),
+        ("entanglement", "--state", "bell", "--split", "1,4"),
+        ("map", "--state", "bell", "--alice", "noisy:0.8", "--bob", "noisy:0.7"),
+    ])  # fmt: skip
+    def test_the_cached_bell_state_answers_as_a_fresh_one(self, capsys, monkeypatch, argv):
+        assert load_state("bell") is bell_phi_plus()
+        cached = [run_cli(capsys, *argv) for _ in range(2)]
+        # built and checked on every call, as before the cache
+        monkeypatch.setattr(files, "bell_phi_plus", bell_phi_plus.__wrapped__)
+        assert load_state("bell") is not bell_phi_plus()
+        assert np.array_equal(load_state("bell").vector, bell_phi_plus().vector)
+        assert cached == [run_cli(capsys, *argv)] * 2 and cached[0][0] == 0
+
 
 class TestMonotonicityCounterexample:
     """Local measurements can raise the image's entanglement above the state's. The package has a
@@ -734,8 +748,8 @@ class TestKonrad:
             monkeypatch.setattr(cls, "__post_init__", counted)
         code, _, _ = run_cli(capsys, "konrad", "--trials", "40", "--seed", "3", *two_sided)
         assert code == 0 and built == []
-        # the counters do see both types
-        bell_phi_plus(), Channel(depolarizing_kraus(0.5))
+        # the counters do see both types; a basis state is built on every call, unlike the cached Bell state
+        PureState.basis((2, 2), 0), Channel(depolarizing_kraus(0.5))
         assert built == ["PureState", "Channel"]
 
 
@@ -1761,20 +1775,6 @@ class TestParser:
     def test_one_parser_per_process(self):
         assert cli.build_parser() is cli.build_parser()
 
-    def test_a_subcommand_line_is_parsed_by_its_subcommand_alone(self, capsys, monkeypatch):
-        parser, asked = cli.build_parser(), []
-
-        def spy(name):
-            method = getattr(parser, name)
-            return lambda *args, **kwargs: asked.append(name) or method(*args, **kwargs)
-
-        for name in ("parse_args", "parse_known_args"):
-            monkeypatch.setattr(parser, name, spy(name))
-        results = [run_cli(capsys, *argv) for argv in VALID_LINES]
-        assert asked == [] and [code for code, _, _ in results] == [0] * len(VALID_LINES)
-        assert {argv[0] for argv in VALID_LINES} == set(parser.subcommands)
-        assert [json.loads(out)["command"] for _, out, _ in results] == [argv[0] for argv in VALID_LINES]
-
     @pytest.mark.parametrize("argv", [[], *same_corpus.PARSER_LINES], ids=" ".join)
     def test_every_line_reads_as_the_whole_parser_reads_it(self, capsys, monkeypatch, argv):
         ours = run_cli(capsys, *argv)
@@ -1921,5 +1921,8 @@ class TestTableArm:
             monkeypatch.setattr(argparse.ArgumentParser, name, spy(name))
         results = [run_cli(capsys, *argv) for argv in VALID_LINES]
         assert asked == [] and [code for code, _, _ in results] == [0] * len(VALID_LINES)
+        # every subcommand has a line, and each report names its command
+        assert {argv[0] for argv in VALID_LINES} == set(cli.build_parser().subcommands)
+        assert [json.loads(out)["command"] for _, out, _ in results] == [argv[0] for argv in VALID_LINES]
         # the spies do see a line that the table arm leaves to argparse
         assert run_cli(capsys, "modes", "--n=2", "--m", "2")[0] == 0 and asked

@@ -245,6 +245,17 @@ class TestFourierMatrix:
                 fourier_matrix(-1)
 
 
+class TestBell:
+    def test_one_read_only_state_per_process(self):
+        psi = bell_phi_plus()
+        assert bell_phi_plus() is psi and psi.dims == (2, 2) and not psi.vector.flags.writeable
+        with pytest.raises(ValueError):
+            psi.vector[0] = 0.0
+        fresh = bell_phi_plus.__wrapped__()
+        assert fresh is not psi and np.array_equal(fresh.vector, psi.vector)
+        assert np.array_equal(psi.vector, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
+
+
 class TestHaar:
     def test_deterministic(self):
         assert np.array_equal(haar_state((2, 2), 42).vector, haar_state((2, 2), 42).vector)
