@@ -1775,6 +1775,20 @@ class TestParser:
     def test_one_parser_per_process(self):
         assert cli.build_parser() is cli.build_parser()
 
+    def test_a_subcommand_line_is_parsed_by_its_subcommand_alone(self, capsys, monkeypatch):
+        parser, asked = cli.build_parser(), []
+
+        def spy(name):
+            method = getattr(parser, name)
+            return lambda *args, **kwargs: asked.append(name) or method(*args, **kwargs)
+
+        for name in ("parse_args", "parse_known_args"):
+            monkeypatch.setattr(parser, name, spy(name))
+        results = [run_cli(capsys, *argv) for argv in VALID_LINES]
+        assert asked == [] and [code for code, _, _ in results] == [0] * len(VALID_LINES)
+        assert {argv[0] for argv in VALID_LINES} == set(parser.subcommands)
+        assert [json.loads(out)["command"] for _, out, _ in results] == [argv[0] for argv in VALID_LINES]
+
     @pytest.mark.parametrize("argv", [[], *same_corpus.PARSER_LINES], ids=" ".join)
     def test_every_line_reads_as_the_whole_parser_reads_it(self, capsys, monkeypatch, argv):
         ours = run_cli(capsys, *argv)
