@@ -12,12 +12,12 @@ Exit codes: 0 success, 1 a checked property failed, 2 invalid input.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import math
 import os
 import sys
+import types
 from typing import Any
 
 import numpy as np
@@ -385,163 +385,155 @@ def cmd_sweep(args) -> tuple[dict, int]:
 # parser
 
 
-def _table_arm(sub: argparse.ArgumentParser):
-    """``sub``'s table arm: the namespace ``sub.parse_args(words)`` gives, or None for a line it does not take.
+# each subcommand's help line and options, each option written as the keywords ``add_argument``
+# takes; the table arm reads ``required``, ``type``, ``choices``, ``default`` and ``action="store_true"``
+COMMANDS: dict[str, tuple[str, dict[str, dict[str, Any]]]] = {
+    "map": ("map a state to its measurement-space image", {
+        "--state": {"required": True},
+        "--measurements": {},
+        "--alice": {},
+        "--bob": {},
+        "--dims": {},
+    }),
+    "entanglement": ("entanglement before and after the map", {
+        "--state": {"required": True},
+        "--alice": {},
+        "--bob": {},
+        "--measure": {"choices": MEASURES, "default": "entropy"},
+        "--split": {},
+        "--dims": {},
+    }),
+    "theorem1": ("compare protocol success on both sides of the map", {
+        "--protocol": {},
+        "--random": {"action": "store_true"},
+        # --trials and --outcomes default to 1 and 2 with --random; --protocol takes neither
+        "--trials": {"type": int},
+        "--seed": {"type": int},
+        "--dims": {},
+        "--outcomes": {"type": int},
+    }),
+    "locc": ("audit the local construction that realizes the map", {
+        "--state": {"required": True},
+        "--alice": {"required": True},
+        "--bob": {"required": True},
+        "--outcome": {},
+        "--all-outcomes": {"action": "store_true"},
+        "--dims": {},
+    }),
+    "konrad": ("concurrence factorization checks for random channels", {
+        "--trials": {"type": int, "default": 100},
+        "--seed": {"type": int, "required": True},
+        "--two-sided": {"action": "store_true"},
+    }),
+    "modes": ("mode-counting entanglement bound table", {
+        "--n": {"type": int},
+        "--m": {"type": int},
+        "--n-max": {"type": int},
+        "--m-max": {"type": int},
+    }),
+    "sweep": ("detector-efficiency sweep on the Bell state", {
+        "--eta-start": {"type": float, "default": 0.5},
+        "--eta-end": {"type": float, "default": 1.0},
+        "--steps": {"type": int, "default": 6},
+        "--state": {"default": "bell"},
+    }),
+}  # fmt: skip
+# after every subcommand's own options, as the last one of each
+for _help, _options in COMMANDS.values():
+    _options["--format"] = {"choices": ("json", "tsv"), "default": "json"}
 
-    The table holds ``sub``'s store actions of one value and its switches by
-    exact option string; ``_parse_args`` says which lines the arm takes. The
-    namespace holds each action's default (a ``str`` default converted
-    through ``type``, as argparse converts it), ``const`` for a given switch
-    and each given value converted through ``type``.
+
+def _arm_lookup(options: dict[str, dict[str, Any]]) -> tuple[dict, dict, frozenset]:
+    """One subcommand's table for ``_table_arm``: each option string's (dest, converter, choices),
+    with no converter for a switch; each dest's default, as argparse sets it; the required dests."""
+    readers, defaults, required = {}, {}, set()
+    for flag, spec in options.items():
+        dest = flag[2:].replace("-", "_")
+        switch = spec.get("action") == "store_true"
+        readers[flag] = (dest, None if switch else spec.get("type", str), spec.get("choices"))
+        defaults[dest] = spec.get("default", False if switch else None)
+        if spec.get("required"):
+            required.add(dest)
+    return readers, defaults, frozenset(required)
+
+
+_ARMS = {name: _arm_lookup(options) for name, (_, options) in COMMANDS.items()}
+
+
+def _table_arm(command: str, words: list[str]) -> types.SimpleNamespace | None:
+    """The namespace the whole parser gives for ``[command, *words]``, read from ``COMMANDS`` without
+    argparse; None for a line the arm does not take (``_parse_args`` says which it takes).
+
+    The namespace holds ``command``, each option's default, ``True`` for a
+    given switch and each given value converted through its type.
     """
-    actions = [action for action in sub._actions if action.dest is not argparse.SUPPRESS]
-    options = {
-        word: action
-        for action in actions
-        if isinstance(action, argparse._StoreConstAction)
-        or (type(action) is argparse._StoreAction and action.nargs is None)
-        for word in action.option_strings
-    }
-    required = [action for action in actions if action.required]
-
-    def converted(action, text):
-        # as argparse reads a value: through the action's type, if it has one
-        return text if action.type is None else action.type(text)
-
-    def parse(words) -> argparse.Namespace | None:
-        given = {}
-        words = iter(words)
+    readers, defaults, required = _ARMS[command]
+    given: dict[str, Any] = {}
+    words = iter(words)
+    for word in words:
+        reader = readers.get(word)
+        if reader is None or reader[0] in given:
+            return None
+        dest, convert, choices = reader
+        if convert is None:
+            given[dest] = True
+            continue
+        text = next(words, None)
+        if text is None or text.startswith("-"):
+            return None
         try:
-            for word in words:
-                action = options.get(word)
-                if action is None or action in given:
-                    return None
-                if action.nargs == 0:
-                    given[action] = action.const
-                    continue
-                text = next(words, None)
-                if text is None or text.startswith("-"):
-                    return None
-                value = converted(action, text)
-                if action.choices is not None and value not in action.choices:
-                    return None
-                given[action] = value
-            if not all(action in given for action in required):
-                return None
-            args = argparse.Namespace()
-            for action in actions:
-                if action in given:
-                    value = given[action]
-                elif action.default is argparse.SUPPRESS:
-                    continue
-                elif isinstance(action.default, str):
-                    value = converted(action, action.default)
-                else:
-                    value = action.default
-                setattr(args, action.dest, value)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            value = convert(text)
+        except ValueError:
             # argparse refuses a value its type cannot read
             return None
-        return args
-
-    return parse
+        if choices is not None and value not in choices:
+            return None
+        given[dest] = value
+    if not required <= given.keys():
+        return None
+    return types.SimpleNamespace(command=command, **{**defaults, **given})
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use; ``parse_args`` gives each call a fresh namespace.
+def build_parser():
+    """The whole parser, built from ``COMMANDS`` on first use, once per process.
 
-    It is the reference for every command line. ``parser.subcommands`` maps
-    each subcommand's name to its table arm (``_table_arm``), read here from
-    that subcommand's actions. The arm reads, without argparse, a line of
-    exact option strings of the subcommand, each used once and each value
-    free of a leading ``-`` and passing the option's type and choices, with
-    every required option present. Every other line, and all usage, help and
-    error text, comes from this parser.
+    It is the reference for every command line, and it reads each line the
+    table arm (``_table_arm``) refuses, writing all usage, help and error
+    text. ``argparse`` is imported here, so a process whose every line the
+    arm takes never imports it. ``parse_args`` gives each call a fresh
+    namespace.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mspace",
         description="Measurement-space maps, operational entanglement, and mode bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("map", help="map a state to its measurement-space image")
-    p.add_argument("--state", required=True)
-    p.add_argument("--measurements")
-    p.add_argument("--alice")
-    p.add_argument("--bob")
-    p.add_argument("--dims")
-
-    p = sub.add_parser("entanglement", help="entanglement before and after the map")
-    p.add_argument("--state", required=True)
-    p.add_argument("--alice")
-    p.add_argument("--bob")
-    p.add_argument("--measure", choices=MEASURES, default="entropy")
-    p.add_argument("--split")
-    p.add_argument("--dims")
-
-    p = sub.add_parser("theorem1", help="compare protocol success on both sides of the map")
-    p.add_argument("--protocol")
-    p.add_argument("--random", action="store_true")
-    # --trials and --outcomes default to 1 and 2 with --random; --protocol takes neither
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dims")
-    p.add_argument("--outcomes", type=int)
-
-    p = sub.add_parser("locc", help="audit the local construction that realizes the map")
-    p.add_argument("--state", required=True)
-    p.add_argument("--alice", required=True)
-    p.add_argument("--bob", required=True)
-    p.add_argument("--outcome")
-    p.add_argument("--all-outcomes", action="store_true")
-    p.add_argument("--dims")
-
-    p = sub.add_parser("konrad", help="concurrence factorization checks for random channels")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--two-sided", action="store_true")
-
-    p = sub.add_parser("modes", help="mode-counting entanglement bound table")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--m-max", type=int)
-
-    p = sub.add_parser("sweep", help="detector-efficiency sweep on the Bell state")
-    p.add_argument("--eta-start", type=float, default=0.5)
-    p.add_argument("--eta-end", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=6)
-    p.add_argument("--state", default="bell")
-
-    # after every subcommand's own options, as the last one of each
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
-    # each subcommand's table arm by name, read from the parser just built: a fresh parser gets its own
-    parser.subcommands = {name: _table_arm(p) for name, p in sub.choices.items()}
+    for name, (help_line, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
     return parser
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """``argv`` parsed as ``build_parser().parse_args`` parses it, from its subcommand's action table where it can be.
+def _parse_args(argv) -> Any:
+    """``argv`` parsed as ``build_parser().parse_args`` parses it, by the table arm where it can be.
 
-    The table arm takes a line whose first word names a subcommand and whose
-    every later word is an exact option string of that subcommand used once,
-    each value-taking option followed by a value that does not start with
-    ``-`` and passes the option's type and choices, with every required option
-    present; it builds the namespace without argparse. Every other line
-    (abbreviations, ``--flag=value``, negative numbers, repeats, ``-h``, stray
-    words, bad values) goes through the whole parser, which writes all usage,
-    help and error text.
+    The table arm takes a line whose first word names a subcommand in
+    ``COMMANDS`` and whose every later word is an exact option string of
+    that subcommand used once, each value-taking option followed by a value
+    that does not start with ``-`` and passes the option's type and choices,
+    with every required option present; it builds the namespace from the
+    table. Only for every other line (abbreviations, ``--flag=value``,
+    negative numbers, repeats, ``-h``, stray words, bad values) is argparse
+    imported and the whole parser built, which writes all usage, help and
+    error text.
     """
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    table = parser.subcommands.get(argv[0]) if argv else None
-    args = None if table is None else table(argv[1:])
-    if args is None:
-        return parser.parse_args(argv)
-    args.command = argv[0]
-    return args
+    args = _table_arm(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

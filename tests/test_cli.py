@@ -1686,6 +1686,8 @@ class TestValidationBranches:
          "tolerance-env: MSPACE_DEFAULT_TOL='abc' is not a number"),
         (None, ("locc", "--state", "bell", *same_corpus.Z_PAIR, "--outcome", "1,2,3"),
          "flag-format: expected 2 integers, got '1,2,3'"),
+        # the files load before --outcome is read, so a missing file is named over a bad --outcome
+        (None, ("locc", "--state", "missing.json", *same_corpus.Z_PAIR, "--outcome", "1"), "file-access: cannot read "),
         (None, ("map", "--state", "product0", "--dims", "2,2,2", *same_corpus.Z_PAIR),
          "dimension-match: local sets need a bipartite state"),
         (None, ("entanglement", "--state", "random:1", "--dims", "2,6", "--split", "3,3"),
@@ -1775,19 +1777,26 @@ class TestParser:
     def test_one_parser_per_process(self):
         assert cli.build_parser() is cli.build_parser()
 
-    def test_a_subcommand_line_is_parsed_by_its_subcommand_alone(self, capsys, monkeypatch):
-        parser, asked = cli.build_parser(), []
-
-        def spy(name):
-            method = getattr(parser, name)
-            return lambda *args, **kwargs: asked.append(name) or method(*args, **kwargs)
-
-        for name in ("parse_args", "parse_known_args"):
-            monkeypatch.setattr(parser, name, spy(name))
+    def test_a_subcommand_line_is_parsed_by_its_subcommand_alone(self, capsys):
+        # each line is read from its subcommand's entry in COMMANDS: no parser is built at all
+        cli.build_parser.cache_clear()
         results = [run_cli(capsys, *argv) for argv in VALID_LINES]
-        assert asked == [] and [code for code, _, _ in results] == [0] * len(VALID_LINES)
-        assert {argv[0] for argv in VALID_LINES} == set(parser.subcommands)
+        assert cli.build_parser.cache_info().currsize == 0
+        assert [code for code, _, _ in results] == [0] * len(VALID_LINES)
+        assert {argv[0] for argv in VALID_LINES} == set(cli.COMMANDS)
         assert [json.loads(out)["command"] for _, out, _ in results] == [argv[0] for argv in VALID_LINES]
+
+    def test_valid_lines_leave_argparse_unimported(self):
+        # in a fresh interpreter, since the test process has imported argparse itself
+        script = (
+            "import json, sys\n"
+            "from mspace import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0 and 'argparse' not in sys.modules, argv\n"
+            "assert cli.main(['modes', '--n=2', '--m', '2']) == 0 and 'argparse' in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(VALID_LINES)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("argv", [[], *same_corpus.PARSER_LINES], ids=" ".join)
     def test_every_line_reads_as_the_whole_parser_reads_it(self, capsys, monkeypatch, argv):
@@ -1918,7 +1927,7 @@ class TestTableArm:
         @settings(derandomize=True, deadline=None, max_examples=300, database=None)
         @given(argv=command_lines())
         def sort(argv):
-            (left if cli.build_parser().subcommands[argv[0]](argv[1:]) is None else taken).add(argv[0])
+            (left if cli._table_arm(argv[0], argv[1:]) is None else taken).add(argv[0])
 
         sort()
         assert taken == left == set(SUBCOMMAND_PARSERS)
@@ -1936,7 +1945,7 @@ class TestTableArm:
         results = [run_cli(capsys, *argv) for argv in VALID_LINES]
         assert asked == [] and [code for code, _, _ in results] == [0] * len(VALID_LINES)
         # every subcommand has a line, and each report names its command
-        assert {argv[0] for argv in VALID_LINES} == set(cli.build_parser().subcommands)
+        assert {argv[0] for argv in VALID_LINES} == set(cli.COMMANDS)
         assert [json.loads(out)["command"] for _, out, _ in results] == [argv[0] for argv in VALID_LINES]
         # the spies do see a line that the table arm leaves to argparse
         assert run_cli(capsys, "modes", "--n=2", "--m", "2")[0] == 0 and asked
