@@ -1686,8 +1686,6 @@ class TestValidationBranches:
          "tolerance-env: MSPACE_DEFAULT_TOL='abc' is not a number"),
         (None, ("locc", "--state", "bell", *same_corpus.Z_PAIR, "--outcome", "1,2,3"),
          "flag-format: expected 2 integers, got '1,2,3'"),
-        # the files load before --outcome is read, so a missing file is named over a bad --outcome
-        (None, ("locc", "--state", "missing.json", *same_corpus.Z_PAIR, "--outcome", "1"), "file-access: cannot read "),
         (None, ("map", "--state", "product0", "--dims", "2,2,2", *same_corpus.Z_PAIR),
          "dimension-match: local sets need a bipartite state"),
         (None, ("entanglement", "--state", "random:1", "--dims", "2,6", "--split", "3,3"),
@@ -1715,6 +1713,8 @@ class TestValidationBranches:
         (None, ("theorem1", "--protocol", "list.json"), "protocol-schema: protocol files must be JSON objects"),
         (None, ("theorem1", "--protocol", "qutrit-alice.json"), "protocol-alice-dim: "),
         (None, ("theorem1", "--random", "--seed", "1", "--outcomes", "0"), "measurement-outcomes: "),
+        # the files load before --outcome is read, so a missing file is named over a bad --outcome
+        (None, ("locc", "--state", "missing.json", *same_corpus.Z_PAIR, "--outcome", "1"), "file-access: cannot read "),
     ])  # fmt: skip
     def test_branch_names_its_invariant(self, capsys, tmp_path, monkeypatch, env, argv, message):
         if env is not None:
