@@ -27,6 +27,7 @@ from .linalg import (
     ValidationError,
     _check_dims,
     _require_fits,
+    _vector_norm,
     bell_phi_plus,
     haar_state,
 )
@@ -162,7 +163,7 @@ def state_from_obj(obj: Any) -> PureState:
             "state-length", f"{vec.size} amplitudes for dims {dims} (need {math.prod(dims)})"
         )
     with _quiet():
-        norm = float(np.sqrt(vec.real.dot(vec.real) + vec.imag.dot(vec.imag)))  # np.linalg.norm's formula
+        norm = float(_vector_norm(vec))
     dev = abs(norm - 1.0)
     # written so that a NaN norm fails too
     if not dev <= STATE_NORM_REPAIR:

@@ -112,6 +112,11 @@ def _require_unit(
     _require(abs(total - 1.0) <= tol, invariant, lambda i: f"{what} {float(total[i])!r}, expected 1", trials)
 
 
+def _vector_norm(vec: np.ndarray) -> np.floating:
+    """The Euclidean norm of a complex vector by ``np.linalg.norm``'s own formula, so the same bits."""
+    return np.sqrt(vec.real.dot(vec.real) + vec.imag.dot(vec.imag))
+
+
 def _row_norms(z: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis, each rounded as ``np.linalg.norm`` of its row."""
     re, im = z.real[..., None, :], z.imag[..., None, :]
@@ -181,9 +186,7 @@ class PureState:
                 "state-length",
                 f"amplitude vector has length {vec.size}, expected {math.prod(dims)}",
             )
-        # np.linalg.norm's own formula for a complex vector, so the same bits
-        norm = np.sqrt(vec.real.dot(vec.real) + vec.imag.dot(vec.imag))
-        _require_unit(norm, NORM_TOL, "state-normalization", "norm is")
+        _require_unit(_vector_norm(vec), NORM_TOL, "state-normalization", "norm is")
 
     @property
     def dim(self) -> int:

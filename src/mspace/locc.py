@@ -34,6 +34,7 @@ from .linalg import (
     _require,
     _require_fits,
     _row_norms,
+    _vector_norm,
     eig_hermitian,
     fourier_matrix,
     frozen,
@@ -71,7 +72,7 @@ def _dilation(t: np.ndarray) -> PureState:
     ``[:, :, a, b]`` slice is ``A_a Psi B_b^T``.
     """
     vec = t.transpose(2, 3, 0, 1).reshape(-1)
-    norm = np.sqrt(vec.real.dot(vec.real) + vec.imag.dot(vec.imag))  # np.linalg.norm's formula
+    norm = _vector_norm(vec)
     # the squared norm is the trace of the ancilla output; within NORM_TOL
     # the vector is left alone, so that complete sets keep every bit
     if abs(norm * norm - 1.0) > NORM_TOL:

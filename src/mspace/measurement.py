@@ -310,6 +310,17 @@ def _checked_image(
     return t, _local_image(t, completeness_tol, trials)
 
 
+def _whole_space_image(
+    vectors: np.ndarray, stack: np.ndarray, completeness_tol: float, trials=None
+) -> np.ndarray:
+    """The :func:`_checked_image` amplitudes of ``(..., D)`` state vectors under ``(..., n, D, D)``
+    sets on the whole space, each mapped as the one-party case of a pair: the set is Alice's, the
+    state a ``(D, 1)`` amplitude matrix and Bob's set the single ``1x1`` identity."""
+    dim = vectors.shape[-1]
+    pair = ((dim, 1), vectors[..., None], stack, np.ones((1, 1, 1)))
+    return _checked_image(*pair, completeness_tol, trials)[1]
+
+
 def map_to_measurement_space(
     psi: PureState,
     measurements: MeasurementSet | LocalMeasurementSet,
@@ -329,15 +340,14 @@ def map_to_measurement_space(
     ``completeness_tol`` can move the sum.
     """
     if isinstance(measurements, LocalMeasurementSet):
-        pair, structure = (psi.dims, psi.reshaped(), *measurements.stacks), measurements.structure
-    else:
-        if psi.dim != measurements.dim:
-            raise ValidationError(
-                "dimension-match",
-                f"state dimension {psi.dim} != measurement dimension {measurements.dim}",
-            )
-        pair, structure = ((psi.dim, 1), psi.vector[:, None], measurements.stack, np.ones((1, 1, 1))), None
-    return MeasurementSpaceState(_checked_image(*pair, completeness_tol)[1], structure)
+        image = _checked_image(psi.dims, psi.reshaped(), *measurements.stacks, completeness_tol)[1]
+        return MeasurementSpaceState(image, measurements.structure)
+    if psi.dim != measurements.dim:
+        raise ValidationError(
+            "dimension-match",
+            f"state dimension {psi.dim} != measurement dimension {measurements.dim}",
+        )
+    return MeasurementSpaceState(_whole_space_image(psi.vector, measurements.stack, completeness_tol))
 
 
 def local_images(

@@ -39,11 +39,11 @@ from .linalg import (
 )
 from .measurement import (
     MeasurementSet,
-    _checked_image,
     _gram,
     _identity_deviation,
     _local_probabilities,
     _require_complete,
+    _whole_space_image,
     local_product,
 )
 
@@ -193,9 +193,8 @@ def success_rates_mspace(spec: ProtocolSpec) -> np.ndarray:
     dim = d_a * d_b
     # M_k (x) M_yk U_k and M_k (x) M_nk U_k for each trial and outcome k
     joint = tensor(spec.alice[:, :, None], spec.effective_ops).reshape(count, 2 * n, dim, dim)
-    # the one-party case of a local pair: the set is Alice's, Bob's the single 1x1 identity
-    pair = ((dim, 1), spec.psi.reshape(count, dim, 1), joint, np.ones((1, 1, 1)))
-    image = (_checked_image(*pair, DEFAULT_TOL, spec.trials)[1] ** 2).reshape(count, n, 2)
+    amps = _whole_space_image(spec.psi.reshape(count, dim), joint, DEFAULT_TOL, spec.trials)
+    image = (amps**2).reshape(count, n, 2)
     p_y, p_n = image[..., 0], image[..., 1]
     p_k = p_y + p_n
     terms = np.divide(p_y, p_k, out=np.zeros(p_k.shape), where=p_k > 0.0) * p_k
