@@ -128,6 +128,15 @@ def _load_local_sets(args, psi: PureState, tol: float) -> LocalMeasurementSet:
     return LocalMeasurementSet(alice, bob)
 
 
+def _parameters(args, skip: tuple[str, ...] = (), **worked_out: Any) -> dict[str, Any]:
+    """A report's ``parameters``: each option of ``args.command`` in ``COMMANDS`` order, but
+    ``--format`` and the dests in ``skip``; a value in ``worked_out`` replaces its option's value
+    in place, or follows the options."""
+    _, defaults, _ = _ARMS[args.command]
+    options = {dest: getattr(args, dest) for dest in defaults if dest != "format" and dest not in skip}
+    return {**options, **worked_out}
+
+
 def _tolerance_and_state(args) -> tuple[float, PureState]:
     """The completeness tolerance, then ``--state`` on ``--dims``: a bad MSPACE_DEFAULT_TOL is named first."""
     tol = default_tolerance()
@@ -158,13 +167,7 @@ def cmd_map(args) -> tuple[dict, int]:
         "amplitude": image.amplitudes,
     }
     report = {
-        "parameters": {
-            "state": args.state,
-            "measurements": args.measurements,
-            "alice": args.alice,
-            "bob": args.bob,
-            "tolerance": tol,
-        },
+        "parameters": _parameters(args, skip=("dims",), tolerance=tol),
         "structure": list(image.structure) if image.structure else None,
         "results": columns,
     }
@@ -187,17 +190,7 @@ def cmd_entanglement(args) -> tuple[dict, int]:
         after = measurement_space_entanglement(image, args.measure)
         monotone = after <= original + MONOTONICITY_TOL
         columns.update(measurement_space=[after], monotone=[monotone])
-    report = {
-        "parameters": {
-            "state": args.state,
-            "alice": args.alice,
-            "bob": args.bob,
-            "measure": args.measure,
-            "split": args.split,
-            "tolerance": tol,
-        },
-        "results": columns,
-    }
+    report = {"parameters": _parameters(args, skip=("dims",), tolerance=tol), "results": columns}
     return report, 0 if monotone else 1
 
 
@@ -232,13 +225,7 @@ def cmd_theorem1(args) -> tuple[dict, int]:
     worst = max(0.0, *deltas)
     passed = worst < THEOREM1_TOL
     report = {
-        "parameters": {
-            "protocol": args.protocol,
-            "trials": len(names),
-            "seed": args.seed,
-            "dims": args.dims,
-            "outcomes": outcomes,
-        },
+        "parameters": _parameters(args, skip=("random",), trials=len(names), outcomes=outcomes),
         "max_delta": worst,
         "tolerance": THEOREM1_TOL,
         "passed": passed,
@@ -289,14 +276,7 @@ def cmd_locc(args) -> tuple[dict, int]:
     monotone = all(checks)
     passed = monotone and worst_uniform <= tol and trace.diagonal_deviation <= DIAGONAL_TOL
     report = {
-        "parameters": {
-            "state": args.state,
-            "alice": args.alice,
-            "bob": args.bob,
-            "outcome": args.outcome,
-            "all_outcomes": args.all_outcomes,
-            "tolerance": tol,
-        },
+        "parameters": _parameters(args, skip=("dims",), tolerance=tol),
         **summary,
         "monotonicity": monotone,
         "passed": passed,
@@ -324,7 +304,7 @@ def cmd_konrad(args) -> tuple[dict, int]:
         violations, worst = None, float(np.maximum.reduce(columns["residual"]))
         passed = worst < KONRAD_TOL
     report = {
-        "parameters": {"trials": args.trials, "seed": args.seed, "two_sided": args.two_sided},
+        "parameters": _parameters(args),
         "max_residual": worst,
         "violations": violations,
         "tolerance": KONRAD_TOL,
@@ -369,16 +349,7 @@ def cmd_sweep(args) -> tuple[dict, int]:
         "concurrence_mspace": pure_entanglements(images, "concurrence"),
         "entropy_mspace": pure_entanglements(images, "entropy"),
     }
-    report = {
-        "parameters": {
-            "eta_start": args.eta_start,
-            "eta_end": args.eta_end,
-            "steps": args.steps,
-            "state": args.state,
-        },
-        "results": columns,
-    }
-    return report, 0
+    return {"parameters": _parameters(args), "results": columns}, 0
 
 
 # ---------------------------------------------------------------------------

@@ -61,12 +61,6 @@ def _shown(k: int) -> str:
         return f"{'at most -' if k < 0 else 'at least '}10^{sys.get_int_max_str_digits()}"
 
 
-def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _require_fits(size: int, invariant: str, what: str) -> int:
     """``size``, unless ``what`` needs more than :data:`TRIAL_BYTES_CAP` bytes; then fail as ``invariant``."""
     if size > TRIAL_BYTES_CAP:
@@ -330,7 +324,7 @@ def haar_state(dims: Sequence[int], seed: int | np.random.Generator) -> PureStat
     """Haar-random pure state: normalized vector of iid complex Gaussians."""
     dims = tuple(int(d) for d in dims)
     _check_dims(dims)
-    return PureState(dims, haar_vectors(_as_rng(seed).standard_normal((2, math.prod(dims)))))
+    return PureState(dims, haar_vectors(np.random.default_rng(seed).standard_normal((2, math.prod(dims)))))
 
 
 def _running_multipliers(init: int, mult: int, n: int) -> np.ndarray:

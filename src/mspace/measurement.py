@@ -18,7 +18,6 @@ from .linalg import (
     DEFAULT_TOL,
     PureState,
     ValidationError,
-    _as_rng,
     _require,
     _require_fits,
     _require_unit,
@@ -372,7 +371,7 @@ def random_measurement_set(dim: int, n_outcomes: int, seed: int | np.random.Gene
     if n_outcomes < 1:
         raise ValidationError("measurement-outcomes", "need at least one outcome")
     n = n_outcomes * dim
-    ops = haar_blocks(_as_rng(seed).standard_normal((2, n, n)), dim)
+    ops = haar_blocks(np.random.default_rng(seed).standard_normal((2, n, n)), dim)
     return MeasurementSet(dim, tuple(map(str, range(n_outcomes))), ops)
 
 

@@ -1039,7 +1039,38 @@ class TestRowCap:
         assert code == 0 and len(json.loads(out)["results"]) == 420 <= MAX_ROWS
 
 
+# each subcommand's parameters keys, in report order, for its VALID_LINES line
+PARAMETER_KEYS = {
+    "map": ["state", "measurements", "alice", "bob", "tolerance"],
+    "entanglement": ["state", "alice", "bob", "measure", "split", "tolerance"],
+    "theorem1": ["protocol", "trials", "seed", "dims", "outcomes"],
+    "locc": ["state", "alice", "bob", "outcome", "all_outcomes", "tolerance"],
+    "konrad": ["trials", "seed", "two_sided"],
+    "modes": ["grid"],
+    "sweep": ["eta_start", "eta_end", "steps", "state"],
+}
+
+
 class TestReportContract:
+    @pytest.mark.parametrize("command", PARAMETER_KEYS)
+    def test_parameters_keys_are_pinned(self, capsys, monkeypatch, command):
+        assert set(PARAMETER_KEYS) == set(cli.COMMANDS)
+        (argv,) = [argv for argv in VALID_LINES if argv[0] == command]
+        skipped, parameters = [], cli._parameters
+
+        def spy(args, skip=(), **worked_out):
+            skipped.extend(skip)
+            return parameters(args, skip, **worked_out)
+
+        monkeypatch.setattr(cli, "_parameters", spy)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and list(json.loads(out)["parameters"]) == PARAMETER_KEYS[command]
+        code, out, _ = run_cli(capsys, *argv, "--format", "tsv")
+        (header,) = [line for line in out.splitlines() if line.startswith("# parameters=")]
+        assert code == 0 and list(json.loads(header.removeprefix("# parameters="))) == PARAMETER_KEYS[command]
+        # a skipped dest must be a declared option, so a renamed option cannot start being echoed unnoticed
+        assert set(skipped) <= cli._ARMS[command][1].keys()
+
     def test_identical_seed_identical_bytes(self, capsys):
         argv = ["konrad", "--trials", "10", "--seed", "5"]
         _, first, _ = run_cli(capsys, *argv)
@@ -1777,15 +1808,6 @@ class TestParser:
     def test_one_parser_per_process(self):
         assert cli.build_parser() is cli.build_parser()
 
-    def test_a_subcommand_line_is_parsed_by_its_subcommand_alone(self, capsys):
-        # each line is read from its subcommand's entry in COMMANDS: no parser is built at all
-        cli.build_parser.cache_clear()
-        results = [run_cli(capsys, *argv) for argv in VALID_LINES]
-        assert cli.build_parser.cache_info().currsize == 0
-        assert [code for code, _, _ in results] == [0] * len(VALID_LINES)
-        assert {argv[0] for argv in VALID_LINES} == set(cli.COMMANDS)
-        assert [json.loads(out)["command"] for _, out, _ in results] == [argv[0] for argv in VALID_LINES]
-
     def test_valid_lines_leave_argparse_unimported(self):
         # in a fresh interpreter, since the test process has imported argparse itself
         script = (
@@ -1942,7 +1964,10 @@ class TestTableArm:
 
         for name in ("parse_args", "parse_known_args"):
             monkeypatch.setattr(argparse.ArgumentParser, name, spy(name))
+        # each line is read from its subcommand's entry in COMMANDS: no parser is built at all
+        cli.build_parser.cache_clear()
         results = [run_cli(capsys, *argv) for argv in VALID_LINES]
+        assert cli.build_parser.cache_info().currsize == 0
         assert asked == [] and [code for code, _, _ in results] == [0] * len(VALID_LINES)
         # every subcommand has a line, and each report names its command
         assert {argv[0] for argv in VALID_LINES} == set(cli.COMMANDS)
