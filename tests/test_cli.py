@@ -1808,6 +1808,15 @@ class TestParser:
     def test_one_parser_per_process(self):
         assert cli.build_parser() is cli.build_parser()
 
+    def test_a_subcommand_line_is_parsed_by_its_subcommand_alone(self, capsys):
+        # each line is read from its subcommand's entry in COMMANDS: no parser is built at all
+        cli.build_parser.cache_clear()
+        results = [run_cli(capsys, *argv) for argv in VALID_LINES]
+        assert cli.build_parser.cache_info().currsize == 0
+        assert [code for code, _, _ in results] == [0] * len(VALID_LINES)
+        assert {argv[0] for argv in VALID_LINES} == set(cli.COMMANDS)
+        assert [json.loads(out)["command"] for _, out, _ in results] == [argv[0] for argv in VALID_LINES]
+
     def test_valid_lines_leave_argparse_unimported(self):
         # in a fresh interpreter, since the test process has imported argparse itself
         script = (
@@ -1964,10 +1973,7 @@ class TestTableArm:
 
         for name in ("parse_args", "parse_known_args"):
             monkeypatch.setattr(argparse.ArgumentParser, name, spy(name))
-        # each line is read from its subcommand's entry in COMMANDS: no parser is built at all
-        cli.build_parser.cache_clear()
         results = [run_cli(capsys, *argv) for argv in VALID_LINES]
-        assert cli.build_parser.cache_info().currsize == 0
         assert asked == [] and [code for code, _, _ in results] == [0] * len(VALID_LINES)
         # every subcommand has a line, and each report names its command
         assert {argv[0] for argv in VALID_LINES} == set(cli.COMMANDS)
